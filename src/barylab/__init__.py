@@ -21,7 +21,6 @@ from .covers import (
     build_nerve,
     diam_K_Kout,
     is_H_fine,
-    project_to_nerve,
 )
 from .retraction import (
     ConvexBody,
@@ -34,8 +33,6 @@ from .retraction import (
     build_boundary_grid,
     check_large_angle_escape,
     check_small_relative,
-    closest_point_projection,
-    dist_to_C,
     extend_to_pushoff,
     flow_to_infinity,
     normal_flow,

@@ -3,7 +3,8 @@ d(b,q) <= diam({q} u P) for all q in Q.
 
 solve_barycenter certifies existence on a dense grid (the max-distance
 objective is 1-Lipschitz, so non-existence is certified down to the grid's
-covering radius) and polishes feasible cells by subgradient descent.  The
+covering radius) and polishes the best cells with minimax_descent, the
+ball-intersection descent that the nerve's margins use too.  The
 closed-form rules implement the midpoint construction for CAT(0) kinds and
 the shortest-arc midpoint on the circle; the circle rule's 1/2 bound is exact
 in the intrinsic arc metric, which the certificate records as metric="arc".
@@ -185,59 +186,50 @@ def _candidate_grid(prob, rho):
                      "supply an explicit candidate region")
 
 
-def _feasibility(space, b, P, Q, lam, D):
-    """max violation margin; <= 0 means b is a lambda-barycenter rel. Q."""
-    fp = max(spaces.distance(space, b, p) for p in P) - lam * D
-    fq = -math.inf
-    for q in Q:
-        dq = max(spaces.distance(space, q, p) for p in P)
-        fq = max(fq, spaces.distance(space, b, q) - max(D, dq))
-    return max(fp, fq)
+DESCENT_STEPS = 1000  # geodesic steps per minimax descent
+DESCENT_MIN_STEP = 1e-3  # floor of the first step length
 
 
-def _move_toward(space, x, z, t):
-    if space.kind == spaces.FINITE:
-        return x
-    d = spaces.distance(space, x, z) if space.kind != spaces.CIRCLE \
-        else spaces.arc_distance(space, x, z)
-    if d <= space.tol:
-        return x
-    return spaces.geodesic_point(space, x, z, min(t, d))
+def minimax_descent(space, centers, radii, start):
+    """Locally minimize f(x) = max_i d(x, c_i) - r_i by geodesic subgradient
+    steps toward the worst centre; returns (f(x), x) at the best x reached.
 
-
-def _descend(space, b, P, Q, lam, D, rho, iters=1000):
-    """Subgradient descent on the active farthest constraint; deterministic."""
-    best = _feasibility(space, b, P, Q, lam, D)
-    step = max(rho, 1e-6 * max(D, 1e-12))
-    qdiams = [max(D, max(spaces.distance(space, q, p) for p in P)) for q in Q]
-    for _ in range(iters):
-        if best <= -space.tol:
+    f <= 0 means x lies in every closed ball B(c_i, r_i).  The descent stops
+    once f < -10 tol, the certified-nonempty threshold, when x reaches the
+    worst centre, when the step length underflows, or after DESCENT_STEPS
+    steps.  f is geodesically convex in CAT(0) kinds, where the local minimum
+    is global.
+    """
+    x = np.asarray(start, float)
+    vals = spaces.distances_to(space, centers, x) - radii
+    best = float(np.max(vals))
+    step = max(best - float(np.min(vals)), DESCENT_MIN_STEP)
+    for _ in range(DESCENT_STEPS):
+        if best < -10 * space.tol:
             break
-        # active constraint point: the farthest p (scaled) or worst q
-        worst_val, worst_pt = -math.inf, None
-        for p in P:
-            v = spaces.distance(space, b, p) - lam * D
-            if v > worst_val:
-                worst_val, worst_pt = v, p
-        for q, dq in zip(Q, qdiams):
-            v = spaces.distance(space, b, q) - dq
-            if v > worst_val:
-                worst_val, worst_pt = v, q
-        cand = _move_toward(space, b, worst_pt, step)
-        val = _feasibility(space, cand, P, Q, lam, D)
-        if val < best - 1e-15:
-            b, best = cand, val
+        i = int(np.argmax(vals))
+        d_i = vals[i] + radii[i]
+        if d_i <= 0.0:
+            break
+        cand = spaces.geodesic_point(space, x, centers[i], min(step, 0.9 * d_i))
+        cand_vals = spaces.distances_to(space, centers, cand) - radii
+        cand_best = float(np.max(cand_vals))
+        if cand_best < best - 1e-15:
+            x, vals, best = cand, cand_vals, cand_best
         else:
             step *= 0.5
             if step < 1e-14:
                 break
-    return b, best
+    return best, x
 
 
 def solve_barycenter(prob, lam, rho=None, refine=True):
     """Grid-certified search for a lambda-barycenter of P relative to Q.
 
-    Returns found (with the point and its slacks), not_found_below (with the
+    A lambda-barycenter is a point of the ball intersection of B(p, lam D)
+    over P and B(q, max(D, d(q, P))) over Q, so the grid scores and the
+    polish minimize the same objective as minimax_descent.  Returns found
+    (with the point and its slacks), not_found_below (with the
     grid-certified bound), or indeterminate (caller should refine rho).
     """
     space = prob.space
@@ -256,26 +248,31 @@ def solve_barycenter(prob, lam, rho=None, refine=True):
     if rho is None:
         rho = D / 200.0
 
+    q_radii = np.maximum(D, np.max(spaces.cross_distances(space, Q, P), axis=1)) \
+        if Q else np.zeros(0)
+    radii = np.concatenate([np.full(len(P), lam * D), q_radii])
+
     candidates, rho_cov = _candidate_grid(prob, rho)
     cand_arr = candidates if space.kind == spaces.FINITE else np.asarray(candidates)
-    max_p = np.max(np.stack([spaces.distances_to(space, cand_arr, p) for p in P]),
-                   axis=0)
+    max_p = np.full(len(candidates), -np.inf)
+    for p in P:
+        max_p = np.maximum(max_p, spaces.distances_to(space, cand_arr, p))
     rel_viol = np.full(len(candidates), -np.inf)
-    for q in Q:
-        dq = max(spaces.distance(space, q, p) for p in P)
-        rel_viol = np.maximum(
-            rel_viol, spaces.distances_to(space, cand_arr, q) - max(D, dq))
+    for q, r in zip(Q, q_radii):
+        rel_viol = np.maximum(rel_viol, spaces.distances_to(space, cand_arr, q) - r)
 
     total_viol = np.maximum(max_p - lam * D, rel_viol)
     order = np.argsort(total_viol, kind="stable")
 
-    # polish the most promising cells
-    best_b, best_val = None, math.inf
-    for idx in order[:3]:
-        b0 = candidates[int(idx)]
-        b, val = _descend(space, b0, P, Q, lam, D, rho_cov)
-        if val < best_val:
-            best_b, best_val = b, val
+    if space.kind == spaces.FINITE:
+        # finite points cannot move, so the best grid score is final
+        best_b, best_val = candidates[int(order[0])], float(total_viol[order[0]])
+    else:
+        # polish the most promising cells
+        centers = np.asarray(P + Q, float)
+        best_val, best_b = min(
+            (minimax_descent(space, centers, radii, candidates[int(i)])
+             for i in order[:3]), key=lambda res: res[0])
 
     if best_val <= tol:
         ach = lambda_of(space, best_b, P)

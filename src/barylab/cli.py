@@ -1,9 +1,9 @@
 """Batch front-end: solve barycenter problems, sweep phase diagrams, run
 subdivisions and retraction pipelines, and emit certificates/reports/CSV.
 
-Exit codes: 0 success / found; 1 malformed input; 2 barycenter not found;
-3 indeterminate; 4 verification-gate failure.  Outputs are written atomically
-(temp file + rename) and are byte-identical for identical configs.
+Exit codes: 0 success / found; 1 malformed input or usage error; 2 barycenter
+not found; 3 indeterminate; 4 verification-gate failure.  Outputs are written
+atomically (temp file + rename) and are byte-identical for identical configs.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 from . import barycenters, scenes, simplicial, spaces, subdivision
 from .errors import GeometryError
@@ -34,14 +33,6 @@ def _atomic_write(path, text):
 
 def _dump_json(doc):
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def _worker_count(n_items):
-    try:
-        cap = int(os.environ.get("BARYLAB_THREADS", "1"))
-    except ValueError:
-        cap = 1
-    return max(1, min(cap, n_items)) if n_items else 1
 
 
 def _load_input(path):
@@ -86,22 +77,16 @@ def cmd_phase(args):
     except (KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"barylab phase: bad input: {exc}", file=sys.stderr)
         return 1
-    rows = [(lam, delta) for lam in lambdas for delta in deltas]
-
-    def run(row):
-        lam, delta = row
-        rep = barycenters.has_barycenters_sample(space, lam, delta, trials,
-                                                 seed=args.seed)
-        worst = "-"
-        if rep.worst is not None and rep.pass_rate < 1.0:
-            worst = json.dumps(rep.worst, sort_keys=True).replace(",", ";")
-        return (lam, delta, trials, rep.pass_rate, worst)
-
-    with ThreadPoolExecutor(max_workers=_worker_count(len(rows))) as ex:
-        results = list(ex.map(run, rows))
     lines = ["# barylab phase sweep v1", "lambda,delta,trials,pass_rate,worst_witness"]
-    for lam, delta, t, rate, worst in results:
-        lines.append(f"{lam:.17g},{delta:.17g},{t},{rate:.17g},{worst}")
+    for lam in lambdas:
+        for delta in deltas:
+            rep = barycenters.has_barycenters_sample(space, lam, delta, trials,
+                                                     seed=args.seed)
+            worst = "-"
+            if rep.worst is not None and rep.pass_rate < 1.0:
+                worst = json.dumps(rep.worst, sort_keys=True).replace(",", ";")
+            lines.append(f"{lam:.17g},{delta:.17g},{trials},{rep.pass_rate:.17g},"
+                         f"{worst}")
     _atomic_write(args.output, "\n".join(lines) + "\n")
     return 0
 
@@ -157,6 +142,19 @@ def cmd_retract(args):
     return 0
 
 
+# each subcommand accepts only the flags it honours
+_FLAGS = {
+    "--seed": (dict(type=int, default=0), ("phase", "retract")),
+    "--tol": (dict(type=float, default=None), ("barycenter",)),
+    "--trials": (dict(type=int, default=None), ("phase",)),
+    "--density": (dict(type=int, default=200), ("retract",)),
+    "--lambda": (dict(dest="lam", type=float, default=None),
+                 ("barycenter", "subdivide", "retract")),
+    "--delta": (dict(type=float, default=None), ("barycenter",)),
+    "--order": (dict(type=int, default=None), ("subdivide", "retract")),
+}
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="barylab")
     sub = p.add_subparsers(dest="command", required=True)
@@ -165,19 +163,18 @@ def build_parser():
         sp = sub.add_parser(name)
         sp.add_argument("--input", required=True)
         sp.add_argument("--output", required=True)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--tol", type=float, default=None)
-        sp.add_argument("--trials", type=int, default=None)
-        sp.add_argument("--density", type=int, default=200)
-        sp.add_argument("--lambda", dest="lam", type=float, default=None)
-        sp.add_argument("--delta", type=float, default=None)
-        sp.add_argument("--order", type=int, default=None)
+        for flag, (kwargs, commands) in _FLAGS.items():
+            if name in commands:
+                sp.add_argument(flag, **kwargs)
         sp.set_defaults(fn=fn)
     return p
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse: usage error (2) or --help (0)
+        return 1 if exc.code else 0
     return args.fn(args)
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spaces
+from .barycenters import minimax_descent
 from .errors import (
     EnumerationBound,
     IndeterminateIntersection,
@@ -145,35 +146,11 @@ def _check_enumeration_bound(cover, action, context):
 # certified ball-intersection test
 
 
-def _descend_minimax(space, centers, radii, start, steps=200):
-    """Locally minimize max_i (d(x, c_i) - r_i) by geodesic subgradient steps."""
-    x = np.asarray(start, float)
-    vals = spaces.distances_to(space, centers, x) - radii
-    best = float(np.max(vals))
-    step = max(float(np.max(vals) - np.min(vals)), 1e-3)
-    for _ in range(steps):
-        i = int(np.argmax(vals))
-        d_i = vals[i] + radii[i]
-        if d_i <= 0.0:
-            break
-        t = min(step, 0.9 * d_i)
-        cand = spaces.geodesic_point(space, x, centers[i], t) if t > 0 else x
-        cand_vals = spaces.distances_to(space, centers, cand) - radii
-        cand_best = float(np.max(cand_vals))
-        if cand_best < best - 1e-15:
-            x, vals, best = cand, cand_vals, cand_best
-        else:
-            step *= 0.5
-            if step < 1e-14:
-                break
-    return best, x
-
-
 def balls_intersection_margin(space, centers, radii, seed=0, restarts=20):
     """Certified min over x of max_i (d(x,c_i) - r_i); negative means nonempty.
 
     Probes (centroid-like points, pairwise geodesic midpoints) give fast
-    nonempty witnesses; otherwise a seeded multistart subgradient descent is
+    nonempty witnesses; otherwise a seeded multistart minimax_descent is
     run.  The objective is geodesically convex in CAT(0) kinds, where the
     descent minimum is global.
     """
@@ -214,7 +191,7 @@ def balls_intersection_margin(space, centers, radii, seed=0, restarts=20):
             space, centers[i], centers[j], t * d)
         starts.append(p)
     for s in starts:
-        val, _ = _descend_minimax(space, centers, radii, s)
+        val, _ = minimax_descent(space, centers, radii, s)
         best = min(best, val)
     return best
 
@@ -385,11 +362,6 @@ class NerveProjector:
                 f"support {support} witnessed by a point but absent from the nerve")
         w = vals[list(support)]
         return support, w / np.sum(w)
-
-
-def project_to_nerve(cover, action, q, seed=0):
-    """One-shot form of NerveProjector.project (builds the nerve per call)."""
-    return NerveProjector(cover, action, seed=seed).project(q)
 
 
 # ---------------------------------------------------------------------------

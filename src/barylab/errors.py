@@ -21,10 +21,6 @@ class InvalidIsometry(GeometryError):
     """Matrix does not preserve the model's bilinear form within tolerance."""
 
 
-class NonConvergence(GeometryError):
-    """Numeric limit did not converge within the configured cutoff."""
-
-
 class EnumerationBound(GeometryError):
     """Group word-length bound is provably insufficient for the query."""
 

@@ -25,6 +25,7 @@ from .errors import (
 )
 
 ALPHA_DEFAULT = math.pi
+BISECTION_STEPS = 80  # halvings of [0, d(q, target)] in Retractor.retract
 
 
 def _mdot_rows(A, B):
@@ -274,14 +275,6 @@ def body_from_json(space, doc):
     if t == "polygon":
         return PolygonBody(space, doc["points"])
     raise ValueError(f"unknown body type {t!r}")
-
-
-def closest_point_projection(body, x):
-    return body.project(x)
-
-
-def dist_to_C(body, x):
-    return body.dist(x)
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +648,6 @@ def check_small_relative(body, eps, action, K_samples, K_out_samples,
     # (1) sampled-disjoint translates must be farther than 2*delta
     cond1_margin = math.inf
     cond1_ok = True
-    K_arr = np.asarray(K_samples)
     for g, _ in action.nontrivial():
         gK = np.asarray([g.apply(p) for p in K_samples])
         dmin = min(float(np.min(spaces.distances_to(space, gK, p)))
@@ -664,7 +656,6 @@ def check_small_relative(body, eps, action, K_samples, K_out_samples,
             cond1_margin = min(cond1_margin, dmin - 2.0 * delta)
             if dmin <= 2.0 * delta + tol:
                 cond1_ok = False
-    del K_arr
 
     # (2) the delta'-neighborhood of K_out avoids the eps-neighborhood
     gaps = body.dist_batch(np.asarray(K_out_samples)) - eps
@@ -715,6 +706,8 @@ class PushOff:
     order: int
     sub_result: object  # subdivision data
     delta_prime: float
+    full_map_diameter: float  # diam(iota_n) over the subdivided nerve
+    push_off_distance: float  # min over vertices of d(iota_n(v), C) - eps
 
     @property
     def iota_n(self):
@@ -829,7 +822,8 @@ def extend_to_pushoff(grid, lam, n, delta_prime, alpha=ALPHA_DEFAULT, rho=None):
             f"d_push-off(iota_n) = {push_dist:.3e} <= delta' = {delta_prime:.3e}")
 
     return PushOff(grid=grid, lam=lam, order=n, sub_result=result,
-                   delta_prime=delta_prime)
+                   delta_prime=delta_prime, full_map_diameter=full_diam,
+                   push_off_distance=push_dist)
 
 
 # ---------------------------------------------------------------------------
@@ -850,21 +844,23 @@ class Retractor:
         support, w = self.grid.projector.project(q)
         return self.pushoff.evaluate(support, w)
 
-    def retract(self, q, iters=80):
+    def retract(self, q):
+        """(r(q), target, cell): the retraction of q with the push-off target
+        and nerve cell of its one nerve projection."""
         body, eps = self.body, self.eps
         tol = body.space.tol
         g0 = body.dist(q) - eps
         if g0 > 100 * tol:
             raise PreconditionError(
                 f"q lies {g0:.2e} outside the eps-neighborhood")
-        target, _ = self.push_target(q)
+        target, cell = self.push_target(q)
         T = spaces.distance(body.space, q, target)
         if body.dist(target) - eps <= 0.0:
             raise PipelineInconsistency(
                 "push-off image inside the eps-neighborhood; an upstream "
                 "precondition lied")
         lo, hi = 0.0, T
-        for _ in range(iters):
+        for _ in range(BISECTION_STEPS):
             mid = 0.5 * (lo + hi)
             pt = spaces.geodesic_point(body.space, q, target, mid)
             if body.dist(pt) - eps <= 0.0:
@@ -877,4 +873,4 @@ class Retractor:
         if abs(body.dist(r) - eps) > 1e-7:
             raise PipelineInconsistency(
                 f"bisection residual {abs(body.dist(r) - eps):.2e}; no crossing found")
-        return r
+        return r, target, cell

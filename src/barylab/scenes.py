@@ -15,10 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import covers, retraction, simplicial, spaces
+from . import covers, retraction, spaces
+from .barycenters import SQRT3_OVER_2
 from .errors import GeometryError, StagedPreconditionError
-
-SQRT3_OVER_2 = math.sqrt(3.0) / 2.0
 
 
 @dataclass
@@ -297,8 +296,8 @@ def run_pipeline(scene, lam=None, order=None, density=200, seed=0):
         return _fail(report, "extension", str(exc))
 
     sub = pushoff.sub_result
-    full_diam = simplicial.map_diameter(sub.complex, sub.iota)
-    push_dist = min(body.dist(sub.iota(v)) - eps for v in sub.complex.vertices)
+    full_diam = pushoff.full_map_diameter
+    push_dist = pushoff.push_off_distance
     report.extension = {
         "full_map_diameter": full_diam,
         "push_off_distance_n": push_dist,
@@ -320,8 +319,7 @@ def run_pipeline(scene, lam=None, order=None, density=200, seed=0):
     for s in ss:
         s = float(s)
         q = nbh.point(scene.component, s)
-        target, cell = retractor.push_target(q)
-        r = retractor.retract(q)
+        r, target, cell = retractor.retract(q)
         report.identity_rows.append((s, spaces.distance(space, r, q)))
         report.angle_rows.append((s, retraction.angle_to_C(body, q, target)))
         report.escape_rows.append(
@@ -332,7 +330,7 @@ def run_pipeline(scene, lam=None, order=None, density=200, seed=0):
         report.coning_rows.append((s, nearest, cell_diam))
         if cell_diam > cone_bound + 10 * tol or nearest > cell_diam + 10 * tol:
             coning_ok = False
-        rr = retractor.retract(r)
+        rr, _, _ = retractor.retract(r)
         report.idempotence_rows.append((s, spaces.distance(space, r, rr)))
         if body.kind == "point":
             radial = retraction.normal_flow(body, q, eps - body.dist(q)) \
@@ -344,9 +342,9 @@ def run_pipeline(scene, lam=None, order=None, density=200, seed=0):
         s = float(s)
         q = nbh.point(scene.component, s)
         q_in = retraction.normal_flow(body, q, -grid.delta / 4.0)
-        r_in = retractor.retract(q_in)
+        r_in, _, _ = retractor.retract(q_in)
         report.interior_rows.append((s, abs(body.dist(r_in) - eps)))
-        rr_in = retractor.retract(r_in)
+        rr_in, _, _ = retractor.retract(r_in)
         report.idempotence_rows.append((s, spaces.distance(space, r_in, rr_in)))
 
     # continuity moduli along the boundary at fixed scales
@@ -359,8 +357,8 @@ def run_pipeline(scene, lam=None, order=None, density=200, seed=0):
         for s in base_ss:
             q1 = nbh.point(scene.component, float(s))
             q2 = nbh.point(scene.component, float(s) + h)
-            r1 = retractor.retract(q1)
-            r2 = retractor.retract(q2)
+            r1, _, _ = retractor.retract(q1)
+            r2, _, _ = retractor.retract(q2)
             sup_r = max(sup_r, spaces.distance(space, r1, r2))
             w1 = grid.projector.tents(q1)
             w2 = grid.projector.tents(q2)

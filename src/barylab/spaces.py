@@ -20,7 +20,6 @@ from .errors import (
     DegenerateGeodesic,
     InvalidCoordinates,
     InvalidIsometry,
-    NonConvergence,
 )
 
 DEFAULT_TOL = 1e-9
@@ -339,10 +338,13 @@ def ray_point(space, o, xi, t):
     if space.kind != HYPERBOLOID:
         raise ValueError("rays to the boundary need a Euclidean or hyperboloid space")
     o = np.asarray(o, dtype=float)
+    return math.cosh(t) * o + math.sinh(t) * _ray_tangent(o, xi)
+
+
+def _ray_tangent(o, xi):
+    """Unit tangent at the hyperboloid point o of the ray toward xi."""
     ell = np.concatenate(([1.0], xi.direction))  # null vector of the ideal class
-    s = minkowski_dot(ell, o)
-    u = -ell / s - o  # unit tangent at o; <u,u>=1, <u,o>=0
-    return math.cosh(t) * o + math.sinh(t) * u
+    return -ell / minkowski_dot(ell, o) - o  # <u,u> = 1, <u,o> = 0
 
 
 def boundary_point_of_ray(space, o, x):
@@ -361,28 +363,20 @@ def boundary_point_of_ray(space, o, x):
     return BoundaryPoint(ell[1:] / ell[0])
 
 
-GROMOV_T_MAX = float(2 ** 40)
-
-
 def gromov_product(space, o, xi, eta):
     """(xi|eta)_o = lim_t t - d(gamma_{o xi}(t), gamma_{o eta}(t))/2.
 
-    Evaluated by doubling t from 1 until successive values differ by < tol;
-    +inf when the two boundary points coincide.
+    In H^n the limit is -log sin(theta/2), theta the angle at o between the
+    two rays; sin(theta/2) = |u - v|/2 for their unit tangents u, v, which is
+    cancellation-free for nearby boundary points.  +inf when they coincide.
     """
     if space.kind != HYPERBOLOID:
         raise ValueError("the Gromov product is computed on hyperboloid spaces")
     if np.linalg.norm(xi.direction - eta.direction) <= space.tol:
         return math.inf
-    t = 1.0
-    prev = t - 0.5 * distance(space, ray_point(space, o, xi, t), ray_point(space, o, eta, t))
-    while t <= GROMOV_T_MAX:
-        t *= 2.0
-        cur = t - 0.5 * distance(space, ray_point(space, o, xi, t), ray_point(space, o, eta, t))
-        if abs(cur - prev) < space.tol:
-            return cur
-        prev = cur
-    raise NonConvergence(f"Gromov product did not converge below t = {GROMOV_T_MAX}")
+    o = np.asarray(o, dtype=float)
+    w = _ray_tangent(o, xi) - _ray_tangent(o, eta)
+    return -math.log(0.5 * math.sqrt(max(minkowski_dot(w, w), 0.0)))
 
 
 def visual_metric(space, o, xi, eta):

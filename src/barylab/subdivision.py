@@ -70,8 +70,9 @@ class ShrinkRecord:
 def _solve_label(space, P, Q, lam, rho=None):
     """Closed-form rule when the space qualifies, else the grid solver.
 
-    Rule output is re-validated in the space metric at the requested lambda
-    before acceptance.
+    Rule output is accepted when its bound holds in the space metric at the
+    requested lambda: space-metric certificates carry that bound already,
+    arc-metric ones are re-checked with chordal distances.
     """
     tol = space.tol
     cert = None
@@ -84,11 +85,15 @@ def _solve_label(space, P, Q, lam, rho=None):
             cert = None
     if cert is not None and cert.found:
         b = cert.point
-        if spaces.pairwise_diameter(space, P) <= tol:
-            return b
-        ach = barycenters.lambda_of(space, b, P)
-        slacks = barycenters.relative_slacks(space, b, P, Q)
-        if ach <= lam + tol and (not slacks or min(slacks) >= -tol):
+        if cert.metric == "space":
+            # the rule certified lambda and the slacks in the space metric
+            diam, ach, slacks = cert.diam_P, cert.achieved_lambda, cert.relative_slacks
+        else:
+            diam = spaces.pairwise_diameter(space, P)
+            if diam > tol:
+                ach = barycenters.lambda_of(space, b, P)
+                slacks = barycenters.relative_slacks(space, b, P, Q)
+        if diam <= tol or (ach <= lam + tol and min(slacks, default=0.0) >= -tol):
             return b
     cert = barycenters.solve_barycenter(
         barycenters.BarycenterProblem(space, list(P), list(Q)), lam, rho=rho)
@@ -114,7 +119,7 @@ def _star(inc, J):
     return out
 
 
-def _orbit_assignments(new_sets, equivariance, vertex_of):
+def _orbit_assignments(new_sets, equivariance):
     """BFS orbits of provenance sets under the partial action.
 
     Returns dict J -> (rep_J, isometry mapping rep labels to J's labels),
@@ -157,7 +162,6 @@ def _orbit_assignments(new_sets, equivariance, vertex_of):
             frontier = nxt
         for J in comp:
             assigned[J] = (rep, ident_paths.get(J))
-    del vertex_of
     return assigned
 
 
@@ -180,7 +184,7 @@ def shrinking_subdivide(complex_, iota, lam, equivariance=None, rho=None):
 
     orbit = None
     if equivariance is not None and equivariance.maps:
-        orbit = _orbit_assignments(new_sets, equivariance, vertex_of)
+        orbit = _orbit_assignments(new_sets, equivariance)
 
     def gather(J):
         P = [assignment[vertex_of[tuple(c)]]

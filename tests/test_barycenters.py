@@ -247,3 +247,53 @@ def test_finite_space_solver_exact():
     low = bc.solve_barycenter(bc.BarycenterProblem(fin, [0, 3], []), 0.4)
     assert low.status == "not_found_below"
     assert abs(low.lambda_bound - 0.5) < 1e-12
+
+
+def _circle_through(pts):
+    """(center, radius) of the smallest circle through 1-3 boundary points."""
+    if len(pts) == 1:
+        return pts[0], 0.0
+    if len(pts) == 2:
+        (ax, ay), (bx, by) = pts
+        return ((ax + bx) / 2, (ay + by) / 2), math.dist(pts[0], pts[1]) / 2
+    (ax, ay), (bx, by), (cx, cy) = pts
+    d = 2 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
+    ux = ((ax * ax + ay * ay) * (by - cy) + (bx * bx + by * by) * (cy - ay)
+          + (cx * cx + cy * cy) * (ay - by)) / d
+    uy = ((ax * ax + ay * ay) * (cx - bx) + (bx * bx + by * by) * (ax - cx)
+          + (cx * cx + cy * cy) * (bx - ax)) / d
+    return (ux, uy), math.dist((ux, uy), pts[0])
+
+
+def welzl_meb_radius(points):
+    """Minimum enclosing disk radius (Welzl 1991, move-to-front form)."""
+    pts = [tuple(map(float, p)) for p in points]
+
+    def mec(n, boundary):
+        if n == 0 or len(boundary) == 3:
+            return _circle_through(boundary) if boundary else ((0.0, 0.0), -1.0)
+        center, r = mec(n - 1, boundary)
+        if r >= 0 and math.dist(center, pts[n - 1]) <= r * (1 + 1e-12):
+            return center, r
+        return mec(n - 1, boundary + [pts[n - 1]])
+
+    return mec(len(pts), [])[1]
+
+
+def test_solver_matches_meb_oracle():
+    """With Q empty in the plane, lambda* = r_MEB / D exactly; the grid
+    certifies non-existence down to rho = D/200 and the descent finds a
+    point just above lambda*."""
+    rng = np.random.default_rng(17)
+    for _ in range(12):
+        P = [rng.uniform(-1, 1, 2) for _ in range(int(rng.integers(2, 7)))]
+        D = spaces.pairwise_diameter(E2, P)
+        lam_star = welzl_meb_radius(P) / D
+        assert 0.5 - 1e-12 <= lam_star <= 1 / math.sqrt(3) + 1e-12  # Jung
+        prob = bc.BarycenterProblem(E2, P, [])
+        hi = bc.solve_barycenter(prob, lam_star + 1e-3)
+        assert hi.status == "found"
+        assert lam_star - 1e-9 <= hi.achieved_lambda <= lam_star + 1e-3
+        lo = bc.solve_barycenter(prob, lam_star - 0.02)
+        assert lo.status == "not_found_below"
+        assert lam_star - 0.005 - 1e-9 <= lo.lambda_bound <= lam_star + 1e-9

@@ -161,8 +161,8 @@ def test_projection_uncovered_point():
 
 def test_project_to_nerve_one_shot():
     cov = line_cover([0.0, 1.0], 1.0)
-    support, w = covers.project_to_nerve(cov, trivial_action(E1),
-                                         np.array([0.5]))
+    support, w = covers.NerveProjector(cov, trivial_action(E1)).project(
+        np.array([0.5]))
     assert support == (0, 1) and np.allclose(w, [0.5, 0.5])
 
 

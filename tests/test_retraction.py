@@ -42,8 +42,8 @@ def golden_section_min(f, a, b, iters=200):
 def test_projection_examples():
     seg = rt.SegmentBody(E2, np.zeros(2), np.array([1.0, 0.0]))
     x = np.array([0.5, 2.0])
-    assert np.allclose(rt.closest_point_projection(seg, x), [0.5, 0.0])
-    assert abs(rt.dist_to_C(seg, x) - 2.0) < 1e-12
+    assert np.allclose(seg.project(x), [0.5, 0.0])
+    assert abs(seg.dist(x) - 2.0) < 1e-12
 
     inside = np.array([0.7, 0.0])
     assert np.allclose(seg.project(inside), inside)
@@ -394,13 +394,18 @@ def test_retract_identity_and_interior():
     for _ in range(50):
         s = rng.uniform(0, nbh.period("circle"))
         q = nbh.point("circle", s)
-        r = retr.retract(q)
+        r, target, _ = retr.retract(q)
         assert spaces.distance(E2, r, q) <= 1e-10
         q_in = rt.normal_flow(scene.body, q, -scene.delta / 4)
-        r_in = retr.retract(q_in)
+        r_in, _, _ = retr.retract(q_in)
         assert abs(scene.body.dist(r_in) - scene.eps) <= 1e-9
-        r2 = retr.retract(r_in)
+        r2, _, _ = retr.retract(r_in)
         assert spaces.distance(E2, r_in, r2) <= 1e-8
+        assert np.array_equal(target, retr.push_target(q)[0])
+    # far outside the eps-neighborhood and every cover ball: the
+    # precondition is checked before the nerve projection
+    with pytest.raises(PreconditionError):
+        retr.retract(rt.normal_flow(scene.body, q, 10 * scene.R))
 
 
 def test_segment_scene_end_to_end():

@@ -133,6 +133,11 @@ def test_gromov_product_off_center_basepoint():
     assert math.isfinite(g)
     # visual metric symmetric and positive for distinct points
     assert abs(g - spaces.gromov_product(H2, o, eta, xi)) < 1e-8
+    # the closed form agrees with the defining limit, evaluated at large t
+    t = 16.0
+    limit = t - 0.5 * spaces.distance(H2, spaces.ray_point(H2, o, xi, t),
+                                      spaces.ray_point(H2, o, eta, t))
+    assert abs(g - limit) < 1e-9
 
 
 def test_apply_isometry_examples():

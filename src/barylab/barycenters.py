@@ -100,6 +100,7 @@ class BarycenterCertificate:
     grid_resolution: float | None = None
     diam_P: float = 0.0
     metric: str = "space"  # "arc" for the circle arc rule
+    reason: str | None = None  # why an indeterminate search stopped
 
     @property
     def found(self):
@@ -109,7 +110,7 @@ class BarycenterCertificate:
         pt = self.point
         if pt is not None and not isinstance(pt, int):
             pt = [float(x) for x in pt]
-        return {
+        doc = {
             "schema_version": 1,
             "status": self.status,
             "requested_lambda": self.requested_lambda,
@@ -121,67 +122,100 @@ class BarycenterCertificate:
             "diam_P": self.diam_P,
             "metric": self.metric,
         }
+        if self.reason is not None:
+            doc["reason"] = self.reason
+        return doc
 
 
 # ---------------------------------------------------------------------------
 # candidate grids
 
+# Most candidates one grid may hold, checked from the grid's size formula
+# before anything is allocated; a larger grid, the refined one included,
+# makes the solve indeterminate.  It sits above the largest grid the tests
+# and the benchmark build (2,968,729 mesh points) and below the 10.9 M mesh
+# that exhausts memory on the plane-row instance of phase trial seed 47.
+GRID_BUDGET = 4_000_000
 
-def _euclidean_grid(center, radius, rho):
-    n = len(center)
-    h = 2.0 * rho / math.sqrt(n)  # covering radius h*sqrt(n)/2 = rho
-    k = int(math.ceil(radius / h))
+
+class _OverBudget(Exception):
+    """A candidate grid would hold more than GRID_BUDGET points."""
+
+
+def _check_budget(count, what):
+    if count > GRID_BUDGET:
+        raise _OverBudget(f"{what} grid needs {count} candidates, over the "
+                          f"budget of {GRID_BUDGET}")
+
+
+def _euclidean_grid(center, radius, h, k):
+    """Mesh of spacing h over [-k h, k h]^n around center, clipped to the
+    ball of radius radius + h."""
     axes = [np.arange(-k, k + 1) * h + c for c in center]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
     keep = np.linalg.norm(pts - center[None, :], axis=1) <= radius + h
     return pts[keep]
 
-def _circle_grid(space, rho):
-    dtheta = 2.0 * rho / space.radius  # chordal covering radius <= rho
-    m = max(8, int(math.ceil(2.0 * math.pi / dtheta)))
+
+def _circle_grid(space, m):
     thetas = np.arange(m) * (2.0 * math.pi / m)
     return np.stack([space.radius * np.cos(thetas),
                      space.radius * np.sin(thetas)], axis=1)
 
 
-def _hyperboloid_grid(space, center, radius, rho):
-    # geodesic polar grid around center; radial and angular spacings <= rho/sqrt(2)
+def _hyperboloid_rings(space, radius, rho):
+    """(h, points per ring) of the geodesic polar grid; radial and angular
+    spacings <= rho/sqrt(2).  Stops at the first ring over the budget."""
     if space.dim != 2:
         raise ValueError("hyperboloid grid search implemented for dim 2")
     h = rho / math.sqrt(2.0)
+    sizes, count = [], 1
+    for k in range(1, int(math.ceil(radius / h)) + 1):
+        sizes.append(max(6, int(math.ceil(2.0 * math.pi * math.sinh(k * h) / h))))
+        count += sizes[-1]
+        _check_budget(count, "hyperboloid")
+    return h, sizes
+
+
+def _hyperboloid_grid(center, h, sizes):
     c = np.asarray(center, float)
-    pts = [c]
+    pts = [c[None, :]]
     e1, e2 = spaces.hyperboloid_tangent_frame(c)
-    n_rings = int(math.ceil(radius / h))
-    for k in range(1, n_rings + 1):
+    for k, m in enumerate(sizes, start=1):
         s = k * h
-        m = max(6, int(math.ceil(2.0 * math.pi * math.sinh(s) / h)))
         ang = np.arange(m) * (2.0 * math.pi / m)
         u = np.outer(np.cos(ang), e1) + np.outer(np.sin(ang), e2)
-        ring = math.cosh(s) * c[None, :] + math.sinh(s) * u
-        pts.extend(ring)
-    return np.asarray(pts)
+        pts.append(math.cosh(s) * c[None, :] + math.sinh(s) * u)
+    return np.concatenate(pts)
 
 
 def _candidate_grid(prob, rho):
-    """Return (candidates array/list, covering radius)."""
+    """Return (candidate array, covering radius).  Raises _OverBudget, from
+    the grid's size formula, before a grid over GRID_BUDGET is allocated."""
     space = prob.space
     if prob.region is not None and prob.region.kind == "candidates":
-        return list(prob.region.candidates), prob.region.resolution
+        return np.asarray(prob.region.candidates), prob.region.resolution
     if space.kind == spaces.FINITE:
-        return list(range(space.dim)), 0.0
+        return np.arange(space.dim), 0.0
     if space.kind == spaces.CIRCLE:
-        return list(_circle_grid(space, rho)), rho
+        dtheta = 2.0 * rho / space.radius  # chordal covering radius <= rho
+        m = max(8, int(math.ceil(2.0 * math.pi / dtheta)))
+        _check_budget(m, "circle")
+        return _circle_grid(space, m), rho
     if prob.region is not None and prob.region.kind == "ball":
         center, radius = prob.region.center, prob.region.radius
     else:
         center = np.asarray(prob.P[0], float)
         radius = spaces.pairwise_diameter(space, list(prob.P) + list(prob.Q))
     if space.kind == spaces.EUCLIDEAN:
-        return list(_euclidean_grid(center, radius, rho)), rho
+        h = 2.0 * rho / math.sqrt(len(center))  # covering radius h*sqrt(n)/2 = rho
+        k = int(math.ceil(radius / h))
+        _check_budget((2 * k + 1) ** len(center), "euclidean")
+        return _euclidean_grid(center, radius, h, k), rho
     if space.kind == spaces.HYPERBOLOID:
-        return list(_hyperboloid_grid(space, center, radius, rho)), rho
+        h, sizes = _hyperboloid_rings(space, radius, rho)
+        return _hyperboloid_grid(center, h, sizes), rho
     raise ValueError(f"no grid strategy for space kind {space.kind}; "
                      "supply an explicit candidate region")
 
@@ -252,21 +286,24 @@ def solve_barycenter(prob, lam, rho=None, refine=True):
         if Q else np.zeros(0)
     radii = np.concatenate([np.full(len(P), lam * D), q_radii])
 
-    candidates, rho_cov = _candidate_grid(prob, rho)
-    cand_arr = candidates if space.kind == spaces.FINITE else np.asarray(candidates)
+    try:
+        candidates, rho_cov = _candidate_grid(prob, rho)
+    except _OverBudget as exc:
+        return BarycenterCertificate("indeterminate", lam, diam_P=D,
+                                     reason=str(exc))
     max_p = np.full(len(candidates), -np.inf)
     for p in P:
-        max_p = np.maximum(max_p, spaces.distances_to(space, cand_arr, p))
+        max_p = np.maximum(max_p, spaces.distances_to(space, candidates, p))
     rel_viol = np.full(len(candidates), -np.inf)
     for q, r in zip(Q, q_radii):
-        rel_viol = np.maximum(rel_viol, spaces.distances_to(space, cand_arr, q) - r)
+        rel_viol = np.maximum(rel_viol, spaces.distances_to(space, candidates, q) - r)
 
     total_viol = np.maximum(max_p - lam * D, rel_viol)
     order = np.argsort(total_viol, kind="stable")
 
     if space.kind == spaces.FINITE:
         # finite points cannot move, so the best grid score is final
-        best_b, best_val = candidates[int(order[0])], float(total_viol[order[0]])
+        best_b, best_val = int(candidates[order[0]]), float(total_viol[order[0]])
     else:
         # polish the most promising cells
         centers = np.asarray(P + Q, float)
@@ -295,15 +332,38 @@ def solve_barycenter(prob, lam, rho=None, refine=True):
             "not_found_below", lam, lambda_bound=lam_bound,
             grid_resolution=rho_cov, diam_P=D)
 
+    reason = None
     if refine:
-        return solve_barycenter(prob, lam, rho=rho / 10.0, refine=False)
+        fine = solve_barycenter(prob, lam, rho=rho / 10.0, refine=False)
+        if fine.reason is None:
+            return fine
+        reason = fine.reason  # keep this grid's bound: the finer one is unbuilt
     return BarycenterCertificate(
         "indeterminate", lam, lambda_bound=lam_bound,
-        grid_resolution=rho_cov, diam_P=D)
+        grid_resolution=rho_cov, diam_P=D, reason=reason)
 
 
 # ---------------------------------------------------------------------------
 # closed-form rules
+
+
+def diameter_midpoints(space, P):
+    """Diameter-pair midpoints of a stack of point sets P, shape (n, m, ambient).
+
+    Per set: its diameter D, realized by the lex-least pair i < j (the first
+    maximum of the masked distance matrix), and the geodesic midpoint of that
+    pair, or None where D <= tol.  D comes from the cross-distance kernel and
+    each midpoint from the scalar geodesic_point, so a set gets the same bits
+    alone or in a stack.
+    """
+    n, m = P.shape[:2]
+    M = spaces.paired_distances(space, P[:, :, None], P[:, None, :])
+    M[:, np.tri(m, dtype=bool)] = -np.inf  # keep i < j, first max is lex-least
+    i, j = np.divmod(np.argmax(M.reshape(n, m * m), axis=1), m)
+    D = M[np.arange(n), i, j]
+    mids = [spaces.geodesic_point(space, P[r, i[r]], P[r, j[r]], 0.5 * float(D[r]))
+            if D[r] > space.tol else None for r in range(n)]
+    return D, mids
 
 
 def cat0_midpoint_rule(space, P, Q):
@@ -314,21 +374,14 @@ def cat0_midpoint_rule(space, P, Q):
     P = list(P)
     Q = list(Q)
     tol = space.tol
-    best_d, pair = -1.0, None
-    if len(P) >= 2:
-        M = spaces.cross_distances(space, np.asarray(P, float), np.asarray(P, float))
-        M[np.tril_indices(len(P))] = -np.inf  # keep i < j, first max is lex-least
-        flat = int(np.argmax(M))
-        i, j = divmod(flat, len(P))
-        best_d, pair = float(M[i, j]), (i, j)
-    if pair is None or best_d <= tol:
+    D, (b,) = diameter_midpoints(space, np.asarray(P, float)[None])
+    best_d = float(D[0])
+    if b is None:
         b = P[0]
         return BarycenterCertificate(
             "found", SQRT3_OVER_2, point=b, achieved_lambda=0.0,
             relative_slacks=relative_slacks(space, b, P, Q),
             grid_resolution=0.0, diam_P=max(best_d, 0.0))
-    i, j = pair
-    b = spaces.geodesic_point(space, P[i], P[j], 0.5 * best_d)
     ach = lambda_of(space, b, P)
     slacks = relative_slacks(space, b, P, Q)
     if ach > SQRT3_OVER_2 + tol or (slacks and min(slacks) < -tol):

@@ -133,6 +133,12 @@ class LineBody(ConvexBody):
                                                        self.normal)))
         return super().dist(x)
 
+    def dist_batch(self, X):
+        if self.space.kind == spaces.HYPERBOLOID:
+            return np.arcsinh(np.abs(_mdot_rows(np.asarray(X, float),
+                                                self.normal[None, :])))
+        return super().dist_batch(X)
+
     def side(self, x):
         """Sign of the displacement off the line (+1/-1/0)."""
         if self.space.kind == spaces.EUCLIDEAN:
@@ -805,13 +811,14 @@ def extend_to_pushoff(grid, lam, n, delta_prime, alpha=ALPHA_DEFAULT, rho=None):
         grid.nerve, grid.iota, lam, n, equivariance=equiv, rho=rho)
     complex_, iota = result.complex, result.iota
 
-    full_diam = simplicial.map_diameter(complex_, iota)
+    full_diam = max((d for _, d in result.record.final_edge_rows), default=0.0)
     if full_diam > delta_prime + tol:
         raise StagedPreconditionError(
             "full-tightness",
             f"diam(iota_n) = {full_diam:.3e} > delta' = {delta_prime:.3e}")
 
-    push_dist = min(grid.body.dist(iota(v)) - grid.eps for v in complex_.vertices)
+    push_dist = float(np.min(grid.body.dist_batch(
+        [iota(v) for v in complex_.vertices]))) - grid.eps
     if push_dist <= 0.0:
         raise StagedPreconditionError(
             "image-outside", "subdivided images do not stay outside the "

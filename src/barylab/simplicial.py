@@ -137,20 +137,18 @@ def barycentric_subdivision(complex_):
             prov.sets[next_id] = s
             next_id += 1
 
-    incidence = {v: set() for v in complex_.vertices}
-    for s in complex_.simplices:
-        for v in s:
-            incidence[v].add(s)
-
-    def strict_cofaces(s):
-        star = set.intersection(*(incidence[v] for v in s))
-        return [t for t in star if len(t) > len(s)]
+    strict_cofaces = {s: [] for s in complex_.simplices}
+    for t in complex_.simplices:
+        for k in range(1, len(t)):
+            for s in itertools.combinations(t, k):
+                if s in strict_cofaces:
+                    strict_cofaces[s].append(t)
 
     new_simplices = set()
 
     def grow(chain_ids, last):
         new_simplices.add(tuple(sorted(chain_ids)))
-        for bigger in strict_cofaces(last):
+        for bigger in strict_cofaces[last]:
             grow(chain_ids + [vertex_of[bigger]], bigger)
 
     for s in complex_.simplices:

@@ -195,6 +195,18 @@ def cross_distances(space, A, B):
     return np.linalg.norm(diff, axis=2)
 
 
+def paired_distances(space, A, B):
+    """d(a, b) over the broadcast rows of point arrays A and B (index arrays
+    for finite spaces): A of shape (..., ambient) against B of shape
+    (..., ambient) gives shape (...).  The kernels are cross_distances'."""
+    if space.kind == FINITE:
+        return space.matrix[np.asarray(A, int), np.asarray(B, int)]
+    diff = np.asarray(A, dtype=float) - np.asarray(B, dtype=float)
+    if space.kind == HYPERBOLOID:
+        return _hyperboloid_dist_from_diff(diff)
+    return np.linalg.norm(diff, axis=-1)
+
+
 def pairwise_diameter(space, points):
     """max_{i,j} d(p_i, p_j); 0 for fewer than two points."""
     pts = list(points)

@@ -13,6 +13,8 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import barycenters, simplicial, spaces
 from .errors import DiameterTooLarge, ModelSpaceViolation, NoBarycenter
 
@@ -104,6 +106,92 @@ def _solve_label(space, P, Q, lam, rho=None):
     return cert.point
 
 
+# Rows per vectorised pass; it bounds a pass's working memory.  On the
+# euclidean_point scene at density 1000, 2,048-row blocks of padded room
+# arrays added 1.5 MB (3%) to the run's peak RSS and 256-row blocks none,
+# with no measured change in the hyperbolic_axis scene's run time.
+BLOCK_ROWS = 256
+
+
+def _table(space, vertices, labels):
+    """(row of each vertex, label array with one row per vertex).  Finite
+    labels are indices; a vertex without a label yet gets a zero row."""
+    row_of = {v: r for r, v in enumerate(vertices)}
+    if space.kind == spaces.FINITE:
+        table = np.zeros(len(vertices), dtype=int)
+    else:
+        table = np.zeros((len(vertices), space.ambient_dim))
+    for v, r in row_of.items():
+        if v in labels:
+            table[r] = labels[v]
+    return row_of, table
+
+
+def _points(table, rows):
+    """Labels of table rows as _solve_label takes them (finite ones as ints)."""
+    pts = table[rows]
+    return pts.tolist() if pts.ndim == 1 else list(pts)
+
+
+def _blocks(sets):
+    """Index arrays of sets grouped by set size, at most BLOCK_ROWS each."""
+    for size in sorted(set(map(len, sets))):
+        members = np.flatnonzero(np.fromiter((len(s) == size for s in sets),
+                                             dtype=bool, count=len(sets)))
+        for start in range(0, len(members), BLOCK_ROWS):
+            yield members[start:start + BLOCK_ROWS]
+
+
+def _diameters(space, table, sets, rows):
+    """Image diameter of each set, rows(set) its table rows (as many for
+    every set of one size), one kernel call per block."""
+    out = [0.0] * len(sets)
+    for block in _blocks(sets):
+        pts = table[np.array([rows(sets[i]) for i in block])]
+        M = spaces.paired_distances(space, pts[:, :, None], pts[:, None])
+        for i, d in zip(block.tolist(), M.reshape(len(block), -1).max(axis=1).tolist()):
+            out[i] = d
+    return out
+
+
+def _label_rows(space, table, rows, lam, rho=None):
+    """Labels of a block of new vertices of one level (every J of one size).
+
+    rows[i] = (P rows, Q rows) of table, the labels so far.  CAT(0) kinds
+    take the midpoint rule for the whole block: one diameter_midpoints call,
+    then one batched check of lambda and the relative slacks.  Rows that
+    fail the check, and every row of other kinds, go to _solve_label, which
+    raises or falls back to the grid solver.
+    """
+    if not space.is_cat0:
+        return [_solve_label(space, _points(table, p), _points(table, q), lam, rho=rho)
+                for p, q in rows]
+    P = table[np.array([p for p, _ in rows])]
+    width = max(len(q) for _, q in rows)
+    q_rows = np.zeros((len(rows), width), dtype=int)
+    q_ok = np.zeros((len(rows), width), dtype=bool)
+    for r, (_, q) in enumerate(rows):
+        q_rows[r, :len(q)] = q
+        q_ok[r, :len(q)] = True
+    D, mids = barycenters.diameter_midpoints(space, P)
+    labels = [P[r, 0].copy() if b is None else b for r, b in enumerate(mids)]
+    moved = np.array([r for r, b in enumerate(mids) if b is not None], dtype=int)
+    if len(moved):
+        P, Q, q_ok, D = P[moved], table[q_rows[moved]], q_ok[moved], D[moved]
+        B = np.array([mids[r] for r in moved])[:, None]
+        ach = np.max(spaces.paired_distances(space, P, B), axis=1) / D
+        qp = np.max(spaces.paired_distances(space, Q[:, :, None], P[:, None]), axis=2)
+        slacks = np.where(q_ok, np.maximum(D[:, None], qp)
+                          - spaces.paired_distances(space, Q, B), np.inf)
+        ok = ((ach <= min(lam, barycenters.SQRT3_OVER_2) + space.tol)
+              & (np.min(slacks, axis=1, initial=np.inf) >= -space.tol))
+        for r in moved[~ok]:
+            p, q = rows[r]
+            labels[r] = _solve_label(space, _points(table, p), _points(table, q),
+                                     lam, rho=rho)
+    return labels
+
+
 def _incidence(complex_):
     inc = {v: [] for v in complex_.vertices}
     for s in complex_.simplices:
@@ -168,6 +256,9 @@ def _orbit_assignments(new_sets, equivariance):
 def shrinking_subdivide(complex_, iota, lam, equivariance=None, rho=None):
     """One lambda-shrinking subdivision step (the barycentric route).
 
+    Each level of new vertices (all J of one size) is labelled in blocks of
+    BLOCK_ROWS orbit representatives, one _label_rows pass per block, and
+    each stage check is one vectorised pass per set size.
     Returns (subdivided complex, extended vertex map, StageRecord, provenance).
     Raises NoBarycenter (with the failing certificate) if some required
     barycenter does not exist at the requested lambda.
@@ -177,6 +268,7 @@ def shrinking_subdivide(complex_, iota, lam, equivariance=None, rho=None):
     sub, prov = simplicial.barycentric_subdivision(complex_)
     vertex_of = {J: v for v, J in prov.sets.items()}
     assignment = dict(iota.assignment)
+    row_of, table = _table(space, sorted(prov.sets), assignment)
 
     new_sets = sorted((J for J in vertex_of if len(J) >= 2),
                       key=lambda J: (len(J), J))
@@ -187,58 +279,52 @@ def shrinking_subdivide(complex_, iota, lam, equivariance=None, rho=None):
         orbit = _orbit_assignments(new_sets, equivariance)
 
     def gather(J):
-        P = [assignment[vertex_of[tuple(c)]]
-             for k in range(1, len(J))
-             for c in itertools.combinations(J, k)]
-        q_ids = set()
-        for T in _star(inc, J):
-            for k in range(1, len(J)):
-                for c in itertools.combinations(T, k):
-                    q_ids.add(vertex_of[tuple(c)])
-        p_ids = {vertex_of[tuple(c)] for k in range(1, len(J))
-                 for c in itertools.combinations(J, k)}
-        Q = [assignment[v] for v in sorted(q_ids - p_ids)]
-        return P, Q
+        faces = [vertex_of[c] for k in range(1, len(J))
+                 for c in itertools.combinations(J, k)]
+        room = {vertex_of[c] for T in _star(inc, J) for k in range(1, len(J))
+                for c in itertools.combinations(T, k)}
+        return ([row_of[v] for v in faces],
+                [row_of[v] for v in sorted(room.difference(faces))])
 
-    by_level = itertools.groupby(new_sets, key=len)
-    for _, level_sets in by_level:
+    def put(J, b):
+        assignment[vertex_of[J]] = b
+        table[row_of[vertex_of[J]]] = b
+
+    for _, level_sets in itertools.groupby(new_sets, key=len):
         level_sets = list(level_sets)
-        if orbit is None:
-            for J in level_sets:
-                P, Q = gather(J)
-                assignment[vertex_of[J]] = _solve_label(space, P, Q, lam, rho=rho)
-        else:
-            reps = [J for J in level_sets if orbit[J][0] == J]
-            for J in reps:
-                P, Q = gather(J)
-                assignment[vertex_of[J]] = _solve_label(space, P, Q, lam, rho=rho)
+        reps = level_sets if orbit is None else \
+            [J for J in level_sets if orbit[J][0] == J]
+        for start in range(0, len(reps), BLOCK_ROWS):
+            block = reps[start:start + BLOCK_ROWS]
+            for J, b in zip(block, _label_rows(space, table, [gather(J) for J in block],
+                                               lam, rho=rho)):
+                put(J, b)
+        if orbit is not None:
             for J in level_sets:
                 rep, h = orbit[J]
                 if rep != J:
-                    assignment[vertex_of[J]] = h.apply(assignment[vertex_of[rep]])
+                    put(J, h.apply(assignment[vertex_of[rep]]))
 
     iota_sub = simplicial.VertexMap(space, assignment)
 
     record = StageRecord(stage=0, lam=lam)
-    parent_diams = {s: spaces.pairwise_diameter(space, [iota(v) for v in s])
-                    for s in complex_.simplices}
+    simplices = sorted(complex_.simplices)
+    parent_diams = dict(zip(simplices, _diameters(
+        space, table, simplices, lambda s: [row_of[v] for v in s])))
     # condition (1) certified on subdivision edges: every sub-simplex's image
     # diameter is realized by one of its edges, whose least containing parent
     # is a face of the simplex's, so the edge bound is the stronger one
-    for e in sub.edges:
+    edges = sub.edges
+    lengths = _diameters(space, table, edges, lambda e: [row_of[v] for v in e])
+    for e, after in zip(edges, lengths):
         parent = simplicial.least_containing_simplex(complex_, prov, e)
-        after = spaces.distance(space, assignment[e[0]], assignment[e[1]])
         record.sub_rows.append((e, after, parent, parent_diams[parent]))
-    # condition (2): no parent simplex's contained vertex images may spread
-    contained = {s: list(s) for s in complex_.simplices}
-    for v, J in prov.sets.items():
-        if len(J) < 2:
-            continue
-        for T in _star(inc, J):
-            contained[T].append(v)
-    for s in sorted(complex_.simplices):
-        diam_inside = spaces.pairwise_diameter(
-            space, [assignment[v] for v in contained[s]])
+    # condition (2): no parent simplex's contained vertex images, the labels
+    # of all its faces, may spread
+    inside = _diameters(space, table, simplices, lambda s: [
+        row_of[vertex_of[c]] for k in range(1, len(s) + 1)
+        for c in itertools.combinations(s, k)])
+    for s, diam_inside in zip(simplices, inside):
         record.parent_rows.append((s, diam_inside, parent_diams[s]))
         if diam_inside > parent_diams[s] + 10 * space.tol:
             raise ModelSpaceViolation(
@@ -286,16 +372,25 @@ def iterate_subdivision(complex_, iota, lam, n, equivariance=None, rho=None):
         if equiv is not None and equiv.maps:
             equiv = lift_equivariance(equiv, prov)
 
-    for e in complex_.edges:
-        d = spaces.distance(space, iota(e[0]), iota(e[1]))
-        record.final_edge_rows.append((e, d))
-    orig_diams = {s: spaces.pairwise_diameter(space, [original_iota(v) for v in s])
-                  for s in original.simplices}
-    for v in sorted(complex_.vertices):
-        sigma = tuple(sorted(prov_total.of(v)))
-        dists = [spaces.distance(space, iota(v), original_iota(v0)) for v0 in sigma]
-        record.displacement_rows.append(
-            (v, sigma, orig_diams[sigma], max(dists), min(dists)))
+    vertices = sorted(complex_.vertices)
+    row_of, table = _table(space, vertices, iota.assignment)
+    edges = complex_.edges
+    record.final_edge_rows = list(zip(edges, _diameters(
+        space, table, edges, lambda e: [row_of[v] for v in e])))
+    orig_row, orig_table = _table(space, sorted(original.vertices),
+                                  original_iota.assignment)
+    orig_simplices = sorted(original.simplices)
+    orig_diams = dict(zip(orig_simplices, _diameters(
+        space, orig_table, orig_simplices, lambda s: [orig_row[v] for v in s])))
+    sigmas = [tuple(sorted(prov_total.of(v))) for v in vertices]
+    rows = record.displacement_rows = [None] * len(vertices)
+    for block in _blocks(sigmas):
+        d = spaces.paired_distances(
+            space, table[block][:, None],
+            orig_table[np.array([[orig_row[u] for u in sigmas[i]] for i in block])])
+        for i, hi, lo in zip(block.tolist(), d.max(axis=1).tolist(),
+                             d.min(axis=1).tolist()):
+            rows[i] = (vertices[i], sigmas[i], orig_diams[sigmas[i]], hi, lo)
     return SubdivisionResult(complex_, iota, record, prov_total, stage_vertex_of)
 
 

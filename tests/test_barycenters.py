@@ -297,3 +297,71 @@ def test_solver_matches_meb_oracle():
         lo = bc.solve_barycenter(prob, lam_star - 0.02)
         assert lo.status == "not_found_below"
         assert lam_star - 0.005 - 1e-9 <= lo.lambda_bound <= lam_star + 1e-9
+
+
+def test_grid_budget_makes_oversized_grid_indeterminate(monkeypatch):
+    """Phase trial seed 47's plane instance needs a 10.9 M-point mesh; the
+    budget turns it into indeterminate before any grid is allocated."""
+    def no_grid(*args):
+        raise AssertionError("an over-budget grid was allocated")
+
+    monkeypatch.setattr(bc, "_euclidean_grid", no_grid)
+    P, Q = bc._sample_sets(E2, np.random.default_rng(47), 1.0)
+    cert = bc.solve_barycenter(bc.BarycenterProblem(E2, P, Q), 0.7)
+    assert cert.status == "indeterminate"
+    assert "over the budget" in cert.reason
+    assert cert.to_json()["reason"] == cert.reason
+    rep = bc.has_barycenters_sample(E2, 0.7, 1.0, 1, 47)
+    assert rep.worst["certificate"]["status"] == "indeterminate"
+
+
+def test_certificate_reason_written_only_when_set():
+    cert = bc.solve_barycenter(
+        bc.BarycenterProblem(E2, [np.zeros(2), np.array([1.0, 0.0])], []), 0.5)
+    assert cert.found and "reason" not in cert.to_json()
+
+
+def test_candidate_grid_returns_arrays():
+    P = [np.zeros(2), np.array([1.0, 0.0])]
+    rng = np.random.default_rng(2)
+    for space, pts in [(C1, [spaces.circle_point(C1, 0.0), spaces.circle_point(C1, 0.5)]),
+                       (E2, P), (E3, [np.zeros(3), np.array([0.0, 1.0, 1.0])]),
+                       (H2, [hyp_point(rng, 0.5) for _ in range(3)])]:
+        grid, _ = bc._candidate_grid(bc.BarycenterProblem(space, pts, []), 0.05)
+        assert isinstance(grid, np.ndarray)
+        assert grid.ndim == 2 and grid.shape[1] == space.ambient_dim
+
+
+def test_diameter_midpoints_stack_matches_scalar_midpoints():
+    """A stacked diameter_midpoints call gives each set the bits of the
+    per-set construction: cross_distances, lex-least pair, geodesic_point."""
+    rng = np.random.default_rng(11)
+    for space, draw in [(E2, lambda: rng.normal(size=2)),
+                        (E3, lambda: rng.normal(size=3)),
+                        (H2, lambda: hyp_point(rng, 1.0))]:
+        sets = [[draw() for _ in range(6)] for _ in range(40)]
+        sets.append([sets[0][0]] * 6)  # a degenerate set
+        D, mids = bc.diameter_midpoints(space, np.asarray(sets))
+        for P, d, b in zip(sets, D, mids):
+            M = spaces.cross_distances(space, np.asarray(P), np.asarray(P))
+            M[np.tril_indices(len(P))] = -np.inf
+            i, j = divmod(int(np.argmax(M)), len(P))
+            assert d == M[i, j]
+            if b is None:
+                assert d <= space.tol
+                continue
+            assert np.array_equal(b, spaces.geodesic_point(space, P[i], P[j],
+                                                           0.5 * float(M[i, j])))
+            assert np.array_equal(bc.cat0_midpoint_rule(space, P, []).point, b)
+
+
+def test_grid_budget_stops_refinement_with_coarse_bound(monkeypatch):
+    """A refinement over the budget leaves the coarse grid's bound and
+    resolution in the indeterminate certificate."""
+    monkeypatch.setattr(bc, "GRID_BUDGET", 2000)
+    sp, P = equidistant_triple()
+    # the circle grid at rho = D/200 has 363 candidates; refined, 3,628
+    cert = bc.solve_barycenter(bc.BarycenterProblem(sp, P, []), 0.99999)
+    assert cert.status == "indeterminate"
+    assert "circle grid needs" in cert.reason
+    assert cert.lambda_bound is not None and cert.grid_resolution > 0

@@ -1,5 +1,6 @@
 """Lambda-shrinking subdivisions: construction, diameter bounds, equivariance."""
 
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from barylab.errors import NoBarycenter
 E1 = spaces.ModelSpace.euclidean(1)
 E2 = spaces.ModelSpace.euclidean(2)
 C1 = spaces.ModelSpace.circle(1.0)
+H2 = spaces.ModelSpace.hyperboloid(2)
 
 SQ32 = math.sqrt(3) / 2
 
@@ -188,3 +190,154 @@ def test_subdivision_coordinates_position_preserved():
             J = prov.of(v)
             pos += mu * np.mean([iota(j) for j in J], axis=0)
         assert np.allclose(pos, target, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# level batching: labels bit-identical to a per-simplex _solve_label loop
+
+
+def reference_labels(cplx, iota, lam, equivariance=None):
+    """Per-simplex labelling: one _solve_label call per new vertex J, in
+    order of increasing |J|, P the labels of J's proper faces and Q the rest
+    of its room, orbit members propagated from their representative."""
+    space = iota.target
+    _, prov = simplicial.barycentric_subdivision(cplx)
+    vertex_of = {J: v for v, J in prov.sets.items()}
+    labels = dict(iota.assignment)
+    new_sets = sorted((J for J in vertex_of if len(J) >= 2), key=lambda J: (len(J), J))
+    inc = sd._incidence(cplx)
+    orbit = (sd._orbit_assignments(new_sets, equivariance)
+             if equivariance is not None else None)
+    for J in new_sets:
+        if orbit is not None and orbit[J][0] != J:
+            rep, h = orbit[J]
+            labels[vertex_of[J]] = h.apply(labels[vertex_of[rep]])
+            continue
+        faces = [vertex_of[c] for k in range(1, len(J))
+                 for c in itertools.combinations(J, k)]
+        room = {vertex_of[c] for T in sd._star(inc, J) for k in range(1, len(J))
+                for c in itertools.combinations(T, k)}
+        P = [labels[v] for v in faces]
+        Q = [labels[v] for v in sorted(room - set(faces))]
+        labels[vertex_of[J]] = sd._solve_label(space, P, Q, lam)
+    return labels
+
+
+def assert_same_labels(cplx, iota, lam, equivariance=None):
+    _, iota1, _, _ = sd.shrinking_subdivide(cplx, iota, lam, equivariance=equivariance)
+    want = reference_labels(cplx, iota, lam, equivariance)
+    assert set(iota1.assignment) == set(want)
+    for v, b in want.items():
+        assert np.array_equal(iota1(v), b), v
+
+
+def strip(n):
+    """Triangle strip: bottom vertex 2i, top vertex 2i+1."""
+    tris = [(2 * i, 2 * i + 1, 2 * i + 2) for i in range(n)]
+    tris += [(2 * i + 1, 2 * i + 2, 2 * i + 3) for i in range(n - 1)]
+    return simplicial.SimplicialComplex.from_maximal(tris)
+
+
+def hyp_label(x, y):
+    """Exponential map at the basepoint of H^2, applied to (x, y)."""
+    r = math.hypot(x, y)
+    if r == 0.0:
+        return np.array([1.0, 0.0, 0.0])
+    return np.array([math.cosh(r), math.sinh(r) * x / r, math.sinh(r) * y / r])
+
+
+def jittered_strip(space, n, seed, scale):
+    rng = np.random.default_rng(seed)
+    cplx = strip(n)
+    labels = {}
+    for v in cplx.vertices:
+        x, y = scale * (v // 2 + 0.5 * (v % 2)), scale * (v % 2)
+        x, y = x + rng.uniform(-0.1, 0.1) * scale, y + rng.uniform(-0.1, 0.1) * scale
+        labels[v] = hyp_label(x, y) if space.kind == spaces.HYPERBOLOID \
+            else np.array([x, y])
+    return cplx, simplicial.VertexMap(space, labels)
+
+
+@pytest.mark.parametrize("space", [E2, H2], ids=["R2", "H2"])
+def test_batched_labels_bit_identical(space):
+    cplx, iota = jittered_strip(space, 6, seed=3, scale=0.2)
+    assert_same_labels(cplx, iota, SQ32)
+    # the next stage labels the subdivided complex, with longer rows
+    sub, iota1, _, _ = sd.shrinking_subdivide(cplx, iota, SQ32)
+    assert_same_labels(sub, iota1, SQ32)
+
+
+@pytest.mark.parametrize("space", [E2, H2], ids=["R2", "H2"])
+def test_batched_labels_bit_identical_equivariant(space):
+    n = 6
+    cplx = strip(n)
+    if space.kind == spaces.HYPERBOLOID:
+        h = spaces.Isometry.hyperbolic_boost(0.3)
+        base = {0: hyp_label(0.0, 0.0), 1: hyp_label(0.15, 0.3)}
+    else:
+        h = spaces.Isometry.euclidean_translation([0.3, 0.0])
+        base = {0: np.zeros(2), 1: np.array([0.15, 0.3])}
+    labels = {}
+    for v in cplx.vertices:
+        p = base[v % 2]
+        for _ in range(v // 2):
+            p = h.apply(p)
+        labels[v] = p
+    iota = simplicial.VertexMap(space, labels)
+    last = max(cplx.vertices)
+    equiv = sd.EquivariantStructure([
+        (h, {v: v + 2 for v in cplx.vertices if v + 2 <= last}),
+        (h.inverse(), {v: v - 2 for v in cplx.vertices if v >= 2})])
+    assert_same_labels(cplx, iota, SQ32, equiv)
+
+
+def test_batched_labels_zero_dimensional():
+    cplx = simplicial.SimplicialComplex.from_maximal([(0,), (1,)])
+    iota = simplicial.VertexMap(E1, {0: np.array([0.0]), 1: np.array([5.0])})
+    assert_same_labels(cplx, iota, 0.5)
+    res = sd.iterate_subdivision(cplx, iota, 0.5, 2)
+    assert res.record.final_edge_rows == []
+    assert [row[3:] for row in res.record.displacement_rows] == [(0.0, 0.0)] * 2
+
+
+def test_batched_labels_circle():
+    cplx = simplicial.SimplicialComplex.from_maximal([(0, 1, 2), (1, 2, 3)])
+    iota = simplicial.VertexMap(C1, {v: spaces.circle_point(C1, 0.1 * v)
+                                     for v in range(4)})
+    assert_same_labels(cplx, iota, SQ32)
+
+
+def test_batched_labels_finite():
+    # five points on a line at unit spacing
+    F = spaces.ModelSpace.finite([[abs(i - j) for j in range(5)] for i in range(5)])
+    cplx = simplicial.SimplicialComplex.from_maximal([(0, 1), (1, 2)])
+    iota = simplicial.VertexMap(F, {0: 0, 1: 2, 2: 4})
+    _, iota1, _, prov = sd.shrinking_subdivide(cplx, iota, 0.5)
+    assert_same_labels(cplx, iota, 0.5)
+    labels = {prov.of(v): iota1(v) for v in iota1.assignment}
+    assert labels[(0, 1)] == 1 and labels[(1, 2)] == 3
+    assert all(type(p) is int for p in iota1.assignment.values())
+
+
+def test_rule_rejected_row_reaches_grid_solver(monkeypatch):
+    """Below sqrt(3)/2 the triangle's midpoint label fails the batched
+    lambda check; that row, and only it, goes to the grid solver."""
+    from barylab import barycenters
+
+    calls = []
+    solve = barycenters.solve_barycenter
+
+    def counted(prob, lam, **kwargs):
+        calls.append(len(prob.P))
+        return solve(prob, lam, **kwargs)
+
+    monkeypatch.setattr(barycenters, "solve_barycenter", counted)
+    cplx, iota = equilateral()
+    _, iota1, _, prov = sd.shrinking_subdivide(cplx, iota, 0.6)
+    assert calls == [6]
+    center = next(v for v, J in prov.sets.items() if J == (0, 1, 2))
+    assert barycenters.lambda_of(
+        E2, iota1(center), [iota(0), iota(1), iota(2)]) <= 0.6 + 1e-9
+    calls.clear()
+    assert_same_labels(cplx, iota, 0.6)
+    assert calls == [6, 6]  # the batched pass, then the reference

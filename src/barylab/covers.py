@@ -21,6 +21,7 @@ from .errors import (
     EnumerationBound,
     IndeterminateIntersection,
     PipelineInconsistency,
+    PreconditionError,
     UncoveredPoint,
 )
 from .simplicial import SimplicialComplex
@@ -39,9 +40,20 @@ class Ball:
 
 
 class BallCover:
-    """Finite cover of a sampled compact window by open metric balls."""
+    """Finite cover of a sampled compact window by open metric balls.
+
+    Only Euclidean and hyperboloid spaces are accepted: build_nerve certifies
+    pairwise intersections from the centre distance, which is exact only in a
+    geodesic metric, and its multistart descent is global only where the
+    margin is geodesically convex.  Chordal circles and spheres, and finite
+    spaces, fail both.
+    """
 
     def __init__(self, space, balls, window, check_cover=True):
+        if not space.is_cat0:
+            raise PreconditionError(
+                f"ball covers need a Euclidean or hyperboloid space, not "
+                f"{space.kind}: nerves of {space.kind} covers are not certified")
         self.space = space
         self.balls = [Ball(np.asarray(c, float), float(r), i)
                       for i, (c, r) in enumerate(balls)]
@@ -165,11 +177,6 @@ def balls_intersection_margin(space, centers, radii, seed=0, restarts=20):
         nrm = -spaces.minkowski_dot(m, m)
         if nrm > 0:
             probes.append(m / np.sqrt(nrm))
-    elif space.kind in (spaces.CIRCLE, spaces.SPHERE):
-        m = np.mean(centers, axis=0)
-        n = np.linalg.norm(m)
-        if n > 1e-12:
-            probes.append(space.radius * m / n)
     for i, j in itertools.combinations(range(k), 2):
         d = spaces.distance(space, centers[i], centers[j])
         if d > space.tol:

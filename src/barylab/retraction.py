@@ -25,7 +25,7 @@ from .errors import (
 )
 
 ALPHA_DEFAULT = math.pi
-BISECTION_STEPS = 80  # halvings of [0, d(q, target)] in Retractor.retract
+BISECTION_STEPS = 80  # halving budget of [0, d(q, target)] in Retractor.retract
 
 
 def _mdot_rows(A, B):
@@ -352,12 +352,9 @@ def check_large_angle_escape(body, eps, q, q_prime, samples=100,
         raise PreconditionError("q does not lie on the eps-level set")
     if enforce_angle and angle_to_C(body, q, q_prime) <= math.pi / 2.0 + tol:
         raise PreconditionError("escape check requires an angle > pi/2")
-    d = spaces.distance(body.space, q, q_prime)
-    for t in np.linspace(d / samples, d, samples):
-        pt = spaces.geodesic_point(body.space, q, q_prime, float(t))
-        if body.dist(pt) <= eps:
-            return False
-    return True
+    geo = spaces.Geodesic(body.space, q, q_prime)
+    pts = geo.points(np.linspace(geo.length / samples, geo.length, samples))
+    return not np.any(body.dist_batch(pts) <= eps)
 
 
 # ---------------------------------------------------------------------------
@@ -689,14 +686,13 @@ def check_small_relative(body, eps, action, K_samples, K_out_samples,
 def _pair_variation(A, points, space, radius, axis):
     """Max |A difference| over index pairs whose points are within radius."""
     pts = np.asarray(points)
-    n = len(pts)
     worst = 0.0
-    for i in range(n):
+    for i in range(len(pts)):
         d = spaces.distances_to(space, pts[i + 1:], pts[i])
-        close = np.nonzero(d <= radius)[0]
-        for off in close:
-            j = i + 1 + int(off)
-            diff = np.abs(A[i] - A[j]) if axis == 0 else np.abs(A[:, i] - A[:, j])
+        js = i + 1 + np.nonzero(d <= radius)[0]
+        if len(js):
+            diff = np.abs(A[i] - A[js]) if axis == 0 else \
+                np.abs(A[:, i, None] - A[:, js])
             worst = max(worst, float(np.max(diff)))
     return worst
 
@@ -861,22 +857,24 @@ class Retractor:
             raise PreconditionError(
                 f"q lies {g0:.2e} outside the eps-neighborhood")
         target, cell = self.push_target(q)
-        T = spaces.distance(body.space, q, target)
         if body.dist(target) - eps <= 0.0:
             raise PipelineInconsistency(
                 "push-off image inside the eps-neighborhood; an upstream "
                 "precondition lied")
-        lo, hi = 0.0, T
+        geo = spaces.Geodesic(body.space, q, target)
+        lo, hi = 0.0, geo.length
         for _ in range(BISECTION_STEPS):
             mid = 0.5 * (lo + hi)
-            pt = spaces.geodesic_point(body.space, q, target, mid)
-            if body.dist(pt) - eps <= 0.0:
+            if body.dist(geo.point(mid)) - eps <= 0.0:
+                if lo == mid:
+                    break  # (lo, hi) is a fixed point of every later step
                 lo = mid
             else:
+                if hi == mid:
+                    break
                 hi = mid
         t_star = 0.5 * (lo + hi)
-        r = spaces.geodesic_point(body.space, q, target, t_star) if t_star > 0 else \
-            np.asarray(q, float)
+        r = geo.point(t_star) if t_star > 0 else np.asarray(q, float)
         if abs(body.dist(r) - eps) > 1e-7:
             raise PipelineInconsistency(
                 f"bisection residual {abs(body.dist(r) - eps):.2e}; no crossing found")

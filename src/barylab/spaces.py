@@ -167,7 +167,9 @@ def distance(space, x, y):
     y = np.asarray(y, dtype=float)
     if space.kind == HYPERBOLOID:
         return _hyperboloid_dist_from_diff(x - y)
-    return float(np.linalg.norm(x - y))
+    diff = x - y
+    # np.linalg.norm's own formula for a real 1-D array, without its dispatch
+    return math.sqrt(float(diff.dot(diff)))
 
 
 def distances_to(space, points, y):
@@ -270,33 +272,70 @@ def circle_point(space, theta):
     return space.point([space.radius * math.cos(theta), space.radius * math.sin(theta)])
 
 
-def geodesic_point(space, x, y, t):
-    """Point at arc length t on the unit-speed geodesic from x to y.
+class Geodesic:
+    """Unit-speed geodesic from x toward y, with its length and per-kind
+    direction computed once: the difference vector (Euclidean), the unit
+    tangent at x (hyperboloid), or the end angle and turning sign (circle).
 
-    Euclidean and hyperboloid geodesics extend beyond [0, d(x,y)]; the circle
+    Euclidean and hyperboloid geodesics extend beyond [0, length]; the circle
     is parametrised by intrinsic arc length along the shorter arc.
     """
-    if not space.is_geodesic:
-        raise ValueError(f"space kind {space.kind} is not geodesic")
-    if t == 0.0:
-        return x
-    d_here = arc_distance(space, x, y) if space.kind == CIRCLE else distance(space, x, y)
-    if d_here <= space.tol:
-        raise DegenerateGeodesic("x = y but t != 0")
-    if space.kind == EUCLIDEAN:
-        x = np.asarray(x, dtype=float)
+
+    __slots__ = ("space", "x", "length", "_x", "_dir", "_a", "_sign")
+
+    def __init__(self, space, x, y):
+        if not space.is_geodesic:
+            raise ValueError(f"space kind {space.kind} is not geodesic")
+        self.space = space
+        self.x = x
+        self.length = arc_distance(space, x, y) if space.kind == CIRCLE \
+            else distance(space, x, y)
+        self._dir = None
+        if self.length <= space.tol:
+            return
+        if space.kind == CIRCLE:
+            self._a = circle_angle(space, x)
+            delta = math.remainder(circle_angle(space, y) - self._a, 2.0 * math.pi)
+            self._sign = 1.0 if delta >= 0 else -1.0
+            return
+        self._x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        return x + (t / d_here) * (y - x)
-    if space.kind == HYPERBOLOID:
-        u = _hyperboloid_unit_tangent(x, y, d_here)
-        p = math.cosh(t) * np.asarray(x, dtype=float) + math.sinh(t) * u
-        return p
-    # circle: move along the shorter arc from x toward y
-    a = circle_angle(space, x)
-    b = circle_angle(space, y)
-    delta = math.remainder(b - a, 2.0 * math.pi)
-    sign = 1.0 if delta >= 0 else -1.0
-    return circle_point(space, a + sign * t / space.radius)
+        if space.kind == EUCLIDEAN:
+            self._dir = y - self._x
+        else:
+            self._dir = _hyperboloid_unit_tangent(self._x, y, self.length)
+
+    def point(self, t):
+        """Point at arc length t; x itself when t == 0."""
+        if t == 0.0:
+            return self.x
+        if self.length <= self.space.tol:
+            raise DegenerateGeodesic("x = y but t != 0")
+        if self.space.kind == EUCLIDEAN:
+            return self._x + (t / self.length) * self._dir
+        if self.space.kind == HYPERBOLOID:
+            return math.cosh(t) * self._x + math.sinh(t) * self._dir
+        return circle_point(self.space, self._a + self._sign * t / self.space.radius)
+
+    def points(self, ts):
+        """Rows of point(t) over an array of arc lengths (Euclidean and
+        hyperboloid kinds); equal to point's rows up to rounding of cosh/sinh."""
+        ts = np.asarray(ts, dtype=float)
+        if self.space.kind not in (EUCLIDEAN, HYPERBOLOID):
+            raise ValueError(f"batched geodesic points need a Euclidean or "
+                             f"hyperboloid space, not {self.space.kind}")
+        if self.length <= self.space.tol:
+            if np.any(ts):
+                raise DegenerateGeodesic("x = y but t != 0")
+            return np.tile(np.asarray(self.x, dtype=float), (len(ts), 1))
+        if self.space.kind == EUCLIDEAN:
+            return self._x + (ts / self.length)[:, None] * self._dir
+        return np.cosh(ts)[:, None] * self._x + np.sinh(ts)[:, None] * self._dir
+
+
+def geodesic_point(space, x, y, t):
+    """Point at arc length t on the unit-speed geodesic from x to y."""
+    return Geodesic(space, x, y).point(t)
 
 
 def angle_at(space, o, p, q):

@@ -9,6 +9,7 @@ from barylab import covers, spaces
 from barylab.errors import (
     EnumerationBound,
     IndeterminateIntersection,
+    PreconditionError,
     UncoveredPoint,
 )
 
@@ -150,6 +151,28 @@ def test_projection_weight_examples():
     support, w = proj.project(np.zeros(2))
     assert support == (0, 1)
     assert np.allclose(w, [0.75, 0.25], atol=1e-12)
+
+
+def test_chordal_covers_rejected():
+    """Two chordal radius-1 balls on the unit circle, centred 0.9 pi apart:
+    the centre distance is below the radius sum, which the pairwise shortcut
+    of build_nerve would take as an edge, yet no point of the circle lies in
+    both.  Covers of non-geodesic metrics are refused instead."""
+    C1 = spaces.ModelSpace.circle(1.0)
+    centers = [spaces.circle_point(C1, 0.0), spaces.circle_point(C1, 0.9 * math.pi)]
+    assert spaces.distance(C1, *centers) < 2.0
+    theta = np.linspace(0.0, 2.0 * math.pi, 200_000, endpoint=False)
+    circle = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    inside = [spaces.distances_to(C1, circle, c) < 1.0 for c in centers]
+    assert not np.any(inside[0] & inside[1])
+    with pytest.raises(PreconditionError):
+        covers.BallCover(C1, [(c, 1.0) for c in centers], window=centers)
+    S2 = spaces.ModelSpace.sphere(2)
+    with pytest.raises(PreconditionError):
+        covers.BallCover(S2, [(np.array([0.0, 0.0, 1.0]), 0.5)], window=[])
+    F = spaces.ModelSpace.finite([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(PreconditionError):
+        covers.BallCover(F, [(0, 0.6), (1, 0.6)], window=[], check_cover=False)
 
 
 def test_projection_uncovered_point():

@@ -11,6 +11,7 @@ from barylab.errors import (
     StagedPreconditionError,
     UndefinedNormal,
 )
+from test_spaces import frozen_geodesic_point
 
 E2 = spaces.ModelSpace.euclidean(2)
 H2 = spaces.ModelSpace.hyperboloid(2)
@@ -228,6 +229,30 @@ def test_escape_examples():
                                            enforce_angle=False)
 
 
+def test_escape_on_hyperbolic_line():
+    """On an H^2 line body the outward normal (angle pi) escapes; the chord
+    to a farther point of the level set re-enters the convex neighbourhood.
+    The batched samples agree with a scalar walk of the same geodesic."""
+    body = hyp_axis_body()
+    nbh = rt.EpsNeighborhood(body, 1.0)
+    q = nbh.point("plus", 0.3)
+    out = rt.normal_flow(body, q, 1.0)
+    assert abs(rt.angle_to_C(body, q, out) - math.pi) < 1e-6
+    assert rt.check_large_angle_escape(body, 1.0, q, out)
+
+    chord = nbh.point("plus", 1.3)
+    assert rt.angle_to_C(body, q, chord) < math.pi / 2
+    with pytest.raises(PreconditionError):
+        rt.check_large_angle_escape(body, 1.0, q, chord)
+    assert not rt.check_large_angle_escape(body, 1.0, q, chord,
+                                           enforce_angle=False)
+
+    d = spaces.distance(H2, q, chord)
+    walk = [body.dist(spaces.geodesic_point(H2, q, chord, float(t))) <= 1.0
+            for t in np.linspace(d / 100, d, 100)]
+    assert any(walk) and not all(walk)  # re-enters, then leaves at the chord end
+
+
 def test_eps_neighborhood_levels():
     cases = [
         (rt.PointBody(E2, np.zeros(2)), "circle"),
@@ -303,6 +328,25 @@ def test_check_small_relative_spec_example():
     assert rep.cond1_ok and rep.cond2_ok and rep.cond3_ok
     assert rep.cond3_gate == pytest.approx(math.pi / 4)
     assert rep.cond3_variation <= math.pi / 4
+
+
+def test_pair_variation_matches_per_pair_reference():
+    rng = np.random.default_rng(7)
+    for space, pts in ((E2, rng.uniform(-1, 1, size=(60, 2))),
+                       (H2, [rt.EpsNeighborhood(hyp_axis_body(), 1.0).point(
+                           "plus", float(s)) for s in rng.uniform(-2, 2, 60)])):
+        A = rng.uniform(0, math.pi, size=(60, 45))
+        for axis, AA in ((0, A), (1, A.T.copy())):
+            for radius in (0.0, 0.2, 0.6, 10.0):
+                ref = 0.0
+                for i in range(60):
+                    for j in range(i + 1, 60):
+                        if spaces.distance(space, pts[i], pts[j]) <= radius:
+                            diff = AA[i] - AA[j] if axis == 0 else \
+                                AA[:, i] - AA[:, j]
+                            ref = max(ref, float(np.max(np.abs(diff))))
+                got = rt._pair_variation(AA, pts, space, radius, axis=axis)
+                assert got == ref
 
 
 def test_extension_staged_errors():
@@ -406,6 +450,53 @@ def test_retract_identity_and_interior():
     # precondition is checked before the nerve projection
     with pytest.raises(PreconditionError):
         retr.retract(rt.normal_flow(scene.body, q, 10 * scene.R))
+
+
+def frozen_retract(retr, q):
+    """Retractor.retract's bisection as it was before spaces.Geodesic and the
+    early stop: a fresh geodesic_point per step, all BISECTION_STEPS steps."""
+    body, eps = retr.body, retr.eps
+    target, _ = retr.push_target(q)
+    T = (float(np.linalg.norm(q - target)) if body.space.kind == spaces.EUCLIDEAN
+         else spaces.distance(body.space, q, target))
+    lo, hi = 0.0, T
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        pt = frozen_geodesic_point(body.space, q, target, mid)
+        if body.dist(pt) - eps <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    t_star = 0.5 * (lo + hi)
+    return frozen_geodesic_point(body.space, q, target, t_star) if t_star > 0 \
+        else np.asarray(q, float)
+
+
+@pytest.mark.parametrize("scene", [
+    scenes.euclidean_point_scene(delta=0.05),
+    scenes.euclidean_segment_scene(delta=0.05),
+    scenes.hyperbolic_axis_scene(period=1.0, delta=0.02),
+], ids=lambda sc: sc.name)
+def test_retract_matches_frozen_bisection_bits(scene):
+    """The per-query Geodesic and the early stop leave r's bits unchanged, on
+    boundary, interior and idempotence queries."""
+    grid = rt.build_boundary_grid(
+        scene.body, scene.eps, scene.R, scene.action, scene.component,
+        scene.s_lo, scene.s_hi, scene.delta,
+        (1 - scene.lam) * scene.delta_prime, sample_spacing=0.05)
+    retr = rt.Retractor(rt.extend_to_pushoff(grid, scene.lam, 1,
+                                             scene.delta_prime))
+    nbh = rt.EpsNeighborhood(scene.body, scene.eps)
+    margin = 0.02 * (scene.s_hi - scene.s_lo)
+    for s in np.linspace(scene.s_lo + margin, scene.s_hi - margin, 12):
+        q = nbh.point(scene.component, float(s))
+        q_in = rt.normal_flow(scene.body, q, -grid.delta / 4.0)
+        for query in (q, q_in):
+            r, target, cell = retr.retract(query)
+            assert np.array_equal(r, frozen_retract(retr, query))
+            assert (np.array_equal(target, retr.push_target(query)[0])
+                    and cell == retr.push_target(query)[1])
+            assert np.array_equal(retr.retract(r)[0], frozen_retract(retr, r))
 
 
 def test_segment_scene_end_to_end():

@@ -73,6 +73,99 @@ def test_geodesic_degenerate():
     with pytest.raises(DegenerateGeodesic):
         spaces.geodesic_point(E2, x, x, 0.5)
     assert spaces.geodesic_point(E2, x, x, 0.0) is x
+    for space in (E2, H2, C1):
+        p = rand_point(space, np.random.default_rng(5))
+        geo = spaces.Geodesic(space, p, p)
+        assert geo.point(0.0) is p
+        with pytest.raises(DegenerateGeodesic):
+            geo.point(0.5)
+        if space is not C1:
+            with pytest.raises(DegenerateGeodesic):
+                geo.points([0.0, 0.5])
+            assert np.array_equal(geo.points([0.0, 0.0]), [p, p])
+
+
+def frozen_geodesic_point(space, x, y, t):
+    """geodesic_point as it was before spaces.Geodesic: the reference that
+    Geodesic.point must match bit for bit."""
+    if not space.is_geodesic:
+        raise ValueError(f"space kind {space.kind} is not geodesic")
+    if t == 0.0:
+        return x
+    if space.kind == spaces.CIRCLE:
+        d_here = spaces.arc_distance(space, x, y)
+    elif space.kind == spaces.HYPERBOLOID:
+        d_here = spaces._hyperboloid_dist_from_diff(
+            np.asarray(x, float) - np.asarray(y, float))
+    else:
+        d_here = float(np.linalg.norm(np.asarray(x, float) - np.asarray(y, float)))
+    if d_here <= space.tol:
+        raise DegenerateGeodesic("x = y but t != 0")
+    if space.kind == spaces.EUCLIDEAN:
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        return x + (t / d_here) * (y - x)
+    if space.kind == spaces.HYPERBOLOID:
+        u = spaces._hyperboloid_unit_tangent(x, y, d_here)
+        p = math.cosh(t) * np.asarray(x, dtype=float) + math.sinh(t) * u
+        return p
+    a = spaces.circle_angle(space, x)
+    b = spaces.circle_angle(space, y)
+    delta = math.remainder(b - a, 2.0 * math.pi)
+    sign = 1.0 if delta >= 0 else -1.0
+    return spaces.circle_point(space, a + sign * t / space.radius)
+
+
+def test_geodesic_point_matches_frozen_reference_bits():
+    rng = np.random.default_rng(41)
+    for space in (E2, E3, H2, C1):
+        for _ in range(100):
+            x, y = rand_point(space, rng), rand_point(space, rng)
+            geo = spaces.Geodesic(space, x, y)
+            L = geo.length
+            for t in (0.0, float(rng.uniform(0.0, L)), 0.5 * L, L,
+                      float(rng.uniform(L, 3.0 * L))):
+                ref = frozen_geodesic_point(space, x, y, t)
+                assert np.array_equal(geo.point(t), ref)
+                assert np.array_equal(spaces.geodesic_point(space, x, y, t), ref)
+
+
+def test_geodesic_points_match_point_rows():
+    """Euclidean rows are the same bits; hyperboloid rows differ only by the
+    rounding of np.cosh/np.sinh against math.cosh/math.sinh, so they agree to
+    1e-15 relative to the size of the terms cosh(t) x and sinh(t) u."""
+    rng = np.random.default_rng(43)
+    for space in (E2, E3, H2):
+        for _ in range(50):
+            x, y = rand_point(space, rng), rand_point(space, rng)
+            geo = spaces.Geodesic(space, x, y)
+            ts = np.concatenate(([0.0], rng.uniform(0.0, 2.0 * geo.length, 20)))
+            rows = geo.points(ts)
+            ref = np.asarray([geo.point(float(t)) for t in ts])
+            assert rows.shape == ref.shape
+            if space.kind == spaces.EUCLIDEAN:
+                assert np.array_equal(rows, ref)
+                continue
+            u = spaces._hyperboloid_unit_tangent(x, y)
+            scale = (np.cosh(ts) * np.max(np.abs(x))
+                     + np.sinh(ts) * np.max(np.abs(u)))
+            assert np.all(np.max(np.abs(rows - ref), axis=1) <= 1e-15 * scale)
+    with pytest.raises(ValueError):
+        spaces.Geodesic(C1, rand_point(C1, rng), rand_point(C1, rng)).points([0.1])
+
+
+def test_euclidean_distance_matches_norm_bits():
+    rng = np.random.default_rng(47)
+    for dim in (1, 2, 3, 4):
+        space = spaces.ModelSpace.euclidean(dim)
+        for scale in (1e-9, 1.0, 1e6):
+            X = scale * rng.normal(size=(500, dim))
+            Y = scale * rng.normal(size=(500, dim))
+            for x, y in zip(X, Y):
+                assert spaces.distance(space, x, y) == float(np.linalg.norm(x - y))
+    for x, y in zip(rng.normal(size=(200, 2)), rng.normal(size=(200, 2))):
+        x, y = x / np.linalg.norm(x), y / np.linalg.norm(y)
+        assert spaces.distance(C1, x, y) == float(np.linalg.norm(x - y))
 
 
 def test_angle_examples():

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +26,117 @@ from .errors import (
     UncoveredPoint,
 )
 from .simplicial import SimplicialComplex
+
+
+# ---------------------------------------------------------------------------
+# fixed-radius neighbour index (Bentley-Stanat-Williams cell hash)
+
+_EPS = np.finfo(float).eps
+# Cells are this much wider than the chart reach of the indexed points, so
+# that queries a little farther out in the chart still visit 3^n cells.
+_CELL_SLACK = 1e-6
+_KEY_BOUND = 2.0**62
+
+
+class NeighbourIndex:
+    """Fixed-radius neighbour index over the rows of `points`.
+
+    Points are hashed into cubical cells on a 1-Lipschitz chart: the
+    coordinates in R^n, and asinh(x_i) of each spatial coordinate on the
+    hyperboloid, the signed distance to the hyperplane {x_i = 0}.  Two points
+    at distance d then have chart coordinates at most d apart, so a query of
+    reach R visits the cells within ceil(R'/side) of its own, where R' is R
+    widened by the rounding of the chart, of the cell keys and of the
+    distance kernel (see `_chart_reach`).  `pairs` therefore returns a
+    superset of the pairs whose computed distance is at most R; callers run
+    the distance kernel on the candidates and decide exactly as an all-pairs
+    scan would.  Cells are a little wider than `reach`, so queries of that
+    reach visit 3^n cells.  A query whose cell block would hold at least as
+    many cells as the index has rows is compared with every row.
+    """
+
+    def __init__(self, space, points, reach):
+        self.space = space
+        points = np.asarray(points, float).reshape(-1, space.ambient_dim)
+        self._mult = (2 * np.arange(space.dim, dtype=np.uint64) + 1) * \
+            np.uint64(0x9E3779B97F4A7C15)
+        chart = self._chart(points)
+        self._stats = self._chart_stats(points, chart)
+        side = self._chart_reach(reach, self._stats) * (1.0 + _CELL_SLACK)
+        self.side = side if 0.0 < side < np.inf else 1.0
+        codes = self._codes(self._keys(chart))
+        self._order = np.argsort(codes, kind="stable")
+        self._sorted_codes = codes[self._order]
+
+    def _chart(self, pts):
+        if self.space.kind == spaces.HYPERBOLOID:
+            return np.arcsinh(pts[:, 1:])
+        return pts
+
+    def _chart_stats(self, pts, chart):
+        """(largest |chart coordinate|, largest x0, largest off-sheet drift)."""
+        cmax = float(np.abs(chart).max(initial=0.0))
+        if self.space.kind != spaces.HYPERBOLOID:
+            return cmax, 0.0, 0.0
+        drift = np.abs((pts[:, 1:] ** 2).sum(axis=1) - pts[:, 0] ** 2 + 1.0)
+        return cmax, float(pts[:, 0].max(initial=0.0)), float(drift.max(initial=0.0))
+
+    def _chart_reach(self, reach, stats):
+        """Upper bound on the chart (sup-norm) distance of two points whose
+        computed distance is at most `reach`, plus the floor rounding of the
+        cell keys; inf when no bound holds."""
+        cmax, x0, drift = stats
+        if self.space.kind == spaces.HYPERBOLOID:
+            # The kernel reads d from <x-y, x-y>_M, whose rounding grows like
+            # eps x0^2.  A point off the sheet by eta scales that form by up
+            # to eta (plus eta^2 near the diagonal) and its chart by eta/2.
+            n = self.space.dim
+            eta = drift + (n + 3) * _EPS * x0 * x0
+            if not eta < 0.25 or not 0.5 * reach < 700.0:
+                return np.inf
+            kernel = 4.0 * (n + 3) * _EPS * x0 * x0 + eta * eta
+            s2 = (math.sinh(0.5 * reach) ** 2 + 0.25 * kernel) / (1.0 - 2.0 * eta)
+            reach = 2.0 * math.asinh(math.sqrt(s2)) + 2.0 * eta
+        return reach * (1.0 + 1e-9) + 16.0 * _EPS * cmax
+
+    def _keys(self, chart):
+        # clipping is monotone and shrinks no key distance, so it keeps every
+        # neighbour while the keys stay inside int64
+        keys = np.floor(chart / self.side)
+        return np.minimum(np.maximum(keys, -_KEY_BOUND), _KEY_BOUND).astype(np.int64)
+
+    def _codes(self, keys):
+        """One uint64 per cell key row, linear in the key modulo 2^64.
+        Distinct cells may collide, which only adds candidates."""
+        return keys.astype(np.uint64) @ self._mult
+
+    def pairs(self, queries, reach):
+        """(qi, ri): every (query row, index row) pair whose computed distance
+        may be at most `reach`, sorted by qi then ri, without repeats."""
+        queries = np.asarray(queries, float).reshape(-1, self.space.ambient_dim)
+        m, nq = len(self._order), len(queries)
+        chart = self._chart(queries)
+        stats = map(max, self._stats, self._chart_stats(queries, chart))
+        span = self._chart_reach(reach, tuple(stats)) / self.side
+        dim = self.space.dim
+        # a cell block of at least m cells costs more than comparing every row
+        if nq == 0 or not span < m or (2 * math.ceil(span) + 1) ** dim >= m:
+            return np.repeat(np.arange(nq), m), np.tile(np.arange(m), nq)
+        k = math.ceil(span)
+        offsets = np.asarray(list(itertools.product(range(-k, k + 1), repeat=dim)),
+                             np.int64)
+        # the code of key + offset is the sum of their codes
+        codes = (self._codes(self._keys(chart))[:, None] + self._codes(offsets)).ravel()
+        lo = self._sorted_codes.searchsorted(codes, side="left")
+        counts = self._sorted_codes.searchsorted(codes, side="right") - lo
+        ends = counts.cumsum()
+        qi = np.repeat(np.arange(len(codes)) // len(offsets), counts)
+        ri = self._order[np.repeat(lo - ends + counts, counts) + np.arange(ends[-1])]
+        flat = np.sort(qi * m + ri)
+        keep = np.ones(len(flat), bool)
+        np.not_equal(flat[1:], flat[:-1], out=keep[1:])
+        flat = flat[keep]
+        return flat // m, flat % m
 
 
 @dataclass(frozen=True)
@@ -58,13 +170,19 @@ class BallCover:
         self.balls = [Ball(np.asarray(c, float), float(r), i)
                       for i, (c, r) in enumerate(balls)]
         self.window = [np.asarray(p, float) for p in window]
-        self.centers = np.asarray([b.center for b in self.balls])
-        self.radii = np.asarray([b.radius for b in self.balls])
-        if check_cover:
-            for p in self.window:
-                d = spaces.distances_to(space, self.centers, p)
-                if not np.any(d < self.radii):
-                    raise UncoveredPoint(f"window sample {p} lies in no ball")
+        self.centers = np.asarray([b.center for b in self.balls],
+                                  float).reshape(-1, space.ambient_dim)
+        self.radii = np.asarray([b.radius for b in self.balls], float)
+        self.index = NeighbourIndex(space, self.centers, _pair_reach(space, self.radii))
+        if check_cover and self.window:
+            pi, ci = self.index.pairs(self.window, 0.5 * self.max_diameter)
+            d = spaces.paired_distances(space, self.centers[ci],
+                                        np.asarray(self.window)[pi])
+            covered = np.zeros(len(self.window), bool)
+            covered[pi[d < self.radii[ci]]] = True
+            if not np.all(covered):
+                p = self.window[int(np.argmin(covered))]
+                raise UncoveredPoint(f"window sample {p} lies in no ball")
 
     def __len__(self):
         return len(self.balls)
@@ -137,21 +255,34 @@ class GroupAction:
         return GroupAction(space, gens, doc.get("word_length", 3))
 
 
+def _pair_reach(space, radii):
+    """Distance below which two balls of the family may meet or touch within
+    tolerance: the reach of the nerve's pairwise pass and of the indexes."""
+    return 2.0 * float(np.max(radii, initial=0.0)) + 2.0 * space.tol
+
+
 def _check_enumeration_bound(cover, action, context):
     """Raise if a word-length-L translate still reaches near the cover."""
     if not action.generators:
         return
-    reach = 2.0 * float(np.max(cover.radii))
+    reach = cover.max_diameter
     for g, w in action.elements():
         if w != action.word_length:
             continue
-        for b in cover.balls:
-            gc = g.apply(b.center)
-            d = spaces.distances_to(cover.space, cover.centers, gc)
-            if np.any(d < b.radius + cover.radii + reach):
-                raise EnumerationBound(
-                    f"{context}: translate at word length {action.word_length} still "
-                    "reaches the cover; increase word_length")
+        _, qi, ci, d = _translate_distances(cover, g, 2.0 * reach)
+        if np.any(d < cover.radii[qi] + cover.radii[ci] + reach):
+            raise EnumerationBound(
+                f"{context}: translate at word length {action.word_length} still "
+                "reaches the cover; increase word_length")
+
+
+def _translate_distances(cover, g, reach):
+    """Translates g.c of the cover's centres, and the candidate pairs (qi, ci)
+    of `cover.index` within `reach` with d(c_ci, g.c_qi)."""
+    gcs = np.asarray([g.apply(c) for c in cover.centers],
+                     float).reshape(cover.centers.shape)
+    qi, ci = cover.index.pairs(gcs, reach)
+    return gcs, qi, ci, spaces.paired_distances(cover.space, cover.centers[ci], gcs[qi])
 
 
 # ---------------------------------------------------------------------------
@@ -209,27 +340,27 @@ def build_nerve(cover, seed=0):
 
     Margins inside [-tol, tol] raise IndeterminateIntersection.
     """
-    balls = list(cover.balls)
     space = cover.space
-    n = len(balls)
-    centers = np.asarray([b.center for b in balls])
-    radii = np.asarray([b.radius for b in balls])
+    centers, radii = cover.centers, cover.radii
+    n = len(radii)
     tol = space.tol
 
     simplices = {(i,) for i in range(n)}
     # pairwise margins are exact: min of the max-margin along the geodesic
+    ii, jj = cover.index.pairs(centers, _pair_reach(space, radii))
+    upper = ii < jj
+    ii, jj = ii[upper], jj[upper]
+    margin = 0.5 * (spaces.paired_distances(space, centers[jj], centers[ii])
+                    - radii[ii] - radii[jj])
+    touching = np.flatnonzero(np.abs(margin) <= tol)
+    if len(touching):
+        i, j = int(ii[touching[0]]), int(jj[touching[0]])
+        raise IndeterminateIntersection(
+            f"balls {i},{j} touch within tolerance; perturb radii")
     neighbors = {i: [] for i in range(n)}
-    for i in range(n):
-        d = spaces.distances_to(space, centers[i + 1:], centers[i])
-        for off, dij in enumerate(d):
-            j = i + 1 + off
-            margin = 0.5 * (dij - radii[i] - radii[j])
-            if abs(margin) <= tol:
-                raise IndeterminateIntersection(
-                    f"balls {i},{j} touch within tolerance; perturb radii")
-            if margin < 0:
-                simplices.add((i, j))
-                neighbors[i].append(j)
+    for i, j in zip(ii[margin < 0].tolist(), jj[margin < 0].tolist()):
+        simplices.add((i, j))
+        neighbors[i].append(j)
 
     # grow certified cliques level by level (a (k+1)-set can only intersect
     # if every k-subset does)
@@ -280,8 +411,11 @@ class AdjacencySet:
         self.cover = cover
         self.action = action
         self.elements = elements  # list[AdjacencyElement]; base cover first
-        self.centers = np.asarray([e.ball.center for e in elements])
-        self.radii = np.asarray([e.ball.radius for e in elements])
+        self.centers = np.asarray([e.ball.center for e in elements],
+                                  float).reshape(-1, cover.space.ambient_dim)
+        self.radii = np.asarray([e.ball.radius for e in elements], float)
+        self.index = NeighbourIndex(cover.space, self.centers,
+                                    _pair_reach(cover.space, self.radii))
 
     def __len__(self):
         return len(self.elements)
@@ -305,13 +439,13 @@ def adjacency(cover, action):
                 for b in cover.balls]
     next_label = len(cover.balls)
     for g, w in action.nontrivial():
-        for b in cover.balls:
-            gc = g.apply(b.center)
-            d = spaces.distances_to(cover.space, cover.centers, gc)
-            if np.any(d < b.radius + cover.radii - cover.space.tol):
-                elements.append(AdjacencyElement(
-                    Ball(gc, b.radius, next_label), g, w, b.label))
-                next_label += 1
+        gcs, qi, ci, d = _translate_distances(cover, g, cover.max_diameter)
+        meets = np.zeros(len(cover.balls), bool)
+        meets[qi[d < cover.radii[qi] + cover.radii[ci] - cover.space.tol]] = True
+        for b in itertools.compress(cover.balls, meets):
+            elements.append(AdjacencyElement(
+                Ball(gcs[b.label], b.radius, next_label), g, w, b.label))
+            next_label += 1
     return AdjacencySet(cover, action, elements)
 
 
@@ -348,8 +482,9 @@ class NerveProjector:
     def tents(self, q):
         vals = np.zeros(len(self.adj))
         base = len(self.cover)
-        d = spaces.distances_to(self.cover.space, self.adj.centers[:base], q)
-        vals[:base] = np.maximum(0.0, self.adj.radii[:base] - d)
+        _, near = self.cover.index.pairs(q, 0.5 * self.cover.max_diameter)
+        d = spaces.distances_to(self.cover.space, self.cover.centers[near], q)
+        vals[near] = np.maximum(0.0, self.cover.radii[near] - d)
         for i in range(base, len(self.adj)):
             e = self.adj.elements[i]
             pulled = self._inverses[i].apply(q)

@@ -517,19 +517,19 @@ def calibrate_delta(neighborhood, component, s_lo, s_hi, flow_time, delta,
     for _ in range(max_halvings + 1):
         spacing = delta / 4.0
         count = max(8, int(math.ceil((s_hi - s_lo) / spacing)) + 1)
-        pts = neighborhood.samples(component, s_lo, s_hi, count, endpoint=True)
-        ok = True
-        flowed = [normal_flow(body, p, flow_time) for _, p in pts]
+        pts = np.asarray([p for _, p in neighborhood.samples(
+            component, s_lo, s_hi, count, endpoint=True)])
+        flowed = np.asarray([normal_flow(body, p, flow_time) for p in pts])
         window = max(1, int(math.ceil(2.0 * delta / spacing)))
-        for i in range(len(pts)):
-            for j in range(i + 1, min(i + window + 2, len(pts))):
-                if spaces.distance(body.space, pts[i][1], pts[j][1]) <= 2.0 * delta:
-                    if spaces.distance(body.space, flowed[i], flowed[j]) > delta_prime:
-                        ok = False
-                        break
-            if not ok:
+        # pairs (i, i + off) for off = 1 .. window + 1, one kernel call per offset
+        for off in range(1, min(window + 2, len(pts))):
+            close = spaces.paired_distances(body.space, pts[:-off],
+                                            pts[off:]) <= 2.0 * delta
+            spread = spaces.paired_distances(body.space, flowed[:-off],
+                                             flowed[off:]) > delta_prime
+            if np.any(close & spread):
                 break
-        if ok:
+        else:
             return delta
         delta /= 2.0
     raise CalibrationError(

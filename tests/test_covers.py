@@ -323,3 +323,257 @@ def test_cover_json_roundtrip():
     back_act = covers.GroupAction.from_json(E1, act.to_json())
     assert back_act.word_length == 2
     assert np.allclose(back_act.generators[0].translation, [10.0])
+
+
+# ---------------------------------------------------------------------------
+# the neighbour index against frozen all-pairs scans
+
+H2 = spaces.ModelSpace.hyperboloid(2)
+
+
+def allpairs_first_uncovered(cover):
+    for k, p in enumerate(cover.window):
+        d = spaces.distances_to(cover.space, cover.centers, p)
+        if not np.any(d < cover.radii):
+            return k
+    return None
+
+
+def allpairs_adjacency(cover, action):
+    """(center, radius, label, word, base label) rows of Adj(U), or the
+    EnumerationBound message."""
+    space = cover.space
+    if action.generators:
+        reach = 2.0 * float(np.max(cover.radii))
+        for g, w in action.elements():
+            if w != action.word_length:
+                continue
+            for b in cover.balls:
+                d = spaces.distances_to(space, cover.centers, g.apply(b.center))
+                if np.any(d < b.radius + cover.radii + reach):
+                    return f"adjacency: translate at word length {action.word_length} " \
+                        "still reaches the cover; increase word_length"
+    rows = [(b.center, b.radius, b.label, 0, b.label) for b in cover.balls]
+    for g, w in action.nontrivial():
+        for b in cover.balls:
+            gc = g.apply(b.center)
+            d = spaces.distances_to(space, cover.centers, gc)
+            if np.any(d < b.radius + cover.radii - space.tol):
+                rows.append((gc, b.radius, len(rows), w, b.label))
+    return rows
+
+
+def allpairs_nerve(space, centers, radii, seed=0):
+    """build_nerve as an all-pairs scan: the simplex set, or the
+    IndeterminateIntersection message."""
+    n = len(radii)
+    tol = space.tol
+    simplices = {(i,) for i in range(n)}
+    neighbors = {i: [] for i in range(n)}
+    for i in range(n):
+        d = spaces.distances_to(space, centers[i + 1:], centers[i])
+        for off, dij in enumerate(d):
+            j = i + 1 + off
+            margin = 0.5 * (dij - radii[i] - radii[j])
+            if abs(margin) <= tol:
+                return f"balls {i},{j} touch within tolerance; perturb radii"
+            if margin < 0:
+                simplices.add((i, j))
+                neighbors[i].append(j)
+    frontier = sorted(s for s in simplices if len(s) == 2)
+    while frontier:
+        nxt = []
+        for s in frontier:
+            common = set(neighbors[s[0]])
+            for v in s[1:]:
+                common &= set(neighbors[v])
+            for j in sorted(common):
+                cand = s + (j,)
+                if j <= s[-1] or any(cand[:m] + cand[m + 1:] not in simplices
+                                     for m in range(len(cand))):
+                    continue
+                idx = list(cand)
+                margin = covers.balls_intersection_margin(space, centers[idx],
+                                                          radii[idx], seed=seed)
+                assert abs(margin) > tol
+                if margin < 0:
+                    simplices.add(cand)
+                    nxt.append(cand)
+        frontier = nxt
+    return simplices
+
+
+def allpairs_tents(proj, q):
+    base = len(proj.cover)
+    vals = np.zeros(len(proj.adj))
+    d = spaces.distances_to(proj.cover.space, proj.adj.centers[:base], q)
+    vals[:base] = np.maximum(0.0, proj.adj.radii[:base] - d)
+    for i in range(base, len(proj.adj)):
+        e = proj.adj.elements[i]
+        pulled = e.group_element.inverse().apply(q)
+        d_i = spaces.distance(proj.cover.space, proj.cover.balls[e.base_label].center,
+                              pulled)
+        vals[i] = max(0.0, e.ball.radius - d_i)
+    return vals
+
+
+def from_chart(space, c):
+    """Point with chart coordinates c: itself in R^n, sinh on the hyperboloid."""
+    if space.kind == spaces.EUCLIDEAN:
+        return np.asarray(c, float)
+    x = np.sinh(np.asarray(c, float))
+    return np.concatenate(([math.sqrt(1.0 + float(x @ x))], x))
+
+
+def step(space, p, t, rng):
+    """The point at distance t from p in a random direction."""
+    if space.kind == spaces.EUCLIDEAN:
+        u = rng.normal(size=space.dim)
+        return p + t * u / np.linalg.norm(u)
+    e1, e2 = spaces.hyperboloid_tangent_frame(p)
+    a = rng.uniform(0.0, 2.0 * math.pi)
+    return math.cosh(t) * p + math.sinh(t) * (math.cos(a) * e1 + math.sin(a) * e2)
+
+
+def group_for(space, length):
+    g = (spaces.Isometry.hyperbolic_boost(length) if space.kind == spaces.HYPERBOLOID
+         else spaces.Isometry.euclidean_translation([length] + [0.0] * (space.dim - 1)))
+    return covers.GroupAction(space, [g], word_length=2)
+
+
+def random_cover(space, rng, n, r, extent, chart_origin):
+    centers = [from_chart(space, chart_origin + rng.uniform(0.0, 1.0, space.dim) * extent)
+               for _ in range(n)]
+    return [(c, r * rng.uniform(0.75, 1.0)) for c in centers]
+
+
+def boundary_cover(space, r, cells, chart_origin):
+    """Centres on the cell corners of the index, so that neighbouring corners
+    sit exactly one cell side apart, and two partners of each corner on the
+    diagonal towards the next corner, at 2r(1 -+ 1e-7): the nearest and the
+    farthest pair the cells must still join.  The side depends on the points,
+    so the corners are placed again until it settles."""
+    side = 2.0 * r
+    for _ in range(4):
+        base = np.floor(chart_origin / side)
+        balls = []
+        for k in np.ndindex(*cells):
+            c = from_chart(space, (base + k) * side)
+            diag = from_chart(space, (base + k + 1) * side)
+            balls += [(c, r)] + [(spaces.geodesic_point(space, c, diag, 2.0 * r * f), r)
+                                 for f in (1.0 - 1e-7, 1.0 + 1e-7)]
+        side = covers.NeighbourIndex(space, [c for c, _ in balls],
+                                     2.0 * r + 2.0 * space.tol).side
+    return balls, side
+
+
+CASES = [  # (space, chart origin, cell corners per axis of the boundary cover)
+    (E2, np.zeros(2), (6, 3)),
+    (E3, np.zeros(3), (6, 2, 2)),
+    (H2, np.array([5.5, -0.3]), (6, 3)),  # x0 ~ 120: far from the basepoint
+]
+
+
+def check_against_allpairs(space, balls, rng, length):
+    window = [c for c, _ in balls]
+    window += [window[int(rng.integers(len(window)))]
+               + rng.normal(0.0, 0.3, len(window[0])) for _ in range(20)]
+    if space.kind == spaces.HYPERBOLOID:
+        window = [from_chart(space, np.arcsinh(p[1:])) for p in window]
+    cover = covers.BallCover(space, balls, window, check_cover=False)
+    first = allpairs_first_uncovered(cover)
+    if first is None:
+        covers.BallCover(space, balls, window)
+    else:
+        with pytest.raises(UncoveredPoint) as err:
+            covers.BallCover(space, balls, window)
+        assert str(err.value) == f"window sample {window[first]} lies in no ball"
+
+    action = group_for(space, length)
+    ref = allpairs_adjacency(cover, action)
+    adj = covers.adjacency(cover, action)
+    assert len(adj) == len(ref) > len(cover)
+    for e, (c, rad, label, word, base) in zip(adj.elements, ref):
+        assert np.array_equal(e.ball.center, c)
+        assert (e.ball.radius, e.ball.label, e.word, e.base_label) == \
+            (rad, label, word, base)
+
+    proj = covers.NerveProjector(cover, action)
+    assert proj.nerve.simplices == allpairs_nerve(space, adj.centers, adj.radii)
+    tents_seen = 0
+    for p in window:
+        q = step(space, p, rng.uniform(0.0, 0.3), rng)
+        vals = proj.tents(q)
+        assert np.array_equal(vals, allpairs_tents(proj, q))
+        tents_seen += int(np.count_nonzero(vals) > 1)
+    assert tents_seen > 0
+
+
+@pytest.mark.parametrize("case", range(len(CASES)))
+def test_index_matches_allpairs_random(case):
+    space, origin, _ = CASES[case]
+    rng = np.random.default_rng(30 + case)
+    r = 0.1
+    extent = np.array([3.0] + [1.0] * (space.dim - 1))
+    balls = random_cover(space, rng, 60, r, extent, origin)
+    # the translate overlaps the far end of the strip: Adj(U) gains elements
+    check_against_allpairs(space, balls, rng, 3.0 - r)
+
+
+@pytest.mark.parametrize("case", range(len(CASES)))
+def test_index_matches_allpairs_cell_boundaries(case):
+    space, origin, cells = CASES[case]
+    rng = np.random.default_rng(40 + case)
+    r = 0.1
+    balls, side = boundary_cover(space, r, cells, origin)
+    cover = covers.BallCover(space, balls, [], check_cover=False)
+    assert abs(cover.index.side - side) <= 1e-12 * side
+    check_against_allpairs(space, balls, rng, (cells[0] - 1) * side)
+
+
+def test_indeterminate_names_first_touching_pair():
+    """Touching pairs (0,3) and (1,2); the message names the first in
+    lexicographic order, as the all-pairs scan did."""
+    cov = line_cover([0.0, 10.0, 12.0, 2.0, 20.0, 30.0, 40.0], 1.0)
+    expected = allpairs_nerve(E1, cov.centers, cov.radii)
+    assert expected == "balls 0,3 touch within tolerance; perturb radii"
+    with pytest.raises(IndeterminateIntersection) as err:
+        covers.build_nerve(cov)
+    assert str(err.value) == expected
+
+
+def test_enumeration_bound_two_cells_away():
+    """The enumeration check reaches 4 r_max: a translate 3.9 r from a centre
+    fires it although their cells are two apart."""
+    centers = [1.9 + 20.0 * i for i in range(10)]
+    cov = line_cover(centers, 1.0)
+    g = spaces.Isometry.euclidean_translation([centers[-1] - centers[0] + 3.9])
+    side = cov.index.side
+    assert math.floor(g.apply(cov.centers[0])[0] / side) - \
+        math.floor(centers[-1] / side) == 2
+    act = covers.GroupAction(E1, [g], word_length=1)
+    assert isinstance(allpairs_adjacency(cov, act), str)
+    with pytest.raises(EnumerationBound):
+        covers.adjacency(cov, act)
+    far = covers.GroupAction(E1, [spaces.Isometry.euclidean_translation(
+        [centers[-1] - centers[0] + 4.1])], word_length=1)
+    assert len(covers.adjacency(cov, far)) == len(cov)
+
+
+def test_empty_and_single_ball_covers():
+    act = covers.GroupAction(E2, [spaces.Isometry.euclidean_translation([10.0, 0.0])],
+                             word_length=2)
+    empty = covers.BallCover(E2, [], [])
+    assert covers.build_nerve(empty).simplices == frozenset()
+    assert len(covers.adjacency(empty, act)) == 0
+    proj = covers.NerveProjector(empty, act)
+    assert proj.tents(np.zeros(2)).shape == (0,)
+    with pytest.raises(UncoveredPoint):
+        covers.BallCover(E2, [], [np.zeros(2)])
+
+    single = covers.BallCover(E2, [(np.zeros(2), 1.0)], [np.zeros(2)])
+    assert covers.build_nerve(single).simplices == {(0,)}
+    proj = covers.NerveProjector(single, act)
+    assert len(proj.adj) == 1
+    support, w = proj.project(np.array([0.5, 0.0]))
+    assert support == (0,) and np.array_equal(w, [1.0])

@@ -7,6 +7,7 @@ import pytest
 
 from barylab import covers, retraction as rt, scenes, spaces
 from barylab.errors import (
+    CalibrationError,
     PreconditionError,
     StagedPreconditionError,
     UndefinedNormal,
@@ -293,6 +294,48 @@ def test_calibration_shrinks_delta():
         stretched.append(spaces.distance(
             H2, rt.normal_flow(body, p, 2.0), rt.normal_flow(body, q, 2.0)))
     assert max(stretched) <= 0.05 + 1e-9
+
+
+def frozen_calibrate_delta(neighborhood, component, s_lo, s_hi, flow_time, delta,
+                           delta_prime, max_halvings=5):
+    """calibrate_delta as a scalar pair loop; None where it raises."""
+    body = neighborhood.body
+    for _ in range(max_halvings + 1):
+        spacing = delta / 4.0
+        count = max(8, int(math.ceil((s_hi - s_lo) / spacing)) + 1)
+        pts = neighborhood.samples(component, s_lo, s_hi, count, endpoint=True)
+        flowed = [rt.normal_flow(body, p, flow_time) for _, p in pts]
+        window = max(1, int(math.ceil(2.0 * delta / spacing)))
+        if not any(spaces.distance(body.space, pts[i][1], pts[j][1]) <= 2.0 * delta
+                   and spaces.distance(body.space, flowed[i], flowed[j]) > delta_prime
+                   for i in range(len(pts))
+                   for j in range(i + 1, min(i + window + 2, len(pts)))):
+            return delta
+        delta /= 2.0
+    return None
+
+
+@pytest.mark.parametrize("name", sorted(scenes.SCENE_BUILDERS))
+def test_calibration_matches_scalar_loop(name):
+    """One paired-distance call per window offset returns the delta of the
+    scalar loop on every preset, and on the euclidean_point scene also after
+    halvings and on failure."""
+    sc = scenes.SCENE_BUILDERS[name]()
+    nbh = rt.EpsNeighborhood(sc.body, sc.eps)
+    cases = [sc.delta_prime]
+    if name == "euclidean_point":
+        cases += [0.03, 1e-4]  # one halving; no delta passes
+    results = []
+    for delta_prime in cases:
+        args = (nbh, sc.component, sc.s_lo, sc.s_hi, sc.R - sc.eps, sc.delta, delta_prime)
+        expected = frozen_calibrate_delta(*args)
+        if expected is None:
+            with pytest.raises(CalibrationError):
+                rt.calibrate_delta(*args)
+        else:
+            assert rt.calibrate_delta(*args) == expected
+        results.append(expected)
+    assert results[1:] == ([sc.delta / 2.0, None] if name == "euclidean_point" else [])
 
 
 def test_build_boundary_grid_segment_scene():

@@ -27,7 +27,6 @@ from .retraction import (
     EpsNeighborhood,
     LineBody,
     PointBody,
-    PolygonBody,
     SegmentBody,
     angle_to_C,
     build_boundary_grid,

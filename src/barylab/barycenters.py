@@ -1,17 +1,20 @@
 """Minimax barycenters: b with d(b,p) <= lambda*diam(P) for all p in P and
 d(b,q) <= diam({q} u P) for all q in Q.
 
-solve_barycenter certifies existence on a dense grid (the max-distance
-objective is 1-Lipschitz, so non-existence is certified down to the grid's
-covering radius) and polishes the best cells with minimax_descent, the
-ball-intersection descent that the nerve's margins use too.  The
-closed-form rules implement the midpoint construction for CAT(0) kinds and
-the shortest-arc midpoint on the circle; the circle rule's 1/2 bound is exact
-in the intrinsic arc metric, which the certificate records as metric="arc".
+In the CAT(0) kinds solve_barycenter is exact: minimax_solve returns a
+primal witness and dual weights whose closed-form bound (dual_bound)
+certifies non-existence, and the nerve's ball-intersection test uses the same
+solver.  Circle, finite and explicit-candidate problems search a candidate
+grid (the max-distance objective is 1-Lipschitz, so non-existence is
+certified down to the grid's covering radius).  The closed-form rules
+implement the midpoint construction for CAT(0) kinds and the shortest-arc
+midpoint on the circle; the circle rule's 1/2 bound is exact in the intrinsic
+arc metric, which the certificate records as metric="arc".
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -58,22 +61,14 @@ def relative_slacks(space, b, P, Q):
 
 @dataclass
 class SearchRegion:
-    """Ball region or an explicit candidate set (e.g. a sampled curve)."""
+    """An explicit candidate set (e.g. a sampled curve) and its covering radius."""
 
-    kind: str  # "ball" | "candidates"
-    center: np.ndarray | None = None
-    radius: float = 0.0
-    candidates: list = field(default_factory=list)
-    resolution: float = 0.0  # covering radius of explicit candidates
-
-    @staticmethod
-    def ball(center, radius):
-        return SearchRegion("ball", center=np.asarray(center, float), radius=radius)
+    candidates: list
+    resolution: float = 0.0
 
     @staticmethod
     def explicit(candidates, resolution):
-        return SearchRegion("candidates", candidates=list(candidates),
-                            resolution=resolution)
+        return SearchRegion(list(candidates), resolution)
 
 
 @dataclass
@@ -101,6 +96,7 @@ class BarycenterCertificate:
     diam_P: float = 0.0
     metric: str = "space"  # "arc" for the circle arc rule
     reason: str | None = None  # why an indeterminate search stopped
+    weights: list | None = None  # dual weights over P then Q (exact solver)
 
     @property
     def found(self):
@@ -124,38 +120,157 @@ class BarycenterCertificate:
         }
         if self.reason is not None:
             doc["reason"] = self.reason
+        if self.weights is not None:
+            doc["weights"] = self.weights
         return doc
 
 
 # ---------------------------------------------------------------------------
-# candidate grids
+# exact primal-dual solver (Euclidean and hyperboloid kinds)
+#
+# Both kinds pose one LP-type problem of combinatorial dimension n + 1
+# (Matousek-Sharir-Welzl 1996): minimise s subject to q_i(x) <= beta_i + a_i s,
+# where q_i(x) = |x - c_i|^2 in R^n and q_i(x) = -<x, c_i> in H^n, relaxed
+# to the solid cone {-<x, x> >= 1, x0 > 0}.  The relaxation is exact, because
+# moving a future timelike x onto the sheet only lowers each -<x, c_i>.  Any
+# weights w >= 0 with sum a_i w_i = 1 give the Lagrangian lower bound
+# dual_bound <= s*, and the optimal basis attains it.
+
+
+@dataclass
+class MinimaxSolution:
+    point: np.ndarray  # primal witness
+    weights: np.ndarray  # dual certificate, one weight per constraint
+    bound: float  # dual_bound of the weights: s* >= bound
+
+
+def _quad(space, diff):
+    """q_i(x) from d = x - c_i: |d|^2 in R^n, and 1 + <d, d>_M / 2 in H^n,
+    which equals -<x, c_i> on the sheet without its cancellation."""
+    if space.kind == spaces.EUCLIDEAN:
+        return np.sum(diff * diff, axis=-1)
+    return 1.0 + 0.5 * (np.sum(diff[..., 1:] ** 2, axis=-1) - diff[..., 0] ** 2)
+
+
+def dual_bound(space, centers, beta, weights):
+    """The closed-form lower bound on s* of weights w >= 0 with
+    sum a_i w_i = 1: sum w_i |c_i - cbar|^2 - sum w_i beta_i in R^n, with
+    cbar = sum w_i c_i / sum w_i, and sqrt(-<v, v>) - sum w_i beta_i in H^n,
+    with v = sum w_i c_i."""
+    C = np.asarray(centers, float)
+    w = np.asarray(weights, float)
+    v = w @ C
+    if space.kind == spaces.EUCLIDEAN:
+        spread = float(w @ np.sum((C - v / np.sum(w)) ** 2, axis=1))
+    else:
+        spread = math.sqrt(max(v[0] * v[0] - float(v[1:] @ v[1:]), 0.0))
+    return spread - float(w @ np.asarray(beta, float))
+
+
+def _solve_stack(A, B):
+    try:
+        return np.linalg.solve(A, B)
+    except np.linalg.LinAlgError:  # some subset is singular: it gives no candidate
+        out = np.full(B.shape, np.nan)
+        for i in range(len(A)):
+            try:
+                out[i] = np.linalg.solve(A[i], B[i])
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
+def _basis_weights(space, G, beta, a, subsets):
+    """Candidate dual weights, one row per root of the KKT system of each row
+    of `subsets` (k constraint indices): the k constraints are active at the
+    point x(w) that minimises the Lagrangian, and w is supported on them.
+    G[i, j] = q_i(c_j).  Rows that are not w >= 0 are dropped."""
+    r, k = subsets.shape
+    Gb = G[subsets[:, :, None], subsets[:, None, :]]
+    bb, ab = beta[subsets], a[subsets]
+    rhs = np.stack([bb, ab], axis=2)
+    if space.kind == spaces.EUCLIDEAN:
+        # x = sum l_j c_j with sum l_j = 1 gives |x - c_i|^2 = (G l)_i - z with
+        # z = l'Gl / 2; solve for (l, z) = (l0, z0) + s (l1, z1), then for s
+        A = np.zeros((r, k + 1, k + 1))
+        A[:, :k, :k] = Gb
+        A[:, :k, k] = -1.0
+        A[:, k, :k] = 1.0
+        rhs = np.concatenate([rhs, np.broadcast_to([[[1.0, 0.0]]], (r, 1, 2))], axis=1)
+        Y = _solve_stack(A, rhs)
+        l0, l1 = Y[:, :k, 0], Y[:, :k, 1]
+        qa, qb = 0.5 * np.sum(l1 * ab, 1), np.sum(l0 * ab, 1)
+        qc = 0.5 * (np.sum(l0 * bb, 1) - Y[:, k, 0])
+    else:
+        # x = sum u_j c_j with u'Gu = 1 gives -<x, c_i> = (G u)_i
+        Y = _solve_stack(Gb, rhs)
+        l0, l1 = Y[..., 0], Y[..., 1]
+        qa, qb, qc = np.sum(l1 * ab, 1), 2.0 * np.sum(l0 * ab, 1), np.sum(l0 * bb, 1) - 1.0
+    root = np.sqrt(np.maximum(qb * qb - 4.0 * qa * qc, 0.0))
+    h = -0.5 * (qb + np.copysign(root, qb))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.concatenate([h / qa, qc / h])
+        lam = np.tile(l0, (2, 1)) + s[:, None] * np.tile(l1, (2, 1))
+        ok = np.all(np.isfinite(lam), axis=1) & \
+            (np.min(lam, axis=1) >= -1e-9 * np.max(np.abs(lam), axis=1))
+    W = np.zeros((int(np.sum(ok)), len(beta)))
+    np.put_along_axis(W, np.tile(subsets, (2, 1))[ok], np.maximum(lam[ok], 0.0), axis=1)
+    mass = W @ a
+    return W[mass > 0] / mass[mass > 0, None]
+
+
+def minimax_solve(space, centers, beta, a):
+    """Exact primal-dual solution of min s subject to q_i(x) <= beta_i + a_i s
+    in a Euclidean or hyperboloid space; some a_i must be positive.
+
+    A basis-and-violator iteration: the optimum of a working set is its best
+    dual candidate over subsets of at most n + 1 constraints (every
+    candidate's value is a lower bound on s*, and the optimal basis attains
+    it); the next working set is that optimum's support plus the most
+    violated constraint.  The witness minimises the Lagrangian of the best
+    weights: their mean sum w_i c_i / sum w_i in R^n, v / sqrt(-<v, v>) in H^n.
+    """
+    C = np.asarray(centers, float)
+    beta = np.asarray(beta, float)
+    a = np.asarray(a, float)
+    m = len(C)
+    euclid = space.kind == spaces.EUCLIDEAN
+    G = _quad(space, C[:, None] - C[None])
+    slack = 1e-12 * max(float(np.max(np.abs(G))), float(np.max(np.abs(beta))))
+    work = list(range(min(m, space.dim + 2)))
+    for _ in range(4 * m):
+        W = []
+        for k in range(1, min(len(work), space.dim + 1) + 1):
+            subsets = [c for c in itertools.combinations(work, k) if np.any(a[list(c)] > 0)]
+            if subsets:
+                W.append(_basis_weights(space, G, beta, a, np.array(subsets)))
+        W = np.concatenate(W)
+        quad = np.einsum("ri,ij,rj->r", W, G, W)
+        with np.errstate(invalid="ignore"):
+            vals = (quad / (2.0 * np.sum(W, 1)) if euclid else np.sqrt(quad)) - W @ beta
+        best = int(np.argmax(np.where(np.isfinite(vals), vals, -np.inf)))
+        w, s = W[best], float(vals[best])
+        v = w @ C
+        x = v / np.sum(w) if euclid else v / math.sqrt(v[0] * v[0] - float(v[1:] @ v[1:]))
+        viol = _quad(space, C - x) - beta - a * s
+        h = int(np.argmax(viol))
+        if viol[h] <= slack or h in work:
+            break
+        work = sorted({*np.flatnonzero(w).tolist(), h})
+    return MinimaxSolution(x, w, dual_bound(space, C, beta, w))
+
+
+# ---------------------------------------------------------------------------
+# candidate grids (circle, finite and explicit-candidate problems)
 
 # Most candidates one grid may hold, checked from the grid's size formula
 # before anything is allocated; a larger grid, the refined one included,
-# makes the solve indeterminate.  It sits above the largest grid the tests
-# and the benchmark build (2,968,729 mesh points) and below the 10.9 M mesh
-# that exhausts memory on the plane-row instance of phase trial seed 47.
+# makes the solve indeterminate.
 GRID_BUDGET = 4_000_000
 
 
 class _OverBudget(Exception):
     """A candidate grid would hold more than GRID_BUDGET points."""
-
-
-def _check_budget(count, what):
-    if count > GRID_BUDGET:
-        raise _OverBudget(f"{what} grid needs {count} candidates, over the "
-                          f"budget of {GRID_BUDGET}")
-
-
-def _euclidean_grid(center, radius, h, k):
-    """Mesh of spacing h over [-k h, k h]^n around center, clipped to the
-    ball of radius radius + h."""
-    axes = [np.arange(-k, k + 1) * h + c for c in center]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    keep = np.linalg.norm(pts - center[None, :], axis=1) <= radius + h
-    return pts[keep]
 
 
 def _circle_grid(space, m):
@@ -164,107 +279,61 @@ def _circle_grid(space, m):
                      space.radius * np.sin(thetas)], axis=1)
 
 
-def _hyperboloid_rings(space, radius, rho):
-    """(h, points per ring) of the geodesic polar grid; radial and angular
-    spacings <= rho/sqrt(2).  Stops at the first ring over the budget."""
-    if space.dim != 2:
-        raise ValueError("hyperboloid grid search implemented for dim 2")
-    h = rho / math.sqrt(2.0)
-    sizes, count = [], 1
-    for k in range(1, int(math.ceil(radius / h)) + 1):
-        sizes.append(max(6, int(math.ceil(2.0 * math.pi * math.sinh(k * h) / h))))
-        count += sizes[-1]
-        _check_budget(count, "hyperboloid")
-    return h, sizes
-
-
-def _hyperboloid_grid(center, h, sizes):
-    c = np.asarray(center, float)
-    pts = [c[None, :]]
-    e1, e2 = spaces.hyperboloid_tangent_frame(c)
-    for k, m in enumerate(sizes, start=1):
-        s = k * h
-        ang = np.arange(m) * (2.0 * math.pi / m)
-        u = np.outer(np.cos(ang), e1) + np.outer(np.sin(ang), e2)
-        pts.append(math.cosh(s) * c[None, :] + math.sinh(s) * u)
-    return np.concatenate(pts)
-
-
 def _candidate_grid(prob, rho):
     """Return (candidate array, covering radius).  Raises _OverBudget, from
     the grid's size formula, before a grid over GRID_BUDGET is allocated."""
     space = prob.space
-    if prob.region is not None and prob.region.kind == "candidates":
+    if prob.region is not None:
         return np.asarray(prob.region.candidates), prob.region.resolution
     if space.kind == spaces.FINITE:
         return np.arange(space.dim), 0.0
     if space.kind == spaces.CIRCLE:
         dtheta = 2.0 * rho / space.radius  # chordal covering radius <= rho
         m = max(8, int(math.ceil(2.0 * math.pi / dtheta)))
-        _check_budget(m, "circle")
+        if m > GRID_BUDGET:
+            raise _OverBudget(f"circle grid needs {m} candidates, over the "
+                              f"budget of {GRID_BUDGET}")
         return _circle_grid(space, m), rho
-    if prob.region is not None and prob.region.kind == "ball":
-        center, radius = prob.region.center, prob.region.radius
-    else:
-        center = np.asarray(prob.P[0], float)
-        radius = spaces.pairwise_diameter(space, list(prob.P) + list(prob.Q))
-    if space.kind == spaces.EUCLIDEAN:
-        h = 2.0 * rho / math.sqrt(len(center))  # covering radius h*sqrt(n)/2 = rho
-        k = int(math.ceil(radius / h))
-        _check_budget((2 * k + 1) ** len(center), "euclidean")
-        return _euclidean_grid(center, radius, h, k), rho
-    if space.kind == spaces.HYPERBOLOID:
-        h, sizes = _hyperboloid_rings(space, radius, rho)
-        return _hyperboloid_grid(center, h, sizes), rho
-    raise ValueError(f"no grid strategy for space kind {space.kind}; "
+    raise ValueError(f"no barycenter solver for space kind {space.kind}; "
                      "supply an explicit candidate region")
 
 
-DESCENT_STEPS = 1000  # geodesic steps per minimax descent
-DESCENT_MIN_STEP = 1e-3  # floor of the first step length
-
-
-def minimax_descent(space, centers, radii, start):
-    """Locally minimize f(x) = max_i d(x, c_i) - r_i by geodesic subgradient
-    steps toward the worst centre; returns (f(x), x) at the best x reached.
-
-    f <= 0 means x lies in every closed ball B(c_i, r_i).  The descent stops
-    once f < -10 tol, the certified-nonempty threshold, when x reaches the
-    worst centre, when the step length underflows, or after DESCENT_STEPS
-    steps.  f is geodesically convex in CAT(0) kinds, where the local minimum
-    is global.
-    """
-    x = np.asarray(start, float)
-    vals = spaces.distances_to(space, centers, x) - radii
-    best = float(np.max(vals))
-    step = max(best - float(np.min(vals)), DESCENT_MIN_STEP)
-    for _ in range(DESCENT_STEPS):
-        if best < -10 * space.tol:
-            break
-        i = int(np.argmax(vals))
-        d_i = vals[i] + radii[i]
-        if d_i <= 0.0:
-            break
-        cand = spaces.geodesic_point(space, x, centers[i], min(step, 0.9 * d_i))
-        cand_vals = spaces.distances_to(space, centers, cand) - radii
-        cand_best = float(np.max(cand_vals))
-        if cand_best < best - 1e-15:
-            x, vals, best = cand, cand_vals, cand_best
-        else:
-            step *= 0.5
-            if step < 1e-14:
-                break
-    return best, x
+def _exact_certificate(space, P, Q, q_radii, lam, D):
+    """solve_barycenter for Euclidean and hyperboloid problems: P takes
+    a = 1 and beta = 0, Q takes a = 0 and beta = r_q^2 (R^n) or cosh r_q (H^n)."""
+    euclid = space.kind == spaces.EUCLIDEAN
+    sol = minimax_solve(
+        space, np.asarray(P + Q, float),
+        np.concatenate([np.zeros(len(P)), q_radii ** 2 if euclid else np.cosh(q_radii)]),
+        np.concatenate([np.ones(len(P)), np.zeros(len(Q))]))
+    bound = (math.sqrt(max(sol.bound, 0.0)) if euclid
+             else math.acosh(max(sol.bound, 1.0))) / D
+    weights = sol.weights.tolist()
+    ach = lambda_of(space, sol.point, P)
+    slacks = relative_slacks(space, sol.point, P, Q)
+    tol = space.tol
+    if ach <= lam + tol and min(slacks, default=0.0) >= -tol:
+        return BarycenterCertificate(
+            "found", lam, point=sol.point, achieved_lambda=ach, lambda_bound=bound,
+            relative_slacks=slacks, diam_P=D, weights=weights)
+    status = "not_found_below" if lam < bound - tol else "indeterminate"
+    return BarycenterCertificate(
+        status, lam, lambda_bound=bound, diam_P=D, weights=weights,
+        reason=None if status == "not_found_below" else
+        f"lambda lies within tol of the optimum, between {bound!r} and {ach!r}")
 
 
 def solve_barycenter(prob, lam, rho=None, refine=True):
-    """Grid-certified search for a lambda-barycenter of P relative to Q.
+    """Certified search for a lambda-barycenter of P relative to Q: a point of
+    the balls B(p, lam D) over P and B(q, max(D, d(q, P))) over Q.
 
-    A lambda-barycenter is a point of the ball intersection of B(p, lam D)
-    over P and B(q, max(D, d(q, P))) over Q, so the grid scores and the
-    polish minimize the same objective as minimax_descent.  Returns found
-    (with the point and its slacks), not_found_below (with the
-    grid-certified bound), or indeterminate (caller should refine rho).
+    Euclidean and hyperboloid problems are solved exactly by minimax_solve:
+    found (with the witness and its slacks) or not_found_below (with the
+    dual bound), both carrying the dual weights over P then Q; indeterminate
+    only when lam lies within tol of the optimum.  Circle, finite and
+    explicit-candidate problems search a candidate grid of covering radius
+    rho (the max-distance objective is 1-Lipschitz, so non-existence is
+    certified down to rho), refined once tenfold if undecided.
     """
     space = prob.space
     P = list(prob.P)
@@ -279,13 +348,13 @@ def solve_barycenter(prob, lam, rho=None, refine=True):
             "found", lam, point=b, achieved_lambda=0.0,
             relative_slacks=relative_slacks(space, b, P, Q),
             grid_resolution=0.0, diam_P=D)
-    if rho is None:
-        rho = D / 200.0
-
     q_radii = np.maximum(D, np.max(spaces.cross_distances(space, Q, P), axis=1)) \
         if Q else np.zeros(0)
-    radii = np.concatenate([np.full(len(P), lam * D), q_radii])
+    if space.is_cat0 and prob.region is None:
+        return _exact_certificate(space, P, Q, q_radii, lam, D)
 
+    if rho is None:
+        rho = D / 200.0
     try:
         candidates, rho_cov = _candidate_grid(prob, rho)
     except _OverBudget as exc:
@@ -299,19 +368,9 @@ def solve_barycenter(prob, lam, rho=None, refine=True):
         rel_viol = np.maximum(rel_viol, spaces.distances_to(space, candidates, q) - r)
 
     total_viol = np.maximum(max_p - lam * D, rel_viol)
-    order = np.argsort(total_viol, kind="stable")
-
-    if space.kind == spaces.FINITE:
-        # finite points cannot move, so the best grid score is final
-        best_b, best_val = int(candidates[order[0]]), float(total_viol[order[0]])
-    else:
-        # polish the most promising cells
-        centers = np.asarray(P + Q, float)
-        best_val, best_b = min(
-            (minimax_descent(space, centers, radii, candidates[int(i)])
-             for i in order[:3]), key=lambda res: res[0])
-
-    if best_val <= tol:
+    best = int(np.argmin(total_viol))
+    best_b = int(candidates[best]) if space.kind == spaces.FINITE else candidates[best]
+    if total_viol[best] <= tol:
         ach = lambda_of(space, best_b, P)
         slacks = relative_slacks(space, best_b, P, Q)
         if ach <= lam + tol and min(slacks, default=0.0) >= -tol:
@@ -513,7 +572,15 @@ def _sample_sets(space, rng, delta):
         Q = [spaces.circle_point(space, theta0 + rng.uniform(-a_q, a_q))
              for _ in range(n_q)]
         return P, Q
-    raise ValueError(f"sampling not implemented for kind {space.kind}")
+
+
+def check_sampled(space):
+    """Raise ValueError unless has_barycenters_sample draws instances in
+    `space`: Euclidean spaces, circles and the hyperbolic plane."""
+    if space.kind not in (spaces.EUCLIDEAN, spaces.CIRCLE) and \
+            (space.kind, space.dim) != (spaces.HYPERBOLOID, 2):
+        raise ValueError(f"no instance sampler for {space.kind} spaces of "
+                         f"dimension {space.dim}")
 
 
 def _ball_dir(rng, dim):
@@ -529,7 +596,7 @@ def _hyp_offset(space, base, rng, radius):
 
 
 def _run_trial(space, P, Q, lam):
-    """Route one trial through the closed-form rules or the grid solver."""
+    """Route one trial through the closed-form rules or solve_barycenter."""
     if space.kind == spaces.CIRCLE and lam >= 0.5:
         try:
             return circle_arc_rule(space, P, Q)
@@ -547,6 +614,7 @@ def has_barycenters_sample(space, lam, delta, trials, seed):
     When delta admits an equidistant triple (sqrt(3) r <= delta on the
     circle), that witness is planted as the first trial.
     """
+    check_sampled(space)
     rng = np.random.default_rng(seed)
     planted = []
     if space.kind == spaces.CIRCLE and math.sqrt(3.0) * space.radius <= delta + space.tol:
@@ -581,6 +649,8 @@ def load_problem(doc):
     if isinstance(doc, str):
         doc = json.loads(doc)
     space = spaces.ModelSpace.from_json(doc["space"])
+    if space.kind == spaces.SPHERE:
+        raise ValueError("no barycenter solver for sphere spaces")
     P = [space.point(p) for p in doc["P"]]
     Q = [space.point(q) for q in doc.get("Q", [])]
     return BarycenterProblem(space, P, Q), doc

@@ -71,10 +71,12 @@ def cmd_phase(args):
     try:
         doc = _load_input(args.input)
         space = spaces.ModelSpace.from_json(doc["space"])
+        barycenters.check_sampled(space)
         lambdas = doc["lambdas"]
         deltas = doc["deltas"]
         trials = args.trials if args.trials is not None else doc.get("trials", 100)
-    except (KeyError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (KeyError, ValueError, OSError, json.JSONDecodeError,
+            GeometryError) as exc:
         print(f"barylab phase: bad input: {exc}", file=sys.stderr)
         return 1
     lines = ["# barylab phase sweep v1", "lambda,delta,trials,pass_rate,worst_witness"]

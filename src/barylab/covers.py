@@ -1,10 +1,11 @@
 """Ball covers, discrete group actions, adjacency, nerves, and the nerve projection.
 
 A cover is a finite family of open metric balls that covers a sampled window.
-The nerve's k-simplices are certified by a minimax descent on the common
-intersection margin; the partition of unity behind the nerve projection uses
-tent weights r - d(q, c) clipped at zero, pulled back through the group
-element attached to each translate so that equivariance holds by construction.
+The nerve's k-simplices are certified by a witness point, and rejected sets
+by dual weights that exclude a common point (barycenters.minimax_solve); the
+partition of unity behind the nerve projection uses tent weights r - d(q, c)
+clipped at zero, pulled back through the group element attached to each
+translate so that equivariance holds by construction.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from . import spaces
-from .barycenters import minimax_descent
+from . import barycenters, spaces
 from .errors import (
     EnumerationBound,
     IndeterminateIntersection,
@@ -156,9 +157,8 @@ class BallCover:
 
     Only Euclidean and hyperboloid spaces are accepted: build_nerve certifies
     pairwise intersections from the centre distance, which is exact only in a
-    geodesic metric, and its multistart descent is global only where the
-    margin is geodesically convex.  Chordal circles and spheres, and finite
-    spaces, fail both.
+    geodesic metric, and larger sets with the CAT(0) primal-dual solver.
+    Chordal circles and spheres, and finite spaces, fail both.
     """
 
     def __init__(self, space, balls, window, check_cover=True):
@@ -289,13 +289,22 @@ def _translate_distances(cover, g, reach):
 # certified ball-intersection test
 
 
-def balls_intersection_margin(space, centers, radii, seed=0, restarts=20):
-    """Certified min over x of max_i (d(x,c_i) - r_i); negative means nonempty.
+class IntersectionCertificate(NamedTuple):
+    margin: float
+    point: np.ndarray  # best witness: max_i d(point, c_i) - r_i = margin if margin < 0
+    weights: np.ndarray | None  # dual weights over the balls, when the solver ran
 
-    Probes (centroid-like points, pairwise geodesic midpoints) give fast
-    nonempty witnesses; otherwise a seeded multistart minimax_descent is
-    run.  The objective is geodesically convex in CAT(0) kinds, where the
-    descent minimum is global.
+
+def balls_intersection_margin(space, centers, radii):
+    """Certified margin t of the closed balls B(c_i, r_i) (Euclidean or
+    hyperboloid), with its certificate: t < -tol when the witness lies
+    within r_i + t of every centre, t > tol when the weights certify that the
+    balls B(c_i, r_i + t) have no common point (see _empty_margin); a value
+    in [-tol, tol] means that neither certificate clears the tolerance band.
+
+    Probes (the centroid, pairwise geodesic midpoints, the centres) give fast
+    witnesses; otherwise minimax_solve with every a_i = 1 and beta_i = r_i^2
+    (R^n) or cosh r_i (H^n) gives the optimal witness and dual weights.
     """
     centers = np.asarray(centers, float)
     radii = np.asarray(radii, float)
@@ -313,28 +322,43 @@ def balls_intersection_margin(space, centers, radii, seed=0, restarts=20):
         if d > space.tol:
             probes.append(spaces.geodesic_point(space, centers[i], centers[j], 0.5 * d))
     probes.extend(centers)
-    best = np.inf
+    best, witness = np.inf, None
     for p in probes:
-        best = min(best, float(np.max(spaces.distances_to(space, centers, p) - radii)))
+        val = float(np.max(spaces.distances_to(space, centers, p) - radii))
+        if val < best:
+            best, witness = val, p
         if best < -10 * space.tol:
-            return best  # certified nonempty witness
-    rng = np.random.default_rng(seed)
-    starts = [probes[0] if probes else centers[0]]
-    for _ in range(restarts):
-        i = int(rng.integers(0, k))
-        j = int(rng.integers(0, k))
-        t = float(rng.uniform(0.0, 1.0))
-        d = spaces.distance(space, centers[i], centers[j])
-        p = centers[i] if d <= space.tol else spaces.geodesic_point(
-            space, centers[i], centers[j], t * d)
-        starts.append(p)
-    for s in starts:
-        val, _ = minimax_descent(space, centers, radii, s)
-        best = min(best, val)
-    return best
+            return IntersectionCertificate(best, witness, None)
+    euclid = space.kind == spaces.EUCLIDEAN
+    sol = barycenters.minimax_solve(space, centers, radii ** 2 if euclid else np.cosh(radii),
+                                    np.ones(k))
+    val = float(np.max(spaces.distances_to(space, centers, sol.point) - radii))
+    if val < best:
+        best, witness = val, sol.point
+    if best < -space.tol:
+        return IntersectionCertificate(best, witness, sol.weights)
+    empty = _empty_margin(space, centers, radii, sol.weights)
+    return IntersectionCertificate(empty if empty > space.tol else min(best, space.tol),
+                                   witness, sol.weights)
 
 
-def build_nerve(cover, seed=0):
+def _empty_margin(space, centers, radii, w):
+    """sup of the t for which weights w >= 0 with sum w_i = 1 certify that the
+    balls B(c_i, r_i + t) have no common point (dual_bound > 0); -inf if none."""
+    # dual_bound with beta = 0 is the spread: sum w_i |c_i - cbar|^2 or sqrt(-<v, v>)
+    spread = barycenters.dual_bound(space, centers, np.zeros(len(w)), w)
+    if space.kind == spaces.EUCLIDEAN:
+        # spread > sum w_i (r_i + t)^2 = r2 + 2 t r1 + t^2
+        r1, r2 = float(w @ radii), float(w @ radii ** 2)
+        disc = r1 * r1 - r2 + spread
+        return -r1 + math.sqrt(disc) if disc >= 0.0 else -math.inf
+    # spread > sum w_i cosh(r_i + t) = ch cosh t + sh sinh t = floor cosh(t + phi)
+    ch, sh = float(w @ np.cosh(radii)), float(w @ np.sinh(radii))
+    floor = math.sqrt((ch - sh) * (ch + sh))
+    return math.acosh(spread / floor) - math.atanh(sh / ch) if spread >= floor else -math.inf
+
+
+def build_nerve(cover):
     """Nerve of a BallCover or AdjacencySet: one k-simplex per (k+1)-subset of
     elements with certified nonempty common intersection.
 
@@ -380,8 +404,7 @@ def build_nerve(cover, seed=0):
                        for m in range(len(cand))):
                     continue
                 idx = list(cand)
-                margin = balls_intersection_margin(space, centers[idx], radii[idx],
-                                                   seed=seed)
+                margin = balls_intersection_margin(space, centers[idx], radii[idx]).margin
                 if abs(margin) <= tol:
                     raise IndeterminateIntersection(
                         f"balls {cand} margin {margin:.2e} within tolerance")
@@ -472,11 +495,11 @@ class NerveProjector:
     attached group element, so equivariance holds identically.
     """
 
-    def __init__(self, cover, action, seed=0):
+    def __init__(self, cover, action):
         self.cover = cover
         self.action = action
         self.adj = adjacency(cover, action)
-        self.nerve = build_nerve(self.adj, seed=seed)
+        self.nerve = build_nerve(self.adj)
         self._inverses = [e.group_element.inverse() for e in self.adj.elements]
 
     def tents(self, q):

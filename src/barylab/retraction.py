@@ -10,6 +10,7 @@ projection crosses the eps-level set.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -57,10 +58,6 @@ class ConvexBody:
         if self.space.kind == spaces.HYPERBOLOID:
             return spaces._hyperboloid_dist_from_diff(X - P)
         return np.linalg.norm(X - P, axis=1)
-
-    def contains(self, x, slack=None):
-        slack = self.space.tol if slack is None else slack
-        return self.dist(x) <= slack
 
 
 class PointBody(ConvexBody):
@@ -139,12 +136,6 @@ class LineBody(ConvexBody):
                                                 self.normal[None, :])))
         return super().dist_batch(X)
 
-    def side(self, x):
-        """Sign of the displacement off the line (+1/-1/0)."""
-        if self.space.kind == spaces.EUCLIDEAN:
-            return float(np.sign(np.dot(np.asarray(x, float) - self.a, self.normal)))
-        return float(np.sign(spaces.minkowski_dot(np.asarray(x, float), self.normal)))
-
     def to_json(self):
         return {"type": "line", "a": self.a.tolist(), "b": self.b.tolist()}
 
@@ -182,94 +173,6 @@ class SegmentBody(ConvexBody):
         return {"type": "segment", "a": self.a.tolist(), "b": self.b.tolist()}
 
 
-class PolygonBody(ConvexBody):
-    """Convex hull of finitely many points, as iterated half-plane data.
-
-    Hyperbolic hulls use the Klein chart, where geodesics are straight chords
-    and hyperbolic convexity coincides with Euclidean convexity.
-    """
-
-    kind = "polygon"
-
-    def __init__(self, space, points):
-        super().__init__(space)
-        pts = [np.asarray(p, float) for p in points]
-        if space.kind == spaces.EUCLIDEAN:
-            chart = np.asarray(pts)
-        elif space.kind == spaces.HYPERBOLOID:
-            chart = np.asarray([p[1:] / p[0] for p in pts])
-        else:
-            raise ValueError("polygon bodies live in Euclidean or hyperboloid planes")
-        hull_idx = _convex_hull_2d(chart)
-        self.vertices = [pts[i] for i in hull_idx]
-        self.chart = chart[hull_idx]
-        self.edges = [SegmentBody(space, self.vertices[i],
-                                  self.vertices[(i + 1) % len(self.vertices)])
-                      for i in range(len(self.vertices))] \
-            if len(self.vertices) >= 2 else []
-
-    def _chart_point(self, x):
-        if self.space.kind == spaces.EUCLIDEAN:
-            return np.asarray(x, float)
-        x = np.asarray(x, float)
-        return x[1:] / x[0]
-
-    def _inside_chart(self, c):
-        n = len(self.chart)
-        if n == 1:
-            return bool(np.linalg.norm(c - self.chart[0]) <= 1e-14)
-        sign = 0.0
-        for i in range(n):
-            a, b = self.chart[i], self.chart[(i + 1) % n]
-            cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-            if abs(cross) <= 1e-15:
-                continue
-            if sign == 0.0:
-                sign = math.copysign(1.0, cross)
-            elif math.copysign(1.0, cross) != sign:
-                return False
-        return True
-
-    def project(self, x):
-        if len(self.vertices) == 1:
-            return self.vertices[0]
-        if self._inside_chart(self._chart_point(x)):
-            return np.asarray(x, float)
-        best, best_d = None, math.inf
-        for e in self.edges:
-            p = e.project(x)
-            d = spaces.distance(self.space, x, p)
-            if d < best_d:
-                best, best_d = p, d
-        return best
-
-    def to_json(self):
-        return {"type": "polygon", "points": [v.tolist() for v in self.vertices]}
-
-
-def _convex_hull_2d(points):
-    """Andrew's monotone chain; returns hull vertex indices in ccw order."""
-    order = sorted(range(len(points)), key=lambda i: (points[i][0], points[i][1]))
-    if len(order) <= 2:
-        return order
-
-    def cross(o, a, b):
-        return ((points[a][0] - points[o][0]) * (points[b][1] - points[o][1])
-                - (points[a][1] - points[o][1]) * (points[b][0] - points[o][0]))
-
-    lower = []
-    for i in order:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], i) <= 1e-15:
-            lower.pop()
-        lower.append(i)
-    upper = []
-    for i in reversed(order):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], i) <= 1e-15:
-            upper.pop()
-        upper.append(i)
-    return lower[:-1] + upper[:-1]
-
-
 def body_from_json(space, doc):
     t = doc["type"]
     if t == "point":
@@ -278,8 +181,6 @@ def body_from_json(space, doc):
         return LineBody(space, doc["a"], doc["b"])
     if t == "segment":
         return SegmentBody(space, doc["a"], doc["b"])
-    if t == "polygon":
-        return PolygonBody(space, doc["points"])
     raise ValueError(f"unknown body type {t!r}")
 
 
@@ -472,9 +373,6 @@ class PushOffGrid:
     designated: np.ndarray | None
     delta: float
     delta_prime_target: float
-    K_samples: list
-    K_sigma_samples: list
-    K_out_samples: list
 
     @property
     def nerve(self):
@@ -492,18 +390,25 @@ class PushOffGrid:
         return min(self.body.dist(self.iota(v)) - self.eps
                    for v in self.nerve.vertices)
 
-    def verify(self, alpha=ALPHA_DEFAULT):
-        min_angle = min((a for _, a in self.witnesses.values()), default=math.pi)
+    @functools.cached_property
+    def min_witness_angle(self):
+        return min((a for _, a in self.witnesses.values()), default=math.pi)
+
+    @functools.cached_property
+    def boundary_map_diameter(self):
         bdy_diam = 0.0
         for e in self.boundary_edges():
             bdy_diam = max(bdy_diam, spaces.distance(
                 self.body.space, self.iota(e[0]), self.iota(e[1])))
+        return bdy_diam
+
+    def verify(self, alpha=ALPHA_DEFAULT):
         return GridVerification(
             alpha=alpha,
-            min_witness_angle=min_angle,
+            min_witness_angle=self.min_witness_angle,
             push_off_distance=self.push_off_distance(),
             max_element_diam=self.cover.max_diameter,
-            boundary_map_diameter=bdy_diam,
+            boundary_map_diameter=self.boundary_map_diameter,
             diam_iota=simplicial.map_diameter(self.nerve, self.iota),
         )
 
@@ -537,8 +442,7 @@ def calibrate_delta(neighborhood, component, s_lo, s_hi, flow_time, delta,
 
 
 def build_boundary_grid(body, eps, R, action, component, s_lo, s_hi, delta,
-                        delta_prime, interior_points=(), sample_spacing=None,
-                        max_halvings=5, seed=0):
+                        delta_prime, interior_points=(), max_halvings=5):
     """Boundary-tight push-off grid: cover the window collar of the eps-level
     set with delta/2 balls centered on it, flow each center (the witness) to
     the R-level set, send interior elements to a designated point of K_out,
@@ -558,15 +462,8 @@ def build_boundary_grid(body, eps, R, action, component, s_lo, s_hi, delta,
     window = [p for _, p in boundary_samples] + \
         [np.asarray(c, float) for c in interior_points]
     cover = covers.BallCover(body.space, balls, window)
-    projector = covers.NerveProjector(cover, action, seed=seed)
+    projector = covers.NerveProjector(cover, action)
     adj = projector.adj
-
-    if sample_spacing is None:
-        sample_spacing = max(delta, (s_hi - s_lo) / 400.0)
-    k_count = max(8, int(math.ceil((s_hi - s_lo) / sample_spacing)) + 1)
-    K_sigma = nbh.samples(component, s_lo, s_hi, k_count, endpoint=True)
-    K_samples = [p for _, p in K_sigma]
-    K_out_samples = [normal_flow(body, p, flow_time) for _, p in K_sigma]
 
     mid = nbh.point(component, 0.5 * (s_lo + s_hi))
     designated = normal_flow(body, mid, flow_time)
@@ -590,8 +487,7 @@ def build_boundary_grid(body, eps, R, action, component, s_lo, s_hi, delta,
         body=body, eps=eps, R=R, action=action, cover=cover,
         projector=projector, iota=iota, boundary_flags=boundary_flags,
         witnesses=witnesses, designated=designated, delta=delta,
-        delta_prime_target=delta_prime, K_samples=K_samples,
-        K_sigma_samples=K_sigma, K_out_samples=K_out_samples)
+        delta_prime_target=delta_prime)
 
 
 # ---------------------------------------------------------------------------
@@ -774,7 +670,7 @@ def _equivariance_from_adjacency(adj):
     return subdivision.EquivariantStructure(maps)
 
 
-def extend_to_pushoff(grid, lam, n, delta_prime, alpha=ALPHA_DEFAULT, rho=None):
+def extend_to_pushoff(grid, lam, n, delta_prime, alpha=ALPHA_DEFAULT):
     """Extend a boundary-tight push-off grid to a push-off map by an order-n
     shrinking subdivision and geodesic coning.
 
@@ -785,10 +681,7 @@ def extend_to_pushoff(grid, lam, n, delta_prime, alpha=ALPHA_DEFAULT, rho=None):
     tol = space.tol
 
     bdy_target = (1.0 - lam) * delta_prime
-    bdy_diam = 0.0
-    for e in grid.boundary_edges():
-        bdy_diam = max(bdy_diam, spaces.distance(space, grid.iota(e[0]),
-                                                 grid.iota(e[1])))
+    bdy_diam = grid.boundary_map_diameter
     if bdy_diam > bdy_target + tol:
         raise StagedPreconditionError(
             "boundary-tightness",
@@ -797,14 +690,14 @@ def extend_to_pushoff(grid, lam, n, delta_prime, alpha=ALPHA_DEFAULT, rho=None):
 
     # witnesses are constructed on the outward normal, so the true angle is
     # exactly alpha = pi; 1e-5 absorbs the floating-point arccos floor
-    min_angle = min((a for _, a in grid.witnesses.values()), default=math.pi)
+    min_angle = grid.min_witness_angle
     if min_angle < alpha - 1e-5:
         raise StagedPreconditionError(
             "grid-angle", f"witness angle {min_angle} < alpha = {alpha}")
 
     equiv = _equivariance_from_adjacency(grid.adjacency)
     result = subdivision.iterate_subdivision(
-        grid.nerve, grid.iota, lam, n, equivariance=equiv, rho=rho)
+        grid.nerve, grid.iota, lam, n, equivariance=equiv)
     complex_, iota = result.complex, result.iota
 
     full_diam = max((d for _, d in result.record.final_edge_rows), default=0.0)

@@ -70,6 +70,12 @@ class Scene:
         body = retraction.body_from_json(space, doc["body"])
         action = covers.GroupAction.from_json(space, doc["group"])
         w = doc["window"]
+        # run_pipeline samples the window on the eps-level set: reject a
+        # body, space or component that has no sampler before running
+        components = retraction.EpsNeighborhood(body, doc["eps"]).components()
+        if w["component"] not in components:
+            raise ValueError(f"window component {w['component']!r} is not one "
+                             f"of {components}")
         return Scene(
             name=doc.get("name", "scene"), space=space, body=body,
             eps=doc["eps"], R=doc["R"], action=action,
@@ -226,6 +232,7 @@ def run_pipeline(scene, lam=None, order=None, density=200, seed=0):
     Stages: smallness of (delta, delta') -> boundary-tight push-off grid
     (with empirical calibration) -> equivariant order-n shrinking subdivision
     -> push-off by geodesic coning -> retraction checks on level-set samples.
+    No stage draws random numbers; `seed` is recorded in the report.
     """
     lam = scene.lam if lam is None else lam
     order = scene.order if order is None else order
@@ -262,8 +269,7 @@ def run_pipeline(scene, lam=None, order=None, density=200, seed=0):
         grid = retraction.build_boundary_grid(
             body, eps, R, scene.action, scene.component, scene.s_lo, scene.s_hi,
             scene.delta, (1.0 - lam) * scene.delta_prime,
-            interior_points=scene.interior_points,
-            sample_spacing=spacing, seed=seed)
+            interior_points=scene.interior_points)
     except GeometryError as exc:
         return _fail(report, "build-grid", str(exc))
 

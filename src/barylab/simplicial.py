@@ -49,15 +49,6 @@ class SimplicialComplex:
     def edges(self):
         return self.simplices_of_dim(1)
 
-    def top_simplices(self):
-        """Simplices that are not a proper face of any other simplex."""
-        tops = []
-        for s in self.simplices:
-            ss = set(s)
-            if not any(ss < set(t) for t in self.simplices if len(t) > len(s)):
-                tops.append(s)
-        return sorted(tops)
-
     def star_simplices(self, sigma):
         """All simplices containing sigma."""
         sigma = set(_norm(sigma))

@@ -69,8 +69,8 @@ class ShrinkRecord:
         return "\n".join(lines) + "\n"
 
 
-def _solve_label(space, P, Q, lam, rho=None):
-    """Closed-form rule when the space qualifies, else the grid solver.
+def _solve_label(space, P, Q, lam):
+    """Closed-form rule when the space qualifies, else solve_barycenter.
 
     Rule output is accepted when its bound holds in the space metric at the
     requested lambda: space-metric certificates carry that bound already,
@@ -98,7 +98,7 @@ def _solve_label(space, P, Q, lam, rho=None):
         if diam <= tol or (ach <= lam + tol and min(slacks, default=0.0) >= -tol):
             return b
     cert = barycenters.solve_barycenter(
-        barycenters.BarycenterProblem(space, list(P), list(Q)), lam, rho=rho)
+        barycenters.BarycenterProblem(space, list(P), list(Q)), lam)
     if not cert.found:
         raise NoBarycenter(
             f"no {lam}-barycenter for |P|={len(P)}, |Q|={len(Q)}",
@@ -154,17 +154,17 @@ def _diameters(space, table, sets, rows):
     return out
 
 
-def _label_rows(space, table, rows, lam, rho=None):
+def _label_rows(space, table, rows, lam):
     """Labels of a block of new vertices of one level (every J of one size).
 
     rows[i] = (P rows, Q rows) of table, the labels so far.  CAT(0) kinds
     take the midpoint rule for the whole block: one diameter_midpoints call,
     then one batched check of lambda and the relative slacks.  Rows that
     fail the check, and every row of other kinds, go to _solve_label, which
-    raises or falls back to the grid solver.
+    raises or falls back to solve_barycenter.
     """
     if not space.is_cat0:
-        return [_solve_label(space, _points(table, p), _points(table, q), lam, rho=rho)
+        return [_solve_label(space, _points(table, p), _points(table, q), lam)
                 for p, q in rows]
     P = table[np.array([p for p, _ in rows])]
     width = max(len(q) for _, q in rows)
@@ -187,8 +187,7 @@ def _label_rows(space, table, rows, lam, rho=None):
               & (np.min(slacks, axis=1, initial=np.inf) >= -space.tol))
         for r in moved[~ok]:
             p, q = rows[r]
-            labels[r] = _solve_label(space, _points(table, p), _points(table, q),
-                                     lam, rho=rho)
+            labels[r] = _solve_label(space, _points(table, p), _points(table, q), lam)
     return labels
 
 
@@ -253,7 +252,7 @@ def _orbit_assignments(new_sets, equivariance):
     return assigned
 
 
-def shrinking_subdivide(complex_, iota, lam, equivariance=None, rho=None):
+def shrinking_subdivide(complex_, iota, lam, equivariance=None):
     """One lambda-shrinking subdivision step (the barycentric route).
 
     Each level of new vertices (all J of one size) is labelled in blocks of
@@ -297,7 +296,7 @@ def shrinking_subdivide(complex_, iota, lam, equivariance=None, rho=None):
         for start in range(0, len(reps), BLOCK_ROWS):
             block = reps[start:start + BLOCK_ROWS]
             for J, b in zip(block, _label_rows(space, table, [gather(J) for J in block],
-                                               lam, rho=rho)):
+                                               lam)):
                 put(J, b)
         if orbit is not None:
             for J in level_sets:
@@ -342,7 +341,7 @@ class SubdivisionResult:
     stage_vertex_of: list  # per stage: {provenance set J -> new vertex id}
 
 
-def iterate_subdivision(complex_, iota, lam, n, equivariance=None, rho=None):
+def iterate_subdivision(complex_, iota, lam, n, equivariance=None):
     """n successive lambda-shrinking subdivisions with provenance chained to
     the original complex.
 
@@ -361,7 +360,7 @@ def iterate_subdivision(complex_, iota, lam, n, equivariance=None, rho=None):
     for stage in range(n):
         try:
             complex_, iota, st, prov = shrinking_subdivide(
-                complex_, iota, lam, equivariance=equiv, rho=rho)
+                complex_, iota, lam, equivariance=equiv)
         except NoBarycenter as exc:
             exc.stage = stage
             raise

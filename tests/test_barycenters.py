@@ -281,9 +281,8 @@ def welzl_meb_radius(points):
 
 
 def test_solver_matches_meb_oracle():
-    """With Q empty in the plane, lambda* = r_MEB / D exactly; the grid
-    certifies non-existence down to rho = D/200 and the descent finds a
-    point just above lambda*."""
+    """With Q empty in the plane, lambda* = r_MEB / D exactly: the witness
+    and the dual bound both match Welzl's radius."""
     rng = np.random.default_rng(17)
     for _ in range(12):
         P = [rng.uniform(-1, 1, 2) for _ in range(int(rng.integers(2, 7)))]
@@ -293,26 +292,24 @@ def test_solver_matches_meb_oracle():
         prob = bc.BarycenterProblem(E2, P, [])
         hi = bc.solve_barycenter(prob, lam_star + 1e-3)
         assert hi.status == "found"
-        assert lam_star - 1e-9 <= hi.achieved_lambda <= lam_star + 1e-3
+        assert abs(hi.achieved_lambda - lam_star) <= 1e-9
         lo = bc.solve_barycenter(prob, lam_star - 0.02)
         assert lo.status == "not_found_below"
-        assert lam_star - 0.005 - 1e-9 <= lo.lambda_bound <= lam_star + 1e-9
+        assert abs(lo.lambda_bound - lam_star) <= 1e-9
 
 
 def test_grid_budget_makes_oversized_grid_indeterminate(monkeypatch):
-    """Phase trial seed 47's plane instance needs a 10.9 M-point mesh; the
+    """A circle grid of covering radius 1e-7 needs 31.4 M candidates; the
     budget turns it into indeterminate before any grid is allocated."""
     def no_grid(*args):
         raise AssertionError("an over-budget grid was allocated")
 
-    monkeypatch.setattr(bc, "_euclidean_grid", no_grid)
-    P, Q = bc._sample_sets(E2, np.random.default_rng(47), 1.0)
-    cert = bc.solve_barycenter(bc.BarycenterProblem(E2, P, Q), 0.7)
+    monkeypatch.setattr(bc, "_circle_grid", no_grid)
+    P = [spaces.circle_point(C1, 0.0), spaces.circle_point(C1, 1.0)]
+    cert = bc.solve_barycenter(bc.BarycenterProblem(C1, P, []), 0.6, rho=1e-7)
     assert cert.status == "indeterminate"
     assert "over the budget" in cert.reason
     assert cert.to_json()["reason"] == cert.reason
-    rep = bc.has_barycenters_sample(E2, 0.7, 1.0, 1, 47)
-    assert rep.worst["certificate"]["status"] == "indeterminate"
 
 
 def test_certificate_reason_written_only_when_set():
@@ -322,14 +319,11 @@ def test_certificate_reason_written_only_when_set():
 
 
 def test_candidate_grid_returns_arrays():
-    P = [np.zeros(2), np.array([1.0, 0.0])]
-    rng = np.random.default_rng(2)
-    for space, pts in [(C1, [spaces.circle_point(C1, 0.0), spaces.circle_point(C1, 0.5)]),
-                       (E2, P), (E3, [np.zeros(3), np.array([0.0, 1.0, 1.0])]),
-                       (H2, [hyp_point(rng, 0.5) for _ in range(3)])]:
-        grid, _ = bc._candidate_grid(bc.BarycenterProblem(space, pts, []), 0.05)
-        assert isinstance(grid, np.ndarray)
-        assert grid.ndim == 2 and grid.shape[1] == space.ambient_dim
+    pts = [spaces.circle_point(C1, 0.0), spaces.circle_point(C1, 0.5)]
+    grid, rho = bc._candidate_grid(bc.BarycenterProblem(C1, pts, []), 0.05)
+    assert isinstance(grid, np.ndarray) and rho == 0.05
+    assert grid.shape == (63, 2)
+    assert np.allclose(np.linalg.norm(grid, axis=1), 1.0)
 
 
 def test_diameter_midpoints_stack_matches_scalar_midpoints():
@@ -365,3 +359,109 @@ def test_grid_budget_stops_refinement_with_coarse_bound(monkeypatch):
     assert cert.status == "indeterminate"
     assert "circle grid needs" in cert.reason
     assert cert.lambda_bound is not None and cert.grid_resolution > 0
+
+
+# ---------------------------------------------------------------------------
+# exact primal-dual certificates in R^n and H^n
+
+H3 = spaces.ModelSpace.hyperboloid(3)
+CORNER = [np.zeros(3)] + [np.eye(3)[i] for i in range(3)]  # lambda* = 1/sqrt(3)
+
+
+def hyp3_point(rng, scale):
+    u = rng.normal(size=3)
+    s = rng.uniform(0, scale)
+    return np.concatenate(([math.cosh(s)], math.sinh(s) * u / np.linalg.norm(u)))
+
+
+def tetrahedral_h3(rho, boost):
+    """Four points at distance rho from the basepoint in tetrahedral
+    directions, moved by a boost: their minimax centre is the moved
+    basepoint, so lambda* = rho / D."""
+    dirs = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]]) / math.sqrt(3)
+    g = spaces.Isometry.hyperbolic_boost(boost, dim=3)
+    return [g.apply(np.concatenate(([math.cosh(rho)], math.sinh(rho) * u)))
+            for u in dirs]
+
+
+def test_exact_solver_r3_corner():
+    prob = bc.BarycenterProblem(E3, CORNER, [])
+    found = bc.solve_barycenter(prob, 0.7)
+    assert found.status == "found"
+    assert abs(found.achieved_lambda - 1 / math.sqrt(3)) <= 1e-9
+    low = bc.solve_barycenter(prob, 0.55)
+    assert low.status == "not_found_below"
+    assert abs(low.lambda_bound - 1 / math.sqrt(3)) <= 1e-9
+    assert low.grid_resolution is None and len(low.weights) == 4
+
+
+def test_exact_solver_h3():
+    P = tetrahedral_h3(1.0, 0.7)
+    lam_star = 1.0 / spaces.pairwise_diameter(H3, P)
+    prob = bc.BarycenterProblem(H3, P, [])
+    found = bc.solve_barycenter(prob, lam_star + 1e-3)
+    assert found.status == "found"
+    assert abs(found.achieved_lambda - lam_star) <= 1e-9
+    low = bc.solve_barycenter(prob, lam_star - 1e-3)
+    assert low.status == "not_found_below"
+    assert abs(low.lambda_bound - lam_star) <= 1e-9
+    # a far relative point pulls the witness off the centre but stays feasible
+    q = spaces.Isometry.hyperbolic_boost(3.0, dim=3).apply(P[0])
+    rel = bc.solve_barycenter(bc.BarycenterProblem(H3, P, [q]), 0.9)
+    assert rel.found and min(rel.relative_slacks) >= -H3.tol
+
+
+def replay_lambda_bound(space, P, Q, weights):
+    """lambda_bound recomputed from certificate weights by the closed forms:
+    sum w |c - cbar|^2 - sum w beta (R^n), sqrt(-<v, v>) - sum w beta (H^n)."""
+    C = np.asarray(P + Q, float)
+    w = np.asarray(weights)
+    D = spaces.pairwise_diameter(space, P)
+    q_radii = [max(D, max(spaces.distance(space, q, p) for p in P)) for q in Q]
+    if space.kind == spaces.EUCLIDEAN:
+        beta = np.array([0.0] * len(P) + [r * r for r in q_radii])
+        cbar = w @ C / np.sum(w)
+        s = float(w @ np.sum((C - cbar) ** 2, axis=1) - w @ beta)
+        return math.sqrt(max(s, 0.0)) / D
+    beta = np.array([0.0] * len(P) + [math.cosh(r) for r in q_radii])
+    v = w @ C
+    s = math.sqrt(v[0] ** 2 - v[1:] @ v[1:]) - float(w @ beta)
+    return math.acosh(max(s, 1.0)) / D
+
+
+def test_exact_certificates_replay():
+    """Every found point passes lambda_of and relative_slacks; every weight
+    vector recomputes lambda_bound, which brackets lambda* with the point."""
+    rng = np.random.default_rng(5)
+    draws = [(E2, lambda: rng.uniform(-1, 1, 2)), (E3, lambda: rng.uniform(-1, 1, 3)),
+             (H2, lambda: hyp_point(rng, 1.0)), (H3, lambda: hyp3_point(rng, 1.0))]
+    statuses = set()
+    for space, draw in draws:
+        for _ in range(12):
+            P = [draw() for _ in range(int(rng.integers(2, 7)))]
+            Q = [draw() for _ in range(int(rng.integers(0, 5)))]
+            for lam in (0.5, 0.55, 0.6, 0.7):
+                cert = bc.solve_barycenter(bc.BarycenterProblem(space, P, Q), lam)
+                statuses.add(cert.status)
+                w = np.asarray(cert.weights)
+                assert np.all(w >= 0.0) and abs(np.sum(w[:len(P)]) - 1.0) <= 1e-12
+                bound = replay_lambda_bound(space, P, Q, cert.weights)
+                assert abs(bound - cert.lambda_bound) <= 1e-9
+                if cert.found:
+                    assert bc.lambda_of(space, cert.point, P) <= lam + space.tol
+                    assert min(bc.relative_slacks(space, cert.point, P, Q),
+                               default=0.0) >= -space.tol
+                    assert abs(cert.achieved_lambda - bound) <= 1e-9
+                else:
+                    assert cert.status == "not_found_below" and bound > lam
+    assert statuses == {"found", "not_found_below"}
+
+
+def test_phase_sweep_planar_instances_decided():
+    """The plane and hyperbolic-plane pools of the benchmark sweep are
+    decided, trial 47 included (its grid needed 10.9 M candidates)."""
+    for space, lam, delta, seeds in [(E2, 0.7, 1.0, range(40, 51)),
+                                     (H2, 0.8, 0.5, range(3))]:
+        for seed in seeds:
+            rep = bc.has_barycenters_sample(space, lam, delta, 1, seed)
+            assert rep.worst["certificate"]["status"] in ("found", "not_found_below")

@@ -4,6 +4,8 @@ import json
 import math
 import os
 
+import pytest
+
 from barylab import cli
 
 
@@ -193,4 +195,66 @@ def test_usage_errors_exit_one(tmp_path):
     # read as "barycenter not found"
     assert run(["phase", "--input", inp, "--output", out, "--tol", "1e-6"]) == 1
     assert run(["phase", "--input", inp]) == 1
+    assert not os.path.exists(out)
+
+
+CORNER = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]  # lambda* = 1/sqrt(3)
+
+
+def test_barycenter_r3_and_h3_exact(tmp_path):
+    inp = write(tmp_path / "p.json", {"space": {"kind": "euclidean", "dim": 3},
+                                      "P": CORNER, "Q": [], "lambda": 0.7})
+    out = str(tmp_path / "cert.json")
+    assert run(["barycenter", "--input", inp, "--output", out]) == 0
+    assert run(["barycenter", "--input", inp, "--output", out,
+                "--lambda", "0.55"]) == 2
+    cert = json.load(open(out))
+    assert abs(cert["lambda_bound"] - 1 / math.sqrt(3)) <= 1e-9
+    assert len(cert["weights"]) == 4
+    s, c = math.sinh(1.0), math.cosh(1.0)
+    hyp = [[c, s, 0, 0], [c, 0, s, 0], [c, 0, 0, s], [c, -s, 0, 0]]
+    inp = write(tmp_path / "h.json", {"space": {"kind": "hyperboloid", "dim": 3},
+                                      "P": hyp, "Q": [[1, 0, 0, 0]], "lambda": 0.8})
+    assert run(["barycenter", "--input", inp, "--output", out]) == 0
+    assert json.load(open(out))["status"] == "found"
+
+
+def assert_bad_input(capsys, command):
+    err = capsys.readouterr().err
+    assert err.startswith(f"barylab {command}: bad input: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_barycenter_rejects_sphere(tmp_path, capsys):
+    inp = write(tmp_path / "p.json", {"space": {"kind": "sphere", "dim": 2},
+                                      "P": [[1, 0, 0], [0, 1, 0]], "lambda": 0.9})
+    assert run(["barycenter", "--input", inp,
+                "--output", str(tmp_path / "c.json")]) == 1
+    assert_bad_input(capsys, "barycenter")
+
+
+@pytest.mark.parametrize("space", [
+    {"kind": "hyperboloid", "dim": 3}, {"kind": "sphere", "dim": 2},
+    {"kind": "finite", "dim": 2, "matrix": [[0, 1], [1, 0]]}])
+def test_phase_rejects_spaces_without_sampler(tmp_path, capsys, space):
+    inp = write(tmp_path / "ph.json", {"space": space, "lambdas": [0.8],
+                                       "deltas": [0.5], "trials": 2})
+    out = str(tmp_path / "phase.csv")
+    assert run(["phase", "--input", inp, "--output", out]) == 1
+    assert_bad_input(capsys, "phase")
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("scene, body", [
+    ("euclidean_point", {"type": "polygon", "points": [[0, 0], [1, 0], [0, 1]]}),
+    ("hyperbolic_axis", {"type": "segment", "a": [1.0, 0.0, 0.0],
+                         "b": [math.cosh(1.0), math.sinh(1.0), 0.0]})])
+def test_retract_rejects_bodies_without_sampler(tmp_path, capsys, scene, body):
+    from barylab import scenes
+    doc = scenes.SCENE_BUILDERS[scene]().to_json()
+    doc["body"] = body
+    inp = write(tmp_path / "scene.json", doc)
+    out = str(tmp_path / "rep.json")
+    assert run(["retract", "--input", inp, "--output", out]) == 1
+    assert_bad_input(capsys, "retract")
     assert not os.path.exists(out)

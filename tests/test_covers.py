@@ -1,6 +1,8 @@
 """Ball covers, adjacency under group actions, nerves, and the nerve projection."""
 
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -363,7 +365,7 @@ def allpairs_adjacency(cover, action):
     return rows
 
 
-def allpairs_nerve(space, centers, radii, seed=0):
+def allpairs_nerve(space, centers, radii):
     """build_nerve as an all-pairs scan: the simplex set, or the
     IndeterminateIntersection message."""
     n = len(radii)
@@ -394,7 +396,7 @@ def allpairs_nerve(space, centers, radii, seed=0):
                     continue
                 idx = list(cand)
                 margin = covers.balls_intersection_margin(space, centers[idx],
-                                                          radii[idx], seed=seed)
+                                                          radii[idx]).margin
                 assert abs(margin) > tol
                 if margin < 0:
                     simplices.add(cand)
@@ -577,3 +579,54 @@ def test_empty_and_single_ball_covers():
     assert len(proj.adj) == 1
     support, w = proj.project(np.array([0.5, 0.0]))
     assert support == (0,) and np.array_equal(w, [1.0])
+
+
+def replay_empty_margin(space, centers, radii, w):
+    """The largest t whose weights certify that the balls B(c_i, r_i + t)
+    share no point, by bisection on the closed-form dual bound."""
+    w = np.asarray(w) / np.sum(w)
+    v = w @ centers
+    if space.kind == spaces.EUCLIDEAN:
+        spread = float(w @ np.sum((centers - v) ** 2, axis=1))
+        bound = lambda t: spread - float(w @ (radii + t) ** 2)  # noqa: E731
+    else:
+        spread = math.sqrt(v[0] ** 2 - v[1:] @ v[1:])
+        bound = lambda t: spread - float(w @ np.cosh(radii + t))  # noqa: E731
+    lo, hi = -float(np.min(radii)), 10.0
+    if bound(lo) <= 0.0:
+        return -math.inf
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if bound(mid) > 0.0 else (lo, mid)
+    return lo
+
+
+def test_far_hyperbolic_cover_nerve_replays():
+    """The 54-ball cover far out in H^2 (x0 ~ 120): its nerve is decided in
+    well under a second, and every set it examined is replayed from its
+    witness point (in the nerve) or its dual weights (rejected)."""
+    balls, _ = boundary_cover(H2, 0.1, (6, 3), np.array([5.5, -3.0]))
+    cover = covers.BallCover(H2, balls, [], check_cover=False)
+    t0 = time.perf_counter()
+    nerve = covers.build_nerve(cover)
+    elapsed = time.perf_counter() - t0
+    counts = [sum(1 for s in nerve.simplices if len(s) == k) for k in range(1, 6)]
+    assert counts == [54, 96, 50, 10, 0]
+    assert elapsed < 1.0
+    tol = H2.tol
+    examined = 0
+    for k in (3, 4, 5):
+        for cand in itertools.combinations(range(len(balls)), k):
+            if any(cand[:m] + cand[m + 1:] not in nerve.simplices for m in range(k)):
+                continue
+            examined += 1
+            idx = list(cand)
+            c, r = cover.centers[idx], cover.radii[idx]
+            cert = covers.balls_intersection_margin(H2, c, r)
+            if cand in nerve.simplices:
+                witness = float(np.max(spaces.distances_to(H2, c, cert.point) - r))
+                assert witness == cert.margin < -tol
+            else:
+                assert cert.margin > tol
+                assert abs(replay_empty_margin(H2, c, r, cert.weights) - cert.margin) <= 1e-9
+    assert examined > 60

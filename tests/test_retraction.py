@@ -118,33 +118,6 @@ def test_projection_idempotent_and_distance_convex():
                 assert vals[i - 1] + vals[i + 1] - 2 * vals[i] >= -1e-7
 
 
-def test_polygon_bodies():
-    rng = np.random.default_rng(11)
-    poly = rt.PolygonBody(E2, [np.zeros(2), np.array([1.0, 0.0]),
-                               np.array([1.0, 1.0]), np.array([0.0, 1.0]),
-                               np.array([0.5, 0.5])])
-    assert len(poly.vertices) == 4  # interior input point dropped from hull
-    assert np.allclose(poly.project(np.array([0.5, 0.5])), [0.5, 0.5])
-    assert np.allclose(poly.project(np.array([2.0, 0.5])), [1.0, 0.5])
-    assert abs(poly.dist(np.array([2.0, 0.5])) - 1.0) < 1e-12
-
-    pts = [np.array([math.cosh(t) * math.cosh(s), math.sinh(t) * math.cosh(s),
-                     math.sinh(s)])
-           for t, s in [(-0.5, -0.3), (0.5, -0.3), (0.5, 0.3), (-0.5, 0.3)]]
-    hpoly = rt.PolygonBody(H2, pts)
-    center = np.array([1.0, 0, 0])
-    assert hpoly.dist(center) < 1e-9
-    far = np.array([math.cosh(2), 0.0, math.sinh(2)])
-    p = hpoly.project(far)
-    assert hpoly.dist(p) < 1e-9
-    for _ in range(20):
-        s, t = rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)
-        x = np.array([math.cosh(s) * math.cosh(t), math.sinh(s) * math.cosh(t),
-                      math.sinh(t)])
-        px = hpoly.project(x)
-        assert hpoly.dist(px) < 1e-7  # projection lands in the body
-
-
 def test_normal_flow_examples():
     pt = rt.PointBody(E2, np.zeros(2))
     out = rt.normal_flow(pt, np.array([1.0, 0.0]), 2.0)
@@ -398,7 +371,7 @@ def test_extension_staged_errors():
         scene.body, scene.eps, scene.R, scene.action, scene.component,
         scene.s_lo, scene.s_hi, scene.delta,
         (1 - scene.lam) * scene.delta_prime,
-        interior_points=scene.interior_points, sample_spacing=0.01)
+        interior_points=scene.interior_points)
     # boundary tightness at (delta, (1-lambda)delta') fails for lambda -> 1
     with pytest.raises(StagedPreconditionError) as exc:
         rt.extend_to_pushoff(grid, 0.999, 1, scene.delta_prime)
@@ -419,7 +392,7 @@ def test_full_tightness_fails_with_far_interior():
         scene.body, scene.eps, scene.R, scene.action, scene.component,
         scene.s_lo, scene.s_hi, scene.delta,
         (1 - scene.lam) * scene.delta_prime,
-        interior_points=scene.interior_points, sample_spacing=0.01)
+        interior_points=scene.interior_points)
     with pytest.raises(StagedPreconditionError) as exc:
         rt.extend_to_pushoff(grid, scene.lam, 1, scene.delta_prime)
     assert exc.value.stage == "full-tightness"
@@ -432,7 +405,7 @@ def test_pushoff_evaluate_examples():
     grid = rt.build_boundary_grid(
         scene.body, scene.eps, scene.R, scene.action, scene.component,
         scene.s_lo, scene.s_hi, scene.delta,
-        (1 - scene.lam) * scene.delta_prime, sample_spacing=0.05)
+        (1 - scene.lam) * scene.delta_prime)
     pushoff = rt.extend_to_pushoff(grid, scene.lam, 1, scene.delta_prime)
     v = sorted(grid.nerve.vertices)[0]
     img, cell = pushoff.evaluate((v,), np.array([1.0]))
@@ -458,7 +431,7 @@ def test_pushoff_witness_lands_near_its_image():
     grid = rt.build_boundary_grid(
         scene.body, scene.eps, scene.R, scene.action, scene.component,
         scene.s_lo, scene.s_hi, scene.delta,
-        (1 - scene.lam) * scene.delta_prime, sample_spacing=0.05)
+        (1 - scene.lam) * scene.delta_prime)
     pushoff = rt.extend_to_pushoff(grid, scene.lam, 1, scene.delta_prime)
     retr = rt.Retractor(pushoff)
     for v, (q, _) in list(grid.witnesses.items())[:40]:
@@ -473,7 +446,7 @@ def test_retract_identity_and_interior():
     grid = rt.build_boundary_grid(
         scene.body, scene.eps, scene.R, scene.action, scene.component,
         scene.s_lo, scene.s_hi, scene.delta,
-        (1 - scene.lam) * scene.delta_prime, sample_spacing=0.05)
+        (1 - scene.lam) * scene.delta_prime)
     pushoff = rt.extend_to_pushoff(grid, scene.lam, 1, scene.delta_prime)
     retr = rt.Retractor(pushoff)
     nbh = rt.EpsNeighborhood(scene.body, scene.eps)
@@ -526,7 +499,7 @@ def test_retract_matches_frozen_bisection_bits(scene):
     grid = rt.build_boundary_grid(
         scene.body, scene.eps, scene.R, scene.action, scene.component,
         scene.s_lo, scene.s_hi, scene.delta,
-        (1 - scene.lam) * scene.delta_prime, sample_spacing=0.05)
+        (1 - scene.lam) * scene.delta_prime)
     retr = rt.Retractor(rt.extend_to_pushoff(grid, scene.lam, 1,
                                              scene.delta_prime))
     nbh = rt.EpsNeighborhood(scene.body, scene.eps)
@@ -556,7 +529,7 @@ def test_grid_nerve_is_face_closed():
     grid = rt.build_boundary_grid(
         scene.body, scene.eps, scene.R, scene.action, scene.component,
         scene.s_lo, scene.s_hi, scene.delta,
-        (1 - scene.lam) * scene.delta_prime, sample_spacing=0.05)
+        (1 - scene.lam) * scene.delta_prime)
     assert simplicial.validate(grid.nerve) == []
 
 

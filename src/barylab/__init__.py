@@ -42,7 +42,6 @@ from .simplicial import (
     SubdivisionProvenance,
     VertexMap,
     barycentric_subdivision,
-    least_containing_simplex,
     map_diameter,
     room,
     validate,

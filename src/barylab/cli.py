@@ -97,17 +97,27 @@ def cmd_subdivide(args):
     try:
         doc = _load_input(args.input)
         space = spaces.ModelSpace.from_json(doc["space"])
+        if space.kind not in (spaces.EUCLIDEAN, spaces.HYPERBOLOID, spaces.CIRCLE,
+                              spaces.FINITE):
+            raise ValueError(f"no barycenter solver for {space.kind} spaces")
         complex_ = simplicial.SimplicialComplex.from_json(doc["complex"])
+        violations = simplicial.validate(complex_)
+        if violations:
+            raise ValueError(f"complex: {violations[0]}")
         iota = simplicial.VertexMap.from_json(space, doc["vertex_map"])
-        lam = args.lam if args.lam is not None else doc["lambda"]
-        order = args.order if args.order is not None else doc.get("order", 1)
-    except (KeyError, ValueError, OSError, json.JSONDecodeError,
+        iota.check_total(complex_)
+        lam = float(args.lam if args.lam is not None else doc["lambda"])
+        if not 0.0 < lam < 1.0:
+            raise ValueError(f"lambda {lam} outside (0, 1)")
+        order = int(args.order if args.order is not None else doc.get("order", 1))
+        if order < 0:
+            raise ValueError(f"order {order} is negative")
+    except (KeyError, TypeError, ValueError, OSError, json.JSONDecodeError,
             GeometryError) as exc:
         print(f"barylab subdivide: bad input: {exc}", file=sys.stderr)
         return 1
     try:
-        result = subdivision.iterate_subdivision(complex_, iota, float(lam),
-                                                 int(order))
+        result = subdivision.iterate_subdivision(complex_, iota, lam, order)
     except GeometryError as exc:
         print(f"barylab subdivide: {exc}", file=sys.stderr)
         return 4

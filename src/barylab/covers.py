@@ -447,13 +447,6 @@ class AdjacencySet:
     def space(self):
         return self.cover.space
 
-    @property
-    def balls(self):
-        return [e.ball for e in self.elements]
-
-    def base_size(self):
-        return len(self.cover)
-
 
 def adjacency(cover, action):
     """Adj(U): U plus all translates hU with h != e meeting some element of U."""

@@ -37,10 +37,6 @@ class UnknownSimplex(GeometryError):
     """Simplex not present in the complex."""
 
 
-class ProvenanceCorruption(GeometryError):
-    """Union of provenance sets spans no simplex of the parent complex."""
-
-
 class NoBarycenter(GeometryError):
     """A required barycenter could not be found; carries the certificate."""
 

@@ -4,7 +4,9 @@ Vertices are opaque integers; a simplex is a sorted tuple of vertex ids and
 the simplex set is closed under taking faces (validate() reports violations).
 Barycentric subdivision keeps original vertex ids for singletons and assigns
 fresh ids to proper barycenters, recording for every subdivision vertex the
-set J of original ids it barycenters.
+set J of original ids it barycenters.  New ids ascend in (|J|, J) order above
+every original id, so the ids of a subdivision simplex ascend along its chain
+J_1 < ... < J_k and its last (largest) vertex barycenters its top face J_k.
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .errors import ProvenanceCorruption, UnknownSimplex
+from .errors import UnknownSimplex
 from . import spaces
 
 
@@ -45,9 +48,9 @@ class SimplicialComplex:
     def simplices_of_dim(self, k):
         return sorted(s for s in self.simplices if len(s) == k + 1)
 
-    @property
+    @cached_property
     def edges(self):
-        return self.simplices_of_dim(1)
+        return tuple(self.simplices_of_dim(1))
 
     def star_simplices(self, sigma):
         """All simplices containing sigma."""
@@ -88,22 +91,24 @@ def validate(complex_):
 
 @dataclass
 class SubdivisionProvenance:
-    """Map from every subdivision vertex id to the original vertex set it barycenters."""
+    """Map from every subdivision vertex id to the original vertex set it
+    barycenters.  barycentric_subdivision also keeps the inverse map
+    J -> id (vertex_of) and every J's strict cofaces in the parent."""
 
     sets: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    vertex_of: dict[tuple[int, ...], int] = field(default_factory=dict)
+    cofaces: dict[tuple[int, ...], list] = field(default_factory=dict)
 
     def of(self, vertex):
         return self.sets[vertex]
 
     def compose(self, older):
-        """Resolve through an earlier provenance so sets refer to the original complex."""
-        out = {}
-        for v, js in self.sets.items():
-            acc = set()
-            for j in js:
-                acc.update(older.sets[j])
-            out[v] = tuple(sorted(acc))
-        return SubdivisionProvenance(out)
+        """Resolve through an earlier subdivision provenance so sets refer to
+        the original complex.  Each J here is a simplex of the older
+        subdivision, a chain whose sets grow with its ids, so its set is
+        that of its last vertex."""
+        return SubdivisionProvenance({v: older.sets[js[-1]]
+                                      for v, js in self.sets.items()})
 
     @staticmethod
     def identity(complex_):
@@ -117,7 +122,7 @@ def barycentric_subdivision(complex_):
     strict chains J_1 < ... < J_{k+1}.  Singleton vertices keep their ids.
     """
     prov = SubdivisionProvenance()
-    vertex_of = {}
+    vertex_of = prov.vertex_of
     next_id = max(complex_.vertices, default=-1) + 1
     for s in sorted(complex_.simplices, key=lambda s: (len(s), s)):
         if len(s) == 1:
@@ -128,22 +133,23 @@ def barycentric_subdivision(complex_):
             prov.sets[next_id] = s
             next_id += 1
 
-    strict_cofaces = {s: [] for s in complex_.simplices}
+    cofaces = prov.cofaces = {s: [] for s in complex_.simplices}
     for t in complex_.simplices:
         for k in range(1, len(t)):
             for s in itertools.combinations(t, k):
-                if s in strict_cofaces:
-                    strict_cofaces[s].append(t)
+                if s in cofaces:
+                    cofaces[s].append(t)
 
     new_simplices = set()
 
     def grow(chain_ids, last):
-        new_simplices.add(tuple(sorted(chain_ids)))
-        for bigger in strict_cofaces[last]:
-            grow(chain_ids + [vertex_of[bigger]], bigger)
+        # ids ascend along a chain, so chain_ids is already sorted
+        new_simplices.add(chain_ids)
+        for bigger in cofaces[last]:
+            grow(chain_ids + (vertex_of[bigger],), bigger)
 
     for s in complex_.simplices:
-        grow([vertex_of[s]], s)
+        grow((vertex_of[s],), s)
 
     sub = SimplicialComplex(vertex_of.values(), new_simplices)
     return sub, prov
@@ -207,17 +213,3 @@ def map_diameter_all_simplices(complex_, iota):
         best = max(best, spaces.pairwise_diameter(iota.target, [iota(v) for v in s]))
     return best
 
-
-def least_containing_simplex(parent, prov, sigma_sub):
-    """Least-dimensional simplex of the parent complex containing a subdivision simplex."""
-    union = set()
-    for v in sigma_sub:
-        try:
-            union.update(prov.of(v))
-        except KeyError as exc:
-            raise ProvenanceCorruption(f"vertex {v} has no provenance") from exc
-    sigma = tuple(sorted(union))
-    if sigma not in parent.simplices:
-        raise ProvenanceCorruption(
-            f"provenance union {sigma} spans no simplex of the parent")
-    return sigma

@@ -135,9 +135,9 @@ def _points(table, rows):
 
 def _blocks(sets):
     """Index arrays of sets grouped by set size, at most BLOCK_ROWS each."""
-    for size in sorted(set(map(len, sets))):
-        members = np.flatnonzero(np.fromiter((len(s) == size for s in sets),
-                                             dtype=bool, count=len(sets)))
+    sizes = np.fromiter(map(len, sets), dtype=int, count=len(sets))
+    for size in np.unique(sizes):
+        members = np.flatnonzero(sizes == size)
         for start in range(0, len(members), BLOCK_ROWS):
             yield members[start:start + BLOCK_ROWS]
 
@@ -191,64 +191,39 @@ def _label_rows(space, table, rows, lam):
     return labels
 
 
-def _incidence(complex_):
-    inc = {v: [] for v in complex_.vertices}
-    for s in complex_.simplices:
-        for v in s:
-            inc[v].append(s)
-    return inc
+def _orbits(new, lifted):
+    """BFS orbits of new vertex ids under the lifted partial action.
 
-
-def _star(inc, J):
-    out = set(inc[J[0]])
-    for v in J[1:]:
-        out &= set(inc[v])
-    return out
-
-
-def _orbit_assignments(new_sets, equivariance):
-    """BFS orbits of provenance sets under the partial action.
-
-    Returns dict J -> (rep_J, isometry mapping rep labels to J's labels),
-    with rep the lexicographically smallest member reachable from J.
+    Returns dict v -> (rep, isometry mapping rep's label to v's), with rep
+    the smallest id reachable from v.  New ids ascend in (|J|, J) order.
     """
-    set_index = {J: None for J in new_sets}
-    # build directed edges J -> (image, h)
-    edges = {J: [] for J in new_sets}
-    for h, vmap in equivariance.maps:
-        for J in new_sets:
-            if all(v in vmap for v in J):
-                img = tuple(sorted(vmap[v] for v in J))
-                if img in set_index:
-                    edges[J].append((img, h))
-    # connected components, deterministic BFS from lex-min roots
+    edges = {v: [(vmap[v], h) for h, vmap in lifted.maps if v in vmap] for v in new}
     assigned = {}
-    for root in sorted(new_sets, key=lambda J: (len(J), J)):
+    for root in new:
         if root in assigned:
             continue
-        # find the component and its lex-min member first
+        # find the component and its smallest member first
         comp = {root}
         stack = [root]
         while stack:
-            cur = stack.pop()
-            for img, _ in edges[cur]:
+            for img, _ in edges[stack.pop()]:
                 if img not in comp:
                     comp.add(img)
                     stack.append(img)
-        rep = min(comp, key=lambda J: (len(J), J))
-        ident_paths = {rep: None}  # isometry carrying rep to J
+        rep = min(comp)
+        paths = {rep: None}  # isometry carrying rep to each member
         frontier = [rep]
         while frontier:
             nxt = []
             for cur in sorted(frontier):
                 for img, h in sorted(edges[cur], key=lambda e: e[0]):
-                    if img not in ident_paths:
-                        prev = ident_paths[cur]
-                        ident_paths[img] = h if prev is None else h.compose(prev)
+                    if img not in paths:
+                        prev = paths[cur]
+                        paths[img] = h if prev is None else h.compose(prev)
                         nxt.append(img)
             frontier = nxt
-        for J in comp:
-            assigned[J] = (rep, ident_paths.get(J))
+        for v in comp:
+            assigned[v] = (rep, paths.get(v))
     return assigned
 
 
@@ -258,51 +233,50 @@ def shrinking_subdivide(complex_, iota, lam, equivariance=None):
     Each level of new vertices (all J of one size) is labelled in blocks of
     BLOCK_ROWS orbit representatives, one _label_rows pass per block, and
     each stage check is one vectorised pass per set size.
-    Returns (subdivided complex, extended vertex map, StageRecord, provenance).
+    Returns (subdivided complex, extended vertex map, StageRecord,
+    provenance, the action lifted to the subdivided complex or None).
     Raises NoBarycenter (with the failing certificate) if some required
     barycenter does not exist at the requested lambda.
     """
     space = iota.target
     iota.check_total(complex_)
     sub, prov = simplicial.barycentric_subdivision(complex_)
-    vertex_of = {J: v for v, J in prov.sets.items()}
+    vertex_of = prov.vertex_of
     assignment = dict(iota.assignment)
     row_of, table = _table(space, sorted(prov.sets), assignment)
+    new = [v for v, J in prov.sets.items() if len(J) >= 2]  # ascending ids
 
-    new_sets = sorted((J for J in vertex_of if len(J) >= 2),
-                      key=lambda J: (len(J), J))
-    inc = _incidence(complex_)
-
-    orbit = None
+    lifted = orbit = None
     if equivariance is not None and equivariance.maps:
-        orbit = _orbit_assignments(new_sets, equivariance)
+        lifted = lift_equivariance(equivariance, prov)
+        orbit = _orbits(new, lifted)
 
-    def gather(J):
+    def gather(v):
+        J = prov.sets[v]
         faces = [vertex_of[c] for k in range(1, len(J))
                  for c in itertools.combinations(J, k)]
-        room = {vertex_of[c] for T in _star(inc, J) for k in range(1, len(J))
+        room = {vertex_of[c] for T in (J, *prov.cofaces[J]) for k in range(1, len(J))
                 for c in itertools.combinations(T, k)}
-        return ([row_of[v] for v in faces],
-                [row_of[v] for v in sorted(room.difference(faces))])
+        return ([row_of[u] for u in faces],
+                [row_of[u] for u in sorted(room.difference(faces))])
 
-    def put(J, b):
-        assignment[vertex_of[J]] = b
-        table[row_of[vertex_of[J]]] = b
+    def put(v, b):
+        assignment[v] = b
+        table[row_of[v]] = b
 
-    for _, level_sets in itertools.groupby(new_sets, key=len):
-        level_sets = list(level_sets)
-        reps = level_sets if orbit is None else \
-            [J for J in level_sets if orbit[J][0] == J]
+    for _, level in itertools.groupby(new, key=lambda v: len(prov.sets[v])):
+        level = list(level)
+        reps = level if orbit is None else [v for v in level if orbit[v][0] == v]
         for start in range(0, len(reps), BLOCK_ROWS):
             block = reps[start:start + BLOCK_ROWS]
-            for J, b in zip(block, _label_rows(space, table, [gather(J) for J in block],
+            for v, b in zip(block, _label_rows(space, table, [gather(v) for v in block],
                                                lam)):
-                put(J, b)
+                put(v, b)
         if orbit is not None:
-            for J in level_sets:
-                rep, h = orbit[J]
-                if rep != J:
-                    put(J, h.apply(assignment[vertex_of[rep]]))
+            for v in level:
+                rep, h = orbit[v]
+                if rep != v:
+                    put(v, h.apply(assignment[rep]))
 
     iota_sub = simplicial.VertexMap(space, assignment)
 
@@ -312,11 +286,12 @@ def shrinking_subdivide(complex_, iota, lam, equivariance=None):
         space, table, simplices, lambda s: [row_of[v] for v in s])))
     # condition (1) certified on subdivision edges: every sub-simplex's image
     # diameter is realized by one of its edges, whose least containing parent
-    # is a face of the simplex's, so the edge bound is the stronger one
+    # (the set of its larger vertex) is a face of the simplex's, so the edge
+    # bound is the stronger one
     edges = sub.edges
     lengths = _diameters(space, table, edges, lambda e: [row_of[v] for v in e])
     for e, after in zip(edges, lengths):
-        parent = simplicial.least_containing_simplex(complex_, prov, e)
+        parent = prov.sets[e[1]]
         record.sub_rows.append((e, after, parent, parent_diams[parent]))
     # condition (2): no parent simplex's contained vertex images, the labels
     # of all its faces, may spread
@@ -329,7 +304,7 @@ def shrinking_subdivide(complex_, iota, lam, equivariance=None):
             raise ModelSpaceViolation(
                 f"shrinking condition (2) failed on {s}: {diam_inside} > "
                 f"{parent_diams[s]} (barycenter certificate bug)")
-    return sub, iota_sub, record, prov
+    return sub, iota_sub, record, prov, lifted
 
 
 @dataclass
@@ -354,22 +329,21 @@ def iterate_subdivision(complex_, iota, lam, n, equivariance=None):
     original_iota = iota
     record = ShrinkRecord(lam=lam, order=n,
                           original_diam=simplicial.map_diameter(complex_, iota))
+    # order 0 keeps the identity; compose needs an older subdivision
+    # provenance, and stage 1's sets are already original simplices
     prov_total = simplicial.SubdivisionProvenance.identity(complex_)
     stage_vertex_of = []
-    equiv = equivariance
     for stage in range(n):
         try:
-            complex_, iota, st, prov = shrinking_subdivide(
-                complex_, iota, lam, equivariance=equiv)
+            complex_, iota, st, prov, equivariance = shrinking_subdivide(
+                complex_, iota, lam, equivariance=equivariance)
         except NoBarycenter as exc:
             exc.stage = stage
             raise
         st.stage = stage + 1
         record.stages.append(st)
-        stage_vertex_of.append({J: v for v, J in prov.sets.items()})
-        prov_total = prov.compose(prov_total)
-        if equiv is not None and equiv.maps:
-            equiv = lift_equivariance(equiv, prov)
+        stage_vertex_of.append(prov.vertex_of)
+        prov_total = prov.compose(prov_total) if stage else prov
 
     vertices = sorted(complex_.vertices)
     row_of, table = _table(space, vertices, iota.assignment)
@@ -381,7 +355,7 @@ def iterate_subdivision(complex_, iota, lam, n, equivariance=None):
     orig_simplices = sorted(original.simplices)
     orig_diams = dict(zip(orig_simplices, _diameters(
         space, orig_table, orig_simplices, lambda s: [orig_row[v] for v in s])))
-    sigmas = [tuple(sorted(prov_total.of(v))) for v in vertices]
+    sigmas = [prov_total.sets[v] for v in vertices]
     rows = record.displacement_rows = [None] * len(vertices)
     for block in _blocks(sigmas):
         d = spaces.paired_distances(
@@ -395,7 +369,7 @@ def iterate_subdivision(complex_, iota, lam, n, equivariance=None):
 
 def lift_equivariance(equiv, prov):
     """Lift partial vertex maps through one barycentric subdivision."""
-    vertex_of = {J: v for v, J in prov.sets.items()}
+    vertex_of = prov.vertex_of
     lifted = []
     for h, vmap in equiv.maps:
         new_map = {}

@@ -117,6 +117,28 @@ def test_subdivide_order_zero_identity(tmp_path):
     assert len(lines) == 2  # no stages: record equals the input diameters
 
 
+def unit_edge_with(**changes):
+    return {**subdivide_doc(1), **changes}
+
+
+@pytest.mark.parametrize("doc", [
+    unit_edge_with(complex={"vertices": [0, 1], "simplices": [[1], [0, 1]]}),
+    unit_edge_with(complex={"vertices": [0, 1], "simplices": [[0], [1], [7], [0, 7]]}),
+    unit_edge_with(vertex_map={"0": [0.0]}),
+    unit_edge_with(space={"kind": "sphere", "dim": 2},
+                   vertex_map={"0": [1, 0, 0], "1": [0, 1, 0]}),
+    unit_edge_with(**{"lambda": 1.0}),
+    unit_edge_with(order=-1),
+], ids=["not_face_closed", "unlisted_vertex", "vertex_map_misses_vertex",
+        "sphere", "lambda_one", "negative_order"])
+def test_subdivide_rejects_bad_input(tmp_path, capsys, doc):
+    inp = write(tmp_path / "s.json", doc)
+    out = str(tmp_path / "shrink.csv")
+    assert run(["subdivide", "--input", inp, "--output", out]) == 1
+    assert_bad_input(capsys, "subdivide")
+    assert not os.path.exists(out)
+
+
 def test_retract_scene_pass(tmp_path):
     inp = write(tmp_path / "scene.json",
                 {"scene": "euclidean_point", "overrides": {"order": 1}})

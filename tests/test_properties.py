@@ -1,4 +1,5 @@
-"""Property tests (Hypothesis): certificates are invariant under isometries."""
+"""Property tests (Hypothesis): certificates are invariant under isometries,
+and subdivision provenance read off chains matches the union-based search."""
 
 import math
 
@@ -9,7 +10,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from barylab import barycenters as bc  # noqa: E402
-from barylab import spaces  # noqa: E402
+from barylab import simplicial, spaces, subdivision as sd  # noqa: E402
 
 SPACES = [spaces.ModelSpace.euclidean(2), spaces.ModelSpace.euclidean(3),
           spaces.ModelSpace.hyperboloid(2), spaces.ModelSpace.hyperboloid(3)]
@@ -50,3 +51,45 @@ def test_lambda_star_isometry_invariant(seed, which):
     assert a.found and b.found
     assert abs(a.achieved_lambda - b.achieved_lambda) <= 1e-9
     assert abs(a.lambda_bound - b.lambda_bound) <= 1e-9
+
+
+# Frozen union-based provenance: the least parent simplex containing a
+# subdivision simplex, and the composition through an earlier provenance,
+# as both were computed before they were read off the top of a chain.
+
+
+def least_containing_simplex(parent, prov, sigma_sub):
+    union = set()
+    for v in sigma_sub:
+        union.update(prov.of(v))
+    sigma = tuple(sorted(union))
+    assert sigma in parent.simplices
+    return sigma
+
+
+def union_compose(sets, older_sets):
+    return {v: tuple(sorted(set().union(*(older_sets[j] for j in js))))
+            for v, js in sets.items()}
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_subdivision_provenance_matches_union(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 7))
+    tops = [tuple(rng.choice(n, size=int(rng.integers(1, 4)), replace=False).tolist())
+            for _ in range(int(rng.integers(1, 4)))]
+    cplx = simplicial.SimplicialComplex.from_maximal(tops)
+    iota = simplicial.VertexMap(spaces.ModelSpace.euclidean(2),
+                                {v: rng.uniform(-1.0, 1.0, 2) for v in cplx.vertices})
+    res = sd.iterate_subdivision(cplx, iota, math.sqrt(3) / 2, int(rng.integers(1, 4)))
+    total = {v: (v,) for v in cplx.vertices}
+    for st_rec, vertex_of in zip(res.record.stages, res.stage_vertex_of):
+        # a stage's provenance maps its new ids back to its parent's simplices
+        parent = simplicial.SimplicialComplex([], vertex_of)
+        prov = simplicial.SubdivisionProvenance({v: J for J, v in vertex_of.items()})
+        for e, _, lcs, _ in st_rec.sub_rows:
+            assert lcs == least_containing_simplex(parent, prov, e)
+        total = union_compose(prov.sets, total)
+    assert [row[1] for row in res.record.displacement_rows] == [
+        total[v] for v in sorted(res.complex.vertices)]

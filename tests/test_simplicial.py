@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from barylab import simplicial, spaces
-from barylab.errors import ProvenanceCorruption, UnknownSimplex
+from barylab.errors import UnknownSimplex
 
 E2 = spaces.ModelSpace.euclidean(2)
 
@@ -62,6 +62,13 @@ def test_subdivision_triangle_counts_against_oracle():
     vertex_of = {J: v for v, J in prov.sets.items()}
     oracle = {tuple(sorted(vertex_of[J] for J in c)) for c in chains}
     assert oracle == sub.simplices
+    # the kept tables: the inverse map and every face's strict cofaces
+    assert prov.vertex_of == vertex_of
+    assert {J: sorted(T) for J, T in prov.cofaces.items()} == {
+        J: sorted(T for T in faces if set(J) < set(T)) for J in faces}
+    # ids ascend along every chain, so a simplex's last vertex is its top face
+    for c in chains:
+        assert [vertex_of[J] for J in c] == sorted(vertex_of[J] for J in c)
 
 
 def test_subdivision_zero_dimensional():
@@ -136,29 +143,6 @@ def test_map_diameter_edges_equal_all_simplices():
         d_edges = simplicial.map_diameter(cplx, iota)
         d_all = simplicial.map_diameter_all_simplices(cplx, iota)
         assert abs(d_edges - d_all) < 1e-12
-
-
-def test_least_containing_simplex():
-    edge = simplicial.SimplicialComplex.from_maximal([(0, 1)])
-    sub, prov = simplicial.barycentric_subdivision(edge)
-    mid = next(v for v, J in prov.sets.items() if J == (0, 1))
-    assert simplicial.least_containing_simplex(edge, prov, (0, mid)) == (0, 1)
-
-    tri = simplicial.SimplicialComplex.from_maximal([(0, 1, 2)])
-    sub, prov = simplicial.barycentric_subdivision(tri)
-    bary = next(v for v, J in prov.sets.items() if J == (0, 1, 2))
-    e01 = next(v for v, J in prov.sets.items() if J == (0, 1))
-    assert simplicial.least_containing_simplex(tri, prov, (bary,)) == (0, 1, 2)
-    assert simplicial.least_containing_simplex(
-        tri, prov, tuple(sorted((0, e01, bary)))) == (0, 1, 2)
-
-    # corrupted provenance: a union that spans nothing
-    two = simplicial.SimplicialComplex.from_maximal([(0, 1), (2, 3)])
-    sub2, prov2 = simplicial.barycentric_subdivision(two)
-    m01 = next(v for v, J in prov2.sets.items() if J == (0, 1))
-    m23 = next(v for v, J in prov2.sets.items() if J == (2, 3))
-    with pytest.raises(ProvenanceCorruption):
-        simplicial.least_containing_simplex(two, prov2, (m01, m23))
 
 
 def test_provenance_compose():

@@ -32,7 +32,7 @@ def equilateral():
 
 def test_edge_single_step():
     cplx, iota = unit_edge()
-    sub, iota1, record, prov = sd.shrinking_subdivide(cplx, iota, 0.5)
+    sub, iota1, record, prov, _ = sd.shrinking_subdivide(cplx, iota, 0.5)
     mid = next(v for v, J in prov.sets.items() if J == (0, 1))
     assert abs(iota1(mid)[0] - 0.5) < 1e-12
     for _, after, _, before in record.sub_rows:
@@ -41,7 +41,7 @@ def test_edge_single_step():
 
 def test_triangle_single_step_six_subtriangles():
     cplx, iota = equilateral()
-    sub, iota1, record, prov = sd.shrinking_subdivide(cplx, iota, SQ32)
+    sub, iota1, record, prov, _ = sd.shrinking_subdivide(cplx, iota, SQ32)
     tris = sub.simplices_of_dim(2)
     assert len(tris) == 6
     # exhaustive diameter check of the six images
@@ -53,7 +53,7 @@ def test_triangle_single_step_six_subtriangles():
 def test_zero_dimensional_complex():
     cplx = simplicial.SimplicialComplex.from_maximal([(0,), (1,)])
     iota = simplicial.VertexMap(E1, {0: np.array([0.0]), 1: np.array([5.0])})
-    sub, iota1, record, _ = sd.shrinking_subdivide(cplx, iota, 0.5)
+    sub, iota1, record, _, _ = sd.shrinking_subdivide(cplx, iota, 0.5)
     assert sub.simplices == cplx.simplices
     assert record.sub_rows == []
 
@@ -137,8 +137,8 @@ def test_equivariant_propagation_exact():
     h = spaces.Isometry.euclidean_translation([2.0])
     equiv = sd.EquivariantStructure([(h, {0: 2, 1: 3}),
                                      (h.inverse(), {2: 0, 3: 1})])
-    sub, iota1, record, prov = sd.shrinking_subdivide(cplx, iota, 0.5,
-                                                      equivariance=equiv)
+    sub, iota1, record, prov, _ = sd.shrinking_subdivide(cplx, iota, 0.5,
+                                                         equivariance=equiv)
     v01 = next(v for v, J in prov.sets.items() if J == (0, 1))
     v23 = next(v for v, J in prov.sets.items() if J == (2, 3))
     assert np.array_equal(iota1(v23), h.apply(iota1(v01)))
@@ -173,7 +173,7 @@ def test_subdivision_coordinates_position_preserved():
     from barylab.retraction import subdivision_coordinates
 
     cplx, iota = equilateral()
-    sub, iota1, _, prov = sd.shrinking_subdivide(cplx, iota, SQ32)
+    sub, iota1, _, prov, _ = sd.shrinking_subdivide(cplx, iota, SQ32)
     vertex_of = {J: v for v, J in prov.sets.items()}
     rng = np.random.default_rng(5)
     for _ in range(50):
@@ -194,6 +194,86 @@ def test_subdivision_coordinates_position_preserved():
 
 # ---------------------------------------------------------------------------
 # level batching: labels bit-identical to a per-simplex _solve_label loop
+#
+# Frozen reference: the incidence star, the orbit search over provenance sets
+# and the lift of the action, as subdivision.py computed them before it read
+# stars off the coface table and orbits off the lifted maps.
+
+
+def _incidence(complex_):
+    inc = {v: [] for v in complex_.vertices}
+    for s in complex_.simplices:
+        for v in s:
+            inc[v].append(s)
+    return inc
+
+
+def _star(inc, J):
+    out = set(inc[J[0]])
+    for v in J[1:]:
+        out &= set(inc[v])
+    return out
+
+
+def _orbit_assignments(new_sets, equivariance):
+    """BFS orbits of provenance sets under the partial action.
+
+    Returns dict J -> (rep_J, isometry mapping rep labels to J's labels),
+    with rep the lexicographically smallest member reachable from J.
+    """
+    set_index = {J: None for J in new_sets}
+    # build directed edges J -> (image, h)
+    edges = {J: [] for J in new_sets}
+    for h, vmap in equivariance.maps:
+        for J in new_sets:
+            if all(v in vmap for v in J):
+                img = tuple(sorted(vmap[v] for v in J))
+                if img in set_index:
+                    edges[J].append((img, h))
+    # connected components, deterministic BFS from lex-min roots
+    assigned = {}
+    for root in sorted(new_sets, key=lambda J: (len(J), J)):
+        if root in assigned:
+            continue
+        # find the component and its lex-min member first
+        comp = {root}
+        stack = [root]
+        while stack:
+            cur = stack.pop()
+            for img, _ in edges[cur]:
+                if img not in comp:
+                    comp.add(img)
+                    stack.append(img)
+        rep = min(comp, key=lambda J: (len(J), J))
+        ident_paths = {rep: None}  # isometry carrying rep to J
+        frontier = [rep]
+        while frontier:
+            nxt = []
+            for cur in sorted(frontier):
+                for img, h in sorted(edges[cur], key=lambda e: e[0]):
+                    if img not in ident_paths:
+                        prev = ident_paths[cur]
+                        ident_paths[img] = h if prev is None else h.compose(prev)
+                        nxt.append(img)
+            frontier = nxt
+        for J in comp:
+            assigned[J] = (rep, ident_paths.get(J))
+    return assigned
+
+
+def _lift_equivariance(equiv, prov):
+    """Lift partial vertex maps through one barycentric subdivision."""
+    vertex_of = {J: v for v, J in prov.sets.items()}
+    lifted = []
+    for h, vmap in equiv.maps:
+        new_map = {}
+        for J, v in vertex_of.items():
+            if all(u in vmap for u in J):
+                img = tuple(sorted(vmap[u] for u in J))
+                if img in vertex_of:
+                    new_map[v] = vertex_of[img]
+        lifted.append((h, new_map))
+    return sd.EquivariantStructure(lifted)
 
 
 def reference_labels(cplx, iota, lam, equivariance=None):
@@ -205,8 +285,8 @@ def reference_labels(cplx, iota, lam, equivariance=None):
     vertex_of = {J: v for v, J in prov.sets.items()}
     labels = dict(iota.assignment)
     new_sets = sorted((J for J in vertex_of if len(J) >= 2), key=lambda J: (len(J), J))
-    inc = sd._incidence(cplx)
-    orbit = (sd._orbit_assignments(new_sets, equivariance)
+    inc = _incidence(cplx)
+    orbit = (_orbit_assignments(new_sets, equivariance)
              if equivariance is not None else None)
     for J in new_sets:
         if orbit is not None and orbit[J][0] != J:
@@ -215,7 +295,7 @@ def reference_labels(cplx, iota, lam, equivariance=None):
             continue
         faces = [vertex_of[c] for k in range(1, len(J))
                  for c in itertools.combinations(J, k)]
-        room = {vertex_of[c] for T in sd._star(inc, J) for k in range(1, len(J))
+        room = {vertex_of[c] for T in _star(inc, J) for k in range(1, len(J))
                 for c in itertools.combinations(T, k)}
         P = [labels[v] for v in faces]
         Q = [labels[v] for v in sorted(room - set(faces))]
@@ -224,7 +304,7 @@ def reference_labels(cplx, iota, lam, equivariance=None):
 
 
 def assert_same_labels(cplx, iota, lam, equivariance=None):
-    _, iota1, _, _ = sd.shrinking_subdivide(cplx, iota, lam, equivariance=equivariance)
+    _, iota1, *_ = sd.shrinking_subdivide(cplx, iota, lam, equivariance=equivariance)
     want = reference_labels(cplx, iota, lam, equivariance)
     assert set(iota1.assignment) == set(want)
     for v, b in want.items():
@@ -263,13 +343,13 @@ def test_batched_labels_bit_identical(space):
     cplx, iota = jittered_strip(space, 6, seed=3, scale=0.2)
     assert_same_labels(cplx, iota, SQ32)
     # the next stage labels the subdivided complex, with longer rows
-    sub, iota1, _, _ = sd.shrinking_subdivide(cplx, iota, SQ32)
+    sub, iota1, *_ = sd.shrinking_subdivide(cplx, iota, SQ32)
     assert_same_labels(sub, iota1, SQ32)
 
 
-@pytest.mark.parametrize("space", [E2, H2], ids=["R2", "H2"])
-def test_batched_labels_bit_identical_equivariant(space):
-    n = 6
+def boost_strip(space, n=6):
+    """Strip whose vertex v + 2 is the image of v under one boost (H^2) or
+    translation (R^2), with that action and its inverse as partial maps."""
     cplx = strip(n)
     if space.kind == spaces.HYPERBOLOID:
         h = spaces.Isometry.hyperbolic_boost(0.3)
@@ -288,7 +368,30 @@ def test_batched_labels_bit_identical_equivariant(space):
     equiv = sd.EquivariantStructure([
         (h, {v: v + 2 for v in cplx.vertices if v + 2 <= last}),
         (h.inverse(), {v: v - 2 for v in cplx.vertices if v >= 2})])
+    return cplx, iota, equiv
+
+
+@pytest.mark.parametrize("space", [E2, H2], ids=["R2", "H2"])
+def test_batched_labels_bit_identical_equivariant(space):
+    cplx, iota, equiv = boost_strip(space)
     assert_same_labels(cplx, iota, SQ32, equiv)
+
+
+@pytest.mark.parametrize("space", [E2, H2], ids=["R2", "H2"])
+def test_iterated_equivariant_labels_bit_identical(space):
+    """Two stages reuse the action each stage lifts; the reference labels
+    every stage per simplex and lifts the action between stages."""
+    cplx, iota, equiv = boost_strip(space)
+    res = sd.iterate_subdivision(cplx, iota, SQ32, 2, equivariance=equiv)
+    for _ in range(2):
+        labels = reference_labels(cplx, iota, SQ32, equiv)
+        cplx, prov = simplicial.barycentric_subdivision(cplx)
+        equiv = _lift_equivariance(equiv, prov)
+        iota = simplicial.VertexMap(space, labels)
+    assert res.complex.simplices == cplx.simplices
+    assert set(res.iota.assignment) == set(labels)
+    for v, b in labels.items():
+        assert np.array_equal(res.iota(v), b), v
 
 
 def test_batched_labels_zero_dimensional():
@@ -312,7 +415,7 @@ def test_batched_labels_finite():
     F = spaces.ModelSpace.finite([[abs(i - j) for j in range(5)] for i in range(5)])
     cplx = simplicial.SimplicialComplex.from_maximal([(0, 1), (1, 2)])
     iota = simplicial.VertexMap(F, {0: 0, 1: 2, 2: 4})
-    _, iota1, _, prov = sd.shrinking_subdivide(cplx, iota, 0.5)
+    _, iota1, _, prov, _ = sd.shrinking_subdivide(cplx, iota, 0.5)
     assert_same_labels(cplx, iota, 0.5)
     labels = {prov.of(v): iota1(v) for v in iota1.assignment}
     assert labels[(0, 1)] == 1 and labels[(1, 2)] == 3
@@ -333,7 +436,7 @@ def test_rule_rejected_row_reaches_grid_solver(monkeypatch):
 
     monkeypatch.setattr(barycenters, "solve_barycenter", counted)
     cplx, iota = equilateral()
-    _, iota1, _, prov = sd.shrinking_subdivide(cplx, iota, 0.6)
+    _, iota1, _, prov, _ = sd.shrinking_subdivide(cplx, iota, 0.6)
     assert calls == [6]
     center = next(v for v, J in prov.sets.items() if J == (0, 1, 2))
     assert barycenters.lambda_of(

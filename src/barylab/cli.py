@@ -112,6 +112,7 @@ def cmd_subdivide(args):
         order = int(args.order if args.order is not None else doc.get("order", 1))
         if order < 0:
             raise ValueError(f"order {order} is negative")
+        simplicial.check_budget(complex_.counts, order)
     except (KeyError, TypeError, ValueError, OSError, json.JSONDecodeError,
             GeometryError) as exc:
         print(f"barylab subdivide: bad input: {exc}", file=sys.stderr)

@@ -76,3 +76,7 @@ class StagedPreconditionError(GeometryError):
 
 class PipelineInconsistency(GeometryError):
     """An internal consistency guarantee was violated upstream."""
+
+
+class SubdivisionBudget(GeometryError):
+    """A subdivision would exceed its element budget (nothing allocated)."""

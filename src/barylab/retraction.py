@@ -220,24 +220,32 @@ def angle_to_C(body, q, q_prime):
 
 def angle_to_C_batch(body, Q, q_prime):
     """Vectorized angle_to_C over rows of Q (2d Euclidean / hyperboloid)."""
+    return _angles_to_C(body, Q)(q_prime)
+
+
+def _angles_to_C(body, Q):
+    """angle_to_C_batch as a function of q'; the terms of Q alone (its
+    projection, the direction to it, in H^n its length) are computed once."""
     Q = np.asarray(Q, float)
     P = body.project_batch(Q)
-    qp = np.asarray(q_prime, float)
     if body.space.kind == spaces.EUCLIDEAN:
-        u1 = qp[None, :] - Q
-        u2 = P - Q
-        u1 = u1 / np.linalg.norm(u1, axis=1)[:, None]
-        u2 = u2 / np.linalg.norm(u2, axis=1)[:, None]
-        return np.arccos(np.clip(np.sum(u1 * u2, axis=1), -1.0, 1.0))
-    QP = np.tile(qp, (len(Q), 1))
-    c1 = _mdot_rows(Q, QP)
+        u2 = (P - Q) / np.linalg.norm(P - Q, axis=1)[:, None]
+
+        def angles(q_prime):
+            u1 = np.asarray(q_prime, float)[None, :] - Q
+            u1 = u1 / np.linalg.norm(u1, axis=1)[:, None]
+            return np.arccos(np.clip(np.sum(u1 * u2, axis=1), -1.0, 1.0))
+        return angles
     c2 = _mdot_rows(Q, P)
-    u1 = QP + c1[:, None] * Q
-    u2 = P + c2[:, None] * Q
-    s1 = np.sqrt(np.maximum(c1 * c1 - 1.0, 1e-300))
-    s2 = np.sqrt(np.maximum(c2 * c2 - 1.0, 1e-300))
-    cosang = _mdot_rows(u1, u2) / (s1 * s2)
-    return np.arccos(np.clip(cosang, -1.0, 1.0))
+    u2, s2 = P + c2[:, None] * Q, np.sqrt(np.maximum(c2 * c2 - 1.0, 1e-300))
+
+    def angles(q_prime):
+        QP = np.tile(np.asarray(q_prime, float), (len(Q), 1))
+        c1 = _mdot_rows(Q, QP)
+        u1 = QP + c1[:, None] * Q
+        s1 = np.sqrt(np.maximum(c1 * c1 - 1.0, 1e-300))
+        return np.arccos(np.clip(_mdot_rows(u1, u2) / (s1 * s2), -1.0, 1.0))
+    return angles
 
 
 def check_large_angle_escape(body, eps, q, q_prime, samples=100,
@@ -569,9 +577,12 @@ def check_small_relative(body, eps, action, K_samples, K_out_samples,
         d = body.dist(p)
         out_aug.append(normal_flow(body, p, -min(0.5 * delta_prime, d - eps - tol)))
     sig_arr = np.asarray([p for _, p in sigma_samples])
-    A = np.stack([angle_to_C_batch(body, sig_arr, qp) for qp in out_aug], axis=1)
-    m1 = _pair_variation(A, [p for _, p in sigma_samples], space, delta, axis=0)
-    m2 = _pair_variation(A, out_aug, space, delta_prime, axis=1)
+    angles = _angles_to_C(body, sig_arr)
+    At = np.empty((len(out_aug), len(sig_arr)))  # one row of angles per q'
+    for j, qp in enumerate(out_aug):
+        At[j] = angles(qp)
+    m1 = _pair_variation(At, sig_arr, space, delta, axis=1)
+    m2 = _pair_variation(At, out_aug, space, delta_prime, axis=0)
     variation = m1 + m2
     cond3_ok = variation <= gate + tol
     return SmallnessReport(alpha, delta, delta_prime, cond1_ok,
@@ -582,14 +593,13 @@ def check_small_relative(body, eps, action, K_samples, K_out_samples,
 def _pair_variation(A, points, space, radius, axis):
     """Max |A difference| over index pairs whose points are within radius."""
     pts = np.asarray(points)
+    rows = A if axis == 0 else np.ascontiguousarray(A.T)
     worst = 0.0
     for i in range(len(pts)):
         d = spaces.distances_to(space, pts[i + 1:], pts[i])
         js = i + 1 + np.nonzero(d <= radius)[0]
         if len(js):
-            diff = np.abs(A[i] - A[js]) if axis == 0 else \
-                np.abs(A[:, i, None] - A[:, js])
-            worst = max(worst, float(np.max(diff)))
+            worst = max(worst, float(np.max(np.abs(rows[i] - rows[js]))))
     return worst
 
 
@@ -620,8 +630,8 @@ class PushOff:
         Returns (image point, final cell vertex ids).
         """
         w = {int(v): float(x) for v, x in zip(support, weights) if x > 0.0}
-        for vertex_of in self.sub_result.stage_vertex_of:
-            w = subdivision_coordinates(w, vertex_of)
+        for prov in self.sub_result.provs:
+            w = subdivision_coordinates(w, prov.vertex_of)
         space = self.grid.body.space
         items = sorted(w.items())
         acc, W = None, 0.0
@@ -700,14 +710,14 @@ def extend_to_pushoff(grid, lam, n, delta_prime, alpha=ALPHA_DEFAULT):
         grid.nerve, grid.iota, lam, n, equivariance=equiv)
     complex_, iota = result.complex, result.iota
 
-    full_diam = max((d for _, d in result.record.final_edge_rows), default=0.0)
+    full_diam = float(np.max(result.record.final_diams, initial=0.0))
     if full_diam > delta_prime + tol:
         raise StagedPreconditionError(
             "full-tightness",
             f"diam(iota_n) = {full_diam:.3e} > delta' = {delta_prime:.3e}")
 
     push_dist = float(np.min(grid.body.dist_batch(
-        [iota(v) for v in complex_.vertices]))) - grid.eps
+        [iota(v) for v in complex_.ids.tolist()]))) - grid.eps
     if push_dist <= 0.0:
         raise StagedPreconditionError(
             "image-outside", "subdivided images do not stay outside the "

@@ -307,7 +307,7 @@ def run_pipeline(scene, lam=None, order=None, density=200, seed=0):
     report.extension = {
         "full_map_diameter": full_diam,
         "push_off_distance_n": push_dist,
-        "subdivision_vertices": len(sub.complex.vertices),
+        "subdivision_vertices": len(sub.complex.ids),
         "max_stage_ratio": max((st.max_ratio() for st in sub.record.stages),
                                default=0.0),
     }

@@ -1,64 +1,149 @@
-"""Abstract simplicial complexes, barycentric subdivision with provenance, rooms.
+"""Simplicial complexes as integer arrays, barycentric subdivision with
+provenance, rooms.
 
-Vertices are opaque integers; a simplex is a sorted tuple of vertex ids and
-the simplex set is closed under taking faces (validate() reports violations).
-Barycentric subdivision keeps original vertex ids for singletons and assigns
-fresh ids to proper barycenters, recording for every subdivision vertex the
-set J of original ids it barycenters.  New ids ascend in (|J|, J) order above
-every original id, so the ids of a subdivision simplex ascend along its chain
-J_1 < ... < J_k and its last (largest) vertex barycenters its top face J_k.
+faces[k] holds the k-simplices as ascending rows of vertex ids, rows in
+lexicographic order; gid offsets[k] + row numbers all simplices in (|J|, J)
+order.  Barycentric subdivision keeps singleton ids and numbers the other J
+above every original id in (|J|, J) order: its vertex row r barycenters gid
+r, ids ascend along every chain J_1 < ... < J_k, and the last vertex is J_k.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import UnknownSimplex
+import numpy as np
+
+from .errors import SubdivisionBudget, UnknownSimplex
 from . import spaces
 
+# Largest complex, in simplices, that barycentric_subdivision builds.  The
+# order-3 half-window hyperbolic_axis run builds 1,126,369 simplices at its
+# last stage and peaks at 256 MB; a triangle strip in R^2 whose sixth stage
+# builds 3,780,993 peaks at 528 MB, so a stage at the budget stays far below
+# a 2 GB address space.  A triangle grows 6-fold a stage: order 8 exceeds it.
+SUBDIVISION_BUDGET = 4_000_000
 
-def _norm(simplex):
-    return tuple(sorted(simplex))
+
+def _find(keys, rows):
+    """Row of each of `rows` (ascending vertex ids) in the face array whose
+    keys are keys[k] (keys[0]: the vertex ids); -1 where absent."""
+    v0, idx = keys[0], None
+    for j in range(rows.shape[1]):
+        pos = np.searchsorted(v0, rows[:, j])
+        hit = v0[np.minimum(pos, len(v0) - 1)] == rows[:, j]
+        if j:
+            key = idx * len(v0) + pos
+            pos = np.searchsorted(keys[j], key)
+            hit &= (idx >= 0) & (keys[j][np.minimum(pos, len(keys[j]) - 1)] == key)
+        idx = np.where(hit, pos, -1)
+    return idx
+
+
+@functools.lru_cache(maxsize=None)
+def _columns(d):
+    """The faces of a d-simplex as vertex positions, in face-table order."""
+    return [c for m in range(1, d + 2) for c in itertools.combinations(range(d + 1), m)]
+
+
+@functools.lru_cache(maxsize=None)
+def _flag_pattern(d):
+    """Per length L, the face-table columns of every chain of L faces of a
+    d-simplex that ends at the simplex."""
+    col = {frozenset(c): i for i, c in enumerate(_columns(d))}
+    level, out = [(frozenset(range(d + 1)),)], []
+    while level:
+        out.append(np.array([[col[s] for s in ch] for ch in level], dtype=np.intp))
+        level = [(s,) + ch for ch in level for s in col if s < ch[0]]
+    return out
+
+
+def _flags(n, length):
+    """Chains of `length` faces of an (n-1)-simplex ending at the simplex:
+    the surjections of its n vertices onto `length` ordered levels."""
+    return sum((-1) ** j * math.comb(length, j) * (length - j) ** n for j in range(length + 1))
+
+
+def check_budget(counts, stages=1):
+    """Raise SubdivisionBudget, allocating nothing, if one of `stages`
+    subdivisions of a complex of `counts` simplices by dimension is too big."""
+    for stage in range(1, stages + 1):
+        counts = [sum(n * _flags(k + 1, length) for k, n in enumerate(counts))
+                  for length in range(1, len(counts) + 1)]
+        if sum(counts) > SUBDIVISION_BUDGET:
+            raise SubdivisionBudget(
+                f"subdivision stage {stage} would build {sum(counts)} simplices, "
+                f"above the budget of {SUBDIVISION_BUDGET}")
 
 
 class SimplicialComplex:
-    def __init__(self, vertices, simplices):
-        self.vertices = frozenset(int(v) for v in vertices)
-        self.simplices = frozenset(_norm(s) for s in simplices)
-        self.dimension = max((len(s) for s in self.simplices), default=0) - 1
+    def __init__(self, vertices, simplices=(), faces=None):
+        """From vertex ids and simplices, or from sorted face arrays."""
+        if faces is None:
+            simplices = [sorted(map(int, s)) for s in simplices if len(s)]
+            faces = [np.unique(np.array([s for s in simplices if len(s) == k + 1],
+                                        dtype=np.int64).reshape(-1, k + 1), axis=0)
+                     for k in range(max([2, *map(len, simplices)]))]
+        self.ids = np.unique(np.fromiter(map(int, vertices), dtype=np.int64))
+        self.faces, self.counts = faces, [len(F) for F in faces]
+        self.offsets = np.cumsum([0] + self.counts)
+        self.dimension = max((k for k, n in enumerate(self.counts) if n), default=-1)
 
     @staticmethod
     def from_maximal(simplices):
         """Close the given simplices under taking faces."""
-        closed = set()
-        verts = set()
-        for s in simplices:
-            s = _norm(s)
-            verts.update(s)
-            for k in range(1, len(s) + 1):
-                closed.update(itertools.combinations(s, k))
-        return SimplicialComplex(verts, closed)
+        simplices = [tuple(sorted(s)) for s in simplices]
+        return SimplicialComplex({v for s in simplices for v in s}, {
+            c for s in simplices for k in range(1, len(s) + 1)
+            for c in itertools.combinations(s, k)})
 
-    def __contains__(self, simplex):
-        return _norm(simplex) in self.simplices
+    @cached_property
+    def _keys(self):
+        """Row keys: prefix row * n_0 + last vertex row, ascending per array."""
+        keys = [self.faces[0][:, 0]]
+        for F in self.faces[1:]:
+            keys.append(_find(keys, F[:, :-1]) * len(keys[0])
+                        + np.searchsorted(keys[0], F[:, -1]))
+        return keys
+
+    def find(self, rows):
+        """Row of each of `rows` (ascending ids) in its face array, or -1."""
+        return _find(self._keys, rows)
+
+    @cached_property
+    def face_tables(self):
+        """Per dimension d, the gids of every d-simplex's 2**(d+1) - 1 faces
+        in (size, combinations) order, itself last, found by the keys."""
+        tables = []
+        for d, F in enumerate(self.faces):
+            combos = [list(itertools.combinations(range(d + 1), m + 1)) for m in range(d + 1)]
+            tables.append(np.hstack([
+                self.find(F[:, c].reshape(-1, m + 1)).reshape(len(F), len(c))
+                + self.offsets[m] for m, c in enumerate(combos)]))
+        return tables
+
+    @cached_property
+    def vertices(self):
+        return frozenset(self.ids.tolist())
+
+    @cached_property
+    def simplices(self):
+        return frozenset(tuple(r) for F in self.faces for r in F.tolist())
 
     def simplices_of_dim(self, k):
-        return sorted(s for s in self.simplices if len(s) == k + 1)
+        return [tuple(r) for r in self.faces[k].tolist()] if k < len(self.faces) else []
 
     @cached_property
     def edges(self):
         return tuple(self.simplices_of_dim(1))
 
-    def star_simplices(self, sigma):
-        """All simplices containing sigma."""
-        sigma = set(_norm(sigma))
-        return sorted(s for s in self.simplices if sigma <= set(s))
-
     def to_json(self):
-        return {"vertices": sorted(self.vertices),
+        return {"vertices": self.ids.tolist(),
                 "simplices": [list(s) for s in sorted(self.simplices)]}
 
     @staticmethod
@@ -77,8 +162,6 @@ def validate(complex_):
     for s in sorted(complex_.simplices):
         if len(set(s)) != len(s):
             violations.append(f"simplex {s} repeats a vertex")
-        if tuple(sorted(s)) != s:
-            violations.append(f"simplex {s} is not sorted")
         for v in s:
             if v not in complex_.vertices:
                 violations.append(f"simplex {s} uses unknown vertex {v}")
@@ -89,84 +172,67 @@ def validate(complex_):
     return violations
 
 
-@dataclass
+@dataclass(eq=False)
 class SubdivisionProvenance:
-    """Map from every subdivision vertex id to the original vertex set it
-    barycenters.  barycentric_subdivision also keeps the inverse map
-    J -> id (vertex_of) and every J's strict cofaces in the parent."""
+    """Vertex row r of a subdivision, id ids[r], barycenters the simplex of
+    gid face[r] of `parent`."""
 
-    sets: dict[int, tuple[int, ...]] = field(default_factory=dict)
-    vertex_of: dict[tuple[int, ...], int] = field(default_factory=dict)
-    cofaces: dict[tuple[int, ...], list] = field(default_factory=dict)
+    ids: np.ndarray
+    parent: SimplicialComplex
+    face: np.ndarray
+
+    @cached_property
+    def sets(self):
+        simplices = [tuple(r) for F in self.parent.faces for r in F.tolist()]
+        return dict(zip(self.ids.tolist(), (simplices[g] for g in self.face.tolist())))
+
+    @cached_property
+    def vertex_of(self):
+        return {J: v for v, J in self.sets.items()}
 
     def of(self, vertex):
         return self.sets[vertex]
 
     def compose(self, older):
-        """Resolve through an earlier subdivision provenance so sets refer to
-        the original complex.  Each J here is a simplex of the older
-        subdivision, a chain whose sets grow with its ids, so its set is
-        that of its last vertex."""
-        return SubdivisionProvenance({v: older.sets[js[-1]]
-                                      for v, js in self.sets.items()})
-
-    @staticmethod
-    def identity(complex_):
-        return SubdivisionProvenance({v: (v,) for v in complex_.vertices})
+        """Resolve through an earlier subdivision's provenance, in one
+        gather: a simplex of this parent is a chain of older's subdivision
+        whose sets grow with its ids, so its set is its last vertex's."""
+        last = np.searchsorted(older.ids, np.concatenate([F[:, -1] for F in self.parent.faces]))
+        return SubdivisionProvenance(self.ids, older.parent, older.face[last[self.face]])
 
 
 def barycentric_subdivision(complex_):
-    """Barycentric subdivision with vertex provenance.
-
-    Subdivision vertices are the simplices J of the input; k-simplices are
-    strict chains J_1 < ... < J_{k+1}.  Singleton vertices keep their ids.
-    """
-    prov = SubdivisionProvenance()
-    vertex_of = prov.vertex_of
-    next_id = max(complex_.vertices, default=-1) + 1
-    for s in sorted(complex_.simplices, key=lambda s: (len(s), s)):
-        if len(s) == 1:
-            vertex_of[s] = s[0]
-            prov.sets[s[0]] = s
-        else:
-            vertex_of[s] = next_id
-            prov.sets[next_id] = s
-            next_id += 1
-
-    cofaces = prov.cofaces = {s: [] for s in complex_.simplices}
-    for t in complex_.simplices:
-        for k in range(1, len(t)):
-            for s in itertools.combinations(t, k):
-                if s in cofaces:
-                    cofaces[s].append(t)
-
-    new_simplices = set()
-
-    def grow(chain_ids, last):
-        # ids ascend along a chain, so chain_ids is already sorted
-        new_simplices.add(chain_ids)
-        for bigger in cofaces[last]:
-            grow(chain_ids + (vertex_of[bigger],), bigger)
-
-    for s in complex_.simplices:
-        grow((vertex_of[s],), s)
-
-    sub = SimplicialComplex(vertex_of.values(), new_simplices)
-    return sub, prov
+    """Barycentric subdivision with vertex provenance: the vertices are the
+    simplices J of the input, the k-simplices the chains J_1 < ... < J_{k+1},
+    one flag pattern per simplex dimension applied to the face tables.
+    Raises SubdivisionBudget above SUBDIVISION_BUDGET simplices."""
+    check_budget(complex_.counts)
+    n, top = int(complex_.offsets[-1]), complex_.dimension
+    start = int(complex_.ids.max(initial=-1)) + 1
+    ids = np.concatenate([complex_.faces[0][:, 0],
+                          np.arange(start, start + n - complex_.counts[0])])
+    keys = [np.arange(n)]  # chains in gid space (vertex rows), sorted by key
+    rows = [keys[0][:, None]]
+    for length in range(2, max(top, 1) + 2):
+        chains = np.concatenate([np.zeros((0, length), dtype=np.int64)] + [
+            complex_.face_tables[d][:, _flag_pattern(d)[length - 1]].reshape(-1, length)
+            for d in range(length - 1, top + 1)])
+        key = _find(keys, chains[:, :-1]) * n + chains[:, -1]
+        order = np.argsort(key)
+        rows.append(chains[order])
+        keys.append(key[order])
+    sub = SimplicialComplex(ids, faces=[ids[r] for r in rows])
+    sub._keys = [ids] + keys[1:]
+    return sub, SubdivisionProvenance(ids, complex_, np.arange(n))
 
 
 def room(complex_, sigma):
     """Closure of the union of all simplices of the complex containing sigma."""
-    sigma = _norm(sigma)
+    sigma = tuple(sorted(sigma))
     if sigma not in complex_.simplices:
         raise UnknownSimplex(f"simplex {sigma} not in complex")
-    closed = set()
-    verts = set()
-    for s in complex_.star_simplices(sigma):
-        verts.update(s)
-        for k in range(1, len(s) + 1):
-            closed.update(itertools.combinations(s, k))
-    return SimplicialComplex(verts, closed)
+    return SimplicialComplex.from_maximal(
+        s for s in complex_.simplices if set(sigma) <= set(s))
 
 
 @dataclass
@@ -180,7 +246,7 @@ class VertexMap:
         return self.assignment[vertex]
 
     def check_total(self, complex_):
-        missing = sorted(v for v in complex_.vertices if v not in self.assignment)
+        missing = [v for v in complex_.ids.tolist() if v not in self.assignment]
         if missing:
             raise KeyError(f"vertex map misses vertices {missing[:5]}")
 
@@ -197,19 +263,5 @@ class VertexMap:
 def map_diameter(complex_, iota):
     """max over simplices of the image diameter; equal to the max over edges."""
     iota.check_total(complex_)
-    best = 0.0
-    for (u, v) in complex_.edges:
-        d = spaces.distance(iota.target, iota(u), iota(v))
-        if d > best:
-            best = d
-    return best
-
-
-def map_diameter_all_simplices(complex_, iota):
-    """Reference evaluation over every simplex (oracle for the edge shortcut)."""
-    iota.check_total(complex_)
-    best = 0.0
-    for s in complex_.simplices:
-        best = max(best, spaces.pairwise_diameter(iota.target, [iota(v) for v in s]))
-    return best
-
+    return max((spaces.distance(iota.target, iota(u), iota(v)) for u, v in complex_.edges),
+               default=0.0)

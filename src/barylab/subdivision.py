@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,50 +21,55 @@ from .errors import DiameterTooLarge, ModelSpaceViolation, NoBarycenter
 
 @dataclass
 class EquivariantStructure:
-    """Partial simplicial action: per group element, a partial vertex map."""
+    """Partial simplicial action: per group element, a partial vertex map,
+    a dict of vertex ids or an array over the complex's vertex rows (-1
+    where undefined)."""
 
-    maps: list  # list of (Isometry, dict[vertex -> vertex])
+    maps: list  # list of (Isometry, vertex map)
 
 
 @dataclass
 class StageRecord:
-    """One subdivision stage: per-sub-simplex and per-parent diameter data."""
+    """One stage's columns: per sub-edge, per parent simplex in gid order."""
 
     stage: int
     lam: float
-    # (sub_simplex, diam_after, parent_simplex, diam_before)
-    sub_rows: list = field(default_factory=list)
-    # (parent_simplex, diam_of_contained_subdivision_vertices, diam_before)
-    parent_rows: list = field(default_factory=list)
+    edges: np.ndarray  # (n, 2) sub-edge vertex ids, in lexicographic order
+    after: np.ndarray  # image length of each sub-edge
+    before: np.ndarray  # image diameter of its least containing parent
+    inside: np.ndarray  # per parent: diameter of its contained vertices' images
+    parent_diams: np.ndarray  # per parent: its image diameter
 
     def max_ratio(self):
-        worst = 0.0
-        for _, after, _, before in self.sub_rows:
-            if before > 0:
-                worst = max(worst, after / before)
-        return worst
+        pos = self.before > 0
+        return float(np.max(self.after[pos] / self.before[pos], initial=0.0))
 
 
 @dataclass
 class ShrinkRecord:
+    """Stages, then final columns against the ORIGINAL complex: edges and
+    their image lengths; per vertex, its least original simplex's image
+    diameter and the extreme distances to that simplex's vertex images."""
+
     lam: float
     order: int
     original_diam: float
-    stages: list = field(default_factory=list)
-    # final-stage data against the ORIGINAL complex:
-    final_edge_rows: list = field(default_factory=list)  # (edge, diam)
-    # (vertex, least_original_simplex, its_image_diam, max_dist_to_its_vertices,
-    #  min_dist_to_its_vertices)
-    displacement_rows: list = field(default_factory=list)
+    stages: list
+    final_edges: np.ndarray
+    final_diams: np.ndarray
+    vertices: np.ndarray
+    sigma_diams: np.ndarray
+    max_dists: np.ndarray
+    min_dists: np.ndarray
 
     def to_csv(self):
         lines = ["# barylab shrink record v1",
                  "stage,simplex,diam_before,diam_after,bound,slack"]
         for st in self.stages:
-            for sub, after, _parent, before in st.sub_rows:
+            for (u, v), after, before in zip(st.edges.tolist(), st.after.tolist(),
+                                             st.before.tolist()):
                 bound = st.lam * before
-                ids = " ".join(str(v) for v in sub)
-                lines.append(f"{st.stage},{ids},{before:.17g},{after:.17g},"
+                lines.append(f"{st.stage},{u} {v},{before:.17g},{after:.17g},"
                              f"{bound:.17g},{bound - after:.17g}")
         return "\n".join(lines) + "\n"
 
@@ -113,18 +118,14 @@ def _solve_label(space, P, Q, lam):
 BLOCK_ROWS = 256
 
 
-def _table(space, vertices, labels):
-    """(row of each vertex, label array with one row per vertex).  Finite
-    labels are indices; a vertex without a label yet gets a zero row."""
-    row_of = {v: r for r, v in enumerate(vertices)}
-    if space.kind == spaces.FINITE:
-        table = np.zeros(len(vertices), dtype=int)
-    else:
-        table = np.zeros((len(vertices), space.ambient_dim))
-    for v, r in row_of.items():
-        if v in labels:
-            table[r] = labels[v]
-    return row_of, table
+def _table(space, complex_, assignment, size):
+    """Label array, one row per vertex row of the complex (finite labels are
+    indices), then zero rows up to `size` rows."""
+    ids = complex_.faces[0][:, 0].tolist()
+    table = np.zeros(size, dtype=int) if space.kind == spaces.FINITE \
+        else np.zeros((size, space.ambient_dim))
+    table[:len(ids)] = [assignment[v] for v in ids]
+    return table
 
 
 def _points(table, rows):
@@ -133,177 +134,170 @@ def _points(table, rows):
     return pts.tolist() if pts.ndim == 1 else list(pts)
 
 
-def _blocks(sets):
-    """Index arrays of sets grouped by set size, at most BLOCK_ROWS each."""
-    sizes = np.fromiter(map(len, sets), dtype=int, count=len(sets))
-    for size in np.unique(sizes):
-        members = np.flatnonzero(sizes == size)
-        for start in range(0, len(members), BLOCK_ROWS):
-            yield members[start:start + BLOCK_ROWS]
-
-
-def _diameters(space, table, sets, rows):
-    """Image diameter of each set, rows(set) its table rows (as many for
-    every set of one size), one kernel call per block."""
-    out = [0.0] * len(sets)
-    for block in _blocks(sets):
-        pts = table[np.array([rows(sets[i]) for i in block])]
+def _diameters(space, table, rows):
+    """Image diameter of each row of `rows`, an (n, m) array of table rows,
+    one kernel call per BLOCK_ROWS rows."""
+    out = np.zeros(len(rows))
+    for start in range(0, len(rows), BLOCK_ROWS):
+        pts = table[rows[start:start + BLOCK_ROWS]]
         M = spaces.paired_distances(space, pts[:, :, None], pts[:, None])
-        for i, d in zip(block.tolist(), M.reshape(len(block), -1).max(axis=1).tolist()):
-            out[i] = d
+        out[start:start + len(pts)] = M.reshape(len(pts), -1).max(axis=1)
     return out
 
 
-def _label_rows(space, table, rows, lam):
-    """Labels of a block of new vertices of one level (every J of one size).
-
-    rows[i] = (P rows, Q rows) of table, the labels so far.  CAT(0) kinds
-    take the midpoint rule for the whole block: one diameter_midpoints call,
-    then one batched check of lambda and the relative slacks.  Rows that
-    fail the check, and every row of other kinds, go to _solve_label, which
-    raises or falls back to solve_barycenter.
-    """
+def _label_rows(space, table, p_rows, q_rows, q_ok, lam):
+    """Labels of a block of new vertices of one level (every J of one size):
+    row r's P is the labels of table rows p_rows[r], its Q of q_rows[r]
+    where q_ok[r].  CAT(0) kinds take the midpoint rule for the whole block
+    (one diameter_midpoints call, one batched check of lambda and the
+    slacks); failing rows and other kinds go to _solve_label."""
     if not space.is_cat0:
-        return [_solve_label(space, _points(table, p), _points(table, q), lam)
-                for p, q in rows]
-    P = table[np.array([p for p, _ in rows])]
-    width = max(len(q) for _, q in rows)
-    q_rows = np.zeros((len(rows), width), dtype=int)
-    q_ok = np.zeros((len(rows), width), dtype=bool)
-    for r, (_, q) in enumerate(rows):
-        q_rows[r, :len(q)] = q
-        q_ok[r, :len(q)] = True
+        return [_solve_label(space, _points(table, p), _points(table, q[ok]), lam)
+                for p, q, ok in zip(p_rows, q_rows, q_ok)]
+    P = table[p_rows]
     D, mids = barycenters.diameter_midpoints(space, P)
     labels = [P[r, 0].copy() if b is None else b for r, b in enumerate(mids)]
     moved = np.array([r for r, b in enumerate(mids) if b is not None], dtype=int)
     if len(moved):
-        P, Q, q_ok, D = P[moved], table[q_rows[moved]], q_ok[moved], D[moved]
+        P, Q, Q_ok, D = P[moved], table[q_rows[moved]], q_ok[moved], D[moved]
         B = np.array([mids[r] for r in moved])[:, None]
         ach = np.max(spaces.paired_distances(space, P, B), axis=1) / D
         qp = np.max(spaces.paired_distances(space, Q[:, :, None], P[:, None]), axis=2)
-        slacks = np.where(q_ok, np.maximum(D[:, None], qp)
+        slacks = np.where(Q_ok, np.maximum(D[:, None], qp)
                           - spaces.paired_distances(space, Q, B), np.inf)
         ok = ((ach <= min(lam, barycenters.SQRT3_OVER_2) + space.tol)
               & (np.min(slacks, axis=1, initial=np.inf) >= -space.tol))
         for r in moved[~ok]:
-            p, q = rows[r]
-            labels[r] = _solve_label(space, _points(table, p), _points(table, q), lam)
+            labels[r] = _solve_label(space, _points(table, p_rows[r]),
+                                     _points(table, q_rows[r][q_ok[r]]), lam)
     return labels
 
 
-def _orbits(new, lifted):
-    """BFS orbits of new vertex ids under the lifted partial action.
+def _rooms(complex_, d):
+    """Q rows of level d, padded, as (q_rows, q_ok): the room of the
+    d-simplex of row i, the faces of size at most d of its strict cofaces
+    less its own faces, is q_rows[i][q_ok[i]] in ascending gid (and id)."""
+    tables, n = complex_.face_tables, int(complex_.offsets[-1])
+    pairs = [np.zeros(0, dtype=np.int64)]
+    for e in range(d + 1, complex_.dimension + 1):
+        cols = simplicial._columns(e)
+        for j in (j for j, J in enumerate(cols) if len(J) == d + 1):
+            others = [i for i, c in enumerate(cols) if len(c) <= d and not set(c) <= set(cols[j])]
+            pairs.append((tables[e][:, [j]] * n + tables[e][:, others]).ravel())
+    J, F = np.divmod(np.unique(np.concatenate(pairs)), n)
+    ptr = np.searchsorted(J, np.arange(complex_.offsets[d], complex_.offsets[d + 1] + 1))
+    q_ok = np.arange(np.max(np.diff(ptr), initial=0)) < np.diff(ptr)[:, None]
+    return np.append(F, 0)[np.where(q_ok, ptr[:-1, None] + np.arange(q_ok.shape[1]), -1)], q_ok
 
-    Returns dict v -> (rep, isometry mapping rep's label to v's), with rep
-    the smallest id reachable from v.  New ids ascend in (|J|, J) order.
-    """
-    edges = {v: [(vmap[v], h) for h, vmap in lifted.maps if v in vmap] for v in new}
-    assigned = {}
-    for root in new:
-        if root in assigned:
-            continue
-        # find the component and its smallest member first
-        comp = {root}
-        stack = [root]
-        while stack:
-            for img, _ in edges[stack.pop()]:
-                if img not in comp:
-                    comp.add(img)
-                    stack.append(img)
-        rep = min(comp)
-        paths = {rep: None}  # isometry carrying rep to each member
-        frontier = [rep]
-        while frontier:
-            nxt = []
-            for cur in sorted(frontier):
-                for img, h in sorted(edges[cur], key=lambda e: e[0]):
-                    if img not in paths:
-                        prev = paths[cur]
-                        paths[img] = h if prev is None else h.compose(prev)
-                        nxt.append(img)
-            frontier = nxt
-        for v in comp:
-            assigned[v] = (rep, paths.get(v))
-    return assigned
+
+def _lift(complex_, maps):
+    """Lift partial vertex maps (dicts of ids, or arrays over vertex rows, -1
+    where undefined) through a subdivision: each simplex's image gid, or -1."""
+    ids, lifted = complex_.faces[0][:, 0], []
+    for h, vmap in maps:
+        if isinstance(vmap, dict):
+            src, dst = (complex_.find(np.array(list(x), dtype=np.int64).reshape(-1, 1))
+                        for x in (vmap, vmap.values()))
+            ok, vmap = (src >= 0) & (dst >= 0), np.full(len(ids), -1)
+            vmap[src[ok]] = dst[ok]
+        parts = []
+        for d, table in enumerate(complex_.face_tables):
+            img = vmap[table[:, :d + 1]]
+            found = complex_.find(np.sort(ids[np.maximum(img, 0)], axis=1))
+            parts.append(np.where(np.all(img >= 0, axis=1) & (found >= 0),
+                                  found + complex_.offsets[d], -1))
+        lifted.append((h, np.concatenate(parts)))
+    return EquivariantStructure(lifted)
+
+
+def _orbits(maps):
+    """Orbits (rep, word, isos) of the vertex rows under a lifted action.
+    rep[v] is the smallest row with a forward path to v, so a rep
+    is its own rep (with inverses: the least member of v's component); the
+    paths form a BFS tree per rep in row order (frontier, then images
+    ascending, then maps in order; first claim wins), and isos[word[v]]
+    carries rep[v]'s label to v's."""
+    imgs = np.array([m for _, m in maps])
+    h, src = np.nonzero(imgs >= 0)
+    dst = imgs[h, src]
+    rep, prev = np.arange(imgs.shape[1]), None
+    while not np.array_equal(rep, prev):
+        prev = rep.copy()
+        np.minimum.at(rep, dst, prev[src])
+    same = rep[src] == rep[dst]
+    h, src, dst = h[same], src[same], dst[same]
+    word, isos = np.full(len(rep), -1), []
+    depth = np.where(rep == np.arange(len(rep)), 0, -1)  # BFS level, -1 unreached
+    for k in itertools.count():
+        e = np.flatnonzero((depth[src] == k) & (depth[dst] < 0))
+        if not len(e):
+            return rep, word, isos
+        e = e[np.lexsort((h[e], src[e], dst[e]))]
+        e = e[np.r_[True, dst[e][1:] != dst[e][:-1]]]  # first claim per image
+        pairs, inverse = np.unique((word[src[e]] + 1) * len(maps) + h[e],
+                                   return_inverse=True)
+        for w, g in zip(*np.divmod(pairs, len(maps))):
+            isos.append(maps[g][0] if w == 0 else maps[g][0].compose(isos[w - 1]))
+        word[dst[e]] = len(isos) - len(pairs) + inverse
+        depth[dst[e]] = k + 1
 
 
 def shrinking_subdivide(complex_, iota, lam, equivariance=None):
     """One lambda-shrinking subdivision step (the barycentric route).
 
     Each level of new vertices (all J of one size) is labelled in blocks of
-    BLOCK_ROWS orbit representatives, one _label_rows pass per block, and
-    each stage check is one vectorised pass per set size.
-    Returns (subdivided complex, extended vertex map, StageRecord,
-    provenance, the action lifted to the subdivided complex or None).
-    Raises NoBarycenter (with the failing certificate) if some required
-    barycenter does not exist at the requested lambda.
+    BLOCK_ROWS orbit representatives; P is J's faces (face-table columns),
+    Q the rest of its room.  Returns (subdivided complex, extended vertex
+    map, StageRecord, provenance, the lifted action or None).  Raises
+    NoBarycenter (with the failing certificate) if a barycenter is missing.
     """
     space = iota.target
     iota.check_total(complex_)
     sub, prov = simplicial.barycentric_subdivision(complex_)
-    vertex_of = prov.vertex_of
-    assignment = dict(iota.assignment)
-    row_of, table = _table(space, sorted(prov.sets), assignment)
-    new = [v for v, J in prov.sets.items() if len(J) >= 2]  # ascending ids
+    tables, offsets = complex_.face_tables, complex_.offsets
+    table = _table(space, complex_, iota.assignment, len(sub.ids))
 
     lifted = orbit = None
     if equivariance is not None and equivariance.maps:
-        lifted = lift_equivariance(equivariance, prov)
-        orbit = _orbits(new, lifted)
+        lifted = _lift(complex_, equivariance.maps)
+        orbit = _orbits(lifted.maps)
 
-    def gather(v):
-        J = prov.sets[v]
-        faces = [vertex_of[c] for k in range(1, len(J))
-                 for c in itertools.combinations(J, k)]
-        room = {vertex_of[c] for T in (J, *prov.cofaces[J]) for k in range(1, len(J))
-                for c in itertools.combinations(T, k)}
-        return ([row_of[u] for u in faces],
-                [row_of[u] for u in sorted(room.difference(faces))])
-
-    def put(v, b):
-        assignment[v] = b
-        table[row_of[v]] = b
-
-    for _, level in itertools.groupby(new, key=lambda v: len(prov.sets[v])):
-        level = list(level)
-        reps = level if orbit is None else [v for v in level if orbit[v][0] == v]
+    for d in range(1, complex_.dimension + 1):
+        level = np.arange(offsets[d], offsets[d + 1])
+        q_rows, q_ok = _rooms(complex_, d)
+        reps = level if orbit is None else level[orbit[0][level] == level]
         for start in range(0, len(reps), BLOCK_ROWS):
             block = reps[start:start + BLOCK_ROWS]
-            for v, b in zip(block, _label_rows(space, table, [gather(v) for v in block],
-                                               lam)):
-                put(v, b)
+            rows = block - offsets[d]
+            table[block] = _label_rows(space, table, tables[d][rows, :-1],
+                                       q_rows[rows], q_ok[rows], lam)
         if orbit is not None:
-            for v in level:
-                rep, h = orbit[v]
-                if rep != v:
-                    put(v, h.apply(assignment[rep]))
+            rep, word, isos = orbit
+            members = level[rep[level] != level]
+            for v, r, w in zip(members.tolist(), rep[members].tolist(),
+                               word[members].tolist()):
+                table[v] = isos[w].apply(table[r])
 
-    iota_sub = simplicial.VertexMap(space, assignment)
-
-    record = StageRecord(stage=0, lam=lam)
-    simplices = sorted(complex_.simplices)
-    parent_diams = dict(zip(simplices, _diameters(
-        space, table, simplices, lambda s: [row_of[v] for v in s])))
+    iota_sub = simplicial.VertexMap(space, dict(zip(
+        sub.ids.tolist(), table.tolist() if space.kind == spaces.FINITE else table)))
+    parent_diams = np.concatenate([_diameters(space, table, t[:, :d + 1])
+                                   for d, t in enumerate(tables)])
     # condition (1) certified on subdivision edges: every sub-simplex's image
     # diameter is realized by one of its edges, whose least containing parent
     # (the set of its larger vertex) is a face of the simplex's, so the edge
-    # bound is the stronger one
-    edges = sub.edges
-    lengths = _diameters(space, table, edges, lambda e: [row_of[v] for v in e])
-    for e, after in zip(edges, lengths):
-        parent = prov.sets[e[1]]
-        record.sub_rows.append((e, after, parent, parent_diams[parent]))
-    # condition (2): no parent simplex's contained vertex images, the labels
-    # of all its faces, may spread
-    inside = _diameters(space, table, simplices, lambda s: [
-        row_of[vertex_of[c]] for k in range(1, len(s) + 1)
-        for c in itertools.combinations(s, k)])
-    for s, diam_inside in zip(simplices, inside):
-        record.parent_rows.append((s, diam_inside, parent_diams[s]))
-        if diam_inside > parent_diams[s] + 10 * space.tol:
-            raise ModelSpaceViolation(
-                f"shrinking condition (2) failed on {s}: {diam_inside} > "
-                f"{parent_diams[s]} (barycenter certificate bug)")
+    # bound is the stronger one.  Condition (2): no parent's contained vertex
+    # images, the labels of all its faces, may spread.
+    edges = np.searchsorted(sub.ids, sub.faces[1])
+    record = StageRecord(0, lam, sub.faces[1], _diameters(space, table, edges),
+                         parent_diams[edges[:, 1]],
+                         np.concatenate([_diameters(space, table, t) for t in tables]),
+                         parent_diams)
+    bad = np.flatnonzero(record.inside > parent_diams + 10 * space.tol)
+    if len(bad):
+        g = bad[0]
+        raise ModelSpaceViolation(
+            f"shrinking condition (2) failed on {prov.sets[sub.ids[g]]}: "
+            f"{record.inside[g]} > {parent_diams[g]} (barycenter certificate bug)")
     return sub, iota_sub, record, prov, lifted
 
 
@@ -313,26 +307,23 @@ class SubdivisionResult:
     iota: simplicial.VertexMap
     record: ShrinkRecord
     prov_total: simplicial.SubdivisionProvenance
-    stage_vertex_of: list  # per stage: {provenance set J -> new vertex id}
+    provs: list  # per stage, its provenance; vertex_of locates a point's cell
 
 
 def iterate_subdivision(complex_, iota, lam, n, equivariance=None):
     """n successive lambda-shrinking subdivisions with provenance chained to
-    the original complex.
-
-    The record carries the final-stage diameters and displacement data needed
-    by verify_shrinking; stage_vertex_of supports locating a point's cell in
-    the iterated subdivision.
-    """
+    the original complex; SubdivisionBudget before any stage if one would
+    exceed the budget.  The record carries the final-stage data that
+    verify_shrinking needs; the stage provenances locate a point's cell."""
+    simplicial.check_budget(complex_.counts, n)
     space = iota.target
-    original = complex_
-    original_iota = iota
-    record = ShrinkRecord(lam=lam, order=n,
-                          original_diam=simplicial.map_diameter(complex_, iota))
+    original, original_iota = complex_, iota
+    original_diam = simplicial.map_diameter(complex_, iota)
     # order 0 keeps the identity; compose needs an older subdivision
     # provenance, and stage 1's sets are already original simplices
-    prov_total = simplicial.SubdivisionProvenance.identity(complex_)
-    stage_vertex_of = []
+    ids = complex_.faces[0][:, 0]
+    prov_total = simplicial.SubdivisionProvenance(ids, complex_, np.arange(len(ids)))
+    stages, provs = [], []
     for stage in range(n):
         try:
             complex_, iota, st, prov, equivariance = shrinking_subdivide(
@@ -341,45 +332,31 @@ def iterate_subdivision(complex_, iota, lam, n, equivariance=None):
             exc.stage = stage
             raise
         st.stage = stage + 1
-        record.stages.append(st)
-        stage_vertex_of.append(prov.vertex_of)
+        stages.append(st)
+        provs.append(prov)
         prov_total = prov.compose(prov_total) if stage else prov
 
-    vertices = sorted(complex_.vertices)
-    row_of, table = _table(space, vertices, iota.assignment)
-    edges = complex_.edges
-    record.final_edge_rows = list(zip(edges, _diameters(
-        space, table, edges, lambda e: [row_of[v] for v in e])))
-    orig_row, orig_table = _table(space, sorted(original.vertices),
-                                  original_iota.assignment)
-    orig_simplices = sorted(original.simplices)
-    orig_diams = dict(zip(orig_simplices, _diameters(
-        space, orig_table, orig_simplices, lambda s: [orig_row[v] for v in s])))
-    sigmas = [prov_total.sets[v] for v in vertices]
-    rows = record.displacement_rows = [None] * len(vertices)
-    for block in _blocks(sigmas):
-        d = spaces.paired_distances(
-            space, table[block][:, None],
-            orig_table[np.array([[orig_row[u] for u in sigmas[i]] for i in block])])
-        for i, hi, lo in zip(block.tolist(), d.max(axis=1).tolist(),
-                             d.min(axis=1).tolist()):
-            rows[i] = (vertices[i], sigmas[i], orig_diams[sigmas[i]], hi, lo)
-    return SubdivisionResult(complex_, iota, record, prov_total, stage_vertex_of)
-
-
-def lift_equivariance(equiv, prov):
-    """Lift partial vertex maps through one barycentric subdivision."""
-    vertex_of = prov.vertex_of
-    lifted = []
-    for h, vmap in equiv.maps:
-        new_map = {}
-        for J, v in vertex_of.items():
-            if all(u in vmap for u in J):
-                img = tuple(sorted(vmap[u] for u in J))
-                if img in vertex_of:
-                    new_map[v] = vertex_of[img]
-        lifted.append((h, new_map))
-    return EquivariantStructure(lifted)
+    table = _table(space, complex_, iota.assignment, complex_.counts[0])
+    edges = np.searchsorted(complex_.faces[0][:, 0], complex_.faces[1])
+    orig_table = _table(space, original, original_iota.assignment, original.counts[0])
+    orig_tables, offsets = original.face_tables, original.offsets
+    orig_diams = np.concatenate([_diameters(space, orig_table, t[:, :d + 1])
+                                 for d, t in enumerate(orig_tables)])
+    face = prov_total.face  # per final vertex row, its least original simplex
+    dims = np.searchsorted(offsets, face, side="right") - 1
+    hi, lo = np.zeros(len(face)), np.zeros(len(face))
+    for d, t in enumerate(orig_tables):
+        members = np.flatnonzero(dims == d)
+        sigma = t[face[members] - offsets[d], :d + 1]
+        for start in range(0, len(members), BLOCK_ROWS):
+            block = members[start:start + BLOCK_ROWS]
+            dist = spaces.paired_distances(space, table[block][:, None],
+                                           orig_table[sigma[start:start + BLOCK_ROWS]])
+            hi[block], lo[block] = dist.max(axis=1), dist.min(axis=1)
+    record = ShrinkRecord(lam, n, original_diam, stages, complex_.faces[1],
+                          _diameters(space, table, edges), prov_total.ids,
+                          orig_diams[face], hi, lo)
+    return SubdivisionResult(complex_, iota, record, prov_total, provs)
 
 
 @dataclass
@@ -412,21 +389,17 @@ def verify_shrinking(record, iota_original_diam=None, tol=1e-9):
     bound_a = (lam ** n) * diam0
     factor = 1.0 / (1.0 - lam)
     bound_c = diam0 * factor
-    violations = []
-    max_final = 0.0
-    for edge, d in record.final_edge_rows:
-        max_final = max(max_final, d)
-        if d > bound_a + tol:
-            violations.append(("order_bound", edge, d, bound_a))
-    worst_disp = math.inf
-    worst_cont = math.inf
-    for v, sigma, sig_diam, max_d, min_d in record.displacement_rows:
-        disp_bound = sig_diam * factor
-        worst_disp = min(worst_disp, disp_bound + tol - max_d)
-        if max_d > disp_bound + tol:
-            violations.append(("displacement", v, max_d, disp_bound))
-        worst_cont = min(worst_cont, bound_c + tol - min_d)
-        if min_d > bound_c + tol:
-            violations.append(("containment", v, min_d, bound_c))
-    return ShrinkVerification(bound_a, factor, bound_c, max_final,
-                              worst_disp, worst_cont, violations)
+    over = record.final_diams > bound_a + tol
+    violations = [("order_bound", tuple(e), d, bound_a) for e, d in zip(
+        record.final_edges[over].tolist(), record.final_diams[over].tolist())]
+    disp_bound = record.sigma_diams * factor
+    far = record.max_dists > disp_bound + tol
+    out = record.min_dists > bound_c + tol
+    violations += [("displacement", v, d, b) for v, d, b in zip(
+        record.vertices[far].tolist(), record.max_dists[far].tolist(), disp_bound[far].tolist())]
+    violations += [("containment", v, d, bound_c) for v, d in zip(
+        record.vertices[out].tolist(), record.min_dists[out].tolist())]
+    return ShrinkVerification(
+        bound_a, factor, bound_c, float(np.max(record.final_diams, initial=0.0)),
+        float(np.min(disp_bound + tol - record.max_dists, initial=math.inf)),
+        float(np.min(bound_c + tol - record.min_dists, initial=math.inf)), violations)

@@ -235,13 +235,13 @@ def test_criterion_4_simplicial_model_case():
 def test_criterion_5_shrinking_bounds():
     t0 = time.monotonic()
     res_edge, res_tri, _ = produce_shrinking_records()
-    max_edge = max(d for _, d in res_edge.record.final_edge_rows)
+    max_edge = max(res_edge.record.final_diams)
     assert max_edge <= 0.125 + 1e-9
-    for _, _, _, max_d, _ in res_edge.record.displacement_rows:
+    for max_d in res_edge.record.max_dists:
         assert max_d <= 2.0 + 1e-9
     ver = sd.verify_shrinking(res_edge.record, tol=1e-9)
     assert ver.ok
-    max_tri = max(d for _, d in res_tri.record.final_edge_rows)
+    max_tri = max(res_tri.record.final_diams)
     assert max_tri <= 0.75 + 1e-9
     assert sd.verify_shrinking(res_tri.record, tol=1e-9).ok
     _report(5, "shrinking bounds: edge n=3 within 1/8 and 2.0; triangle n=2 "

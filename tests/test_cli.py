@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import time
 
 import pytest
 
@@ -137,6 +138,34 @@ def test_subdivide_rejects_bad_input(tmp_path, capsys, doc):
     assert run(["subdivide", "--input", inp, "--output", out]) == 1
     assert_bad_input(capsys, "subdivide")
     assert not os.path.exists(out)
+
+
+def test_subdivide_over_budget_exits_one(tmp_path, capsys):
+    """A triangle grows 6-fold a stage; order 12 is refused before any stage."""
+    doc = {"space": EUCLID,
+           "complex": {"vertices": [0, 1, 2], "simplices": [
+               [0], [1], [2], [0, 1], [0, 2], [1, 2], [0, 1, 2]]},
+           "vertex_map": {"0": [0, 0], "1": [1, 0], "2": [0, 1]},
+           "lambda": 0.9, "order": 12}
+    inp = write(tmp_path / "s.json", doc)
+    out = str(tmp_path / "shrink.csv")
+    t0 = time.monotonic()
+    assert run(["subdivide", "--input", inp, "--output", out]) == 1
+    assert time.monotonic() - t0 < 1.0
+    assert_bad_input(capsys, "subdivide")
+    assert not os.path.exists(out)
+
+
+def test_retract_over_budget_fails_extension(tmp_path, capsys):
+    inp = write(tmp_path / "scene.json",
+                {"scene": "euclidean_point", "overrides": {"order": 12}})
+    out = str(tmp_path / "report.json")
+    assert run(["retract", "--input", inp, "--output", out,
+                "--density", "60"]) == 4
+    assert "budget" in capsys.readouterr().err
+    rep = json.load(open(out))
+    assert rep["failure"]["stage"] == "extension"
+    assert "budget" in rep["failure"]["message"]
 
 
 def test_retract_scene_pass(tmp_path):

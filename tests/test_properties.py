@@ -1,6 +1,8 @@
 """Property tests (Hypothesis): certificates are invariant under isometries,
-and subdivision provenance read off chains matches the union-based search."""
+subdivision provenance read off chains matches the union-based search, and
+the array subdivision matches the frozen tuple one."""
 
+import itertools
 import math
 
 import numpy as np
@@ -11,6 +13,8 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from barylab import barycenters as bc  # noqa: E402
 from barylab import simplicial, spaces, subdivision as sd  # noqa: E402
+from test_simplicial import coface_rows, reference_subdivision  # noqa: E402
+from test_subdivision import reference_labels  # noqa: E402
 
 SPACES = [spaces.ModelSpace.euclidean(2), spaces.ModelSpace.euclidean(3),
           spaces.ModelSpace.hyperboloid(2), spaces.ModelSpace.hyperboloid(3)]
@@ -72,24 +76,86 @@ def union_compose(sets, older_sets):
             for v, js in sets.items()}
 
 
+def random_complex(rng, n_lo, n_hi, top_max):
+    n = int(rng.integers(n_lo, n_hi))
+    tops = [tuple(rng.choice(n, size=int(rng.integers(1, top_max + 1)),
+                             replace=False).tolist())
+            for _ in range(int(rng.integers(1, 4)))]
+    return simplicial.SimplicialComplex.from_maximal(tops)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_subdivision_provenance_matches_union(seed):
     rng = np.random.default_rng(seed)
-    n = int(rng.integers(3, 7))
-    tops = [tuple(rng.choice(n, size=int(rng.integers(1, 4)), replace=False).tolist())
-            for _ in range(int(rng.integers(1, 4)))]
-    cplx = simplicial.SimplicialComplex.from_maximal(tops)
+    cplx = random_complex(rng, 3, 7, 3)
     iota = simplicial.VertexMap(spaces.ModelSpace.euclidean(2),
                                 {v: rng.uniform(-1.0, 1.0, 2) for v in cplx.vertices})
     res = sd.iterate_subdivision(cplx, iota, math.sqrt(3) / 2, int(rng.integers(1, 4)))
     total = {v: (v,) for v in cplx.vertices}
-    for st_rec, vertex_of in zip(res.record.stages, res.stage_vertex_of):
-        # a stage's provenance maps its new ids back to its parent's simplices
-        parent = simplicial.SimplicialComplex([], vertex_of)
-        prov = simplicial.SubdivisionProvenance({v: J for J, v in vertex_of.items()})
-        for e, _, lcs, _ in st_rec.sub_rows:
-            assert lcs == least_containing_simplex(parent, prov, e)
+    for st_rec, prov in zip(res.record.stages, res.provs):
+        # a stage's provenance maps its new ids back to its parent's simplices;
+        # a sub-edge's parent is the set of its larger vertex, and the
+        # recorded bound is that parent's image diameter
+        parent = simplicial.SimplicialComplex([], prov.vertex_of)
+        gid = {J: g for g, J in enumerate(
+            tuple(r) for F in prov.parent.faces for r in F.tolist())}
+        for e, before in zip(st_rec.edges.tolist(), st_rec.before.tolist()):
+            lcs = least_containing_simplex(parent, prov, e)
+            assert prov.of(e[1]) == lcs
+            assert before == st_rec.parent_diams[gid[lcs]]
         total = union_compose(prov.sets, total)
-    assert [row[1] for row in res.record.displacement_rows] == [
+    assert [res.prov_total.of(v) for v in sorted(res.complex.vertices)] == [
         total[v] for v in sorted(res.complex.vertices)]
+
+
+SUBDIVISION_SPACES = SPACES[:3]
+
+
+def subdivided_size(counts, stages):
+    """Simplices after `stages` barycentric subdivisions: a k-simplex tops
+    every chain of its faces that ends at it."""
+    for _ in range(stages):
+        counts = [sum(n * simplicial._flags(k + 1, length) for k, n in enumerate(counts))
+                  for length in range(1, len(counts) + 1)]
+    return sum(counts)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(range(len(SUBDIVISION_SPACES))))
+def test_array_subdivision_matches_tuple_reference(seed, which):
+    """Complexes of dimension up to 3 (3-simplex rooms included), over 1-3
+    stages: ids, chains, vertex_of and coface rows equal the frozen tuple
+    subdivision, and the labels are bit-identical to per-simplex labelling."""
+    space = SUBDIVISION_SPACES[which]
+    rng = np.random.default_rng(seed)
+    cplx = random_complex(rng, 4, 7, 4)
+    iota = simplicial.VertexMap(space, {v: 0.3 * draw_point(space, rng)
+                                        if space.kind == spaces.EUCLIDEAN
+                                        else draw_point(space, rng)
+                                        for v in cplx.vertices})
+    stages = int(rng.integers(1, 4))
+    while stages > 1 and subdivided_size(cplx.counts, stages - 1) > 2000:
+        stages -= 1  # keep the per-simplex reference labelling affordable
+    lam = math.sqrt(3) / 2
+    res = sd.iterate_subdivision(cplx, iota, lam, stages)
+    for _ in range(stages):
+        want_ids, want_chains, _, want_vertex_of, want_cofaces = \
+            reference_subdivision(cplx)
+        labels = reference_labels(cplx, iota, lam)
+        sub, prov = simplicial.barycentric_subdivision(cplx)
+        assert sub.vertices == want_ids and sub.simplices == want_chains
+        assert prov.vertex_of == want_vertex_of
+        assert coface_rows(cplx) == {J: sorted(T) for J, T in want_cofaces.items()}
+        # Q rows: the faces below |J| of J's strict cofaces, less J's, by id
+        for d in range(1, cplx.dimension + 1):
+            q_rows, q_ok = sd._rooms(cplx, d)
+            for J, q, ok in zip(cplx.simplices_of_dim(d), q_rows, q_ok):
+                room = {c for T in want_cofaces[J] for k in range(1, len(J))
+                        for c in itertools.combinations(T, k) if not set(c) <= set(J)}
+                assert sub.ids[q[ok]].tolist() == sorted(want_vertex_of[c] for c in room)
+        cplx, iota = sub, simplicial.VertexMap(space, labels)
+    assert res.complex.simplices == cplx.simplices
+    assert set(res.iota.assignment) == set(labels)
+    for v, b in labels.items():
+        assert np.array_equal(res.iota(v), b), v

@@ -30,6 +30,51 @@ def brute_force_subdivision(simplices):
     return set(faces), chains
 
 
+# Frozen reference: the tuple-and-set barycentric subdivision as it was
+# computed before complexes were stored as arrays with face tables.
+
+
+def reference_subdivision(complex_):
+    """(vertex ids, simplices, sets, vertex_of, cofaces) of the barycentric
+    subdivision, grown recursively along the coface lists of sorted tuples."""
+    sets, vertex_of = {}, {}
+    next_id = max(complex_.vertices, default=-1) + 1
+    for s in sorted(complex_.simplices, key=lambda s: (len(s), s)):
+        if len(s) == 1:
+            vertex_of[s] = s[0]
+        else:
+            vertex_of[s] = next_id
+            next_id += 1
+        sets[vertex_of[s]] = s
+    cofaces = {s: [] for s in complex_.simplices}
+    for t in complex_.simplices:
+        for k in range(1, len(t)):
+            for s in itertools.combinations(t, k):
+                if s in cofaces:
+                    cofaces[s].append(t)
+    new_simplices = set()
+
+    def grow(chain_ids, last):
+        new_simplices.add(chain_ids)
+        for bigger in cofaces[last]:
+            grow(chain_ids + (vertex_of[bigger],), bigger)
+
+    for s in complex_.simplices:
+        grow((vertex_of[s],), s)
+    return set(vertex_of.values()), new_simplices, sets, vertex_of, cofaces
+
+
+def coface_rows(complex_):
+    """Every simplex's strict cofaces (sorted), read off the face tables."""
+    simplices = [tuple(r) for F in complex_.faces for r in F.tolist()]  # gid order
+    out = {J: [] for J in simplices}
+    for table in complex_.face_tables:
+        for row in table.tolist():
+            for g in row[:-1]:
+                out[simplices[g]].append(simplices[row[-1]])
+    return {J: sorted(T) for J, T in out.items()}
+
+
 def test_validate_examples():
     tri = simplicial.SimplicialComplex.from_maximal([(0, 1, 2)])
     assert simplicial.validate(tri) == []
@@ -62,9 +107,9 @@ def test_subdivision_triangle_counts_against_oracle():
     vertex_of = {J: v for v, J in prov.sets.items()}
     oracle = {tuple(sorted(vertex_of[J] for J in c)) for c in chains}
     assert oracle == sub.simplices
-    # the kept tables: the inverse map and every face's strict cofaces
+    # the inverse map, and every face's strict cofaces read off the tables
     assert prov.vertex_of == vertex_of
-    assert {J: sorted(T) for J, T in prov.cofaces.items()} == {
+    assert coface_rows(tri) == {
         J: sorted(T for T in faces if set(J) < set(T)) for J in faces}
     # ids ascend along every chain, so a simplex's last vertex is its top face
     for c in chains:
@@ -131,6 +176,15 @@ def test_map_diameter_examples():
     assert abs(simplicial.map_diameter(tri, iota) - math.sqrt(5)) < 1e-12
 
 
+def map_diameter_all_simplices(complex_, iota):
+    """Reference evaluation over every simplex (oracle for the edge shortcut)."""
+    iota.check_total(complex_)
+    best = 0.0
+    for s in complex_.simplices:
+        best = max(best, spaces.pairwise_diameter(iota.target, [iota(v) for v in s]))
+    return best
+
+
 def test_map_diameter_edges_equal_all_simplices():
     rng = np.random.default_rng(3)
     for _ in range(20):
@@ -141,7 +195,7 @@ def test_map_diameter_edges_equal_all_simplices():
         iota = simplicial.VertexMap(
             E2, {v: rng.uniform(-1, 1, size=2) for v in cplx.vertices})
         d_edges = simplicial.map_diameter(cplx, iota)
-        d_all = simplicial.map_diameter_all_simplices(cplx, iota)
+        d_all = map_diameter_all_simplices(cplx, iota)
         assert abs(d_edges - d_all) < 1e-12
 
 

@@ -2,12 +2,13 @@
 
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 
 from barylab import simplicial, spaces, subdivision as sd
-from barylab.errors import NoBarycenter
+from barylab.errors import NoBarycenter, SubdivisionBudget
 
 E1 = spaces.ModelSpace.euclidean(1)
 E2 = spaces.ModelSpace.euclidean(2)
@@ -35,7 +36,7 @@ def test_edge_single_step():
     sub, iota1, record, prov, _ = sd.shrinking_subdivide(cplx, iota, 0.5)
     mid = next(v for v, J in prov.sets.items() if J == (0, 1))
     assert abs(iota1(mid)[0] - 0.5) < 1e-12
-    for _, after, _, before in record.sub_rows:
+    for after, before in zip(record.after, record.before):
         assert after <= 0.5 * before + 1e-12
 
 
@@ -55,7 +56,7 @@ def test_zero_dimensional_complex():
     iota = simplicial.VertexMap(E1, {0: np.array([0.0]), 1: np.array([5.0])})
     sub, iota1, record, _, _ = sd.shrinking_subdivide(cplx, iota, 0.5)
     assert sub.simplices == cplx.simplices
-    assert record.sub_rows == []
+    assert record.edges.shape == (0, 2) and len(record.after) == 0
 
 
 def test_iterate_edge_order3():
@@ -64,7 +65,7 @@ def test_iterate_edge_order3():
     assert len(res.complex.vertices) == 9
     xs = sorted(float(res.iota(v)[0]) for v in res.complex.vertices)
     assert np.allclose(xs, np.linspace(0, 1, 9), atol=1e-12)
-    assert max(d for _, d in res.record.final_edge_rows) <= 0.125 + 1e-9
+    assert max(res.record.final_diams) <= 0.125 + 1e-9
 
 
 def test_iterate_order_zero_identity():
@@ -84,7 +85,7 @@ def test_verify_shrinking_edge_bounds():
     assert abs(ver.order_bound - 0.125) < 1e-12
     assert abs(ver.containment_bound - 2.0) < 1e-12
     # displacement realized within its bound for every vertex
-    for v, sigma, sig_diam, max_d, _ in res.record.displacement_rows:
+    for sig_diam, max_d in zip(res.record.sigma_diams, res.record.max_dists):
         assert max_d <= sig_diam / (1 - 0.5) + 1e-9
 
 
@@ -113,7 +114,7 @@ def test_condition_two_recorded_every_stage():
     cplx, iota = equilateral()
     res = sd.iterate_subdivision(cplx, iota, SQ32, 2)
     for st in res.record.stages:
-        for _, diam_inside, diam_before in st.parent_rows:
+        for diam_inside, diam_before in zip(st.inside, st.parent_diams):
             assert diam_inside <= diam_before + 1e-8
 
 
@@ -142,6 +143,57 @@ def test_equivariant_propagation_exact():
     v01 = next(v for v, J in prov.sets.items() if J == (0, 1))
     v23 = next(v for v, J in prov.sets.items() if J == (2, 3))
     assert np.array_equal(iota1(v23), h.apply(iota1(v01)))
+
+
+@pytest.mark.parametrize("shift", [-2.0, 2.0])
+def test_partial_action_without_inverse(shift):
+    """rep(v) is the smallest id with a forward path to v.  Translating by
+    -2 alone ({2: 0, 3: 1}) lifts (2, 3) onto (0, 1), so each is its own
+    representative and both are solved; by +2 alone ({0: 2, 1: 3}) the
+    label of (2, 3) is the translate of the label of (0, 1)."""
+    cplx = simplicial.SimplicialComplex.from_maximal([(0, 1), (1, 2), (2, 3)])
+    iota = simplicial.VertexMap(E1, {v: np.array([float(v)]) for v in range(4)})
+    h = spaces.Isometry.euclidean_translation([shift])
+    vmap = {2: 0, 3: 1} if shift < 0 else {0: 2, 1: 3}
+    sub, iota1, _, prov, lifted = sd.shrinking_subdivide(
+        cplx, iota, 0.5, equivariance=sd.EquivariantStructure([(h, vmap)]))
+    v01, v23 = prov.vertex_of[(0, 1)], prov.vertex_of[(2, 3)]
+    src, dst = (v23, v01) if shift < 0 else (v01, v23)
+    assert lifted.maps[0][1][src] == dst  # vertex rows are the ids here
+    assert iota1(v01).tolist() == [0.5] and iota1(v23).tolist() == [2.5]
+    rep, _, _ = sd._orbits(lifted.maps)
+    assert rep[v01] == v01 and rep[v23] == (v23 if shift < 0 else v01)
+
+
+def test_orbit_rep_reaches_every_member():
+    """Rows 5 and 6 are images of 7 only: each is its own representative,
+    where taking the smallest member of 7's forward reach (5) left 7
+    without a path from its representative."""
+    h = spaces.Isometry.euclidean_translation([1.0])
+    g = spaces.Isometry.euclidean_translation([2.0])
+    maps = [(h, np.array([-1] * 7 + [5])), (g, np.array([-1] * 7 + [6]))]
+    rep, word, isos = sd._orbits(maps)
+    assert rep[5:].tolist() == [5, 6, 7] and word[5:].tolist() == [-1, -1, -1]
+    # a cycle 5 -> 6 -> 7 -> 5 under h and its inverse: one orbit, rep 5,
+    # paths by BFS from 5 in row order
+    maps = [(h, np.array([-1] * 5 + [6, 7, 5])), (h.inverse(), np.array([-1] * 5 + [7, 5, 6]))]
+    rep, word, isos = sd._orbits(maps)
+    assert rep[5:].tolist() == [5, 5, 5]
+    assert isos[word[6]] is h and isos[word[7]] is maps[1][0]
+
+
+def test_budget_refuses_before_any_stage(monkeypatch):
+    cplx, iota = equilateral()
+    t0 = time.monotonic()
+    with pytest.raises(SubdivisionBudget, match="stage 8"):
+        sd.iterate_subdivision(cplx, iota, SQ32, 12)
+    assert time.monotonic() - t0 < 1.0
+    # a triangle's subdivision has 7 + 12 + 6 = 25 simplices
+    monkeypatch.setattr(simplicial, "SUBDIVISION_BUDGET", 24)
+    with pytest.raises(SubdivisionBudget, match="25 simplices"):
+        sd.shrinking_subdivide(cplx, iota, SQ32)
+    monkeypatch.setattr(simplicial, "SUBDIVISION_BUDGET", 25)
+    assert len(simplicial.barycentric_subdivision(cplx)[0].simplices) == 25
 
 
 def test_determinism():
@@ -399,8 +451,8 @@ def test_batched_labels_zero_dimensional():
     iota = simplicial.VertexMap(E1, {0: np.array([0.0]), 1: np.array([5.0])})
     assert_same_labels(cplx, iota, 0.5)
     res = sd.iterate_subdivision(cplx, iota, 0.5, 2)
-    assert res.record.final_edge_rows == []
-    assert [row[3:] for row in res.record.displacement_rows] == [(0.0, 0.0)] * 2
+    assert len(res.record.final_diams) == 0
+    assert res.record.max_dists.tolist() == res.record.min_dists.tolist() == [0.0] * 2
 
 
 def test_batched_labels_circle():

@@ -5,7 +5,7 @@ obtained by flowing cover witnesses from the eps-level set to the R-level set,
 an equivariant lambda-shrinking subdivision of the nerve, a push-off map by
 geodesic coning over the subdivided nerve, and the retraction r(q) = the
 unique point where the geodesic from q to the push-off image of q's nerve
-projection crosses the eps-level set.
+projection crosses the eps-level set, bracketed on that geodesic by ITP.
 """
 
 from __future__ import annotations
@@ -26,7 +26,9 @@ from .errors import (
 )
 
 ALPHA_DEFAULT = math.pi
-BISECTION_STEPS = 80  # halving budget of [0, d(q, target)] in Retractor.retract
+# ITP (Oliveira & Takahashi 2020), d = d(q, target): kappa1 = ITP_K1/d, kappa2, n0, eps/d
+ITP_K1, ITP_K2, ITP_N0, ITP_EPS = 0.2, 2, 1, 2.0 ** -52
+ITP_STEPS = math.ceil(math.log2(1.0 / (2.0 * ITP_EPS))) + ITP_N0  # n_max = 52
 
 
 def _mdot_rows(A, B):
@@ -738,7 +740,7 @@ def extend_to_pushoff(grid, lam, n, delta_prime, alpha=ALPHA_DEFAULT):
 
 class Retractor:
     """r(q): unique crossing of the eps-level set by the geodesic from q to
-    the push-off image of q's nerve projection, located by bisection."""
+    the push-off image of q's nerve projection, located by an ITP search."""
 
     def __init__(self, pushoff):
         self.pushoff = pushoff
@@ -752,33 +754,44 @@ class Retractor:
 
     def retract(self, q):
         """(r(q), target, cell): the retraction of q with the push-off target
-        and nerve cell of its one nerve projection."""
+        and nerve cell of its one nerve projection.  f(t) = d(geo(t), C) - eps
+        is convex, so ITP's regula-falsi step converges superlinearly; its
+        projection keeps at most ITP_STEPS evaluations."""
         body, eps = self.body, self.eps
-        tol = body.space.tol
         g0 = body.dist(q) - eps
-        if g0 > 100 * tol:
+        if g0 > 100 * body.space.tol:
             raise PreconditionError(
                 f"q lies {g0:.2e} outside the eps-neighborhood")
         target, cell = self.push_target(q)
-        if body.dist(target) - eps <= 0.0:
+        y_b = body.dist(target) - eps
+        if y_b <= 0.0:
             raise PipelineInconsistency(
                 "push-off image inside the eps-neighborhood; an upstream "
                 "precondition lied")
         geo = spaces.Geodesic(body.space, q, target)
-        lo, hi = 0.0, geo.length
-        for _ in range(BISECTION_STEPS):
-            mid = 0.5 * (lo + hi)
-            if body.dist(geo.point(mid)) - eps <= 0.0:
-                if lo == mid:
-                    break  # (lo, hi) is a fixed point of every later step
-                lo = mid
+        a, b, y_a = 0.0, geo.length, min(g0, 0.0)
+        tol_t = ITP_EPS * geo.length
+        for j in range(ITP_STEPS):
+            if b - a <= 2.0 * tol_t:
+                break
+            half = 0.5 * (a + b)
+            x_f = (y_b * a - y_a * b) / (y_b - y_a)  # regula falsi
+            sigma = math.copysign(1.0, half - x_f)
+            delta = ITP_K1 / geo.length * (b - a) ** ITP_K2
+            x_t = x_f + sigma * delta if delta <= abs(half - x_f) else half
+            radius = tol_t * 2.0 ** (ITP_STEPS - j) - 0.5 * (b - a)
+            x = x_t if abs(x_t - half) <= radius else half - sigma * radius
+            x = x if a < x < b else half  # a sub-ulp truncation left x on an end
+            y = body.dist(geo.point(x)) - eps
+            if y > 0.0:
+                b, y_b = x, y
+            elif y < 0.0:
+                a, y_a = x, y
             else:
-                if hi == mid:
-                    break
-                hi = mid
-        t_star = 0.5 * (lo + hi)
-        r = geo.point(t_star) if t_star > 0 else np.asarray(q, float)
+                a = b = x
+                break
+        r = geo.point(0.5 * (a + b))
         if abs(body.dist(r) - eps) > 1e-7:
             raise PipelineInconsistency(
-                f"bisection residual {abs(body.dist(r) - eps):.2e}; no crossing found")
+                f"crossing residual {abs(body.dist(r) - eps):.2e}; no crossing found")
         return r, target, cell

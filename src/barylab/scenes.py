@@ -355,20 +355,21 @@ def run_pipeline(scene, lam=None, order=None, density=200, seed=0):
 
     # continuity moduli along the boundary at fixed scales
     mod_scales = (1e-2, 1e-3, 1e-4)
-    base_ss = np.linspace(scene.s_lo + margin,
-                          scene.s_hi - margin - max(mod_scales), 33)
+    base = []
+    for s in np.linspace(scene.s_lo + margin,
+                         scene.s_hi - margin - max(mod_scales), 33):
+        q1 = nbh.point(scene.component, float(s))
+        w1 = grid.projector.tents(q1)
+        base.append((float(s), q1, w1 / np.sum(w1)))
     for h in mod_scales:
         sup_r = 0.0
         sup_w = 0.0
-        for s in base_ss:
-            q1 = nbh.point(scene.component, float(s))
-            q2 = nbh.point(scene.component, float(s) + h)
+        for s, q1, w1 in base:
+            q2 = nbh.point(scene.component, s + h)
             r1, _, _ = retractor.retract(q1)
             r2, _, _ = retractor.retract(q2)
             sup_r = max(sup_r, spaces.distance(space, r1, r2))
-            w1 = grid.projector.tents(q1)
             w2 = grid.projector.tents(q2)
-            w1 = w1 / np.sum(w1)
             w2 = w2 / np.sum(w2)
             sup_w = max(sup_w, float(np.max(np.abs(w1 - w2))))
         report.moduli[f"{h:g}"] = sup_r

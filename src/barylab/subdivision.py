@@ -136,12 +136,13 @@ def _points(table, rows):
 
 def _diameters(space, table, rows):
     """Image diameter of each row of `rows`, an (n, m) array of table rows,
-    one kernel call per BLOCK_ROWS rows."""
+    over its pairs i < j (0.0 for m < 2), one kernel call per BLOCK_ROWS rows."""
     out = np.zeros(len(rows))
+    i, j = np.triu_indices(rows.shape[1], 1)
     for start in range(0, len(rows), BLOCK_ROWS):
         pts = table[rows[start:start + BLOCK_ROWS]]
-        M = spaces.paired_distances(space, pts[:, :, None], pts[:, None])
-        out[start:start + len(pts)] = M.reshape(len(pts), -1).max(axis=1)
+        out[start:start + len(pts)] = spaces.paired_distances(
+            space, pts[:, i], pts[:, j]).max(axis=1, initial=0.0)
     return out
 
 

@@ -1,6 +1,7 @@
 """Property tests (Hypothesis): certificates are invariant under isometries,
-subdivision provenance read off chains matches the union-based search, and
-the array subdivision matches the frozen tuple one."""
+subdivision provenance read off chains matches the union-based search, the
+array subdivision matches the frozen tuple one, and the retraction's
+crossings match closed forms."""
 
 import itertools
 import math
@@ -9,9 +10,10 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from barylab import barycenters as bc  # noqa: E402
+from barylab import retraction as rt  # noqa: E402
 from barylab import simplicial, spaces, subdivision as sd  # noqa: E402
 from test_simplicial import coface_rows, reference_subdivision  # noqa: E402
 from test_subdivision import reference_labels  # noqa: E402
@@ -159,3 +161,93 @@ def test_array_subdivision_matches_tuple_reference(seed, which):
     assert set(res.iota.assignment) == set(labels)
     for v, b in labels.items():
         assert np.array_equal(res.iota(v), b), v
+
+
+class FixedTarget(rt.Retractor):
+    """A Retractor with one given push-off target: the crossing search alone."""
+
+    def __init__(self, body, eps, target):
+        self.body, self.eps, self.target = body, eps, target
+
+    def push_target(self, q):
+        return self.target, ()
+
+
+def circle_crossing(w, u, eps):
+    """The t >= 0 with |w + t u| = eps for |w| <= eps and unit u: the root of
+    t^2 + 2 beta t - gamma, gamma = (eps - |w|)(eps + |w|), beta = <w, u>,
+    taken in the form that adds no terms of opposite sign."""
+    beta, rho = float(np.dot(w, u)), float(np.linalg.norm(w))
+    gamma = (eps - rho) * (eps + rho)
+    root = math.sqrt(beta * beta + gamma)
+    return gamma / (beta + root) if beta > 0 else root - beta
+
+
+def line_crossings(A, B, s):
+    """The t with A cosh t + B sinh t = s: z = e^t solves
+    (A + B) z^2 - 2 s z + (A - B) = 0, one root (s + sign(s) sqrt(D)) / (A + B)
+    without cancellation and the other read off the product of the roots."""
+    big = s + math.copysign(math.sqrt((s - A) * (s + A) + B * B), s)
+    zs = [(A - B) / big] + ([big / (A + B)] if A + B else [])
+    return [math.log(z) for z in zs if z > 0]
+
+
+def query_turn(rng, on_level_set):
+    """The angle from the outward normal to the target direction: within
+    acos(0.1) of it for a query on the level set (the geodesic leaves the
+    neighbourhood at once), any angle for an interior query."""
+    bound = math.acos(0.1) if on_level_set else math.pi
+    return rng.uniform(-bound, bound)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_retract_crossing_matches_circle_root(seed, on_level_set):
+    """A point body in R^2: the crossing is the line-circle root."""
+    rng = np.random.default_rng(seed)
+    space = spaces.ModelSpace.euclidean(2)
+    c, eps = rng.uniform(-3.0, 3.0, 2), rng.uniform(0.1, 1.0)
+    phi = rng.uniform(0.0, 2.0 * math.pi)
+    rho = eps if on_level_set else rng.uniform(0.0, 0.9 * eps)
+    q = c + rho * np.array([math.cos(phi), math.sin(phi)])
+    turn = phi + query_turn(rng, on_level_set)
+    length = rng.uniform(2.0 * eps, 2.0 * eps + 3.0)
+    target = q + length * np.array([math.cos(turn), math.sin(turn)])
+    r, got, cell = FixedTarget(rt.PointBody(space, c), eps, target).retract(q)
+    assert got is target and cell == ()
+    u = (target - q) / np.linalg.norm(target - q)
+    exact = q + circle_crossing(q - c, u, eps) * u
+    assert np.linalg.norm(r - exact) <= 1e-12 * max(1.0, length)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_retract_crossing_matches_line_root(seed, on_level_set):
+    """A line body in H^2 (the geodesic z = 0 of the hyperboloid): the
+    crossing solves A cosh t + B sinh t = +-sinh eps on the target's side."""
+    rng = np.random.default_rng(seed)
+    space = spaces.ModelSpace.hyperboloid(2)
+    body = rt.LineBody(space, [1.0, 0.0, 0.0], [math.cosh(1.0), math.sinh(1.0), 0.0])
+    eps = rng.uniform(0.1, 1.0)
+    side = rng.choice([-1.0, 1.0])
+    rho = side * (eps if on_level_set else rng.uniform(0.0, 0.9 * eps))
+    s0 = rng.uniform(-2.0, 2.0)
+    q = np.array([math.cosh(s0) * math.cosh(rho), math.sinh(s0) * math.cosh(rho),
+                  math.sinh(rho)])
+    along = np.array([math.sinh(s0), math.cosh(s0), 0.0])
+    outward = side * np.array([math.cosh(s0) * math.sinh(rho),
+                               math.sinh(s0) * math.sinh(rho), math.cosh(rho)])
+    turn = query_turn(rng, on_level_set)
+    v = math.sin(turn) * along + math.cos(turn) * outward
+    length = rng.uniform(2.0 * eps, 2.0 * eps + 3.0)
+    target = math.cosh(length) * q + math.sinh(length) * v
+    # a geodesic that leaves at once stays outside; another may end inside
+    assume(abs(target[2]) > math.sinh(1.1 * eps))
+    r, _, _ = FixedTarget(body, eps, target).retract(q)
+    # the unit tangent of the geodesic the retraction follows, read off its
+    # point at t = 1: one recomputed from the target differs by up to 3e-13
+    u = (spaces.Geodesic(space, q, target).point(1.0) - math.cosh(1.0) * q) / math.sinh(1.0)
+    ts = line_crossings(q[2], u[2], math.copysign(math.sinh(eps), target[2]))
+    t = min(ts, key=lambda t: max(-t, t - length, 0.0))
+    exact = math.cosh(t) * q + math.sinh(t) * u
+    assert spaces.distance(space, r, exact) <= 1e-12 * max(1.0, length)

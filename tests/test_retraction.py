@@ -469,8 +469,9 @@ def test_retract_identity_and_interior():
 
 
 def frozen_retract(retr, q):
-    """Retractor.retract's bisection as it was before spaces.Geodesic and the
-    early stop: a fresh geodesic_point per step, all BISECTION_STEPS steps."""
+    """Retractor.retract's bisection as it was before spaces.Geodesic, the
+    early stop and the ITP search: a fresh geodesic_point per step, all 80
+    halvings of [0, d(q, target)]."""
     body, eps = retr.body, retr.eps
     target, _ = retr.push_target(q)
     T = (float(np.linalg.norm(q - target)) if body.space.kind == spaces.EUCLIDEAN
@@ -488,14 +489,33 @@ def frozen_retract(retr, q):
         else np.asarray(q, float)
 
 
+def counted_retract(retr, q):
+    """retr.retract(q) and the level-set evaluations it made: its body.dist
+    calls less the three outside the crossing search (q, target, residual)."""
+    dist, calls = retr.body.dist, [0]
+
+    def counting(x):
+        calls[0] += 1
+        return dist(x)
+
+    retr.body.dist = counting
+    try:
+        out = retr.retract(q)
+    finally:
+        del retr.body.dist
+    return out, calls[0] - 3
+
+
 @pytest.mark.parametrize("scene", [
     scenes.euclidean_point_scene(delta=0.05),
     scenes.euclidean_segment_scene(delta=0.05),
     scenes.hyperbolic_axis_scene(period=1.0, delta=0.02),
 ], ids=lambda sc: sc.name)
-def test_retract_matches_frozen_bisection_bits(scene):
-    """The per-query Geodesic and the early stop leave r's bits unchanged, on
-    boundary, interior and idempotence queries."""
+def test_retract_matches_frozen_bisection(scene):
+    """The ITP search lands within 1e-15 max(1, d(q, target)) of the frozen
+    80-step bisection's crossing, with a level-set residual at most one ulp of
+    eps above the bisection's, the same target and cell, and at most ITP_STEPS
+    evaluations per query, on boundary, interior and idempotence queries."""
     grid = rt.build_boundary_grid(
         scene.body, scene.eps, scene.R, scene.action, scene.component,
         scene.s_lo, scene.s_hi, scene.delta,
@@ -503,16 +523,29 @@ def test_retract_matches_frozen_bisection_bits(scene):
     retr = rt.Retractor(rt.extend_to_pushoff(grid, scene.lam, 1,
                                              scene.delta_prime))
     nbh = rt.EpsNeighborhood(scene.body, scene.eps)
+    body, eps, space = scene.body, scene.eps, scene.body.space
+    evals = []
+
+    def check(query):
+        (r, target, cell), n = counted_retract(retr, query)
+        ref = frozen_retract(retr, query)
+        assert (np.array_equal(target, retr.push_target(query)[0])
+                and cell == retr.push_target(query)[1])
+        length = spaces.distance(space, query, target)
+        assert spaces.distance(space, r, ref) <= 1e-15 * max(1.0, length)
+        assert abs(body.dist(r) - eps) <= abs(body.dist(ref) - eps) + math.ulp(eps)
+        assert n <= rt.ITP_STEPS == 52
+        evals.append(n)
+        return r
+
     margin = 0.02 * (scene.s_hi - scene.s_lo)
     for s in np.linspace(scene.s_lo + margin, scene.s_hi - margin, 12):
         q = nbh.point(scene.component, float(s))
         q_in = rt.normal_flow(scene.body, q, -grid.delta / 4.0)
         for query in (q, q_in):
-            r, target, cell = retr.retract(query)
-            assert np.array_equal(r, frozen_retract(retr, query))
-            assert (np.array_equal(target, retr.push_target(query)[0])
-                    and cell == retr.push_target(query)[1])
-            assert np.array_equal(retr.retract(r)[0], frozen_retract(retr, r))
+            check(check(query))
+    if scene.name == "euclidean_point":
+        assert np.mean(evals) <= 8
 
 
 def test_segment_scene_end_to_end():

@@ -474,6 +474,30 @@ def test_batched_labels_finite():
     assert all(type(p) is int for p in iota1.assignment.values())
 
 
+def full_matrix_diameters(space, table, rows):
+    """_diameters as it was: the max over each row's full m x m matrix."""
+    pts = table[rows]
+    M = spaces.paired_distances(space, pts[:, :, None], pts[:, None])
+    return M.reshape(len(pts), -1).max(axis=1)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 7])
+@pytest.mark.parametrize("kind", ["R2", "H2", "circle", "finite"])
+def test_diameters_over_pairs_match_full_matrix(kind, m):
+    """The pairs i < j give the full matrix's bits: the kernels are symmetric."""
+    rng = np.random.default_rng(m)
+    xy = rng.uniform(-1.0, 1.0, (20, 2))
+    space, table = {
+        "R2": (E2, xy),
+        "H2": (H2, np.array([hyp_label(x, y) for x, y in xy])),
+        "circle": (C1, np.array([spaces.circle_point(C1, a) for a in 3.0 * xy[:, 0]])),
+        "finite": (spaces.ModelSpace.finite(np.abs(xy[:, :1] - xy[:, 0])), np.arange(20)),
+    }[kind]
+    rows = rng.integers(0, 20, (3 * sd.BLOCK_ROWS // 2, m))
+    assert np.array_equal(sd._diameters(space, table, rows),
+                          full_matrix_diameters(space, table, rows))
+
+
 def test_rule_rejected_row_reaches_grid_solver(monkeypatch):
     """Below sqrt(3)/2 the triangle's midpoint label fails the batched
     lambda check; that row, and only it, goes to the grid solver."""

@@ -5,7 +5,6 @@ from . import barycenters, covers, retraction, scenes, simplicial, spaces, subdi
 from .barycenters import (
     BarycenterCertificate,
     BarycenterProblem,
-    SearchRegion,
     cat0_midpoint_rule,
     circle_arc_rule,
     has_barycenters_sample,

@@ -1,15 +1,14 @@
 """Minimax barycenters: b with d(b,p) <= lambda*diam(P) for all p in P and
 d(b,q) <= diam({q} u P) for all q in Q.
 
-In the CAT(0) kinds solve_barycenter is exact: minimax_solve returns a
-primal witness and dual weights whose closed-form bound (dual_bound)
-certifies non-existence, and the nerve's ball-intersection test uses the same
-solver.  Circle, finite and explicit-candidate problems search a candidate
-grid (the max-distance objective is 1-Lipschitz, so non-existence is
-certified down to the grid's covering radius).  The closed-form rules
-implement the midpoint construction for CAT(0) kinds and the shortest-arc
-midpoint on the circle; the circle rule's 1/2 bound is exact in the intrinsic
-arc metric, which the certificate records as metric="arc".
+solve_barycenter is exact in every kind it accepts.  In the CAT(0) kinds
+minimax_solve returns a primal witness and dual weights whose closed-form
+bound (dual_bound) certifies non-existence, and the nerve's ball-intersection
+test uses the same solver.  Circle and finite problems take the least value
+over a finite candidate set that holds every critical point.  The closed-form
+rules implement the midpoint construction for CAT(0) kinds and the
+shortest-arc midpoint on the circle; the circle rule's 1/2 bound is exact in
+the intrinsic arc metric, which the certificate records as metric="arc".
 """
 
 from __future__ import annotations
@@ -60,23 +59,10 @@ def relative_slacks(space, b, P, Q):
 
 
 @dataclass
-class SearchRegion:
-    """An explicit candidate set (e.g. a sampled curve) and its covering radius."""
-
-    candidates: list
-    resolution: float = 0.0
-
-    @staticmethod
-    def explicit(candidates, resolution):
-        return SearchRegion(list(candidates), resolution)
-
-
-@dataclass
 class BarycenterProblem:
     space: spaces.ModelSpace
     P: list
     Q: list
-    region: SearchRegion | None = None
 
     def to_json(self):
         def pts(v):
@@ -261,41 +247,68 @@ def minimax_solve(space, centers, beta, a):
 
 
 # ---------------------------------------------------------------------------
-# candidate grids (circle, finite and explicit-candidate problems)
-
-# Most candidates one grid may hold, checked from the grid's size formula
-# before anything is allocated; a larger grid, the refined one included,
-# makes the solve indeterminate.
-GRID_BUDGET = 4_000_000
+# exact critical-point search (circle and finite kinds)
 
 
-class _OverBudget(Exception):
-    """A candidate grid would hold more than GRID_BUDGET points."""
+def _circle_candidates(space, P, Q, q_radii):
+    """Every point where max_p d(., p) can attain its minimum over the
+    Q-feasible set of the circle: the points of P (all feasible), the point
+    opposite the middle of each gap between consecutive P angles (chordal
+    distance grows with the angle, and max_p angle(t, p) equals
+    pi - min_p angle(t + pi, p), so these are the interior minima), and both
+    ends of each q's feasible arc, which include every end of the feasible
+    set."""
+    R = space.radius
+    P_arr = np.asarray(P, float)
+    ang = np.sort(np.arctan2(P_arr[:, 1], P_arr[:, 0]))
+    gaps = np.append(ang[1:], ang[0] + 2.0 * math.pi)
+    thetas = [0.5 * (ang + gaps) + math.pi]
+    if Q:
+        Q_arr = np.asarray(Q, float)
+        half = 2.0 * np.arcsin(np.minimum(1.0, q_radii / (2.0 * R)))
+        tq = np.arctan2(Q_arr[:, 1], Q_arr[:, 0])
+        thetas += [tq - half, tq + half]
+    t = np.concatenate(thetas)
+    return np.concatenate([P_arr, R * np.stack([np.cos(t), np.sin(t)], axis=1)])
 
 
-def _circle_grid(space, m):
-    thetas = np.arange(m) * (2.0 * math.pi / m)
-    return np.stack([space.radius * np.cos(thetas),
-                     space.radius * np.sin(thetas)], axis=1)
-
-
-def _candidate_grid(prob, rho):
-    """Return (candidate array, covering radius).  Raises _OverBudget, from
-    the grid's size formula, before a grid over GRID_BUDGET is allocated."""
-    space = prob.space
-    if prob.region is not None:
-        return np.asarray(prob.region.candidates), prob.region.resolution
+def _critical_point_certificate(space, P, Q, q_radii, lam, D):
+    """solve_barycenter for circle and finite problems: lambda* is the least
+    max_p d / D over the candidates within tol of every Q ball, and its
+    witness is the first candidate that attains it."""
     if space.kind == spaces.FINITE:
-        return np.arange(space.dim), 0.0
-    if space.kind == spaces.CIRCLE:
-        dtheta = 2.0 * rho / space.radius  # chordal covering radius <= rho
-        m = max(8, int(math.ceil(2.0 * math.pi / dtheta)))
-        if m > GRID_BUDGET:
-            raise _OverBudget(f"circle grid needs {m} candidates, over the "
-                              f"budget of {GRID_BUDGET}")
-        return _circle_grid(space, m), rho
-    raise ValueError(f"no barycenter solver for space kind {space.kind}; "
-                     "supply an explicit candidate region")
+        cand = np.arange(space.dim)
+    elif space.kind == spaces.CIRCLE:
+        cand = _circle_candidates(space, P, Q, q_radii)
+    else:
+        raise ValueError(f"no barycenter solver for space kind {space.kind}")
+    max_p = np.max(spaces.cross_distances(space, cand, P), axis=1)
+    if Q:
+        viol = np.max(spaces.cross_distances(space, cand, Q) - q_radii, axis=1)
+        max_p = np.where(viol <= space.tol, max_p, np.inf)
+    best = int(np.argmin(max_p))
+    b = int(cand[best]) if space.kind == spaces.FINITE else cand[best]
+    return _decide(space, P, Q, lam, D, b, float(max_p[best]) / D, grid_resolution=0.0)
+
+
+def _decide(space, P, Q, lam, D, point, bound, **extra):
+    """The certificate of a witness and a lower bound on lambda*: found if the
+    public lambda_of and relative_slacks checks pass at tol, not_found_below
+    if lam < bound - tol, otherwise indeterminate."""
+    ach = lambda_of(space, point, P)
+    slacks = relative_slacks(space, point, P, Q)
+    tol = space.tol
+    if ach <= lam + tol and min(slacks, default=0.0) >= -tol:
+        return BarycenterCertificate(
+            "found", lam, point=point, achieved_lambda=ach, lambda_bound=bound,
+            relative_slacks=slacks, diam_P=D, **extra)
+    if lam < bound - tol:
+        return BarycenterCertificate("not_found_below", lam, lambda_bound=bound,
+                                     diam_P=D, **extra)
+    return BarycenterCertificate(
+        "indeterminate", lam, lambda_bound=bound, diam_P=D,
+        reason=f"lambda lies within tol of the optimum, between {bound!r} and {ach!r}",
+        **extra)
 
 
 def _exact_certificate(space, P, Q, q_radii, lam, D):
@@ -308,32 +321,18 @@ def _exact_certificate(space, P, Q, q_radii, lam, D):
         np.concatenate([np.ones(len(P)), np.zeros(len(Q))]))
     bound = (math.sqrt(max(sol.bound, 0.0)) if euclid
              else math.acosh(max(sol.bound, 1.0))) / D
-    weights = sol.weights.tolist()
-    ach = lambda_of(space, sol.point, P)
-    slacks = relative_slacks(space, sol.point, P, Q)
-    tol = space.tol
-    if ach <= lam + tol and min(slacks, default=0.0) >= -tol:
-        return BarycenterCertificate(
-            "found", lam, point=sol.point, achieved_lambda=ach, lambda_bound=bound,
-            relative_slacks=slacks, diam_P=D, weights=weights)
-    status = "not_found_below" if lam < bound - tol else "indeterminate"
-    return BarycenterCertificate(
-        status, lam, lambda_bound=bound, diam_P=D, weights=weights,
-        reason=None if status == "not_found_below" else
-        f"lambda lies within tol of the optimum, between {bound!r} and {ach!r}")
+    return _decide(space, P, Q, lam, D, sol.point, bound, weights=sol.weights.tolist())
 
 
-def solve_barycenter(prob, lam, rho=None, refine=True):
+def solve_barycenter(prob, lam):
     """Certified search for a lambda-barycenter of P relative to Q: a point of
     the balls B(p, lam D) over P and B(q, max(D, d(q, P))) over Q.
 
-    Euclidean and hyperboloid problems are solved exactly by minimax_solve:
-    found (with the witness and its slacks) or not_found_below (with the
-    dual bound), both carrying the dual weights over P then Q; indeterminate
-    only when lam lies within tol of the optimum.  Circle, finite and
-    explicit-candidate problems search a candidate grid of covering radius
-    rho (the max-distance objective is 1-Lipschitz, so non-existence is
-    certified down to rho), refined once tenfold if undecided.
+    Every kind is solved exactly: Euclidean and hyperboloid problems by
+    minimax_solve (the certificate carries the dual weights over P then Q),
+    circle and finite problems by their critical points.  The result is found
+    (with the witness and its slacks) or not_found_below (with lambda_bound),
+    and indeterminate only when lam lies within tol of the optimum.
     """
     space = prob.space
     P = list(prob.P)
@@ -341,8 +340,7 @@ def solve_barycenter(prob, lam, rho=None, refine=True):
     if not P:
         raise GeometryError("P must be nonempty")
     D = spaces.pairwise_diameter(space, P)
-    tol = space.tol
-    if D <= tol:
+    if D <= space.tol:
         b = P[0]
         return BarycenterCertificate(
             "found", lam, point=b, achieved_lambda=0.0,
@@ -350,56 +348,9 @@ def solve_barycenter(prob, lam, rho=None, refine=True):
             grid_resolution=0.0, diam_P=D)
     q_radii = np.maximum(D, np.max(spaces.cross_distances(space, Q, P), axis=1)) \
         if Q else np.zeros(0)
-    if space.is_cat0 and prob.region is None:
+    if space.is_cat0:
         return _exact_certificate(space, P, Q, q_radii, lam, D)
-
-    if rho is None:
-        rho = D / 200.0
-    try:
-        candidates, rho_cov = _candidate_grid(prob, rho)
-    except _OverBudget as exc:
-        return BarycenterCertificate("indeterminate", lam, diam_P=D,
-                                     reason=str(exc))
-    max_p = np.full(len(candidates), -np.inf)
-    for p in P:
-        max_p = np.maximum(max_p, spaces.distances_to(space, candidates, p))
-    rel_viol = np.full(len(candidates), -np.inf)
-    for q, r in zip(Q, q_radii):
-        rel_viol = np.maximum(rel_viol, spaces.distances_to(space, candidates, q) - r)
-
-    total_viol = np.maximum(max_p - lam * D, rel_viol)
-    best = int(np.argmin(total_viol))
-    best_b = int(candidates[best]) if space.kind == spaces.FINITE else candidates[best]
-    if total_viol[best] <= tol:
-        ach = lambda_of(space, best_b, P)
-        slacks = relative_slacks(space, best_b, P, Q)
-        if ach <= lam + tol and min(slacks, default=0.0) >= -tol:
-            return BarycenterCertificate(
-                "found", lam, point=best_b, achieved_lambda=ach,
-                relative_slacks=slacks, grid_resolution=rho_cov, diam_P=D)
-
-    # certified non-existence: every grid candidate violates something by
-    # more than the per-cell Lipschitz variation
-    rel_ok = rel_viol <= rho_cov
-    if np.any(rel_ok):
-        lam_bound = float(np.min(max_p[rel_ok] - rho_cov)) / D
-    else:
-        lam_bound = 1.0
-    lam_bound = max(0.0, lam_bound)
-    if lam < lam_bound - tol:
-        return BarycenterCertificate(
-            "not_found_below", lam, lambda_bound=lam_bound,
-            grid_resolution=rho_cov, diam_P=D)
-
-    reason = None
-    if refine:
-        fine = solve_barycenter(prob, lam, rho=rho / 10.0, refine=False)
-        if fine.reason is None:
-            return fine
-        reason = fine.reason  # keep this grid's bound: the finer one is unbuilt
-    return BarycenterCertificate(
-        "indeterminate", lam, lambda_bound=lam_bound,
-        grid_resolution=rho_cov, diam_P=D, reason=reason)
+    return _critical_point_certificate(space, P, Q, q_radii, lam, D)
 
 
 # ---------------------------------------------------------------------------

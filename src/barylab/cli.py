@@ -53,12 +53,11 @@ def cmd_barycenter(args):
             prob.space = spaces.ModelSpace(
                 prob.space.kind, prob.space.dim, prob.space.radius,
                 prob.space.matrix, args.tol)
-        rho = args.delta
     except (KeyError, ValueError, OSError, json.JSONDecodeError,
             GeometryError) as exc:
         print(f"barylab barycenter: bad input: {exc}", file=sys.stderr)
         return 1
-    cert = barycenters.solve_barycenter(prob, float(lam), rho=rho)
+    cert = barycenters.solve_barycenter(prob, float(lam))
     _atomic_write(args.output, _dump_json(cert.to_json()))
     if cert.status == "found":
         return 0
@@ -139,11 +138,19 @@ def cmd_retract(args):
             scene = scenes.SCENE_BUILDERS[doc["scene"]](**overrides)
         else:
             scene = scenes.Scene.from_json(doc)
+        lam = args.lam if args.lam is not None else scene.lam
+        if not 0.0 < lam < 1.0:
+            raise ValueError(f"lambda {lam} outside (0, 1)")
+        order = args.order if args.order is not None else scene.order
+        if not isinstance(order, int) or order < 0:
+            raise ValueError(f"order {order!r} is not a nonnegative integer")
+        if args.density < 1:
+            raise ValueError(f"density {args.density} is below 1")
     except (KeyError, TypeError, ValueError, OSError, json.JSONDecodeError,
             GeometryError) as exc:
         print(f"barylab retract: bad input: {exc}", file=sys.stderr)
         return 1
-    report = scenes.run_pipeline(scene, lam=args.lam, order=args.order,
+    report = scenes.run_pipeline(scene, lam=lam, order=order,
                                  density=args.density, seed=args.seed)
     _atomic_write(args.output, _dump_json(report.to_json()))
     _atomic_write(args.output + ".csv", report.samples_csv())
@@ -163,7 +170,6 @@ _FLAGS = {
     "--density": (dict(type=int, default=200), ("retract",)),
     "--lambda": (dict(dest="lam", type=float, default=None),
                  ("barycenter", "subdivide", "retract")),
-    "--delta": (dict(type=float, default=None), ("barycenter",)),
     "--order": (dict(type=int, default=None), ("subdivide", "retract")),
 }
 

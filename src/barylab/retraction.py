@@ -356,20 +356,6 @@ class EpsNeighborhood:
 
 
 @dataclass
-class GridVerification:
-    alpha: float
-    min_witness_angle: float
-    push_off_distance: float
-    max_element_diam: float
-    boundary_map_diameter: float
-    diam_iota: float
-
-    def ok(self, angle_tol=1e-5):
-        return (self.min_witness_angle >= self.alpha - angle_tol
-                and self.push_off_distance > 0.0)
-
-
-@dataclass
 class PushOffGrid:
     body: ConvexBody
     eps: float
@@ -411,16 +397,6 @@ class PushOffGrid:
             bdy_diam = max(bdy_diam, spaces.distance(
                 self.body.space, self.iota(e[0]), self.iota(e[1])))
         return bdy_diam
-
-    def verify(self, alpha=ALPHA_DEFAULT):
-        return GridVerification(
-            alpha=alpha,
-            min_witness_angle=self.min_witness_angle,
-            push_off_distance=self.push_off_distance(),
-            max_element_diam=self.cover.max_diameter,
-            boundary_map_diameter=self.boundary_map_diameter,
-            diam_iota=simplicial.map_diameter(self.nerve, self.iota),
-        )
 
 
 def calibrate_delta(neighborhood, component, s_lo, s_hi, flow_time, delta,

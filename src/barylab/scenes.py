@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import covers, retraction, spaces
+from . import covers, retraction, simplicial, spaces
 from .barycenters import SQRT3_OVER_2
 from .errors import GeometryError, StagedPreconditionError
 
@@ -273,24 +273,25 @@ def run_pipeline(scene, lam=None, order=None, density=200, seed=0):
     except GeometryError as exc:
         return _fail(report, "build-grid", str(exc))
 
-    gv = grid.verify(alpha=scene.alpha)
+    grid_push = grid.push_off_distance()
+    diam_iota_grid = simplicial.map_diameter(grid.nerve, grid.iota)
     report.grid = {
         "delta_achieved": grid.delta,
-        "min_witness_angle": gv.min_witness_angle,
-        "push_off_distance": gv.push_off_distance,
-        "boundary_map_diameter": gv.boundary_map_diameter,
+        "min_witness_angle": grid.min_witness_angle,
+        "push_off_distance": grid_push,
+        "boundary_map_diameter": grid.boundary_map_diameter,
         "elements": len(grid.adjacency),
     }
-    report.diam_iota = gv.diam_iota
-    report.gates["grid_angle"] = gv.min_witness_angle >= scene.alpha - 1e-5
-    report.gates["push_off_positive"] = gv.push_off_distance > 0.0
+    report.diam_iota = diam_iota_grid
+    report.gates["grid_angle"] = grid.min_witness_angle >= scene.alpha - 1e-5
+    report.gates["push_off_positive"] = grid_push > 0.0
     report.gates["boundary_tightness"] = (
-        gv.boundary_map_diameter <= (1.0 - lam) * scene.delta_prime + tol)
+        grid.boundary_map_diameter <= (1.0 - lam) * scene.delta_prime + tol)
 
     dkk = covers.diam_K_Kout(scene.action, K_samples, K_out,
                              slack=2.0 * grid.delta)
     report.diam_K_Kout = dkk
-    report.gates["diam_iota_le_diam_K_Kout"] = gv.diam_iota <= dkk + tol
+    report.gates["diam_iota_le_diam_K_Kout"] = diam_iota_grid <= dkk + tol
 
     try:
         pushoff = retraction.extend_to_pushoff(grid, lam, order,
@@ -319,7 +320,6 @@ def run_pipeline(scene, lam=None, order=None, density=200, seed=0):
     ss = np.linspace(scene.s_lo + margin, scene.s_hi - margin, density)
     angle_gate = scene.alpha / 2.0 + math.pi / 4.0
 
-    diam_iota_grid = gv.diam_iota
     cone_bound = (lam ** order) * diam_iota_grid
     coning_ok = True
     for s in ss:

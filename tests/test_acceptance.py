@@ -35,8 +35,7 @@ def produce_circle_obstruction():
     trip = [spaces.circle_point(sp, 2 * math.pi * k / 3) for k in range(3)]
     certs = []
     for lam in np.arange(0.5, 0.995, 0.05):
-        cert = bc.solve_barycenter(bc.BarycenterProblem(sp, trip, []),
-                                   float(lam), rho=1e-3)
+        cert = bc.solve_barycenter(bc.BarycenterProblem(sp, trip, []), float(lam))
         certs.append(cert.to_json())
     diam = spaces.pairwise_diameter(sp, trip)
     return json.dumps({"diam": diam, "certs": certs}, sort_keys=True).encode()
@@ -196,8 +195,8 @@ def test_criterion_1_circle_obstruction():
     for cert in doc["certs"]:
         assert cert["requested_lambda"] <= 0.99
         assert cert["status"] == "not_found_below"
-        assert cert["lambda_bound"] > 0.99
-        assert cert["grid_resolution"] <= 1e-3
+        assert abs(cert["lambda_bound"] - 1.0) <= 1e-12
+        assert cert["grid_resolution"] == 0.0
     _report(1, "circle equidistant triple has no lambda-barycenter below 0.99",
             t0, 10)
 

@@ -67,8 +67,7 @@ def test_circle_triple_obstruction():
     sp, trip = equidistant_triple()
     assert abs(spaces.pairwise_diameter(sp, trip) - math.sqrt(3)) < 1e-9
     for lam in (0.5, 0.75, 0.99):
-        cert = bc.solve_barycenter(bc.BarycenterProblem(sp, trip, []), lam,
-                                   rho=1e-3)
+        cert = bc.solve_barycenter(bc.BarycenterProblem(sp, trip, []), lam)
         assert cert.status == "not_found_below"
         assert cert.lambda_bound > 0.99
 
@@ -80,7 +79,7 @@ def test_circle_relative_obstruction():
     half = math.asin(d / 2)
     P = [spaces.circle_point(C1, -half), spaces.circle_point(C1, half)]
     q = spaces.circle_point(C1, math.pi)
-    cert = bc.solve_barycenter(bc.BarycenterProblem(C1, P, [q]), 0.95, rho=1e-3)
+    cert = bc.solve_barycenter(bc.BarycenterProblem(C1, P, [q]), 0.95)
     assert cert.status == "not_found_below"
     assert 0.95 < cert.lambda_bound < 1.0
 
@@ -226,27 +225,43 @@ def test_sample_report_deterministic():
     assert a == b
 
 
-def test_explicit_candidate_region():
-    """Constraint-region mode: candidates restricted to a sampled curve."""
-    ring = [spaces.circle_point(C1, t)
-            for t in np.linspace(0, 2 * math.pi, 2000, endpoint=False)]
-    region = bc.SearchRegion.explicit(ring, resolution=2e-3)
-    P = [spaces.circle_point(C1, 0.0), spaces.circle_point(C1, 0.4)]
-    prob = bc.BarycenterProblem(C1, P, [], region=region)
-    cert = bc.solve_barycenter(prob, 0.6)
-    assert cert.found
-    assert abs(np.linalg.norm(cert.point) - 1.0) < 1e-9  # stays on the circle
-
-
 def test_finite_space_solver_exact():
     m = np.array([[0.0, 1, 1, 2], [1, 0, 1, 1], [1, 1, 0, 1], [2, 1, 1, 0]])
     fin = spaces.ModelSpace.finite(m)
     cert = bc.solve_barycenter(bc.BarycenterProblem(fin, [0, 3], [1]), 0.5)
     assert cert.found and cert.grid_resolution == 0.0
-    assert cert.point in (1, 2)
+    assert cert.point == 1  # ties go to the lower index
     low = bc.solve_barycenter(bc.BarycenterProblem(fin, [0, 3], []), 0.4)
     assert low.status == "not_found_below"
     assert abs(low.lambda_bound - 0.5) < 1e-12
+
+
+def test_circle_exact_lambda_below_dense_scan():
+    """With Q nonempty, the critical-point lambda* is at most the least
+    max_p d / D over a 200,000-point scan of the Q-feasible circle, and the
+    solve flips from not_found_below to found across it."""
+    n = 200_000
+    for seed in range(16):
+        rng = np.random.default_rng(seed)
+        sp = spaces.ModelSpace.circle((1.0, 2.5)[seed % 2])
+        c, w = rng.uniform(0, 2 * math.pi), rng.uniform(0.1, 2 * math.pi)
+        P = [spaces.circle_point(sp, c + rng.uniform(0, w))
+             for _ in range(int(rng.integers(2, 7)))]
+        Q = [spaces.circle_point(sp, rng.uniform(0, 2 * math.pi))
+             for _ in range(int(rng.integers(1, 4)))]
+        prob = bc.BarycenterProblem(sp, P, Q)
+        lam_star = bc.solve_barycenter(prob, 0.0).lambda_bound
+        t = np.arange(n) * (2 * math.pi / n)
+        scan = sp.radius * np.stack([np.cos(t), np.sin(t)], axis=1)
+        D = spaces.pairwise_diameter(sp, P)
+        r = np.maximum(D, np.max(spaces.cross_distances(sp, Q, P), axis=1))
+        feasible = np.all(spaces.cross_distances(sp, scan, Q) <= r, axis=1)
+        scan_min = np.min(np.max(spaces.cross_distances(sp, scan[feasible], P), axis=1)) / D
+        assert lam_star <= scan_min
+        hi = bc.solve_barycenter(prob, lam_star + 1e-9)
+        assert hi.found and hi.grid_resolution == 0.0
+        assert abs(hi.achieved_lambda - lam_star) <= 1e-12
+        assert bc.solve_barycenter(prob, lam_star - 1e-6).status == "not_found_below"
 
 
 def _circle_through(pts):
@@ -298,32 +313,10 @@ def test_solver_matches_meb_oracle():
         assert abs(lo.lambda_bound - lam_star) <= 1e-9
 
 
-def test_grid_budget_makes_oversized_grid_indeterminate(monkeypatch):
-    """A circle grid of covering radius 1e-7 needs 31.4 M candidates; the
-    budget turns it into indeterminate before any grid is allocated."""
-    def no_grid(*args):
-        raise AssertionError("an over-budget grid was allocated")
-
-    monkeypatch.setattr(bc, "_circle_grid", no_grid)
-    P = [spaces.circle_point(C1, 0.0), spaces.circle_point(C1, 1.0)]
-    cert = bc.solve_barycenter(bc.BarycenterProblem(C1, P, []), 0.6, rho=1e-7)
-    assert cert.status == "indeterminate"
-    assert "over the budget" in cert.reason
-    assert cert.to_json()["reason"] == cert.reason
-
-
 def test_certificate_reason_written_only_when_set():
     cert = bc.solve_barycenter(
         bc.BarycenterProblem(E2, [np.zeros(2), np.array([1.0, 0.0])], []), 0.5)
     assert cert.found and "reason" not in cert.to_json()
-
-
-def test_candidate_grid_returns_arrays():
-    pts = [spaces.circle_point(C1, 0.0), spaces.circle_point(C1, 0.5)]
-    grid, rho = bc._candidate_grid(bc.BarycenterProblem(C1, pts, []), 0.05)
-    assert isinstance(grid, np.ndarray) and rho == 0.05
-    assert grid.shape == (63, 2)
-    assert np.allclose(np.linalg.norm(grid, axis=1), 1.0)
 
 
 def test_diameter_midpoints_stack_matches_scalar_midpoints():
@@ -347,18 +340,6 @@ def test_diameter_midpoints_stack_matches_scalar_midpoints():
             assert np.array_equal(b, spaces.geodesic_point(space, P[i], P[j],
                                                            0.5 * float(M[i, j])))
             assert np.array_equal(bc.cat0_midpoint_rule(space, P, []).point, b)
-
-
-def test_grid_budget_stops_refinement_with_coarse_bound(monkeypatch):
-    """A refinement over the budget leaves the coarse grid's bound and
-    resolution in the indeterminate certificate."""
-    monkeypatch.setattr(bc, "GRID_BUDGET", 2000)
-    sp, P = equidistant_triple()
-    # the circle grid at rho = D/200 has 363 candidates; refined, 3,628
-    cert = bc.solve_barycenter(bc.BarycenterProblem(sp, P, []), 0.99999)
-    assert cert.status == "indeterminate"
-    assert "circle grid needs" in cert.reason
-    assert cert.lambda_bound is not None and cert.grid_resolution > 0
 
 
 # ---------------------------------------------------------------------------

@@ -41,19 +41,26 @@ def test_barycenter_not_found_exit_two(tmp_path):
     inp = write(tmp_path / "p.json",
                 {"space": CIRCLE, "P": TRIPLE, "Q": [], "lambda": 0.9})
     out = str(tmp_path / "cert.json")
-    assert run(["barycenter", "--input", inp, "--output", out,
-                "--delta", "0.001"]) == 2
-    cert = json.load(open(out))
-    assert cert["status"] == "not_found_below"
-    assert cert["lambda_bound"] > 0.99
+    for lam in ("0.9", "0.99999"):
+        assert run(["barycenter", "--input", inp, "--output", out,
+                    "--lambda", lam]) == 2
+        cert = json.load(open(out))
+        assert cert["status"] == "not_found_below"
+        assert abs(cert["lambda_bound"] - 1.0) <= 1e-12
 
 
-def test_barycenter_indeterminate_exit_three(tmp_path):
+def test_barycenter_indeterminate_exit_three(tmp_path, monkeypatch):
+    from barylab import barycenters
+
+    def undecided(prob, lam):
+        return barycenters.BarycenterCertificate("indeterminate", lam, reason="test")
+
+    monkeypatch.setattr(barycenters, "solve_barycenter", undecided)
     inp = write(tmp_path / "p.json",
-                {"space": CIRCLE, "P": TRIPLE, "Q": [], "lambda": 0.99999})
+                {"space": CIRCLE, "P": TRIPLE, "Q": [], "lambda": 0.9})
     out = str(tmp_path / "cert.json")
-    assert run(["barycenter", "--input", inp, "--output", out,
-                "--delta", "0.001"]) == 3
+    assert run(["barycenter", "--input", inp, "--output", out]) == 3
+    assert json.load(open(out))["reason"] == "test"
 
 
 def test_barycenter_malformed_exit_one(tmp_path):
@@ -168,6 +175,25 @@ def test_retract_over_budget_fails_extension(tmp_path, capsys):
     assert "budget" in rep["failure"]["message"]
 
 
+@pytest.mark.parametrize("doc, flags", [
+    ({"scene": "euclidean_point"}, ["--order", "-1"]),
+    ({"scene": "euclidean_point", "overrides": {"order": -1}}, []),
+    ({"scene": "euclidean_point", "overrides": {"order": 1.5}}, []),
+    ({"scene": "euclidean_point"}, ["--density", "0"]),
+    ({"scene": "euclidean_point"}, ["--density", "-3"]),
+    ({"scene": "euclidean_point"}, ["--lambda", "0"]),
+    ({"scene": "euclidean_point"}, ["--lambda", "1.5"]),
+    ({"scene": "euclidean_point", "overrides": {"lam": 1.0}}, []),
+], ids=["order_flag", "order_override", "order_fraction", "density_zero",
+        "density_negative", "lambda_zero", "lambda_above_one", "lambda_override"])
+def test_retract_rejects_bad_input(tmp_path, capsys, doc, flags):
+    inp = write(tmp_path / "scene.json", doc)
+    out = str(tmp_path / "report.json")
+    assert run(["retract", "--input", inp, "--output", out, *flags]) == 1
+    assert_bad_input(capsys, "retract")
+    assert not os.path.exists(out)
+
+
 def test_retract_scene_pass(tmp_path):
     inp = write(tmp_path / "scene.json",
                 {"scene": "euclidean_point", "overrides": {"order": 1}})
@@ -221,7 +247,7 @@ def test_lambda_flag_overrides_input(tmp_path):
     out = str(tmp_path / "cert.json")
     # forcing lambda = 1.05 makes the triple itself feasible
     assert run(["barycenter", "--input", inp, "--output", out,
-                "--lambda", "1.05", "--delta", "0.001"]) == 0
+                "--lambda", "1.05"]) == 0
     cert = json.load(open(out))
     assert cert["requested_lambda"] == 1.05 and cert["status"] == "found"
 
@@ -246,6 +272,13 @@ def test_usage_errors_exit_one(tmp_path):
     # read as "barycenter not found"
     assert run(["phase", "--input", inp, "--output", out, "--tol", "1e-6"]) == 1
     assert run(["phase", "--input", inp]) == 1
+    assert not os.path.exists(out)
+    # the circle solve is exact, so the grid resolution flag is gone
+    inp = write(tmp_path / "p.json",
+                {"space": CIRCLE, "P": TRIPLE, "Q": [], "lambda": 0.9})
+    out = str(tmp_path / "cert.json")
+    assert run(["barycenter", "--input", inp, "--output", out,
+                "--delta", "0.001"]) == 1
     assert not os.path.exists(out)
 
 

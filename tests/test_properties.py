@@ -1,7 +1,8 @@
 """Property tests (Hypothesis): certificates are invariant under isometries,
-subdivision provenance read off chains matches the union-based search, the
-array subdivision matches the frozen tuple one, and the retraction's
-crossings match closed forms."""
+the circle's lambda* matches the arc-midpoint closed form, subdivision
+provenance read off chains matches the union-based search, the array
+subdivision matches the frozen tuple one, and the retraction's crossings
+match closed forms."""
 
 import itertools
 import math
@@ -57,6 +58,25 @@ def test_lambda_star_isometry_invariant(seed, which):
     assert a.found and b.found
     assert abs(a.achieved_lambda - b.achieved_lambda) <= 1e-9
     assert abs(a.lambda_bound - b.lambda_bound) <= 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.floats(0.05, math.pi), st.floats(0.5, 3.0))
+def test_circle_lambda_star_matches_arc_oracle(seed, w, R):
+    """P inside an arc of width w <= pi with both ends in P, Q empty: the arc
+    midpoint is optimal, so lambda* = 2R sin(w/4) / D with D = 2R sin(w/2)."""
+    rng = np.random.default_rng(seed)
+    space = spaces.ModelSpace.circle(R)
+    t0 = rng.uniform(0.0, 2.0 * math.pi)
+    angles = [t0, t0 + w, *(t0 + rng.uniform(0.0, w, int(rng.integers(0, 6))))]
+    P = [np.array([R * math.cos(t), R * math.sin(t)]) for t in angles]
+    oracle = 2.0 * R * math.sin(w / 4.0) / (2.0 * R * math.sin(w / 2.0))
+    prob = bc.BarycenterProblem(space, P, [])
+    hi = bc.solve_barycenter(prob, oracle + 1e-9)
+    lo = bc.solve_barycenter(prob, oracle - 1e-6)
+    assert hi.status == "found" and lo.status == "not_found_below"
+    assert abs(hi.achieved_lambda - oracle) <= 1e-12
+    assert abs(lo.lambda_bound - oracle) <= 1e-12
 
 
 # Frozen union-based provenance: the least parent simplex containing a

@@ -500,7 +500,7 @@ def test_diameters_over_pairs_match_full_matrix(kind, m):
 
 def test_rule_rejected_row_reaches_grid_solver(monkeypatch):
     """Below sqrt(3)/2 the triangle's midpoint label fails the batched
-    lambda check; that row, and only it, goes to the grid solver."""
+    lambda check; that row, and only it, goes to solve_barycenter."""
     from barylab import barycenters
 
     calls = []

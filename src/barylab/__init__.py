@@ -19,7 +19,6 @@ from .covers import (
     adjacency,
     build_nerve,
     diam_K_Kout,
-    is_H_fine,
 )
 from .retraction import (
     ConvexBody,

@@ -600,8 +600,6 @@ def load_problem(doc):
     if isinstance(doc, str):
         doc = json.loads(doc)
     space = spaces.ModelSpace.from_json(doc["space"])
-    if space.kind == spaces.SPHERE:
-        raise ValueError("no barycenter solver for sphere spaces")
     P = [space.point(p) for p in doc["P"]]
     Q = [space.point(q) for q in doc.get("Q", [])]
     return BarycenterProblem(space, P, Q), doc

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -46,18 +47,20 @@ def cmd_barycenter(args):
         prob, raw = barycenters.load_problem(doc)
         if not prob.P:
             raise ValueError("P must be nonempty")
-        lam = args.lam if args.lam is not None else raw.get("lambda")
-        if lam is None:
-            raise KeyError("lambda")
+        lam = float(args.lam if args.lam is not None else raw["lambda"])
+        if not math.isfinite(lam):
+            raise ValueError(f"lambda {lam} is not finite")
         if args.tol is not None:
+            if not 0.0 < args.tol < math.inf:
+                raise ValueError(f"tol {args.tol} is not positive and finite")
             prob.space = spaces.ModelSpace(
                 prob.space.kind, prob.space.dim, prob.space.radius,
                 prob.space.matrix, args.tol)
-    except (KeyError, ValueError, OSError, json.JSONDecodeError,
+    except (KeyError, TypeError, ValueError, OSError, json.JSONDecodeError,
             GeometryError) as exc:
         print(f"barylab barycenter: bad input: {exc}", file=sys.stderr)
         return 1
-    cert = barycenters.solve_barycenter(prob, float(lam))
+    cert = barycenters.solve_barycenter(prob, lam)
     _atomic_write(args.output, _dump_json(cert.to_json()))
     if cert.status == "found":
         return 0
@@ -71,10 +74,15 @@ def cmd_phase(args):
         doc = _load_input(args.input)
         space = spaces.ModelSpace.from_json(doc["space"])
         barycenters.check_sampled(space)
-        lambdas = doc["lambdas"]
-        deltas = doc["deltas"]
+        lambdas = [float(x) for x in doc["lambdas"]]
+        deltas = [float(x) for x in doc["deltas"]]
+        bad = [x for x in lambdas + deltas if not 0.0 < x < math.inf]
+        if bad:
+            raise ValueError(f"lambdas and deltas must be positive and finite, not {bad[0]}")
         trials = args.trials if args.trials is not None else doc.get("trials", 100)
-    except (KeyError, ValueError, OSError, json.JSONDecodeError,
+        if not isinstance(trials, int) or trials < 1:
+            raise ValueError(f"trials {trials!r} is not a positive integer")
+    except (KeyError, TypeError, ValueError, OSError, json.JSONDecodeError,
             GeometryError) as exc:
         print(f"barylab phase: bad input: {exc}", file=sys.stderr)
         return 1
@@ -96,9 +104,6 @@ def cmd_subdivide(args):
     try:
         doc = _load_input(args.input)
         space = spaces.ModelSpace.from_json(doc["space"])
-        if space.kind not in (spaces.EUCLIDEAN, spaces.HYPERBOLOID, spaces.CIRCLE,
-                              spaces.FINITE):
-            raise ValueError(f"no barycenter solver for {space.kind} spaces")
         complex_ = simplicial.SimplicialComplex.from_json(doc["complex"])
         violations = simplicial.validate(complex_)
         if violations:

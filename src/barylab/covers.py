@@ -158,7 +158,7 @@ class BallCover:
     Only Euclidean and hyperboloid spaces are accepted: build_nerve certifies
     pairwise intersections from the centre distance, which is exact only in a
     geodesic metric, and larger sets with the CAT(0) primal-dual solver.
-    Chordal circles and spheres, and finite spaces, fail both.
+    Chordal circles and finite spaces fail both.
     """
 
     def __init__(self, space, balls, window, check_cover=True):
@@ -416,7 +416,7 @@ def build_nerve(cover):
 
 
 # ---------------------------------------------------------------------------
-# adjacency and H-fineness
+# adjacency
 
 
 @dataclass
@@ -463,17 +463,6 @@ def adjacency(cover, action):
                 Ball(gcs[b.label], b.radius, next_label), g, w, b.label))
             next_label += 1
     return AdjacencySet(cover, action, elements)
-
-
-def is_H_fine(cover, action):
-    """True iff no element meets any of its nontrivial translates."""
-    _check_enumeration_bound(cover, action, "is_H_fine")
-    for g, _ in action.nontrivial():
-        for b in cover.balls:
-            gc = g.apply(b.center)
-            if spaces.distance(cover.space, gc, b.center) < 2 * b.radius - cover.space.tol:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +512,17 @@ class NerveProjector:
 
 
 # ---------------------------------------------------------------------------
-# relative diameter
+# translate gaps and the relative diameter
+
+
+def translate_gaps(action, K):
+    """(g, word length, min over p, p' in K of d(g p, p')) for each nontrivial
+    group element g, one element at a time: O(|K|) memory."""
+    K = [np.asarray(p, float) for p in K]
+    for g, w in action.nontrivial():
+        gK = np.asarray([g.apply(p) for p in K])
+        yield g, w, min(float(np.min(spaces.distances_to(action.space, gK, p)))
+                        for p in K)
 
 
 def diam_K_Kout(action, K, K_out, slack=0.0):
@@ -533,12 +532,9 @@ def diam_K_Kout(action, K, K_out, slack=0.0):
     with slack defaulting to 0 (identity always qualifies).
     """
     space = action.space
-    K = np.asarray([np.asarray(p, float) for p in K])
     K_out = [np.asarray(p, float) for p in K_out]
     best = spaces.pairwise_diameter(space, K_out)
-    for g, w in action.nontrivial():
-        gK = np.asarray([g.apply(p) for p in K])
-        dmin = min(float(np.min(spaces.distances_to(space, gK, p))) for p in K)
+    for g, w, dmin in translate_gaps(action, K):
         if dmin > slack + space.tol:
             continue
         if w == action.word_length and action.generators:

@@ -29,6 +29,8 @@ ALPHA_DEFAULT = math.pi
 # ITP (Oliveira & Takahashi 2020), d = d(q, target): kappa1 = ITP_K1/d, kappa2, n0, eps/d
 ITP_K1, ITP_K2, ITP_N0, ITP_EPS = 0.2, 2, 1, 2.0 ** -52
 ITP_STEPS = math.ceil(math.log2(1.0 / (2.0 * ITP_EPS))) + ITP_N0  # n_max = 52
+MAX_HALVINGS = 5  # of delta in calibrate_delta before it gives up
+ESCAPE_SAMPLES = 100  # points per geodesic in check_large_angle_escape
 
 
 def _mdot_rows(A, B):
@@ -220,14 +222,10 @@ def angle_to_C(body, q, q_prime):
     return spaces.angle_at(body.space, q, q_prime, body.project(q))
 
 
-def angle_to_C_batch(body, Q, q_prime):
-    """Vectorized angle_to_C over rows of Q (2d Euclidean / hyperboloid)."""
-    return _angles_to_C(body, Q)(q_prime)
-
-
 def _angles_to_C(body, Q):
-    """angle_to_C_batch as a function of q'; the terms of Q alone (its
-    projection, the direction to it, in H^n its length) are computed once."""
+    """angle_to_C over the rows of Q (2d Euclidean / hyperboloid), as a
+    function of q'; the terms of Q alone (its projection, the direction to
+    it, in H^n its length) are computed once."""
     Q = np.asarray(Q, float)
     P = body.project_batch(Q)
     if body.space.kind == spaces.EUCLIDEAN:
@@ -250,8 +248,7 @@ def _angles_to_C(body, Q):
     return angles
 
 
-def check_large_angle_escape(body, eps, q, q_prime, samples=100,
-                             enforce_angle=True):
+def check_large_angle_escape(body, eps, q, q_prime, enforce_angle=True):
     """True iff the geodesic from q toward q' stays strictly outside the
     eps-neighborhood after leaving q (sampled); requires the angle > pi/2.
 
@@ -264,7 +261,7 @@ def check_large_angle_escape(body, eps, q, q_prime, samples=100,
     if enforce_angle and angle_to_C(body, q, q_prime) <= math.pi / 2.0 + tol:
         raise PreconditionError("escape check requires an angle > pi/2")
     geo = spaces.Geodesic(body.space, q, q_prime)
-    pts = geo.points(np.linspace(geo.length / samples, geo.length, samples))
+    pts = geo.points(np.linspace(geo.length / ESCAPE_SAMPLES, geo.length, ESCAPE_SAMPLES))
     return not np.any(body.dist_batch(pts) <= eps)
 
 
@@ -359,16 +356,11 @@ class EpsNeighborhood:
 class PushOffGrid:
     body: ConvexBody
     eps: float
-    R: float
-    action: covers.GroupAction
-    cover: covers.BallCover
     projector: covers.NerveProjector
     iota: simplicial.VertexMap
     boundary_flags: dict
     witnesses: dict  # boundary vertex -> (witness point, recorded angle)
-    designated: np.ndarray | None
     delta: float
-    delta_prime_target: float
 
     @property
     def nerve(self):
@@ -383,8 +375,8 @@ class PushOffGrid:
                 if self.boundary_flags.get(e[0]) and self.boundary_flags.get(e[1])]
 
     def push_off_distance(self):
-        return min(self.body.dist(self.iota(v)) - self.eps
-                   for v in self.nerve.vertices)
+        return _push_off_distance(self.body, self.eps,
+                                  [self.iota(v) for v in self.nerve.vertices])
 
     @functools.cached_property
     def min_witness_angle(self):
@@ -392,20 +384,24 @@ class PushOffGrid:
 
     @functools.cached_property
     def boundary_map_diameter(self):
-        bdy_diam = 0.0
-        for e in self.boundary_edges():
-            bdy_diam = max(bdy_diam, spaces.distance(
-                self.body.space, self.iota(e[0]), self.iota(e[1])))
-        return bdy_diam
+        ends = np.asarray([[self.iota(u), self.iota(v)] for u, v in self.boundary_edges()],
+                          float).reshape(-1, 2, self.body.space.ambient_dim)
+        return float(np.max(spaces.paired_distances(self.body.space, ends[:, 0], ends[:, 1]),
+                            initial=0.0))
+
+
+def _push_off_distance(body, eps, points):
+    """min over points of d(p, C) - eps, by the body's batched distance."""
+    return float(np.min(body.dist_batch(points))) - eps
 
 
 def calibrate_delta(neighborhood, component, s_lo, s_hi, flow_time, delta,
-                    delta_prime, max_halvings=5):
+                    delta_prime):
     """Shrink delta until boundary points within 2*delta flow to within
     delta_prime of each other (sampled); the uniform-continuity constant
     linking delta to delta' is found empirically, not derived."""
     body = neighborhood.body
-    for _ in range(max_halvings + 1):
+    for _ in range(MAX_HALVINGS + 1):
         spacing = delta / 4.0
         count = max(8, int(math.ceil((s_hi - s_lo) / spacing)) + 1)
         pts = np.asarray([p for _, p in neighborhood.samples(
@@ -424,19 +420,18 @@ def calibrate_delta(neighborhood, component, s_lo, s_hi, flow_time, delta,
             return delta
         delta /= 2.0
     raise CalibrationError(
-        f"uniform-continuity calibration failed after {max_halvings} halvings")
+        f"uniform-continuity calibration failed after {MAX_HALVINGS} halvings")
 
 
 def build_boundary_grid(body, eps, R, action, component, s_lo, s_hi, delta,
-                        delta_prime, interior_points=(), max_halvings=5):
+                        delta_prime, interior_points=()):
     """Boundary-tight push-off grid: cover the window collar of the eps-level
     set with delta/2 balls centered on it, flow each center (the witness) to
     the R-level set, send interior elements to a designated point of K_out,
     and extend to the adjacency by equivariance."""
     nbh = EpsNeighborhood(body, eps)
     flow_time = R - eps
-    delta = calibrate_delta(nbh, component, s_lo, s_hi, flow_time, delta,
-                            delta_prime, max_halvings=max_halvings)
+    delta = calibrate_delta(nbh, component, s_lo, s_hi, flow_time, delta, delta_prime)
 
     spacing = 0.45 * delta
     count = max(4, int(math.ceil((s_hi - s_lo) / spacing)))
@@ -469,11 +464,8 @@ def build_boundary_grid(body, eps, R, action, component, s_lo, s_hi, delta,
             assignment[i] = e.group_element.apply(designated)
             boundary_flags[i] = False
     iota = simplicial.VertexMap(body.space, assignment)
-    return PushOffGrid(
-        body=body, eps=eps, R=R, action=action, cover=cover,
-        projector=projector, iota=iota, boundary_flags=boundary_flags,
-        witnesses=witnesses, designated=designated, delta=delta,
-        delta_prime_target=delta_prime)
+    return PushOffGrid(body=body, eps=eps, projector=projector, iota=iota,
+                       boundary_flags=boundary_flags, witnesses=witnesses, delta=delta)
 
 
 # ---------------------------------------------------------------------------
@@ -533,10 +525,7 @@ def check_small_relative(body, eps, action, K_samples, K_out_samples,
     # (1) sampled-disjoint translates must be farther than 2*delta
     cond1_margin = math.inf
     cond1_ok = True
-    for g, _ in action.nontrivial():
-        gK = np.asarray([g.apply(p) for p in K_samples])
-        dmin = min(float(np.min(spaces.distances_to(space, gK, p)))
-                   for p in K_samples)
+    for _, _, dmin in covers.translate_gaps(action, K_samples):
         if dmin > sample_resolution:  # judged disjoint at sample scale
             cond1_margin = min(cond1_margin, dmin - 2.0 * delta)
             if dmin <= 2.0 * delta + tol:
@@ -588,10 +577,7 @@ def _pair_variation(A, points, space, radius, axis):
 @dataclass
 class PushOff:
     grid: PushOffGrid
-    lam: float
-    order: int
     sub_result: object  # subdivision data
-    delta_prime: float
     full_map_diameter: float  # diam(iota_n) over the subdivided nerve
     push_off_distance: float  # min over vertices of d(iota_n(v), C) - eps
 
@@ -694,8 +680,8 @@ def extend_to_pushoff(grid, lam, n, delta_prime, alpha=ALPHA_DEFAULT):
             "full-tightness",
             f"diam(iota_n) = {full_diam:.3e} > delta' = {delta_prime:.3e}")
 
-    push_dist = float(np.min(grid.body.dist_batch(
-        [iota(v) for v in complex_.ids.tolist()]))) - grid.eps
+    push_dist = _push_off_distance(grid.body, grid.eps,
+                                   [iota(v) for v in complex_.ids.tolist()])
     if push_dist <= 0.0:
         raise StagedPreconditionError(
             "image-outside", "subdivided images do not stay outside the "
@@ -705,8 +691,7 @@ def extend_to_pushoff(grid, lam, n, delta_prime, alpha=ALPHA_DEFAULT):
             "push-off-distance",
             f"d_push-off(iota_n) = {push_dist:.3e} <= delta' = {delta_prime:.3e}")
 
-    return PushOff(grid=grid, lam=lam, order=n, sub_result=result,
-                   delta_prime=delta_prime, full_map_diameter=full_diam,
+    return PushOff(grid=grid, sub_result=result, full_map_diameter=full_diam,
                    push_off_distance=push_dist)
 
 

@@ -39,6 +39,22 @@ class Scene:
     sample_spacing: float | None = None
     alpha: float = math.pi
 
+    def __post_init__(self):
+        """Reject, with ValueError, numbers that no stage can run on."""
+        spacing = self.sample_spacing
+        numbers = [self.eps, self.R, self.delta, self.delta_prime, self.s_lo, self.s_hi]
+        for rule, ok in [("0 < eps < R", 0.0 < self.eps < self.R),
+                         ("delta > 0", self.delta > 0.0),
+                         ("delta_prime > 0", self.delta_prime > 0.0),
+                         ("s_lo < s_hi", self.s_lo < self.s_hi),
+                         ("sample_spacing > 0", spacing is None or spacing > 0.0),
+                         ("finite numbers", all(map(math.isfinite, numbers + [spacing or 1.0])))]:
+            if not ok:
+                raise ValueError(
+                    f"scene needs {rule}: eps {self.eps}, R {self.R}, delta {self.delta}, "
+                    f"delta_prime {self.delta_prime}, window [{self.s_lo}, {self.s_hi}], "
+                    f"sample_spacing {spacing}")
+
     def to_json(self):
         return {
             "schema_version": 1,
@@ -169,7 +185,6 @@ class RetractionReport:
     angle_rows: list = field(default_factory=list)  # (s, angle)
     escape_rows: list = field(default_factory=list)  # (s, bool)
     idempotence_rows: list = field(default_factory=list)  # (s, d(r(r q), r q))
-    coning_rows: list = field(default_factory=list)  # (s, dist_to_nearest, cell_diam)
     radial_rows: list = field(default_factory=list)  # (s, residual) point scenes
     interior_rows: list = field(default_factory=list)  # (s, level residual)
     moduli: dict = field(default_factory=dict)  # scale -> sup d(r q, r q')
@@ -333,7 +348,6 @@ def run_pipeline(scene, lam=None, order=None, density=200, seed=0):
         imgs = [sub.iota(v) for v in cell]
         cell_diam = spaces.pairwise_diameter(space, imgs)
         nearest = min(spaces.distance(space, target, z) for z in imgs)
-        report.coning_rows.append((s, nearest, cell_diam))
         if cell_diam > cone_bound + 10 * tol or nearest > cell_diam + 10 * tol:
             coning_ok = False
         rr, _, _ = retractor.retract(r)

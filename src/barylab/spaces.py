@@ -1,10 +1,10 @@
-"""Concrete geodesic model spaces: Euclidean, chordal circle/sphere, hyperboloid, finite.
+"""Concrete geodesic model spaces: Euclidean, chordal circle, hyperboloid, finite.
 
 Points are plain numpy float arrays (an integer index for finite spaces).
 The hyperboloid model of H^n lives in Minkowski space R^{n,1} with signature
-(-,+,...,+); a point x satisfies <x,x> = -1 and x[0] > 0.  Circle and sphere
-carry the chordal (extrinsic) metric; the intrinsic arc length on the circle
-is exposed separately as a helper for the arc-midpoint barycenter rule.
+(-,+,...,+); a point x satisfies <x,x> = -1 and x[0] > 0.  The circle
+carries the chordal (extrinsic) metric; its intrinsic arc length is exposed
+separately as a helper for the arc-midpoint barycenter rule.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ DEFAULT_TOL = 1e-9
 
 EUCLIDEAN = "euclidean"
 CIRCLE = "circle"
-SPHERE = "sphere"
 HYPERBOLOID = "hyperboloid"
 FINITE = "finite"
 
@@ -53,10 +52,6 @@ class ModelSpace:
         return ModelSpace(CIRCLE, 1, radius=radius, tol=tol)
 
     @staticmethod
-    def sphere(dim, radius=1.0, tol=DEFAULT_TOL):
-        return ModelSpace(SPHERE, dim, radius=radius, tol=tol)
-
-    @staticmethod
     def hyperboloid(dim, tol=DEFAULT_TOL):
         return ModelSpace(HYPERBOLOID, dim, tol=tol)
 
@@ -80,7 +75,7 @@ class ModelSpace:
             return self.dim
         if self.kind == CIRCLE:
             return 2
-        if self.kind in (SPHERE, HYPERBOLOID):
+        if self.kind == HYPERBOLOID:
             return self.dim + 1
         raise ValueError(f"no ambient dimension for kind {self.kind}")
 
@@ -108,7 +103,7 @@ class ModelSpace:
             if abs(norm + 1.0) > 100 * self.tol or x[0] <= 0:
                 raise InvalidCoordinates(
                     f"hyperboloid point has Minkowski norm {norm:.3e}, x0={x[0]:.3e}")
-        elif self.kind in (CIRCLE, SPHERE):
+        elif self.kind == CIRCLE:
             r = float(np.linalg.norm(x))
             if abs(r - self.radius) > 100 * self.tol:
                 raise InvalidCoordinates(f"point at radius {r}, expected {self.radius}")
@@ -125,7 +120,7 @@ class ModelSpace:
 
     def to_json(self):
         doc = {"kind": self.kind, "dim": self.dim}
-        if self.kind in (CIRCLE, SPHERE):
+        if self.kind == CIRCLE:
             doc["radius"] = self.radius
         if self.kind == FINITE:
             doc["matrix"] = self.matrix.tolist()
@@ -140,8 +135,6 @@ class ModelSpace:
             return ModelSpace.euclidean(doc["dim"])
         if kind == CIRCLE:
             return ModelSpace.circle(doc.get("radius", 1.0))
-        if kind == SPHERE:
-            return ModelSpace.sphere(doc["dim"], doc.get("radius", 1.0))
         if kind == HYPERBOLOID:
             return ModelSpace.hyperboloid(doc["dim"])
         if kind == FINITE:
@@ -160,7 +153,7 @@ def _hyperboloid_dist_from_diff(diff):
 
 
 def distance(space, x, y):
-    """Metric of the model space (chordal for circle/sphere)."""
+    """Metric of the model space (chordal for the circle)."""
     if space.kind == FINITE:
         return float(space.matrix[int(x), int(y)])
     x = np.asarray(x, dtype=float)
@@ -354,15 +347,6 @@ def angle_at(space, o, p, q):
         u = _hyperboloid_unit_tangent(np.asarray(o, float), np.asarray(p, float), d_op)
         v = _hyperboloid_unit_tangent(np.asarray(o, float), np.asarray(q, float), d_oq)
         return math.acos(min(1.0, max(-1.0, minkowski_dot(u, v))))
-    if space.kind in (CIRCLE, SPHERE):
-        o = np.asarray(o, float)
-        r2 = float(np.dot(o, o))
-        u = np.asarray(p, float) - (np.dot(p, o) / r2) * o
-        v = np.asarray(q, float) - (np.dot(q, o) / r2) * o
-        nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-        if nu <= space.tol or nv <= space.tol:
-            raise DegenerateAngle("antipodal ray direction is ambiguous")
-        return math.acos(min(1.0, max(-1.0, float(np.dot(u, v) / (nu * nv)))))
     raise ValueError(f"angles not defined for kind {space.kind}")
 
 

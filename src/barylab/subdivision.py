@@ -319,7 +319,6 @@ def iterate_subdivision(complex_, iota, lam, n, equivariance=None):
     simplicial.check_budget(complex_.counts, n)
     space = iota.target
     original, original_iota = complex_, iota
-    original_diam = simplicial.map_diameter(complex_, iota)
     # order 0 keeps the identity; compose needs an older subdivision
     # provenance, and stage 1's sets are already original simplices
     ids = complex_.faces[0][:, 0]
@@ -354,9 +353,9 @@ def iterate_subdivision(complex_, iota, lam, n, equivariance=None):
             dist = spaces.paired_distances(space, table[block][:, None],
                                            orig_table[sigma[start:start + BLOCK_ROWS]])
             hi[block], lo[block] = dist.max(axis=1), dist.min(axis=1)
-    record = ShrinkRecord(lam, n, original_diam, stages, complex_.faces[1],
-                          _diameters(space, table, edges), prov_total.ids,
-                          orig_diams[face], hi, lo)
+    record = ShrinkRecord(lam, n, float(np.max(orig_diams, initial=0.0)), stages,
+                          complex_.faces[1], _diameters(space, table, edges),
+                          prov_total.ids, orig_diams[face], hi, lo)
     return SubdivisionResult(complex_, iota, record, prov_total, provs)
 
 
@@ -375,21 +374,17 @@ class ShrinkVerification:
         return not self.violations
 
 
-def verify_shrinking(record, iota_original_diam=None, tol=1e-9):
+def verify_shrinking(record, tol=1e-9):
     """Check the three diameter bounds of order-n shrinking subdivisions:
     (a) final sub-simplex image diameters <= lam^n * diam(iota);
     (b) vertex displacement within diam(iota(sigma))/(1-lam) of every vertex
         of its least containing original simplex;
     (c) final images within diam(iota)/(1-lam) of the original image set.
-
-    iota_original_diam overrides the diameter stored in the record.
     """
     lam, n = record.lam, record.order
-    diam0 = record.original_diam if iota_original_diam is None \
-        else iota_original_diam
-    bound_a = (lam ** n) * diam0
+    bound_a = (lam ** n) * record.original_diam
     factor = 1.0 / (1.0 - lam)
-    bound_c = diam0 * factor
+    bound_c = record.original_diam * factor
     over = record.final_diams > bound_a + tol
     violations = [("order_bound", tuple(e), d, bound_a) for e, d in zip(
         record.final_edges[over].tolist(), record.final_diams[over].tolist())]

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from barylab import cli
+from barylab import cli, scenes
 
 
 def run(argv):
@@ -175,6 +175,12 @@ def test_retract_over_budget_fails_extension(tmp_path, capsys):
     assert "budget" in rep["failure"]["message"]
 
 
+def point_scene_with(**window):
+    doc = scenes.euclidean_point_scene().to_json()
+    doc["window"].update(window)
+    return doc
+
+
 @pytest.mark.parametrize("doc, flags", [
     ({"scene": "euclidean_point"}, ["--order", "-1"]),
     ({"scene": "euclidean_point", "overrides": {"order": -1}}, []),
@@ -184,8 +190,22 @@ def test_retract_over_budget_fails_extension(tmp_path, capsys):
     ({"scene": "euclidean_point"}, ["--lambda", "0"]),
     ({"scene": "euclidean_point"}, ["--lambda", "1.5"]),
     ({"scene": "euclidean_point", "overrides": {"lam": 1.0}}, []),
+    ({"scene": "euclidean_point", "overrides": {"delta": 0}}, []),
+    ({"scene": "euclidean_point", "overrides": {"delta": -0.01}}, []),
+    ({"scene": "euclidean_point", "overrides": {"delta_prime": 0}}, []),
+    ({"scene": "euclidean_point", "overrides": {"R": 1.0}}, []),
+    ({"scene": "euclidean_point", "overrides": {"R": 0.5}}, []),
+    ({"scene": "euclidean_point", "overrides": {"eps": math.nan}}, []),
+    ({"scene": "hyperbolic_axis", "overrides": {"delta": math.inf}}, []),
+    ({"scene": "hyperbolic_axis", "overrides": {"period": 0.0}}, []),
+    (point_scene_with(s_lo=1.0, s_hi=1.0), []),
+    (point_scene_with(s_lo=2.0, s_hi=1.0), []),
+    (point_scene_with(sample_spacing=-1), []),
 ], ids=["order_flag", "order_override", "order_fraction", "density_zero",
-        "density_negative", "lambda_zero", "lambda_above_one", "lambda_override"])
+        "density_negative", "lambda_zero", "lambda_above_one", "lambda_override",
+        "delta_zero", "delta_negative", "delta_prime_zero", "R_equal_eps",
+        "R_below_eps", "eps_nan", "delta_infinite", "period_zero", "window_empty",
+        "window_reversed", "sample_spacing_negative"])
 def test_retract_rejects_bad_input(tmp_path, capsys, doc, flags):
     inp = write(tmp_path / "scene.json", doc)
     out = str(tmp_path / "report.json")
@@ -326,6 +346,34 @@ def test_phase_rejects_spaces_without_sampler(tmp_path, capsys, space):
     out = str(tmp_path / "phase.csv")
     assert run(["phase", "--input", inp, "--output", out]) == 1
     assert_bad_input(capsys, "phase")
+    assert not os.path.exists(out)
+
+
+PHASE = {"space": CIRCLE, "lambdas": [0.5], "deltas": [0.8], "trials": 5}
+BARYCENTER = {"space": CIRCLE, "P": TRIPLE, "Q": [], "lambda": 0.9}
+
+
+@pytest.mark.parametrize("command, doc, flags", [
+    ("phase", {**PHASE, "deltas": [-0.5]}, []),
+    ("phase", {**PHASE, "deltas": [0.0]}, []),
+    ("phase", {**PHASE, "lambdas": [math.nan]}, []),
+    ("phase", {**PHASE, "lambdas": 0.5}, []),
+    ("phase", {**PHASE, "trials": -3}, []),
+    ("phase", {**PHASE, "trials": 2.5}, []),
+    ("phase", PHASE, ["--trials", "0"]),
+    ("barycenter", {**BARYCENTER, "lambda": math.nan}, []),
+    ("barycenter", {**BARYCENTER, "lambda": "high"}, []),
+    ("barycenter", BARYCENTER, ["--lambda", "inf"]),
+    ("barycenter", BARYCENTER, ["--tol", "0"]),
+], ids=["phase_delta_negative", "phase_delta_zero", "phase_lambda_nan",
+        "phase_lambdas_not_list", "phase_trials_negative", "phase_trials_fraction",
+        "phase_trials_flag_zero", "barycenter_lambda_nan", "barycenter_lambda_text",
+        "barycenter_lambda_flag_inf", "barycenter_tol_zero"])
+def test_rejects_bad_numbers(tmp_path, capsys, command, doc, flags):
+    inp = write(tmp_path / "in.json", doc)
+    out = str(tmp_path / "out")
+    assert run([command, "--input", inp, "--output", out, *flags]) == 1
+    assert_bad_input(capsys, command)
     assert not os.path.exists(out)
 
 

@@ -109,21 +109,11 @@ def test_enumeration_bound_error():
         covers.adjacency(cov, act)
 
 
-def test_is_H_fine_examples():
-    cov = line_cover([0.0], 1.0)
-    ten = covers.GroupAction(E1, [spaces.Isometry.euclidean_translation([10.0])],
-                             word_length=3)
-    assert covers.is_H_fine(cov, ten)
-    big = line_cover([0.0], 6.0)
-    assert not covers.is_H_fine(big, ten)
-    assert covers.is_H_fine(big, trivial_action(E1))
-
-
 def test_H_fine_nerve_has_no_orbit_edges():
+    """Translation by 3 moves every ball of radius 0.6 off itself (H-fine)."""
     cov = line_cover([0.0, 1.0, 2.0], 0.6)
     act = covers.GroupAction(E1, [spaces.Isometry.euclidean_translation([3.0])],
                              word_length=2)
-    assert covers.is_H_fine(cov, act)
     proj = covers.NerveProjector(cov, act)
     # exhaustively: no edge joins an element and one of its own translates
     for (u, v) in proj.nerve.edges:
@@ -169,9 +159,6 @@ def test_chordal_covers_rejected():
     assert not np.any(inside[0] & inside[1])
     with pytest.raises(PreconditionError):
         covers.BallCover(C1, [(c, 1.0) for c in centers], window=centers)
-    S2 = spaces.ModelSpace.sphere(2)
-    with pytest.raises(PreconditionError):
-        covers.BallCover(S2, [(np.array([0.0, 0.0, 1.0]), 0.5)], window=[])
     F = spaces.ModelSpace.finite([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(PreconditionError):
         covers.BallCover(F, [(0, 0.6), (1, 0.6)], window=[], check_cover=False)
@@ -601,6 +588,19 @@ def replay_empty_margin(space, centers, radii, w):
     return lo
 
 
+def assert_certificate_replays(space, centers, radii, cert):
+    """A negative margin is its witness's max_i d(w, c_i) - r_i; a positive
+    one is the largest t whose dual weights certify that the balls
+    B(c_i, r_i + t) share no point."""
+    if cert.margin < -space.tol:
+        witness = float(np.max(spaces.distances_to(space, centers, cert.point) - radii))
+        assert witness == cert.margin
+    else:
+        assert cert.margin > space.tol
+        replayed = replay_empty_margin(space, centers, radii, cert.weights)
+        assert abs(replayed - cert.margin) <= 1e-9
+
+
 def test_far_hyperbolic_cover_nerve_replays():
     """The 54-ball cover far out in H^2 (x0 ~ 120): its nerve is decided in
     well under a second, and every set it examined is replayed from its
@@ -623,10 +623,6 @@ def test_far_hyperbolic_cover_nerve_replays():
             idx = list(cand)
             c, r = cover.centers[idx], cover.radii[idx]
             cert = covers.balls_intersection_margin(H2, c, r)
-            if cand in nerve.simplices:
-                witness = float(np.max(spaces.distances_to(H2, c, cert.point) - r))
-                assert witness == cert.margin < -tol
-            else:
-                assert cert.margin > tol
-                assert abs(replay_empty_margin(H2, c, r, cert.weights) - cert.margin) <= 1e-9
+            assert (cand in nerve.simplices) == (cert.margin < -tol)
+            assert_certificate_replays(H2, c, r, cert)
     assert examined > 60

@@ -1,8 +1,9 @@
-"""Property tests (Hypothesis): certificates are invariant under isometries,
-the circle's lambda* matches the arc-midpoint closed form, subdivision
-provenance read off chains matches the union-based search, the array
-subdivision matches the frozen tuple one, and the retraction's crossings
-match closed forms."""
+"""Property tests (Hypothesis): barycenter and nerve certificates are
+invariant under isometries and nerve certificates replay, the circle's
+lambda* matches the arc-midpoint closed form, subdivision provenance read off
+chains matches the union-based search, the array subdivision matches the
+frozen tuple one, shrinking subdivisions keep their diameter bounds, and the
+retraction's crossings match closed forms."""
 
 import itertools
 import math
@@ -14,8 +15,10 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from barylab import barycenters as bc  # noqa: E402
+from barylab import covers  # noqa: E402
 from barylab import retraction as rt  # noqa: E402
 from barylab import simplicial, spaces, subdivision as sd  # noqa: E402
+from test_covers import assert_certificate_replays  # noqa: E402
 from test_simplicial import coface_rows, reference_subdivision  # noqa: E402
 from test_subdivision import reference_labels  # noqa: E402
 
@@ -60,6 +63,40 @@ def test_lambda_star_isometry_invariant(seed, which):
     assert abs(a.lambda_bound - b.lambda_bound) <= 1e-9
 
 
+PLANES = [spaces.ModelSpace.euclidean(2), spaces.ModelSpace.hyperboloid(2)]
+
+
+def plane_isometry(space, rng):
+    """A rotation, then a translation (R^2) or a boost of length up to 2 (H^2)."""
+    turn = rng.uniform(0.0, 2.0 * math.pi)
+    if space.kind == spaces.EUCLIDEAN:
+        return spaces.Isometry.euclidean_translation(rng.uniform(-5.0, 5.0, 2)).compose(
+            spaces.Isometry.euclidean_rotation(turn))
+    return spaces.Isometry.hyperbolic_boost(rng.uniform(0.0, 2.0)).compose(
+        spaces.Isometry.hyperbolic_rotation(turn))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(range(len(PLANES))))
+def test_nerve_certificate_isometry_invariant_and_replays(seed, which):
+    """2-4 balls: the margin keeps its verdict and its value (to 1e-9) under
+    an isometry, and both certificates replay."""
+    space = PLANES[which]
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 5))
+    centers = np.array([draw_point(space, rng) for _ in range(k)])
+    radii = rng.uniform(0.1, 1.2, k)
+    g = plane_isometry(space, rng)
+    moved = np.array([g.apply(c) for c in centers])
+    a = covers.balls_intersection_margin(space, centers, radii)
+    assume(abs(a.margin) > 1e-6)  # clear of the indeterminate band
+    b = covers.balls_intersection_margin(space, moved, radii)
+    assert (a.margin < 0) == (b.margin < 0)
+    assert abs(a.margin - b.margin) <= 1e-9
+    assert_certificate_replays(space, centers, radii, a)
+    assert_certificate_replays(space, moved, radii, b)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.floats(0.05, math.pi), st.floats(0.5, 3.0))
 def test_circle_lambda_star_matches_arc_oracle(seed, w, R):
@@ -98,9 +135,9 @@ def union_compose(sets, older_sets):
             for v, js in sets.items()}
 
 
-def random_complex(rng, n_lo, n_hi, top_max):
+def random_complex(rng, n_lo, n_hi, top_max, top_min=1):
     n = int(rng.integers(n_lo, n_hi))
-    tops = [tuple(rng.choice(n, size=int(rng.integers(1, top_max + 1)),
+    tops = [tuple(rng.choice(n, size=int(rng.integers(top_min, top_max + 1)),
                              replace=False).tolist())
             for _ in range(int(rng.integers(1, 4)))]
     return simplicial.SimplicialComplex.from_maximal(tops)
@@ -129,6 +166,21 @@ def test_subdivision_provenance_matches_union(seed):
         total = union_compose(prov.sets, total)
     assert [res.prov_total.of(v) for v in sorted(res.complex.vertices)] == [
         total[v] for v in sorted(res.complex.vertices)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(range(len(PLANES))), st.integers(1, 2))
+def test_shrinking_bounds_hold(seed, which, order):
+    """Edge and triangle complexes at lambda = sqrt(3)/2: final image
+    diameters within lambda^n diam(iota), vertices within diam/(1 - lambda)
+    of their original simplex's images and of the original image set."""
+    space = PLANES[which]
+    rng = np.random.default_rng(seed)
+    cplx = random_complex(rng, 3, 6, 3, top_min=2)
+    iota = simplicial.VertexMap(space, {v: draw_point(space, rng) for v in cplx.vertices})
+    res = sd.iterate_subdivision(cplx, iota, math.sqrt(3) / 2, order)
+    ver = sd.verify_shrinking(res.record)
+    assert ver.ok, ver.violations[:3]
 
 
 SUBDIVISION_SPACES = SPACES[:3]

@@ -172,7 +172,7 @@ def test_angle_batch_matches_scalar():
     nbh = rt.EpsNeighborhood(body, 1.0)
     Q = np.array([nbh.point("plus", s) for s in np.linspace(-1, 1, 9)])
     qp = rt.normal_flow(body, nbh.point("plus", 0.3), 1.5)
-    batch = rt.angle_to_C_batch(body, Q, qp)
+    batch = rt._angles_to_C(body, Q)(qp)
     for i, q in enumerate(Q):
         assert abs(batch[i] - rt.angle_to_C(body, q, qp)) < 1e-9
 
@@ -270,10 +270,10 @@ def test_calibration_shrinks_delta():
 
 
 def frozen_calibrate_delta(neighborhood, component, s_lo, s_hi, flow_time, delta,
-                           delta_prime, max_halvings=5):
+                           delta_prime):
     """calibrate_delta as a scalar pair loop; None where it raises."""
     body = neighborhood.body
-    for _ in range(max_halvings + 1):
+    for _ in range(rt.MAX_HALVINGS + 1):
         spacing = delta / 4.0
         count = max(8, int(math.ceil((s_hi - s_lo) / spacing)) + 1)
         pts = neighborhood.samples(component, s_lo, s_hi, count, endpoint=True)

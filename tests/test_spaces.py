@@ -18,7 +18,6 @@ E2 = spaces.ModelSpace.euclidean(2)
 E3 = spaces.ModelSpace.euclidean(3)
 H2 = spaces.ModelSpace.hyperboloid(2)
 C1 = spaces.ModelSpace.circle(1.0)
-S2 = spaces.ModelSpace.sphere(2, 1.0)
 
 TOL = 1e-9
 
@@ -40,9 +39,6 @@ def rand_point(space, rng, scale=2.0):
         return math.cosh(s) * e0 + math.sinh(s) * u
     if space.kind == spaces.CIRCLE:
         return spaces.circle_point(space, rng.uniform(0, 2 * math.pi))
-    if space.kind == spaces.SPHERE:
-        v = rng.normal(size=3)
-        return space.radius * v / np.linalg.norm(v)
     raise ValueError(space.kind)
 
 
@@ -182,13 +178,6 @@ def test_angle_examples():
         spaces.angle_at(E2, o, o, p)
 
 
-def test_sphere_angle():
-    o = np.array([1.0, 0.0, 0.0])
-    p = np.array([0.0, 1.0, 0.0])
-    q = np.array([0.0, 0.0, 1.0])
-    assert abs(spaces.angle_at(S2, o, p, q) - math.pi / 2) < TOL
-
-
 def gromov_oracle(theta, t=40.0):
     """Independent evaluation of t - d(gamma_1(t), gamma_2(t))/2 via the
     hyperbolic law of cosines cosh d = cosh^2 t - sinh^2 t cos(theta)."""
@@ -292,7 +281,7 @@ def test_triangle_inequality_sampled():
     base = rng.uniform(-1, 1, size=(7, 3))
     fin = spaces.ModelSpace.finite(
         np.linalg.norm(base[:, None, :] - base[None, :, :], axis=2))
-    for space in (E2, E3, H2, C1, S2, fin):
+    for space in (E2, E3, H2, C1, fin):
         n = 10_000
         xs = [rand_point(space, rng) if space.kind != spaces.FINITE
               else int(rng.integers(0, 7)) for _ in range(60)]
@@ -372,7 +361,7 @@ def test_distance_convexity_along_geodesics():
 
 
 def test_space_json_roundtrip():
-    for space in (E2, H2, C1, S2):
+    for space in (E2, H2, C1):
         doc = space.to_json()
         back = spaces.ModelSpace.from_json(doc)
         assert back.kind == space.kind and back.dim == space.dim

@@ -64,11 +64,6 @@ class BarycenterProblem:
     P: list
     Q: list
 
-    def to_json(self):
-        def pts(v):
-            return [list(p) if not isinstance(p, int) else p for p in v]
-        return {"space": self.space.to_json(), "P": pts(self.P), "Q": pts(self.Q)}
-
 
 @dataclass
 class BarycenterCertificate:

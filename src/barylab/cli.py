@@ -151,7 +151,7 @@ def cmd_retract(args):
             raise ValueError(f"order {order!r} is not a nonnegative integer")
         if args.density < 1:
             raise ValueError(f"density {args.density} is below 1")
-    except (KeyError, TypeError, ValueError, OSError, json.JSONDecodeError,
+    except (KeyError, TypeError, ValueError, OverflowError, OSError, json.JSONDecodeError,
             GeometryError) as exc:
         print(f"barylab retract: bad input: {exc}", file=sys.stderr)
         return 1

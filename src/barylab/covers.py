@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -140,20 +139,9 @@ class NeighbourIndex:
         return flat // m, flat % m
 
 
-@dataclass(frozen=True)
-class Ball:
-    center: np.ndarray
-    radius: float
-    label: int
-
-    def __post_init__(self):
-        c = np.asarray(self.center, dtype=float)
-        c.flags.writeable = False
-        object.__setattr__(self, "center", c)
-
-
 class BallCover:
-    """Finite cover of a sampled compact window by open metric balls.
+    """Finite cover of a sampled compact window by open metric balls: ball i
+    has centre centers[i] and radius radii[i].
 
     Only Euclidean and hyperboloid spaces are accepted: build_nerve certifies
     pairwise intersections from the centre distance, which is exact only in a
@@ -167,17 +155,14 @@ class BallCover:
                 f"ball covers need a Euclidean or hyperboloid space, not "
                 f"{space.kind}: nerves of {space.kind} covers are not certified")
         self.space = space
-        self.balls = [Ball(np.asarray(c, float), float(r), i)
-                      for i, (c, r) in enumerate(balls)]
-        self.window = [np.asarray(p, float) for p in window]
-        self.centers = np.asarray([b.center for b in self.balls],
-                                  float).reshape(-1, space.ambient_dim)
-        self.radii = np.asarray([b.radius for b in self.balls], float)
+        shape = (-1, space.ambient_dim)
+        self.centers = np.asarray([c for c, _ in balls], float).reshape(shape)
+        self.radii = np.asarray([r for _, r in balls], float)
+        self.window = np.asarray(window, float).reshape(shape)
         self.index = NeighbourIndex(space, self.centers, _pair_reach(space, self.radii))
-        if check_cover and self.window:
+        if check_cover and len(self.window):
             pi, ci = self.index.pairs(self.window, 0.5 * self.max_diameter)
-            d = spaces.paired_distances(space, self.centers[ci],
-                                        np.asarray(self.window)[pi])
+            d = spaces.paired_distances(space, self.centers[ci], self.window[pi])
             covered = np.zeros(len(self.window), bool)
             covered[pi[d < self.radii[ci]]] = True
             if not np.all(covered):
@@ -185,17 +170,17 @@ class BallCover:
                 raise UncoveredPoint(f"window sample {p} lies in no ball")
 
     def __len__(self):
-        return len(self.balls)
+        return len(self.radii)
 
     @property
     def max_diameter(self):
         """Upper bound 2r on element diameters; the delta of tightness checks."""
-        return 2.0 * float(np.max(self.radii)) if len(self.balls) else 0.0
+        return 2.0 * float(np.max(self.radii, initial=0.0))
 
     def to_json(self):
-        return {"balls": [{"center": b.center.tolist(), "radius": b.radius,
-                           "label": b.label} for b in self.balls],
-                "window": [p.tolist() for p in self.window]}
+        return {"balls": [{"center": c, "radius": r, "label": i} for i, (c, r) in
+                          enumerate(zip(self.centers.tolist(), self.radii.tolist()))],
+                "window": self.window.tolist()}
 
     @staticmethod
     def from_json(space, doc):
@@ -419,29 +404,21 @@ def build_nerve(cover):
 # adjacency
 
 
-@dataclass
-class AdjacencyElement:
-    ball: Ball
-    group_element: spaces.Isometry
-    word: int
-    base_label: int
-
-
 class AdjacencySet:
-    """The cover itself plus every group translate meeting one of its elements."""
+    """The cover itself plus every group translate meeting one of its
+    elements: element i is cover ball base[i] moved by the group element
+    action.elements()[group[i]], with centre centers[i] and radius radii[i].
+    The base cover comes first, in its own order (group 0, the identity)."""
 
-    def __init__(self, cover, action, elements):
-        self.cover = cover
-        self.action = action
-        self.elements = elements  # list[AdjacencyElement]; base cover first
-        self.centers = np.asarray([e.ball.center for e in elements],
-                                  float).reshape(-1, cover.space.ambient_dim)
-        self.radii = np.asarray([e.ball.radius for e in elements], float)
+    def __init__(self, cover, action, group, base, centers):
+        self.cover, self.action = cover, action
+        self.group, self.base = group, base
+        self.centers, self.radii = centers, cover.radii[base]
         self.index = NeighbourIndex(cover.space, self.centers,
                                     _pair_reach(cover.space, self.radii))
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.base)
 
     @property
     def space(self):
@@ -451,18 +428,18 @@ class AdjacencySet:
 def adjacency(cover, action):
     """Adj(U): U plus all translates hU with h != e meeting some element of U."""
     _check_enumeration_bound(cover, action, "adjacency")
-    elements = [AdjacencyElement(b, spaces.Isometry.identity(cover.space), 0, b.label)
-                for b in cover.balls]
-    next_label = len(cover.balls)
-    for g, w in action.nontrivial():
+    n = len(cover)
+    group, base, centers = [np.zeros(n, np.int64)], [np.arange(n)], [cover.centers]
+    for k, (g, _) in enumerate(action.nontrivial(), 1):  # elements() lists e first
         gcs, qi, ci, d = _translate_distances(cover, g, cover.max_diameter)
-        meets = np.zeros(len(cover.balls), bool)
+        meets = np.zeros(n, bool)
         meets[qi[d < cover.radii[qi] + cover.radii[ci] - cover.space.tol]] = True
-        for b in itertools.compress(cover.balls, meets):
-            elements.append(AdjacencyElement(
-                Ball(gcs[b.label], b.radius, next_label), g, w, b.label))
-            next_label += 1
-    return AdjacencySet(cover, action, elements)
+        rows = np.flatnonzero(meets)
+        group.append(np.full(len(rows), k))
+        base.append(rows)
+        centers.append(gcs[rows])
+    return AdjacencySet(cover, action, np.concatenate(group), np.concatenate(base),
+                        np.concatenate(centers))
 
 
 # ---------------------------------------------------------------------------
@@ -482,20 +459,23 @@ class NerveProjector:
         self.action = action
         self.adj = adjacency(cover, action)
         self.nerve = build_nerve(self.adj)
-        self._inverses = [e.group_element.inverse() for e in self.adj.elements]
+        self._inverses = [g.inverse() for g, _ in action.elements()]
+        n = len(cover)
+        self._translates = list(zip(range(n, len(self.adj)), self.adj.group[n:].tolist(),
+                                    self.adj.base[n:].tolist()))
 
     def tents(self, q):
+        cover = self.cover
         vals = np.zeros(len(self.adj))
-        base = len(self.cover)
-        _, near = self.cover.index.pairs(q, 0.5 * self.cover.max_diameter)
-        d = spaces.distances_to(self.cover.space, self.cover.centers[near], q)
-        vals[near] = np.maximum(0.0, self.cover.radii[near] - d)
-        for i in range(base, len(self.adj)):
-            e = self.adj.elements[i]
-            pulled = self._inverses[i].apply(q)
-            d_i = spaces.distance(self.cover.space, self.cover.balls[e.base_label].center,
-                                  pulled)
-            vals[i] = max(0.0, e.ball.radius - d_i)
+        _, near = cover.index.pairs(q, 0.5 * cover.max_diameter)
+        d = spaces.distances_to(cover.space, cover.centers[near], q)
+        vals[near] = np.maximum(0.0, cover.radii[near] - d)
+        pulled = {}
+        for i, k, b in self._translates:
+            if k not in pulled:
+                pulled[k] = self._inverses[k].apply(q)
+            d_i = spaces.distance(cover.space, cover.centers[b], pulled[k])
+            vals[i] = max(0.0, cover.radii[b] - d_i)
         return vals
 
     def project(self, q):

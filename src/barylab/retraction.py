@@ -25,7 +25,9 @@ from .errors import (
     UndefinedNormal,
 )
 
-ALPHA_DEFAULT = math.pi
+# The angle alpha of the push-off grid: witnesses sit on the outward normal,
+# so the angle to C at each of them is pi.
+ALPHA = math.pi
 # ITP (Oliveira & Takahashi 2020), d = d(q, target): kappa1 = ITP_K1/d, kappa2, n0, eps/d
 ITP_K1, ITP_K2, ITP_N0, ITP_EPS = 0.2, 2, 1, 2.0 ** -52
 ITP_STEPS = math.ceil(math.log2(1.0 / (2.0 * ITP_EPS))) + ITP_N0  # n_max = 52
@@ -51,17 +53,14 @@ class ConvexBody:
         raise NotImplementedError
 
     def project_batch(self, X):
-        return np.asarray([self.project(x) for x in X])
+        return np.asarray([self.project(x) for x in X], float).reshape(np.shape(X))
 
     def dist(self, x):
         return spaces.distance(self.space, x, self.project(x))
 
     def dist_batch(self, X):
         X = np.asarray(X, float)
-        P = self.project_batch(X)
-        if self.space.kind == spaces.HYPERBOLOID:
-            return spaces._hyperboloid_dist_from_diff(X - P)
-        return np.linalg.norm(X - P, axis=1)
+        return spaces.paired_distances(self.space, X, self.project_batch(X))
 
 
 class PointBody(ConvexBody):
@@ -354,12 +353,18 @@ class EpsNeighborhood:
 
 @dataclass
 class PushOffGrid:
+    """Nerve vertex i is adjacency element i, labelled iota.points[i].  The
+    boundary elements (those whose base ball is centred on the level set)
+    have their centres as witnesses, in element order, with the angle to C
+    at each witness towards its label."""
+
     body: ConvexBody
     eps: float
     projector: covers.NerveProjector
     iota: simplicial.VertexMap
-    boundary_flags: dict
-    witnesses: dict  # boundary vertex -> (witness point, recorded angle)
+    boundary: np.ndarray  # per element: a boundary element?
+    witness_points: np.ndarray  # per boundary element
+    witness_angles: np.ndarray  # per boundary element
     delta: float
 
     @property
@@ -370,22 +375,18 @@ class PushOffGrid:
     def adjacency(self):
         return self.projector.adj
 
-    def boundary_edges(self):
-        return [e for e in self.nerve.edges
-                if self.boundary_flags.get(e[0]) and self.boundary_flags.get(e[1])]
-
     def push_off_distance(self):
-        return _push_off_distance(self.body, self.eps,
-                                  [self.iota(v) for v in self.nerve.vertices])
+        return _push_off_distance(self.body, self.eps, self.iota.points)
 
     @functools.cached_property
     def min_witness_angle(self):
-        return min((a for _, a in self.witnesses.values()), default=math.pi)
+        return float(np.min(self.witness_angles, initial=math.pi))
 
     @functools.cached_property
     def boundary_map_diameter(self):
-        ends = np.asarray([[self.iota(u), self.iota(v)] for u, v in self.boundary_edges()],
-                          float).reshape(-1, 2, self.body.space.ambient_dim)
+        """Largest image length of a nerve edge with both ends on the boundary."""
+        edges = self.nerve.faces[1]
+        ends = self.iota.points[edges[np.all(self.boundary[edges], axis=1)]]
         return float(np.max(spaces.paired_distances(self.body.space, ends[:, 0], ends[:, 1]),
                             initial=0.0))
 
@@ -449,23 +450,22 @@ def build_boundary_grid(body, eps, R, action, component, s_lo, s_hi, delta,
     mid = nbh.point(component, 0.5 * (s_lo + s_hi))
     designated = normal_flow(body, mid, flow_time)
 
-    assignment = {}
-    boundary_flags = {}
-    witnesses = {}
-    for i, e in enumerate(adj.elements):
-        base = e.base_label
-        if base < n_boundary:
-            q = e.group_element.apply(cover.balls[base].center)
-            img = normal_flow(body, q, flow_time)
-            assignment[i] = img
-            boundary_flags[i] = True
-            witnesses[i] = (q, angle_to_C(body, q, img))
+    elements = [g for g, _ in action.elements()]
+    images = np.empty_like(adj.centers)
+    witnesses, angles = [], []
+    for i, (k, b) in enumerate(zip(adj.group.tolist(), adj.base.tolist())):
+        if b < n_boundary:
+            q = elements[k].apply(cover.centers[b])
+            images[i] = normal_flow(body, q, flow_time)
+            witnesses.append(q)
+            angles.append(angle_to_C(body, q, images[i]))
         else:
-            assignment[i] = e.group_element.apply(designated)
-            boundary_flags[i] = False
-    iota = simplicial.VertexMap(body.space, assignment)
+            images[i] = elements[k].apply(designated)
+    iota = simplicial.VertexMap(body.space, np.arange(len(adj)), images)
     return PushOffGrid(body=body, eps=eps, projector=projector, iota=iota,
-                       boundary_flags=boundary_flags, witnesses=witnesses, delta=delta)
+                       boundary=adj.base < n_boundary,
+                       witness_points=np.reshape(witnesses, (-1, body.space.ambient_dim)),
+                       witness_angles=np.asarray(angles, float), delta=delta)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +474,6 @@ def build_boundary_grid(body, eps, R, action, component, s_lo, s_hi, delta,
 
 @dataclass
 class SmallnessReport:
-    alpha: float
     delta: float
     delta_prime: float
     cond1_ok: bool
@@ -501,7 +500,7 @@ class SmallnessReport:
 
     def to_json(self):
         return {
-            "alpha": self.alpha, "delta": self.delta,
+            "alpha": ALPHA, "delta": self.delta,
             "delta_prime": self.delta_prime,
             "cond1": {"ok": self.cond1_ok, "margin": self.cond1_margin},
             "cond2": {"ok": self.cond2_ok, "margin": self.cond2_margin},
@@ -511,12 +510,11 @@ class SmallnessReport:
 
 
 def check_small_relative(body, eps, action, K_samples, K_out_samples,
-                         sigma_samples, alpha, delta, delta_prime,
-                         sample_resolution):
-    """Sampled check that (delta, delta') are small relative to K, K_out, alpha.
+                         sigma_samples, delta, delta_prime, sample_resolution):
+    """Sampled check that (delta, delta') are small relative to K, K_out, ALPHA.
 
     Condition (3) is verified through the sufficient bound M1 + M2 <=
-    alpha/2 - pi/4, where M1/M2 are the angle variations over close boundary
+    ALPHA/2 - pi/4, where M1/M2 are the angle variations over close boundary
     pairs and close K_out pairs respectively.
     """
     space = body.space
@@ -537,7 +535,7 @@ def check_small_relative(body, eps, action, K_samples, K_out_samples,
     cond2_ok = cond2_margin > tol
 
     # (3) angle-variation gate
-    gate = alpha / 2.0 - math.pi / 4.0
+    gate = ALPHA / 2.0 - math.pi / 4.0
     out_aug = list(K_out_samples)
     for p in K_out_samples:
         out_aug.append(normal_flow(body, p, 0.5 * delta_prime))
@@ -552,7 +550,7 @@ def check_small_relative(body, eps, action, K_samples, K_out_samples,
     m2 = _pair_variation(At, out_aug, space, delta_prime, axis=0)
     variation = m1 + m2
     cond3_ok = variation <= gate + tol
-    return SmallnessReport(alpha, delta, delta_prime, cond1_ok,
+    return SmallnessReport(delta, delta_prime, cond1_ok,
                            cond1_margin if cond1_margin < math.inf else math.inf,
                            cond2_ok, cond2_margin, cond3_ok, variation, gate)
 
@@ -599,8 +597,7 @@ class PushOff:
         space = self.grid.body.space
         items = sorted(w.items())
         acc, W = None, 0.0
-        for v, wt in items:
-            p = self.iota_n(v)
+        for (v, wt), p in zip(items, self.iota_n.at([v for v, _ in items])):
             if acc is None:
                 acc, W = p, wt
                 continue
@@ -628,23 +625,27 @@ def subdivision_coordinates(weights, vertex_of):
 
 
 def _equivariance_from_adjacency(adj):
-    """Partial vertex maps on the nerve of Adj(U) induced by the group."""
-    index_of = {}
-    for i, e in enumerate(adj.elements):
-        index_of[(e.group_element.key(), e.base_label)] = i
+    """Partial vertex maps on the nerve of Adj(U) induced by the group: h
+    sends element i, ball base[i] moved by g, to the element of ball base[i]
+    moved by hg, where Adj(U) has one.  With E = action.elements(), the
+    |E| x |E| table gives the index of each product in E (-1 outside E) and
+    slot[k, b] the element of ball b moved by E[k] (-1 if none)."""
+    elements = [g for g, _ in adj.action.elements()]
+    index_of = {g.key(): k for k, g in enumerate(elements)}
+    product = np.array([[index_of.get(h.compose(g).key(), -1) for g in elements]
+                        for h in elements])
+    slot = np.full((len(elements), len(adj.cover)), -1)
+    slot[adj.group, adj.base] = np.arange(len(adj))
     maps = []
-    for h, _ in adj.action.nontrivial():
-        vmap = {}
-        for i, e in enumerate(adj.elements):
-            key = (h.compose(e.group_element).key(), e.base_label)
-            if key in index_of:
-                vmap[i] = index_of[key]
-        if vmap:
+    for k, h in enumerate(elements[1:], 1):
+        hg = product[k, adj.group]
+        vmap = np.where(hg >= 0, slot[hg, adj.base], -1)
+        if np.any(vmap >= 0):
             maps.append((h, vmap))
     return subdivision.EquivariantStructure(maps)
 
 
-def extend_to_pushoff(grid, lam, n, delta_prime, alpha=ALPHA_DEFAULT):
+def extend_to_pushoff(grid, lam, n, delta_prime):
     """Extend a boundary-tight push-off grid to a push-off map by an order-n
     shrinking subdivision and geodesic coning.
 
@@ -663,16 +664,16 @@ def extend_to_pushoff(grid, lam, n, delta_prime, alpha=ALPHA_DEFAULT):
             f"{bdy_target:.3e}")
 
     # witnesses are constructed on the outward normal, so the true angle is
-    # exactly alpha = pi; 1e-5 absorbs the floating-point arccos floor
+    # exactly ALPHA = pi; 1e-5 absorbs the floating-point arccos floor
     min_angle = grid.min_witness_angle
-    if min_angle < alpha - 1e-5:
+    if min_angle < ALPHA - 1e-5:
         raise StagedPreconditionError(
-            "grid-angle", f"witness angle {min_angle} < alpha = {alpha}")
+            "grid-angle", f"witness angle {min_angle} < alpha = {ALPHA}")
 
     equiv = _equivariance_from_adjacency(grid.adjacency)
     result = subdivision.iterate_subdivision(
         grid.nerve, grid.iota, lam, n, equivariance=equiv)
-    complex_, iota = result.complex, result.iota
+    iota = result.iota
 
     full_diam = float(np.max(result.record.final_diams, initial=0.0))
     if full_diam > delta_prime + tol:
@@ -680,8 +681,7 @@ def extend_to_pushoff(grid, lam, n, delta_prime, alpha=ALPHA_DEFAULT):
             "full-tightness",
             f"diam(iota_n) = {full_diam:.3e} > delta' = {delta_prime:.3e}")
 
-    push_dist = _push_off_distance(grid.body, grid.eps,
-                                   [iota(v) for v in complex_.ids.tolist()])
+    push_dist = _push_off_distance(grid.body, grid.eps, iota.points)
     if push_dist <= 0.0:
         raise StagedPreconditionError(
             "image-outside", "subdivided images do not stay outside the "

@@ -37,7 +37,6 @@ class Scene:
     order: int
     interior_points: list = field(default_factory=list)
     sample_spacing: float | None = None
-    alpha: float = math.pi
 
     def __post_init__(self):
         """Reject, with ValueError, numbers that no stage can run on."""
@@ -273,8 +272,8 @@ def run_pipeline(scene, lam=None, order=None, density=200, seed=0):
                               sig_count, endpoint=True)
 
     smallness = retraction.check_small_relative(
-        body, eps, scene.action, K_samples, K_out, sigma_dense, scene.alpha,
-        scene.delta, scene.delta_prime, sample_resolution=2.0 * spacing)
+        body, eps, scene.action, K_samples, K_out, sigma_dense, scene.delta,
+        scene.delta_prime, sample_resolution=2.0 * spacing)
     report.smallness = smallness.to_json()
     report.gates["smallness"] = smallness.ok
     if not smallness.ok:
@@ -298,7 +297,7 @@ def run_pipeline(scene, lam=None, order=None, density=200, seed=0):
         "elements": len(grid.adjacency),
     }
     report.diam_iota = diam_iota_grid
-    report.gates["grid_angle"] = grid.min_witness_angle >= scene.alpha - 1e-5
+    report.gates["grid_angle"] = grid.min_witness_angle >= retraction.ALPHA - 1e-5
     report.gates["push_off_positive"] = grid_push > 0.0
     report.gates["boundary_tightness"] = (
         grid.boundary_map_diameter <= (1.0 - lam) * scene.delta_prime + tol)
@@ -309,9 +308,7 @@ def run_pipeline(scene, lam=None, order=None, density=200, seed=0):
     report.gates["diam_iota_le_diam_K_Kout"] = diam_iota_grid <= dkk + tol
 
     try:
-        pushoff = retraction.extend_to_pushoff(grid, lam, order,
-                                               scene.delta_prime,
-                                               alpha=scene.alpha)
+        pushoff = retraction.extend_to_pushoff(grid, lam, order, scene.delta_prime)
     except StagedPreconditionError as exc:
         return _fail(report, exc.stage, str(exc))
     except GeometryError as exc:
@@ -333,7 +330,7 @@ def run_pipeline(scene, lam=None, order=None, density=200, seed=0):
     retractor = retraction.Retractor(pushoff)
     margin = min(0.02 * span, grid.delta)  # keep samples off the exact seam
     ss = np.linspace(scene.s_lo + margin, scene.s_hi - margin, density)
-    angle_gate = scene.alpha / 2.0 + math.pi / 4.0
+    angle_gate = retraction.ALPHA / 2.0 + math.pi / 4.0
 
     cone_bound = (lam ** order) * diam_iota_grid
     coning_ok = True
@@ -345,7 +342,7 @@ def run_pipeline(scene, lam=None, order=None, density=200, seed=0):
         report.angle_rows.append((s, retraction.angle_to_C(body, q, target)))
         report.escape_rows.append(
             (s, retraction.check_large_angle_escape(body, eps, q, target)))
-        imgs = [sub.iota(v) for v in cell]
+        imgs = sub.iota.at(cell)
         cell_diam = spaces.pairwise_diameter(space, imgs)
         nearest = min(spaces.distance(space, target, z) for z in imgs)
         if cell_diam > cone_bound + 10 * tol or nearest > cell_diam + 10 * tol:

@@ -237,31 +237,52 @@ def room(complex_, sigma):
 
 @dataclass
 class VertexMap:
-    """Labeling of a complex's vertices by points of a model space."""
+    """Labelling of a complex's vertices by points of a model space: vertex
+    ids[r] goes to points[r], an index for finite spaces.  The ids are kept
+    ascending, with their points reordered to match."""
 
     target: spaces.ModelSpace
-    assignment: dict
+    ids: np.ndarray
+    points: np.ndarray
+
+    def __post_init__(self):
+        ids = np.asarray(self.ids, np.int64).reshape(-1)
+        if self.target.kind == spaces.FINITE:
+            points = np.asarray(self.points, np.int64).reshape(len(ids))
+        else:
+            points = np.asarray(self.points, float).reshape(len(ids), self.target.ambient_dim)
+        if np.any(ids[1:] < ids[:-1]):
+            order = np.argsort(ids, kind="stable")
+            ids, points = ids[order], points[order]
+        self.ids, self.points = ids, points
+
+    def at(self, vertices):
+        """Labels of an array of vertex ids, one row each."""
+        vertices = np.asarray(vertices, np.int64)
+        rows = self.ids.searchsorted(vertices)
+        if vertices.size and not (len(self.ids) and
+                                  (self.ids.take(rows, mode="clip") == vertices).all()):
+            missing = np.setdiff1d(vertices, self.ids)[:5].tolist()
+            raise KeyError(f"vertex map misses vertices {missing}")
+        return self.points[rows]
 
     def __call__(self, vertex):
-        return self.assignment[vertex]
+        return self.at(vertex)
 
     def check_total(self, complex_):
-        missing = [v for v in complex_.ids.tolist() if v not in self.assignment]
-        if missing:
-            raise KeyError(f"vertex map misses vertices {missing[:5]}")
+        self.at(complex_.ids)
 
     def to_json(self):
-        return {str(v): (list(p) if not isinstance(p, int) else p)
-                for v, p in sorted(self.assignment.items())}
+        return dict(zip(map(str, self.ids.tolist()), self.points.tolist()))
 
     @staticmethod
     def from_json(target, doc):
-        assignment = {int(v): target.point(p) for v, p in doc.items()}
-        return VertexMap(target, assignment)
+        labels = {int(v): target.point(p) for v, p in doc.items()}
+        return VertexMap(target, list(labels), list(labels.values()))
 
 
 def map_diameter(complex_, iota):
     """max over simplices of the image diameter; equal to the max over edges."""
     iota.check_total(complex_)
-    return max((spaces.distance(iota.target, iota(u), iota(v)) for u, v in complex_.edges),
+    return max((spaces.distance(iota.target, u, v) for u, v in iota.at(complex_.faces[1])),
                default=0.0)

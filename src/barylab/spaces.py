@@ -89,23 +89,29 @@ class ModelSpace:
         return self.kind in (EUCLIDEAN, HYPERBOLOID)
 
     def check_point(self, x):
+        """Raise InvalidCoordinates unless x is a point of the space.  NaN and
+        infinite coordinates fail every kind.  The circle's radius test reads
+        False on them by itself, which keeps the phase sweep's circle_point
+        path free of a second check; the other kinds test finiteness first, so
+        the Minkowski form never evaluates inf - inf."""
         if self.kind == FINITE:
-            i = int(x)
-            if not 0 <= i < self.dim:
-                raise InvalidCoordinates(f"finite index {i} out of range [0,{self.dim})")
+            if not math.isfinite(float(x)) or not 0 <= int(x) < self.dim:
+                raise InvalidCoordinates(f"finite index {x} out of range [0,{self.dim})")
             return
         x = np.asarray(x, dtype=float)
         if x.shape != (self.ambient_dim,):
             raise InvalidCoordinates(
                 f"expected {self.ambient_dim} coordinates for {self.kind}, got shape {x.shape}")
+        if self.kind != CIRCLE and not np.all(np.isfinite(x)):
+            raise InvalidCoordinates(f"{self.kind} point {x} has a non-finite coordinate")
         if self.kind == HYPERBOLOID:
             norm = minkowski_dot(x, x)
-            if abs(norm + 1.0) > 100 * self.tol or x[0] <= 0:
+            if not (abs(norm + 1.0) <= 100 * self.tol and x[0] > 0):
                 raise InvalidCoordinates(
                     f"hyperboloid point has Minkowski norm {norm:.3e}, x0={x[0]:.3e}")
         elif self.kind == CIRCLE:
             r = float(np.linalg.norm(x))
-            if abs(r - self.radius) > 100 * self.tol:
+            if not abs(r - self.radius) <= 100 * self.tol:
                 raise InvalidCoordinates(f"point at radius {r}, expected {self.radius}")
 
     def point(self, coords):
@@ -165,41 +171,28 @@ def distance(space, x, y):
     return math.sqrt(float(diff.dot(diff)))
 
 
-def distances_to(space, points, y):
-    """Vectorized d(p, y) over an (m, ambient) array of points."""
-    pts = np.asarray(points, dtype=float)
-    if pts.size == 0:
-        return np.zeros(0)
-    if space.kind == FINITE:
-        return space.matrix[np.asarray(points, dtype=int), int(y)]
-    y = np.asarray(y, dtype=float)
-    if space.kind == HYPERBOLOID:
-        return _hyperboloid_dist_from_diff(pts - y[None, :])
-    return np.linalg.norm(pts - y[None, :], axis=1)
-
-
-def cross_distances(space, A, B):
-    """Matrix of d(a_i, b_j) for point arrays A (m) and B (n)."""
-    if space.kind == FINITE:
-        return space.matrix[np.ix_(np.asarray(A, int), np.asarray(B, int))]
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if space.kind == HYPERBOLOID:
-        return _hyperboloid_dist_from_diff(A[:, None, :] - B[None, :, :])
-    diff = A[:, None, :] - B[None, :, :]
-    return np.linalg.norm(diff, axis=2)
-
-
 def paired_distances(space, A, B):
     """d(a, b) over the broadcast rows of point arrays A and B (index arrays
     for finite spaces): A of shape (..., ambient) against B of shape
-    (..., ambient) gives shape (...).  The kernels are cross_distances'."""
+    (..., ambient) gives shape (...).  The one vector distance kernel."""
     if space.kind == FINITE:
         return space.matrix[np.asarray(A, int), np.asarray(B, int)]
     diff = np.asarray(A, dtype=float) - np.asarray(B, dtype=float)
     if space.kind == HYPERBOLOID:
         return _hyperboloid_dist_from_diff(diff)
     return np.linalg.norm(diff, axis=-1)
+
+
+def distances_to(space, points, y):
+    """Vectorized d(p, y) over an (m, ambient) array of points."""
+    if np.size(points) == 0:
+        return np.zeros(0)
+    return paired_distances(space, points, y)
+
+
+def cross_distances(space, A, B):
+    """Matrix of d(a_i, b_j) for point arrays A (m) and B (n)."""
+    return paired_distances(space, np.asarray(A)[:, None], np.asarray(B)[None])
 
 
 def pairwise_diameter(space, points):
@@ -209,15 +202,8 @@ def pairwise_diameter(space, points):
         return 0.0
     if len(pts) == 2:
         return distance(space, pts[0], pts[1])
-    if space.kind == FINITE:
-        idx = np.asarray(pts, dtype=int)
-        return float(np.max(space.matrix[np.ix_(idx, idx)]))
-    arr = np.asarray(pts, dtype=float)
-    if space.kind == HYPERBOLOID:
-        return float(np.max(_hyperboloid_dist_from_diff(
-            arr[:, None, :] - arr[None, :, :])))
-    diff = arr[:, None, :] - arr[None, :, :]
-    return float(np.max(np.linalg.norm(diff, axis=2)))
+    arr = np.asarray(pts)
+    return float(np.max(paired_distances(space, arr[:, None], arr[None])))
 
 
 def _hyperboloid_unit_tangent(x, y, d=None):

@@ -22,8 +22,8 @@ from .errors import DiameterTooLarge, ModelSpaceViolation, NoBarycenter
 @dataclass
 class EquivariantStructure:
     """Partial simplicial action: per group element, a partial vertex map,
-    a dict of vertex ids or an array over the complex's vertex rows (-1
-    where undefined)."""
+    an array over the complex's vertex rows of image rows (-1 where
+    undefined)."""
 
     maps: list  # list of (Isometry, vertex map)
 
@@ -118,16 +118,6 @@ def _solve_label(space, P, Q, lam):
 BLOCK_ROWS = 256
 
 
-def _table(space, complex_, assignment, size):
-    """Label array, one row per vertex row of the complex (finite labels are
-    indices), then zero rows up to `size` rows."""
-    ids = complex_.faces[0][:, 0].tolist()
-    table = np.zeros(size, dtype=int) if space.kind == spaces.FINITE \
-        else np.zeros((size, space.ambient_dim))
-    table[:len(ids)] = [assignment[v] for v in ids]
-    return table
-
-
 def _points(table, rows):
     """Labels of table rows as _solve_label takes them (finite ones as ints)."""
     pts = table[rows]
@@ -192,15 +182,10 @@ def _rooms(complex_, d):
 
 
 def _lift(complex_, maps):
-    """Lift partial vertex maps (dicts of ids, or arrays over vertex rows, -1
-    where undefined) through a subdivision: each simplex's image gid, or -1."""
+    """Lift partial vertex maps (arrays over vertex rows, -1 where undefined)
+    through a subdivision: each simplex's image gid, or -1."""
     ids, lifted = complex_.faces[0][:, 0], []
     for h, vmap in maps:
-        if isinstance(vmap, dict):
-            src, dst = (complex_.find(np.array(list(x), dtype=np.int64).reshape(-1, 1))
-                        for x in (vmap, vmap.values()))
-            ok, vmap = (src >= 0) & (dst >= 0), np.full(len(ids), -1)
-            vmap[src[ok]] = dst[ok]
         parts = []
         for d, table in enumerate(complex_.face_tables):
             img = vmap[table[:, :d + 1]]
@@ -256,7 +241,9 @@ def shrinking_subdivide(complex_, iota, lam, equivariance=None):
     iota.check_total(complex_)
     sub, prov = simplicial.barycentric_subdivision(complex_)
     tables, offsets = complex_.face_tables, complex_.offsets
-    table = _table(space, complex_, iota.assignment, len(sub.ids))
+    # one label row per subdivision vertex row; the old vertex rows come first
+    table = np.zeros((len(sub.ids),) + iota.points.shape[1:], iota.points.dtype)
+    table[:complex_.counts[0]] = iota.at(complex_.faces[0][:, 0])
 
     lifted = orbit = None
     if equivariance is not None and equivariance.maps:
@@ -279,8 +266,7 @@ def shrinking_subdivide(complex_, iota, lam, equivariance=None):
                                word[members].tolist()):
                 table[v] = isos[w].apply(table[r])
 
-    iota_sub = simplicial.VertexMap(space, dict(zip(
-        sub.ids.tolist(), table.tolist() if space.kind == spaces.FINITE else table)))
+    iota_sub = simplicial.VertexMap(space, sub.ids, table)
     parent_diams = np.concatenate([_diameters(space, table, t[:, :d + 1])
                                    for d, t in enumerate(tables)])
     # condition (1) certified on subdivision edges: every sub-simplex's image
@@ -336,9 +322,9 @@ def iterate_subdivision(complex_, iota, lam, n, equivariance=None):
         provs.append(prov)
         prov_total = prov.compose(prov_total) if stage else prov
 
-    table = _table(space, complex_, iota.assignment, complex_.counts[0])
+    table = iota.at(complex_.faces[0][:, 0])
     edges = np.searchsorted(complex_.faces[0][:, 0], complex_.faces[1])
-    orig_table = _table(space, original, original_iota.assignment, original.counts[0])
+    orig_table = original_iota.at(original.faces[0][:, 0])
     orig_tables, offsets = original.face_tables, original.offsets
     orig_diams = np.concatenate([_diameters(space, orig_table, t[:, :d + 1])
                                  for d, t in enumerate(orig_tables)])

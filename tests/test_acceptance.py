@@ -15,6 +15,8 @@ import pytest
 
 from barylab import barycenters as bc
 from barylab import covers, scenes, simplicial, spaces, subdivision as sd
+from test_covers import translate_labels
+from test_simplicial import labelled
 
 SQ32 = math.sqrt(3) / 2
 SEED = 20240817
@@ -98,13 +100,13 @@ def produce_simplex_model_case():
 def produce_shrinking_records():
     e1 = spaces.ModelSpace.euclidean(1)
     edge = simplicial.SimplicialComplex.from_maximal([(0, 1)])
-    iota = simplicial.VertexMap(e1, {0: np.array([0.0]), 1: np.array([1.0])})
+    iota = labelled(e1, {0: np.array([0.0]), 1: np.array([1.0])})
     res_edge = sd.iterate_subdivision(edge, iota, 0.5, 3)
 
     e2 = spaces.ModelSpace.euclidean(2)
     tri = simplicial.SimplicialComplex.from_maximal([(0, 1, 2)])
-    iota2 = simplicial.VertexMap(e2, {0: np.zeros(2), 1: np.array([1.0, 0.0]),
-                                      2: np.array([0.5, SQ32])})
+    iota2 = labelled(e2, {0: np.zeros(2), 1: np.array([1.0, 0.0]),
+                          2: np.array([0.5, SQ32])})
     res_tri = sd.iterate_subdivision(tri, iota2, SQ32, 2)
     blob = (res_edge.record.to_csv() + res_tri.record.to_csv()).encode()
     return res_edge, res_tri, blob
@@ -136,22 +138,14 @@ def produce_projection_weights():
         digest.update(np.asarray(w).tobytes())
         digest.update(str(support).encode())
     # equivariance on 100 orbit pairs
-    label_of = {(e.group_element.key(), e.base_label): i
-                for i, e in enumerate(proj.adj.elements)}
+    image = translate_labels(proj.adj, g)
     equi_max = 0.0
     pairs = 0
     while pairs < 100:
         q = np.array([rng.uniform(-0.45, 0.45)])
         s_q, w_q = proj.project(q)
-        mapped = []
-        for i in s_q:
-            e = proj.adj.elements[i]
-            key = (g.compose(e.group_element).key(), e.base_label)
-            if key not in label_of:
-                mapped = None
-                break
-            mapped.append(label_of[key])
-        if mapped is None:
+        mapped = [image[i] for i in s_q]
+        if None in mapped:
             continue
         s_hq, w_hq = proj.project(g.apply(q))
         if tuple(sorted(mapped)) != s_hq:

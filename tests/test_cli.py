@@ -137,8 +137,9 @@ def unit_edge_with(**changes):
                    vertex_map={"0": [1, 0, 0], "1": [0, 1, 0]}),
     unit_edge_with(**{"lambda": 1.0}),
     unit_edge_with(order=-1),
+    unit_edge_with(vertex_map={"0": [math.nan], "1": [1.0]}),
 ], ids=["not_face_closed", "unlisted_vertex", "vertex_map_misses_vertex",
-        "sphere", "lambda_one", "negative_order"])
+        "sphere", "lambda_one", "negative_order", "label_nan"])
 def test_subdivide_rejects_bad_input(tmp_path, capsys, doc):
     inp = write(tmp_path / "s.json", doc)
     out = str(tmp_path / "shrink.csv")
@@ -201,11 +202,14 @@ def point_scene_with(**window):
     (point_scene_with(s_lo=1.0, s_hi=1.0), []),
     (point_scene_with(s_lo=2.0, s_hi=1.0), []),
     (point_scene_with(sample_spacing=-1), []),
+    ({"scene": "hyperbolic_axis", "overrides": {"eps": 1000}}, []),
+    ({"scene": "hyperbolic_patch", "overrides": {"eps": 1000}}, []),
 ], ids=["order_flag", "order_override", "order_fraction", "density_zero",
         "density_negative", "lambda_zero", "lambda_above_one", "lambda_override",
         "delta_zero", "delta_negative", "delta_prime_zero", "R_equal_eps",
         "R_below_eps", "eps_nan", "delta_infinite", "period_zero", "window_empty",
-        "window_reversed", "sample_spacing_negative"])
+        "window_reversed", "sample_spacing_negative", "axis_eps_overflow",
+        "patch_eps_overflow"])
 def test_retract_rejects_bad_input(tmp_path, capsys, doc, flags):
     inp = write(tmp_path / "scene.json", doc)
     out = str(tmp_path / "report.json")
@@ -365,10 +369,21 @@ BARYCENTER = {"space": CIRCLE, "P": TRIPLE, "Q": [], "lambda": 0.9}
     ("barycenter", {**BARYCENTER, "lambda": "high"}, []),
     ("barycenter", BARYCENTER, ["--lambda", "inf"]),
     ("barycenter", BARYCENTER, ["--tol", "0"]),
+    ("barycenter", {"space": EUCLID, "P": [[0, 0], [math.nan, 1]], "lambda": 0.9}, []),
+    ("barycenter", {"space": EUCLID, "P": [[0, 0], [1, -math.inf]], "lambda": 0.9}, []),
+    ("barycenter", {"space": {"kind": "hyperboloid", "dim": 2},
+                    "P": [[1, 0, 0], [math.nan, 0, 0]], "lambda": 0.9}, []),
+    ("barycenter", {"space": {"kind": "hyperboloid", "dim": 2},
+                    "P": [[1, 0, 0], [math.inf, math.inf, 0]], "lambda": 0.9}, []),
+    ("barycenter", {"space": CIRCLE, "P": [[1, 0], [math.nan, 0]], "lambda": 0.9}, []),
+    ("barycenter", {"space": CIRCLE, "P": [[1, 0]], "Q": [[math.inf, 0]],
+                    "lambda": 0.9}, []),
 ], ids=["phase_delta_negative", "phase_delta_zero", "phase_lambda_nan",
         "phase_lambdas_not_list", "phase_trials_negative", "phase_trials_fraction",
         "phase_trials_flag_zero", "barycenter_lambda_nan", "barycenter_lambda_text",
-        "barycenter_lambda_flag_inf", "barycenter_tol_zero"])
+        "barycenter_lambda_flag_inf", "barycenter_tol_zero", "barycenter_r2_nan",
+        "barycenter_r2_inf", "barycenter_h2_nan", "barycenter_h2_inf",
+        "barycenter_circle_nan", "barycenter_circle_q_inf"])
 def test_rejects_bad_numbers(tmp_path, capsys, command, doc, flags):
     inp = write(tmp_path / "in.json", doc)
     out = str(tmp_path / "out")

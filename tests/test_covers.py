@@ -31,6 +31,22 @@ def trivial_action(space):
     return covers.GroupAction(space, [], word_length=0)
 
 
+def words(action):
+    """Word length of each group element, indexed like action.elements()."""
+    return np.array([w for _, w in action.elements()])
+
+
+def translate_labels(adj, g):
+    """Per element i of adj, the element of the same base ball moved by g
+    after i's group element, or None where adj has none; each product is
+    found by its key among action.elements()."""
+    elements = [h for h, _ in adj.action.elements()]
+    index_of = {h.key(): k for k, h in enumerate(elements)}
+    slots = list(zip(adj.group.tolist(), adj.base.tolist()))
+    label_of = {slot: i for i, slot in enumerate(slots)}
+    return [label_of.get((index_of.get(g.compose(elements[k]).key()), b)) for k, b in slots]
+
+
 def test_nerve_single_and_disjoint():
     cov = line_cover([0.0], 1.0)
     nerve = covers.build_nerve(cov)
@@ -80,7 +96,7 @@ def test_adjacency_examples():
     act = covers.GroupAction(E1, [spaces.Isometry.euclidean_translation([10.0])],
                              word_length=3)
     adj = covers.adjacency(cov, act)
-    extra = sorted(float(e.ball.center[0]) for e in adj.elements[len(cov):])
+    extra = sorted(adj.centers[len(cov):, 0].tolist())
     assert extra == [-1.0, 10.0]
 
     far = covers.GroupAction(E1, [spaces.Isometry.euclidean_translation([100.0])],
@@ -97,8 +113,8 @@ def test_adjacency_contains_base():
     act = covers.GroupAction(E1, [spaces.Isometry.euclidean_translation([10.0])],
                              word_length=2)
     adj = covers.adjacency(cov, act)
-    assert [e.base_label for e in adj.elements[:len(cov)]] == list(range(10))
-    assert all(e.word == 0 for e in adj.elements[:len(cov)])
+    assert adj.base[:len(cov)].tolist() == list(range(10))
+    assert np.all(words(act)[adj.group[:len(cov)]] == 0)
 
 
 def test_enumeration_bound_error():
@@ -116,9 +132,9 @@ def test_H_fine_nerve_has_no_orbit_edges():
                              word_length=2)
     proj = covers.NerveProjector(cov, act)
     # exhaustively: no edge joins an element and one of its own translates
+    base, word = proj.adj.base, words(act)[proj.adj.group]
     for (u, v) in proj.nerve.edges:
-        eu, ev = proj.adj.elements[u], proj.adj.elements[v]
-        assert not (eu.base_label == ev.base_label and eu.word != ev.word)
+        assert not (base[u] == base[v] and word[u] != word[v])
 
 
 def test_projection_weight_examples():
@@ -205,10 +221,7 @@ def test_projection_equivariance_on_orbit_pairs():
     g = spaces.Isometry.euclidean_translation([2.8])
     act = covers.GroupAction(E1, [g], word_length=2)
     proj = covers.NerveProjector(cov, act)
-    label_of = {}
-    for i, e in enumerate(proj.adj.elements):
-        label_of[(e.group_element.key(), e.base_label)] = i
-    ident = spaces.Isometry.identity(E1).key()
+    image = translate_labels(proj.adj, g)
     rng = np.random.default_rng(4)
     checked = 0
     for _ in range(100):
@@ -221,15 +234,8 @@ def test_projection_equivariance_on_orbit_pairs():
         except UncoveredPoint:
             continue
         # relabel support_q through h where defined
-        mapped = []
-        for i in support_q:
-            e = proj.adj.elements[i]
-            key = (g.compose(e.group_element).key(), e.base_label)
-            if key not in label_of:
-                mapped = None
-                break
-            mapped.append(label_of[key])
-        if mapped is None:
+        mapped = [image[i] for i in support_q]
+        if None in mapped:
             continue
         order = np.argsort(mapped)
         assert tuple(sorted(mapped)) == support_hq
@@ -306,7 +312,7 @@ def test_diam_K_Kout_upper_bound():
 def test_cover_json_roundtrip():
     cov = line_cover([0.0, 1.0], 1.0)
     back = covers.BallCover.from_json(E1, cov.to_json())
-    assert len(back) == 2 and abs(back.balls[1].center[0] - 1.0) < 1e-15
+    assert len(back) == 2 and abs(back.centers[1, 0] - 1.0) < 1e-15
     act = covers.GroupAction(E1, [spaces.Isometry.euclidean_translation([10.0])],
                              word_length=2)
     back_act = covers.GroupAction.from_json(E1, act.to_json())
@@ -329,26 +335,29 @@ def allpairs_first_uncovered(cover):
 
 
 def allpairs_adjacency(cover, action):
-    """(center, radius, label, word, base label) rows of Adj(U), or the
-    EnumerationBound message."""
+    """(center, radius, group element index, word, base ball) rows of
+    Adj(U), or the EnumerationBound message."""
     space = cover.space
+    balls = list(enumerate(zip(cover.centers, cover.radii)))
     if action.generators:
         reach = 2.0 * float(np.max(cover.radii))
         for g, w in action.elements():
             if w != action.word_length:
                 continue
-            for b in cover.balls:
-                d = spaces.distances_to(space, cover.centers, g.apply(b.center))
-                if np.any(d < b.radius + cover.radii + reach):
+            for _, (c, r) in balls:
+                d = spaces.distances_to(space, cover.centers, g.apply(c))
+                if np.any(d < r + cover.radii + reach):
                     return f"adjacency: translate at word length {action.word_length} " \
                         "still reaches the cover; increase word_length"
-    rows = [(b.center, b.radius, b.label, 0, b.label) for b in cover.balls]
-    for g, w in action.nontrivial():
-        for b in cover.balls:
-            gc = g.apply(b.center)
+    rows = [(c, r, 0, 0, b) for b, (c, r) in balls]
+    for k, (g, w) in enumerate(action.elements()):
+        if w == 0:
+            continue
+        for b, (c, r) in balls:
+            gc = g.apply(c)
             d = spaces.distances_to(space, cover.centers, gc)
-            if np.any(d < b.radius + cover.radii - space.tol):
-                rows.append((gc, b.radius, len(rows), w, b.label))
+            if np.any(d < r + cover.radii - space.tol):
+                rows.append((gc, r, k, w, b))
     return rows
 
 
@@ -397,12 +406,12 @@ def allpairs_tents(proj, q):
     vals = np.zeros(len(proj.adj))
     d = spaces.distances_to(proj.cover.space, proj.adj.centers[:base], q)
     vals[:base] = np.maximum(0.0, proj.adj.radii[:base] - d)
+    elements = [g for g, _ in proj.action.elements()]
     for i in range(base, len(proj.adj)):
-        e = proj.adj.elements[i]
-        pulled = e.group_element.inverse().apply(q)
-        d_i = spaces.distance(proj.cover.space, proj.cover.balls[e.base_label].center,
+        pulled = elements[proj.adj.group[i]].inverse().apply(q)
+        d_i = spaces.distance(proj.cover.space, proj.cover.centers[proj.adj.base[i]],
                               pulled)
-        vals[i] = max(0.0, e.ball.radius - d_i)
+        vals[i] = max(0.0, proj.adj.radii[i] - d_i)
     return vals
 
 
@@ -482,10 +491,12 @@ def check_against_allpairs(space, balls, rng, length):
     ref = allpairs_adjacency(cover, action)
     adj = covers.adjacency(cover, action)
     assert len(adj) == len(ref) > len(cover)
-    for e, (c, rad, label, word, base) in zip(adj.elements, ref):
-        assert np.array_equal(e.ball.center, c)
-        assert (e.ball.radius, e.ball.label, e.word, e.base_label) == \
-            (rad, label, word, base)
+    c, rad, group, word, base = zip(*ref)
+    assert np.array_equal(adj.centers, np.array(c))
+    assert np.array_equal(adj.radii, np.array(rad))
+    assert np.array_equal(adj.group, np.array(group))
+    assert np.array_equal(words(action)[adj.group], np.array(word))
+    assert np.array_equal(adj.base, np.array(base))
 
     proj = covers.NerveProjector(cover, action)
     assert proj.nerve.simplices == allpairs_nerve(space, adj.centers, adj.radii)

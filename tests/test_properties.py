@@ -1,9 +1,10 @@
-"""Property tests (Hypothesis): barycenter and nerve certificates are
-invariant under isometries and nerve certificates replay, the circle's
-lambda* matches the arc-midpoint closed form, subdivision provenance read off
-chains matches the union-based search, the array subdivision matches the
-frozen tuple one, shrinking subdivisions keep their diameter bounds, and the
-retraction's crossings match closed forms."""
+"""Property tests (Hypothesis): the distance entry points are rows of one
+kernel, barycenter and nerve certificates are invariant under isometries and
+nerve certificates replay, the circle's lambda* matches the arc-midpoint
+closed form, subdivision provenance read off chains matches the union-based
+search, the array subdivision matches the frozen tuple one, shrinking
+subdivisions keep their diameter bounds, and the retraction's crossings match
+closed forms."""
 
 import itertools
 import math
@@ -19,7 +20,7 @@ from barylab import covers  # noqa: E402
 from barylab import retraction as rt  # noqa: E402
 from barylab import simplicial, spaces, subdivision as sd  # noqa: E402
 from test_covers import assert_certificate_replays  # noqa: E402
-from test_simplicial import coface_rows, reference_subdivision  # noqa: E402
+from test_simplicial import coface_rows, labelled, reference_subdivision  # noqa: E402
 from test_subdivision import reference_labels  # noqa: E402
 
 SPACES = [spaces.ModelSpace.euclidean(2), spaces.ModelSpace.euclidean(3),
@@ -64,6 +65,42 @@ def test_lambda_star_isometry_invariant(seed, which):
 
 
 PLANES = [spaces.ModelSpace.euclidean(2), spaces.ModelSpace.hyperboloid(2)]
+KERNEL_SPACES = SPACES + [spaces.ModelSpace.finite(
+    np.abs(np.subtract.outer(np.arange(6.0), np.arange(6.0))))]
+
+
+def draw_rows(space, rng, m):
+    """m points as one array: coordinate rows, or indices in a finite space."""
+    if space.kind == spaces.FINITE:
+        return rng.integers(0, space.dim, m)
+    return np.array([draw_point(space, rng) for _ in range(m)]).reshape(m, space.ambient_dim)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(range(len(KERNEL_SPACES))),
+       st.integers(0, 6), st.integers(0, 6))
+def test_distance_entry_points_are_paired_distances(seed, which, m, n):
+    """distances_to, cross_distances, pairwise_diameter over three or more
+    points and the batched distance to point, segment and (in R^2) line
+    bodies equal paired_distances bit for bit, empty inputs included."""
+    space = KERNEL_SPACES[which]
+    rng = np.random.default_rng(seed)
+    A, B, Y = draw_rows(space, rng, m), draw_rows(space, rng, n), draw_rows(space, rng, 2)
+    assert np.array_equal(spaces.distances_to(space, A, Y[0]),
+                          spaces.paired_distances(space, A, Y[0]))
+    assert np.array_equal(spaces.cross_distances(space, A, B),
+                          spaces.paired_distances(space, A[:, None], B[None]))
+    if m != 2:
+        want = np.max(spaces.paired_distances(space, A[:, None], A[None]), initial=0.0)
+        assert spaces.pairwise_diameter(space, A) == want
+    if space not in PLANES or spaces.distance(space, Y[0], Y[1]) <= 1e-6:
+        return
+    bodies = [rt.PointBody(space, Y[0]), rt.SegmentBody(space, Y[0], Y[1])]
+    if space.kind == spaces.EUCLIDEAN:
+        bodies.append(rt.LineBody(space, Y[0], Y[1]))
+    for body in bodies:
+        assert np.array_equal(body.dist_batch(A),
+                              spaces.paired_distances(space, A, body.project_batch(A)))
 
 
 def plane_isometry(space, rng):
@@ -148,8 +185,8 @@ def random_complex(rng, n_lo, n_hi, top_max, top_min=1):
 def test_subdivision_provenance_matches_union(seed):
     rng = np.random.default_rng(seed)
     cplx = random_complex(rng, 3, 7, 3)
-    iota = simplicial.VertexMap(spaces.ModelSpace.euclidean(2),
-                                {v: rng.uniform(-1.0, 1.0, 2) for v in cplx.vertices})
+    iota = labelled(spaces.ModelSpace.euclidean(2),
+                    {v: rng.uniform(-1.0, 1.0, 2) for v in cplx.vertices})
     res = sd.iterate_subdivision(cplx, iota, math.sqrt(3) / 2, int(rng.integers(1, 4)))
     total = {v: (v,) for v in cplx.vertices}
     for st_rec, prov in zip(res.record.stages, res.provs):
@@ -177,7 +214,7 @@ def test_shrinking_bounds_hold(seed, which, order):
     space = PLANES[which]
     rng = np.random.default_rng(seed)
     cplx = random_complex(rng, 3, 6, 3, top_min=2)
-    iota = simplicial.VertexMap(space, {v: draw_point(space, rng) for v in cplx.vertices})
+    iota = labelled(space, {v: draw_point(space, rng) for v in cplx.vertices})
     res = sd.iterate_subdivision(cplx, iota, math.sqrt(3) / 2, order)
     ver = sd.verify_shrinking(res.record)
     assert ver.ok, ver.violations[:3]
@@ -204,10 +241,10 @@ def test_array_subdivision_matches_tuple_reference(seed, which):
     space = SUBDIVISION_SPACES[which]
     rng = np.random.default_rng(seed)
     cplx = random_complex(rng, 4, 7, 4)
-    iota = simplicial.VertexMap(space, {v: 0.3 * draw_point(space, rng)
-                                        if space.kind == spaces.EUCLIDEAN
-                                        else draw_point(space, rng)
-                                        for v in cplx.vertices})
+    iota = labelled(space, {v: 0.3 * draw_point(space, rng)
+                            if space.kind == spaces.EUCLIDEAN
+                            else draw_point(space, rng)
+                            for v in cplx.vertices})
     stages = int(rng.integers(1, 4))
     while stages > 1 and subdivided_size(cplx.counts, stages - 1) > 2000:
         stages -= 1  # keep the per-simplex reference labelling affordable
@@ -228,9 +265,9 @@ def test_array_subdivision_matches_tuple_reference(seed, which):
                 room = {c for T in want_cofaces[J] for k in range(1, len(J))
                         for c in itertools.combinations(T, k) if not set(c) <= set(J)}
                 assert sub.ids[q[ok]].tolist() == sorted(want_vertex_of[c] for c in room)
-        cplx, iota = sub, simplicial.VertexMap(space, labels)
+        cplx, iota = sub, labelled(space, labels)
     assert res.complex.simplices == cplx.simplices
-    assert set(res.iota.assignment) == set(labels)
+    assert set(res.iota.ids.tolist()) == set(labels)
     for v, b in labels.items():
         assert np.array_equal(res.iota(v), b), v
 

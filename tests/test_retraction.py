@@ -319,11 +319,65 @@ def test_build_boundary_grid_segment_scene():
     grid = rt.build_boundary_grid(seg, 1.0, 2.0, act, "outer", 0.0, period,
                                   delta=0.02, delta_prime=0.1)
     # witnesses flow to the offset curve at distance exactly R
-    for v, (q, ang) in grid.witnesses.items():
+    assert len(grid.witness_points) == len(grid.witness_angles) == np.count_nonzero(grid.boundary)
+    for v, ang in zip(np.flatnonzero(grid.boundary), grid.witness_angles):
         assert abs(seg.dist(grid.iota(v)) - 2.0) < 1e-9
         assert ang >= math.pi - 1e-5
     assert abs(grid.push_off_distance() - 1.0) < 1e-9
     assert grid.boundary_map_diameter <= 0.1 + 1e-9
+
+
+def frozen_equivariance_maps(adj):
+    """_equivariance_from_adjacency as it was: a dict from (group element
+    key, base ball) to element, probed with the key of every product h g:
+    [(h, {element: image element})] over the nontrivial h with an image."""
+    elements = [g for g, _ in adj.action.elements()]
+    slots = list(zip(adj.group.tolist(), adj.base.tolist()))
+    index_of = {(elements[k].key(), b): i for i, (k, b) in enumerate(slots)}
+    maps = []
+    for h, _ in adj.action.nontrivial():
+        vmap = {}
+        for i, (k, b) in enumerate(slots):
+            key = (h.compose(elements[k]).key(), b)
+            if key in index_of:
+                vmap[i] = index_of[key]
+        if vmap:
+            maps.append((h, vmap))
+    return maps
+
+
+def assert_maps_match_frozen(adj):
+    got = rt._equivariance_from_adjacency(adj).maps
+    want = frozen_equivariance_maps(adj)
+    assert len(got) == len(want) > 0
+    for (h, rows), (h_want, vmap) in zip(got, want):
+        assert h is h_want
+        ref = np.full(len(adj), -1)
+        ref[list(vmap)] = list(vmap.values())
+        assert np.array_equal(rows, ref)
+
+
+def test_equivariance_table_matches_key_dicts_flagship():
+    scene = scenes.hyperbolic_axis_scene(period=2.0)
+    grid = rt.build_boundary_grid(
+        scene.body, scene.eps, scene.R, scene.action, scene.component,
+        scene.s_lo, scene.s_hi, scene.delta, (1 - scene.lam) * scene.delta_prime)
+    assert len(grid.adjacency) > len(grid.projector.cover)
+    assert_maps_match_frozen(grid.adjacency)
+
+
+def test_equivariance_table_matches_key_dicts_translation_group():
+    """A 3 x 3 block of balls in R^2 under the translations by (1.5, 0) and
+    (0, 1.5), words up to length 3: 25 group elements, translates on every
+    side of the block."""
+    balls = [(np.array([0.5 * i, 0.5 * j]), 0.4) for i in range(3) for j in range(3)]
+    cover = covers.BallCover(E2, balls, [c for c, _ in balls])
+    action = covers.GroupAction(E2, [spaces.Isometry.euclidean_translation([1.5, 0.0]),
+                                     spaces.Isometry.euclidean_translation([0.0, 1.5])],
+                                word_length=3)
+    adj = covers.adjacency(cover, action)
+    assert len(action.elements()) == 25 and len(set(adj.group.tolist())) > 4
+    assert_maps_match_frozen(adj)
 
 
 def test_check_small_relative_spec_example():
@@ -337,8 +391,7 @@ def test_check_small_relative_spec_example():
     K = [p for _, p in K_sigma]
     K_out = [rt.normal_flow(body, p, 2.0) for _, p in K_sigma]
     dense = nbh.samples("plus", -arc / 2, arc / 2, 800, endpoint=True)
-    rep = rt.check_small_relative(body, 1.0, act, K, K_out, dense,
-                                  math.pi, 1e-2, 1e-1,
+    rep = rt.check_small_relative(body, 1.0, act, K, K_out, dense, 1e-2, 1e-1,
                                   sample_resolution=2 * arc / 120)
     assert rep.cond1_ok and rep.cond2_ok and rep.cond3_ok
     assert rep.cond3_gate == pytest.approx(math.pi / 4)
@@ -433,7 +486,7 @@ def test_pushoff_witness_lands_near_its_image():
         (1 - scene.lam) * scene.delta_prime)
     pushoff = rt.extend_to_pushoff(grid, scene.lam, 1, scene.delta_prime)
     retr = rt.Retractor(pushoff)
-    for v, (q, _) in list(grid.witnesses.items())[:40]:
+    for v, q in list(zip(np.flatnonzero(grid.boundary), grid.witness_points))[:40]:
         target, _ = retr.push_target(q)
         assert spaces.distance(E2, target, grid.iota(v)) <= scene.delta_prime
         assert rt.angle_to_C(scene.body, q, target) >= \

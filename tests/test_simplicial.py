@@ -12,6 +12,11 @@ from barylab.errors import UnknownSimplex
 E2 = spaces.ModelSpace.euclidean(2)
 
 
+def labelled(space, labels):
+    """The VertexMap sending each vertex id of the dict `labels` to its value."""
+    return simplicial.VertexMap(space, list(labels), list(labels.values()))
+
+
 def brute_force_subdivision(simplices):
     """Independent oracle: enumerate strict chains in the face lattice."""
     faces = set()
@@ -164,15 +169,15 @@ def test_room_examples():
 
 def test_map_diameter_examples():
     edge = simplicial.SimplicialComplex.from_maximal([(0, 1)])
-    iota = simplicial.VertexMap(E2, {0: np.zeros(2), 1: np.array([1.0, 0.0])})
+    iota = labelled(E2, {0: np.zeros(2), 1: np.array([1.0, 0.0])})
     assert abs(simplicial.map_diameter(edge, iota) - 1.0) < 1e-12
 
-    same = simplicial.VertexMap(E2, {0: np.ones(2), 1: np.ones(2)})
+    same = labelled(E2, {0: np.ones(2), 1: np.ones(2)})
     assert simplicial.map_diameter(edge, same) == 0.0
 
     tri = simplicial.SimplicialComplex.from_maximal([(0, 1, 2)])
-    iota = simplicial.VertexMap(E2, {0: np.zeros(2), 1: np.array([1.0, 0.0]),
-                                     2: np.array([0.0, 2.0])})
+    iota = labelled(E2, {0: np.zeros(2), 1: np.array([1.0, 0.0]),
+                         2: np.array([0.0, 2.0])})
     assert abs(simplicial.map_diameter(tri, iota) - math.sqrt(5)) < 1e-12
 
 
@@ -192,7 +197,7 @@ def test_map_diameter_edges_equal_all_simplices():
         tops = [tuple(sorted(rng.choice(n, size=3, replace=False)))
                 for _ in range(4)]
         cplx = simplicial.SimplicialComplex.from_maximal(tops)
-        iota = simplicial.VertexMap(
+        iota = labelled(
             E2, {v: rng.uniform(-1, 1, size=2) for v in cplx.vertices})
         d_edges = simplicial.map_diameter(cplx, iota)
         d_all = map_diameter_all_simplices(cplx, iota)
@@ -220,7 +225,7 @@ def test_room_image_diameter_at_most_twice_map_diameter():
         tops = [tuple(sorted(rng.choice(8, size=3, replace=False)))
                 for _ in range(5)]
         cplx = simplicial.SimplicialComplex.from_maximal(tops)
-        iota = simplicial.VertexMap(
+        iota = labelled(
             E2, {v: rng.uniform(-1, 1, size=2) for v in cplx.vertices})
         d = simplicial.map_diameter(cplx, iota)
         for s in cplx.simplices:
@@ -233,8 +238,8 @@ def test_complex_json_roundtrip():
     cplx = simplicial.SimplicialComplex.from_maximal([(0, 1, 2), (2, 3)])
     back = simplicial.SimplicialComplex.from_json(cplx.to_json())
     assert back.simplices == cplx.simplices and back.vertices == cplx.vertices
-    iota = simplicial.VertexMap(E2, {v: np.array([float(v), 0.0])
-                                     for v in cplx.vertices})
+    iota = labelled(E2, {v: np.array([float(v), 0.0])
+                         for v in cplx.vertices})
     back_map = simplicial.VertexMap.from_json(E2, iota.to_json())
     for v in cplx.vertices:
         assert np.allclose(back_map(v), iota(v))

@@ -268,6 +268,20 @@ def test_point_validation():
         spaces.ModelSpace.finite(np.zeros((2, 2))).point(5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_point_validation_rejects_non_finite(bad):
+    """A NaN or infinite coordinate fails every kind, in any position."""
+    fin = spaces.ModelSpace.finite(np.zeros((2, 2)))
+    for space, p in ((E2, [0.0, 1.0]), (E3, [0.0, 1.0, 2.0]), (H2, [1.0, 0.0, 0.0]),
+                     (C1, [1.0, 0.0])):
+        space.point(p)
+        for i in range(len(p)):
+            with pytest.raises(InvalidCoordinates):
+                space.point(p[:i] + [bad] + p[i + 1:])
+    with pytest.raises(InvalidCoordinates):
+        fin.point(bad)
+
+
 def test_finite_space_validation():
     with pytest.raises(InvalidCoordinates):
         spaces.ModelSpace.finite([[0, 1], [2, 0]])  # asymmetric

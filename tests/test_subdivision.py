@@ -9,6 +9,7 @@ import pytest
 
 from barylab import simplicial, spaces, subdivision as sd
 from barylab.errors import NoBarycenter, SubdivisionBudget
+from test_simplicial import labelled
 
 E1 = spaces.ModelSpace.euclidean(1)
 E2 = spaces.ModelSpace.euclidean(2)
@@ -20,14 +21,14 @@ SQ32 = math.sqrt(3) / 2
 
 def unit_edge():
     cplx = simplicial.SimplicialComplex.from_maximal([(0, 1)])
-    iota = simplicial.VertexMap(E1, {0: np.array([0.0]), 1: np.array([1.0])})
+    iota = labelled(E1, {0: np.array([0.0]), 1: np.array([1.0])})
     return cplx, iota
 
 
 def equilateral():
     cplx = simplicial.SimplicialComplex.from_maximal([(0, 1, 2)])
-    iota = simplicial.VertexMap(E2, {0: np.zeros(2), 1: np.array([1.0, 0.0]),
-                                     2: np.array([0.5, SQ32])})
+    iota = labelled(E2, {0: np.zeros(2), 1: np.array([1.0, 0.0]),
+                         2: np.array([0.5, SQ32])})
     return cplx, iota
 
 
@@ -53,7 +54,7 @@ def test_triangle_single_step_six_subtriangles():
 
 def test_zero_dimensional_complex():
     cplx = simplicial.SimplicialComplex.from_maximal([(0,), (1,)])
-    iota = simplicial.VertexMap(E1, {0: np.array([0.0]), 1: np.array([5.0])})
+    iota = labelled(E1, {0: np.array([0.0]), 1: np.array([5.0])})
     sub, iota1, record, _, _ = sd.shrinking_subdivide(cplx, iota, 0.5)
     assert sub.simplices == cplx.simplices
     assert record.edges.shape == (0, 2) and len(record.after) == 0
@@ -102,7 +103,7 @@ def test_verify_shrinking_triangle_bounds():
 def test_all_vertices_one_point():
     cplx = simplicial.SimplicialComplex.from_maximal([(0, 1, 2)])
     p = np.array([2.0, -1.0])
-    iota = simplicial.VertexMap(E2, {v: p for v in cplx.vertices})
+    iota = labelled(E2, {v: p for v in cplx.vertices})
     res = sd.iterate_subdivision(cplx, iota, 0.5, 2)
     ver = sd.verify_shrinking(res.record)
     assert ver.ok
@@ -122,8 +123,8 @@ def test_no_barycenter_abort_carries_certificate():
     cplx = simplicial.SimplicialComplex.from_maximal([(0, 1)])
     d = math.sqrt(3) * (1 - 1e-3)
     half = math.asin(d / 2)
-    iota = simplicial.VertexMap(C1, {0: spaces.circle_point(C1, -half),
-                                     1: spaces.circle_point(C1, half)})
+    iota = labelled(C1, {0: spaces.circle_point(C1, -half),
+                         1: spaces.circle_point(C1, half)})
     with pytest.raises(NoBarycenter) as exc:
         sd.shrinking_subdivide(cplx, iota, 0.5)
     assert exc.value.certificate is not None
@@ -133,11 +134,10 @@ def test_no_barycenter_abort_carries_certificate():
 def test_equivariant_propagation_exact():
     """Propagated labels are bitwise the isometry image of their orbit rep."""
     cplx = simplicial.SimplicialComplex.from_maximal([(0, 1), (1, 2), (2, 3)])
-    iota = simplicial.VertexMap(
+    iota = labelled(
         E1, {v: np.array([float(v)]) for v in range(4)})
     h = spaces.Isometry.euclidean_translation([2.0])
-    equiv = sd.EquivariantStructure([(h, {0: 2, 1: 3}),
-                                     (h.inverse(), {2: 0, 3: 1})])
+    equiv = action_rows(cplx, [(h, {0: 2, 1: 3}), (h.inverse(), {2: 0, 3: 1})])
     sub, iota1, record, prov, _ = sd.shrinking_subdivide(cplx, iota, 0.5,
                                                          equivariance=equiv)
     v01 = next(v for v, J in prov.sets.items() if J == (0, 1))
@@ -152,11 +152,11 @@ def test_partial_action_without_inverse(shift):
     representative and both are solved; by +2 alone ({0: 2, 1: 3}) the
     label of (2, 3) is the translate of the label of (0, 1)."""
     cplx = simplicial.SimplicialComplex.from_maximal([(0, 1), (1, 2), (2, 3)])
-    iota = simplicial.VertexMap(E1, {v: np.array([float(v)]) for v in range(4)})
+    iota = labelled(E1, {v: np.array([float(v)]) for v in range(4)})
     h = spaces.Isometry.euclidean_translation([shift])
     vmap = {2: 0, 3: 1} if shift < 0 else {0: 2, 1: 3}
     sub, iota1, _, prov, lifted = sd.shrinking_subdivide(
-        cplx, iota, 0.5, equivariance=sd.EquivariantStructure([(h, vmap)]))
+        cplx, iota, 0.5, equivariance=action_rows(cplx, [(h, vmap)]))
     v01, v23 = prov.vertex_of[(0, 1)], prov.vertex_of[(2, 3)]
     src, dst = (v23, v01) if shift < 0 else (v01, v23)
     assert lifted.maps[0][1][src] == dst  # vertex rows are the ids here
@@ -267,8 +267,21 @@ def _star(inc, J):
     return out
 
 
-def _orbit_assignments(new_sets, equivariance):
-    """BFS orbits of provenance sets under the partial action.
+def action_rows(cplx, maps):
+    """The partial maps [(h, {vertex id: image id})] as the EquivariantStructure
+    that shrinking_subdivide takes: arrays over the vertex rows, -1 where
+    undefined."""
+    ids = cplx.faces[0][:, 0]
+    out = []
+    for h, vmap in maps:
+        rows = np.full(len(ids), -1)
+        rows[np.searchsorted(ids, list(vmap))] = np.searchsorted(ids, list(vmap.values()))
+        out.append((h, rows))
+    return sd.EquivariantStructure(out)
+
+
+def _orbit_assignments(new_sets, maps):
+    """BFS orbits of provenance sets under the partial action [(h, vertex dict)].
 
     Returns dict J -> (rep_J, isometry mapping rep labels to J's labels),
     with rep the lexicographically smallest member reachable from J.
@@ -276,7 +289,7 @@ def _orbit_assignments(new_sets, equivariance):
     set_index = {J: None for J in new_sets}
     # build directed edges J -> (image, h)
     edges = {J: [] for J in new_sets}
-    for h, vmap in equivariance.maps:
+    for h, vmap in maps:
         for J in new_sets:
             if all(v in vmap for v in J):
                 img = tuple(sorted(vmap[v] for v in J))
@@ -313,11 +326,12 @@ def _orbit_assignments(new_sets, equivariance):
     return assigned
 
 
-def _lift_equivariance(equiv, prov):
-    """Lift partial vertex maps through one barycentric subdivision."""
+def _lift_equivariance(maps, prov):
+    """Lift partial vertex maps [(h, vertex dict)] through one barycentric
+    subdivision."""
     vertex_of = {J: v for v, J in prov.sets.items()}
     lifted = []
-    for h, vmap in equiv.maps:
+    for h, vmap in maps:
         new_map = {}
         for J, v in vertex_of.items():
             if all(u in vmap for u in J):
@@ -325,21 +339,21 @@ def _lift_equivariance(equiv, prov):
                 if img in vertex_of:
                     new_map[v] = vertex_of[img]
         lifted.append((h, new_map))
-    return sd.EquivariantStructure(lifted)
+    return lifted
 
 
-def reference_labels(cplx, iota, lam, equivariance=None):
+def reference_labels(cplx, iota, lam, maps=None):
     """Per-simplex labelling: one _solve_label call per new vertex J, in
     order of increasing |J|, P the labels of J's proper faces and Q the rest
     of its room, orbit members propagated from their representative."""
     space = iota.target
     _, prov = simplicial.barycentric_subdivision(cplx)
     vertex_of = {J: v for v, J in prov.sets.items()}
-    labels = dict(iota.assignment)
+    labels = dict(zip(iota.ids.tolist(), iota.points.tolist()
+                      if space.kind == spaces.FINITE else iota.points))
     new_sets = sorted((J for J in vertex_of if len(J) >= 2), key=lambda J: (len(J), J))
     inc = _incidence(cplx)
-    orbit = (_orbit_assignments(new_sets, equivariance)
-             if equivariance is not None else None)
+    orbit = _orbit_assignments(new_sets, maps) if maps is not None else None
     for J in new_sets:
         if orbit is not None and orbit[J][0] != J:
             rep, h = orbit[J]
@@ -355,10 +369,11 @@ def reference_labels(cplx, iota, lam, equivariance=None):
     return labels
 
 
-def assert_same_labels(cplx, iota, lam, equivariance=None):
-    _, iota1, *_ = sd.shrinking_subdivide(cplx, iota, lam, equivariance=equivariance)
-    want = reference_labels(cplx, iota, lam, equivariance)
-    assert set(iota1.assignment) == set(want)
+def assert_same_labels(cplx, iota, lam, maps=None):
+    _, iota1, *_ = sd.shrinking_subdivide(
+        cplx, iota, lam, equivariance=None if maps is None else action_rows(cplx, maps))
+    want = reference_labels(cplx, iota, lam, maps)
+    assert set(iota1.ids.tolist()) == set(want)
     for v, b in want.items():
         assert np.array_equal(iota1(v), b), v
 
@@ -387,7 +402,7 @@ def jittered_strip(space, n, seed, scale):
         x, y = x + rng.uniform(-0.1, 0.1) * scale, y + rng.uniform(-0.1, 0.1) * scale
         labels[v] = hyp_label(x, y) if space.kind == spaces.HYPERBOLOID \
             else np.array([x, y])
-    return cplx, simplicial.VertexMap(space, labels)
+    return cplx, labelled(space, labels)
 
 
 @pytest.mark.parametrize("space", [E2, H2], ids=["R2", "H2"])
@@ -415,40 +430,39 @@ def boost_strip(space, n=6):
         for _ in range(v // 2):
             p = h.apply(p)
         labels[v] = p
-    iota = simplicial.VertexMap(space, labels)
+    iota = labelled(space, labels)
     last = max(cplx.vertices)
-    equiv = sd.EquivariantStructure([
-        (h, {v: v + 2 for v in cplx.vertices if v + 2 <= last}),
-        (h.inverse(), {v: v - 2 for v in cplx.vertices if v >= 2})])
-    return cplx, iota, equiv
+    maps = [(h, {v: v + 2 for v in cplx.vertices if v + 2 <= last}),
+            (h.inverse(), {v: v - 2 for v in cplx.vertices if v >= 2})]
+    return cplx, iota, maps
 
 
 @pytest.mark.parametrize("space", [E2, H2], ids=["R2", "H2"])
 def test_batched_labels_bit_identical_equivariant(space):
-    cplx, iota, equiv = boost_strip(space)
-    assert_same_labels(cplx, iota, SQ32, equiv)
+    cplx, iota, maps = boost_strip(space)
+    assert_same_labels(cplx, iota, SQ32, maps)
 
 
 @pytest.mark.parametrize("space", [E2, H2], ids=["R2", "H2"])
 def test_iterated_equivariant_labels_bit_identical(space):
     """Two stages reuse the action each stage lifts; the reference labels
     every stage per simplex and lifts the action between stages."""
-    cplx, iota, equiv = boost_strip(space)
-    res = sd.iterate_subdivision(cplx, iota, SQ32, 2, equivariance=equiv)
+    cplx, iota, maps = boost_strip(space)
+    res = sd.iterate_subdivision(cplx, iota, SQ32, 2, equivariance=action_rows(cplx, maps))
     for _ in range(2):
-        labels = reference_labels(cplx, iota, SQ32, equiv)
+        labels = reference_labels(cplx, iota, SQ32, maps)
         cplx, prov = simplicial.barycentric_subdivision(cplx)
-        equiv = _lift_equivariance(equiv, prov)
-        iota = simplicial.VertexMap(space, labels)
+        maps = _lift_equivariance(maps, prov)
+        iota = labelled(space, labels)
     assert res.complex.simplices == cplx.simplices
-    assert set(res.iota.assignment) == set(labels)
+    assert set(res.iota.ids.tolist()) == set(labels)
     for v, b in labels.items():
         assert np.array_equal(res.iota(v), b), v
 
 
 def test_batched_labels_zero_dimensional():
     cplx = simplicial.SimplicialComplex.from_maximal([(0,), (1,)])
-    iota = simplicial.VertexMap(E1, {0: np.array([0.0]), 1: np.array([5.0])})
+    iota = labelled(E1, {0: np.array([0.0]), 1: np.array([5.0])})
     assert_same_labels(cplx, iota, 0.5)
     res = sd.iterate_subdivision(cplx, iota, 0.5, 2)
     assert len(res.record.final_diams) == 0
@@ -457,8 +471,8 @@ def test_batched_labels_zero_dimensional():
 
 def test_batched_labels_circle():
     cplx = simplicial.SimplicialComplex.from_maximal([(0, 1, 2), (1, 2, 3)])
-    iota = simplicial.VertexMap(C1, {v: spaces.circle_point(C1, 0.1 * v)
-                                     for v in range(4)})
+    iota = labelled(C1, {v: spaces.circle_point(C1, 0.1 * v)
+                         for v in range(4)})
     assert_same_labels(cplx, iota, SQ32)
 
 
@@ -466,12 +480,13 @@ def test_batched_labels_finite():
     # five points on a line at unit spacing
     F = spaces.ModelSpace.finite([[abs(i - j) for j in range(5)] for i in range(5)])
     cplx = simplicial.SimplicialComplex.from_maximal([(0, 1), (1, 2)])
-    iota = simplicial.VertexMap(F, {0: 0, 1: 2, 2: 4})
+    iota = labelled(F, {0: 0, 1: 2, 2: 4})
     _, iota1, _, prov, _ = sd.shrinking_subdivide(cplx, iota, 0.5)
     assert_same_labels(cplx, iota, 0.5)
-    labels = {prov.of(v): iota1(v) for v in iota1.assignment}
+    labels = {prov.of(v): iota1(v) for v in iota1.ids.tolist()}
     assert labels[(0, 1)] == 1 and labels[(1, 2)] == 3
-    assert all(type(p) is int for p in iota1.assignment.values())
+    assert iota1.points.dtype == np.int64
+    assert all(type(p) is int for p in iota1.to_json().values())
 
 
 def full_matrix_diameters(space, table, rows):

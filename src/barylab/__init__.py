@@ -22,10 +22,10 @@ from .covers import (
 )
 from .retraction import (
     ConvexBody,
-    EpsNeighborhood,
     LineBody,
     PointBody,
     SegmentBody,
+    Window,
     angle_to_C,
     build_boundary_grid,
     check_large_angle_escape,

@@ -88,13 +88,20 @@ class LineBody(ConvexBody):
 
     def __init__(self, space, a, b):
         super().__init__(space)
+        if space.kind not in (spaces.EUCLIDEAN, spaces.HYPERBOLOID) or space.dim != 2:
+            raise ValueError("line and segment bodies live in Euclidean or hyperboloid planes")
         self.a = np.asarray(a, float)
         self.b = np.asarray(b, float)
+        space.check_point(self.a)
+        space.check_point(self.b)
         if space.kind == spaces.EUCLIDEAN:
             u = self.b - self.a
-            self.u = u / np.linalg.norm(u)
+            nrm = np.linalg.norm(u)
+            if nrm <= 0:
+                raise ValueError("points do not span a geodesic")
+            self.u = u / nrm
             self.normal = np.array([-self.u[1], self.u[0]])
-        elif space.kind == spaces.HYPERBOLOID:
+        else:
             c = np.cross(self.a, self.b)
             w = np.array([-c[0], c[1], c[2]])  # J @ cross: Minkowski normal
             nrm = spaces.minkowski_dot(w, w)
@@ -103,8 +110,6 @@ class LineBody(ConvexBody):
             self.normal = w / math.sqrt(nrm)
             d = spaces.distance(space, self.a, self.b)
             self.u = spaces._hyperboloid_unit_tangent(self.a, self.b, d)
-        else:
-            raise ValueError("line bodies live in Euclidean or hyperboloid planes")
 
     def param_point(self, s):
         """Unit-speed parametrization of the line."""
@@ -148,10 +153,9 @@ class SegmentBody(ConvexBody):
 
     def __init__(self, space, a, b):
         super().__init__(space)
-        self.a = np.asarray(a, float)
-        self.b = np.asarray(b, float)
-        self.length = spaces.distance(space, self.a, self.b)
         self.line = LineBody(space, a, b)
+        self.a, self.b = self.line.a, self.line.b
+        self.length = spaces.distance(space, self.a, self.b)
 
     def param_point(self, s):
         return spaces.geodesic_point(self.space, self.a, self.b, s)
@@ -265,50 +269,64 @@ def check_large_angle_escape(body, eps, q, q_prime, enforce_angle=True):
 
 
 # ---------------------------------------------------------------------------
-# eps-neighborhood boundary parametrization
+# the window on the eps-level set
+
+# (space kind, body kind) -> components of the eps-level set {d(., C) = eps}
+LEVEL_SETS = {
+    (spaces.EUCLIDEAN, "point"): ("circle",),
+    (spaces.EUCLIDEAN, "line"): ("minus", "plus"),
+    (spaces.EUCLIDEAN, "segment"): ("outer",),
+    (spaces.HYPERBOLOID, "point"): ("circle",),
+    (spaces.HYPERBOLOID, "line"): ("minus", "plus"),
+}
 
 
-class EpsNeighborhood:
-    """Sampler of the level set {d(., C) = eps}, parametrized by arc length."""
+def loop_length(body, eps):
+    """Arc length of the closed eps-level curve around a point or segment body."""
+    if body.kind == "segment":
+        return 2.0 * body.length + 2.0 * math.pi * eps
+    return 2.0 * math.pi * (eps if body.space.kind == spaces.EUCLIDEAN else math.sinh(eps))
 
-    def __init__(self, body, eps):
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        self.body = body
-        self.eps = eps
-        self.space = body.space
-        kind = (body.space.kind, body.kind)
-        if kind == (spaces.EUCLIDEAN, "point"):
-            self._components = {"circle": 2.0 * math.pi * eps}
-        elif kind == (spaces.EUCLIDEAN, "line"):
-            self._components = {"plus": math.inf, "minus": math.inf}
-        elif kind == (spaces.EUCLIDEAN, "segment"):
-            self._components = {"outer": 2.0 * body.length + 2.0 * math.pi * eps}
-        elif kind == (spaces.HYPERBOLOID, "point"):
-            self._components = {"circle": 2.0 * math.pi * math.sinh(eps)}
-        elif kind == (spaces.HYPERBOLOID, "line"):
-            self._components = {"plus": math.inf, "minus": math.inf}
-        else:
-            raise ValueError(f"no boundary parametrization for {kind}")
 
-    def components(self):
-        return sorted(self._components)
+@dataclass(frozen=True)
+class Window:
+    """The arc [s_lo, s_hi] of one component of the eps-level set of a body
+    in R^2 or H^2, parametrized by arc length: the sampled fundamental domain
+    of the boundary component that the retraction lands on."""
 
-    def period(self, component):
-        """Arc length of a closed component; inf for unbounded ones."""
-        return self._components[component]
+    body: ConvexBody
+    eps: float
+    component: str
+    s_lo: float
+    s_hi: float
 
-    def point(self, component, s):
-        body, eps, space = self.body, self.eps, self.space
+    def __post_init__(self):
+        space = self.body.space
+        components = LEVEL_SETS.get((space.kind, self.body.kind)) if space.dim == 2 else None
+        if components is None:
+            raise ValueError(f"no eps-level-set parametrization for a {self.body.kind} "
+                             f"body in {space.kind} dimension {space.dim}")
+        if self.component not in components:
+            raise ValueError(f"window component {self.component!r} is not one "
+                             f"of {list(components)}")
+        if not 0.0 < self.eps < math.inf:
+            raise ValueError(f"eps {self.eps} is not positive and finite")
+        if not (math.isfinite(self.s_lo) and math.isfinite(self.s_hi)
+                and self.s_lo < self.s_hi):
+            raise ValueError(f"window needs finite s_lo < s_hi, not "
+                             f"[{self.s_lo}, {self.s_hi}]")
+
+    def point(self, s):
+        """The point at arc length s of the window's component (any real s)."""
+        body, eps, space = self.body, self.eps, self.body.space
         if space.kind == spaces.EUCLIDEAN:
             if body.kind == "point":
                 th = s / eps
                 return body.point + eps * np.array([math.cos(th), math.sin(th)])
             if body.kind == "line":
-                side = 1.0 if component == "plus" else -1.0
+                side = 1.0 if self.component == "plus" else -1.0
                 return body.a + s * body.u + side * eps * body.normal
-            if body.kind == "segment":
-                return self._stadium_point(s)
+            return self._stadium_point(s)
         if body.kind == "point":  # hyperbolic circle
             p = body.point
             e1, e2 = spaces.hyperboloid_tangent_frame(p)
@@ -316,7 +334,7 @@ class EpsNeighborhood:
             u = math.cos(th) * e1 + math.sin(th) * e2
             return math.cosh(eps) * p + math.sinh(eps) * u
         # hyperbolic equidistant curve: arc length s = cosh(eps) * axis length
-        side = 1.0 if component == "plus" else -1.0
+        side = 1.0 if self.component == "plus" else -1.0
         s_axis = s / math.cosh(eps)
         foot = body.param_point(s_axis)
         return math.cosh(eps) * foot + math.sinh(eps) * side * body.normal
@@ -325,7 +343,7 @@ class EpsNeighborhood:
         body, eps = self.body, self.eps
         L = body.length
         cap = math.pi * eps
-        s = s % (2.0 * L + 2.0 * cap)
+        s = s % loop_length(body, eps)
         u, n = body.line.u, body.line.normal
         if s < L:  # top edge, a->b
             return body.a + s * u + eps * n
@@ -342,9 +360,10 @@ class EpsNeighborhood:
         d = -math.cos(th) * n - math.sin(th) * u
         return body.a + eps * d
 
-    def samples(self, component, s_lo, s_hi, count, endpoint=False):
-        ss = np.linspace(s_lo, s_hi, count, endpoint=endpoint)
-        return [(float(s), self.point(component, float(s))) for s in ss]
+    def samples(self, count, endpoint):
+        """(count, ambient) rows point(s) over np.linspace(s_lo, s_hi, count)."""
+        ss = np.linspace(self.s_lo, self.s_hi, count, endpoint=endpoint)
+        return np.array([self.point(float(s)) for s in ss])
 
 
 # ---------------------------------------------------------------------------
@@ -396,21 +415,19 @@ def _push_off_distance(body, eps, points):
     return float(np.min(body.dist_batch(points))) - eps
 
 
-def calibrate_delta(neighborhood, component, s_lo, s_hi, flow_time, delta,
-                    delta_prime):
-    """Shrink delta until boundary points within 2*delta flow to within
-    delta_prime of each other (sampled); the uniform-continuity constant
-    linking delta to delta' is found empirically, not derived."""
-    body = neighborhood.body
+def calibrate_delta(window, flow_time, delta, delta_prime):
+    """Shrink delta until boundary points of the window within 2*delta flow
+    to within delta_prime of each other (sampled); the uniform-continuity
+    constant linking delta to delta' is found empirically, not derived."""
+    body = window.body
     for _ in range(MAX_HALVINGS + 1):
         spacing = delta / 4.0
-        count = max(8, int(math.ceil((s_hi - s_lo) / spacing)) + 1)
-        pts = np.asarray([p for _, p in neighborhood.samples(
-            component, s_lo, s_hi, count, endpoint=True)])
+        count = max(8, int(math.ceil((window.s_hi - window.s_lo) / spacing)) + 1)
+        pts = window.samples(count, endpoint=True)
         flowed = np.asarray([normal_flow(body, p, flow_time) for p in pts])
-        window = max(1, int(math.ceil(2.0 * delta / spacing)))
-        # pairs (i, i + off) for off = 1 .. window + 1, one kernel call per offset
-        for off in range(1, min(window + 2, len(pts))):
+        reach = max(1, int(math.ceil(2.0 * delta / spacing)))
+        # pairs (i, i + off) for off = 1 .. reach + 1, one kernel call per offset
+        for off in range(1, min(reach + 2, len(pts))):
             close = spaces.paired_distances(body.space, pts[:-off],
                                             pts[off:]) <= 2.0 * delta
             spread = spaces.paired_distances(body.space, flowed[:-off],
@@ -424,30 +441,25 @@ def calibrate_delta(neighborhood, component, s_lo, s_hi, flow_time, delta,
         f"uniform-continuity calibration failed after {MAX_HALVINGS} halvings")
 
 
-def build_boundary_grid(body, eps, R, action, component, s_lo, s_hi, delta,
-                        delta_prime, interior_points=()):
-    """Boundary-tight push-off grid: cover the window collar of the eps-level
+def build_boundary_grid(window, R, action, delta, delta_prime, interior_points=()):
+    """Boundary-tight push-off grid: cover the window's collar of the eps-level
     set with delta/2 balls centered on it, flow each center (the witness) to
     the R-level set, send interior elements to a designated point of K_out,
     and extend to the adjacency by equivariance."""
-    nbh = EpsNeighborhood(body, eps)
+    body, eps = window.body, window.eps
     flow_time = R - eps
-    delta = calibrate_delta(nbh, component, s_lo, s_hi, flow_time, delta, delta_prime)
+    delta = calibrate_delta(window, flow_time, delta, delta_prime)
 
     spacing = 0.45 * delta
-    count = max(4, int(math.ceil((s_hi - s_lo) / spacing)))
-    boundary_samples = nbh.samples(component, s_lo, s_hi, count, endpoint=False)
-    balls = [(p, delta / 2.0) for _, p in boundary_samples]
-    n_boundary = len(balls)
-    balls += [(np.asarray(c, float), delta / 2.0) for c in interior_points]
-
-    window = [p for _, p in boundary_samples] + \
-        [np.asarray(c, float) for c in interior_points]
-    cover = covers.BallCover(body.space, balls, window)
+    count = max(4, int(math.ceil((window.s_hi - window.s_lo) / spacing)))
+    centers = list(window.samples(count, endpoint=False))
+    n_boundary = len(centers)
+    centers += [np.asarray(c, float) for c in interior_points]
+    cover = covers.BallCover(body.space, [(c, delta / 2.0) for c in centers], centers)
     projector = covers.NerveProjector(cover, action)
     adj = projector.adj
 
-    mid = nbh.point(component, 0.5 * (s_lo + s_hi))
+    mid = window.point(0.5 * (window.s_lo + window.s_hi))
     designated = normal_flow(body, mid, flow_time)
 
     elements = [g for g, _ in action.elements()]
@@ -541,7 +553,7 @@ def check_small_relative(body, eps, action, K_samples, K_out_samples,
         out_aug.append(normal_flow(body, p, 0.5 * delta_prime))
         d = body.dist(p)
         out_aug.append(normal_flow(body, p, -min(0.5 * delta_prime, d - eps - tol)))
-    sig_arr = np.asarray([p for _, p in sigma_samples])
+    sig_arr = np.asarray(sigma_samples)
     angles = _angles_to_C(body, sig_arr)
     At = np.empty((len(out_aug), len(sig_arr)))  # one row of angles per q'
     for j, qp in enumerate(out_aug):
@@ -550,8 +562,7 @@ def check_small_relative(body, eps, action, K_samples, K_out_samples,
     m2 = _pair_variation(At, out_aug, space, delta_prime, axis=0)
     variation = m1 + m2
     cond3_ok = variation <= gate + tol
-    return SmallnessReport(delta, delta_prime, cond1_ok,
-                           cond1_margin if cond1_margin < math.inf else math.inf,
+    return SmallnessReport(delta, delta_prime, cond1_ok, cond1_margin,
                            cond2_ok, cond2_margin, cond3_ok, variation, gate)
 
 

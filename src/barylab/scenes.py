@@ -23,14 +23,9 @@ from .errors import GeometryError, StagedPreconditionError
 @dataclass
 class Scene:
     name: str
-    space: spaces.ModelSpace
-    body: retraction.ConvexBody
-    eps: float
+    window: retraction.Window
     R: float
     action: covers.GroupAction
-    component: str
-    s_lo: float
-    s_hi: float
     delta: float
     delta_prime: float
     lam: float
@@ -38,23 +33,34 @@ class Scene:
     interior_points: list = field(default_factory=list)
     sample_spacing: float | None = None
 
+    @property
+    def body(self):
+        return self.window.body
+
+    @property
+    def eps(self):
+        return self.window.eps
+
+    @property
+    def space(self):
+        return self.window.body.space
+
     def __post_init__(self):
-        """Reject, with ValueError, numbers that no stage can run on."""
+        """Reject, with ValueError, numbers that no stage can run on (the window checks its own)."""
         spacing = self.sample_spacing
-        numbers = [self.eps, self.R, self.delta, self.delta_prime, self.s_lo, self.s_hi]
-        for rule, ok in [("0 < eps < R", 0.0 < self.eps < self.R),
+        numbers = [self.R, self.delta, self.delta_prime]
+        for rule, ok in [("eps < R", self.eps < self.R),
                          ("delta > 0", self.delta > 0.0),
                          ("delta_prime > 0", self.delta_prime > 0.0),
-                         ("s_lo < s_hi", self.s_lo < self.s_hi),
                          ("sample_spacing > 0", spacing is None or spacing > 0.0),
                          ("finite numbers", all(map(math.isfinite, numbers + [spacing or 1.0])))]:
             if not ok:
                 raise ValueError(
                     f"scene needs {rule}: eps {self.eps}, R {self.R}, delta {self.delta}, "
-                    f"delta_prime {self.delta_prime}, window [{self.s_lo}, {self.s_hi}], "
-                    f"sample_spacing {spacing}")
+                    f"delta_prime {self.delta_prime}, sample_spacing {spacing}")
 
     def to_json(self):
+        w = self.window
         return {
             "schema_version": 1,
             "space": self.space.to_json(),
@@ -63,9 +69,9 @@ class Scene:
             "R": self.R,
             "group": self.action.to_json(),
             "window": {
-                "component": self.component,
-                "s_lo": self.s_lo,
-                "s_hi": self.s_hi,
+                "component": w.component,
+                "s_lo": w.s_lo,
+                "s_hi": w.s_hi,
                 "interior_points": [list(map(float, p))
                                     for p in self.interior_points],
                 "sample_spacing": self.sample_spacing,
@@ -85,17 +91,10 @@ class Scene:
         body = retraction.body_from_json(space, doc["body"])
         action = covers.GroupAction.from_json(space, doc["group"])
         w = doc["window"]
-        # run_pipeline samples the window on the eps-level set: reject a
-        # body, space or component that has no sampler before running
-        components = retraction.EpsNeighborhood(body, doc["eps"]).components()
-        if w["component"] not in components:
-            raise ValueError(f"window component {w['component']!r} is not one "
-                             f"of {components}")
         return Scene(
-            name=doc.get("name", "scene"), space=space, body=body,
-            eps=doc["eps"], R=doc["R"], action=action,
-            component=w["component"], s_lo=w["s_lo"], s_hi=w["s_hi"],
-            delta=doc["delta"], delta_prime=doc["delta_prime"],
+            name=doc.get("name", "scene"),
+            window=retraction.Window(body, doc["eps"], w["component"], w["s_lo"], w["s_hi"]),
+            R=doc["R"], action=action, delta=doc["delta"], delta_prime=doc["delta_prime"],
             lam=doc["lambda"], order=doc["order"],
             interior_points=[np.asarray(p, float)
                              for p in w.get("interior_points", [])],
@@ -113,8 +112,8 @@ def hyperbolic_axis_scene(eps=1.0, R=3.0, period=4.0, delta=4e-3,
         space, [spaces.Isometry.hyperbolic_boost(period)], word_length=2)
     arc = period * math.cosh(eps)  # arc length of one period of the eps-level curve
     # window centered on the origin keeps coordinates small (conditioning)
-    return Scene("hyperbolic_axis", space, body, eps, R, action,
-                 "plus", -arc / 2.0, arc / 2.0, delta, delta_prime, lam, order)
+    window = retraction.Window(body, eps, "plus", -arc / 2.0, arc / 2.0)
+    return Scene("hyperbolic_axis", window, R, action, delta, delta_prime, lam, order)
 
 
 def euclidean_point_scene(eps=1.0, R=2.0, delta=0.012, delta_prime=0.5,
@@ -123,9 +122,8 @@ def euclidean_point_scene(eps=1.0, R=2.0, delta=0.012, delta_prime=0.5,
     space = spaces.ModelSpace.euclidean(2)
     body = retraction.PointBody(space, np.zeros(2))
     action = covers.GroupAction(space, [], word_length=0)
-    return Scene("euclidean_point", space, body, eps, R, action,
-                 "circle", 0.0, 2.0 * math.pi * eps, delta, delta_prime,
-                 lam, order)
+    window = retraction.Window(body, eps, "circle", 0.0, retraction.loop_length(body, eps))
+    return Scene("euclidean_point", window, R, action, delta, delta_prime, lam, order)
 
 
 def euclidean_segment_scene(eps=1.0, R=2.0, delta=0.02, delta_prime=0.5,
@@ -133,9 +131,8 @@ def euclidean_segment_scene(eps=1.0, R=2.0, delta=0.02, delta_prime=0.5,
     space = spaces.ModelSpace.euclidean(2)
     body = retraction.SegmentBody(space, np.zeros(2), np.array([1.0, 0.0]))
     action = covers.GroupAction(space, [], word_length=0)
-    perimeter = 2.0 * body.length + 2.0 * math.pi * eps
-    return Scene("euclidean_segment", space, body, eps, R, action,
-                 "outer", 0.0, perimeter, delta, delta_prime, lam, order)
+    window = retraction.Window(body, eps, "outer", 0.0, retraction.loop_length(body, eps))
+    return Scene("euclidean_segment", window, R, action, delta, delta_prime, lam, order)
 
 
 def hyperbolic_patch_scene(eps=1.0, R=3.0, width=0.05, delta=4e-3,
@@ -146,13 +143,10 @@ def hyperbolic_patch_scene(eps=1.0, R=3.0, width=0.05, delta=4e-3,
     body = retraction.LineBody(space, np.array([1.0, 0.0, 0.0]),
                                np.array([math.cosh(1.0), math.sinh(1.0), 0.0]))
     action = covers.GroupAction(space, [], word_length=0)
-    nbh = retraction.EpsNeighborhood(body, eps)
-    interior = []
-    for s in np.linspace(0.0, width, 4):
-        q = nbh.point("plus", float(s))
-        interior.append(retraction.normal_flow(body, q, -delta / 3.0))
-    return Scene("hyperbolic_patch", space, body, eps, R, action,
-                 "plus", 0.0, width, delta, delta_prime, lam, order,
+    window = retraction.Window(body, eps, "plus", 0.0, width)
+    interior = [retraction.normal_flow(body, q, -delta / 3.0)
+                for q in window.samples(4, endpoint=True)]
+    return Scene("hyperbolic_patch", window, R, action, delta, delta_prime, lam, order,
                  interior_points=interior)
 
 
@@ -226,11 +220,9 @@ class RetractionReport:
     def samples_csv(self):
         lines = ["# barylab retraction samples v1",
                  "sample_id,s,identity_residual,angle,escape"]
-        esc = dict((s, int(v)) for s, v in self.escape_rows)
-        ang = dict(self.angle_rows)
-        for i, (s, res) in enumerate(self.identity_rows):
-            lines.append(f"{i},{s:.17g},{res:.17g},{ang.get(s, float('nan')):.17g},"
-                         f"{esc.get(s, -1)}")
+        rows = zip(self.identity_rows, self.angle_rows, self.escape_rows)
+        for i, ((s, res), (_, angle), (_, escape)) in enumerate(rows):
+            lines.append(f"{i},{s:.17g},{res:.17g},{angle:.17g},{int(escape)}")
         return "\n".join(lines) + "\n"
 
 
@@ -250,26 +242,20 @@ def run_pipeline(scene, lam=None, order=None, density=200, seed=0):
     """
     lam = scene.lam if lam is None else lam
     order = scene.order if order is None else order
-    body, eps, R = scene.body, scene.eps, scene.R
-    space = scene.space
+    window, R = scene.window, scene.R
+    body, eps, space = scene.body, scene.eps, scene.space
     tol = space.tol
     report = RetractionReport(scene=scene.to_json(), lam=lam, order=order,
                               seed=seed)
 
-    nbh = retraction.EpsNeighborhood(body, eps)
-    span = scene.s_hi - scene.s_lo
+    span = window.s_hi - window.s_lo
     spacing = scene.sample_spacing or max(scene.delta, span / 400.0)
-    k_count = max(8, int(math.ceil(span / spacing)) + 1)
-    K_sigma = nbh.samples(scene.component, scene.s_lo, scene.s_hi, k_count,
-                          endpoint=True)
-    K_samples = [p for _, p in K_sigma] + [np.asarray(c, float)
-                                           for c in scene.interior_points]
-    K_out = [retraction.normal_flow(body, p, R - eps) for _, p in K_sigma]
+    K_sigma = window.samples(max(8, int(math.ceil(span / spacing)) + 1), endpoint=True)
+    K_samples = list(K_sigma) + [np.asarray(c, float) for c in scene.interior_points]
+    K_out = [retraction.normal_flow(body, p, R - eps) for p in K_sigma]
 
     sig_count = max(16, int(math.ceil(span / (scene.delta / 2.0))) + 1)
-    sig_count = min(sig_count, 6000)
-    sigma_dense = nbh.samples(scene.component, scene.s_lo, scene.s_hi,
-                              sig_count, endpoint=True)
+    sigma_dense = window.samples(min(sig_count, 6000), endpoint=True)
 
     smallness = retraction.check_small_relative(
         body, eps, scene.action, K_samples, K_out, sigma_dense, scene.delta,
@@ -281,8 +267,7 @@ def run_pipeline(scene, lam=None, order=None, density=200, seed=0):
 
     try:
         grid = retraction.build_boundary_grid(
-            body, eps, R, scene.action, scene.component, scene.s_lo, scene.s_hi,
-            scene.delta, (1.0 - lam) * scene.delta_prime,
+            window, R, scene.action, scene.delta, (1.0 - lam) * scene.delta_prime,
             interior_points=scene.interior_points)
     except GeometryError as exc:
         return _fail(report, "build-grid", str(exc))
@@ -329,14 +314,14 @@ def run_pipeline(scene, lam=None, order=None, density=200, seed=0):
 
     retractor = retraction.Retractor(pushoff)
     margin = min(0.02 * span, grid.delta)  # keep samples off the exact seam
-    ss = np.linspace(scene.s_lo + margin, scene.s_hi - margin, density)
+    ss = np.linspace(window.s_lo + margin, window.s_hi - margin, density)
     angle_gate = retraction.ALPHA / 2.0 + math.pi / 4.0
 
     cone_bound = (lam ** order) * diam_iota_grid
     coning_ok = True
     for s in ss:
         s = float(s)
-        q = nbh.point(scene.component, s)
+        q = window.point(s)
         r, target, cell = retractor.retract(q)
         report.identity_rows.append((s, spaces.distance(space, r, q)))
         report.angle_rows.append((s, retraction.angle_to_C(body, q, target)))
@@ -357,7 +342,7 @@ def run_pipeline(scene, lam=None, order=None, density=200, seed=0):
 
     for s in ss[::4]:
         s = float(s)
-        q = nbh.point(scene.component, s)
+        q = window.point(s)
         q_in = retraction.normal_flow(body, q, -grid.delta / 4.0)
         r_in, _, _ = retractor.retract(q_in)
         report.interior_rows.append((s, abs(body.dist(r_in) - eps)))
@@ -367,16 +352,16 @@ def run_pipeline(scene, lam=None, order=None, density=200, seed=0):
     # continuity moduli along the boundary at fixed scales
     mod_scales = (1e-2, 1e-3, 1e-4)
     base = []
-    for s in np.linspace(scene.s_lo + margin,
-                         scene.s_hi - margin - max(mod_scales), 33):
-        q1 = nbh.point(scene.component, float(s))
+    for s in np.linspace(window.s_lo + margin,
+                         window.s_hi - margin - max(mod_scales), 33):
+        q1 = window.point(float(s))
         w1 = grid.projector.tents(q1)
         base.append((float(s), q1, w1 / np.sum(w1)))
     for h in mod_scales:
         sup_r = 0.0
         sup_w = 0.0
         for s, q1, w1 in base:
-            q2 = nbh.point(scene.component, s + h)
+            q2 = window.point(s + h)
             r1, _, _ = retractor.retract(q1)
             r2, _, _ = retractor.retract(q2)
             sup_r = max(sup_r, spaces.distance(space, r1, r2))

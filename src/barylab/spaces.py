@@ -95,8 +95,8 @@ class ModelSpace:
         path free of a second check; the other kinds test finiteness first, so
         the Minkowski form never evaluates inf - inf."""
         if self.kind == FINITE:
-            if not math.isfinite(float(x)) or not 0 <= int(x) < self.dim:
-                raise InvalidCoordinates(f"finite index {x} out of range [0,{self.dim})")
+            if not (float(x).is_integer() and 0 <= x < self.dim):
+                raise InvalidCoordinates(f"finite index {x} is not an integer in [0,{self.dim})")
             return
         x = np.asarray(x, dtype=float)
         if x.shape != (self.ambient_dim,):

@@ -138,8 +138,11 @@ def unit_edge_with(**changes):
     unit_edge_with(**{"lambda": 1.0}),
     unit_edge_with(order=-1),
     unit_edge_with(vertex_map={"0": [math.nan], "1": [1.0]}),
+    unit_edge_with(space={"kind": "finite", "dim": 3,
+                          "matrix": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]},
+                   vertex_map={"0": 0, "1": 2.5}),
 ], ids=["not_face_closed", "unlisted_vertex", "vertex_map_misses_vertex",
-        "sphere", "lambda_one", "negative_order", "label_nan"])
+        "sphere", "lambda_one", "negative_order", "label_nan", "label_fraction"])
 def test_subdivide_rejects_bad_input(tmp_path, capsys, doc):
     inp = write(tmp_path / "s.json", doc)
     out = str(tmp_path / "shrink.csv")
@@ -182,6 +185,17 @@ def point_scene_with(**window):
     return doc
 
 
+def body_scene(kind, dim, body, component):
+    """The euclidean_point scene document with another space, body and window
+    component."""
+    doc = point_scene_with(component=component)
+    doc["space"], doc["body"] = {"kind": kind, "dim": dim}, body
+    return doc
+
+
+CH1, SH1 = math.cosh(1.0), math.sinh(1.0)
+
+
 @pytest.mark.parametrize("doc, flags", [
     ({"scene": "euclidean_point"}, ["--order", "-1"]),
     ({"scene": "euclidean_point", "overrides": {"order": -1}}, []),
@@ -204,12 +218,29 @@ def point_scene_with(**window):
     (point_scene_with(sample_spacing=-1), []),
     ({"scene": "hyperbolic_axis", "overrides": {"eps": 1000}}, []),
     ({"scene": "hyperbolic_patch", "overrides": {"eps": 1000}}, []),
+    (body_scene("euclidean", 3, {"type": "point", "point": [0, 0, 0]}, "circle"), []),
+    (body_scene("euclidean", 3, {"type": "segment", "a": [0, 0, 0], "b": [1, 0, 0]},
+                "outer"), []),
+    (body_scene("hyperboloid", 3, {"type": "point", "point": [1, 0, 0, 0]}, "circle"), []),
+    (body_scene("hyperboloid", 3, {"type": "line", "a": [1, 0, 0, 0],
+                                   "b": [CH1, SH1, 0, 0]}, "plus"), []),
+    (body_scene("euclidean", 2, {"type": "line", "a": [1, 2], "b": [1, 2]}, "plus"), []),
+    (body_scene("euclidean", 2, {"type": "segment", "a": [1, 2], "b": [1, 2]}, "outer"), []),
+    (body_scene("euclidean", 2, {"type": "line", "a": [0, math.nan], "b": [1, 0]},
+                "plus"), []),
+    (body_scene("hyperboloid", 2, {"type": "line", "a": [3, 1, 1], "b": [1, 0, 0]},
+                "plus"), []),
+    (body_scene("hyperboloid", 2, {"type": "segment", "a": [1, 0, 0], "b": [3, 1, 1]},
+                "plus"), []),
+    (body_scene("euclidean", 2, {"type": "line", "a": [0, 0], "b": [1, 0]}, "circle"), []),
 ], ids=["order_flag", "order_override", "order_fraction", "density_zero",
         "density_negative", "lambda_zero", "lambda_above_one", "lambda_override",
         "delta_zero", "delta_negative", "delta_prime_zero", "R_equal_eps",
         "R_below_eps", "eps_nan", "delta_infinite", "period_zero", "window_empty",
         "window_reversed", "sample_spacing_negative", "axis_eps_overflow",
-        "patch_eps_overflow"])
+        "patch_eps_overflow", "r3_point", "r3_segment", "h3_point", "h3_line",
+        "r2_line_coincident_ends", "r2_segment_coincident_ends", "r2_line_nan_end",
+        "h2_line_off_sheet_end", "h2_segment_off_sheet_end", "r2_line_no_circle"])
 def test_retract_rejects_bad_input(tmp_path, capsys, doc, flags):
     inp = write(tmp_path / "scene.json", doc)
     out = str(tmp_path / "report.json")
@@ -378,12 +409,15 @@ BARYCENTER = {"space": CIRCLE, "P": TRIPLE, "Q": [], "lambda": 0.9}
     ("barycenter", {"space": CIRCLE, "P": [[1, 0], [math.nan, 0]], "lambda": 0.9}, []),
     ("barycenter", {"space": CIRCLE, "P": [[1, 0]], "Q": [[math.inf, 0]],
                     "lambda": 0.9}, []),
+    ("barycenter", {"space": {"kind": "finite", "dim": 3,
+                              "matrix": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]},
+                    "P": [0, 2.5], "lambda": 0.9}, []),
 ], ids=["phase_delta_negative", "phase_delta_zero", "phase_lambda_nan",
         "phase_lambdas_not_list", "phase_trials_negative", "phase_trials_fraction",
         "phase_trials_flag_zero", "barycenter_lambda_nan", "barycenter_lambda_text",
         "barycenter_lambda_flag_inf", "barycenter_tol_zero", "barycenter_r2_nan",
         "barycenter_r2_inf", "barycenter_h2_nan", "barycenter_h2_inf",
-        "barycenter_circle_nan", "barycenter_circle_q_inf"])
+        "barycenter_circle_nan", "barycenter_circle_q_inf", "barycenter_finite_fraction"])
 def test_rejects_bad_numbers(tmp_path, capsys, command, doc, flags):
     inp = write(tmp_path / "in.json", doc)
     out = str(tmp_path / "out")

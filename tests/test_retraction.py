@@ -8,6 +8,7 @@ import pytest
 from barylab import covers, retraction as rt, scenes, spaces
 from barylab.errors import (
     CalibrationError,
+    InvalidCoordinates,
     PreconditionError,
     StagedPreconditionError,
     UndefinedNormal,
@@ -118,6 +119,17 @@ def test_projection_idempotent_and_distance_convex():
                 assert vals[i - 1] + vals[i + 1] - 2 * vals[i] >= -1e-7
 
 
+def test_line_and_segment_ends_are_checked():
+    """Both ends of a line or segment must be points of its space: a NaN
+    coordinate in R^2, a point off the hyperboloid sheet in H^2."""
+    for space, good, bad in ((E2, [1.0, 0.0], [0.0, math.nan]),
+                             (H2, [1.0, 0.0, 0.0], [3.0, 1.0, 1.0])):
+        for body in (rt.LineBody, rt.SegmentBody):
+            for a, b in ((bad, good), (good, bad)):
+                with pytest.raises(InvalidCoordinates):
+                    body(space, a, b)
+
+
 def test_normal_flow_examples():
     pt = rt.PointBody(E2, np.zeros(2))
     out = rt.normal_flow(pt, np.array([1.0, 0.0]), 2.0)
@@ -126,8 +138,7 @@ def test_normal_flow_examples():
     assert np.allclose(rt.normal_flow(pt, x, 0.0), x)
 
     body = hyp_axis_body()
-    nbh = rt.EpsNeighborhood(body, 1.0)
-    q = nbh.point("plus", 0.7)
+    q = rt.Window(body, 1.0, "plus", 0.0, 1.0).point(0.7)
     flowed = rt.normal_flow(body, q, 2.0)
     assert abs(body.dist(flowed) - 3.0) < 1e-9
 
@@ -148,9 +159,9 @@ def test_flow_to_infinity():
     assert np.allclose(xi.direction, xi2.direction, atol=1e-9)
 
     axis = hyp_axis_body()
-    nbh = rt.EpsNeighborhood(axis, 0.5)
-    a = rt.flow_to_infinity(axis, nbh.point("plus", 0.0))
-    b = rt.flow_to_infinity(axis, nbh.point("plus", 1.0))
+    window = rt.Window(axis, 0.5, "plus", 0.0, 1.0)
+    a = rt.flow_to_infinity(axis, window.point(0.0))
+    b = rt.flow_to_infinity(axis, window.point(1.0))
     assert np.linalg.norm(a.direction - b.direction) > 1e-3
     rho = spaces.visual_metric(H2, np.array([1.0, 0, 0]), a, b)
     assert rho > 0.0
@@ -169,9 +180,9 @@ def test_angle_to_C():
 
 def test_angle_batch_matches_scalar():
     body = hyp_axis_body()
-    nbh = rt.EpsNeighborhood(body, 1.0)
-    Q = np.array([nbh.point("plus", s) for s in np.linspace(-1, 1, 9)])
-    qp = rt.normal_flow(body, nbh.point("plus", 0.3), 1.5)
+    window = rt.Window(body, 1.0, "plus", -1.0, 1.0)
+    Q = window.samples(9, endpoint=True)
+    qp = rt.normal_flow(body, window.point(0.3), 1.5)
     batch = rt._angles_to_C(body, Q)(qp)
     for i, q in enumerate(Q):
         assert abs(batch[i] - rt.angle_to_C(body, q, qp)) < 1e-9
@@ -208,13 +219,13 @@ def test_escape_on_hyperbolic_line():
     to a farther point of the level set re-enters the convex neighbourhood.
     The batched samples agree with a scalar walk of the same geodesic."""
     body = hyp_axis_body()
-    nbh = rt.EpsNeighborhood(body, 1.0)
-    q = nbh.point("plus", 0.3)
+    window = rt.Window(body, 1.0, "plus", 0.0, 1.0)
+    q = window.point(0.3)
     out = rt.normal_flow(body, q, 1.0)
     assert abs(rt.angle_to_C(body, q, out) - math.pi) < 1e-6
     assert rt.check_large_angle_escape(body, 1.0, q, out)
 
-    chord = nbh.point("plus", 1.3)
+    chord = window.point(1.3)
     assert rt.angle_to_C(body, q, chord) < math.pi / 2
     with pytest.raises(PreconditionError):
         rt.check_large_angle_escape(body, 1.0, q, chord)
@@ -237,49 +248,50 @@ def test_eps_neighborhood_levels():
         (rt.PointBody(H2, np.array([1.0, 0, 0])), "circle"),
     ]
     for body, comp in cases:
-        nbh = rt.EpsNeighborhood(body, 0.8)
-        assert comp in nbh.components()
-        for s in np.linspace(-3, 7, 23):
-            x = nbh.point(comp, float(s))
+        window = rt.Window(body, 0.8, comp, -3.0, 7.0)
+        assert comp in rt.LEVEL_SETS[body.space.kind, body.kind]
+        X = window.samples(23, endpoint=True)
+        assert X.shape == (23, body.space.ambient_dim)
+        for s, x in zip(np.linspace(-3, 7, 23), X):
+            assert np.array_equal(x, window.point(float(s)))
             assert abs(body.dist(x) - 0.8) < 1e-9
 
 
 def test_stadium_perimeter_closes():
     seg = rt.SegmentBody(E2, np.zeros(2), np.array([1.0, 0.0]))
-    nbh = rt.EpsNeighborhood(seg, 1.0)
-    period = nbh.period("outer")
+    period = rt.loop_length(seg, 1.0)
     assert abs(period - (2 + 2 * math.pi)) < 1e-12
-    a = nbh.point("outer", 0.0)
-    b = nbh.point("outer", period)
+    window = rt.Window(seg, 1.0, "outer", 0.0, period)
+    a = window.point(0.0)
+    b = window.point(period)
     assert np.allclose(a, b, atol=1e-12)
 
 
 def test_calibration_shrinks_delta():
     body = hyp_axis_body()
-    nbh = rt.EpsNeighborhood(body, 1.0)
+    window = rt.Window(body, 1.0, "plus", 0.0, 2.0)
     # flow to R=3 stretches by ~cosh(3)/cosh(1); a too-large delta must shrink
-    d = rt.calibrate_delta(nbh, "plus", 0.0, 2.0, 2.0, 0.1, 0.05)
+    d = rt.calibrate_delta(window, 2.0, 0.1, 0.05)
     assert d < 0.1
     stretched = []
     for s in (0.0, 0.5):
-        p = nbh.point("plus", s)
-        q = nbh.point("plus", s + 2 * d)
+        p = window.point(s)
+        q = window.point(s + 2 * d)
         stretched.append(spaces.distance(
             H2, rt.normal_flow(body, p, 2.0), rt.normal_flow(body, q, 2.0)))
     assert max(stretched) <= 0.05 + 1e-9
 
 
-def frozen_calibrate_delta(neighborhood, component, s_lo, s_hi, flow_time, delta,
-                           delta_prime):
+def frozen_calibrate_delta(level, flow_time, delta, delta_prime):
     """calibrate_delta as a scalar pair loop; None where it raises."""
-    body = neighborhood.body
+    body, s_lo, s_hi = level.body, level.s_lo, level.s_hi
     for _ in range(rt.MAX_HALVINGS + 1):
         spacing = delta / 4.0
         count = max(8, int(math.ceil((s_hi - s_lo) / spacing)) + 1)
-        pts = neighborhood.samples(component, s_lo, s_hi, count, endpoint=True)
-        flowed = [rt.normal_flow(body, p, flow_time) for _, p in pts]
+        pts = [level.point(float(s)) for s in np.linspace(s_lo, s_hi, count)]
+        flowed = [rt.normal_flow(body, p, flow_time) for p in pts]
         window = max(1, int(math.ceil(2.0 * delta / spacing)))
-        if not any(spaces.distance(body.space, pts[i][1], pts[j][1]) <= 2.0 * delta
+        if not any(spaces.distance(body.space, pts[i], pts[j]) <= 2.0 * delta
                    and spaces.distance(body.space, flowed[i], flowed[j]) > delta_prime
                    for i in range(len(pts))
                    for j in range(i + 1, min(i + window + 2, len(pts)))):
@@ -294,13 +306,12 @@ def test_calibration_matches_scalar_loop(name):
     scalar loop on every preset, and on the euclidean_point scene also after
     halvings and on failure."""
     sc = scenes.SCENE_BUILDERS[name]()
-    nbh = rt.EpsNeighborhood(sc.body, sc.eps)
     cases = [sc.delta_prime]
     if name == "euclidean_point":
         cases += [0.03, 1e-4]  # one halving; no delta passes
     results = []
     for delta_prime in cases:
-        args = (nbh, sc.component, sc.s_lo, sc.s_hi, sc.R - sc.eps, sc.delta, delta_prime)
+        args = (sc.window, sc.R - sc.eps, sc.delta, delta_prime)
         expected = frozen_calibrate_delta(*args)
         if expected is None:
             with pytest.raises(CalibrationError):
@@ -314,10 +325,8 @@ def test_calibration_matches_scalar_loop(name):
 def test_build_boundary_grid_segment_scene():
     seg = rt.SegmentBody(E2, np.zeros(2), np.array([1.0, 0.0]))
     act = covers.GroupAction(E2, [], word_length=0)
-    nbh = rt.EpsNeighborhood(seg, 1.0)
-    period = nbh.period("outer")
-    grid = rt.build_boundary_grid(seg, 1.0, 2.0, act, "outer", 0.0, period,
-                                  delta=0.02, delta_prime=0.1)
+    window = rt.Window(seg, 1.0, "outer", 0.0, rt.loop_length(seg, 1.0))
+    grid = rt.build_boundary_grid(window, 2.0, act, delta=0.02, delta_prime=0.1)
     # witnesses flow to the offset curve at distance exactly R
     assert len(grid.witness_points) == len(grid.witness_angles) == np.count_nonzero(grid.boundary)
     for v, ang in zip(np.flatnonzero(grid.boundary), grid.witness_angles):
@@ -360,8 +369,7 @@ def assert_maps_match_frozen(adj):
 def test_equivariance_table_matches_key_dicts_flagship():
     scene = scenes.hyperbolic_axis_scene(period=2.0)
     grid = rt.build_boundary_grid(
-        scene.body, scene.eps, scene.R, scene.action, scene.component,
-        scene.s_lo, scene.s_hi, scene.delta, (1 - scene.lam) * scene.delta_prime)
+        scene.window, scene.R, scene.action, scene.delta, (1 - scene.lam) * scene.delta_prime)
     assert len(grid.adjacency) > len(grid.projector.cover)
     assert_maps_match_frozen(grid.adjacency)
 
@@ -383,14 +391,13 @@ def test_equivariance_table_matches_key_dicts_translation_group():
 def test_check_small_relative_spec_example():
     """The H^2 geodesic scene passes at (delta, delta') = (1e-2, 1e-1)."""
     body = hyp_axis_body()
-    nbh = rt.EpsNeighborhood(body, 1.0)
     act = covers.GroupAction(H2, [spaces.Isometry.hyperbolic_boost(4.0)],
                              word_length=2)
     arc = 4.0 * math.cosh(1.0)
-    K_sigma = nbh.samples("plus", -arc / 2, arc / 2, 120, endpoint=True)
-    K = [p for _, p in K_sigma]
-    K_out = [rt.normal_flow(body, p, 2.0) for _, p in K_sigma]
-    dense = nbh.samples("plus", -arc / 2, arc / 2, 800, endpoint=True)
+    window = rt.Window(body, 1.0, "plus", -arc / 2, arc / 2)
+    K = window.samples(120, endpoint=True)
+    K_out = [rt.normal_flow(body, p, 2.0) for p in K]
+    dense = window.samples(800, endpoint=True)
     rep = rt.check_small_relative(body, 1.0, act, K, K_out, dense, 1e-2, 1e-1,
                                   sample_resolution=2 * arc / 120)
     assert rep.cond1_ok and rep.cond2_ok and rep.cond3_ok
@@ -401,8 +408,8 @@ def test_check_small_relative_spec_example():
 def test_pair_variation_matches_per_pair_reference():
     rng = np.random.default_rng(7)
     for space, pts in ((E2, rng.uniform(-1, 1, size=(60, 2))),
-                       (H2, [rt.EpsNeighborhood(hyp_axis_body(), 1.0).point(
-                           "plus", float(s)) for s in rng.uniform(-2, 2, 60)])):
+                       (H2, [rt.Window(hyp_axis_body(), 1.0, "plus", -2.0, 2.0).point(
+                           float(s)) for s in rng.uniform(-2, 2, 60)])):
         A = rng.uniform(0, math.pi, size=(60, 45))
         for axis, AA in ((0, A), (1, A.T.copy())):
             for radius in (0.0, 0.2, 0.6, 10.0):
@@ -420,8 +427,7 @@ def test_pair_variation_matches_per_pair_reference():
 def test_extension_staged_errors():
     scene = scenes.hyperbolic_patch_scene()
     grid = rt.build_boundary_grid(
-        scene.body, scene.eps, scene.R, scene.action, scene.component,
-        scene.s_lo, scene.s_hi, scene.delta,
+        scene.window, scene.R, scene.action, scene.delta,
         (1 - scene.lam) * scene.delta_prime,
         interior_points=scene.interior_points)
     # boundary tightness at (delta, (1-lambda)delta') fails for lambda -> 1
@@ -441,8 +447,7 @@ def test_full_tightness_fails_with_far_interior():
     names the failing condition."""
     scene = scenes.hyperbolic_patch_scene(width=0.4, delta_prime=0.2)
     grid = rt.build_boundary_grid(
-        scene.body, scene.eps, scene.R, scene.action, scene.component,
-        scene.s_lo, scene.s_hi, scene.delta,
+        scene.window, scene.R, scene.action, scene.delta,
         (1 - scene.lam) * scene.delta_prime,
         interior_points=scene.interior_points)
     with pytest.raises(StagedPreconditionError) as exc:
@@ -455,8 +460,7 @@ def test_pushoff_evaluate_examples():
     maps to the Euclidean midpoint of the two vertex images."""
     scene = scenes.euclidean_point_scene()
     grid = rt.build_boundary_grid(
-        scene.body, scene.eps, scene.R, scene.action, scene.component,
-        scene.s_lo, scene.s_hi, scene.delta,
+        scene.window, scene.R, scene.action, scene.delta,
         (1 - scene.lam) * scene.delta_prime)
     pushoff = rt.extend_to_pushoff(grid, scene.lam, 1, scene.delta_prime)
     v = sorted(grid.nerve.vertices)[0]
@@ -481,8 +485,7 @@ def test_pushoff_witness_lands_near_its_image():
     vertex image and the angle clears alpha/2 + pi/4."""
     scene = scenes.euclidean_point_scene()
     grid = rt.build_boundary_grid(
-        scene.body, scene.eps, scene.R, scene.action, scene.component,
-        scene.s_lo, scene.s_hi, scene.delta,
+        scene.window, scene.R, scene.action, scene.delta,
         (1 - scene.lam) * scene.delta_prime)
     pushoff = rt.extend_to_pushoff(grid, scene.lam, 1, scene.delta_prime)
     retr = rt.Retractor(pushoff)
@@ -496,16 +499,14 @@ def test_pushoff_witness_lands_near_its_image():
 def test_retract_identity_and_interior():
     scene = scenes.euclidean_point_scene()
     grid = rt.build_boundary_grid(
-        scene.body, scene.eps, scene.R, scene.action, scene.component,
-        scene.s_lo, scene.s_hi, scene.delta,
+        scene.window, scene.R, scene.action, scene.delta,
         (1 - scene.lam) * scene.delta_prime)
     pushoff = rt.extend_to_pushoff(grid, scene.lam, 1, scene.delta_prime)
     retr = rt.Retractor(pushoff)
-    nbh = rt.EpsNeighborhood(scene.body, scene.eps)
     rng = np.random.default_rng(1)
     for _ in range(50):
-        s = rng.uniform(0, nbh.period("circle"))
-        q = nbh.point("circle", s)
+        s = rng.uniform(0, scene.window.s_hi)
+        q = scene.window.point(s)
         r, target, _ = retr.retract(q)
         assert spaces.distance(E2, r, q) <= 1e-10
         q_in = rt.normal_flow(scene.body, q, -scene.delta / 4)
@@ -569,13 +570,11 @@ def test_retract_matches_frozen_bisection(scene):
     eps above the bisection's, the same target and cell, and at most ITP_STEPS
     evaluations per query, on boundary, interior and idempotence queries."""
     grid = rt.build_boundary_grid(
-        scene.body, scene.eps, scene.R, scene.action, scene.component,
-        scene.s_lo, scene.s_hi, scene.delta,
+        scene.window, scene.R, scene.action, scene.delta,
         (1 - scene.lam) * scene.delta_prime)
     retr = rt.Retractor(rt.extend_to_pushoff(grid, scene.lam, 1,
                                              scene.delta_prime))
-    nbh = rt.EpsNeighborhood(scene.body, scene.eps)
-    body, eps, space = scene.body, scene.eps, scene.body.space
+    window, body, eps, space = scene.window, scene.body, scene.eps, scene.space
     evals = []
 
     def check(query):
@@ -590,9 +589,9 @@ def test_retract_matches_frozen_bisection(scene):
         evals.append(n)
         return r
 
-    margin = 0.02 * (scene.s_hi - scene.s_lo)
-    for s in np.linspace(scene.s_lo + margin, scene.s_hi - margin, 12):
-        q = nbh.point(scene.component, float(s))
+    margin = 0.02 * (window.s_hi - window.s_lo)
+    for s in np.linspace(window.s_lo + margin, window.s_hi - margin, 12):
+        q = window.point(float(s))
         q_in = rt.normal_flow(scene.body, q, -grid.delta / 4.0)
         for query in (q, q_in):
             check(check(query))
@@ -612,8 +611,7 @@ def test_grid_nerve_is_face_closed():
     from barylab import simplicial
     scene = scenes.euclidean_point_scene(delta=0.05)
     grid = rt.build_boundary_grid(
-        scene.body, scene.eps, scene.R, scene.action, scene.component,
-        scene.s_lo, scene.s_hi, scene.delta,
+        scene.window, scene.R, scene.action, scene.delta,
         (1 - scene.lam) * scene.delta_prime)
     assert simplicial.validate(grid.nerve) == []
 
@@ -643,9 +641,16 @@ def test_pipeline_deterministic():
 
 
 def test_scene_json_roundtrip():
-    scene = scenes.hyperbolic_axis_scene()
-    back = scenes.Scene.from_json(scene.to_json())
-    assert back.eps == scene.eps and back.R == scene.R
-    assert back.body.kind == "line"
-    assert back.action.word_length == scene.action.word_length
-    assert back.s_lo == scene.s_lo and back.s_hi == scene.s_hi
+    """Every preset's document reads back into a scene that writes the same
+    document, with one space, body and eps."""
+    for name, build in sorted(scenes.SCENE_BUILDERS.items()):
+        scene = build()
+        doc = scene.to_json()
+        back = scenes.Scene.from_json(doc)
+        assert back.to_json() == doc, name
+        assert back.eps == scene.eps and back.R == scene.R
+        assert back.body.kind == scene.body.kind
+        assert back.action.word_length == scene.action.word_length
+        assert back.window.s_lo == scene.window.s_lo and back.window.s_hi == scene.window.s_hi
+        assert back.space is back.body.space is back.action.space
+    assert scenes.Scene.from_json(scenes.hyperbolic_axis_scene().to_json()).body.kind == "line"

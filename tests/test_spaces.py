@@ -266,6 +266,11 @@ def test_point_validation():
         C1.point([2.0, 0.0])
     with pytest.raises(InvalidCoordinates):
         spaces.ModelSpace.finite(np.zeros((2, 2))).point(5)
+    fin = spaces.ModelSpace.finite(np.zeros((3, 3)))
+    assert fin.point(2.0) == 2 and fin.point(np.int64(1)) == 1
+    for fraction in (2.5, 0.5, -0.5, 1e-9):
+        with pytest.raises(InvalidCoordinates):
+            fin.point(fraction)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

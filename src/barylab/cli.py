@@ -147,7 +147,7 @@ def cmd_retract(args):
         if not 0.0 < lam < 1.0:
             raise ValueError(f"lambda {lam} outside (0, 1)")
         order = args.order if args.order is not None else scene.order
-        if not isinstance(order, int) or order < 0:
+        if isinstance(order, bool) or not isinstance(order, int) or order < 0:
             raise ValueError(f"order {order!r} is not a nonnegative integer")
         if args.density < 1:
             raise ValueError(f"density {args.density} is below 1")

@@ -287,36 +287,54 @@ def balls_intersection_margin(space, centers, radii):
     balls B(c_i, r_i + t) have no common point (see _empty_margin); a value
     in [-tol, tol] means that neither certificate clears the tolerance band.
 
-    Probes (the centroid, pairwise geodesic midpoints, the centres) give fast
-    witnesses; otherwise minimax_solve with every a_i = 1 and beta_i = r_i^2
-    (R^n) or cosh r_i (H^n) gives the optimal witness and dual weights.
+    centers (k, ambient) and radii (k,) give one certificate.  A stack of
+    sets of the same size, centers (S, k, ambient) and radii (S, k), gives a
+    list of S certificates from one probe pass per row block.  Probes (the
+    centroid, pairwise geodesic midpoints, the centres) give fast witnesses;
+    on the sets that no probe certifies, minimax_solve with every a_i = 1 and
+    beta_i = r_i^2 (R^n) or cosh r_i (H^n) gives the optimal witness and dual
+    weights.
     """
     centers = np.asarray(centers, float)
     radii = np.asarray(radii, float)
-    k = len(centers)
-    probes = []
-    if space.kind == spaces.EUCLIDEAN:
-        probes.append(np.mean(centers, axis=0))
-    elif space.kind == spaces.HYPERBOLOID:
-        m = np.mean(centers, axis=0)
-        nrm = -spaces.minkowski_dot(m, m)
-        if nrm > 0:
-            probes.append(m / np.sqrt(nrm))
-    for i, j in itertools.combinations(range(k), 2):
-        d = spaces.distance(space, centers[i], centers[j])
-        if d > space.tol:
-            probes.append(spaces.geodesic_point(space, centers[i], centers[j], 0.5 * d))
-    probes.extend(centers)
-    best, witness = np.inf, None
-    for p in probes:
-        val = float(np.max(spaces.distances_to(space, centers, p) - radii))
-        if val < best:
-            best, witness = val, p
-        if best < -10 * space.tol:
-            return IntersectionCertificate(best, witness, None)
+    single = centers.ndim == 2
+    if single:
+        centers, radii = centers[None], radii[None]
+    k = radii.shape[1]
+    certs = []
+    for rows in spaces.row_blocks(len(radii), (k + 1 + k * (k - 1) // 2) * k):
+        C, r = centers[rows], radii[rows]
+        probes = _probes(space, C)
+        vals = np.max(spaces.paired_distances(space, C[:, None], probes[:, :, None])
+                      - r[:, None], axis=-1)
+        certs.extend(_certify(space, *row) for row in zip(C, r, probes, vals))
+    return certs[0] if single else certs
+
+
+def _probes(space, centers):
+    """(S, P, ambient) probe points of a stack of centre sets: the centroid,
+    the midpoint of each pair and the centres themselves.  In H^n a mean is
+    projected back to the hyperboloid, which for a pair is its midpoint."""
+    k = centers.shape[1]
+    pairs = np.asarray(list(itertools.combinations(range(k), 2)), np.int64).reshape(-1, 2)
+    means = np.concatenate([centers.mean(axis=1, keepdims=True),
+                            centers[:, pairs].mean(axis=2)], axis=1)
+    if space.kind == spaces.HYPERBOLOID:
+        means = means / np.sqrt(-spaces.minkowski_rows(means, means))[..., None]
+    return np.concatenate([means, centers], axis=1)
+
+
+def _certify(space, centers, radii, probes, vals):
+    """The certificate of one set from its probe values max_i d(p, c_i) - r_i:
+    the first probe below -10 tol, else the solver's witness or weights."""
+    below = np.flatnonzero(vals < -10 * space.tol)
+    if len(below):
+        return IntersectionCertificate(float(vals[below[0]]), probes[below[0]], None)
+    best_at = int(np.argmin(vals))
+    best, witness = float(vals[best_at]), probes[best_at]
     euclid = space.kind == spaces.EUCLIDEAN
     sol = barycenters.minimax_solve(space, centers, radii ** 2 if euclid else np.cosh(radii),
-                                    np.ones(k))
+                                    np.ones(len(radii)))
     val = float(np.max(spaces.distances_to(space, centers, sol.point) - radii))
     if val < best:
         best, witness = val, sol.point
@@ -372,31 +390,31 @@ def build_nerve(cover):
         neighbors[i].append(j)
 
     # grow certified cliques level by level (a (k+1)-set can only intersect
-    # if every k-subset does)
+    # if every k-subset does); each level's candidates take one stacked call
     frontier = sorted(s for s in simplices if len(s) == 2)
     while frontier:
-        nxt = []
+        cands = []
         for s in frontier:
-            last = s[-1]
             common = set(neighbors[s[0]])
             for v in s[1:]:
                 common &= set(neighbors[v])
             for j in sorted(common):
-                if j <= last:
-                    continue
                 cand = s + (j,)
-                if any(cand[:m] + cand[m + 1:] not in simplices
-                       for m in range(len(cand))):
-                    continue
-                idx = list(cand)
-                margin = balls_intersection_margin(space, centers[idx], radii[idx]).margin
-                if abs(margin) <= tol:
-                    raise IndeterminateIntersection(
-                        f"balls {cand} margin {margin:.2e} within tolerance")
-                if margin < 0:
-                    simplices.add(cand)
-                    nxt.append(cand)
-        frontier = nxt
+                if j > s[-1] and all(cand[:m] + cand[m + 1:] in simplices
+                                     for m in range(len(cand))):
+                    cands.append(cand)
+        frontier = []
+        if not cands:
+            break
+        idx = np.asarray(cands)
+        for cand, cert in zip(cands, balls_intersection_margin(space, centers[idx],
+                                                               radii[idx])):
+            if abs(cert.margin) <= tol:
+                raise IndeterminateIntersection(
+                    f"balls {cand} margin {cert.margin:.2e} within tolerance")
+            if cert.margin < 0:
+                simplices.add(cand)
+                frontier.append(cand)
     return SimplicialComplex(range(n), simplices)
 
 
@@ -496,30 +514,35 @@ class NerveProjector:
 
 
 def translate_gaps(action, K):
-    """(g, word length, min over p, p' in K of d(g p, p')) for each nontrivial
-    group element g, one element at a time: O(|K|) memory."""
-    K = [np.asarray(p, float) for p in K]
+    """[(g, word length, min over p, p' in K of d(g p, p'))] for each
+    nontrivial group element g, the distances taken in row blocks of K."""
+    space = action.space
+    K = np.asarray(K, float).reshape(-1, space.ambient_dim)
+    gaps = []
     for g, w in action.nontrivial():
-        gK = np.asarray([g.apply(p) for p in K])
-        yield g, w, min(float(np.min(spaces.distances_to(action.space, gK, p)))
-                        for p in K)
+        gK = np.asarray([g.apply(p) for p in K]).reshape(K.shape)
+        gaps.append((g, w, min(
+            float(np.min(spaces.paired_distances(space, gK[None], K[rows, None])))
+            for rows in spaces.row_blocks(len(K), len(K)))))
+    return gaps
 
 
-def diam_K_Kout(action, K, K_out, slack=0.0):
-    """sup of diam(hK_out u K_out) over group elements h with hK n K != empty.
+def diam_K_Kout(action, gaps, K_out, slack=0.0):
+    """sup of diam(hK_out u K_out) over group elements h with hK n K != empty,
+    where `gaps` is translate_gaps(action, K).
 
     Intersection is judged at sample resolution: dist(hK, K) <= slack,
     with slack defaulting to 0 (identity always qualifies).
     """
     space = action.space
-    K_out = [np.asarray(p, float) for p in K_out]
+    K_out = np.asarray(K_out, float)
     best = spaces.pairwise_diameter(space, K_out)
-    for g, w, dmin in translate_gaps(action, K):
+    for g, w, dmin in gaps:
         if dmin > slack + space.tol:
             continue
         if w == action.word_length and action.generators:
             raise EnumerationBound(
                 "diam_K_Kout: a qualifying translate sits at the word-length bound")
-        union = K_out + [g.apply(p) for p in K_out]
+        union = np.concatenate([K_out, [g.apply(p) for p in K_out]])
         best = max(best, spaces.pairwise_diameter(space, union))
     return best

@@ -35,10 +35,6 @@ MAX_HALVINGS = 5  # of delta in calibrate_delta before it gives up
 ESCAPE_SAMPLES = 100  # points per geodesic in check_large_angle_escape
 
 
-def _mdot_rows(A, B):
-    return np.sum(A[:, 1:] * B[:, 1:], axis=1) - A[:, 0] * B[:, 0]
-
-
 # ---------------------------------------------------------------------------
 # convex bodies
 
@@ -129,7 +125,7 @@ class LineBody(ConvexBody):
         if self.space.kind == spaces.EUCLIDEAN:
             t = (X - self.a) @ self.u
             return self.a[None, :] + t[:, None] * self.u[None, :]
-        s = _mdot_rows(X, np.tile(self.normal, (len(X), 1)))
+        s = spaces.minkowski_rows(X, np.tile(self.normal, (len(X), 1)))
         return (X - s[:, None] * self.normal[None, :]) / np.sqrt(1.0 + s * s)[:, None]
 
     def dist(self, x):
@@ -140,8 +136,8 @@ class LineBody(ConvexBody):
 
     def dist_batch(self, X):
         if self.space.kind == spaces.HYPERBOLOID:
-            return np.arcsinh(np.abs(_mdot_rows(np.asarray(X, float),
-                                                self.normal[None, :])))
+            return np.arcsinh(np.abs(spaces.minkowski_rows(np.asarray(X, float),
+                                                           self.normal[None, :])))
         return super().dist_batch(X)
 
     def to_json(self):
@@ -227,45 +223,60 @@ def angle_to_C(body, q, q_prime):
 
 def _angles_to_C(body, Q):
     """angle_to_C over the rows of Q (2d Euclidean / hyperboloid), as a
-    function of q'; the terms of Q alone (its projection, the direction to
-    it, in H^n its length) are computed once."""
+    function of an (m, ambient) block of q' rows that returns the (m, len(Q))
+    angles; the terms of Q alone (its projection, the direction to it, in H^n
+    its length) are computed once.  Each entry is the same elementwise
+    formula whatever the block, so its bits do not depend on the blocking."""
     Q = np.asarray(Q, float)
     P = body.project_batch(Q)
     if body.space.kind == spaces.EUCLIDEAN:
         u2 = (P - Q) / np.linalg.norm(P - Q, axis=1)[:, None]
 
-        def angles(q_prime):
-            u1 = np.asarray(q_prime, float)[None, :] - Q
-            u1 = u1 / np.linalg.norm(u1, axis=1)[:, None]
-            return np.arccos(np.clip(np.sum(u1 * u2, axis=1), -1.0, 1.0))
+        def angles(q_primes):
+            u1 = np.asarray(q_primes, float)[:, None, :] - Q
+            u1 = u1 / np.linalg.norm(u1, axis=-1)[..., None]
+            return np.arccos(np.clip(np.sum(u1 * u2, axis=-1), -1.0, 1.0))
         return angles
-    c2 = _mdot_rows(Q, P)
+    c2 = spaces.minkowski_rows(Q, P)
     u2, s2 = P + c2[:, None] * Q, np.sqrt(np.maximum(c2 * c2 - 1.0, 1e-300))
 
-    def angles(q_prime):
-        QP = np.tile(np.asarray(q_prime, float), (len(Q), 1))
-        c1 = _mdot_rows(Q, QP)
-        u1 = QP + c1[:, None] * Q
+    def angles(q_primes):
+        QP = np.asarray(q_primes, float)[:, None, :]
+        c1 = spaces.minkowski_rows(Q, QP)
+        u1 = QP + c1[..., None] * Q
         s1 = np.sqrt(np.maximum(c1 * c1 - 1.0, 1e-300))
-        return np.arccos(np.clip(_mdot_rows(u1, u2) / (s1 * s2), -1.0, 1.0))
+        return np.arccos(np.clip(spaces.minkowski_rows(u1, u2) / (s1 * s2), -1.0, 1.0))
     return angles
 
 
-def check_large_angle_escape(body, eps, q, q_prime, enforce_angle=True):
+def check_large_angle_escape(body, eps, q, q_prime, enforce_angle=True, angles=None):
     """True iff the geodesic from q toward q' stays strictly outside the
-    eps-neighborhood after leaving q (sampled); requires the angle > pi/2.
+    eps-neighborhood after leaving q, judged at ESCAPE_SAMPLES points spaced
+    evenly up to q'; requires the angle to C at q to exceed pi/2.  With rows
+    q and q' of shape (m, ambient) the result is a bool per row, checked in
+    row blocks; a single pair is one such row.  `angles` holds
+    angle_to_C(body, q, q') per row where the caller has computed it.
 
     enforce_angle=False runs the sampled check without the angle
     precondition, e.g. to demonstrate that small-angle directions re-enter.
     """
-    tol = body.space.tol
-    if abs(body.dist(q) - eps) > 100 * tol:
+    space, tol = body.space, body.space.tol
+    Q = np.asarray(q, float).reshape(-1, space.ambient_dim)
+    QP = np.asarray(q_prime, float).reshape(Q.shape)
+    if np.any(np.abs(body.dist_batch(Q) - eps) > 100 * tol):
         raise PreconditionError("q does not lie on the eps-level set")
-    if enforce_angle and angle_to_C(body, q, q_prime) <= math.pi / 2.0 + tol:
-        raise PreconditionError("escape check requires an angle > pi/2")
-    geo = spaces.Geodesic(body.space, q, q_prime)
-    pts = geo.points(np.linspace(geo.length / ESCAPE_SAMPLES, geo.length, ESCAPE_SAMPLES))
-    return not np.any(body.dist_batch(pts) <= eps)
+    if enforce_angle:
+        if angles is None:
+            angles = [angle_to_C(body, a, b) for a, b in zip(Q, QP)]
+        if np.any(np.asarray(angles) <= math.pi / 2.0 + tol):
+            raise PreconditionError("escape check requires an angle > pi/2")
+    frac = np.arange(1, ESCAPE_SAMPLES + 1) / ESCAPE_SAMPLES
+    escapes = np.empty(len(Q), bool)
+    for rows in spaces.row_blocks(len(Q), ESCAPE_SAMPLES):
+        pts = spaces.geodesic_rows(space, Q[rows], QP[rows], frac)
+        inside = body.dist_batch(pts.reshape(-1, space.ambient_dim)) <= eps
+        escapes[rows] = ~inside.reshape(-1, ESCAPE_SAMPLES).any(axis=1)
+    return escapes if np.ndim(q) > 1 else bool(escapes[0])
 
 
 # ---------------------------------------------------------------------------
@@ -309,6 +320,8 @@ class Window:
         if self.component not in components:
             raise ValueError(f"window component {self.component!r} is not one "
                              f"of {list(components)}")
+        if any(isinstance(x, bool) for x in (self.eps, self.s_lo, self.s_hi)):
+            raise ValueError("window eps, s_lo and s_hi must be numbers, not booleans")
         if not 0.0 < self.eps < math.inf:
             raise ValueError(f"eps {self.eps} is not positive and finite")
         if not (math.isfinite(self.s_lo) and math.isfinite(self.s_hi)
@@ -521,13 +534,15 @@ class SmallnessReport:
         }
 
 
-def check_small_relative(body, eps, action, K_samples, K_out_samples,
-                         sigma_samples, delta, delta_prime, sample_resolution):
-    """Sampled check that (delta, delta') are small relative to K, K_out, ALPHA.
+def check_small_relative(body, eps, gaps, K_out_samples, sigma_samples, delta,
+                         delta_prime, sample_resolution):
+    """Sampled check that (delta, delta') are small relative to K, K_out, ALPHA;
+    `gaps` is covers.translate_gaps of the group action over the K samples.
 
     Condition (3) is verified through the sufficient bound M1 + M2 <=
     ALPHA/2 - pi/4, where M1/M2 are the angle variations over close boundary
-    pairs and close K_out pairs respectively.
+    pairs and close K_out pairs respectively.  The angle matrix is filled in
+    blocks of q' rows.
     """
     space = body.space
     tol = space.tol
@@ -535,7 +550,7 @@ def check_small_relative(body, eps, action, K_samples, K_out_samples,
     # (1) sampled-disjoint translates must be farther than 2*delta
     cond1_margin = math.inf
     cond1_ok = True
-    for _, _, dmin in covers.translate_gaps(action, K_samples):
+    for _, _, dmin in gaps:
         if dmin > sample_resolution:  # judged disjoint at sample scale
             cond1_margin = min(cond1_margin, dmin - 2.0 * delta)
             if dmin <= 2.0 * delta + tol:
@@ -553,13 +568,14 @@ def check_small_relative(body, eps, action, K_samples, K_out_samples,
         out_aug.append(normal_flow(body, p, 0.5 * delta_prime))
         d = body.dist(p)
         out_aug.append(normal_flow(body, p, -min(0.5 * delta_prime, d - eps - tol)))
+    out_aug = np.asarray(out_aug)
     sig_arr = np.asarray(sigma_samples)
     angles = _angles_to_C(body, sig_arr)
-    At = np.empty((len(out_aug), len(sig_arr)))  # one row of angles per q'
-    for j, qp in enumerate(out_aug):
-        At[j] = angles(qp)
-    m1 = _pair_variation(At, sig_arr, space, delta, axis=1)
-    m2 = _pair_variation(At, out_aug, space, delta_prime, axis=0)
+    A = np.empty((len(out_aug), len(sig_arr)))  # one row of angles per q'
+    for rows in spaces.row_blocks(len(out_aug), len(sig_arr)):
+        A[rows] = angles(out_aug[rows])
+    m1 = _pair_variation(A, sig_arr, space, delta, axis=1)
+    m2 = _pair_variation(A, out_aug, space, delta_prime, axis=0)
     variation = m1 + m2
     cond3_ok = variation <= gate + tol
     return SmallnessReport(delta, delta_prime, cond1_ok, cond1_margin,
@@ -567,15 +583,26 @@ def check_small_relative(body, eps, action, K_samples, K_out_samples,
 
 
 def _pair_variation(A, points, space, radius, axis):
-    """Max |A difference| over index pairs whose points are within radius."""
+    """Max |A difference| between the rows (axis 0) or the columns (axis 1)
+    of A at index pairs i < j whose points lie within radius.  The column
+    pass takes its candidate pairs from a NeighbourIndex and gathers the
+    columns of A in blocks of pairs."""
     pts = np.asarray(points)
-    rows = A if axis == 0 else np.ascontiguousarray(A.T)
     worst = 0.0
-    for i in range(len(pts)):
-        d = spaces.distances_to(space, pts[i + 1:], pts[i])
-        js = i + 1 + np.nonzero(d <= radius)[0]
-        if len(js):
-            worst = max(worst, float(np.max(np.abs(rows[i] - rows[js]))))
+    if axis == 0:
+        for i in range(len(pts)):
+            d = spaces.distances_to(space, pts[i + 1:], pts[i])
+            js = i + 1 + np.nonzero(d <= radius)[0]
+            if len(js):
+                worst = max(worst, float(np.max(np.abs(A[i] - A[js]))))
+        return worst
+    ii, jj = covers.NeighbourIndex(space, pts, radius).pairs(pts, radius)
+    ii, jj = ii[ii < jj], jj[ii < jj]
+    close = spaces.paired_distances(space, pts[jj], pts[ii]) <= radius
+    ii, jj = ii[close], jj[close]
+    for pairs in spaces.row_blocks(len(ii), len(A)):
+        diff = np.abs(A[:, ii[pairs]] - A[:, jj[pairs]])
+        worst = max(worst, float(np.max(diff, initial=0.0)))
     return worst
 
 

@@ -49,7 +49,9 @@ class Scene:
         """Reject, with ValueError, numbers that no stage can run on (the window checks its own)."""
         spacing = self.sample_spacing
         numbers = [self.R, self.delta, self.delta_prime]
-        for rule, ok in [("eps < R", self.eps < self.R),
+        fields = numbers + [self.lam, self.order, spacing]
+        for rule, ok in [("numbers, not booleans", not any(isinstance(x, bool) for x in fields)),
+                         ("eps < R", self.eps < self.R),
                          ("delta > 0", self.delta > 0.0),
                          ("delta_prime > 0", self.delta_prime > 0.0),
                          ("sample_spacing > 0", spacing is None or spacing > 0.0),
@@ -253,13 +255,14 @@ def run_pipeline(scene, lam=None, order=None, density=200, seed=0):
     K_sigma = window.samples(max(8, int(math.ceil(span / spacing)) + 1), endpoint=True)
     K_samples = list(K_sigma) + [np.asarray(c, float) for c in scene.interior_points]
     K_out = [retraction.normal_flow(body, p, R - eps) for p in K_sigma]
+    gaps = covers.translate_gaps(scene.action, K_samples)
 
     sig_count = max(16, int(math.ceil(span / (scene.delta / 2.0))) + 1)
     sigma_dense = window.samples(min(sig_count, 6000), endpoint=True)
 
     smallness = retraction.check_small_relative(
-        body, eps, scene.action, K_samples, K_out, sigma_dense, scene.delta,
-        scene.delta_prime, sample_resolution=2.0 * spacing)
+        body, eps, gaps, K_out, sigma_dense, scene.delta, scene.delta_prime,
+        sample_resolution=2.0 * spacing)
     report.smallness = smallness.to_json()
     report.gates["smallness"] = smallness.ok
     if not smallness.ok:
@@ -287,8 +290,7 @@ def run_pipeline(scene, lam=None, order=None, density=200, seed=0):
     report.gates["boundary_tightness"] = (
         grid.boundary_map_diameter <= (1.0 - lam) * scene.delta_prime + tol)
 
-    dkk = covers.diam_K_Kout(scene.action, K_samples, K_out,
-                             slack=2.0 * grid.delta)
+    dkk = covers.diam_K_Kout(scene.action, gaps, K_out, slack=2.0 * grid.delta)
     report.diam_K_Kout = dkk
     report.gates["diam_iota_le_diam_K_Kout"] = diam_iota_grid <= dkk + tol
 
@@ -317,37 +319,50 @@ def run_pipeline(scene, lam=None, order=None, density=200, seed=0):
     ss = np.linspace(window.s_lo + margin, window.s_hi - margin, density)
     angle_gate = retraction.ALPHA / 2.0 + math.pi / 4.0
 
+    # one retraction per query; the checks run on the rows
+    Q = np.array([window.point(float(s)) for s in ss])
+    hits = [retractor.retract(q) for q in Q]
+    r_rows = np.array([r for r, _, _ in hits])
+    targets = np.array([target for _, target, _ in hits])
+    rr_rows = np.array([retractor.retract(r)[0] for r in r_rows])
+    angles = [retraction.angle_to_C(body, q, target) for q, target in zip(Q, targets)]
+    escapes = retraction.check_large_angle_escape(body, eps, Q, targets, angles=angles)
+    s_rows = ss.tolist()
+    report.identity_rows = list(zip(s_rows, spaces.paired_distances(space, r_rows, Q).tolist()))
+    report.angle_rows = list(zip(s_rows, angles))
+    report.escape_rows = list(zip(s_rows, escapes.tolist()))
+    report.idempotence_rows = list(zip(
+        s_rows, spaces.paired_distances(space, r_rows, rr_rows).tolist()))
+    if body.kind == "point":
+        radial = Q.copy()
+        for i in np.flatnonzero(np.abs(body.dist_batch(Q) - eps) > tol):
+            radial[i] = retraction.normal_flow(body, Q[i], eps - body.dist(Q[i]))
+        report.radial_rows = list(zip(
+            s_rows, spaces.paired_distances(space, r_rows, radial).tolist()))
+
+    # coning: each target lies near its cell's images, whose diameter obeys the
+    # shrinking bound; cells are padded to one width with their first vertex
     cone_bound = (lam ** order) * diam_iota_grid
+    cells = [cell for _, _, cell in hits]
+    width = max(map(len, cells))
+    cell_ids = np.array([cell + cell[:1] * (width - len(cell)) for cell in cells])
     coning_ok = True
-    for s in ss:
-        s = float(s)
-        q = window.point(s)
-        r, target, cell = retractor.retract(q)
-        report.identity_rows.append((s, spaces.distance(space, r, q)))
-        report.angle_rows.append((s, retraction.angle_to_C(body, q, target)))
-        report.escape_rows.append(
-            (s, retraction.check_large_angle_escape(body, eps, q, target)))
-        imgs = sub.iota.at(cell)
-        cell_diam = spaces.pairwise_diameter(space, imgs)
-        nearest = min(spaces.distance(space, target, z) for z in imgs)
-        if cell_diam > cone_bound + 10 * tol or nearest > cell_diam + 10 * tol:
-            coning_ok = False
-        rr, _, _ = retractor.retract(r)
-        report.idempotence_rows.append((s, spaces.distance(space, r, rr)))
-        if body.kind == "point":
-            radial = retraction.normal_flow(body, q, eps - body.dist(q)) \
-                if abs(body.dist(q) - eps) > tol else q
-            report.radial_rows.append((s, spaces.distance(space, r, radial)))
+    for rows in spaces.row_blocks(len(cells), width * width):
+        imgs = sub.iota.at(cell_ids[rows])
+        cell_diam = np.max(spaces.paired_distances(space, imgs[:, :, None], imgs[:, None]),
+                           axis=(1, 2))
+        nearest = np.min(spaces.paired_distances(space, targets[rows, None], imgs), axis=1)
+        coning_ok &= not np.any((cell_diam > cone_bound + 10 * tol)
+                                | (nearest > cell_diam + 10 * tol))
     report.gates["coning_containment"] = coning_ok
 
-    for s in ss[::4]:
-        s = float(s)
-        q = window.point(s)
-        q_in = retraction.normal_flow(body, q, -grid.delta / 4.0)
-        r_in, _, _ = retractor.retract(q_in)
-        report.interior_rows.append((s, abs(body.dist(r_in) - eps)))
-        rr_in, _, _ = retractor.retract(r_in)
-        report.idempotence_rows.append((s, spaces.distance(space, r_in, rr_in)))
+    s_in = ss[::4].tolist()
+    r_in = np.array([retractor.retract(
+        retraction.normal_flow(body, q, -grid.delta / 4.0))[0] for q in Q[::4]])
+    rr_in = np.array([retractor.retract(r)[0] for r in r_in])
+    report.interior_rows = list(zip(s_in, np.abs(body.dist_batch(r_in) - eps).tolist()))
+    report.idempotence_rows += list(zip(
+        s_in, spaces.paired_distances(space, r_in, rr_in).tolist()))
 
     # continuity moduli along the boundary at fixed scales
     mod_scales = (1e-2, 1e-3, 1e-4)

@@ -35,6 +35,11 @@ def minkowski_dot(x, y):
     return float(np.dot(x[1:], y[1:]) - x[0] * y[0])
 
 
+def minkowski_rows(A, B):
+    """Minkowski products of the broadcast rows (last axis) of A and B."""
+    return np.sum(A[..., 1:] * B[..., 1:], axis=-1) - A[..., 0] * B[..., 0]
+
+
 @dataclass(frozen=True)
 class ModelSpace:
     kind: str
@@ -195,15 +200,30 @@ def cross_distances(space, A, B):
     return paired_distances(space, np.asarray(A)[:, None], np.asarray(B)[None])
 
 
+# Pairs (or sample rows) per block of a row-block pass: each block's
+# temporaries hold at most this many rows of ambient coordinates.
+BLOCK_ROWS = 2**16
+
+
+def row_blocks(rows, width):
+    """Slices that cover range(rows) in order, each of at most
+    max(1, BLOCK_ROWS // width) rows, so that a block of rows times `width`
+    columns stays within BLOCK_ROWS pairs."""
+    step = max(1, BLOCK_ROWS // max(width, 1))
+    return [slice(i, min(i + step, rows)) for i in range(0, rows, step)]
+
+
 def pairwise_diameter(space, points):
-    """max_{i,j} d(p_i, p_j); 0 for fewer than two points."""
-    pts = list(points)
-    if len(pts) < 2:
+    """max_{i,j} d(p_i, p_j); 0 for fewer than two points.  Three or more
+    points take one paired_distances call per row block, which gives the max
+    of the full matrix bit for bit."""
+    arr = np.asarray(points)
+    if len(arr) < 2:
         return 0.0
-    if len(pts) == 2:
-        return distance(space, pts[0], pts[1])
-    arr = np.asarray(pts)
-    return float(np.max(paired_distances(space, arr[:, None], arr[None])))
+    if len(arr) == 2:
+        return distance(space, arr[0], arr[1])
+    return max(float(np.max(paired_distances(space, arr[rows, None], arr[None])))
+               for rows in row_blocks(len(arr), len(arr)))
 
 
 def _hyperboloid_unit_tangent(x, y, d=None):
@@ -296,20 +316,23 @@ class Geodesic:
             return math.cosh(t) * self._x + math.sinh(t) * self._dir
         return circle_point(self.space, self._a + self._sign * t / self.space.radius)
 
-    def points(self, ts):
-        """Rows of point(t) over an array of arc lengths (Euclidean and
-        hyperboloid kinds); equal to point's rows up to rounding of cosh/sinh."""
-        ts = np.asarray(ts, dtype=float)
-        if self.space.kind not in (EUCLIDEAN, HYPERBOLOID):
-            raise ValueError(f"batched geodesic points need a Euclidean or "
-                             f"hyperboloid space, not {self.space.kind}")
-        if self.length <= self.space.tol:
-            if np.any(ts):
-                raise DegenerateGeodesic("x = y but t != 0")
-            return np.tile(np.asarray(self.x, dtype=float), (len(ts), 1))
-        if self.space.kind == EUCLIDEAN:
-            return self._x + (ts / self.length)[:, None] * self._dir
-        return np.cosh(ts)[:, None] * self._x + np.sinh(ts)[:, None] * self._dir
+
+
+def geodesic_rows(space, X, Y, frac):
+    """(m, len(frac), ambient): the points a fraction frac of the way along
+    the geodesic from each row of X to the same row of Y (Euclidean and
+    hyperboloid kinds); equal to Geodesic.point's up to rounding."""
+    if space.kind not in (EUCLIDEAN, HYPERBOLOID):
+        raise ValueError(f"batched geodesic points need a Euclidean or "
+                         f"hyperboloid space, not {space.kind}")
+    L = paired_distances(space, X, Y)
+    if np.any(L <= space.tol):
+        raise DegenerateGeodesic("coincident rows have no geodesic direction")
+    if space.kind == EUCLIDEAN:
+        return X[:, None] + frac[:, None] * (Y - X)[:, None]
+    U = (Y + minkowski_rows(X, Y)[:, None] * X) / np.sinh(L)[:, None]
+    t = (L[:, None] * frac)[..., None]
+    return np.cosh(t) * X[:, None] + np.sinh(t) * U[:, None]
 
 
 def geodesic_point(space, x, y, t):

@@ -233,6 +233,13 @@ CH1, SH1 = math.cosh(1.0), math.sinh(1.0)
     (body_scene("hyperboloid", 2, {"type": "segment", "a": [1, 0, 0], "b": [3, 1, 1]},
                 "plus"), []),
     (body_scene("euclidean", 2, {"type": "line", "a": [0, 0], "b": [1, 0]}, "circle"), []),
+    ({"scene": "euclidean_point", "overrides": {"order": True}}, []),
+    ({"scene": "euclidean_point", "overrides": {"delta_prime": True}}, []),
+    ({"scene": "euclidean_point", "overrides": {"delta": True}}, []),
+    ({"scene": "euclidean_point", "overrides": {"eps": True}}, []),
+    ({"scene": "hyperbolic_axis", "overrides": {"eps": True}}, []),
+    (point_scene_with(sample_spacing=True), []),
+    (point_scene_with(s_hi=True), []),
 ], ids=["order_flag", "order_override", "order_fraction", "density_zero",
         "density_negative", "lambda_zero", "lambda_above_one", "lambda_override",
         "delta_zero", "delta_negative", "delta_prime_zero", "R_equal_eps",
@@ -240,7 +247,9 @@ CH1, SH1 = math.cosh(1.0), math.sinh(1.0)
         "window_reversed", "sample_spacing_negative", "axis_eps_overflow",
         "patch_eps_overflow", "r3_point", "r3_segment", "h3_point", "h3_line",
         "r2_line_coincident_ends", "r2_segment_coincident_ends", "r2_line_nan_end",
-        "h2_line_off_sheet_end", "h2_segment_off_sheet_end", "r2_line_no_circle"])
+        "h2_line_off_sheet_end", "h2_segment_off_sheet_end", "r2_line_no_circle",
+        "order_true", "delta_prime_true", "delta_true", "eps_true",
+        "axis_eps_true", "sample_spacing_true", "window_end_true"])
 def test_retract_rejects_bad_input(tmp_path, capsys, doc, flags):
     inp = write(tmp_path / "scene.json", doc)
     out = str(tmp_path / "report.json")

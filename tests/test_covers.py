@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from barylab import covers, spaces
+from barylab import barycenters as bc, covers, spaces
 from barylab.errors import (
     EnumerationBound,
     IndeterminateIntersection,
@@ -265,7 +265,7 @@ def test_projection_continuity_modulus_recorded():
 def test_diam_K_Kout_trivial_group():
     K = [np.zeros(2), np.array([1.0, 0.0])]
     K_out = [np.array([3.0, 0.0]), np.array([3.5, 0.5])]
-    d = covers.diam_K_Kout(trivial_action(E2), K, K_out)
+    d = covers.diam_K_Kout(trivial_action(E2), [], K_out)
     assert abs(d - spaces.pairwise_diameter(E2, K_out)) < 1e-12
 
 
@@ -282,7 +282,7 @@ def test_diam_K_Kout_rotation_example():
     expected = max(
         np.linalg.norm(p - np.linalg.matrix_power(rot.matrix, k) @ p)
         for k in range(3))
-    d = covers.diam_K_Kout(act, K, [p])
+    d = covers.diam_K_Kout(act, covers.translate_gaps(act, K), [p])
     assert abs(d - expected) < 1e-9
 
 
@@ -291,7 +291,8 @@ def test_diam_K_Kout_monotone():
     base = [np.array([3.0, 0.0])]
     bigger = base + [np.array([5.0, 1.0])]
     act = trivial_action(E2)
-    assert covers.diam_K_Kout(act, K, bigger) >= covers.diam_K_Kout(act, K, base)
+    gaps = covers.translate_gaps(act, K)
+    assert covers.diam_K_Kout(act, gaps, bigger) >= covers.diam_K_Kout(act, gaps, base)
 
 
 def test_diam_K_Kout_upper_bound():
@@ -302,7 +303,7 @@ def test_diam_K_Kout_upper_bound():
     for _ in range(20):
         K = [rng.uniform(-1, 1, 2) for _ in range(5)]
         K_out = [rng.uniform(3, 5, 2) for _ in range(4)]
-        d = covers.diam_K_Kout(act, K, K_out, slack=0.5)
+        d = covers.diam_K_Kout(act, covers.translate_gaps(act, K), K_out, slack=0.5)
         gap = min(float(np.linalg.norm(p - q)) for p in K for q in K_out)
         bound = 2 * (spaces.pairwise_diameter(E2, K) + gap
                      + spaces.pairwise_diameter(E2, K_out))
@@ -361,9 +362,36 @@ def allpairs_adjacency(cover, action):
     return rows
 
 
+def scalar_probe_margin(space, centers, radii):
+    """balls_intersection_margin of one set with one scalar probe at a time:
+    the centroid, the geodesic midpoint of each pair of distinct centres and
+    the centres, stopping at the first probe below -10 tol; the solver and
+    the dual margin as in covers."""
+    probes = [np.mean(centers, axis=0)]
+    if space.kind == spaces.HYPERBOLOID:
+        probes[0] = probes[0] / math.sqrt(-spaces.minkowski_dot(probes[0], probes[0]))
+    for i, j in itertools.combinations(range(len(centers)), 2):
+        d = spaces.distance(space, centers[i], centers[j])
+        if d > space.tol:
+            probes.append(spaces.geodesic_point(space, centers[i], centers[j], 0.5 * d))
+    best = math.inf
+    for p in probes + list(centers):
+        best = min(best, float(np.max(spaces.distances_to(space, centers, p) - radii)))
+        if best < -10 * space.tol:
+            return best
+    euclid = space.kind == spaces.EUCLIDEAN
+    sol = bc.minimax_solve(space, centers, radii ** 2 if euclid else np.cosh(radii),
+                           np.ones(len(radii)))
+    best = min(best, float(np.max(spaces.distances_to(space, centers, sol.point) - radii)))
+    if best < -space.tol:
+        return best
+    empty = covers._empty_margin(space, centers, radii, sol.weights)
+    return empty if empty > space.tol else min(best, space.tol)
+
+
 def allpairs_nerve(space, centers, radii):
-    """build_nerve as an all-pairs scan: the simplex set, or the
-    IndeterminateIntersection message."""
+    """build_nerve as an all-pairs scan with scalar probes: the simplex set,
+    or the IndeterminateIntersection message."""
     n = len(radii)
     tol = space.tol
     simplices = {(i,) for i in range(n)}
@@ -391,8 +419,7 @@ def allpairs_nerve(space, centers, radii):
                                      for m in range(len(cand))):
                     continue
                 idx = list(cand)
-                margin = covers.balls_intersection_margin(space, centers[idx],
-                                                          radii[idx]).margin
+                margin = scalar_probe_margin(space, centers[idx], radii[idx])
                 assert abs(margin) > tol
                 if margin < 0:
                     simplices.add(cand)
@@ -637,3 +664,36 @@ def test_far_hyperbolic_cover_nerve_replays():
             assert (cand in nerve.simplices) == (cert.margin < -tol)
             assert_certificate_replays(H2, c, r, cert)
     assert examined > 60
+
+
+@pytest.mark.parametrize("space, origin, extent", [
+    (E2, np.zeros(2), 1.5), (E2, np.array([40.0, -7.0]), 1.5),
+    (H2, np.array([0.3, -0.2]), 1.5), (H2, np.array([4.0, 2.5]), 0.4),
+], ids=["E2", "E2_far", "H2", "H2_far"])
+def test_stacked_nerve_matches_scalar_probes(space, origin, extent):
+    """Random covers with 3- and 4-fold intersections and with triples that
+    no probe certifies: the nerve from stacked probes has the faces of the
+    scalar-probe build, each stacked certificate gives the nerve's verdict on
+    its set, and every certificate replays."""
+    rng = np.random.default_rng(int(abs(origin[0])) + space.ambient_dim)
+    tol = space.tol
+    solved = 0
+    for _ in range(3):
+        cover = covers.BallCover(space, random_cover(space, rng, 24, 0.3, extent, origin), [],
+                                 check_cover=False)
+        nerve = covers.build_nerve(cover)
+        assert nerve.simplices == allpairs_nerve(space, cover.centers, cover.radii)
+        for k in (3, 4):
+            cands = [s + (j,) for s in nerve.simplices if len(s) == k - 1
+                     for j in range(s[-1] + 1, len(cover))
+                     if all(s[:m] + s[m + 1:] + (j,) in nerve.simplices for m in range(k - 1))]
+            idx = np.array(cands)
+            certs = covers.balls_intersection_margin(space, cover.centers[idx],
+                                                     cover.radii[idx])
+            for cand, cert in zip(cands, certs):
+                assert (cand in nerve.simplices) == (cert.margin < -tol)
+                assert_certificate_replays(space, cover.centers[list(cand)],
+                                           cover.radii[list(cand)], cert)
+                solved += cert.weights is not None
+    assert any(len(s) == 4 for s in nerve.simplices)
+    assert solved > 0

@@ -183,9 +183,100 @@ def test_angle_batch_matches_scalar():
     window = rt.Window(body, 1.0, "plus", -1.0, 1.0)
     Q = window.samples(9, endpoint=True)
     qp = rt.normal_flow(body, window.point(0.3), 1.5)
-    batch = rt._angles_to_C(body, Q)(qp)
+    batch = rt._angles_to_C(body, Q)(qp[None])[0]
     for i, q in enumerate(Q):
         assert abs(batch[i] - rt.angle_to_C(body, q, qp)) < 1e-9
+
+
+def frozen_angles_to_C(body, Q, q_prime):
+    """The angle row of one q' as _angles_to_C computed it before its q'
+    rows came in blocks."""
+    Q = np.asarray(Q, float)
+    P = body.project_batch(Q)
+    if body.space.kind == spaces.EUCLIDEAN:
+        u2 = (P - Q) / np.linalg.norm(P - Q, axis=1)[:, None]
+        u1 = np.asarray(q_prime, float)[None, :] - Q
+        u1 = u1 / np.linalg.norm(u1, axis=1)[:, None]
+        return np.arccos(np.clip(np.sum(u1 * u2, axis=1), -1.0, 1.0))
+
+    def mdot(A, B):
+        return np.sum(A[:, 1:] * B[:, 1:], axis=1) - A[:, 0] * B[:, 0]
+    c2 = mdot(Q, P)
+    u2, s2 = P + c2[:, None] * Q, np.sqrt(np.maximum(c2 * c2 - 1.0, 1e-300))
+    QP = np.tile(np.asarray(q_prime, float), (len(Q), 1))
+    c1 = mdot(Q, QP)
+    u1 = QP + c1[:, None] * Q
+    s1 = np.sqrt(np.maximum(c1 * c1 - 1.0, 1e-300))
+    return np.arccos(np.clip(mdot(u1, u2) / (s1 * s2), -1.0, 1.0))
+
+
+@pytest.mark.parametrize("body, component", [
+    (rt.PointBody(E2, np.zeros(2)), "circle"),
+    (rt.PointBody(H2, np.array([1.0, 0.0, 0.0])), "circle"),
+    (rt.LineBody(E2, np.zeros(2), np.array([1.0, 0.0])), "plus"),
+    (hyp_axis_body(), "plus"),
+    (rt.SegmentBody(E2, np.zeros(2), np.array([1.0, 0.0])), "outer"),
+], ids=["E2_point", "H2_point", "E2_line", "H2_line", "E2_segment"])
+def test_blocked_angle_matrix_matches_per_row(body, component):
+    """q' rows filled in blocks, as check_small_relative fills them, equal
+    the per-q' rows bit for bit; 300 columns put 218 rows in a block."""
+    window = rt.Window(body, 0.7, component, -2.0, 4.0)
+    sigma = window.samples(300, endpoint=True)
+    out = np.array([rt.normal_flow(body, window.point(float(s)), t)
+                    for s, t in zip(np.linspace(-2.5, 4.5, 500),
+                                    np.tile([1.5, 0.2, -0.1], 167))])
+    angles = rt._angles_to_C(body, sigma)
+    blocks = spaces.row_blocks(len(out), len(sigma))
+    assert len(blocks) == 3
+    A = np.concatenate([angles(out[rows]) for rows in blocks])
+    assert np.array_equal(A, np.array([frozen_angles_to_C(body, sigma, qp) for qp in out]))
+
+
+def frozen_escape(body, eps, q, q_prime, enforce_angle=True):
+    """check_large_angle_escape as one scalar geodesic per pair, sampled at
+    arc lengths as before the check took rows."""
+    if abs(body.dist(q) - eps) > 100 * body.space.tol:
+        raise PreconditionError("q does not lie on the eps-level set")
+    if enforce_angle and rt.angle_to_C(body, q, q_prime) <= math.pi / 2 + body.space.tol:
+        raise PreconditionError("escape check requires an angle > pi/2")
+    geo = spaces.Geodesic(body.space, q, q_prime)
+    ts = np.linspace(geo.length / rt.ESCAPE_SAMPLES, geo.length, rt.ESCAPE_SAMPLES)
+    if body.space.kind == spaces.EUCLIDEAN:
+        pts = geo._x + (ts / geo.length)[:, None] * geo._dir
+    else:
+        pts = np.cosh(ts)[:, None] * geo._x + np.sinh(ts)[:, None] * geo._dir
+    return not np.any(body.dist_batch(pts) <= eps)
+
+
+@pytest.mark.parametrize("body, component", [
+    (rt.PointBody(E2, np.zeros(2)), "circle"),
+    (hyp_axis_body(), "plus"),
+    (rt.SegmentBody(E2, np.zeros(2), np.array([1.0, 0.0])), "outer"),
+], ids=["E2_point", "H2_line", "E2_segment"])
+def test_escape_rows_match_scalar_checks(body, component):
+    """Rows in blocks give each row's scalar verdict: outward rows escape,
+    chords to other level-set points re-enter (enforce_angle=False), and a
+    block edge (655 rows of 100 samples) is crossed."""
+    eps = 0.8
+    window = rt.Window(body, eps, component, 0.0, 6.0)
+    ss = np.linspace(0.0, 6.0, 656)
+    Q = np.array([window.point(float(s)) for s in ss])
+    out = np.array([rt.normal_flow(body, q, 1.0 + (i % 3)) for i, q in enumerate(Q)])
+    chords = np.array([window.point(float(s) + 1.3) for s in ss])
+    assert len(spaces.row_blocks(len(Q), rt.ESCAPE_SAMPLES)) == 2
+    for QP, enforce in ((out, True), (chords, False)):
+        got = rt.check_large_angle_escape(body, eps, Q, QP, enforce_angle=enforce)
+        want = [frozen_escape(body, eps, q, qp, enforce) for q, qp in zip(Q, QP)]
+        assert got.tolist() == want
+        assert got.all() if enforce else not got.any()  # outward escapes, chords re-enter
+        for i in (0, 654, 655):
+            assert rt.check_large_angle_escape(body, eps, Q[i], QP[i],
+                                               enforce_angle=enforce) is bool(got[i])
+    angles = [rt.angle_to_C(body, q, qp) for q, qp in zip(Q, out)]
+    assert np.array_equal(rt.check_large_angle_escape(body, eps, Q, out, angles=angles),
+                          rt.check_large_angle_escape(body, eps, Q, out))
+    with pytest.raises(PreconditionError):
+        rt.check_large_angle_escape(body, eps, Q, chords)
 
 
 def test_escape_examples():
@@ -398,8 +489,8 @@ def test_check_small_relative_spec_example():
     K = window.samples(120, endpoint=True)
     K_out = [rt.normal_flow(body, p, 2.0) for p in K]
     dense = window.samples(800, endpoint=True)
-    rep = rt.check_small_relative(body, 1.0, act, K, K_out, dense, 1e-2, 1e-1,
-                                  sample_resolution=2 * arc / 120)
+    rep = rt.check_small_relative(body, 1.0, covers.translate_gaps(act, K), K_out, dense,
+                                  1e-2, 1e-1, sample_resolution=2 * arc / 120)
     assert rep.cond1_ok and rep.cond2_ok and rep.cond3_ok
     assert rep.cond3_gate == pytest.approx(math.pi / 4)
     assert rep.cond3_variation <= math.pi / 4
@@ -422,6 +513,26 @@ def test_pair_variation_matches_per_pair_reference():
                             ref = max(ref, float(np.max(np.abs(diff))))
                 got = rt._pair_variation(AA, pts, space, radius, axis=axis)
                 assert got == ref
+
+
+def test_pair_variation_finds_the_circle_wrap_pair():
+    """The sigma samples of the closed euclidean_point window start and end
+    at one point; the column pass must pair them like the per-pair scan, and
+    its pairs span several column blocks (120 rows put 546 pairs in one)."""
+    scene = scenes.euclidean_point_scene()
+    sigma = scene.window.samples(1048, endpoint=True)
+    assert spaces.distance(E2, sigma[0], sigma[-1]) < 1e-12
+    rng = np.random.default_rng(11)
+    # a ramp along sigma: the wrap pair (0, last) spans it and carries the
+    # largest difference
+    A = np.linspace(0.0, 1.0, len(sigma)) + rng.uniform(0.0, 1e-5, size=(120, len(sigma)))
+    ref = 0.0
+    for i in range(len(sigma)):
+        d = spaces.distances_to(E2, sigma[i + 1:], sigma[i])
+        for j in i + 1 + np.flatnonzero(d <= scene.delta):
+            ref = max(ref, float(np.max(np.abs(A[:, i] - A[:, j]))))
+    got = rt._pair_variation(A, sigma, E2, scene.delta, axis=1)
+    assert got == ref == float(np.max(np.abs(A[:, 0] - A[:, -1])))
 
 
 def test_extension_staged_errors():

@@ -77,8 +77,7 @@ def test_geodesic_degenerate():
             geo.point(0.5)
         if space is not C1:
             with pytest.raises(DegenerateGeodesic):
-                geo.points([0.0, 0.5])
-            assert np.array_equal(geo.points([0.0, 0.0]), [p, p])
+                spaces.geodesic_rows(space, p[None], p[None], np.array([0.0, 0.5]))
 
 
 def frozen_geodesic_point(space, x, y, t):
@@ -126,28 +125,31 @@ def test_geodesic_point_matches_frozen_reference_bits():
                 assert np.array_equal(spaces.geodesic_point(space, x, y, t), ref)
 
 
-def test_geodesic_points_match_point_rows():
-    """Euclidean rows are the same bits; hyperboloid rows differ only by the
-    rounding of np.cosh/np.sinh against math.cosh/math.sinh, so they agree to
-    1e-15 relative to the size of the terms cosh(t) x and sinh(t) u."""
+def test_geodesic_rows_match_point_rows():
+    """Each row of geodesic_rows is Geodesic.point at arc length frac * d up
+    to rounding: of t / d against frac in R^n, and of np.cosh/np.sinh and the
+    vector distance kernel against the scalar ones in H^n, so they agree to
+    4e-15 relative to the size of the terms (1 - f) x + f y or cosh(t) x and
+    sinh(t) u."""
     rng = np.random.default_rng(43)
+    frac = np.concatenate(([0.0], rng.uniform(0.0, 2.0, 20)))
     for space in (E2, E3, H2):
-        for _ in range(50):
-            x, y = rand_point(space, rng), rand_point(space, rng)
+        X = np.array([rand_point(space, rng) for _ in range(50)])
+        Y = np.array([rand_point(space, rng) for _ in range(50)])
+        rows = spaces.geodesic_rows(space, X, Y, frac)
+        assert rows.shape == (50, len(frac), space.ambient_dim)
+        for x, y, got in zip(X, Y, rows):
             geo = spaces.Geodesic(space, x, y)
-            ts = np.concatenate(([0.0], rng.uniform(0.0, 2.0 * geo.length, 20)))
-            rows = geo.points(ts)
+            ts = frac * geo.length
             ref = np.asarray([geo.point(float(t)) for t in ts])
-            assert rows.shape == ref.shape
             if space.kind == spaces.EUCLIDEAN:
-                assert np.array_equal(rows, ref)
-                continue
-            u = spaces._hyperboloid_unit_tangent(x, y)
-            scale = (np.cosh(ts) * np.max(np.abs(x))
-                     + np.sinh(ts) * np.max(np.abs(u)))
-            assert np.all(np.max(np.abs(rows - ref), axis=1) <= 1e-15 * scale)
+                scale = np.abs(1.0 - frac) * np.max(np.abs(x)) + frac * np.max(np.abs(y))
+            else:
+                u = spaces._hyperboloid_unit_tangent(x, y)
+                scale = np.cosh(ts) * np.max(np.abs(x)) + np.sinh(ts) * np.max(np.abs(u))
+            assert np.all(np.max(np.abs(got - ref), axis=1) <= 4e-15 * scale)
     with pytest.raises(ValueError):
-        spaces.Geodesic(C1, rand_point(C1, rng), rand_point(C1, rng)).points([0.1])
+        spaces.geodesic_rows(C1, rand_point(C1, rng)[None], rand_point(C1, rng)[None], frac)
 
 
 def test_euclidean_distance_matches_norm_bits():
@@ -397,3 +399,50 @@ def test_ray_point_reaches_boundary_direction():
     assert np.allclose(p[1:] / p[0], xi.direction, atol=1e-8)
     back = spaces.boundary_point_of_ray(H2, o, spaces.ray_point(H2, o, xi, 2.0))
     assert np.allclose(back.direction, xi.direction, atol=1e-9)
+
+
+def draw_points(space, rng, n):
+    """n points of an R^2, H^2 or H^3 space, or n indices of a finite one."""
+    if space.kind == spaces.FINITE:
+        return rng.integers(0, space.dim, n)
+    if space.kind == spaces.EUCLIDEAN:
+        return rng.uniform(-2.0, 2.0, (n, space.dim))
+    u = rng.normal(size=(n, space.dim))
+    u /= np.linalg.norm(u, axis=1)[:, None]
+    s = rng.uniform(0.0, 3.0, n)[:, None]
+    return np.hstack([np.cosh(s), np.sinh(s) * u])
+
+
+def planar_metric(rng, n):
+    """The finite space of n random points of the plane."""
+    P = rng.uniform(0.0, 1.0, (n, 2))
+    return spaces.ModelSpace.finite(np.linalg.norm(P[:, None] - P[None], axis=-1))
+
+
+@pytest.mark.parametrize("which", ["E2", "H2", "H3", "finite"])
+def test_pairwise_diameter_blocks_match_one_call(which):
+    """The row-block diameter equals the max of the one-call n x n matrix,
+    bit for bit, just below, at and above the one-block size (256 points)
+    and across several blocks."""
+    rng = np.random.default_rng(len(which))
+    space = {"E2": E2, "H2": H2, "H3": spaces.ModelSpace.hyperboloid(3),
+             "finite": planar_metric(rng, 40)}[which]
+    assert len(spaces.row_blocks(256, 256)) == 1 < len(spaces.row_blocks(257, 257))
+    for n in (255, 256, 257, 700):
+        P = draw_points(space, rng, n)
+        one_call = float(np.max(spaces.paired_distances(space, P[:, None], P[None])))
+        assert spaces.pairwise_diameter(space, P) == one_call
+        assert spaces.pairwise_diameter(space, list(P)) == one_call
+
+
+def test_pairwise_diameter_memory_is_bounded():
+    """2,000 H^2 points: the full difference array alone would take 96 MB."""
+    tracemalloc = pytest.importorskip("tracemalloc")
+    P = draw_points(H2, np.random.default_rng(3), 2000)
+    tracemalloc.start()
+    try:
+        spaces.pairwise_diameter(H2, P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20

@@ -357,17 +357,20 @@ def diameter_midpoints(space, P):
 
     Per set: its diameter D, realized by the lex-least pair i < j (the first
     maximum of the masked distance matrix), and the geodesic midpoint of that
-    pair, or None where D <= tol.  D comes from the cross-distance kernel and
-    each midpoint from the scalar geodesic_point, so a set gets the same bits
-    alone or in a stack.
+    pair, or the set's first point where D <= tol; shapes (n,) and
+    (n, ambient).  D comes from the cross-distance kernel and the midpoints
+    from one geodesic_rows call, which gives each the bits of
+    geodesic_point(space, p_i, p_j, D / 2), so a set gets the same bits alone
+    or in a stack.
     """
     n, m = P.shape[:2]
     M = spaces.paired_distances(space, P[:, :, None], P[:, None, :])
     M[:, np.tri(m, dtype=bool)] = -np.inf  # keep i < j, first max is lex-least
     i, j = np.divmod(np.argmax(M.reshape(n, m * m), axis=1), m)
     D = M[np.arange(n), i, j]
-    mids = [spaces.geodesic_point(space, P[r, i[r]], P[r, j[r]], 0.5 * float(D[r]))
-            if D[r] > space.tol else None for r in range(n)]
+    mids = P[:, 0].copy()
+    r = np.flatnonzero(D > space.tol)
+    mids[r] = spaces.geodesic_rows(space, P[r, i[r]], P[r, j[r]], 0.5 * D[r])
     return D, mids
 
 
@@ -381,7 +384,7 @@ def cat0_midpoint_rule(space, P, Q):
     tol = space.tol
     D, (b,) = diameter_midpoints(space, np.asarray(P, float)[None])
     best_d = float(D[0])
-    if b is None:
+    if best_d <= tol:
         b = P[0]
         return BarycenterCertificate(
             "found", SQRT3_OVER_2, point=b, achieved_lambda=0.0,

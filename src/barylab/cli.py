@@ -15,7 +15,7 @@ import os
 import sys
 import tempfile
 
-from . import barycenters, scenes, simplicial, spaces, subdivision
+from . import barycenters, retraction, scenes, simplicial, spaces, subdivision
 from .errors import GeometryError
 
 
@@ -151,6 +151,7 @@ def cmd_retract(args):
             raise ValueError(f"order {order!r} is not a nonnegative integer")
         if args.density < 1:
             raise ValueError(f"density {args.density} is below 1")
+        retraction.check_rows(args.density, "density")
     except (KeyError, TypeError, ValueError, OverflowError, OSError, json.JSONDecodeError,
             GeometryError) as exc:
         print(f"barylab retract: bad input: {exc}", file=sys.stderr)

@@ -264,8 +264,7 @@ def _check_enumeration_bound(cover, action, context):
 def _translate_distances(cover, g, reach):
     """Translates g.c of the cover's centres, and the candidate pairs (qi, ci)
     of `cover.index` within `reach` with d(c_ci, g.c_qi)."""
-    gcs = np.asarray([g.apply(c) for c in cover.centers],
-                     float).reshape(cover.centers.shape)
+    gcs = g.apply(cover.centers)
     qi, ci = cover.index.pairs(gcs, reach)
     return gcs, qi, ci, spaces.paired_distances(cover.space, cover.centers[ci], gcs[qi])
 
@@ -520,7 +519,7 @@ def translate_gaps(action, K):
     K = np.asarray(K, float).reshape(-1, space.ambient_dim)
     gaps = []
     for g, w in action.nontrivial():
-        gK = np.asarray([g.apply(p) for p in K]).reshape(K.shape)
+        gK = g.apply(K)
         gaps.append((g, w, min(
             float(np.min(spaces.paired_distances(space, gK[None], K[rows, None])))
             for rows in spaces.row_blocks(len(K), len(K)))))
@@ -543,6 +542,6 @@ def diam_K_Kout(action, gaps, K_out, slack=0.0):
         if w == action.word_length and action.generators:
             raise EnumerationBound(
                 "diam_K_Kout: a qualifying translate sits at the word-length bound")
-        union = np.concatenate([K_out, [g.apply(p) for p in K_out]])
+        union = np.concatenate([K_out, g.apply(K_out)])
         best = max(best, spaces.pairwise_diameter(space, union))
     return best

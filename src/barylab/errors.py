@@ -80,3 +80,7 @@ class PipelineInconsistency(GeometryError):
 
 class SubdivisionBudget(GeometryError):
     """A subdivision would exceed its element budget (nothing allocated)."""
+
+
+class SampleBudget(GeometryError):
+    """A sampled stage would exceed its row budget (nothing allocated)."""

@@ -21,6 +21,7 @@ from .errors import (
     CalibrationError,
     PipelineInconsistency,
     PreconditionError,
+    SampleBudget,
     StagedPreconditionError,
     UndefinedNormal,
 )
@@ -33,6 +34,23 @@ ITP_K1, ITP_K2, ITP_N0, ITP_EPS = 0.2, 2, 1, 2.0 ** -52
 ITP_STEPS = math.ceil(math.log2(1.0 / (2.0 * ITP_EPS))) + ITP_N0  # n_max = 52
 MAX_HALVINGS = 5  # of delta in calibrate_delta before it gives up
 ESCAPE_SAMPLES = 100  # points per geodesic in check_large_angle_escape
+SAMPLE_ROWS = 2**20  # level-set sample rows (or queries) one sampled stage may take
+
+
+def check_rows(rows, what):
+    """rows, if at most SAMPLE_ROWS; else SampleBudget, raised before
+    anything of that size is allocated."""
+    if not rows <= SAMPLE_ROWS:
+        raise SampleBudget(f"{what} needs {rows:.6g} sample rows, over the "
+                           f"budget of {SAMPLE_ROWS}")
+    return rows
+
+
+def sample_count(span, spacing, least, what):
+    """max(least, ceil(span / spacing) + 1): samples at most `spacing` apart
+    over an arc of length span, both ends included, within SAMPLE_ROWS."""
+    check_rows(span / spacing + 1.0, what)
+    return max(least, int(math.ceil(span / spacing)) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +76,15 @@ class ConvexBody:
         X = np.asarray(X, float)
         return spaces.paired_distances(self.space, X, self.project_batch(X))
 
+    # The row methods give each row the bits of project and dist; the batch
+    # methods above are faster where those bits do not matter.
+
+    def project_rows(self, X):
+        return np.asarray([self.project(x) for x in X], float).reshape(np.shape(X))
+
+    def dist_rows(self, X):
+        return spaces.distance_rows(self.space, X, self.project_rows(X))
+
 
 class PointBody(ConvexBody):
     kind = "point"
@@ -72,6 +99,8 @@ class PointBody(ConvexBody):
 
     def project_batch(self, X):
         return np.tile(self.point, (len(X), 1))
+
+    project_rows = project_batch
 
     def to_json(self):
         return {"type": "point", "point": self.point.tolist()}
@@ -140,6 +169,18 @@ class LineBody(ConvexBody):
                                                            self.normal[None, :])))
         return super().dist_batch(X)
 
+    def project_rows(self, X):
+        X = np.asarray(X, float)
+        if self.space.kind == spaces.EUCLIDEAN:
+            return self.a + spaces.row_dots(X - self.a, self.u)[:, None] * self.u
+        s = spaces.minkowski_dots(X, self.normal)
+        return (X - s[:, None] * self.normal) / np.sqrt(1.0 + s * s)[:, None]
+
+    def dist_rows(self, X):
+        if self.space.kind == spaces.HYPERBOLOID:
+            return spaces.each(math.asinh, np.abs(spaces.minkowski_dots(X, self.normal)))
+        return super().dist_rows(X)
+
     def to_json(self):
         return {"type": "line", "a": self.a.tolist(), "b": self.b.tolist()}
 
@@ -192,15 +233,23 @@ def body_from_json(space, doc):
 
 
 def normal_flow(body, x, t):
-    """Phi_N^t: move x outward along the geodesic through its projection."""
-    d = body.dist(x)
-    if d <= body.space.tol:
+    """Phi_N^t: move x outward along the geodesic through its projection.
+    x is one point or an (m, ambient) array of rows and t one time or one
+    per row; each row is flowed with dist_rows, project_rows and
+    geodesic_rows, so a point gets the same bits alone or among rows."""
+    space = body.space
+    x = np.asarray(x, float)
+    X = x.reshape(-1, space.ambient_dim)
+    T = np.broadcast_to(np.asarray(t, float), X.shape[:1])
+    d = body.dist_rows(X)
+    if np.any(d <= space.tol):
         raise UndefinedNormal("normal flow undefined on the body itself")
-    if t < -(d - body.space.tol):
-        raise PreconditionError(f"flow time {t} would cross the body (d={d})")
-    if t == 0.0:
-        return np.asarray(x, float)
-    return spaces.geodesic_point(body.space, body.project(x), x, d + t)
+    crossing = np.flatnonzero(T < -(d - space.tol))
+    if len(crossing):
+        i = crossing[0]
+        raise PreconditionError(f"flow time {T[i]} would cross the body (d={d[i]})")
+    out = spaces.geodesic_rows(space, body.project_rows(X), X, d + T)
+    return np.where((T == 0.0)[:, None], X, out).reshape(x.shape)
 
 
 def flow_to_infinity(body, x):
@@ -273,7 +322,8 @@ def check_large_angle_escape(body, eps, q, q_prime, enforce_angle=True, angles=N
     frac = np.arange(1, ESCAPE_SAMPLES + 1) / ESCAPE_SAMPLES
     escapes = np.empty(len(Q), bool)
     for rows in spaces.row_blocks(len(Q), ESCAPE_SAMPLES):
-        pts = spaces.geodesic_rows(space, Q[rows], QP[rows], frac)
+        T = spaces.distance_rows(space, Q[rows], QP[rows])[:, None] * frac
+        pts = spaces.geodesic_rows(space, Q[rows], QP[rows], T)
         inside = body.dist_batch(pts.reshape(-1, space.ambient_dim)) <= eps
         escapes[rows] = ~inside.reshape(-1, ESCAPE_SAMPLES).any(axis=1)
     return escapes if np.ndim(q) > 1 else bool(escapes[0])
@@ -373,10 +423,36 @@ class Window:
         d = -math.cos(th) * n - math.sin(th) * u
         return body.a + eps * d
 
+    def points(self, ss):
+        """(len(ss), ambient) rows point(s) over the arc lengths ss, each
+        made by point's own operations (the stadium's by point itself), so
+        each row has point's bits."""
+        body, eps, space = self.body, self.eps, self.body.space
+        ss = np.asarray(ss, float)
+        if space.kind == spaces.EUCLIDEAN:
+            if body.kind == "point":
+                th = ss / eps
+                return body.point + eps * np.stack(
+                    [spaces.each(math.cos, th), spaces.each(math.sin, th)], axis=1)
+            if body.kind == "line":
+                side = 1.0 if self.component == "plus" else -1.0
+                return body.a + ss[:, None] * body.u + side * eps * body.normal
+            return np.array([self._stadium_point(s) for s in ss.tolist()]).reshape(-1, 2)
+        if body.kind == "point":  # hyperbolic circle
+            p = body.point
+            e1, e2 = spaces.hyperboloid_tangent_frame(p)
+            th = ss / math.sinh(eps)
+            u = spaces.each(math.cos, th)[:, None] * e1 + spaces.each(math.sin, th)[:, None] * e2
+            return math.cosh(eps) * p + math.sinh(eps) * u
+        side = 1.0 if self.component == "plus" else -1.0
+        s_axis = ss / math.cosh(eps)
+        foot = (spaces.each(math.cosh, s_axis)[:, None] * body.a
+                + spaces.each(math.sinh, s_axis)[:, None] * body.u)
+        return math.cosh(eps) * foot + math.sinh(eps) * side * body.normal
+
     def samples(self, count, endpoint):
         """(count, ambient) rows point(s) over np.linspace(s_lo, s_hi, count)."""
-        ss = np.linspace(self.s_lo, self.s_hi, count, endpoint=endpoint)
-        return np.array([self.point(float(s)) for s in ss])
+        return self.points(np.linspace(self.s_lo, self.s_hi, count, endpoint=endpoint))
 
 
 # ---------------------------------------------------------------------------
@@ -432,12 +508,13 @@ def calibrate_delta(window, flow_time, delta, delta_prime):
     """Shrink delta until boundary points of the window within 2*delta flow
     to within delta_prime of each other (sampled); the uniform-continuity
     constant linking delta to delta' is found empirically, not derived."""
-    body = window.body
+    body, span = window.body, window.s_hi - window.s_lo
+    # the last halving's grid is the finest
+    sample_count(span, delta / 2.0 ** MAX_HALVINGS / 4.0, 8, "calibration")
     for _ in range(MAX_HALVINGS + 1):
         spacing = delta / 4.0
-        count = max(8, int(math.ceil((window.s_hi - window.s_lo) / spacing)) + 1)
-        pts = window.samples(count, endpoint=True)
-        flowed = np.asarray([normal_flow(body, p, flow_time) for p in pts])
+        pts = window.samples(sample_count(span, spacing, 8, "calibration"), endpoint=True)
+        flowed = normal_flow(body, pts, flow_time)
         reach = max(1, int(math.ceil(2.0 * delta / spacing)))
         # pairs (i, i + off) for off = 1 .. reach + 1, one kernel call per offset
         for off in range(1, min(reach + 2, len(pts))):
@@ -475,21 +552,18 @@ def build_boundary_grid(window, R, action, delta, delta_prime, interior_points=(
     mid = window.point(0.5 * (window.s_lo + window.s_hi))
     designated = normal_flow(body, mid, flow_time)
 
-    elements = [g for g, _ in action.elements()]
-    images = np.empty_like(adj.centers)
-    witnesses, angles = [], []
-    for i, (k, b) in enumerate(zip(adj.group.tolist(), adj.base.tolist())):
-        if b < n_boundary:
-            q = elements[k].apply(cover.centers[b])
-            images[i] = normal_flow(body, q, flow_time)
-            witnesses.append(q)
-            angles.append(angle_to_C(body, q, images[i]))
-        else:
-            images[i] = elements[k].apply(designated)
+    # boundary elements move their centre, interior ones the designated point
+    boundary = adj.base < n_boundary
+    images = np.where(boundary[:, None], cover.centers[adj.base], designated)
+    for k, (g, _) in enumerate(action.elements()):
+        rows = adj.group == k
+        images[rows] = g.apply(images[rows])
+    witnesses = images[boundary]
+    images[boundary] = normal_flow(body, witnesses, flow_time)
+    angles = [angle_to_C(body, q, p) for q, p in zip(witnesses, images[boundary])]
     iota = simplicial.VertexMap(body.space, np.arange(len(adj)), images)
     return PushOffGrid(body=body, eps=eps, projector=projector, iota=iota,
-                       boundary=adj.base < n_boundary,
-                       witness_points=np.reshape(witnesses, (-1, body.space.ambient_dim)),
+                       boundary=boundary, witness_points=witnesses,
                        witness_angles=np.asarray(angles, float), delta=delta)
 
 
@@ -557,18 +631,17 @@ def check_small_relative(body, eps, gaps, K_out_samples, sigma_samples, delta,
                 cond1_ok = False
 
     # (2) the delta'-neighborhood of K_out avoids the eps-neighborhood
-    gaps = body.dist_batch(np.asarray(K_out_samples)) - eps
+    K_out = np.asarray(K_out_samples, float)
+    gaps = body.dist_batch(K_out) - eps
     cond2_margin = float(np.min(gaps)) - delta_prime
     cond2_ok = cond2_margin > tol
 
     # (3) angle-variation gate
     gate = ALPHA / 2.0 - math.pi / 4.0
-    out_aug = list(K_out_samples)
-    for p in K_out_samples:
-        out_aug.append(normal_flow(body, p, 0.5 * delta_prime))
-        d = body.dist(p)
-        out_aug.append(normal_flow(body, p, -min(0.5 * delta_prime, d - eps - tol)))
-    out_aug = np.asarray(out_aug)
+    inward = np.minimum(0.5 * delta_prime, body.dist_rows(K_out) - eps - tol)
+    flowed = np.stack([normal_flow(body, K_out, 0.5 * delta_prime),
+                       normal_flow(body, K_out, -inward)], axis=1)
+    out_aug = np.concatenate([K_out, flowed.reshape(-1, K_out.shape[1])])
     sig_arr = np.asarray(sigma_samples)
     angles = _angles_to_C(body, sig_arr)
     A = np.empty((len(out_aug), len(sig_arr)))  # one row of angles per q'

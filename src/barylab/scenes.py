@@ -19,6 +19,11 @@ from . import covers, retraction, simplicial, spaces
 from .barycenters import SQRT3_OVER_2
 from .errors import GeometryError, StagedPreconditionError
 
+# Most samples of sigma, the level-set samples at most delta/2 apart on which
+# condition (3) compares angles; a delta that needs more is refused, since
+# fewer samples would leave no pair within delta to compare.
+SIGMA_ROWS = 6000
+
 
 @dataclass
 class Scene:
@@ -60,6 +65,21 @@ class Scene:
                 raise ValueError(
                     f"scene needs {rule}: eps {self.eps}, R {self.R}, delta {self.delta}, "
                     f"delta_prime {self.delta_prime}, sample_spacing {spacing}")
+        self.sampling()
+
+    def sampling(self):
+        """(spacing, K count, sigma count): the pipeline's K samples, at most
+        spacing = sample_spacing (by default max(delta, span / 400)) apart,
+        and its sigma samples, at most delta / 2 apart.  Raises SampleBudget
+        past retraction.SAMPLE_ROWS K samples and ValueError past SIGMA_ROWS
+        sigma samples, before anything is allocated."""
+        span = self.window.s_hi - self.window.s_lo
+        spacing = self.sample_spacing or max(self.delta, span / 400.0)
+        k_count = retraction.sample_count(span, spacing, 8, "sample_spacing")
+        if not span / (self.delta / 2.0) + 1.0 <= SIGMA_ROWS:
+            raise ValueError(f"delta {self.delta} needs over {SIGMA_ROWS} sigma samples "
+                             f"{self.delta / 2.0} apart on a window of length {span}")
+        return spacing, k_count, max(16, int(math.ceil(span / (self.delta / 2.0))) + 1)
 
     def to_json(self):
         w = self.window
@@ -146,8 +166,7 @@ def hyperbolic_patch_scene(eps=1.0, R=3.0, width=0.05, delta=4e-3,
                                np.array([math.cosh(1.0), math.sinh(1.0), 0.0]))
     action = covers.GroupAction(space, [], word_length=0)
     window = retraction.Window(body, eps, "plus", 0.0, width)
-    interior = [retraction.normal_flow(body, q, -delta / 3.0)
-                for q in window.samples(4, endpoint=True)]
+    interior = list(retraction.normal_flow(body, window.samples(4, endpoint=True), -delta / 3.0))
     return Scene("hyperbolic_patch", window, R, action, delta, delta_prime, lam, order,
                  interior_points=interior)
 
@@ -250,15 +269,14 @@ def run_pipeline(scene, lam=None, order=None, density=200, seed=0):
     report = RetractionReport(scene=scene.to_json(), lam=lam, order=order,
                               seed=seed)
 
+    retraction.check_rows(density, "density")
+    spacing, k_count, sig_count = scene.sampling()
     span = window.s_hi - window.s_lo
-    spacing = scene.sample_spacing or max(scene.delta, span / 400.0)
-    K_sigma = window.samples(max(8, int(math.ceil(span / spacing)) + 1), endpoint=True)
+    K_sigma = window.samples(k_count, endpoint=True)
     K_samples = list(K_sigma) + [np.asarray(c, float) for c in scene.interior_points]
-    K_out = [retraction.normal_flow(body, p, R - eps) for p in K_sigma]
+    K_out = retraction.normal_flow(body, K_sigma, R - eps)
     gaps = covers.translate_gaps(scene.action, K_samples)
-
-    sig_count = max(16, int(math.ceil(span / (scene.delta / 2.0))) + 1)
-    sigma_dense = window.samples(min(sig_count, 6000), endpoint=True)
+    sigma_dense = window.samples(sig_count, endpoint=True)
 
     smallness = retraction.check_small_relative(
         body, eps, gaps, K_out, sigma_dense, scene.delta, scene.delta_prime,
@@ -320,7 +338,7 @@ def run_pipeline(scene, lam=None, order=None, density=200, seed=0):
     angle_gate = retraction.ALPHA / 2.0 + math.pi / 4.0
 
     # one retraction per query; the checks run on the rows
-    Q = np.array([window.point(float(s)) for s in ss])
+    Q = window.points(ss)
     hits = [retractor.retract(q) for q in Q]
     r_rows = np.array([r for r, _, _ in hits])
     targets = np.array([target for _, target, _ in hits])
@@ -335,8 +353,8 @@ def run_pipeline(scene, lam=None, order=None, density=200, seed=0):
         s_rows, spaces.paired_distances(space, r_rows, rr_rows).tolist()))
     if body.kind == "point":
         radial = Q.copy()
-        for i in np.flatnonzero(np.abs(body.dist_batch(Q) - eps) > tol):
-            radial[i] = retraction.normal_flow(body, Q[i], eps - body.dist(Q[i]))
+        off = np.flatnonzero(np.abs(body.dist_batch(Q) - eps) > tol)
+        radial[off] = retraction.normal_flow(body, Q[off], eps - body.dist_rows(Q[off]))
         report.radial_rows = list(zip(
             s_rows, spaces.paired_distances(space, r_rows, radial).tolist()))
 
@@ -357,8 +375,8 @@ def run_pipeline(scene, lam=None, order=None, density=200, seed=0):
     report.gates["coning_containment"] = coning_ok
 
     s_in = ss[::4].tolist()
-    r_in = np.array([retractor.retract(
-        retraction.normal_flow(body, q, -grid.delta / 4.0))[0] for q in Q[::4]])
+    Q_in = retraction.normal_flow(body, Q[::4], -grid.delta / 4.0)
+    r_in = np.array([retractor.retract(q)[0] for q in Q_in])
     rr_in = np.array([retractor.retract(r)[0] for r in r_in])
     report.interior_rows = list(zip(s_in, np.abs(body.dist_batch(r_in) - eps).tolist()))
     report.idempotence_rows += list(zip(
@@ -366,17 +384,13 @@ def run_pipeline(scene, lam=None, order=None, density=200, seed=0):
 
     # continuity moduli along the boundary at fixed scales
     mod_scales = (1e-2, 1e-3, 1e-4)
-    base = []
-    for s in np.linspace(window.s_lo + margin,
-                         window.s_hi - margin - max(mod_scales), 33):
-        q1 = window.point(float(s))
-        w1 = grid.projector.tents(q1)
-        base.append((float(s), q1, w1 / np.sum(w1)))
+    s_mod = np.linspace(window.s_lo + margin, window.s_hi - margin - max(mod_scales), 33)
+    Q1 = window.points(s_mod)
+    W1 = [w / np.sum(w) for w in map(grid.projector.tents, Q1)]
     for h in mod_scales:
         sup_r = 0.0
         sup_w = 0.0
-        for s, q1, w1 in base:
-            q2 = window.point(s + h)
+        for q1, w1, q2 in zip(Q1, W1, window.points(s_mod + h)):
             r1, _, _ = retractor.retract(q1)
             r2, _, _ = retractor.retract(q2)
             sup_r = max(sup_r, spaces.distance(space, r1, r2))

@@ -40,6 +40,28 @@ def minkowski_rows(A, B):
     return np.sum(A[..., 1:] * B[..., 1:], axis=-1) - A[..., 0] * B[..., 0]
 
 
+def row_dots(A, B):
+    """np.dot of each broadcast row pair (last axis) of A and B, bit for bit:
+    a stacked np.matmul runs np.dot's routine on every row, where
+    np.sum(A * B, axis=-1) adds the products in another order."""
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    return np.matmul(A[..., None, :], B[..., :, None])[..., 0, 0]
+
+
+def minkowski_dots(A, B):
+    """minkowski_dot of each broadcast row pair of A and B, bit for bit."""
+    return row_dots(A[..., 1:], B[..., 1:]) - A[..., 0] * B[..., 0]
+
+
+def each(fn, x):
+    """The scalar function fn (math.sinh, say) on each element of x.  Row
+    passes take their transcendentals this way to keep the bits of the
+    one-point path, which numpy's vector kernels do not round alike."""
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
 @dataclass(frozen=True)
 class ModelSpace:
     kind: str
@@ -174,6 +196,18 @@ def distance(space, x, y):
     diff = x - y
     # np.linalg.norm's own formula for a real 1-D array, without its dispatch
     return math.sqrt(float(diff.dot(diff)))
+
+
+def distance_rows(space, X, Y):
+    """distance(space, x, y) over the broadcast rows of X and Y (Euclidean
+    and hyperboloid kinds), bit for bit: the same products by row_dots and
+    the same math.asinh.  paired_distances is the faster kernel wherever the
+    bits of the one-point path do not matter."""
+    diff = np.asarray(X, dtype=float) - np.asarray(Y, dtype=float)
+    if space.kind == HYPERBOLOID:
+        msq = minkowski_dots(diff, diff)
+        return 2.0 * each(math.asinh, 0.5 * np.sqrt(np.maximum(msq, 0.0)))
+    return np.sqrt(row_dots(diff, diff))
 
 
 def paired_distances(space, A, B):
@@ -318,21 +352,33 @@ class Geodesic:
 
 
 
-def geodesic_rows(space, X, Y, frac):
-    """(m, len(frac), ambient): the points a fraction frac of the way along
-    the geodesic from each row of X to the same row of Y (Euclidean and
-    hyperboloid kinds); equal to Geodesic.point's up to rounding."""
+def geodesic_rows(space, X, Y, T):
+    """Points at arc length T on the unit-speed geodesics from the rows of X
+    to the same rows of Y (Euclidean and hyperboloid kinds).  T of shape (m,)
+    gives one point per row, shape (m, ambient); T of shape (m, k) gives k
+    per row, shape (m, k, ambient).  Each point is Geodesic(space, x,
+    y).point(t) bit for bit: the lengths are distance_rows, the products
+    row_dots and the transcendentals math's, element by element."""
     if space.kind not in (EUCLIDEAN, HYPERBOLOID):
         raise ValueError(f"batched geodesic points need a Euclidean or "
                          f"hyperboloid space, not {space.kind}")
-    L = paired_distances(space, X, Y)
-    if np.any(L <= space.tol):
-        raise DegenerateGeodesic("coincident rows have no geodesic direction")
+    X = np.asarray(X, dtype=float)
+    Y = np.asarray(Y, dtype=float)
+    T = np.asarray(T, dtype=float)
+    L = distance_rows(space, X, Y)
+    moving, still = T != 0.0, L <= space.tol
+    extra = (1,) * (T.ndim - 1)  # T's columns past the first
+    if np.any(moving & still.reshape(L.shape + extra)):
+        raise DegenerateGeodesic("x = y but t != 0")
+    L = np.where(still, 1.0, L)  # rows whose points all stay at x
+    Xt = X.reshape(X.shape[:1] + extra + X.shape[1:])
     if space.kind == EUCLIDEAN:
-        return X[:, None] + frac[:, None] * (Y - X)[:, None]
-    U = (Y + minkowski_rows(X, Y)[:, None] * X) / np.sinh(L)[:, None]
-    t = (L[:, None] * frac)[..., None]
-    return np.cosh(t) * X[:, None] + np.sinh(t) * U[:, None]
+        pts = Xt + (T / L.reshape(L.shape + extra))[..., None] * (Y - X).reshape(Xt.shape)
+    else:
+        U = (Y + minkowski_dots(X, Y)[:, None] * X) / each(math.sinh, L)[:, None]
+        pts = each(math.cosh, T)[..., None] * Xt \
+            + each(math.sinh, T)[..., None] * U.reshape(Xt.shape)
+    return np.where(moving[..., None], pts, Xt)
 
 
 def geodesic_point(space, x, y, t):
@@ -510,7 +556,10 @@ class Isometry:
         return self
 
     def apply(self, x):
-        y = self.matrix @ np.asarray(x, dtype=float)
+        """g(x) for one point, or g of each row of an (m, ambient) array:
+        a stacked matrix-vector np.matmul gives each row the one-point bits."""
+        x = np.asarray(x, dtype=float)
+        y = self.matrix @ x if x.ndim == 1 else np.matmul(self.matrix, x[..., None])[..., 0]
         if self.translation is not None:
             y = y + self.translation
         return y

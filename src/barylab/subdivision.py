@@ -146,12 +146,11 @@ def _label_rows(space, table, p_rows, q_rows, q_ok, lam):
         return [_solve_label(space, _points(table, p), _points(table, q[ok]), lam)
                 for p, q, ok in zip(p_rows, q_rows, q_ok)]
     P = table[p_rows]
-    D, mids = barycenters.diameter_midpoints(space, P)
-    labels = [P[r, 0].copy() if b is None else b for r, b in enumerate(mids)]
-    moved = np.array([r for r, b in enumerate(mids) if b is not None], dtype=int)
+    D, labels = barycenters.diameter_midpoints(space, P)
+    moved = np.flatnonzero(D > space.tol)
     if len(moved):
         P, Q, Q_ok, D = P[moved], table[q_rows[moved]], q_ok[moved], D[moved]
-        B = np.array([mids[r] for r in moved])[:, None]
+        B = labels[moved][:, None]
         ach = np.max(spaces.paired_distances(space, P, B), axis=1) / D
         qp = np.max(spaces.paired_distances(space, Q[:, :, None], P[:, None]), axis=2)
         slacks = np.where(Q_ok, np.maximum(D[:, None], qp)
@@ -262,9 +261,9 @@ def shrinking_subdivide(complex_, iota, lam, equivariance=None):
         if orbit is not None:
             rep, word, isos = orbit
             members = level[rep[level] != level]
-            for v, r, w in zip(members.tolist(), rep[members].tolist(),
-                               word[members].tolist()):
-                table[v] = isos[w].apply(table[r])
+            for w in np.unique(word[members]).tolist():
+                rows = members[word[members] == w]
+                table[rows] = isos[w].apply(table[rep[rows]])
 
     iota_sub = simplicial.VertexMap(space, sub.ids, table)
     parent_diams = np.concatenate([_diameters(space, table, t[:, :d + 1])

@@ -321,7 +321,8 @@ def test_certificate_reason_written_only_when_set():
 
 def test_diameter_midpoints_stack_matches_scalar_midpoints():
     """A stacked diameter_midpoints call gives each set the bits of the
-    per-set construction: cross_distances, lex-least pair, geodesic_point."""
+    per-set construction: cross_distances, lex-least pair, geodesic_point,
+    and the set's first point where it has no diameter."""
     rng = np.random.default_rng(11)
     for space, draw in [(E2, lambda: rng.normal(size=2)),
                         (E3, lambda: rng.normal(size=3)),
@@ -334,8 +335,8 @@ def test_diameter_midpoints_stack_matches_scalar_midpoints():
             M[np.tril_indices(len(P))] = -np.inf
             i, j = divmod(int(np.argmax(M)), len(P))
             assert d == M[i, j]
-            if b is None:
-                assert d <= space.tol
+            if d <= space.tol:
+                assert np.array_equal(b, P[0])
                 continue
             assert np.array_equal(b, spaces.geodesic_point(space, P[i], P[j],
                                                            0.5 * float(M[i, j])))

@@ -360,3 +360,120 @@ def test_retract_crossing_matches_line_root(seed, on_level_set):
     t = min(ts, key=lambda t: max(-t, t - length, 0.0))
     exact = math.cosh(t) * q + math.sinh(t) * u
     assert spaces.distance(space, r, exact) <= 1e-12 * max(1.0, length)
+
+
+# ---------------------------------------------------------------------------
+# row passes: each row has the bits of its one-point call
+
+PLANE_BODIES = {spaces.EUCLIDEAN: ("point", "line", "segment"),
+                spaces.HYPERBOLOID: ("point", "line")}
+
+
+def draw_far(space, rng, m):
+    """m points as rows: coordinates in [-40, 40] in R^n, x0 up to 40 in H^n."""
+    if space.kind == spaces.EUCLIDEAN:
+        return rng.uniform(-40.0, 40.0, (m, space.dim))
+    u = rng.normal(size=(m, space.dim))
+    s = rng.uniform(0.0, math.acosh(40.0), (m, 1))
+    return np.concatenate([np.cosh(s), np.sinh(s) * u / np.linalg.norm(u, axis=1)[:, None]],
+                          axis=1)
+
+
+def draw_body(space, rng, kind):
+    a, b = draw_far(space, rng, 2)
+    return {"point": lambda: rt.PointBody(space, a), "line": lambda: rt.LineBody(space, a, b),
+            "segment": lambda: rt.SegmentBody(space, a, b)}[kind]()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(range(len(SPACES))), st.integers(0, 30))
+def test_row_dots_are_np_dot_per_row(seed, which, m):
+    """row_dots and minkowski_dots equal np.dot and minkowski_dot per row,
+    against rows or against one broadcast vector."""
+    space = SPACES[which]
+    rng = np.random.default_rng(seed)
+    A, B = draw_far(space, rng, m), draw_far(space, rng, m)
+    assert np.array_equal(spaces.row_dots(A, B), [np.dot(a, b) for a, b in zip(A, B)])
+    assert np.array_equal(spaces.minkowski_dots(A, B),
+                          [spaces.minkowski_dot(a, b) for a, b in zip(A, B)])
+    if m:
+        assert np.array_equal(spaces.row_dots(A, B[0]), [np.dot(a, B[0]) for a in A])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(range(len(SPACES))), st.integers(0, 30))
+def test_isometry_apply_rows_match_one_point(seed, which, m):
+    """Isometry.apply on rows gives each row the one-point bits, for an
+    isometry, its inverse and a composition."""
+    space = SPACES[which]
+    rng = np.random.default_rng(seed)
+    X = draw_far(space, rng, m)
+    g = random_isometry(space, rng)
+    for h in (g, g.inverse(), g.compose(random_isometry(space, rng))):
+        assert np.array_equal(h.apply(X), np.reshape([h.apply(x) for x in X], X.shape))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(range(len(SPACES))),
+       st.integers(1, 20), st.integers(1, 6))
+def test_geodesic_rows_match_geodesic_point(seed, which, m, k):
+    """geodesic_rows at k arc lengths per row (t = 0 and t beyond y among
+    them), or at one, equals Geodesic.point bit for bit."""
+    space = SPACES[which]
+    rng = np.random.default_rng(seed)
+    X, Y = draw_far(space, rng, m), draw_far(space, rng, m)
+    geos = [spaces.Geodesic(space, x, y) for x, y in zip(X, Y)]
+    T = np.array([g.length for g in geos])[:, None] * rng.uniform(-1.0, 2.0, (m, k))
+    T[rng.random((m, k)) < 0.2] = 0.0
+    rows = spaces.geodesic_rows(space, X, Y, T)
+    for geo, ts, got in zip(geos, T, rows):
+        assert np.array_equal(got, [geo.point(float(t)) for t in ts])
+    assert np.array_equal(spaces.geodesic_rows(space, X, Y, T[:, 0]), rows[:, 0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(range(len(SPACES))), st.integers(1, 20),
+       st.integers(0, 2), st.booleans())
+def test_normal_flow_rows_match_one_point(seed, which, m, kind, per_row):
+    """normal_flow over rows, with one time or one per row, equals the
+    one-point flows and the scalar composition geodesic_point(project(x),
+    x, dist(x) + t) bit for bit, for point bodies in every space and line
+    and segment bodies in the planes."""
+    space = SPACES[which]
+    rng = np.random.default_rng(seed)
+    kinds = PLANE_BODIES[space.kind] if space.dim == 2 else ("point",)
+    body = draw_body(space, rng, kinds[kind % len(kinds)])
+    X = draw_far(space, rng, m)
+    d = np.array([body.dist(x) for x in X])
+    assume(np.all(d > 1e-6))
+    T = rng.uniform(-0.9, 3.0, m) * np.minimum(d if per_row else np.min(d), 1.0)
+    T[rng.random(m) < 0.2] = 0.0
+    if not per_row:
+        T[:] = T[0]
+    rows = rt.normal_flow(body, X, T if per_row else float(T[0]))
+    for x, t, got in zip(X, T.tolist(), rows):
+        assert np.array_equal(got, rt.normal_flow(body, x, t))
+        want = x if t == 0.0 else spaces.geodesic_point(space, body.project(x), x,
+                                                        body.dist(x) + t)
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(sorted(rt.LEVEL_SETS)),
+       st.integers(0, 1), st.integers(1, 40), st.booleans())
+def test_window_samples_match_window_point(seed, level_set, component, count, endpoint):
+    """Window.samples and Window.points equal Window.point row by row, bit
+    for bit, on every level-set component, beyond the window too."""
+    kind, body_kind = level_set
+    space = PLANES[0] if kind == spaces.EUCLIDEAN else PLANES[1]
+    rng = np.random.default_rng(seed)
+    body = draw_body(space, rng, body_kind)
+    names = rt.LEVEL_SETS[level_set]
+    s_lo = rng.uniform(-5.0, 5.0)
+    window = rt.Window(body, rng.uniform(0.1, 3.0), names[component % len(names)],
+                       s_lo, s_lo + rng.uniform(0.1, 10.0))
+    ss = np.linspace(window.s_lo, window.s_hi, count, endpoint=endpoint)
+    want = [window.point(float(s)) for s in ss]
+    assert np.array_equal(window.samples(count, endpoint), want)
+    wide = rng.uniform(-20.0, 20.0, count)
+    assert np.array_equal(window.points(wide), [window.point(float(s)) for s in wide])

@@ -10,6 +10,7 @@ from barylab.errors import (
     CalibrationError,
     InvalidCoordinates,
     PreconditionError,
+    SampleBudget,
     StagedPreconditionError,
     UndefinedNormal,
 )
@@ -765,3 +766,53 @@ def test_scene_json_roundtrip():
         assert back.window.s_lo == scene.window.s_lo and back.window.s_hi == scene.window.s_hi
         assert back.space is back.body.space is back.action.space
     assert scenes.Scene.from_json(scenes.hyperbolic_axis_scene().to_json()).body.kind == "line"
+
+
+def test_scene_refuses_delta_past_sigma_samples():
+    """A delta whose sigma samples, at most delta/2 apart, would number more
+    than SIGMA_ROWS is refused: capped samples would leave no pair within
+    delta, and condition (3) would compare nothing on sigma."""
+    with pytest.raises(ValueError, match="sigma samples"):
+        scenes.hyperbolic_axis_scene(delta=1e-3)  # 12,346 samples
+    window = scenes.hyperbolic_axis_scene().window
+    span = window.s_hi - window.s_lo
+    at_cap = 2.0 * span / (scenes.SIGMA_ROWS - 1.5)
+    assert scenes.hyperbolic_axis_scene(delta=at_cap).sampling()[2] == scenes.SIGMA_ROWS
+    with pytest.raises(ValueError, match="sigma samples"):
+        scenes.hyperbolic_axis_scene(delta=2.0 * span / (scenes.SIGMA_ROWS - 0.5))
+
+
+def allocation_peak(fn):
+    """(the exception fn raised, tracemalloc's peak bytes while it ran)."""
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        fn()
+    except Exception as exc:  # noqa: BLE001
+        raised = exc
+    else:
+        raised = None
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return raised, peak
+
+
+def test_sample_budgets_refuse_before_allocating():
+    """The calibration grid's delta, sample_spacing and the query density
+    are checked against SAMPLE_ROWS before any row is allocated."""
+    window = rt.Window(hyp_axis_body(), 1.0, "plus", 0.0, 2.0)
+    doc = scenes.euclidean_point_scene().to_json()
+    doc["window"]["sample_spacing"] = 1e-9
+    scene = scenes.euclidean_point_scene()
+    for fn in (lambda: rt.calibrate_delta(window, 2.0, 1e-9, 0.5),
+               lambda: scenes.Scene.from_json(doc),
+               lambda: scenes.run_pipeline(scene, density=2**40)):
+        raised, peak = allocation_peak(fn)
+        assert isinstance(raised, SampleBudget) and peak < 2**20
+    # the calibration budget counts the grid of the last halving
+    fine = 2.0 / (rt.SAMPLE_ROWS - 1) * 4.0 * 2.0 ** rt.MAX_HALVINGS
+    with pytest.raises(SampleBudget):
+        rt.calibrate_delta(window, 2.0, 0.99 * fine, 0.5)
+    assert rt.check_rows(rt.SAMPLE_ROWS, "rows") == rt.SAMPLE_ROWS
+    with pytest.raises(SampleBudget):
+        rt.check_rows(rt.SAMPLE_ROWS + 1, "rows")

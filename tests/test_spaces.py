@@ -126,28 +126,20 @@ def test_geodesic_point_matches_frozen_reference_bits():
 
 
 def test_geodesic_rows_match_point_rows():
-    """Each row of geodesic_rows is Geodesic.point at arc length frac * d up
-    to rounding: of t / d against frac in R^n, and of np.cosh/np.sinh and the
-    vector distance kernel against the scalar ones in H^n, so they agree to
-    4e-15 relative to the size of the terms (1 - f) x + f y or cosh(t) x and
-    sinh(t) u."""
+    """Each row of geodesic_rows is Geodesic.point at its arc lengths bit for
+    bit, with k arc lengths per row (t = 0 among them) or one."""
     rng = np.random.default_rng(43)
     frac = np.concatenate(([0.0], rng.uniform(0.0, 2.0, 20)))
     for space in (E2, E3, H2):
         X = np.array([rand_point(space, rng) for _ in range(50)])
         Y = np.array([rand_point(space, rng) for _ in range(50)])
-        rows = spaces.geodesic_rows(space, X, Y, frac)
+        geos = [spaces.Geodesic(space, x, y) for x, y in zip(X, Y)]
+        T = np.array([geo.length for geo in geos])[:, None] * frac
+        rows = spaces.geodesic_rows(space, X, Y, T)
         assert rows.shape == (50, len(frac), space.ambient_dim)
-        for x, y, got in zip(X, Y, rows):
-            geo = spaces.Geodesic(space, x, y)
-            ts = frac * geo.length
-            ref = np.asarray([geo.point(float(t)) for t in ts])
-            if space.kind == spaces.EUCLIDEAN:
-                scale = np.abs(1.0 - frac) * np.max(np.abs(x)) + frac * np.max(np.abs(y))
-            else:
-                u = spaces._hyperboloid_unit_tangent(x, y)
-                scale = np.cosh(ts) * np.max(np.abs(x)) + np.sinh(ts) * np.max(np.abs(u))
-            assert np.all(np.max(np.abs(got - ref), axis=1) <= 4e-15 * scale)
+        for geo, ts, got in zip(geos, T, rows):
+            assert np.array_equal(got, [geo.point(float(t)) for t in ts])
+        assert np.array_equal(spaces.geodesic_rows(space, X, Y, T[:, 3]), rows[:, 3])
     with pytest.raises(ValueError):
         spaces.geodesic_rows(C1, rand_point(C1, rng)[None], rand_point(C1, rng)[None], frac)
 

@@ -37,19 +37,17 @@ ESCAPE_SAMPLES = 100  # points per geodesic in check_large_angle_escape
 SAMPLE_ROWS = 2**20  # level-set sample rows (or queries) one sampled stage may take
 
 
-def check_rows(rows, what):
-    """rows, if at most SAMPLE_ROWS; else SampleBudget, raised before
-    anything of that size is allocated."""
-    if not rows <= SAMPLE_ROWS:
-        raise SampleBudget(f"{what} needs {rows:.6g} sample rows, over the "
-                           f"budget of {SAMPLE_ROWS}")
+def check_rows(rows, what, budget=SAMPLE_ROWS):
+    """rows, if at most budget; else SampleBudget, raised before anything
+    of that size is allocated."""
+    if not rows <= budget:
+        raise SampleBudget(f"{what}: {rows:.6g}, over the budget of {budget}")
     return rows
 
 
-def sample_count(span, spacing, least, what):
+def sample_count(span, spacing, least):
     """max(least, ceil(span / spacing) + 1): samples at most `spacing` apart
-    over an arc of length span, both ends included, within SAMPLE_ROWS."""
-    check_rows(span / spacing + 1.0, what)
+    over an arc of length span, both ends included."""
     return max(least, int(math.ceil(span / spacing)) + 1)
 
 
@@ -79,8 +77,7 @@ class ConvexBody:
     # The row methods give each row the bits of project and dist; the batch
     # methods above are faster where those bits do not matter.
 
-    def project_rows(self, X):
-        return np.asarray([self.project(x) for x in X], float).reshape(np.shape(X))
+    project_rows = project_batch
 
     def dist_rows(self, X):
         return spaces.distance_rows(self.space, X, self.project_rows(X))
@@ -136,12 +133,6 @@ class LineBody(ConvexBody):
             d = spaces.distance(space, self.a, self.b)
             self.u = spaces._hyperboloid_unit_tangent(self.a, self.b, d)
 
-    def param_point(self, s):
-        """Unit-speed parametrization of the line."""
-        if self.space.kind == spaces.EUCLIDEAN:
-            return self.a + s * self.u
-        return math.cosh(s) * self.a + math.sinh(s) * self.u
-
     def project(self, x):
         if self.space.kind == spaces.EUCLIDEAN:
             x = np.asarray(x, float)
@@ -193,9 +184,6 @@ class SegmentBody(ConvexBody):
         self.line = LineBody(space, a, b)
         self.a, self.b = self.line.a, self.line.b
         self.length = spaces.distance(space, self.a, self.b)
-
-    def param_point(self, s):
-        return spaces.geodesic_point(self.space, self.a, self.b, s)
 
     def project(self, x):
         p = self.line.project(x)
@@ -381,26 +369,7 @@ class Window:
 
     def point(self, s):
         """The point at arc length s of the window's component (any real s)."""
-        body, eps, space = self.body, self.eps, self.body.space
-        if space.kind == spaces.EUCLIDEAN:
-            if body.kind == "point":
-                th = s / eps
-                return body.point + eps * np.array([math.cos(th), math.sin(th)])
-            if body.kind == "line":
-                side = 1.0 if self.component == "plus" else -1.0
-                return body.a + s * body.u + side * eps * body.normal
-            return self._stadium_point(s)
-        if body.kind == "point":  # hyperbolic circle
-            p = body.point
-            e1, e2 = spaces.hyperboloid_tangent_frame(p)
-            th = s / math.sinh(eps)
-            u = math.cos(th) * e1 + math.sin(th) * e2
-            return math.cosh(eps) * p + math.sinh(eps) * u
-        # hyperbolic equidistant curve: arc length s = cosh(eps) * axis length
-        side = 1.0 if self.component == "plus" else -1.0
-        s_axis = s / math.cosh(eps)
-        foot = body.param_point(s_axis)
-        return math.cosh(eps) * foot + math.sinh(eps) * side * body.normal
+        return self.points([s])[0]
 
     def _stadium_point(self, s):
         body, eps = self.body, self.eps
@@ -424,9 +393,10 @@ class Window:
         return body.a + eps * d
 
     def points(self, ss):
-        """(len(ss), ambient) rows point(s) over the arc lengths ss, each
-        made by point's own operations (the stadium's by point itself), so
-        each row has point's bits."""
+        """(len(ss), ambient) rows: the points at the arc lengths ss of the
+        window's component.  Each row is made by elementwise operations
+        (math's functions per element), so it has the same bits alone, as
+        point(s), or among rows."""
         body, eps, space = self.body, self.eps, self.body.space
         ss = np.asarray(ss, float)
         if space.kind == spaces.EUCLIDEAN:
@@ -509,11 +479,12 @@ def calibrate_delta(window, flow_time, delta, delta_prime):
     to within delta_prime of each other (sampled); the uniform-continuity
     constant linking delta to delta' is found empirically, not derived."""
     body, span = window.body, window.s_hi - window.s_lo
-    # the last halving's grid is the finest
-    sample_count(span, delta / 2.0 ** MAX_HALVINGS / 4.0, 8, "calibration")
+    # The last halving's grid is the finest.  Scene's SIGMA_ROWS bound on
+    # delta keeps it far below SAMPLE_ROWS, so this guards direct calls.
+    check_rows(span / (delta / 2.0 ** MAX_HALVINGS / 4.0) + 1.0, "calibration grid rows")
     for _ in range(MAX_HALVINGS + 1):
         spacing = delta / 4.0
-        pts = window.samples(sample_count(span, spacing, 8, "calibration"), endpoint=True)
+        pts = window.samples(sample_count(span, spacing, 8), endpoint=True)
         flowed = normal_flow(body, pts, flow_time)
         reach = max(1, int(math.ceil(2.0 * delta / spacing)))
         # pairs (i, i + off) for off = 1 .. reach + 1, one kernel call per offset

@@ -23,6 +23,12 @@ from .errors import GeometryError, StagedPreconditionError
 # condition (3) compares angles; a delta that needs more is refused, since
 # fewer samples would leave no pair within delta to compare.
 SIGMA_ROWS = 6000
+# Most bytes of check_small_relative's 3K x sigma angle matrix of doubles,
+# the one sampled array whose size is the product of two sample counts.
+ANGLE_BYTES = 2**28
+# Most K x K distance pairs of translate_gaps and diam_K_Kout.  Those passes
+# run in row blocks, so this bounds their time, not their memory.
+PAIR_ROWS = 2**30
 
 
 @dataclass
@@ -71,15 +77,22 @@ class Scene:
         """(spacing, K count, sigma count): the pipeline's K samples, at most
         spacing = sample_spacing (by default max(delta, span / 400)) apart,
         and its sigma samples, at most delta / 2 apart.  Raises SampleBudget
-        past retraction.SAMPLE_ROWS K samples and ValueError past SIGMA_ROWS
-        sigma samples, before anything is allocated."""
+        past PAIR_ROWS K x K pairs or ANGLE_BYTES of angle matrix, and
+        ValueError past SIGMA_ROWS sigma samples, before anything is
+        allocated."""
         span = self.window.s_hi - self.window.s_lo
         spacing = self.sample_spacing or max(self.delta, span / 400.0)
-        k_count = retraction.sample_count(span, spacing, 8, "sample_spacing")
+        retraction.check_rows((span / spacing + 1.0) ** 2,
+                              "sample_spacing: K x K distance pairs", PAIR_ROWS)
         if not span / (self.delta / 2.0) + 1.0 <= SIGMA_ROWS:
             raise ValueError(f"delta {self.delta} needs over {SIGMA_ROWS} sigma samples "
                              f"{self.delta / 2.0} apart on a window of length {span}")
-        return spacing, k_count, max(16, int(math.ceil(span / (self.delta / 2.0))) + 1)
+        k_count = retraction.sample_count(span, spacing, 8)
+        sig_count = retraction.sample_count(span, self.delta / 2.0, 16)
+        retraction.check_rows(3 * k_count * sig_count * 8,
+                              "smallness check: bytes of the 3K x sigma angle matrix",
+                              ANGLE_BYTES)
+        return spacing, k_count, sig_count
 
     def to_json(self):
         w = self.window

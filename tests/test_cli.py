@@ -242,6 +242,7 @@ CH1, SH1 = math.cosh(1.0), math.sinh(1.0)
     (point_scene_with(s_hi=True), []),
     ({"scene": "hyperbolic_axis", "overrides": {"delta": 1e-3}}, []),
     (point_scene_with(sample_spacing=1e-9), []),
+    (point_scene_with(sample_spacing=3e-4), []),
     ({"scene": "euclidean_point"}, ["--density", str(2**40)]),
 ], ids=["order_flag", "order_override", "order_fraction", "density_zero",
         "density_negative", "lambda_zero", "lambda_above_one", "lambda_override",
@@ -253,7 +254,7 @@ CH1, SH1 = math.cosh(1.0), math.sinh(1.0)
         "h2_line_off_sheet_end", "h2_segment_off_sheet_end", "r2_line_no_circle",
         "order_true", "delta_prime_true", "delta_true", "eps_true",
         "axis_eps_true", "sample_spacing_true", "window_end_true", "delta_past_sigma_samples",
-        "sample_spacing_past_budget", "density_past_budget"])
+        "sample_spacing_past_budget", "angle_matrix_past_budget", "density_past_budget"])
 def test_retract_rejects_bad_input(tmp_path, capsys, doc, flags):
     inp = write(tmp_path / "scene.json", doc)
     out = str(tmp_path / "report.json")

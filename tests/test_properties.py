@@ -462,8 +462,8 @@ def test_normal_flow_rows_match_one_point(seed, which, m, kind, per_row):
 @given(st.integers(0, 2**32 - 1), st.sampled_from(sorted(rt.LEVEL_SETS)),
        st.integers(0, 1), st.integers(1, 40), st.booleans())
 def test_window_samples_match_window_point(seed, level_set, component, count, endpoint):
-    """Window.samples and Window.points equal Window.point row by row, bit
-    for bit, on every level-set component, beyond the window too."""
+    """A row of Window.samples or Window.points has the bits of the one-row
+    call Window.point, on every level-set component, beyond the window too."""
     kind, body_kind = level_set
     space = PLANES[0] if kind == spaces.EUCLIDEAN else PLANES[1]
     rng = np.random.default_rng(seed)

@@ -26,6 +26,15 @@ def hyp_axis_body():
                        np.array([math.cosh(1), math.sinh(1), 0.0]))
 
 
+def param_point(body, s):
+    """Unit-speed parametrization of a line body, or of a segment body from a."""
+    if body.kind == "segment":
+        return spaces.geodesic_point(body.space, body.a, body.b, s)
+    if body.space.kind == spaces.EUCLIDEAN:
+        return body.a + s * body.u
+    return math.cosh(s) * body.a + math.sinh(s) * body.u
+
+
 def golden_section_min(f, a, b, iters=200):
     """Independent projection oracle: golden-section search on a convex f."""
     phi = (math.sqrt(5) - 1) / 2
@@ -77,18 +86,18 @@ def test_projection_against_golden_section_oracle():
                 x = np.array([math.cosh(s) * math.cosh(t),
                               math.sinh(s) * math.cosh(t), math.sinh(t)])
             t_star = golden_section_min(
-                lambda t: spaces.distance(body.space, x, body.param_point(t)),
+                lambda t: spaces.distance(body.space, x, param_point(body, t)),
                 -8.0, 8.0)
-            oracle = body.param_point(t_star)
+            oracle = param_point(body, t_star)
             assert spaces.distance(body.space, body.project(x), oracle) < 1e-6
 
     seg = rt.SegmentBody(E2, np.zeros(2), np.array([1.0, 0.0]))
     for _ in range(25):
         x = rng.uniform(-2, 2, 2)
         t_star = golden_section_min(
-            lambda t: float(np.linalg.norm(x - seg.param_point(t))),
+            lambda t: float(np.linalg.norm(x - param_point(seg, t))),
             0.0, seg.length)
-        assert np.linalg.norm(seg.project(x) - seg.param_point(t_star)) < 1e-6
+        assert np.linalg.norm(seg.project(x) - param_point(seg, t_star)) < 1e-6
 
 
 def test_projection_idempotent_and_distance_convex():
@@ -798,17 +807,28 @@ def allocation_peak(fn):
 
 
 def test_sample_budgets_refuse_before_allocating():
-    """The calibration grid's delta, sample_spacing and the query density
-    are checked against SAMPLE_ROWS before any row is allocated."""
+    """The calibration grid's delta and the query density are checked
+    against SAMPLE_ROWS, and sample_spacing against the K x K pairs and the
+    bytes of the 3K x sigma angle matrix, before anything is allocated."""
     window = rt.Window(hyp_axis_body(), 1.0, "plus", 0.0, 2.0)
-    doc = scenes.euclidean_point_scene().to_json()
-    doc["window"]["sample_spacing"] = 1e-9
     scene = scenes.euclidean_point_scene()
-    for fn in (lambda: rt.calibrate_delta(window, 2.0, 1e-9, 0.5),
-               lambda: scenes.Scene.from_json(doc),
-               lambda: scenes.run_pipeline(scene, density=2**40)):
+
+    def spaced(spacing):
+        doc = scene.to_json()
+        doc["window"]["sample_spacing"] = spacing
+        return lambda: scenes.Scene.from_json(doc)
+    for fn, what in [(lambda: rt.calibrate_delta(window, 2.0, 1e-9, 0.5), "calibration"),
+                     (spaced(1e-9), "K x K"), (spaced(1e-5), "K x K"),
+                     (spaced(3e-4), "angle matrix"),
+                     (lambda: scenes.run_pipeline(scene, density=2**40), "density")]:
         raised, peak = allocation_peak(fn)
-        assert isinstance(raised, SampleBudget) and peak < 2**20
+        assert isinstance(raised, SampleBudget) and what in str(raised)
+        assert peak < 2**20
+    # 3e-4 keeps K x K within PAIR_ROWS: only the angle matrix refuses it
+    span = scene.window.s_hi - scene.window.s_lo
+    assert (span / 3e-4 + 1.0) ** 2 <= scenes.PAIR_ROWS
+    _, k_count, sig_count = spaced(1e-3)().sampling()
+    assert 24 * k_count * sig_count <= scenes.ANGLE_BYTES and k_count ** 2 <= scenes.PAIR_ROWS
     # the calibration budget counts the grid of the last halving
     fine = 2.0 / (rt.SAMPLE_ROWS - 1) * 4.0 * 2.0 ** rt.MAX_HALVINGS
     with pytest.raises(SampleBudget):

@@ -41,13 +41,21 @@ def _load_input(path):
         return json.load(f)
 
 
+def _number(x, what, least=None):
+    """float(x), or, given least, x itself if an int >= least; never a JSON boolean."""
+    if isinstance(x, bool) or least is not None and not (isinstance(x, int) and x >= least):
+        kind = "number" if least is None else f"whole number >= {least}"
+        raise ValueError(f"{what} {x!r} is not a {kind}")
+    return float(x) if least is None else x
+
+
 def cmd_barycenter(args):
     try:
         doc = _load_input(args.input)
         prob, raw = barycenters.load_problem(doc)
         if not prob.P:
             raise ValueError("P must be nonempty")
-        lam = float(args.lam if args.lam is not None else raw["lambda"])
+        lam = _number(args.lam if args.lam is not None else raw["lambda"], "lambda")
         if not math.isfinite(lam):
             raise ValueError(f"lambda {lam} is not finite")
         if args.tol is not None:
@@ -74,14 +82,13 @@ def cmd_phase(args):
         doc = _load_input(args.input)
         space = spaces.ModelSpace.from_json(doc["space"])
         barycenters.check_sampled(space)
-        lambdas = [float(x) for x in doc["lambdas"]]
-        deltas = [float(x) for x in doc["deltas"]]
+        lambdas = [_number(x, "lambda") for x in doc["lambdas"]]
+        deltas = [_number(x, "delta") for x in doc["deltas"]]
         bad = [x for x in lambdas + deltas if not 0.0 < x < math.inf]
         if bad:
             raise ValueError(f"lambdas and deltas must be positive and finite, not {bad[0]}")
-        trials = args.trials if args.trials is not None else doc.get("trials", 100)
-        if not isinstance(trials, int) or trials < 1:
-            raise ValueError(f"trials {trials!r} is not a positive integer")
+        trials = _number(args.trials if args.trials is not None else doc.get("trials", 100),
+                         "trials", 1)
     except (KeyError, TypeError, ValueError, OSError, json.JSONDecodeError,
             GeometryError) as exc:
         print(f"barylab phase: bad input: {exc}", file=sys.stderr)
@@ -110,12 +117,11 @@ def cmd_subdivide(args):
             raise ValueError(f"complex: {violations[0]}")
         iota = simplicial.VertexMap.from_json(space, doc["vertex_map"])
         iota.check_total(complex_)
-        lam = float(args.lam if args.lam is not None else doc["lambda"])
+        lam = _number(args.lam if args.lam is not None else doc["lambda"], "lambda")
         if not 0.0 < lam < 1.0:
             raise ValueError(f"lambda {lam} outside (0, 1)")
-        order = int(args.order if args.order is not None else doc.get("order", 1))
-        if order < 0:
-            raise ValueError(f"order {order} is negative")
+        order = _number(args.order if args.order is not None else doc.get("order", 1),
+                        "order", 0)
         simplicial.check_budget(complex_.counts, order)
     except (KeyError, TypeError, ValueError, OSError, json.JSONDecodeError,
             GeometryError) as exc:
@@ -146,9 +152,7 @@ def cmd_retract(args):
         lam = args.lam if args.lam is not None else scene.lam
         if not 0.0 < lam < 1.0:
             raise ValueError(f"lambda {lam} outside (0, 1)")
-        order = args.order if args.order is not None else scene.order
-        if isinstance(order, bool) or not isinstance(order, int) or order < 0:
-            raise ValueError(f"order {order!r} is not a nonnegative integer")
+        order = _number(args.order if args.order is not None else scene.order, "order", 0)
         if args.density < 1:
             raise ValueError(f"density {args.density} is below 1")
         retraction.check_rows(args.density, "density")

@@ -64,20 +64,12 @@ class ConvexBody:
     def project(self, x):
         raise NotImplementedError
 
-    def project_batch(self, X):
-        return np.asarray([self.project(x) for x in X], float).reshape(np.shape(X))
+    def project_rows(self, X):
+        """project on each row of X, bit for bit (and dist_rows: dist)."""
+        raise NotImplementedError
 
     def dist(self, x):
         return spaces.distance(self.space, x, self.project(x))
-
-    def dist_batch(self, X):
-        X = np.asarray(X, float)
-        return spaces.paired_distances(self.space, X, self.project_batch(X))
-
-    # The row methods give each row the bits of project and dist; the batch
-    # methods above are faster where those bits do not matter.
-
-    project_rows = project_batch
 
     def dist_rows(self, X):
         return spaces.distance_rows(self.space, X, self.project_rows(X))
@@ -94,10 +86,8 @@ class PointBody(ConvexBody):
     def project(self, x):
         return self.point
 
-    def project_batch(self, X):
+    def project_rows(self, X):
         return np.tile(self.point, (len(X), 1))
-
-    project_rows = project_batch
 
     def to_json(self):
         return {"type": "point", "point": self.point.tolist()}
@@ -140,25 +130,11 @@ class LineBody(ConvexBody):
         s = spaces.minkowski_dot(np.asarray(x, float), self.normal)
         return (x - s * self.normal) / math.sqrt(1.0 + s * s)
 
-    def project_batch(self, X):
-        X = np.asarray(X, float)
-        if self.space.kind == spaces.EUCLIDEAN:
-            t = (X - self.a) @ self.u
-            return self.a[None, :] + t[:, None] * self.u[None, :]
-        s = spaces.minkowski_rows(X, np.tile(self.normal, (len(X), 1)))
-        return (X - s[:, None] * self.normal[None, :]) / np.sqrt(1.0 + s * s)[:, None]
-
     def dist(self, x):
         if self.space.kind == spaces.HYPERBOLOID:
             return math.asinh(abs(spaces.minkowski_dot(np.asarray(x, float),
                                                        self.normal)))
         return super().dist(x)
-
-    def dist_batch(self, X):
-        if self.space.kind == spaces.HYPERBOLOID:
-            return np.arcsinh(np.abs(spaces.minkowski_rows(np.asarray(X, float),
-                                                           self.normal[None, :])))
-        return super().dist_batch(X)
 
     def project_rows(self, X):
         X = np.asarray(X, float)
@@ -194,12 +170,12 @@ class SegmentBody(ConvexBody):
         return self.a if spaces.distance(self.space, x, self.a) <= \
             spaces.distance(self.space, x, self.b) else self.b
 
-    def project_batch(self, X):
-        if self.space.kind == spaces.EUCLIDEAN:
-            X = np.asarray(X, float)
-            t = np.clip((X - self.a) @ self.line.u, 0.0, self.length)
-            return self.a[None, :] + t[:, None] * self.line.u[None, :]
-        return super().project_batch(X)
+    def project_rows(self, X):
+        space, P = self.space, self.line.project_rows(X)
+        on = (spaces.distance_rows(space, self.a, P) + spaces.distance_rows(space, P, self.b)
+              <= self.length + 100 * space.tol)
+        near_a = spaces.distance_rows(space, X, self.a) <= spaces.distance_rows(space, X, self.b)
+        return np.where(on[:, None], P, np.where(near_a[:, None], self.a, self.b))
 
     def to_json(self):
         return {"type": "segment", "a": self.a.tolist(), "b": self.b.tolist()}
@@ -265,7 +241,7 @@ def _angles_to_C(body, Q):
     its length) are computed once.  Each entry is the same elementwise
     formula whatever the block, so its bits do not depend on the blocking."""
     Q = np.asarray(Q, float)
-    P = body.project_batch(Q)
+    P = body.project_rows(Q)
     if body.space.kind == spaces.EUCLIDEAN:
         u2 = (P - Q) / np.linalg.norm(P - Q, axis=1)[:, None]
 
@@ -300,7 +276,7 @@ def check_large_angle_escape(body, eps, q, q_prime, enforce_angle=True, angles=N
     space, tol = body.space, body.space.tol
     Q = np.asarray(q, float).reshape(-1, space.ambient_dim)
     QP = np.asarray(q_prime, float).reshape(Q.shape)
-    if np.any(np.abs(body.dist_batch(Q) - eps) > 100 * tol):
+    if np.any(np.abs(body.dist_rows(Q) - eps) > 100 * tol):
         raise PreconditionError("q does not lie on the eps-level set")
     if enforce_angle:
         if angles is None:
@@ -312,7 +288,7 @@ def check_large_angle_escape(body, eps, q, q_prime, enforce_angle=True, angles=N
     for rows in spaces.row_blocks(len(Q), ESCAPE_SAMPLES):
         T = spaces.distance_rows(space, Q[rows], QP[rows])[:, None] * frac
         pts = spaces.geodesic_rows(space, Q[rows], QP[rows], T)
-        inside = body.dist_batch(pts.reshape(-1, space.ambient_dim)) <= eps
+        inside = body.dist_rows(pts.reshape(-1, space.ambient_dim)) <= eps
         escapes[rows] = ~inside.reshape(-1, ESCAPE_SAMPLES).any(axis=1)
     return escapes if np.ndim(q) > 1 else bool(escapes[0])
 
@@ -470,8 +446,8 @@ class PushOffGrid:
 
 
 def _push_off_distance(body, eps, points):
-    """min over points of d(p, C) - eps, by the body's batched distance."""
-    return float(np.min(body.dist_batch(points))) - eps
+    """min over points of d(p, C) - eps, each d(p, C) with the bits of body.dist."""
+    return float(np.min(body.dist_rows(points))) - eps
 
 
 def calibrate_delta(window, flow_time, delta, delta_prime):
@@ -603,13 +579,13 @@ def check_small_relative(body, eps, gaps, K_out_samples, sigma_samples, delta,
 
     # (2) the delta'-neighborhood of K_out avoids the eps-neighborhood
     K_out = np.asarray(K_out_samples, float)
-    gaps = body.dist_batch(K_out) - eps
+    gaps = body.dist_rows(K_out) - eps
     cond2_margin = float(np.min(gaps)) - delta_prime
     cond2_ok = cond2_margin > tol
 
     # (3) angle-variation gate
     gate = ALPHA / 2.0 - math.pi / 4.0
-    inward = np.minimum(0.5 * delta_prime, body.dist_rows(K_out) - eps - tol)
+    inward = np.minimum(0.5 * delta_prime, gaps - tol)
     flowed = np.stack([normal_flow(body, K_out, 0.5 * delta_prime),
                        normal_flow(body, K_out, -inward)], axis=1)
     out_aug = np.concatenate([K_out, flowed.reshape(-1, K_out.shape[1])])

@@ -366,7 +366,7 @@ def run_pipeline(scene, lam=None, order=None, density=200, seed=0):
         s_rows, spaces.paired_distances(space, r_rows, rr_rows).tolist()))
     if body.kind == "point":
         radial = Q.copy()
-        off = np.flatnonzero(np.abs(body.dist_batch(Q) - eps) > tol)
+        off = np.flatnonzero(np.abs(body.dist_rows(Q) - eps) > tol)
         radial[off] = retraction.normal_flow(body, Q[off], eps - body.dist_rows(Q[off]))
         report.radial_rows = list(zip(
             s_rows, spaces.paired_distances(space, r_rows, radial).tolist()))
@@ -391,7 +391,7 @@ def run_pipeline(scene, lam=None, order=None, density=200, seed=0):
     Q_in = retraction.normal_flow(body, Q[::4], -grid.delta / 4.0)
     r_in = np.array([retractor.retract(q)[0] for q in Q_in])
     rr_in = np.array([retractor.retract(r)[0] for r in r_in])
-    report.interior_rows = list(zip(s_in, np.abs(body.dist_batch(r_in) - eps).tolist()))
+    report.interior_rows = list(zip(s_in, np.abs(body.dist_rows(r_in) - eps).tolist()))
     report.idempotence_rows += list(zip(
         s_in, spaces.paired_distances(space, r_in, rr_in).tolist()))
 

@@ -137,12 +137,15 @@ def unit_edge_with(**changes):
                    vertex_map={"0": [1, 0, 0], "1": [0, 1, 0]}),
     unit_edge_with(**{"lambda": 1.0}),
     unit_edge_with(order=-1),
+    unit_edge_with(order=2.7),
+    unit_edge_with(order=True),
     unit_edge_with(vertex_map={"0": [math.nan], "1": [1.0]}),
     unit_edge_with(space={"kind": "finite", "dim": 3,
                           "matrix": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]},
                    vertex_map={"0": 0, "1": 2.5}),
 ], ids=["not_face_closed", "unlisted_vertex", "vertex_map_misses_vertex",
-        "sphere", "lambda_one", "negative_order", "label_nan", "label_fraction"])
+        "sphere", "lambda_one", "negative_order", "order_fraction", "order_boolean",
+        "label_nan", "label_fraction"])
 def test_subdivide_rejects_bad_input(tmp_path, capsys, doc):
     inp = write(tmp_path / "s.json", doc)
     out = str(tmp_path / "shrink.csv")
@@ -410,8 +413,12 @@ BARYCENTER = {"space": CIRCLE, "P": TRIPLE, "Q": [], "lambda": 0.9}
     ("phase", {**PHASE, "trials": -3}, []),
     ("phase", {**PHASE, "trials": 2.5}, []),
     ("phase", PHASE, ["--trials", "0"]),
+    ("phase", {**PHASE, "trials": True}, []),
+    ("phase", {**PHASE, "lambdas": [True]}, []),
+    ("phase", {**PHASE, "deltas": [True]}, []),
     ("barycenter", {**BARYCENTER, "lambda": math.nan}, []),
     ("barycenter", {**BARYCENTER, "lambda": "high"}, []),
+    ("barycenter", {**BARYCENTER, "lambda": True}, []),
     ("barycenter", BARYCENTER, ["--lambda", "inf"]),
     ("barycenter", BARYCENTER, ["--tol", "0"]),
     ("barycenter", {"space": EUCLID, "P": [[0, 0], [math.nan, 1]], "lambda": 0.9}, []),
@@ -428,9 +435,10 @@ BARYCENTER = {"space": CIRCLE, "P": TRIPLE, "Q": [], "lambda": 0.9}
                     "P": [0, 2.5], "lambda": 0.9}, []),
 ], ids=["phase_delta_negative", "phase_delta_zero", "phase_lambda_nan",
         "phase_lambdas_not_list", "phase_trials_negative", "phase_trials_fraction",
-        "phase_trials_flag_zero", "barycenter_lambda_nan", "barycenter_lambda_text",
-        "barycenter_lambda_flag_inf", "barycenter_tol_zero", "barycenter_r2_nan",
-        "barycenter_r2_inf", "barycenter_h2_nan", "barycenter_h2_inf",
+        "phase_trials_flag_zero", "phase_trials_boolean", "phase_lambda_boolean",
+        "phase_delta_boolean", "barycenter_lambda_nan", "barycenter_lambda_text",
+        "barycenter_lambda_boolean", "barycenter_lambda_flag_inf", "barycenter_tol_zero",
+        "barycenter_r2_nan", "barycenter_r2_inf", "barycenter_h2_nan", "barycenter_h2_inf",
         "barycenter_circle_nan", "barycenter_circle_q_inf", "barycenter_finite_fraction"])
 def test_rejects_bad_numbers(tmp_path, capsys, command, doc, flags):
     inp = write(tmp_path / "in.json", doc)

@@ -80,9 +80,11 @@ def draw_rows(space, rng, m):
 @given(st.integers(0, 2**32 - 1), st.sampled_from(range(len(KERNEL_SPACES))),
        st.integers(0, 6), st.integers(0, 6))
 def test_distance_entry_points_are_paired_distances(seed, which, m, n):
-    """distances_to, cross_distances, pairwise_diameter over three or more
-    points and the batched distance to point, segment and (in R^2) line
-    bodies equal paired_distances bit for bit, empty inputs included."""
+    """distances_to, cross_distances and pairwise_diameter over three or more
+    points equal paired_distances bit for bit, empty inputs included; every
+    row of project_rows and dist_rows of a point, line and segment body
+    equals the one-point project and dist bit for bit, with rows drawn
+    beyond either end of the segment."""
     space = KERNEL_SPACES[which]
     rng = np.random.default_rng(seed)
     A, B, Y = draw_rows(space, rng, m), draw_rows(space, rng, n), draw_rows(space, rng, 2)
@@ -95,12 +97,20 @@ def test_distance_entry_points_are_paired_distances(seed, which, m, n):
         assert spaces.pairwise_diameter(space, A) == want
     if space not in PLANES or spaces.distance(space, Y[0], Y[1]) <= 1e-6:
         return
-    bodies = [rt.PointBody(space, Y[0]), rt.SegmentBody(space, Y[0], Y[1])]
-    if space.kind == spaces.EUCLIDEAN:
-        bodies.append(rt.LineBody(space, Y[0], Y[1]))
-    for body in bodies:
-        assert np.array_equal(body.dist_batch(A),
-                              spaces.paired_distances(space, A, body.project_batch(A)))
+    # off the line at eps, three feet before a and three past b, each 3e-7 to
+    # 2 from its end (the window's arc length along a line in H^2 is cosh(eps)
+    # times the foot's)
+    line, segment = rt.LineBody(space, Y[0], Y[1]), rt.SegmentBody(space, Y[0], Y[1])
+    eps = rng.uniform(0.1, 1.0)
+    past = 10.0 ** rng.uniform(-6.5, 0.3, 6)
+    feet = np.concatenate([-past[:3], segment.length + past[3:]])
+    window = rt.Window(line, eps, str(rng.choice(["minus", "plus"])), 0.0, 1.0)
+    beyond = window.points(feet * (1.0 if space.kind == spaces.EUCLIDEAN else math.cosh(eps)))
+    assert np.array_equal(segment.project_rows(beyond), np.repeat(Y, 3, axis=0))
+    X = np.concatenate([A, beyond])
+    for body in [rt.PointBody(space, Y[0]), line, segment]:
+        assert np.array_equal(body.project_rows(X), [body.project(x) for x in X])
+        assert np.array_equal(body.dist_rows(X), [body.dist(x) for x in X])
 
 
 def plane_isometry(space, rng):

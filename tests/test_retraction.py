@@ -202,7 +202,7 @@ def frozen_angles_to_C(body, Q, q_prime):
     """The angle row of one q' as _angles_to_C computed it before its q'
     rows came in blocks."""
     Q = np.asarray(Q, float)
-    P = body.project_batch(Q)
+    P = body.project_rows(Q)
     if body.space.kind == spaces.EUCLIDEAN:
         u2 = (P - Q) / np.linalg.norm(P - Q, axis=1)[:, None]
         u1 = np.asarray(q_prime, float)[None, :] - Q
@@ -255,7 +255,7 @@ def frozen_escape(body, eps, q, q_prime, enforce_angle=True):
         pts = geo._x + (ts / geo.length)[:, None] * geo._dir
     else:
         pts = np.cosh(ts)[:, None] * geo._x + np.sinh(ts)[:, None] * geo._dir
-    return not np.any(body.dist_batch(pts) <= eps)
+    return not np.any(body.dist_rows(pts) <= eps)
 
 
 @pytest.mark.parametrize("body, component", [

@@ -31,7 +31,6 @@ from .retraction import (
     check_large_angle_escape,
     check_small_relative,
     extend_to_pushoff,
-    flow_to_infinity,
     normal_flow,
 )
 from .scenes import Scene, run_pipeline
@@ -45,15 +44,11 @@ from .simplicial import (
     validate,
 )
 from .spaces import (
-    BoundaryPoint,
     Isometry,
     ModelSpace,
     angle_at,
-    apply_isometry,
     distance,
     geodesic_point,
-    gromov_product,
-    visual_metric,
 )
 from .subdivision import (
     ShrinkRecord,

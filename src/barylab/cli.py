@@ -16,7 +16,7 @@ import sys
 import tempfile
 
 from . import barycenters, retraction, scenes, simplicial, spaces, subdivision
-from .errors import GeometryError
+from .errors import GeometryError, check_budget
 
 
 def _atomic_write(path, text):
@@ -155,7 +155,7 @@ def cmd_retract(args):
         order = _number(args.order if args.order is not None else scene.order, "order", 0)
         if args.density < 1:
             raise ValueError(f"density {args.density} is below 1")
-        retraction.check_rows(args.density, "density")
+        check_budget(args.density, retraction.SAMPLE_ROWS, f"density {args.density}")
     except (KeyError, TypeError, ValueError, OverflowError, OSError, json.JSONDecodeError,
             GeometryError) as exc:
         print(f"barylab retract: bad input: {exc}", file=sys.stderr)

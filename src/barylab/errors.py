@@ -1,4 +1,4 @@
-"""Exception types shared across barylab modules."""
+"""Exception types shared across barylab modules, and the one size-budget check."""
 
 
 class GeometryError(Exception):
@@ -78,9 +78,12 @@ class PipelineInconsistency(GeometryError):
     """An internal consistency guarantee was violated upstream."""
 
 
-class SubdivisionBudget(GeometryError):
-    """A subdivision would exceed its element budget (nothing allocated)."""
+class BudgetExceeded(GeometryError):
+    """A stage would exceed one of its size budgets (nothing allocated)."""
 
 
-class SampleBudget(GeometryError):
-    """A sampled stage would exceed its row budget (nothing allocated)."""
+def check_budget(amount, budget, message):
+    """Raise BudgetExceeded unless amount <= budget (NaN is refused);
+    message names the amount and what it counts."""
+    if not amount <= budget:
+        raise BudgetExceeded(f"{message}, over the budget of {budget}")

@@ -21,9 +21,9 @@ from .errors import (
     CalibrationError,
     PipelineInconsistency,
     PreconditionError,
-    SampleBudget,
     StagedPreconditionError,
     UndefinedNormal,
+    check_budget,
 )
 
 # The angle alpha of the push-off grid: witnesses sit on the outward normal,
@@ -35,14 +35,6 @@ ITP_STEPS = math.ceil(math.log2(1.0 / (2.0 * ITP_EPS))) + ITP_N0  # n_max = 52
 MAX_HALVINGS = 5  # of delta in calibrate_delta before it gives up
 ESCAPE_SAMPLES = 100  # points per geodesic in check_large_angle_escape
 SAMPLE_ROWS = 2**20  # level-set sample rows (or queries) one sampled stage may take
-
-
-def check_rows(rows, what, budget=SAMPLE_ROWS):
-    """rows, if at most budget; else SampleBudget, raised before anything
-    of that size is allocated."""
-    if not rows <= budget:
-        raise SampleBudget(f"{what}: {rows:.6g}, over the budget of {budget}")
-    return rows
 
 
 def sample_count(span, spacing, least):
@@ -216,16 +208,6 @@ def normal_flow(body, x, t):
     return np.where((T == 0.0)[:, None], X, out).reshape(x.shape)
 
 
-def flow_to_infinity(body, x):
-    """Ideal endpoint of the outward normal ray (hyperboloid spaces)."""
-    if body.space.kind != spaces.HYPERBOLOID:
-        raise ValueError("flow_to_infinity targets the visual boundary of H^n")
-    d = body.dist(x)
-    if d <= body.space.tol:
-        raise UndefinedNormal("normal ray undefined on the body itself")
-    return spaces.boundary_point_of_ray(body.space, body.project(x), x)
-
-
 def angle_to_C(body, q, q_prime):
     """Angle at q between q' and the projection of q onto the body."""
     d = body.dist(q)
@@ -347,27 +329,6 @@ class Window:
         """The point at arc length s of the window's component (any real s)."""
         return self.points([s])[0]
 
-    def _stadium_point(self, s):
-        body, eps = self.body, self.eps
-        L = body.length
-        cap = math.pi * eps
-        s = s % loop_length(body, eps)
-        u, n = body.line.u, body.line.normal
-        if s < L:  # top edge, a->b
-            return body.a + s * u + eps * n
-        s -= L
-        if s < cap:  # cap around b, +n to -n
-            th = s / eps
-            d = math.cos(th) * n + math.sin(th) * u
-            return body.b + eps * d
-        s -= cap
-        if s < L:  # bottom edge, b->a
-            return body.b - s * u - eps * n
-        s -= L
-        th = s / eps  # cap around a, -n to +n
-        d = -math.cos(th) * n - math.sin(th) * u
-        return body.a + eps * d
-
     def points(self, ss):
         """(len(ss), ambient) rows: the points at the arc lengths ss of the
         window's component.  Each row is made by elementwise operations
@@ -383,7 +344,7 @@ class Window:
             if body.kind == "line":
                 side = 1.0 if self.component == "plus" else -1.0
                 return body.a + ss[:, None] * body.u + side * eps * body.normal
-            return np.array([self._stadium_point(s) for s in ss.tolist()]).reshape(-1, 2)
+            return self._stadium_points(ss)
         if body.kind == "point":  # hyperbolic circle
             p = body.point
             e1, e2 = spaces.hyperboloid_tangent_frame(p)
@@ -395,6 +356,25 @@ class Window:
         foot = (spaces.each(math.cosh, s_axis)[:, None] * body.a
                 + spaces.each(math.sinh, s_axis)[:, None] * body.u)
         return math.cosh(eps) * foot + math.sinh(eps) * side * body.normal
+
+    def _stadium_points(self, ss):
+        """The stadium around a segment body, from a along its top edge.  s0
+        is s modulo the loop; s1, s2, s3 take off L, the cap and L in turn,
+        and the first piece whose offset falls inside it wins."""
+        body, eps = self.body, self.eps
+        L, cap, u, n = body.length, math.pi * eps, body.line.u, body.line.normal
+        s0 = np.mod(ss, loop_length(body, eps))[:, None]
+        s1 = s0 - L
+        s2 = s1 - cap
+        s3 = s2 - L
+        th = np.where(s1 < cap, s1, s3) / eps
+        c, sn = spaces.each(math.cos, th), spaces.each(math.sin, th)
+        return np.select(
+            [s0 < L, s1 < cap, s2 < L],
+            [body.a + s0 * u + eps * n,  # top edge, a->b
+             body.b + eps * (c * n + sn * u),  # cap around b, +n to -n
+             body.b - s2 * u - eps * n],  # bottom edge, b->a
+            body.a + eps * (-c * n - sn * u))  # cap around a, -n to +n
 
     def samples(self, count, endpoint):
         """(count, ambient) rows point(s) over np.linspace(s_lo, s_hi, count)."""
@@ -457,7 +437,8 @@ def calibrate_delta(window, flow_time, delta, delta_prime):
     body, span = window.body, window.s_hi - window.s_lo
     # The last halving's grid is the finest.  Scene's SIGMA_ROWS bound on
     # delta keeps it far below SAMPLE_ROWS, so this guards direct calls.
-    check_rows(span / (delta / 2.0 ** MAX_HALVINGS / 4.0) + 1.0, "calibration grid rows")
+    rows = span / (delta / 2.0 ** MAX_HALVINGS / 4.0) + 1.0
+    check_budget(rows, SAMPLE_ROWS, f"calibration grid: {rows:.6g} rows")
     for _ in range(MAX_HALVINGS + 1):
         spacing = delta / 4.0
         pts = window.samples(sample_count(span, spacing, 8), endpoint=True)
@@ -604,25 +585,22 @@ def check_small_relative(body, eps, gaps, K_out_samples, sigma_samples, delta,
 
 def _pair_variation(A, points, space, radius, axis):
     """Max |A difference| between the rows (axis 0) or the columns (axis 1)
-    of A at index pairs i < j whose points lie within radius.  The column
-    pass takes its candidate pairs from a NeighbourIndex and gathers the
-    columns of A in blocks of pairs."""
+    of A at index pairs i < j whose points lie within radius.  A
+    NeighbourIndex gives the candidate pairs of a block of points i at a
+    time, at most BLOCK_ROWS; the rows of A or A.T are gathered in blocks of
+    pairs."""
     pts = np.asarray(points)
-    worst = 0.0
-    if axis == 0:
-        for i in range(len(pts)):
-            d = spaces.distances_to(space, pts[i + 1:], pts[i])
-            js = i + 1 + np.nonzero(d <= radius)[0]
-            if len(js):
-                worst = max(worst, float(np.max(np.abs(A[i] - A[js]))))
-        return worst
-    ii, jj = covers.NeighbourIndex(space, pts, radius).pairs(pts, radius)
-    ii, jj = ii[ii < jj], jj[ii < jj]
-    close = spaces.paired_distances(space, pts[jj], pts[ii]) <= radius
-    ii, jj = ii[close], jj[close]
-    for pairs in spaces.row_blocks(len(ii), len(A)):
-        diff = np.abs(A[:, ii[pairs]] - A[:, jj[pairs]])
-        worst = max(worst, float(np.max(diff, initial=0.0)))
+    B = A if axis == 0 else A.T
+    index, worst = covers.NeighbourIndex(space, pts, radius), 0.0
+    for rows in spaces.row_blocks(len(pts), len(pts)):
+        ii, jj = index.pairs(pts[rows], radius)
+        ii += rows.start
+        ii, jj = ii[ii < jj], jj[ii < jj]
+        close = spaces.paired_distances(space, pts[jj], pts[ii]) <= radius
+        ii, jj = ii[close], jj[close]
+        for pairs in spaces.row_blocks(len(ii), B.shape[1]):
+            diff = np.abs(B[ii[pairs]] - B[jj[pairs]])
+            worst = max(worst, float(np.max(diff, initial=0.0)))
     return worst
 
 

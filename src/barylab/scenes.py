@@ -17,7 +17,7 @@ import numpy as np
 
 from . import covers, retraction, simplicial, spaces
 from .barycenters import SQRT3_OVER_2
-from .errors import GeometryError, StagedPreconditionError
+from .errors import GeometryError, StagedPreconditionError, check_budget
 
 # Most samples of sigma, the level-set samples at most delta/2 apart on which
 # condition (3) compares angles; a delta that needs more is refused, since
@@ -57,7 +57,8 @@ class Scene:
         return self.window.body.space
 
     def __post_init__(self):
-        """Reject, with ValueError, numbers that no stage can run on (the window checks its own)."""
+        """Reject, with ValueError, numbers that no stage can run on (the window checks its own),
+        and, with InvalidCoordinates, interior points outside the space."""
         spacing = self.sample_spacing
         numbers = [self.R, self.delta, self.delta_prime]
         fields = numbers + [self.lam, self.order, spacing]
@@ -71,27 +72,29 @@ class Scene:
                 raise ValueError(
                     f"scene needs {rule}: eps {self.eps}, R {self.R}, delta {self.delta}, "
                     f"delta_prime {self.delta_prime}, sample_spacing {spacing}")
+        for p in self.interior_points:
+            self.space.check_point(p)
         self.sampling()
 
     def sampling(self):
         """(spacing, K count, sigma count): the pipeline's K samples, at most
         spacing = sample_spacing (by default max(delta, span / 400)) apart,
-        and its sigma samples, at most delta / 2 apart.  Raises SampleBudget
-        past PAIR_ROWS K x K pairs or ANGLE_BYTES of angle matrix, and
-        ValueError past SIGMA_ROWS sigma samples, before anything is
-        allocated."""
+        and its sigma samples, at most delta / 2 apart.  Raises BudgetExceeded
+        past PAIR_ROWS K x K pairs, SIGMA_ROWS sigma samples or ANGLE_BYTES
+        of angle matrix, before anything is allocated."""
         span = self.window.s_hi - self.window.s_lo
         spacing = self.sample_spacing or max(self.delta, span / 400.0)
-        retraction.check_rows((span / spacing + 1.0) ** 2,
-                              "sample_spacing: K x K distance pairs", PAIR_ROWS)
-        if not span / (self.delta / 2.0) + 1.0 <= SIGMA_ROWS:
-            raise ValueError(f"delta {self.delta} needs over {SIGMA_ROWS} sigma samples "
-                             f"{self.delta / 2.0} apart on a window of length {span}")
+        pairs = (span / spacing + 1.0) ** 2
+        check_budget(pairs, PAIR_ROWS,
+                     f"sample_spacing {spacing}: {pairs:.6g} K x K distance pairs")
+        sigma = span / (self.delta / 2.0) + 1.0
+        check_budget(sigma, SIGMA_ROWS, f"delta {self.delta}: {sigma:.6g} sigma samples "
+                     f"{self.delta / 2.0} apart on a window of length {span}")
         k_count = retraction.sample_count(span, spacing, 8)
         sig_count = retraction.sample_count(span, self.delta / 2.0, 16)
-        retraction.check_rows(3 * k_count * sig_count * 8,
-                              "smallness check: bytes of the 3K x sigma angle matrix",
-                              ANGLE_BYTES)
+        angle_bytes = 3 * k_count * sig_count * 8
+        check_budget(angle_bytes, ANGLE_BYTES,
+                     f"smallness check: {angle_bytes} bytes of the 3K x sigma angle matrix")
         return spacing, k_count, sig_count
 
     def to_json(self):
@@ -282,7 +285,7 @@ def run_pipeline(scene, lam=None, order=None, density=200, seed=0):
     report = RetractionReport(scene=scene.to_json(), lam=lam, order=order,
                               seed=seed)
 
-    retraction.check_rows(density, "density")
+    check_budget(density, retraction.SAMPLE_ROWS, f"density {density}")
     spacing, k_count, sig_count = scene.sampling()
     span = window.s_hi - window.s_lo
     K_sigma = window.samples(k_count, endpoint=True)

@@ -19,8 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import SubdivisionBudget, UnknownSimplex
-from . import spaces
+from .errors import UnknownSimplex
+from . import errors, spaces
 
 # Largest complex, in simplices, that barycentric_subdivision builds.  The
 # order-3 half-window hyperbolic_axis run builds 1,126,369 simplices at its
@@ -70,15 +70,13 @@ def _flags(n, length):
 
 
 def check_budget(counts, stages=1):
-    """Raise SubdivisionBudget, allocating nothing, if one of `stages`
+    """Raise BudgetExceeded, allocating nothing, if one of `stages`
     subdivisions of a complex of `counts` simplices by dimension is too big."""
     for stage in range(1, stages + 1):
         counts = [sum(n * _flags(k + 1, length) for k, n in enumerate(counts))
                   for length in range(1, len(counts) + 1)]
-        if sum(counts) > SUBDIVISION_BUDGET:
-            raise SubdivisionBudget(
-                f"subdivision stage {stage} would build {sum(counts)} simplices, "
-                f"above the budget of {SUBDIVISION_BUDGET}")
+        errors.check_budget(sum(counts), SUBDIVISION_BUDGET,
+                            f"subdivision stage {stage} would build {sum(counts)} simplices")
 
 
 class SimplicialComplex:
@@ -205,7 +203,7 @@ def barycentric_subdivision(complex_):
     """Barycentric subdivision with vertex provenance: the vertices are the
     simplices J of the input, the k-simplices the chains J_1 < ... < J_{k+1},
     one flag pattern per simplex dimension applied to the face tables.
-    Raises SubdivisionBudget above SUBDIVISION_BUDGET simplices."""
+    Raises BudgetExceeded above SUBDIVISION_BUDGET simplices."""
     check_budget(complex_.counts)
     n, top = int(complex_.offsets[-1]), complex_.dimension
     start = int(complex_.ids.max(initial=-1)) + 1

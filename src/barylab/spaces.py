@@ -59,7 +59,7 @@ def each(fn, x):
     passes take their transcendentals this way to keep the bits of the
     one-point path, which numpy's vector kernels do not round alike."""
     x = np.asarray(x, dtype=float)
-    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    return np.fromiter(map(fn, x.flat), float, x.size).reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -406,76 +406,6 @@ def angle_at(space, o, p, q):
 
 
 @dataclass(frozen=True)
-class BoundaryPoint:
-    """Ideal endpoint of a geodesic ray, encoded as a unit direction vector."""
-
-    direction: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.direction, dtype=float)
-        n = np.linalg.norm(d)
-        if abs(n - 1.0) > 1e-7:
-            raise InvalidCoordinates(f"boundary direction has norm {n}, expected 1")
-        d = d / n
-        d.flags.writeable = False
-        object.__setattr__(self, "direction", d)
-
-
-def ray_point(space, o, xi, t):
-    """Point at parameter t on the unit-speed ray from o toward boundary point xi."""
-    if space.kind == EUCLIDEAN:
-        return np.asarray(o, float) + t * xi.direction
-    if space.kind != HYPERBOLOID:
-        raise ValueError("rays to the boundary need a Euclidean or hyperboloid space")
-    o = np.asarray(o, dtype=float)
-    return math.cosh(t) * o + math.sinh(t) * _ray_tangent(o, xi)
-
-
-def _ray_tangent(o, xi):
-    """Unit tangent at the hyperboloid point o of the ray toward xi."""
-    ell = np.concatenate(([1.0], xi.direction))  # null vector of the ideal class
-    return -ell / minkowski_dot(ell, o) - o  # <u,u> = 1, <u,o> = 0
-
-
-def boundary_point_of_ray(space, o, x):
-    """Ideal endpoint of the geodesic ray from o through x."""
-    if space.kind == EUCLIDEAN:
-        v = np.asarray(x, float) - o
-        n = np.linalg.norm(v)
-        if n <= space.tol:
-            raise DegenerateGeodesic("ray direction undefined for coincident points")
-        return BoundaryPoint(v / n)
-    if space.kind != HYPERBOLOID:
-        raise ValueError("boundary points need a Euclidean or hyperboloid space")
-    o = np.asarray(o, dtype=float)
-    u = _hyperboloid_unit_tangent(o, np.asarray(x, float))
-    ell = o + u  # null: the ray cosh(t) o + sinh(t) u ~ (e^t/2) (o+u)
-    return BoundaryPoint(ell[1:] / ell[0])
-
-
-def gromov_product(space, o, xi, eta):
-    """(xi|eta)_o = lim_t t - d(gamma_{o xi}(t), gamma_{o eta}(t))/2.
-
-    In H^n the limit is -log sin(theta/2), theta the angle at o between the
-    two rays; sin(theta/2) = |u - v|/2 for their unit tangents u, v, which is
-    cancellation-free for nearby boundary points.  +inf when they coincide.
-    """
-    if space.kind != HYPERBOLOID:
-        raise ValueError("the Gromov product is computed on hyperboloid spaces")
-    if np.linalg.norm(xi.direction - eta.direction) <= space.tol:
-        return math.inf
-    o = np.asarray(o, dtype=float)
-    w = _ray_tangent(o, xi) - _ray_tangent(o, eta)
-    return -math.log(0.5 * math.sqrt(max(minkowski_dot(w, w), 0.0)))
-
-
-def visual_metric(space, o, xi, eta):
-    """rho_o(xi, eta) = exp(-(xi|eta)_o); 0 when xi = eta."""
-    g = gromov_product(space, o, xi, eta)
-    return 0.0 if math.isinf(g) else math.exp(-g)
-
-
-@dataclass(frozen=True)
 class Isometry:
     """Linear (plus translation, for Euclidean) map preserving the model form."""
 
@@ -564,12 +494,6 @@ class Isometry:
             y = y + self.translation
         return y
 
-    def apply_boundary(self, xi):
-        if self.kind == EUCLIDEAN:
-            return BoundaryPoint(self.matrix @ xi.direction)
-        ell = self.matrix @ np.concatenate(([1.0], xi.direction))
-        return BoundaryPoint(ell[1:] / ell[0])
-
     def compose(self, other):
         """self after other."""
         m = self.matrix @ other.matrix
@@ -603,9 +527,3 @@ class Isometry:
                         np.asarray(doc["translation"], dtype=float)
                         if "translation" in doc else None)
 
-
-def apply_isometry(g, x):
-    """Apply g to a space point or a boundary point."""
-    if isinstance(x, BoundaryPoint):
-        return g.apply_boundary(x)
-    return g.apply(x)

@@ -298,7 +298,7 @@ class SubdivisionResult:
 
 def iterate_subdivision(complex_, iota, lam, n, equivariance=None):
     """n successive lambda-shrinking subdivisions with provenance chained to
-    the original complex; SubdivisionBudget before any stage if one would
+    the original complex; BudgetExceeded before any stage if one would
     exceed the budget.  The record carries the final-stage data that
     verify_shrinking needs; the stage provenances locate a point's cell."""
     simplicial.check_budget(complex_.counts, n)

@@ -199,6 +199,13 @@ def body_scene(kind, dim, body, component):
 CH1, SH1 = math.cosh(1.0), math.sinh(1.0)
 
 
+def patch_with_interior(point):
+    """The hyperbolic_patch scene document with its first interior point replaced."""
+    doc = scenes.hyperbolic_patch_scene().to_json()
+    doc["window"]["interior_points"][0] = point
+    return doc
+
+
 @pytest.mark.parametrize("doc, flags", [
     ({"scene": "euclidean_point"}, ["--order", "-1"]),
     ({"scene": "euclidean_point", "overrides": {"order": -1}}, []),
@@ -247,6 +254,9 @@ CH1, SH1 = math.cosh(1.0), math.sinh(1.0)
     (point_scene_with(sample_spacing=1e-9), []),
     (point_scene_with(sample_spacing=3e-4), []),
     ({"scene": "euclidean_point"}, ["--density", str(2**40)]),
+    (patch_with_interior([0.3, 0.2, 5.0]), []),
+    (point_scene_with(interior_points=[[math.nan, 0.0]]), []),
+    (point_scene_with(interior_points=[[0.3]]), []),
 ], ids=["order_flag", "order_override", "order_fraction", "density_zero",
         "density_negative", "lambda_zero", "lambda_above_one", "lambda_override",
         "delta_zero", "delta_negative", "delta_prime_zero", "R_equal_eps",
@@ -257,7 +267,8 @@ CH1, SH1 = math.cosh(1.0), math.sinh(1.0)
         "h2_line_off_sheet_end", "h2_segment_off_sheet_end", "r2_line_no_circle",
         "order_true", "delta_prime_true", "delta_true", "eps_true",
         "axis_eps_true", "sample_spacing_true", "window_end_true", "delta_past_sigma_samples",
-        "sample_spacing_past_budget", "angle_matrix_past_budget", "density_past_budget"])
+        "sample_spacing_past_budget", "angle_matrix_past_budget", "density_past_budget",
+        "interior_off_sheet", "interior_nan", "interior_short"])
 def test_retract_rejects_bad_input(tmp_path, capsys, doc, flags):
     inp = write(tmp_path / "scene.json", doc)
     out = str(tmp_path / "report.json")

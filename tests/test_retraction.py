@@ -5,14 +5,16 @@ import math
 import numpy as np
 import pytest
 
-from barylab import covers, retraction as rt, scenes, spaces
+from barylab import covers, retraction as rt, scenes, simplicial, spaces
+from barylab import subdivision as sd
 from barylab.errors import (
+    BudgetExceeded,
     CalibrationError,
     InvalidCoordinates,
     PreconditionError,
-    SampleBudget,
     StagedPreconditionError,
     UndefinedNormal,
+    check_budget,
 )
 from test_spaces import frozen_geodesic_point
 
@@ -156,25 +158,6 @@ def test_normal_flow_examples():
         rt.normal_flow(pt, np.zeros(2), 1.0)
     with pytest.raises(PreconditionError):
         rt.normal_flow(pt, np.array([1.0, 0.0]), -2.0)
-
-
-def test_flow_to_infinity():
-    body = rt.PointBody(H2, np.array([1.0, 0, 0]))
-    x = np.array([math.cosh(1), math.sinh(1), 0.0])
-    xi = rt.flow_to_infinity(body, x)
-    assert np.allclose(xi.direction, [1.0, 0.0], atol=1e-12)
-    # flowing further gives the same ideal point
-    further = rt.normal_flow(body, x, 3.0)
-    xi2 = rt.flow_to_infinity(body, further)
-    assert np.allclose(xi.direction, xi2.direction, atol=1e-9)
-
-    axis = hyp_axis_body()
-    window = rt.Window(axis, 0.5, "plus", 0.0, 1.0)
-    a = rt.flow_to_infinity(axis, window.point(0.0))
-    b = rt.flow_to_infinity(axis, window.point(1.0))
-    assert np.linalg.norm(a.direction - b.direction) > 1e-3
-    rho = spaces.visual_metric(H2, np.array([1.0, 0, 0]), a, b)
-    assert rho > 0.0
 
 
 def test_angle_to_C():
@@ -368,6 +351,46 @@ def test_stadium_perimeter_closes():
     assert np.allclose(a, b, atol=1e-12)
 
 
+def frozen_stadium_point(window, s):
+    """Window.points of a segment body as the per-row loop it was."""
+    body, eps = window.body, window.eps
+    L = body.length
+    cap = math.pi * eps
+    s = s % rt.loop_length(body, eps)
+    u, n = body.line.u, body.line.normal
+    if s < L:  # top edge, a->b
+        return body.a + s * u + eps * n
+    s -= L
+    if s < cap:  # cap around b, +n to -n
+        th = s / eps
+        d = math.cos(th) * n + math.sin(th) * u
+        return body.b + eps * d
+    s -= cap
+    if s < L:  # bottom edge, b->a
+        return body.b - s * u - eps * n
+    s -= L
+    th = s / eps  # cap around a, -n to +n
+    d = -math.cos(th) * n - math.sin(th) * u
+    return body.a + eps * d
+
+
+def test_stadium_points_match_frozen_loop():
+    """The stadium rows equal the per-row loop bit for bit, at negative and
+    wrapped arc lengths and on the seams between its four pieces."""
+    rng = np.random.default_rng(17)
+    for a, b, eps in [((0.0, 0.0), (1.0, 0.0), 1.0), ((0.3, -1.2), (-2.1, 0.7), 0.37),
+                      ((5.0, 5.0), (5.0, 5.001), 2.5)]:
+        seg = rt.SegmentBody(E2, np.array(a), np.array(b))
+        window = rt.Window(seg, eps, "outer", 0.0, rt.loop_length(seg, eps))
+        L, cap = seg.length, math.pi * eps
+        seams = np.array([0.0, L, L + cap, 2 * L + cap, 2 * L + 2 * cap])
+        ss = np.concatenate([rng.uniform(-30.0, 30.0, 4000), seams, -seams,
+                             np.nextafter(seams, -np.inf), np.nextafter(seams, np.inf)])
+        frozen = np.array([frozen_stadium_point(window, s) for s in ss.tolist()])
+        assert np.array_equal(window.points(ss), frozen)
+    assert window.points(np.zeros(0)).shape == (0, 2)
+
+
 def test_calibration_shrinks_delta():
     body = hyp_axis_body()
     window = rt.Window(body, 1.0, "plus", 0.0, 2.0)
@@ -506,7 +529,9 @@ def test_check_small_relative_spec_example():
     assert rep.cond3_variation <= math.pi / 4
 
 
-def test_pair_variation_matches_per_pair_reference():
+def test_pair_variation_matches_per_pair_reference(monkeypatch):
+    """With the default blocks (one here) and with blocks of one row of
+    points and two pairs."""
     rng = np.random.default_rng(7)
     for space, pts in ((E2, rng.uniform(-1, 1, size=(60, 2))),
                        (H2, [rt.Window(hyp_axis_body(), 1.0, "plus", -2.0, 2.0).point(
@@ -521,14 +546,16 @@ def test_pair_variation_matches_per_pair_reference():
                             diff = AA[i] - AA[j] if axis == 0 else \
                                 AA[:, i] - AA[:, j]
                             ref = max(ref, float(np.max(np.abs(diff))))
-                got = rt._pair_variation(AA, pts, space, radius, axis=axis)
-                assert got == ref
+                for block_rows in (spaces.BLOCK_ROWS, 97):
+                    monkeypatch.setattr(spaces, "BLOCK_ROWS", block_rows)
+                    assert rt._pair_variation(AA, pts, space, radius, axis=axis) == ref
+                monkeypatch.undo()
 
 
 def test_pair_variation_finds_the_circle_wrap_pair():
     """The sigma samples of the closed euclidean_point window start and end
-    at one point; the column pass must pair them like the per-pair scan, and
-    its pairs span several column blocks (120 rows put 546 pairs in one)."""
+    at one point; both passes must pair them like the per-pair scan, and
+    their pairs span several blocks (120 rows put 546 pairs in one)."""
     scene = scenes.euclidean_point_scene()
     sigma = scene.window.samples(1048, endpoint=True)
     assert spaces.distance(E2, sigma[0], sigma[-1]) < 1e-12
@@ -543,6 +570,8 @@ def test_pair_variation_finds_the_circle_wrap_pair():
             ref = max(ref, float(np.max(np.abs(A[:, i] - A[:, j]))))
     got = rt._pair_variation(A, sigma, E2, scene.delta, axis=1)
     assert got == ref == float(np.max(np.abs(A[:, 0] - A[:, -1])))
+    # the row pass queries its pairs in blocks of rows (62 rows here)
+    assert rt._pair_variation(A.T.copy(), sigma, E2, scene.delta, axis=0) == ref
 
 
 def test_extension_staged_errors():
@@ -781,13 +810,13 @@ def test_scene_refuses_delta_past_sigma_samples():
     """A delta whose sigma samples, at most delta/2 apart, would number more
     than SIGMA_ROWS is refused: capped samples would leave no pair within
     delta, and condition (3) would compare nothing on sigma."""
-    with pytest.raises(ValueError, match="sigma samples"):
+    with pytest.raises(BudgetExceeded, match="sigma samples"):
         scenes.hyperbolic_axis_scene(delta=1e-3)  # 12,346 samples
     window = scenes.hyperbolic_axis_scene().window
     span = window.s_hi - window.s_lo
     at_cap = 2.0 * span / (scenes.SIGMA_ROWS - 1.5)
     assert scenes.hyperbolic_axis_scene(delta=at_cap).sampling()[2] == scenes.SIGMA_ROWS
-    with pytest.raises(ValueError, match="sigma samples"):
+    with pytest.raises(BudgetExceeded, match="sigma samples"):
         scenes.hyperbolic_axis_scene(delta=2.0 * span / (scenes.SIGMA_ROWS - 0.5))
 
 
@@ -808,10 +837,15 @@ def allocation_peak(fn):
 
 def test_sample_budgets_refuse_before_allocating():
     """The calibration grid's delta and the query density are checked
-    against SAMPLE_ROWS, and sample_spacing against the K x K pairs and the
-    bytes of the 3K x sigma angle matrix, before anything is allocated."""
+    against SAMPLE_ROWS, sample_spacing against the K x K pairs and the
+    bytes of the 3K x sigma angle matrix, delta against SIGMA_ROWS and the
+    subdivision order against SUBDIVISION_BUDGET, before anything is
+    allocated."""
     window = rt.Window(hyp_axis_body(), 1.0, "plus", 0.0, 2.0)
     scene = scenes.euclidean_point_scene()
+    triangle = simplicial.SimplicialComplex.from_maximal([(0, 1, 2)])
+    corners = simplicial.VertexMap(E2, np.arange(3), np.array([[0.0, 0.0], [1.0, 0.0],
+                                                               [0.5, SQ32]]))
 
     def spaced(spacing):
         doc = scene.to_json()
@@ -820,9 +854,11 @@ def test_sample_budgets_refuse_before_allocating():
     for fn, what in [(lambda: rt.calibrate_delta(window, 2.0, 1e-9, 0.5), "calibration"),
                      (spaced(1e-9), "K x K"), (spaced(1e-5), "K x K"),
                      (spaced(3e-4), "angle matrix"),
-                     (lambda: scenes.run_pipeline(scene, density=2**40), "density")]:
+                     (lambda: scenes.run_pipeline(scene, density=2**40), "density"),
+                     (lambda: scenes.hyperbolic_axis_scene(delta=1e-3), "sigma samples"),
+                     (lambda: sd.iterate_subdivision(triangle, corners, SQ32, 12), "stage 8")]:
         raised, peak = allocation_peak(fn)
-        assert isinstance(raised, SampleBudget) and what in str(raised)
+        assert isinstance(raised, BudgetExceeded) and what in str(raised)
         assert peak < 2**20
     # 3e-4 keeps K x K within PAIR_ROWS: only the angle matrix refuses it
     span = scene.window.s_hi - scene.window.s_lo
@@ -831,8 +867,9 @@ def test_sample_budgets_refuse_before_allocating():
     assert 24 * k_count * sig_count <= scenes.ANGLE_BYTES and k_count ** 2 <= scenes.PAIR_ROWS
     # the calibration budget counts the grid of the last halving
     fine = 2.0 / (rt.SAMPLE_ROWS - 1) * 4.0 * 2.0 ** rt.MAX_HALVINGS
-    with pytest.raises(SampleBudget):
+    with pytest.raises(BudgetExceeded):
         rt.calibrate_delta(window, 2.0, 0.99 * fine, 0.5)
-    assert rt.check_rows(rt.SAMPLE_ROWS, "rows") == rt.SAMPLE_ROWS
-    with pytest.raises(SampleBudget):
-        rt.check_rows(rt.SAMPLE_ROWS + 1, "rows")
+    check_budget(rt.SAMPLE_ROWS, rt.SAMPLE_ROWS, "rows")
+    for over in (rt.SAMPLE_ROWS + 1, math.nan):
+        with pytest.raises(BudgetExceeded, match="over the budget"):
+            check_budget(over, rt.SAMPLE_ROWS, "rows")

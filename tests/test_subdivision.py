@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from barylab import simplicial, spaces, subdivision as sd
-from barylab.errors import NoBarycenter, SubdivisionBudget
+from barylab.errors import BudgetExceeded, NoBarycenter
 from test_simplicial import labelled
 
 E1 = spaces.ModelSpace.euclidean(1)
@@ -185,12 +185,12 @@ def test_orbit_rep_reaches_every_member():
 def test_budget_refuses_before_any_stage(monkeypatch):
     cplx, iota = equilateral()
     t0 = time.monotonic()
-    with pytest.raises(SubdivisionBudget, match="stage 8"):
+    with pytest.raises(BudgetExceeded, match="stage 8"):
         sd.iterate_subdivision(cplx, iota, SQ32, 12)
     assert time.monotonic() - t0 < 1.0
     # a triangle's subdivision has 7 + 12 + 6 = 25 simplices
     monkeypatch.setattr(simplicial, "SUBDIVISION_BUDGET", 24)
-    with pytest.raises(SubdivisionBudget, match="25 simplices"):
+    with pytest.raises(BudgetExceeded, match="25 simplices"):
         sd.shrinking_subdivide(cplx, iota, SQ32)
     monkeypatch.setattr(simplicial, "SUBDIVISION_BUDGET", 25)
     assert len(simplicial.barycentric_subdivision(cplx)[0].simplices) == 25

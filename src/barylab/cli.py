@@ -15,8 +15,8 @@ import os
 import sys
 import tempfile
 
-from . import barycenters, retraction, scenes, simplicial, spaces, subdivision
-from .errors import GeometryError, check_budget
+from . import barycenters, scenes, simplicial, spaces, subdivision
+from .errors import GeometryError
 
 
 def _atomic_write(path, text):
@@ -153,9 +153,7 @@ def cmd_retract(args):
         if not 0.0 < lam < 1.0:
             raise ValueError(f"lambda {lam} outside (0, 1)")
         order = _number(args.order if args.order is not None else scene.order, "order", 0)
-        if args.density < 1:
-            raise ValueError(f"density {args.density} is below 1")
-        check_budget(args.density, retraction.SAMPLE_ROWS, f"density {args.density}")
+        scenes.check_density(args.density)
     except (KeyError, TypeError, ValueError, OverflowError, OSError, json.JSONDecodeError,
             GeometryError) as exc:
         print(f"barylab retract: bad input: {exc}", file=sys.stderr)

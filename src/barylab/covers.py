@@ -481,31 +481,58 @@ class NerveProjector:
         self._translates = list(zip(range(n, len(self.adj)), self.adj.group[n:].tolist(),
                                     self.adj.base[n:].tolist()))
 
-    def tents(self, q):
-        cover = self.cover
-        vals = np.zeros(len(self.adj))
-        _, near = cover.index.pairs(q, 0.5 * cover.max_diameter)
-        d = spaces.distances_to(cover.space, cover.centers[near], q)
-        vals[near] = np.maximum(0.0, cover.radii[near] - d)
-        pulled = {}
+    def _positive_tents(self, Q):
+        """The positive tents of the rows of Q as triples (row, element,
+        value), sorted by row then element; no row x element array is made.
+        Base balls take their candidates from one index query; each
+        translate pulls every row back through its group element."""
+        cover, n = self.cover, len(self.adj)
+        qi, ci = cover.index.pairs(Q, 0.5 * cover.max_diameter)
+        vals = [cover.radii[ci] - spaces.paired_distances(cover.space, cover.centers[ci], Q[qi])]
+        rows, elems, pulled = [qi], [ci], {}
         for i, k, b in self._translates:
             if k not in pulled:
-                pulled[k] = self._inverses[k].apply(q)
-            d_i = spaces.distance(cover.space, cover.centers[b], pulled[k])
-            vals[i] = max(0.0, cover.radii[b] - d_i)
-        return vals
+                pulled[k] = self._inverses[k].apply(Q)
+            t = cover.radii[b] - spaces.distance_rows(cover.space, cover.centers[b], pulled[k])
+            rows.append(np.flatnonzero(t > 0.0))
+            elems.append(np.full(len(rows[-1]), i))
+            vals.append(t[rows[-1]])
+        rows, elems, vals = (np.concatenate(x) for x in (rows, elems, vals))
+        keep = np.flatnonzero(vals > 0.0)
+        keep = keep[np.argsort(rows[keep] * n + elems[keep], kind="stable")]
+        return rows[keep], elems[keep], vals[keep]
+
+    def tents(self, q):
+        """Tents x_i(q) over the adjacency: a vector for one point, an (m, len(adj))
+        array for m rows (project_rows keeps them sparse)."""
+        Q = np.asarray(q, float).reshape(-1, self.cover.space.ambient_dim)
+        out = np.zeros((len(Q), len(self.adj)))
+        rows, elems, vals = self._positive_tents(Q)
+        out[rows, elems] = vals
+        return out if np.ndim(q) > 1 else out[0]
+
+    def project_rows(self, Q):
+        """[(support simplex as label tuple, weights summing to 1)] per row
+        of Q, each with the bits of project on that row alone."""
+        Q = np.asarray(Q, float).reshape(-1, self.cover.space.ambient_dim)
+        out = []
+        for block in spaces.row_blocks(len(Q), 3 ** self.cover.space.dim):
+            rows, elems, vals = self._positive_tents(Q[block])
+            starts = np.searchsorted(rows, np.arange(block.stop - block.start + 1))
+            for lo, hi in zip(starts[:-1], starts[1:]):
+                support = tuple(elems[lo:hi].tolist())
+                if not support:
+                    raise UncoveredPoint("query point lies outside every adjacency element")
+                if support not in self.nerve.simplices:
+                    raise PipelineInconsistency(
+                        f"support {support} witnessed by a point but absent from the nerve")
+                w = vals[lo:hi]
+                out.append((support, w / np.sum(w)))
+        return out
 
     def project(self, q):
         """Return (support simplex as label tuple, weights summing to 1)."""
-        vals = self.tents(q)
-        support = tuple(int(i) for i in np.nonzero(vals)[0])
-        if not support:
-            raise UncoveredPoint("query point lies outside every adjacency element")
-        if support not in self.nerve.simplices:
-            raise PipelineInconsistency(
-                f"support {support} witnessed by a point but absent from the nerve")
-        w = vals[list(support)]
-        return support, w / np.sum(w)
+        return self.project_rows(np.asarray(q, float)[None])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ import numpy as np
 from . import covers, simplicial, spaces, subdivision
 from .errors import (
     CalibrationError,
+    DegenerateAngle,
     PipelineInconsistency,
     PreconditionError,
     StagedPreconditionError,
@@ -209,11 +210,26 @@ def normal_flow(body, x, t):
 
 
 def angle_to_C(body, q, q_prime):
-    """Angle at q between q' and the projection of q onto the body."""
-    d = body.dist(q)
-    if d <= body.space.tol:
+    """Angle at q between q' and the projection p of q onto the body, 0 where q'
+    is within tol of p; rows of q and q' give one angle each, as spaces.angle_at."""
+    space, tol = body.space, body.space.tol
+    Q = np.asarray(q, float).reshape(-1, space.ambient_dim)
+    QP = np.asarray(q_prime, float).reshape(Q.shape)
+    if np.any(body.dist_rows(Q) <= tol):
         raise UndefinedNormal("angle to the body undefined on the body itself")
-    return spaces.angle_at(body.space, q, q_prime, body.project(q))
+    P = body.project_rows(Q)
+    d_qp, d_p = spaces.distance_rows(space, Q, QP), spaces.distance_rows(space, Q, P)
+    if np.any((d_qp <= tol) | (d_p <= tol)):
+        raise DegenerateAngle("angle undefined when q coincides with q' or its projection")
+    if space.kind == spaces.EUCLIDEAN:
+        cos = spaces.row_dots((QP - Q) / d_qp[:, None], (P - Q) / d_p[:, None])
+    else:  # unit tangents at q, as spaces._hyperboloid_unit_tangent makes them
+        U, V = ((X + spaces.minkowski_dots(Q, X)[:, None] * Q) / spaces.each(math.sinh, d)[:, None]
+                for X, d in ((QP, d_qp), (P, d_p)))
+        cos = spaces.minkowski_dots(U, V)
+    angles = np.where(spaces.distance_rows(space, QP, P) <= tol, 0.0,
+                      spaces.each(math.acos, np.clip(cos, -1.0, 1.0)))
+    return angles if np.ndim(q) > 1 else float(angles[0])
 
 
 def _angles_to_C(body, Q):
@@ -262,7 +278,7 @@ def check_large_angle_escape(body, eps, q, q_prime, enforce_angle=True, angles=N
         raise PreconditionError("q does not lie on the eps-level set")
     if enforce_angle:
         if angles is None:
-            angles = [angle_to_C(body, a, b) for a, b in zip(Q, QP)]
+            angles = angle_to_C(body, Q, QP)
         if np.any(np.asarray(angles) <= math.pi / 2.0 + tol):
             raise PreconditionError("escape check requires an angle > pi/2")
     frac = np.arange(1, ESCAPE_SAMPLES + 1) / ESCAPE_SAMPLES
@@ -488,11 +504,11 @@ def build_boundary_grid(window, R, action, delta, delta_prime, interior_points=(
         images[rows] = g.apply(images[rows])
     witnesses = images[boundary]
     images[boundary] = normal_flow(body, witnesses, flow_time)
-    angles = [angle_to_C(body, q, p) for q, p in zip(witnesses, images[boundary])]
     iota = simplicial.VertexMap(body.space, np.arange(len(adj)), images)
     return PushOffGrid(body=body, eps=eps, projector=projector, iota=iota,
                        boundary=boundary, witness_points=witnesses,
-                       witness_angles=np.asarray(angles, float), delta=delta)
+                       witness_angles=angle_to_C(body, witnesses, images[boundary]),
+                       delta=delta)
 
 
 # ---------------------------------------------------------------------------
@@ -620,28 +636,38 @@ class PushOff:
         return self.sub_result.iota
 
     def evaluate(self, support, weights):
-        """j at the nerve point (support simplex, barycentric weights).
+        """j at one nerve point (support, weights): the one-row case of evaluate_rows."""
+        return self.evaluate_rows([(support, weights)])[0]
 
-        The point's subdivision cell is located by the sorted-weight chain
-        transform, applied once per subdivision order; the image is the
-        geodesic cone (ascending-id fold) over the cell's vertex images.
-        Returns (image point, final cell vertex ids).
+    def evaluate_rows(self, projections):
+        """[(image point, final cell vertex ids)] of j at each nerve point
+        (support simplex, barycentric weights) of `projections`.  Each cell
+        is located by the sorted-weight chain transform, once per subdivision
+        order; the image is the geodesic cone (ascending-id fold) over the
+        cell's vertex images, each fold position one distance_rows and one
+        geodesic_rows pass, so a row has the same bits alone or among rows.
         """
-        w = {int(v): float(x) for v, x in zip(support, weights) if x > 0.0}
-        for prov in self.sub_result.provs:
-            w = subdivision_coordinates(w, prov.vertex_of)
+        cells = []
+        for support, weights in projections:
+            w = {int(v): float(x) for v, x in zip(support, weights) if x > 0.0}
+            for prov in self.sub_result.provs:
+                w = subdivision_coordinates(w, prov.vertex_of)
+            cells.append(sorted(w.items()))
+        width = max(map(len, cells), default=1)  # pad with weight-0 copies of the first id
+        pad = np.array([c + [(c[0][0], 0.0)] * (width - len(c)) for c in cells],
+                       float).reshape(-1, width, 2)
+        ids, wts = pad[..., 0].astype(np.int64), pad[..., 1]
         space = self.grid.body.space
-        items = sorted(w.items())
-        acc, W = None, 0.0
-        for (v, wt), p in zip(items, self.iota_n.at([v for v, _ in items])):
-            if acc is None:
-                acc, W = p, wt
-                continue
-            W += wt
-            d = spaces.distance(space, acc, p)
-            if d > space.tol:
-                acc = spaces.geodesic_point(space, acc, p, d * wt / W)
-        return acc, tuple(v for v, _ in items)
+        pts = self.iota_n.at(ids)
+        acc, W = pts[:, 0].copy(), wts[:, 0].copy()
+        for j in range(1, width):
+            on = wts[:, j] > 0.0
+            W[on] += wts[on, j]
+            d = spaces.distance_rows(space, acc, pts[:, j])
+            move = np.flatnonzero(on & (d > space.tol))
+            acc[move] = spaces.geodesic_rows(space, acc[move], pts[move, j],
+                                             d[move] * wts[move, j] / W[move])
+        return [(a, tuple(v for v, _ in c)) for a, c in zip(acc, cells)]
 
 
 def subdivision_coordinates(weights, vertex_of):
@@ -745,21 +771,33 @@ class Retractor:
         self.body = pushoff.grid.body
         self.eps = pushoff.grid.eps
 
-    def push_target(self, q):
-        support, w = self.grid.projector.project(q)
-        return self.pushoff.evaluate(support, w)
+    def push_targets(self, Q):
+        """[(push-off target, cell)] per row of Q: one nerve projection and
+        one coning pass over all rows, each row with its one-row bits."""
+        return self.pushoff.evaluate_rows(self.grid.projector.project_rows(Q))
 
-    def retract(self, q):
+    def push_target(self, q):
+        return self.push_targets(np.asarray(q, float)[None])[0]
+
+    def retract_rows(self, Q):
+        """[retract(q)] over the rows of Q, the push targets found in one
+        push_targets pass.  The ITP search stays one retract call per row:
+        the benchmark pins the count of those calls, so batching it waits
+        for the benchmark revision that re-pins it."""
+        return [self.retract(q, hit) for q, hit in zip(Q, self.push_targets(Q))]
+
+    def retract(self, q, hit=None):
         """(r(q), target, cell): the retraction of q with the push-off target
-        and nerve cell of its one nerve projection.  f(t) = d(geo(t), C) - eps
-        is convex, so ITP's regula-falsi step converges superlinearly; its
-        projection keeps at most ITP_STEPS evaluations."""
+        and nerve cell of its one nerve projection (`hit`, when the caller
+        has it from push_targets).  f(t) = d(geo(t), C) - eps is convex, so
+        ITP's regula-falsi step converges superlinearly; its projection keeps
+        at most ITP_STEPS evaluations."""
         body, eps = self.body, self.eps
         g0 = body.dist(q) - eps
         if g0 > 100 * body.space.tol:
             raise PreconditionError(
                 f"q lies {g0:.2e} outside the eps-neighborhood")
-        target, cell = self.push_target(q)
+        target, cell = self.push_target(q) if hit is None else hit
         y_b = body.dist(target) - eps
         if y_b <= 0.0:
             raise PipelineInconsistency(

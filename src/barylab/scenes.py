@@ -269,6 +269,13 @@ def _fail(report, stage, message):
     return report
 
 
+def check_density(density):
+    """Refuse a query density below 1 (ValueError) or past SAMPLE_ROWS (BudgetExceeded)."""
+    if not density >= 1:
+        raise ValueError(f"density {density} is below 1")
+    check_budget(density, retraction.SAMPLE_ROWS, f"density {density}")
+
+
 def run_pipeline(scene, lam=None, order=None, density=200, seed=0):
     """Run the full construction and verify every gate; returns the report.
 
@@ -285,7 +292,7 @@ def run_pipeline(scene, lam=None, order=None, density=200, seed=0):
     report = RetractionReport(scene=scene.to_json(), lam=lam, order=order,
                               seed=seed)
 
-    check_budget(density, retraction.SAMPLE_ROWS, f"density {density}")
+    check_density(density)
     spacing, k_count, sig_count = scene.sampling()
     span = window.s_hi - window.s_lo
     K_sigma = window.samples(k_count, endpoint=True)
@@ -355,15 +362,15 @@ def run_pipeline(scene, lam=None, order=None, density=200, seed=0):
 
     # one retraction per query; the checks run on the rows
     Q = window.points(ss)
-    hits = [retractor.retract(q) for q in Q]
+    hits = retractor.retract_rows(Q)
     r_rows = np.array([r for r, _, _ in hits])
     targets = np.array([target for _, target, _ in hits])
-    rr_rows = np.array([retractor.retract(r)[0] for r in r_rows])
-    angles = [retraction.angle_to_C(body, q, target) for q, target in zip(Q, targets)]
+    rr_rows = np.array([r for r, _, _ in retractor.retract_rows(r_rows)])
+    angles = retraction.angle_to_C(body, Q, targets)
     escapes = retraction.check_large_angle_escape(body, eps, Q, targets, angles=angles)
     s_rows = ss.tolist()
     report.identity_rows = list(zip(s_rows, spaces.paired_distances(space, r_rows, Q).tolist()))
-    report.angle_rows = list(zip(s_rows, angles))
+    report.angle_rows = list(zip(s_rows, angles.tolist()))
     report.escape_rows = list(zip(s_rows, escapes.tolist()))
     report.idempotence_rows = list(zip(
         s_rows, spaces.paired_distances(space, r_rows, rr_rows).tolist()))
@@ -392,8 +399,8 @@ def run_pipeline(scene, lam=None, order=None, density=200, seed=0):
 
     s_in = ss[::4].tolist()
     Q_in = retraction.normal_flow(body, Q[::4], -grid.delta / 4.0)
-    r_in = np.array([retractor.retract(q)[0] for q in Q_in])
-    rr_in = np.array([retractor.retract(r)[0] for r in r_in])
+    r_in = np.array([r for r, _, _ in retractor.retract_rows(Q_in)])
+    rr_in = np.array([r for r, _, _ in retractor.retract_rows(r_in)])
     report.interior_rows = list(zip(s_in, np.abs(body.dist_rows(r_in) - eps).tolist()))
     report.idempotence_rows += list(zip(
         s_in, spaces.paired_distances(space, r_in, rr_in).tolist()))
@@ -401,20 +408,16 @@ def run_pipeline(scene, lam=None, order=None, density=200, seed=0):
     # continuity moduli along the boundary at fixed scales
     mod_scales = (1e-2, 1e-3, 1e-4)
     s_mod = np.linspace(window.s_lo + margin, window.s_hi - margin - max(mod_scales), 33)
+    # each q1 is retracted once per scale, beside its q2
     Q1 = window.points(s_mod)
-    W1 = [w / np.sum(w) for w in map(grid.projector.tents, Q1)]
+    W1 = np.array([w / np.sum(w) for w in grid.projector.tents(Q1)])
     for h in mod_scales:
-        sup_r = 0.0
-        sup_w = 0.0
-        for q1, w1, q2 in zip(Q1, W1, window.points(s_mod + h)):
-            r1, _, _ = retractor.retract(q1)
-            r2, _, _ = retractor.retract(q2)
-            sup_r = max(sup_r, spaces.distance(space, r1, r2))
-            w2 = grid.projector.tents(q2)
-            w2 = w2 / np.sum(w2)
-            sup_w = max(sup_w, float(np.max(np.abs(w1 - w2))))
-        report.moduli[f"{h:g}"] = sup_r
-        report.projection_moduli[f"{h:g}"] = sup_w
+        Q2 = window.points(s_mod + h)
+        R = np.array([r for r, _, _ in retractor.retract_rows(np.concatenate([Q1, Q2]))])
+        W2 = np.array([w / np.sum(w) for w in grid.projector.tents(Q2)])
+        report.moduli[f"{h:g}"] = float(np.max(
+            spaces.distance_rows(space, R[:len(Q1)], R[len(Q1):]), initial=0.0))
+        report.projection_moduli[f"{h:g}"] = float(np.max(np.abs(W1 - W2), initial=0.0))
 
     report.gates["identity"] = max(r for _, r in report.identity_rows) <= 1e-8
     report.gates["boundary_angle"] = (

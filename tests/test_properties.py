@@ -6,6 +6,7 @@ search, the array subdivision matches the frozen tuple one, shrinking
 subdivisions keep their diameter bounds, and the retraction's crossings match
 closed forms."""
 
+import functools
 import itertools
 import math
 
@@ -18,8 +19,9 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 from barylab import barycenters as bc  # noqa: E402
 from barylab import covers  # noqa: E402
 from barylab import retraction as rt  # noqa: E402
-from barylab import simplicial, spaces, subdivision as sd  # noqa: E402
-from test_covers import assert_certificate_replays  # noqa: E402
+from barylab import scenes, simplicial, spaces, subdivision as sd  # noqa: E402
+from barylab.errors import UncoveredPoint  # noqa: E402
+from test_covers import allpairs_tents, assert_certificate_replays  # noqa: E402
 from test_simplicial import coface_rows, labelled, reference_subdivision  # noqa: E402
 from test_subdivision import reference_labels  # noqa: E402
 
@@ -487,3 +489,107 @@ def test_window_samples_match_window_point(seed, level_set, component, count, en
     assert np.array_equal(window.samples(count, endpoint), want)
     wide = rng.uniform(-20.0, 20.0, count)
     assert np.array_equal(window.points(wide), [window.point(float(s)) for s in wide])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(range(len(PLANES))), st.integers(0, 2),
+       st.integers(1, 30))
+def test_angle_to_C_rows_match_angle_at(seed, which, kind, m):
+    """angle_to_C over rows equals its one-row call and spaces.angle_at(q,
+    q', project(q)) bit for bit, for q' on the outward normal, off it, and
+    on the projection itself (angle 0)."""
+    space = PLANES[which]
+    rng = np.random.default_rng(seed)
+    kinds = PLANE_BODIES[space.kind]
+    body = draw_body(space, rng, kinds[kind % len(kinds)])
+    Q = draw_far(space, rng, m)
+    d = body.dist_rows(Q)
+    assume(np.all(d > 1e-6))
+    normal = rt.normal_flow(body, Q, rng.uniform(0.1, 2.0))
+    off = draw_far(space, rng, m)
+    assume(np.all(spaces.distance_rows(space, Q, off) > 1e-6))
+    for QP in (normal, off, body.project_rows(Q)):
+        got = rt.angle_to_C(body, Q, QP)
+        assert np.array_equal(got, [spaces.angle_at(space, q, qp, body.project(q))
+                                    for q, qp in zip(Q, QP)])
+        assert np.array_equal(got, [rt.angle_to_C(body, q, qp) for q, qp in zip(Q, QP)])
+
+
+# ---------------------------------------------------------------------------
+# push targets over rows: each row has the bits of the one-row call and of
+# the scalar tents and coning fold
+
+PUSH_SCENES = {
+    "euclidean_point": lambda: scenes.euclidean_point_scene(delta=0.05),
+    "hyperbolic_axis": lambda: scenes.hyperbolic_axis_scene(period=1.0, delta=0.02),
+    "euclidean_segment": lambda: scenes.euclidean_segment_scene(delta=0.05),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def push_retractor(name):
+    """(scene, Retractor) of an order-1 push-off of a PUSH_SCENES scene."""
+    scene = PUSH_SCENES[name]()
+    grid = rt.build_boundary_grid(scene.window, scene.R, scene.action, scene.delta,
+                                  (1 - scene.lam) * scene.delta_prime)
+    return scene, rt.Retractor(rt.extend_to_pushoff(grid, scene.lam, 1, scene.delta_prime))
+
+
+def frozen_push_target(retr, q):
+    """The push target of q as the scalar path made it: all-pairs tents
+    (allpairs_tents), the support's normalised weights, the chain transform
+    per order, then the ascending-id coning fold of spaces.distance and
+    geodesic_point calls.  Returns (support, weights, target, cell)."""
+    vals = allpairs_tents(retr.grid.projector, q)
+    support = tuple(np.flatnonzero(vals).tolist())
+    w = vals[list(support)] / np.sum(vals[list(support)])
+    cell = {v: float(x) for v, x in zip(support, w)}
+    for prov in retr.pushoff.sub_result.provs:
+        cell = rt.subdivision_coordinates(cell, prov.vertex_of)
+    items, space = sorted(cell.items()), retr.body.space
+    acc, W = retr.pushoff.iota_n(items[0][0]), items[0][1]
+    for v, wt in items[1:]:
+        W += wt
+        d = spaces.distance(space, acc, retr.pushoff.iota_n(v))
+        if d > space.tol:
+            acc = spaces.geodesic_point(space, acc, retr.pushoff.iota_n(v), d * wt / W)
+    return support, w, acc, tuple(v for v, _ in items)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(sorted(PUSH_SCENES)), st.integers(1, 300))
+def test_push_target_rows_match_one_row_calls(seed, name, m):
+    """project_rows, push_targets and retract_rows equal, row by row, the
+    one-row calls and the frozen scalar path, on level-set and interior
+    queries; the window's ends reach translate elements in H^2."""
+    scene, retr = push_retractor(name)
+    window, body = scene.window, scene.body
+    rng = np.random.default_rng(seed)
+    ss = np.concatenate([[window.s_lo, window.s_hi], rng.uniform(window.s_lo, window.s_hi, m)])
+    depth = np.where(rng.random(len(ss)) < 0.5, 0.0, retr.grid.delta / 4.0)
+    Q = rt.normal_flow(body, window.points(ss), -depth)
+    projector = retr.grid.projector
+    projections = projector.project_rows(Q)
+    targets = retr.push_targets(Q)
+    retracted = retr.retract_rows(Q)
+    for q, (support, w), (target, cell), (r, r_target, r_cell) in zip(
+            Q, projections, targets, retracted):
+        one_support, one_w = projector.project(q)
+        assert support == one_support and np.array_equal(w, one_w)
+        one_target, one_cell = retr.push_target(q)
+        assert np.array_equal(target, one_target) and cell == one_cell
+        ref_support, ref_w, ref_target, ref_cell = frozen_push_target(retr, q)
+        assert support == ref_support and np.array_equal(w, ref_w)
+        assert np.array_equal(target, ref_target) and cell == ref_cell
+        one_r, one_r_target, one_r_cell = retr.retract(q)
+        assert np.array_equal(r, one_r) and np.array_equal(r_target, one_r_target)
+        assert cell == r_cell == one_r_cell
+    if name == "hyperbolic_axis":
+        assert any(max(support) >= len(projector.cover) for support, _ in projections)
+
+
+def test_project_rows_raises_on_an_uncovered_row():
+    scene, retr = push_retractor("euclidean_point")
+    Q = np.stack([scene.window.point(0.5), np.array([5.0, 0.0]), scene.window.point(1.0)])
+    with pytest.raises(UncoveredPoint):
+        retr.grid.projector.project_rows(Q)

@@ -873,3 +873,28 @@ def test_sample_budgets_refuse_before_allocating():
     for over in (rt.SAMPLE_ROWS + 1, math.nan):
         with pytest.raises(BudgetExceeded, match="over the budget"):
             check_budget(over, rt.SAMPLE_ROWS, "rows")
+
+
+def test_run_pipeline_refuses_a_density_below_one():
+    """run_pipeline refuses a query density below 1 before any stage runs
+    (it used to die in numpy after the push-off had been built)."""
+    scene = scenes.euclidean_point_scene()
+    for density in (0, -5):
+        raised, peak = allocation_peak(lambda: scenes.run_pipeline(scene, density=density))
+        assert isinstance(raised, ValueError) and f"density {density} is below 1" in str(raised)
+        assert peak < 2**20
+
+
+def test_push_targets_hold_no_row_by_element_array():
+    """push_targets over the euclid_oracle queries (the euclidean_point scene
+    at density 1000) peaks below half of a dense m x len(adj) tent matrix."""
+    scene = scenes.euclidean_point_scene()
+    grid = rt.build_boundary_grid(scene.window, scene.R, scene.action, scene.delta,
+                                  (1 - scene.lam) * scene.delta_prime)
+    retr = rt.Retractor(rt.extend_to_pushoff(grid, scene.lam, scene.order, scene.delta_prime))
+    window = scene.window
+    margin = min(0.02 * (window.s_hi - window.s_lo), grid.delta)
+    Q = window.points(np.linspace(window.s_lo + margin, window.s_hi - margin, 1000))
+    raised, peak = allocation_peak(lambda: retr.push_targets(Q))
+    assert raised is None
+    assert peak < 0.5 * 8 * len(Q) * len(grid.adjacency)

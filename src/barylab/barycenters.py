@@ -35,8 +35,6 @@ def lambda_of(space, b, P):
     D = spaces.pairwise_diameter(space, P)
     if D <= 0.0:
         raise GeometryError("lambda undefined for diam(P) = 0")
-    if space.kind == spaces.FINITE:
-        return max(spaces.distance(space, b, p) for p in P) / D
     return float(np.max(spaces.distances_to(space, np.asarray(P, float), b))) / D
 
 
@@ -45,17 +43,9 @@ def relative_slacks(space, b, P, Q):
     if not Q:
         return []
     D = spaces.pairwise_diameter(space, P)
-    if space.kind == spaces.FINITE:
-        out = []
-        for q in Q:
-            dq = max(spaces.distance(space, q, p) for p in P)
-            out.append(max(D, dq) - spaces.distance(space, b, q))
-        return out
-    P_arr = np.asarray(P, float)
     Q_arr = np.asarray(Q, float)
-    qp_max = np.max(spaces.cross_distances(space, Q_arr, P_arr), axis=1)
-    d_bq = spaces.distances_to(space, Q_arr, b)
-    return list(np.maximum(D, qp_max) - d_bq)
+    qp_max = np.max(spaces.cross_distances(space, Q_arr, np.asarray(P, float)), axis=1)
+    return list(np.maximum(D, qp_max) - spaces.distances_to(space, Q_arr, b))
 
 
 @dataclass

@@ -24,6 +24,7 @@ from .errors import (
     PipelineInconsistency,
     PreconditionError,
     UncoveredPoint,
+    check_budget,
 )
 from .simplicial import SimplicialComplex
 
@@ -190,42 +191,41 @@ class BallCover:
         return BallCover(space, balls, doc["window"])
 
 
+# Most elements a GroupAction enumerates (two free generators give 2 * 3^L - 1
+# within word length L); the presets and tests use at most 25.
+GROUP_ELEMENTS = 2**10
+
+
 class GroupAction:
-    """Generators of a discrete isometry group with a word-length enumeration bound."""
+    """Generators of a discrete isometry group and its elements of word length
+    at most word_length, enumerated once.  Raises ValueError unless
+    word_length is a whole number >= 0, BudgetExceeded past GROUP_ELEMENTS."""
 
     def __init__(self, space, generators, word_length=3):
+        if isinstance(word_length, bool) or not (
+                isinstance(word_length, (int, np.integer)) and word_length >= 0):
+            raise ValueError(f"word_length {word_length!r} is not a whole number >= 0")
         self.space = space
-        self.generators = list(generators)
-        for g in self.generators:
-            g.validate(space)
+        self.generators = [g.validate(space) for g in generators]
         self.word_length = int(word_length)
-        self._elements = None
+        ident = spaces.Isometry.identity(space)
+        out, seen, start = [(ident, 0)], {ident.key()}, 0
+        gens = [h for g in self.generators for h in (g, g.inverse())]
+        for word in range(1, self.word_length + 1):
+            frontier, start = out[start:], len(out)  # the elements of word length word - 1
+            for (h, _), g in itertools.product(frontier, gens):
+                cand = g.compose(h)
+                key = cand.key()
+                if key not in seen:
+                    seen.add(key)
+                    out.append((cand, word))
+                    check_budget(len(out), GROUP_ELEMENTS,
+                                 f"word_length {self.word_length}: {len(out)} group elements")
+        self._elements = out
 
     def elements(self):
         """Deterministic duplicate-free enumeration (element, word_length), e first."""
-        if self._elements is not None:
-            return self._elements
-        ident = spaces.Isometry.identity(self.space)
-        seen = {ident.key(): 0}
-        out = [(ident, 0)]
-        frontier = [ident]
-        gens = []
-        for g in self.generators:
-            gens.append(g)
-            gens.append(g.inverse())
-        for word in range(1, self.word_length + 1):
-            nxt = []
-            for h in frontier:
-                for g in gens:
-                    cand = g.compose(h)
-                    k = cand.key()
-                    if k not in seen:
-                        seen[k] = word
-                        out.append((cand, word))
-                        nxt.append(cand)
-            frontier = nxt
-        self._elements = out
-        return out
+        return self._elements
 
     def nontrivial(self):
         return [(g, w) for g, w in self.elements() if w > 0]
@@ -539,18 +539,19 @@ class NerveProjector:
 # translate gaps and the relative diameter
 
 
+def _cross_blocks(space, A, B):
+    """d(a, b) over A x B, one (rows of B) x A block at a time."""
+    for rows in spaces.row_blocks(len(B), len(A)):
+        yield spaces.paired_distances(space, A[None], B[rows, None])
+
+
 def translate_gaps(action, K):
     """[(g, word length, min over p, p' in K of d(g p, p'))] for each
     nontrivial group element g, the distances taken in row blocks of K."""
     space = action.space
     K = np.asarray(K, float).reshape(-1, space.ambient_dim)
-    gaps = []
-    for g, w in action.nontrivial():
-        gK = g.apply(K)
-        gaps.append((g, w, min(
-            float(np.min(spaces.paired_distances(space, gK[None], K[rows, None])))
-            for rows in spaces.row_blocks(len(K), len(K)))))
-    return gaps
+    return [(g, w, min(float(np.min(d)) for d in _cross_blocks(space, g.apply(K), K)))
+            for g, w in action.nontrivial()]
 
 
 def diam_K_Kout(action, gaps, K_out, slack=0.0):
@@ -558,7 +559,9 @@ def diam_K_Kout(action, gaps, K_out, slack=0.0):
     where `gaps` is translate_gaps(action, K).
 
     Intersection is judged at sample resolution: dist(hK, K) <= slack,
-    with slack defaulting to 0 (identity always qualifies).
+    with slack defaulting to 0 (identity always qualifies).  diam(K_out) is
+    taken once; each qualifying h adds diam(hK_out) and the hK_out x K_out
+    pairs, the same distances as the union's (K_out of three or more rows).
     """
     space = action.space
     K_out = np.asarray(K_out, float)
@@ -569,6 +572,7 @@ def diam_K_Kout(action, gaps, K_out, slack=0.0):
         if w == action.word_length and action.generators:
             raise EnumerationBound(
                 "diam_K_Kout: a qualifying translate sits at the word-length bound")
-        union = np.concatenate([K_out, g.apply(K_out)])
-        best = max(best, spaces.pairwise_diameter(space, union))
+        gK = g.apply(K_out)
+        best = max(best, spaces.pairwise_diameter(space, gK),
+                   max(float(np.max(d)) for d in _cross_blocks(space, gK, K_out)))
     return best

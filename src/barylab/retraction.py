@@ -636,17 +636,19 @@ class PushOff:
         return self.sub_result.iota
 
     def evaluate(self, support, weights):
-        """j at one nerve point (support, weights): the one-row case of evaluate_rows."""
-        return self.evaluate_rows([(support, weights)])[0]
+        """(image point, cell vertex ids) of j at one nerve point (support,
+        weights): the one-row case of evaluate_rows."""
+        targets, cells = self.evaluate_rows([(support, weights)])
+        return targets[0], tuple(cells[0].tolist())
 
     def evaluate_rows(self, projections):
-        """[(image point, final cell vertex ids)] of j at each nerve point
-        (support simplex, barycentric weights) of `projections`.  Each cell
-        is located by the sorted-weight chain transform, once per subdivision
-        order; the image is the geodesic cone (ascending-id fold) over the
-        cell's vertex images, each fold position one distance_rows and one
-        geodesic_rows pass, so a row has the same bits alone or among rows.
-        """
+        """(targets, cells) of j at the nerve points (support simplex, weights)
+        of `projections`: one image row each, and each final cell's ascending
+        ids as a row of one (m, width) array, padded with its first id.  Each
+        cell is located by the sorted-weight chain transform per subdivision
+        order; the image is the geodesic cone (ascending-id fold) over its
+        vertex images, each fold position one distance_rows and one
+        geodesic_rows pass, so a row has the same bits alone or among rows."""
         cells = []
         for support, weights in projections:
             w = {int(v): float(x) for v, x in zip(support, weights) if x > 0.0}
@@ -667,7 +669,7 @@ class PushOff:
             move = np.flatnonzero(on & (d > space.tol))
             acc[move] = spaces.geodesic_rows(space, acc[move], pts[move, j],
                                              d[move] * wts[move, j] / W[move])
-        return [(a, tuple(v for v, _ in c)) for a, c in zip(acc, cells)]
+        return acc, ids
 
 
 def subdivision_coordinates(weights, vertex_of):
@@ -704,7 +706,7 @@ def _equivariance_from_adjacency(adj):
         vmap = np.where(hg >= 0, slot[hg, adj.base], -1)
         if np.any(vmap >= 0):
             maps.append((h, vmap))
-    return subdivision.EquivariantStructure(maps)
+    return maps
 
 
 def extend_to_pushoff(grid, lam, n, delta_prime):
@@ -772,19 +774,21 @@ class Retractor:
         self.eps = pushoff.grid.eps
 
     def push_targets(self, Q):
-        """[(push-off target, cell)] per row of Q: one nerve projection and
-        one coning pass over all rows, each row with its one-row bits."""
+        """PushOff.evaluate_rows at the rows of Q: one nerve projection and one
+        coning pass over all rows, each row with its one-row bits."""
         return self.pushoff.evaluate_rows(self.grid.projector.project_rows(Q))
 
     def push_target(self, q):
-        return self.push_targets(np.asarray(q, float)[None])[0]
+        """(push-off target, cell vertex ids) of one point."""
+        return self.pushoff.evaluate(*self.grid.projector.project(q))
 
     def retract_rows(self, Q):
-        """[retract(q)] over the rows of Q, the push targets found in one
-        push_targets pass.  The ITP search stays one retract call per row:
-        the benchmark pins the count of those calls, so batching it waits
-        for the benchmark revision that re-pins it."""
-        return [self.retract(q, hit) for q, hit in zip(Q, self.push_targets(Q))]
+        """(r, targets, cells): the rows of Q retracted, beside push_targets(Q).
+        The ITP search stays one retract call per row: the benchmark pins that
+        count, so batching it waits for the benchmark revision."""
+        targets, cells = self.push_targets(Q)
+        r = [self.retract(q, (t, c))[0] for q, t, c in zip(Q, targets, cells)]
+        return np.reshape(r, targets.shape), targets, cells
 
     def retract(self, q, hit=None):
         """(r(q), target, cell): the retraction of q with the push-off target

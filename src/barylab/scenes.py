@@ -199,8 +199,16 @@ def broken_delta_prime_scene():
 # the report
 
 
+EXTREMES = ("max_identity_residual", "min_boundary_angle", "escape_all",
+            "max_idempotence_residual", "max_radial_residual")
+
+
 @dataclass
 class RetractionReport:
+    """The gates, the stage summaries and one array per sampled column (see
+    run_pipeline); each printed extreme is computed once, into `extremes`,
+    and its gate reads that number."""
+
     scene: dict
     lam: float
     order: int
@@ -211,12 +219,14 @@ class RetractionReport:
     extension: dict | None = None
     diam_iota: float | None = None
     diam_K_Kout: float | None = None
-    identity_rows: list = field(default_factory=list)  # (s, residual)
-    angle_rows: list = field(default_factory=list)  # (s, angle)
-    escape_rows: list = field(default_factory=list)  # (s, bool)
-    idempotence_rows: list = field(default_factory=list)  # (s, d(r(r q), r q))
-    radial_rows: list = field(default_factory=list)  # (s, residual) point scenes
-    interior_rows: list = field(default_factory=list)  # (s, level residual)
+    s: np.ndarray | None = None
+    identity: np.ndarray | None = None
+    angle: np.ndarray | None = None
+    escape: np.ndarray | None = None
+    idempotence: np.ndarray | None = None
+    radial: np.ndarray | None = None
+    interior: np.ndarray | None = None
+    extremes: dict = field(default_factory=lambda: dict.fromkeys(EXTREMES))
     moduli: dict = field(default_factory=dict)  # scale -> sup d(r q, r q')
     projection_moduli: dict = field(default_factory=dict)  # scale -> sup weight diff
     failure: dict | None = None
@@ -239,16 +249,7 @@ class RetractionReport:
             "extension": self.extension,
             "diam_iota": self.diam_iota,
             "diam_K_Kout": self.diam_K_Kout,
-            "max_identity_residual": max((r for _, r in self.identity_rows),
-                                         default=None),
-            "min_boundary_angle": min((a for _, a in self.angle_rows),
-                                      default=None),
-            "escape_all": all(v for _, v in self.escape_rows)
-            if self.escape_rows else None,
-            "max_idempotence_residual": max((r for _, r in self.idempotence_rows),
-                                            default=None),
-            "max_radial_residual": max((r for _, r in self.radial_rows),
-                                       default=None),
+            **self.extremes,
             "moduli": self.moduli,
             "projection_moduli": self.projection_moduli,
             "failure": self.failure,
@@ -257,9 +258,11 @@ class RetractionReport:
     def samples_csv(self):
         lines = ["# barylab retraction samples v1",
                  "sample_id,s,identity_residual,angle,escape"]
-        rows = zip(self.identity_rows, self.angle_rows, self.escape_rows)
-        for i, ((s, res), (_, angle), (_, escape)) in enumerate(rows):
-            lines.append(f"{i},{s:.17g},{res:.17g},{angle:.17g},{int(escape)}")
+        if self.s is not None:
+            rows = zip(self.s.tolist(), self.identity.tolist(), self.angle.tolist(),
+                       self.escape.tolist())
+            for i, (s, res, angle, escape) in enumerate(rows):
+                lines.append(f"{i},{s:.17g},{res:.17g},{angle:.17g},{int(escape)}")
         return "\n".join(lines) + "\n"
 
 
@@ -331,9 +334,8 @@ def run_pipeline(scene, lam=None, order=None, density=200, seed=0):
     report.gates["boundary_tightness"] = (
         grid.boundary_map_diameter <= (1.0 - lam) * scene.delta_prime + tol)
 
-    dkk = covers.diam_K_Kout(scene.action, gaps, K_out, slack=2.0 * grid.delta)
-    report.diam_K_Kout = dkk
-    report.gates["diam_iota_le_diam_K_Kout"] = diam_iota_grid <= dkk + tol
+    report.diam_K_Kout = covers.diam_K_Kout(scene.action, gaps, K_out, slack=2.0 * grid.delta)
+    report.gates["diam_iota_le_diam_K_Kout"] = diam_iota_grid <= report.diam_K_Kout + tol
 
     try:
         pushoff = retraction.extend_to_pushoff(grid, lam, order, scene.delta_prime)
@@ -343,67 +345,54 @@ def run_pipeline(scene, lam=None, order=None, density=200, seed=0):
         return _fail(report, "extension", str(exc))
 
     sub = pushoff.sub_result
-    full_diam = pushoff.full_map_diameter
-    push_dist = pushoff.push_off_distance
     report.extension = {
-        "full_map_diameter": full_diam,
-        "push_off_distance_n": push_dist,
+        "full_map_diameter": pushoff.full_map_diameter,
+        "push_off_distance_n": pushoff.push_off_distance,
         "subdivision_vertices": len(sub.complex.ids),
         "max_stage_ratio": max((st.max_ratio() for st in sub.record.stages),
                                default=0.0),
     }
-    report.gates["full_tightness"] = full_diam <= scene.delta_prime + tol
-    report.gates["push_off_gt_delta_prime"] = push_dist > scene.delta_prime
+    report.gates["full_tightness"] = pushoff.full_map_diameter <= scene.delta_prime + tol
+    report.gates["push_off_gt_delta_prime"] = pushoff.push_off_distance > scene.delta_prime
 
     retractor = retraction.Retractor(pushoff)
     margin = min(0.02 * span, grid.delta)  # keep samples off the exact seam
     ss = np.linspace(window.s_lo + margin, window.s_hi - margin, density)
     angle_gate = retraction.ALPHA / 2.0 + math.pi / 4.0
 
-    # one retraction per query; the checks run on the rows
+    # one retraction per query (the samples, then interior queries below
+    # every fourth), one more of each image; the checks run on the columns:
+    # identity d(r(q), q), angle, escape and radial (point bodies) per sample,
+    # interior level residuals, idempotence d(r(r(q)), r(q)) over all queries
     Q = window.points(ss)
-    hits = retractor.retract_rows(Q)
-    r_rows = np.array([r for r, _, _ in hits])
-    targets = np.array([target for _, target, _ in hits])
-    rr_rows = np.array([r for r, _, _ in retractor.retract_rows(r_rows)])
-    angles = retraction.angle_to_C(body, Q, targets)
-    escapes = retraction.check_large_angle_escape(body, eps, Q, targets, angles=angles)
-    s_rows = ss.tolist()
-    report.identity_rows = list(zip(s_rows, spaces.paired_distances(space, r_rows, Q).tolist()))
-    report.angle_rows = list(zip(s_rows, angles.tolist()))
-    report.escape_rows = list(zip(s_rows, escapes.tolist()))
-    report.idempotence_rows = list(zip(
-        s_rows, spaces.paired_distances(space, r_rows, rr_rows).tolist()))
+    Q_in = retraction.normal_flow(body, Q[::4], -grid.delta / 4.0)
+    r_all, targets, cells = retractor.retract_rows(np.concatenate([Q, Q_in]))
+    r_rows, targets, cells = r_all[:density], targets[:density], cells[:density]
+    report.s = ss
+    report.identity = spaces.paired_distances(space, r_rows, Q)
+    report.angle = retraction.angle_to_C(body, Q, targets)
+    report.escape = retraction.check_large_angle_escape(body, eps, Q, targets,
+                                                        angles=report.angle)
+    report.interior = np.abs(body.dist_rows(r_all[density:]) - eps)
+    report.idempotence = spaces.paired_distances(space, r_all, retractor.retract_rows(r_all)[0])
     if body.kind == "point":
-        radial = Q.copy()
-        off = np.flatnonzero(np.abs(body.dist_rows(Q) - eps) > tol)
-        radial[off] = retraction.normal_flow(body, Q[off], eps - body.dist_rows(Q[off]))
-        report.radial_rows = list(zip(
-            s_rows, spaces.paired_distances(space, r_rows, radial).tolist()))
+        radial, d = Q.copy(), body.dist_rows(Q)
+        off = np.flatnonzero(np.abs(d - eps) > tol)
+        radial[off] = retraction.normal_flow(body, Q[off], eps - d[off])
+        report.radial = spaces.paired_distances(space, r_rows, radial)
 
     # coning: each target lies near its cell's images, whose diameter obeys the
     # shrinking bound; cells are padded to one width with their first vertex
     cone_bound = (lam ** order) * diam_iota_grid
-    cells = [cell for _, _, cell in hits]
-    width = max(map(len, cells))
-    cell_ids = np.array([cell + cell[:1] * (width - len(cell)) for cell in cells])
     coning_ok = True
-    for rows in spaces.row_blocks(len(cells), width * width):
-        imgs = sub.iota.at(cell_ids[rows])
+    for rows in spaces.row_blocks(len(cells), cells.shape[1] ** 2):
+        imgs = sub.iota.at(cells[rows])
         cell_diam = np.max(spaces.paired_distances(space, imgs[:, :, None], imgs[:, None]),
                            axis=(1, 2))
         nearest = np.min(spaces.paired_distances(space, targets[rows, None], imgs), axis=1)
         coning_ok &= not np.any((cell_diam > cone_bound + 10 * tol)
                                 | (nearest > cell_diam + 10 * tol))
     report.gates["coning_containment"] = coning_ok
-
-    s_in = ss[::4].tolist()
-    Q_in = retraction.normal_flow(body, Q[::4], -grid.delta / 4.0)
-    r_in = np.array([r for r, _, _ in retractor.retract_rows(Q_in)])
-    rr_in = np.array([r for r, _, _ in retractor.retract_rows(r_in)])
-    report.interior_rows = list(zip(s_in, np.abs(body.dist_rows(r_in) - eps).tolist()))
-    report.idempotence_rows += list(zip(
-        s_in, spaces.paired_distances(space, r_in, rr_in).tolist()))
 
     # continuity moduli along the boundary at fixed scales
     mod_scales = (1e-2, 1e-3, 1e-4)
@@ -413,26 +402,28 @@ def run_pipeline(scene, lam=None, order=None, density=200, seed=0):
     W1 = np.array([w / np.sum(w) for w in grid.projector.tents(Q1)])
     for h in mod_scales:
         Q2 = window.points(s_mod + h)
-        R = np.array([r for r, _, _ in retractor.retract_rows(np.concatenate([Q1, Q2]))])
+        R = retractor.retract_rows(np.concatenate([Q1, Q2]))[0]
         W2 = np.array([w / np.sum(w) for w in grid.projector.tents(Q2)])
         report.moduli[f"{h:g}"] = float(np.max(
             spaces.distance_rows(space, R[:len(Q1)], R[len(Q1):]), initial=0.0))
         report.projection_moduli[f"{h:g}"] = float(np.max(np.abs(W1 - W2), initial=0.0))
 
-    report.gates["identity"] = max(r for _, r in report.identity_rows) <= 1e-8
-    report.gates["boundary_angle"] = (
-        min(a for _, a in report.angle_rows) >= angle_gate - 1e-6)
-    report.gates["escape"] = all(v for _, v in report.escape_rows)
-    report.gates["idempotence"] = (
-        max(r for _, r in report.idempotence_rows) <= 10 * tol)
-    report.gates["interior_level"] = (
-        max(r for _, r in report.interior_rows) <= 1e-7)
+    ext = report.extremes
+    ext.update(max_identity_residual=float(np.max(report.identity)),
+               min_boundary_angle=float(np.min(report.angle)),
+               escape_all=bool(np.all(report.escape)),
+               max_idempotence_residual=float(np.max(report.idempotence)))
+    report.gates["identity"] = ext["max_identity_residual"] <= 1e-8
+    report.gates["boundary_angle"] = ext["min_boundary_angle"] >= angle_gate - 1e-6
+    report.gates["escape"] = ext["escape_all"]
+    report.gates["idempotence"] = ext["max_idempotence_residual"] <= 10 * tol
+    report.gates["interior_level"] = float(np.max(report.interior)) <= 1e-7
     vals = [report.moduli[f"{h:g}"] for h in mod_scales]
     report.gates["moduli_nonincreasing"] = all(
         vals[i] >= vals[i + 1] - tol for i in range(len(vals) - 1))
     if body.kind == "point":
-        report.gates["radial_oracle"] = (
-            max(r for _, r in report.radial_rows) <= 1e-6)
+        ext["max_radial_residual"] = float(np.max(report.radial))
+        report.gates["radial_oracle"] = ext["max_radial_residual"] <= 1e-6
     report.gates["pipeline_completed"] = True
     return report
 

@@ -9,6 +9,7 @@ only for orbit representatives and propagated exactly by isometry.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -17,15 +18,6 @@ import numpy as np
 
 from . import barycenters, simplicial, spaces
 from .errors import DiameterTooLarge, ModelSpaceViolation, NoBarycenter
-
-
-@dataclass
-class EquivariantStructure:
-    """Partial simplicial action: per group element, a partial vertex map,
-    an array over the complex's vertex rows of image rows (-1 where
-    undefined)."""
-
-    maps: list  # list of (Isometry, vertex map)
 
 
 @dataclass
@@ -49,18 +41,47 @@ class StageRecord:
 class ShrinkRecord:
     """Stages, then final columns against the ORIGINAL complex: edges and
     their image lengths; per vertex, its least original simplex's image
-    diameter and the extreme distances to that simplex's vertex images."""
+    diameter and the extreme distances to that simplex's vertex images.
+    Only verify_shrinking reads original_diam and the per-vertex columns,
+    so they are computed together, once, on the first read of one."""
 
     lam: float
     order: int
-    original_diam: float
     stages: list
     final_edges: np.ndarray
     final_diams: np.ndarray
-    vertices: np.ndarray
-    sigma_diams: np.ndarray
-    max_dists: np.ndarray
-    min_dists: np.ndarray
+    original: simplicial.SimplicialComplex
+    original_iota: simplicial.VertexMap
+    iota: simplicial.VertexMap  # the final labels
+    prov_total: simplicial.SubdivisionProvenance
+
+    @functools.cached_property
+    def _columns(self):
+        """(image diameter of each original simplex in gid order, then per
+        final vertex row the max and the min of its distances to the vertex
+        images of its least original simplex), in blocks of BLOCK_ROWS rows."""
+        space, original, face = self.iota.target, self.original, self.prov_total.face
+        table = self.iota.at(self.prov_total.ids)
+        orig_table = self.original_iota.at(original.faces[0][:, 0])
+        diams = np.concatenate([_diameters(space, orig_table, t[:, :d + 1])
+                                for d, t in enumerate(original.face_tables)])
+        dims = np.searchsorted(original.offsets, face, side="right") - 1
+        hi, lo = np.zeros(len(face)), np.zeros(len(face))
+        for d, t in enumerate(original.face_tables):
+            members = np.flatnonzero(dims == d)
+            sigma = t[face[members] - original.offsets[d], :d + 1]
+            for start in range(0, len(members), BLOCK_ROWS):
+                block = members[start:start + BLOCK_ROWS]
+                dist = spaces.paired_distances(space, table[block][:, None],
+                                               orig_table[sigma[start:start + BLOCK_ROWS]])
+                hi[block], lo[block] = dist.max(axis=1), dist.min(axis=1)
+        return diams, hi, lo
+
+    original_diam = property(lambda self: float(np.max(self._columns[0], initial=0.0)))
+    vertices = property(lambda self: self.prov_total.ids)
+    sigma_diams = property(lambda self: self._columns[0][self.prov_total.face])
+    max_dists = property(lambda self: self._columns[1])
+    min_dists = property(lambda self: self._columns[2])
 
     def to_csv(self):
         lines = ["# barylab shrink record v1",
@@ -192,7 +213,7 @@ def _lift(complex_, maps):
             parts.append(np.where(np.all(img >= 0, axis=1) & (found >= 0),
                                   found + complex_.offsets[d], -1))
         lifted.append((h, np.concatenate(parts)))
-    return EquivariantStructure(lifted)
+    return lifted
 
 
 def _orbits(maps):
@@ -230,11 +251,14 @@ def _orbits(maps):
 def shrinking_subdivide(complex_, iota, lam, equivariance=None):
     """One lambda-shrinking subdivision step (the barycentric route).
 
-    Each level of new vertices (all J of one size) is labelled in blocks of
-    BLOCK_ROWS orbit representatives; P is J's faces (face-table columns),
-    Q the rest of its room.  Returns (subdivided complex, extended vertex
-    map, StageRecord, provenance, the lifted action or None).  Raises
-    NoBarycenter (with the failing certificate) if a barycenter is missing.
+    `equivariance` is the partial action as a list of (Isometry, vertex map)
+    pairs, each map an array over the vertex rows of image rows (-1 where
+    undefined).  Each level of new vertices (all J of one size) is labelled
+    in blocks of BLOCK_ROWS orbit representatives; P is J's faces
+    (face-table columns), Q the rest of its room.  Returns (subdivided
+    complex, extended vertex map, StageRecord, provenance, the lifted action
+    or None).  Raises NoBarycenter (with the failing certificate) if a
+    barycenter is missing.
     """
     space = iota.target
     iota.check_total(complex_)
@@ -245,9 +269,9 @@ def shrinking_subdivide(complex_, iota, lam, equivariance=None):
     table[:complex_.counts[0]] = iota.at(complex_.faces[0][:, 0])
 
     lifted = orbit = None
-    if equivariance is not None and equivariance.maps:
-        lifted = _lift(complex_, equivariance.maps)
-        orbit = _orbits(lifted.maps)
+    if equivariance:
+        lifted = _lift(complex_, equivariance)
+        orbit = _orbits(lifted)
 
     for d in range(1, complex_.dimension + 1):
         level = np.arange(offsets[d], offsets[d + 1])
@@ -302,7 +326,6 @@ def iterate_subdivision(complex_, iota, lam, n, equivariance=None):
     exceed the budget.  The record carries the final-stage data that
     verify_shrinking needs; the stage provenances locate a point's cell."""
     simplicial.check_budget(complex_.counts, n)
-    space = iota.target
     original, original_iota = complex_, iota
     # order 0 keeps the identity; compose needs an older subdivision
     # provenance, and stage 1's sets are already original simplices
@@ -321,26 +344,10 @@ def iterate_subdivision(complex_, iota, lam, n, equivariance=None):
         provs.append(prov)
         prov_total = prov.compose(prov_total) if stage else prov
 
-    table = iota.at(complex_.faces[0][:, 0])
     edges = np.searchsorted(complex_.faces[0][:, 0], complex_.faces[1])
-    orig_table = original_iota.at(original.faces[0][:, 0])
-    orig_tables, offsets = original.face_tables, original.offsets
-    orig_diams = np.concatenate([_diameters(space, orig_table, t[:, :d + 1])
-                                 for d, t in enumerate(orig_tables)])
-    face = prov_total.face  # per final vertex row, its least original simplex
-    dims = np.searchsorted(offsets, face, side="right") - 1
-    hi, lo = np.zeros(len(face)), np.zeros(len(face))
-    for d, t in enumerate(orig_tables):
-        members = np.flatnonzero(dims == d)
-        sigma = t[face[members] - offsets[d], :d + 1]
-        for start in range(0, len(members), BLOCK_ROWS):
-            block = members[start:start + BLOCK_ROWS]
-            dist = spaces.paired_distances(space, table[block][:, None],
-                                           orig_table[sigma[start:start + BLOCK_ROWS]])
-            hi[block], lo[block] = dist.max(axis=1), dist.min(axis=1)
-    record = ShrinkRecord(lam, n, float(np.max(orig_diams, initial=0.0)), stages,
-                          complex_.faces[1], _diameters(space, table, edges),
-                          prov_total.ids, orig_diams[face], hi, lo)
+    record = ShrinkRecord(lam, n, stages, complex_.faces[1],
+                          _diameters(iota.target, iota.at(complex_.faces[0][:, 0]), edges),
+                          original, original_iota, iota, prov_total)
     return SubdivisionResult(complex_, iota, record, prov_total, provs)
 
 

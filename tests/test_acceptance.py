@@ -256,9 +256,9 @@ def test_criterion_7_flagship_retraction(flagship_report):
     rep, dt = flagship_report
     t0 = time.monotonic() - dt
     assert rep.ok, rep.failure or {k: v for k, v in rep.gates.items() if not v}
-    assert max(r for _, r in rep.identity_rows) <= 1e-8
-    assert min(a for _, a in rep.angle_rows) >= 3 * math.pi / 4 - 1e-6
-    assert all(v for _, v in rep.escape_rows)
+    assert np.max(rep.identity) <= 1e-8
+    assert np.min(rep.angle) >= 3 * math.pi / 4 - 1e-6
+    assert np.all(rep.escape)
     assert rep.diam_iota <= rep.diam_K_Kout + 1e-9
     vals = [rep.moduli[k] for k in ("0.01", "0.001", "0.0001")]
     assert vals[0] >= vals[1] - 1e-9 >= vals[2] - 2e-9
@@ -269,8 +269,8 @@ def test_criterion_8_euclidean_oracle(euclid_report):
     rep, dt = euclid_report
     t0 = time.monotonic() - dt
     assert rep.ok
-    assert len(rep.radial_rows) == 1000
-    assert max(r for _, r in rep.radial_rows) <= 1e-6
+    assert len(rep.radial) == 1000
+    assert np.max(rep.radial) <= 1e-6
     _report(8, "retraction equals analytic radial projection within 1e-6 "
                "on 1000 samples", t0, 30)
 

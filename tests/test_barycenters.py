@@ -40,6 +40,33 @@ def test_lambda_of_examples():
         bc.lambda_of(E2, P[0], [P[0], P[0]])
 
 
+def frozen_finite_loops(space, b, P, Q):
+    """lambda_of and relative_slacks of a finite space as per-point loops of
+    spaces.distance calls."""
+    D = spaces.pairwise_diameter(space, P)
+    lam = max(spaces.distance(space, b, p) for p in P) / D
+    slacks = [max(D, max(spaces.distance(space, q, p) for p in P)) - spaces.distance(space, b, q)
+              for q in Q]
+    return lam, slacks
+
+
+def test_finite_lambda_and_slacks_match_per_point_loops():
+    """On finite spaces the index-array kernels give the loops' values
+    exactly: 300 random metrics (distances of random points of R^2, so
+    symmetric bit for bit) with random P, Q and b."""
+    rng = np.random.default_rng(21)
+    for _ in range(300):
+        n = int(rng.integers(3, 12))
+        xy = rng.uniform(-1.0, 1.0, (n, 2))
+        space = spaces.ModelSpace.finite(np.linalg.norm(xy[:, None] - xy[None], axis=-1))
+        P = rng.choice(n, int(rng.integers(2, n + 1)), replace=False).tolist()
+        Q = rng.integers(0, n, int(rng.integers(0, 6))).tolist()
+        b = int(rng.integers(0, n))
+        lam, slacks = frozen_finite_loops(space, b, P, Q)
+        assert bc.lambda_of(space, b, P) == lam
+        assert list(bc.relative_slacks(space, b, P, Q)) == slacks
+
+
 def test_solve_edge():
     prob = bc.BarycenterProblem(E2, [np.zeros(2), np.array([2.0, 0.0])], [])
     cert = bc.solve_barycenter(prob, 0.5)

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from barylab import cli, scenes
+from barylab import cli, scenes, spaces
 
 
 def run(argv):
@@ -206,6 +206,21 @@ def patch_with_interior(point):
     return doc
 
 
+def axis_with_group(word_length, *extra):
+    """The hyperbolic_axis scene document with the given group word length and
+    the isometries `extra` appended to its generators."""
+    doc = scenes.hyperbolic_axis_scene().to_json()
+    doc["group"]["word_length"] = word_length
+    doc["group"]["generators"] += [g.to_json() for g in extra]
+    return doc
+
+
+# the scene's boost conjugated by a quarter turn: with it, the group is free
+# on two generators and has 2 * 3^L - 1 elements within word length L
+TURNED_BOOST = spaces.Isometry.hyperbolic_rotation(math.pi / 2).compose(
+    spaces.Isometry.hyperbolic_boost(4.0)).compose(spaces.Isometry.hyperbolic_rotation(-math.pi / 2))
+
+
 @pytest.mark.parametrize("doc, flags", [
     ({"scene": "euclidean_point"}, ["--order", "-1"]),
     ({"scene": "euclidean_point", "overrides": {"order": -1}}, []),
@@ -257,6 +272,11 @@ def patch_with_interior(point):
     (patch_with_interior([0.3, 0.2, 5.0]), []),
     (point_scene_with(interior_points=[[math.nan, 0.0]]), []),
     (point_scene_with(interior_points=[[0.3]]), []),
+    (axis_with_group(-1), []),
+    (axis_with_group(True), []),
+    (axis_with_group(2.7), []),
+    (axis_with_group("2"), []),
+    (axis_with_group(20, TURNED_BOOST), []),
 ], ids=["order_flag", "order_override", "order_fraction", "density_zero",
         "density_negative", "lambda_zero", "lambda_above_one", "lambda_override",
         "delta_zero", "delta_negative", "delta_prime_zero", "R_equal_eps",
@@ -268,7 +288,9 @@ def patch_with_interior(point):
         "order_true", "delta_prime_true", "delta_true", "eps_true",
         "axis_eps_true", "sample_spacing_true", "window_end_true", "delta_past_sigma_samples",
         "sample_spacing_past_budget", "angle_matrix_past_budget", "density_past_budget",
-        "interior_off_sheet", "interior_nan", "interior_short"])
+        "interior_off_sheet", "interior_nan", "interior_short", "word_length_negative",
+        "word_length_true", "word_length_fraction", "word_length_string",
+        "group_past_element_budget"])
 def test_retract_rejects_bad_input(tmp_path, capsys, doc, flags):
     inp = write(tmp_path / "scene.json", doc)
     out = str(tmp_path / "report.json")

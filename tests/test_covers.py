@@ -9,6 +9,7 @@ import pytest
 
 from barylab import barycenters as bc, covers, spaces
 from barylab.errors import (
+    BudgetExceeded,
     EnumerationBound,
     IndeterminateIntersection,
     PreconditionError,
@@ -308,6 +309,76 @@ def test_diam_K_Kout_upper_bound():
         bound = 2 * (spaces.pairwise_diameter(E2, K) + gap
                      + spaces.pairwise_diameter(E2, K_out))
         assert d <= bound + 1e-9
+
+
+def frozen_union_diam_K_Kout(action, gaps, K_out, slack=0.0):
+    """diam_K_Kout as it was first written: the diameter of each qualifying
+    union hK_out u K_out, taken whole."""
+    K_out = np.asarray(K_out, float)
+    best = spaces.pairwise_diameter(action.space, K_out)
+    for g, w, dmin in gaps:
+        if dmin <= slack + action.space.tol:
+            union = np.concatenate([K_out, g.apply(K_out)])
+            best = max(best, spaces.pairwise_diameter(action.space, union))
+    return best
+
+
+@pytest.mark.parametrize("space", ["E2", "H2"])
+def test_diam_K_Kout_equals_union_diameter(space):
+    """diam(K_out) once plus diam(hK_out) and the cross pairs per qualifying
+    h equals the union's diameter under ==, whether no translate, some or
+    all of them qualify."""
+    rng = np.random.default_rng(20)
+    if space == "E2":
+        space, g = E2, spaces.Isometry.euclidean_translation([1.5, 0.0])
+
+        def draw(m, lo, hi):
+            return rng.uniform(lo, hi, (m, 2))
+    else:
+        space, g = H2, spaces.Isometry.hyperbolic_boost(1.5)
+
+        def draw(m, lo, hi):
+            x = rng.uniform(lo, hi, (m, 2))
+            return np.column_stack([np.sqrt(1.0 + np.sum(x * x, axis=1)), x])
+    act = covers.GroupAction(space, [g], word_length=3)
+    qualified = set()
+    for trial in range(30):
+        K, K_out = draw(rng.integers(3, 9), -1, 1), draw(rng.integers(3, 40), 2, 4)
+        gaps = covers.translate_gaps(act, K)
+        slack = [0.0, 1.0, 10.0][trial % 3]
+        qualified.add(sum(dmin <= slack + space.tol for _, w, dmin in gaps if w < 3))
+        if any(dmin <= slack + space.tol for _, w, dmin in gaps if w == 3):
+            continue  # diam_K_Kout raises EnumerationBound there
+        got = covers.diam_K_Kout(act, gaps, K_out, slack=slack)
+        assert got == frozen_union_diam_K_Kout(act, gaps, K_out, slack=slack)
+    assert 0 in qualified and max(qualified) >= 2
+
+
+@pytest.mark.parametrize("word_length", [-1, True, 2.7, "2", None])
+def test_group_action_refuses_a_bad_word_length(word_length):
+    """Only a whole number >= 0 is a word length: -1 used to drop every
+    translate silently, and True, 2.7 and "2" were coerced by int()."""
+    g = spaces.Isometry.euclidean_translation([10.0])
+    with pytest.raises(ValueError, match="word_length"):
+        covers.GroupAction(E1, [g], word_length=word_length)
+    with pytest.raises(ValueError, match="word_length"):
+        covers.GroupAction.from_json(E1, {"generators": [g.to_json()],
+                                          "word_length": word_length})
+    assert covers.GroupAction(E1, [g], word_length=np.int64(2)).word_length == 2
+
+
+def test_group_enumeration_refuses_past_its_budget():
+    """Two free H^2 generators have 2 * 3^L - 1 elements within word length
+    L; word length 20 is refused once the count passes GROUP_ELEMENTS,
+    within a second, while word length 5 (485 elements) is enumerated."""
+    boost = spaces.Isometry.hyperbolic_boost(2.0)
+    turn = spaces.Isometry.hyperbolic_rotation(math.pi / 2)
+    gens = [boost, turn.compose(boost).compose(turn.inverse())]
+    assert len(covers.GroupAction(H2, gens, word_length=5).elements()) == 485
+    t0 = time.monotonic()
+    with pytest.raises(BudgetExceeded, match="group elements"):
+        covers.GroupAction(H2, gens, word_length=20)
+    assert time.monotonic() - t0 < 1.0
 
 
 def test_cover_json_roundtrip():

@@ -570,20 +570,24 @@ def test_push_target_rows_match_one_row_calls(seed, name, m):
     Q = rt.normal_flow(body, window.points(ss), -depth)
     projector = retr.grid.projector
     projections = projector.project_rows(Q)
-    targets = retr.push_targets(Q)
-    retracted = retr.retract_rows(Q)
-    for q, (support, w), (target, cell), (r, r_target, r_cell) in zip(
-            Q, projections, targets, retracted):
+    targets, cells = retr.push_targets(Q)
+    r_rows, r_targets, r_cells = retr.retract_rows(Q)
+    assert r_rows.shape == targets.shape == Q.shape
+    assert np.array_equal(r_targets, targets) and np.array_equal(r_cells, cells)
+    width = cells.shape[1]
+    for q, (support, w), target, cell_row, r in zip(Q, projections, targets, cells, r_rows):
         one_support, one_w = projector.project(q)
         assert support == one_support and np.array_equal(w, one_w)
         one_target, one_cell = retr.push_target(q)
-        assert np.array_equal(target, one_target) and cell == one_cell
+        # the row's cell, then copies of its first id up to the common width
+        assert cell_row.tolist() == list(one_cell) + [one_cell[0]] * (width - len(one_cell))
+        assert np.array_equal(target, one_target)
         ref_support, ref_w, ref_target, ref_cell = frozen_push_target(retr, q)
         assert support == ref_support and np.array_equal(w, ref_w)
-        assert np.array_equal(target, ref_target) and cell == ref_cell
+        assert np.array_equal(target, ref_target) and one_cell == ref_cell
         one_r, one_r_target, one_r_cell = retr.retract(q)
-        assert np.array_equal(r, one_r) and np.array_equal(r_target, one_r_target)
-        assert cell == r_cell == one_r_cell
+        assert np.array_equal(r, one_r) and np.array_equal(target, one_r_target)
+        assert one_cell == one_r_cell
     if name == "hyperbolic_axis":
         assert any(max(support) >= len(projector.cover) for support, _ in projections)
 

@@ -480,7 +480,7 @@ def frozen_equivariance_maps(adj):
 
 
 def assert_maps_match_frozen(adj):
-    got = rt._equivariance_from_adjacency(adj).maps
+    got = rt._equivariance_from_adjacency(adj)
     want = frozen_equivariance_maps(adj)
     assert len(got) == len(want) > 0
     for (h, rows), (h_want, vmap) in zip(got, want):
@@ -753,8 +753,8 @@ def test_segment_scene_end_to_end():
     rep = scenes.run_pipeline(scenes.euclidean_segment_scene(), density=60,
                               seed=0)
     assert rep.ok
-    assert max(r for _, r in rep.identity_rows) <= 1e-8
-    assert min(a for _, a in rep.angle_rows) >= 3 * math.pi / 4 - 1e-6
+    assert np.max(rep.identity) <= 1e-8
+    assert np.min(rep.angle) >= 3 * math.pi / 4 - 1e-6
 
 
 def test_grid_nerve_is_face_closed():
@@ -898,3 +898,44 @@ def test_push_targets_hold_no_row_by_element_array():
     raised, peak = allocation_peak(lambda: retr.push_targets(Q))
     assert raised is None
     assert peak < 0.5 * 8 * len(Q) * len(grid.adjacency)
+
+
+def test_run_pipeline_never_computes_the_verification_columns(monkeypatch):
+    """run_pipeline passes every gate without reading the ShrinkRecord
+    columns that only verify_shrinking needs (each read would raise here)."""
+    def unread(name):
+        def read(self):
+            raise AssertionError(f"run_pipeline read ShrinkRecord.{name}")
+        return property(read)
+
+    for name in ("original_diam", "vertices", "sigma_diams", "max_dists", "min_dists",
+                 "_columns"):
+        monkeypatch.setattr(sd.ShrinkRecord, name, unread(name))
+    rep = scenes.run_pipeline(scenes.hyperbolic_axis_scene(period=2.0), density=20)
+    assert rep.ok, rep.failure or rep.gates
+    assert rep.extension["subdivision_vertices"] > 0
+
+
+def test_report_extremes_are_the_gated_numbers():
+    """Each printed extreme is the one its gate read, taken over the report's
+    columns, and samples_csv prints the same columns."""
+    rep = scenes.run_pipeline(scenes.euclidean_point_scene(), density=40)
+    doc = rep.to_json()
+    assert doc["max_identity_residual"] == np.max(rep.identity)
+    assert {k: doc[k] for k in scenes.EXTREMES} == rep.extremes
+    assert doc["min_boundary_angle"] == np.min(rep.angle)
+    assert doc["escape_all"] is True and rep.escape.dtype == bool
+    assert doc["max_radial_residual"] == np.max(rep.radial)
+    assert len(rep.idempotence) == 40 + len(rep.interior) == 40 + 10
+    assert doc["max_idempotence_residual"] == np.max(rep.idempotence)
+    lines = rep.samples_csv().splitlines()[2:]
+    assert len(lines) == len(rep.s) == 40
+    for line, s, res, angle in zip(lines, rep.s, rep.identity, rep.angle):
+        _, s_txt, res_txt, angle_txt, escape = line.split(",")
+        assert (float(s_txt), float(res_txt), float(angle_txt), escape) == (s, res, angle, "1")
+    failed = scenes.run_pipeline(scenes.broken_delta_prime_scene(), density=40)
+    assert not failed.ok and failed.s is None
+    assert failed.samples_csv().count("\n") == 2
+    assert all(failed.to_json()[k] is None for k in (
+        "max_identity_residual", "min_boundary_angle", "escape_all",
+        "max_idempotence_residual", "max_radial_residual"))

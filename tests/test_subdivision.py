@@ -159,9 +159,9 @@ def test_partial_action_without_inverse(shift):
         cplx, iota, 0.5, equivariance=action_rows(cplx, [(h, vmap)]))
     v01, v23 = prov.vertex_of[(0, 1)], prov.vertex_of[(2, 3)]
     src, dst = (v23, v01) if shift < 0 else (v01, v23)
-    assert lifted.maps[0][1][src] == dst  # vertex rows are the ids here
+    assert lifted[0][1][src] == dst  # vertex rows are the ids here
     assert iota1(v01).tolist() == [0.5] and iota1(v23).tolist() == [2.5]
-    rep, _, _ = sd._orbits(lifted.maps)
+    rep, _, _ = sd._orbits(lifted)
     assert rep[v01] == v01 and rep[v23] == (v23 if shift < 0 else v01)
 
 
@@ -268,16 +268,16 @@ def _star(inc, J):
 
 
 def action_rows(cplx, maps):
-    """The partial maps [(h, {vertex id: image id})] as the EquivariantStructure
-    that shrinking_subdivide takes: arrays over the vertex rows, -1 where
-    undefined."""
+    """The partial maps [(h, {vertex id: image id})] as shrinking_subdivide
+    takes them: [(h, array over the vertex rows of image rows, -1 where
+    undefined)]."""
     ids = cplx.faces[0][:, 0]
     out = []
     for h, vmap in maps:
         rows = np.full(len(ids), -1)
         rows[np.searchsorted(ids, list(vmap))] = np.searchsorted(ids, list(vmap.values()))
         out.append((h, rows))
-    return sd.EquivariantStructure(out)
+    return out
 
 
 def _orbit_assignments(new_sets, maps):
@@ -535,3 +535,61 @@ def test_rule_rejected_row_reaches_grid_solver(monkeypatch):
     calls.clear()
     assert_same_labels(cplx, iota, 0.6)
     assert calls == [6, 6]  # the batched pass, then the reference
+
+
+def frozen_eager_columns(result, original, original_iota):
+    """The per-vertex columns as iterate_subdivision computed them eagerly:
+    (original_diam, vertices, sigma_diams, max_dists, min_dists)."""
+    space, complex_, prov_total = original_iota.target, result.complex, result.prov_total
+    table = result.iota.at(complex_.faces[0][:, 0])
+    orig_table = original_iota.at(original.faces[0][:, 0])
+    orig_tables, offsets = original.face_tables, original.offsets
+    orig_diams = np.concatenate([sd._diameters(space, orig_table, t[:, :d + 1])
+                                 for d, t in enumerate(orig_tables)])
+    face = prov_total.face
+    dims = np.searchsorted(offsets, face, side="right") - 1
+    hi, lo = np.zeros(len(face)), np.zeros(len(face))
+    for d, t in enumerate(orig_tables):
+        members = np.flatnonzero(dims == d)
+        sigma = t[face[members] - offsets[d], :d + 1]
+        for start in range(0, len(members), sd.BLOCK_ROWS):
+            block = members[start:start + sd.BLOCK_ROWS]
+            dist = spaces.paired_distances(space, table[block][:, None],
+                                           orig_table[sigma[start:start + sd.BLOCK_ROWS]])
+            hi[block], lo[block] = dist.max(axis=1), dist.min(axis=1)
+    return (float(np.max(orig_diams, initial=0.0)), prov_total.ids, orig_diams[face], hi, lo)
+
+
+@pytest.mark.parametrize("case, order", [
+    (case, order) for case in ["edge", "triangle", "strip_R2", "strip_H2", "boost_H2", "points"]
+    for order in (0, 1, 2)] + [("finite", 0), ("finite", 1)])  # no order-2 finite labels
+def test_lazy_record_columns_match_frozen_eager_code(case, order):
+    """The columns that ShrinkRecord computes on first read equal the eager
+    code's, value for value and in the same rows."""
+    maps = None
+    if case == "edge":
+        cplx, iota = unit_edge()
+    elif case == "triangle":
+        cplx, iota = equilateral()
+    elif case.startswith("strip"):
+        cplx, iota = jittered_strip(E2 if case == "strip_R2" else H2, 3, seed=5, scale=0.2)
+    elif case == "boost_H2":
+        cplx, iota, maps = boost_strip(H2)
+    elif case == "points":
+        cplx = simplicial.SimplicialComplex.from_maximal([(0,), (1,)])
+        iota = labelled(E1, {0: np.array([0.0]), 1: np.array([5.0])})
+    else:
+        F = spaces.ModelSpace.finite([[abs(i - j) for j in range(5)] for i in range(5)])
+        cplx = simplicial.SimplicialComplex.from_maximal([(0, 1), (1, 2)])
+        iota = labelled(F, {0: 0, 1: 2, 2: 4})
+    lam = 0.5 if case in ("edge", "points", "finite") else SQ32
+    res = sd.iterate_subdivision(cplx, iota, lam, order,
+                                 equivariance=None if maps is None else action_rows(cplx, maps))
+    rec = res.record
+    assert "_columns" not in vars(rec)
+    diam, vertices, sigma_diams, hi, lo = frozen_eager_columns(res, cplx, iota)
+    assert rec.original_diam == diam
+    for got, want in [(rec.vertices, vertices), (rec.sigma_diams, sigma_diams),
+                      (rec.max_dists, hi), (rec.min_dists, lo)]:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert sd.verify_shrinking(rec).ok

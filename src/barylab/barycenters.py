@@ -119,8 +119,9 @@ def _quad(space, diff):
     """q_i(x) from d = x - c_i: |d|^2 in R^n, and 1 + <d, d>_M / 2 in H^n,
     which equals -<x, c_i> on the sheet without its cancellation."""
     if space.kind == spaces.EUCLIDEAN:
-        return np.sum(diff * diff, axis=-1)
-    return 1.0 + 0.5 * (np.sum(diff[..., 1:] ** 2, axis=-1) - diff[..., 0] ** 2)
+        diff = spaces.planes(diff)
+        return spaces.plane_dots(diff, diff)
+    return 1.0 + 0.5 * spaces.minkowski_rows(diff, diff)
 
 
 def dual_bound(space, centers, beta, weights):

@@ -233,30 +233,33 @@ def angle_to_C(body, q, q_prime):
 
 
 def _angles_to_C(body, Q):
-    """angle_to_C over the rows of Q (2d Euclidean / hyperboloid), as a
-    function of an (m, ambient) block of q' rows that returns the (m, len(Q))
-    angles; the terms of Q alone (its projection, the direction to it, in H^n
-    its length) are computed once.  Each entry is the same elementwise
-    formula whatever the block, so its bits do not depend on the blocking."""
+    """angle_to_C over the rows of Q (2d Euclidean / hyperboloid), as a function
+    of an (m, ambient) block of q' rows returning the (m, len(Q)) angles, each
+    term an (m, len(Q)) plane per coordinate and each sum a plane fold; the
+    terms of Q alone are computed once.  Each entry is one elementwise formula
+    whatever the block, so its bits do not depend on the blocking."""
     Q = np.asarray(Q, float)
-    P = body.project_rows(Q)
+    P, q = body.project_rows(Q), spaces.planes(Q)
     if body.space.kind == spaces.EUCLIDEAN:
-        u2 = (P - Q) / np.linalg.norm(P - Q, axis=1)[:, None]
+        u2 = spaces.planes((P - Q) / spaces.paired_distances(body.space, P, Q)[:, None])
 
         def angles(q_primes):
-            u1 = np.asarray(q_primes, float)[:, None, :] - Q
-            u1 = u1 / np.linalg.norm(u1, axis=-1)[..., None]
-            return np.arccos(np.clip(np.sum(u1 * u2, axis=-1), -1.0, 1.0))
+            u1 = [x[:, None] - y for x, y in zip(spaces.planes(np.asarray(q_primes, float)), q)]
+            norm = np.sqrt(spaces.plane_dots(u1, u1))
+            for x in u1:
+                x /= norm
+            return np.arccos(np.clip(spaces.plane_dots(u1, u2), -1.0, 1.0))
         return angles
     c2 = spaces.minkowski_rows(Q, P)
-    u2, s2 = P + c2[:, None] * Q, np.sqrt(np.maximum(c2 * c2 - 1.0, 1e-300))
+    u2, s2 = spaces.planes(P + c2[:, None] * Q), np.sqrt(np.maximum(c2 * c2 - 1.0, 1e-300))
 
     def angles(q_primes):
-        QP = np.asarray(q_primes, float)[:, None, :]
-        c1 = spaces.minkowski_rows(Q, QP)
-        u1 = QP + c1[..., None] * Q
+        qp = [x[:, None] for x in spaces.planes(np.asarray(q_primes, float))]
+        c1 = spaces.plane_dots(q, qp, 1) - q[0] * qp[0]
+        u1 = [x + c1 * y for x, y in zip(qp, q)]
         s1 = np.sqrt(np.maximum(c1 * c1 - 1.0, 1e-300))
-        return np.arccos(np.clip(spaces.minkowski_rows(u1, u2) / (s1 * s2), -1.0, 1.0))
+        cos = spaces.plane_dots(u1, u2, 1) - u1[0] * u2[0]
+        return np.arccos(np.clip(cos / (s1 * s2), -1.0, 1.0))
     return angles
 
 
@@ -636,33 +639,39 @@ class PushOff:
         return self.sub_result.iota
 
     def evaluate(self, support, weights):
-        """(image point, cell vertex ids) of j at one nerve point (support,
-        weights): the one-row case of evaluate_rows."""
+        """(image point, cell vertex ids) at one nerve point: evaluate_rows' one row."""
         targets, cells = self.evaluate_rows([(support, weights)])
         return targets[0], tuple(cells[0].tolist())
 
     def evaluate_rows(self, projections):
         """(targets, cells) of j at the nerve points (support simplex, weights)
         of `projections`: one image row each, and each final cell's ascending
-        ids as a row of one (m, width) array, padded with its first id.  Each
-        cell is located by the sorted-weight chain transform per subdivision
-        order; the image is the geodesic cone (ascending-id fold) over its
-        vertex images, each fold position one distance_rows and one
-        geodesic_rows pass, so a row has the same bits alone or among rows."""
-        cells = []
-        for support, weights in projections:
-            w = {int(v): float(x) for v, x in zip(support, weights) if x > 0.0}
-            for prov in self.sub_result.provs:
-                w = subdivision_coordinates(w, prov.vertex_of)
-            cells.append(sorted(w.items()))
-        width = max(map(len, cells), default=1)  # pad with weight-0 copies of the first id
-        pad = np.array([c + [(c[0][0], 0.0)] * (width - len(c)) for c in cells],
-                       float).reshape(-1, width, 2)
-        ids, wts = pad[..., 0].astype(np.int64), pad[..., 1]
+        ids as a row of one (m, width) array, padded with its first id.  Per
+        subdivision order, a row sorted by (-weight, id) gives its prefix chain
+        J of length k the weight k * (its weight - the next one) and the vertex
+        prov.ids[gid of J in prov.parent] (face is arange); weight 0 is a pad.
+        The image is the geodesic cone (ascending-id fold) over the vertex
+        images, one distance_rows and geodesic_rows pass per fold position, so
+        a row has the same bits alone or among rows."""
+        shape = (len(projections), max((len(s) for s, _ in projections), default=1))
+        ids, wts = np.zeros(shape, np.int64), np.zeros(shape)
+        for r, (support, weights) in enumerate(projections):
+            ids[r, :len(support)], wts[r, :len(support)] = support, weights
+        for prov in self.sub_result.provs:
+            order = np.lexsort((ids, -wts))
+            chains, wts = np.take_along_axis(ids, order, 1), np.take_along_axis(wts, order, 1)
+            wts = np.arange(1, shape[1] + 1) * (wts - np.pad(wts[:, 1:], ((0, 0), (0, 1))))
+            for k in range(1, shape[1] + 1):
+                live = np.flatnonzero(wts[:, k - 1] > 0.0)
+                found = prov.parent.find(np.sort(chains[live, :k], axis=1))
+                ids[live, k - 1] = prov.ids[prov.parent.offsets[k - 1] + found]
+        order = np.lexsort((ids, wts <= 0.0))[:, :np.max(np.sum(wts > 0.0, axis=1), initial=1)]
+        ids, wts = np.take_along_axis(ids, order, 1), np.take_along_axis(wts, order, 1)
+        ids = np.where(wts > 0.0, ids, ids[:, :1])
         space = self.grid.body.space
         pts = self.iota_n.at(ids)
         acc, W = pts[:, 0].copy(), wts[:, 0].copy()
-        for j in range(1, width):
+        for j in range(1, ids.shape[1]):
             on = wts[:, j] > 0.0
             W[on] += wts[on, j]
             d = spaces.distance_rows(space, acc, pts[:, j])
@@ -670,22 +679,6 @@ class PushOff:
             acc[move] = spaces.geodesic_rows(space, acc[move], pts[move, j],
                                              d[move] * wts[move, j] / W[move])
         return acc, ids
-
-
-def subdivision_coordinates(weights, vertex_of):
-    """Barycentric weights on a simplex -> weights on its containing cell of
-    the barycentric subdivision (sorted-weight prefix chains)."""
-    items = sorted(weights.items(), key=lambda kv: (-kv[1], kv[0]))
-    out = {}
-    prefix = []
-    for m, (v, w) in enumerate(items, start=1):
-        prefix.append(v)
-        w_next = items[m][1] if m < len(items) else 0.0
-        mu = m * (w - w_next)
-        if mu > 0.0:
-            J = tuple(sorted(prefix))
-            out[vertex_of[J]] = out.get(vertex_of[J], 0.0) + mu
-    return out
 
 
 def _equivariance_from_adjacency(adj):

@@ -9,6 +9,7 @@ retraction, recording every gate the construction is supposed to satisfy.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -74,19 +75,32 @@ class Scene:
                     f"delta_prime {self.delta_prime}, sample_spacing {spacing}")
         for p in self.interior_points:
             self.space.check_point(p)
-        self.sampling()
+        self.k_samples  # the sample budgets, and an R whose K_out overflows
+
+    @functools.cached_property
+    def k_samples(self):
+        """(K, K_out): the K samples and their flow to the R-level set."""
+        K = self.window.samples(self.sampling()[1], endpoint=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:  # math.cosh and math.sinh raise OverflowError past the range
+                K_out = retraction.normal_flow(self.body, K, self.R - self.eps)
+                if np.all(np.isfinite(K_out * K_out)):
+                    return K, K_out
+            except OverflowError:
+                pass
+        raise ValueError(f"R {self.R} puts K_out or its squares past the float range")
 
     def sampling(self):
         """(spacing, K count, sigma count): the pipeline's K samples, at most
         spacing = sample_spacing (by default max(delta, span / 400)) apart,
-        and its sigma samples, at most delta / 2 apart.  Raises BudgetExceeded
-        past PAIR_ROWS K x K pairs, SIGMA_ROWS sigma samples or ANGLE_BYTES
-        of angle matrix, before anything is allocated."""
+        and its sigma samples, at most delta / 2 apart.  Raises BudgetExceeded,
+        allocating nothing, past PAIR_ROWS K x K pairs (diam(K_out) and one
+        pass per group element), SIGMA_ROWS sigmas or ANGLE_BYTES of angles."""
         span = self.window.s_hi - self.window.s_lo
         spacing = self.sample_spacing or max(self.delta, span / 400.0)
-        pairs = (span / spacing + 1.0) ** 2
-        check_budget(pairs, PAIR_ROWS,
-                     f"sample_spacing {spacing}: {pairs:.6g} K x K distance pairs")
+        pairs = (1 + len(self.action.nontrivial())) * (span / spacing + 1.0) ** 2
+        check_budget(pairs, PAIR_ROWS, f"sample_spacing {spacing}: {pairs:.6g} K x K distance "
+                     "pairs, a K x K pass per nontrivial group element and one more")
         sigma = span / (self.delta / 2.0) + 1.0
         check_budget(sigma, SIGMA_ROWS, f"delta {self.delta}: {sigma:.6g} sigma samples "
                      f"{self.delta / 2.0} apart on a window of length {span}")
@@ -296,11 +310,10 @@ def run_pipeline(scene, lam=None, order=None, density=200, seed=0):
                               seed=seed)
 
     check_density(density)
-    spacing, k_count, sig_count = scene.sampling()
+    spacing, _, sig_count = scene.sampling()
     span = window.s_hi - window.s_lo
-    K_sigma = window.samples(k_count, endpoint=True)
+    K_sigma, K_out = scene.k_samples
     K_samples = list(K_sigma) + [np.asarray(c, float) for c in scene.interior_points]
-    K_out = retraction.normal_flow(body, K_sigma, R - eps)
     gaps = covers.translate_gaps(scene.action, K_samples)
     sigma_dense = window.samples(sig_count, endpoint=True)
 

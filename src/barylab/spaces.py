@@ -28,6 +28,7 @@ EUCLIDEAN = "euclidean"
 CIRCLE = "circle"
 HYPERBOLOID = "hyperboloid"
 FINITE = "finite"
+_PLANE_AXES = {n: (n - 1, *range(n - 1)) for n in range(1, 65)}  # planes() by ndim
 
 
 def minkowski_dot(x, y):
@@ -35,9 +36,25 @@ def minkowski_dot(x, y):
     return float(np.dot(x[1:], y[1:]) - x[0] * y[0])
 
 
+def planes(X):
+    """The coordinate planes X[..., i] of an array of points, as views."""
+    return X.transpose(_PLANE_AXES[X.ndim])
+
+
+def plane_dots(A, B, start=0):
+    """sum of A[i] * B[i] over i >= start, for sequences of coordinate planes
+    (planes(X), or lists of arrays), added left to right in place: below 8
+    terms np.sum(..., axis=-1)'s order, so its bits unless every term is -0.0."""
+    acc = A[start] * B[start] if start < len(A) else 0.0
+    for i in range(start + 1, len(A)):
+        acc += A[i] * B[i]
+    return acc
+
+
 def minkowski_rows(A, B):
     """Minkowski products of the broadcast rows (last axis) of A and B."""
-    return np.sum(A[..., 1:] * B[..., 1:], axis=-1) - A[..., 0] * B[..., 0]
+    A, B = planes(A), planes(B)
+    return plane_dots(A, B, 1) - A[0] * B[0]
 
 
 def row_dots(A, B):
@@ -175,25 +192,15 @@ class ModelSpace:
         raise ValueError(f"unknown space kind {kind!r}")
 
 
-def _hyperboloid_dist_from_diff(diff):
-    """d = 2 asinh(|x-y|_M / 2); cancellation-free for nearby points since
-    <x-y, x-y>_M = 2(cosh d - 1) is computed from the difference vector."""
-    if diff.ndim == 1:
-        msq = float(np.dot(diff[1:], diff[1:]) - diff[0] * diff[0])
-        return 2.0 * math.asinh(0.5 * math.sqrt(max(msq, 0.0)))
-    msq = np.sum(diff[..., 1:] ** 2, axis=-1) - diff[..., 0] ** 2
-    return 2.0 * np.arcsinh(0.5 * np.sqrt(np.maximum(msq, 0.0)))
-
-
 def distance(space, x, y):
-    """Metric of the model space (chordal for the circle)."""
+    """Metric of the model space (chordal for the circle).  In H^n, d = 2
+    asinh(|x-y|_M / 2): <x-y, x-y>_M = 2(cosh d - 1), computed from the
+    difference vector, has no cancellation for nearby points."""
     if space.kind == FINITE:
         return float(space.matrix[int(x), int(y)])
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    diff = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
     if space.kind == HYPERBOLOID:
-        return _hyperboloid_dist_from_diff(x - y)
-    diff = x - y
+        return 2.0 * math.asinh(0.5 * math.sqrt(max(minkowski_dot(diff, diff), 0.0)))
     # np.linalg.norm's own formula for a real 1-D array, without its dispatch
     return math.sqrt(float(diff.dot(diff)))
 
@@ -218,8 +225,9 @@ def paired_distances(space, A, B):
         return space.matrix[np.asarray(A, int), np.asarray(B, int)]
     diff = np.asarray(A, dtype=float) - np.asarray(B, dtype=float)
     if space.kind == HYPERBOLOID:
-        return _hyperboloid_dist_from_diff(diff)
-    return np.linalg.norm(diff, axis=-1)
+        return 2.0 * np.arcsinh(0.5 * np.sqrt(np.maximum(minkowski_rows(diff, diff), 0.0)))
+    diff = planes(diff)
+    return np.sqrt(plane_dots(diff, diff))
 
 
 def distances_to(space, points, y):

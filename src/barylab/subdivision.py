@@ -317,7 +317,7 @@ class SubdivisionResult:
     iota: simplicial.VertexMap
     record: ShrinkRecord
     prov_total: simplicial.SubdivisionProvenance
-    provs: list  # per stage, its provenance; vertex_of locates a point's cell
+    provs: list  # per stage, its provenance; its parent's find locates a point's cell
 
 
 def iterate_subdivision(complex_, iota, lam, n, equivariance=None):

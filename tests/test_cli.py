@@ -299,6 +299,39 @@ def test_retract_rejects_bad_input(tmp_path, capsys, doc, flags):
     assert not os.path.exists(out)
 
 
+def point_scene_under_translates(word_length, sample_spacing):
+    """The euclidean_point scene document under the translations by (10, 0)
+    up to the word length, with K samples sample_spacing apart."""
+    doc = point_scene_with(sample_spacing=sample_spacing)
+    doc["group"] = {"generators": [{"matrix": [[1.0, 0.0], [0.0, 1.0]],
+                                    "translation": [10.0, 0.0]}], "word_length": word_length}
+    return doc
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("doc, cause", [
+    ({"scene": "euclidean_point", "overrides": {"R": 1e300}}, "R 1e+300 "),
+    ({"scene": "euclidean_point", "overrides": {"R": 1e155}}, "R 1e+155 "),
+    ({"scene": "hyperbolic_axis", "overrides": {"R": 400.0}}, "R 400.0 "),
+    ({"scene": "hyperbolic_axis", "overrides": {"R": 1000.0}}, "R 1000.0 "),
+    (point_scene_under_translates(500, 2 * math.pi / 2000), "K x K distance pairs"),
+], ids=["point_R_1e300", "point_R_1e155", "axis_R_400", "axis_R_1000",
+        "group_pairs_past_budget"])
+def test_retract_refuses_before_any_stage(tmp_path, capsys, doc, cause):
+    """An R that puts K_out or its squares past the float range, and 1,000
+    translates of 2,001 K samples (4e9 pairs, although K x K alone is within
+    PAIR_ROWS), exit 1 with one stderr line naming the cause, with
+    RuntimeWarnings as errors and before any stage runs."""
+    inp = write(tmp_path / "scene.json", doc)
+    out = str(tmp_path / "report.json")
+    start = time.perf_counter()
+    assert run(["retract", "--input", inp, "--output", out]) == 1
+    assert time.perf_counter() - start < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith("barylab retract: bad input: ") and cause in err
+    assert err.count("\n") == 1 and not os.path.exists(out)
+
+
 def test_retract_scene_pass(tmp_path):
     inp = write(tmp_path / "scene.json",
                 {"scene": "euclidean_point", "overrides": {"order": 1}})

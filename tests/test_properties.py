@@ -23,7 +23,7 @@ from barylab import scenes, simplicial, spaces, subdivision as sd  # noqa: E402
 from barylab.errors import UncoveredPoint  # noqa: E402
 from test_covers import allpairs_tents, assert_certificate_replays  # noqa: E402
 from test_simplicial import coface_rows, labelled, reference_subdivision  # noqa: E402
-from test_subdivision import reference_labels  # noqa: E402
+from test_subdivision import reference_labels, subdivision_coordinates  # noqa: E402
 
 SPACES = [spaces.ModelSpace.euclidean(2), spaces.ModelSpace.euclidean(3),
           spaces.ModelSpace.hyperboloid(2), spaces.ModelSpace.hyperboloid(3)]
@@ -113,6 +113,109 @@ def test_distance_entry_points_are_paired_distances(seed, which, m, n):
     for body in [rt.PointBody(space, Y[0]), line, segment]:
         assert np.array_equal(body.project_rows(X), [body.project(x) for x in X])
         assert np.array_equal(body.dist_rows(X), [body.dist(x) for x in X])
+
+
+# Frozen reference: the last-axis reductions that the plane folds replaced.
+
+FOLD_SPACES = [spaces.ModelSpace.euclidean(n) for n in range(1, 5)] + [
+    spaces.ModelSpace.hyperboloid(n) for n in (2, 3)]
+
+
+def frozen_minkowski_rows(A, B):
+    return np.sum(A[..., 1:] * B[..., 1:], axis=-1) - A[..., 0] * B[..., 0]
+
+
+def frozen_paired_distances(space, A, B):
+    diff = np.asarray(A, float) - np.asarray(B, float)
+    if space.kind == spaces.HYPERBOLOID:
+        msq = np.sum(diff[..., 1:] ** 2, axis=-1) - diff[..., 0] ** 2
+        return 2.0 * np.arcsinh(0.5 * np.sqrt(np.maximum(msq, 0.0)))
+    return np.linalg.norm(diff, axis=-1)
+
+
+def frozen_quad(space, diff):
+    if space.kind == spaces.EUCLIDEAN:
+        return np.sum(diff * diff, axis=-1)
+    return 1.0 + 0.5 * (np.sum(diff[..., 1:] ** 2, axis=-1) - diff[..., 0] ** 2)
+
+
+def frozen_angle_blocks(body, Q):
+    """_angles_to_C with (m, len(Q), ambient) arrays and last-axis sums."""
+    Q = np.asarray(Q, float)
+    P = body.project_rows(Q)
+    if body.space.kind == spaces.EUCLIDEAN:
+        u2 = (P - Q) / np.linalg.norm(P - Q, axis=1)[:, None]
+
+        def angles(q_primes):
+            u1 = np.asarray(q_primes, float)[:, None, :] - Q
+            u1 = u1 / np.linalg.norm(u1, axis=-1)[..., None]
+            return np.arccos(np.clip(np.sum(u1 * u2, axis=-1), -1.0, 1.0))
+        return angles
+    c2 = frozen_minkowski_rows(Q, P)
+    u2, s2 = P + c2[:, None] * Q, np.sqrt(np.maximum(c2 * c2 - 1.0, 1e-300))
+
+    def angles(q_primes):
+        QP = np.asarray(q_primes, float)[:, None, :]
+        c1 = frozen_minkowski_rows(Q, QP)
+        u1 = QP + c1[..., None] * Q
+        s1 = np.sqrt(np.maximum(c1 * c1 - 1.0, 1e-300))
+        return np.arccos(np.clip(frozen_minkowski_rows(u1, u2) / (s1 * s2), -1.0, 1.0))
+    return angles
+
+
+def bits(x):
+    """The float64 bit patterns of x, so that -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(x, float).view(np.uint64)
+
+
+def spread_rows(space, rng, shape):
+    """Points of the row shape `shape`, at scales from 1e-3 to 1e3."""
+    X = rng.normal(size=shape + (space.dim,)) * 10.0 ** rng.uniform(-3.0, 3.0, shape + (1,))
+    if space.kind == spaces.EUCLIDEAN:
+        return X
+    return np.concatenate([np.sqrt(1.0 + np.sum(X * X, axis=-1, keepdims=True)), X], axis=-1)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(range(len(FOLD_SPACES))),
+       st.integers(0, 7), st.integers(1, 7))
+def test_plane_folds_match_last_axis_reductions(seed, which, m, n):
+    """minkowski_rows, paired_distances and _quad equal the frozen last-axis
+    reductions as bit patterns on paired rows (a third of them coincident),
+    on (m, 1, a) x (1, n, a) and on rows against one point: below 8 terms
+    numpy's sum is the same left fold."""
+    space = FOLD_SPACES[which]
+    rng = np.random.default_rng(seed)
+    A, B, C = (spread_rows(space, rng, (k,)) for k in (m, m, n))
+    B[:m // 3] = A[:m // 3]
+    for X, Y in [(A, B), (A[:, None], C[None]), (A, C[0])]:
+        assert np.array_equal(bits(spaces.paired_distances(space, X, Y)),
+                              bits(frozen_paired_distances(space, X, Y)))
+        assert np.array_equal(bits(spaces.minkowski_rows(X, Y)), bits(frozen_minkowski_rows(X, Y)))
+        assert np.array_equal(bits(bc._quad(space, X - Y)), bits(frozen_quad(space, X - Y)))
+
+
+H2_AXIS = (np.array([1.0, 0.0, 0.0]), np.array([math.cosh(1.0), math.sinh(1.0), 0.0]))
+ANGLE_BODIES = [
+    rt.PointBody(PLANES[0], np.zeros(2)), rt.LineBody(PLANES[0], np.zeros(2), np.ones(2)),
+    rt.SegmentBody(PLANES[0], np.zeros(2), np.array([1.0, 0.0])),
+    rt.PointBody(PLANES[1], H2_AXIS[0]), rt.LineBody(PLANES[1], *H2_AXIS),
+    rt.SegmentBody(PLANES[1], *H2_AXIS)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(range(len(ANGLE_BODIES))),
+       st.integers(1, 40), st.integers(1, 9))
+def test_plane_angle_blocks_match_last_axis_sums(seed, which, n, m):
+    """_angles_to_C's block function equals the frozen (m, n, ambient) form
+    bit for bit for point, line and segment bodies in R^2 and H^2, on q rows
+    off the body and q' rows apart from them."""
+    body = ANGLE_BODIES[which]
+    rng = np.random.default_rng(seed)
+    Q, QP = spread_rows(body.space, rng, (n,)), spread_rows(body.space, rng, (m,))
+    assume(np.all(body.dist_rows(Q) > 1e-6))
+    assume(np.all(spaces.paired_distances(body.space, QP[:, None], Q[None]) > 1e-6))
+    assert np.array_equal(bits(rt._angles_to_C(body, Q)(QP)), bits(frozen_angle_blocks(body, Q)(QP)))
 
 
 def plane_isometry(space, rng):
@@ -545,7 +648,7 @@ def frozen_push_target(retr, q):
     w = vals[list(support)] / np.sum(vals[list(support)])
     cell = {v: float(x) for v, x in zip(support, w)}
     for prov in retr.pushoff.sub_result.provs:
-        cell = rt.subdivision_coordinates(cell, prov.vertex_of)
+        cell = subdivision_coordinates(cell, prov.vertex_of)
     items, space = sorted(cell.items()), retr.body.space
     acc, W = retr.pushoff.iota_n(items[0][0]), items[0][1]
     for v, wt in items[1:]:

@@ -17,6 +17,7 @@ from barylab.errors import (
     check_budget,
 )
 from test_spaces import frozen_geodesic_point
+from test_subdivision import subdivision_coordinates
 
 E2 = spaces.ModelSpace.euclidean(2)
 H2 = spaces.ModelSpace.hyperboloid(2)
@@ -628,6 +629,54 @@ def test_pushoff_evaluate_examples():
     # originals (a midpoint-rule barycenter of the two images)
     a, b = grid.iota(u), grid.iota(w)
     assert np.allclose(img, 0.5 * (a + b), atol=1e-9)
+
+
+def frozen_evaluate_rows(pushoff, projections):
+    """PushOff.evaluate_rows as it located each row's cell, one row at a
+    time, through every stage's vertex_of dict."""
+    cells = []
+    for support, weights in projections:
+        w = {int(v): float(x) for v, x in zip(support, weights) if x > 0.0}
+        for prov in pushoff.sub_result.provs:
+            w = subdivision_coordinates(w, prov.vertex_of)
+        cells.append(sorted(w.items()))
+    width = max(map(len, cells), default=1)  # pad with weight-0 copies of the first id
+    pad = np.array([c + [(c[0][0], 0.0)] * (width - len(c)) for c in cells],
+                   float).reshape(-1, width, 2)
+    ids, wts = pad[..., 0].astype(np.int64), pad[..., 1]
+    space = pushoff.grid.body.space
+    pts = pushoff.iota_n.at(ids)
+    acc, W = pts[:, 0].copy(), wts[:, 0].copy()
+    for j in range(1, width):
+        on = wts[:, j] > 0.0
+        W[on] += wts[on, j]
+        d = spaces.distance_rows(space, acc, pts[:, j])
+        move = np.flatnonzero(on & (d > space.tol))
+        acc[move] = spaces.geodesic_rows(space, acc[move], pts[move, j],
+                                         d[move] * wts[move, j] / W[move])
+    return acc, ids
+
+
+@pytest.mark.parametrize("name", ["hyperbolic_axis", "euclidean_point", "euclidean_segment",
+                                  "hyperbolic_patch"])
+def test_cells_over_rows_match_the_dict_path(name, monkeypatch):
+    """On every query of a preset's pipeline run, evaluate_rows gives the
+    targets (bit for bit) and cells of the frozen vertex_of path, and the run
+    builds no provenance's sets or vertex_of dict."""
+    calls, evaluate_rows = [], rt.PushOff.evaluate_rows
+
+    def recorded(pushoff, projections):
+        calls.append((pushoff, projections, evaluate_rows(pushoff, projections)))
+        return calls[-1][2]
+    monkeypatch.setattr(rt.PushOff, "evaluate_rows", recorded)
+    assert scenes.run_pipeline(scenes.SCENE_BUILDERS[name]()).ok
+    sub = calls[0][0].sub_result
+    assert not [p for p in sub.provs + [sub.prov_total] if {"sets", "vertex_of"} & set(vars(p))]
+    assert sum(len(p) for _, p, _ in calls) > 400
+    for pushoff, projections, (targets, cells) in calls:
+        want_targets, want_cells = frozen_evaluate_rows(pushoff, projections)
+        assert np.array_equal(targets.view(np.uint64), want_targets.view(np.uint64))
+        assert np.array_equal(cells, want_cells)
 
 
 def test_pushoff_witness_lands_near_its_image():

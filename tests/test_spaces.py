@@ -84,8 +84,7 @@ def frozen_geodesic_point(space, x, y, t):
     if space.kind == spaces.CIRCLE:
         d_here = spaces.arc_distance(space, x, y)
     elif space.kind == spaces.HYPERBOLOID:
-        d_here = spaces._hyperboloid_dist_from_diff(
-            np.asarray(x, float) - np.asarray(y, float))
+        d_here = spaces.distance(space, x, y)
     else:
         d_here = float(np.linalg.norm(np.asarray(x, float) - np.asarray(y, float)))
     if d_here <= space.tol:

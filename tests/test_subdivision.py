@@ -219,11 +219,26 @@ def test_record_csv_schema():
         assert float(slack) >= -1e-12
 
 
+def subdivision_coordinates(weights, vertex_of):
+    """Barycentric weights on a simplex -> weights on its containing cell of
+    the barycentric subdivision (sorted-weight prefix chains): the dict path
+    that PushOff.evaluate_rows replaced by one parent.find per chain length."""
+    items = sorted(weights.items(), key=lambda kv: (-kv[1], kv[0]))
+    out = {}
+    prefix = []
+    for m, (v, w) in enumerate(items, start=1):
+        prefix.append(v)
+        w_next = items[m][1] if m < len(items) else 0.0
+        mu = m * (w - w_next)
+        if mu > 0.0:
+            J = tuple(sorted(prefix))
+            out[vertex_of[J]] = out.get(vertex_of[J], 0.0) + mu
+    return out
+
+
 def test_subdivision_coordinates_position_preserved():
     """The chain transform expresses the same point: in Euclidean space the
     geodesic cone is the exact convex combination."""
-    from barylab.retraction import subdivision_coordinates
-
     cplx, iota = equilateral()
     sub, iota1, _, prov, _ = sd.shrinking_subdivide(cplx, iota, SQ32)
     vertex_of = {J: v for v, J in prov.sets.items()}

@@ -586,9 +586,9 @@ def check_small_relative(body, eps, gaps, K_out_samples, sigma_samples, delta,
     # (3) angle-variation gate
     gate = ALPHA / 2.0 - math.pi / 4.0
     inward = np.minimum(0.5 * delta_prime, gaps - tol)
-    flowed = np.stack([normal_flow(body, K_out, 0.5 * delta_prime),
-                       normal_flow(body, K_out, -inward)], axis=1)
-    out_aug = np.concatenate([K_out, flowed.reshape(-1, K_out.shape[1])])
+    # level-major rows, each level in window order: close q' pairs form runs
+    out_aug = np.concatenate([K_out, normal_flow(body, K_out, 0.5 * delta_prime),
+                              normal_flow(body, K_out, -inward)])
     sig_arr = np.asarray(sigma_samples)
     angles = _angles_to_C(body, sig_arr)
     A = np.empty((len(out_aug), len(sig_arr)))  # one row of angles per q'
@@ -606,20 +606,45 @@ def _pair_variation(A, points, space, radius, axis):
     """Max |A difference| between the rows (axis 0) or the columns (axis 1)
     of A at index pairs i < j whose points lie within radius.  A
     NeighbourIndex gives the candidate pairs of a block of points i at a
-    time, at most BLOCK_ROWS; the rows of A or A.T are gathered in blocks of
-    pairs."""
+    time.  Each i's close partners j > i fall into runs of consecutive
+    indices, and a run [lo, hi] adds max(runmax - A_i, A_i - runmin): that
+    has the bits of max |A_i - A_j| over the run, since fl(x - y) is monotone
+    in x and in y and fl(-z) = -fl(z).  Run extremes come from a sparse table
+    of spans of 2^k points, built level by level in blocks of the other axis;
+    any point order is correct, and window order makes the runs long."""
     pts = np.asarray(points)
     B = A if axis == 0 else A.T
-    index, worst = covers.NeighbourIndex(space, pts, radius), 0.0
+    index, runs = covers.NeighbourIndex(space, pts, radius), [(np.zeros(0, np.int64),) * 3]
     for rows in spaces.row_blocks(len(pts), len(pts)):
         ii, jj = index.pairs(pts[rows], radius)
         ii += rows.start
         ii, jj = ii[ii < jj], jj[ii < jj]
         close = spaces.paired_distances(space, pts[jj], pts[ii]) <= radius
-        ii, jj = ii[close], jj[close]
-        for pairs in spaces.row_blocks(len(ii), B.shape[1]):
-            diff = np.abs(B[ii[pairs]] - B[jj[pairs]])
-            worst = max(worst, float(np.max(diff, initial=0.0)))
+        ii, jj = ii[close], jj[close]  # sorted by i, then j
+        cut = np.ones(len(ii) + 1, bool)  # cut[p]: pair p - 1 and pair p lie in two runs
+        cut[1:-1] = (ii[1:] != ii[:-1]) | (jj[1:] != jj[:-1] + 1)
+        runs.append((ii[cut[:-1]], jj[cut[:-1]], jj[cut[1:]]))
+    base, lo, hi = map(np.concatenate, zip(*runs))  # per run: i, first j, last j
+    level = np.frexp(hi - lo + 1)[1] - 1  # floor(log2(run length))
+    # per level k: the runs' i and the starts of the two spans of 2^k that cover each run
+    spans = [(base[level == k], lo[level == k], hi[level == k] + 1 - (1 << k))
+             for k in range(level.max(initial=-1) + 1)]
+    worst = 0.0
+    for cols in spaces.row_blocks(B.shape[1], len(B)):
+        # a contiguous copy, since take gathers its rows faster than indexing a view
+        block = top = bottom = np.ascontiguousarray(B[:, cols])
+        for k, (i, first, last) in enumerate(spans):
+            if k:  # level k from level k - 1, which is then dropped
+                half = 1 << (k - 1)
+                top = np.maximum(top[:-half], top[half:])
+                bottom = np.minimum(bottom[:-half], bottom[half:])
+            if len(i):  # in place, to hold few block-sized temporaries at once
+                Ai, up, down = block.take(i, 0), top.take(first, 0), bottom.take(first, 0)
+                np.maximum(up, top.take(last, 0), out=up)
+                np.minimum(down, bottom.take(last, 0), out=down)
+                up -= Ai
+                np.subtract(Ai, down, out=down)
+                worst = max(worst, float(up.max()), float(down.max()))
     return worst
 
 

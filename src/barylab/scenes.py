@@ -317,9 +317,12 @@ def run_pipeline(scene, lam=None, order=None, density=200, seed=0):
     gaps = covers.translate_gaps(scene.action, K_samples)
     sigma_dense = window.samples(sig_count, endpoint=True)
 
-    smallness = retraction.check_small_relative(
-        body, eps, gaps, K_out, sigma_dense, scene.delta, scene.delta_prime,
-        sample_resolution=2.0 * spacing)
+    try:
+        smallness = retraction.check_small_relative(
+            body, eps, gaps, K_out, sigma_dense, scene.delta, scene.delta_prime,
+            sample_resolution=2.0 * spacing)
+    except GeometryError as exc:
+        return _fail(report, "smallness", str(exc))
     report.smallness = smallness.to_json()
     report.gates["smallness"] = smallness.ok
     if not smallness.ok:

@@ -79,15 +79,26 @@ def check_budget(counts, stages=1):
                             f"subdivision stage {stage} would build {sum(counts)} simplices")
 
 
+def sorted_unique(a):
+    """The distinct entries of a 1-d array, or the distinct rows of a 2-d
+    one, in ascending (lexicographic) order, as np.unique(a, axis=0) gives
+    them for integers; np.unique would import numpy.ma."""
+    a = np.asarray(a)
+    a = np.sort(a) if a.ndim == 1 else a[np.lexsort(a.T[::-1])]
+    new = np.ones(len(a), bool)
+    new[1:] = np.any(a[1:] != a[:-1], axis=tuple(range(1, a.ndim)))
+    return a[new]
+
+
 class SimplicialComplex:
     def __init__(self, vertices, simplices=(), faces=None):
         """From vertex ids and simplices, or from sorted face arrays."""
         if faces is None:
             simplices = [sorted(map(int, s)) for s in simplices if len(s)]
-            faces = [np.unique(np.array([s for s in simplices if len(s) == k + 1],
-                                        dtype=np.int64).reshape(-1, k + 1), axis=0)
+            faces = [sorted_unique(np.array([s for s in simplices if len(s) == k + 1],
+                                            dtype=np.int64).reshape(-1, k + 1))
                      for k in range(max([2, *map(len, simplices)]))]
-        self.ids = np.unique(np.fromiter(map(int, vertices), dtype=np.int64))
+        self.ids = sorted_unique(np.fromiter(map(int, vertices), dtype=np.int64))
         self.faces, self.counts = faces, [len(F) for F in faces]
         self.offsets = np.cumsum([0] + self.counts)
         self.dimension = max((k for k, n in enumerate(self.counts) if n), default=-1)

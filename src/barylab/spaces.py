@@ -244,7 +244,7 @@ def cross_distances(space, A, B):
 
 # Pairs (or sample rows) per block of a row-block pass: each block's
 # temporaries hold at most this many rows of ambient coordinates.
-BLOCK_ROWS = 2**16
+BLOCK_ROWS = 2**14
 
 
 def row_blocks(rows, width):

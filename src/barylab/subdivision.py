@@ -195,7 +195,7 @@ def _rooms(complex_, d):
         for j in (j for j, J in enumerate(cols) if len(J) == d + 1):
             others = [i for i, c in enumerate(cols) if len(c) <= d and not set(c) <= set(cols[j])]
             pairs.append((tables[e][:, [j]] * n + tables[e][:, others]).ravel())
-    J, F = np.divmod(np.unique(np.concatenate(pairs)), n)
+    J, F = np.divmod(simplicial.sorted_unique(np.concatenate(pairs)), n)
     ptr = np.searchsorted(J, np.arange(complex_.offsets[d], complex_.offsets[d + 1] + 1))
     q_ok = np.arange(np.max(np.diff(ptr), initial=0)) < np.diff(ptr)[:, None]
     return np.append(F, 0)[np.where(q_ok, ptr[:-1, None] + np.arange(q_ok.shape[1]), -1)], q_ok
@@ -285,7 +285,7 @@ def shrinking_subdivide(complex_, iota, lam, equivariance=None):
         if orbit is not None:
             rep, word, isos = orbit
             members = level[rep[level] != level]
-            for w in np.unique(word[members]).tolist():
+            for w in simplicial.sorted_unique(word[members]).tolist():
                 rows = members[word[members] == w]
                 table[rows] = isos[w].apply(table[rep[rows]])
 

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -354,6 +356,39 @@ def test_retract_gate_failure_exit_four(tmp_path, capsys):
     assert "condition (2)" in err
     rep = json.load(open(out))
     assert rep["failure"]["stage"] == "smallness"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("R", [40.0, 100.0, 354.0])
+def test_retract_reports_a_geometry_error_of_the_smallness_stage(tmp_path, capsys, R):
+    """hyperbolic_axis at R >= 40: the inward flow of K_out in the smallness
+    check reads a distance of 0 from a K_out point to its projection; the
+    run reports a failed smallness stage, exit 4 with one stderr line, no
+    traceback."""
+    inp = write(tmp_path / "scene.json", {"scene": "hyperbolic_axis", "overrides": {"R": R}})
+    out = str(tmp_path / "report.json")
+    assert run(["retract", "--input", inp, "--output", out]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("barylab retract: gate failure: ") and err.count("\n") == 1
+    rep = json.load(open(out))
+    assert rep["failure"]["stage"] == "smallness" and rep["ok"] is False
+
+
+def test_retract_never_imports_numpy_ma(tmp_path):
+    """A barylab retract in a fresh interpreter leaves numpy.ma unimported
+    (np.unique would import it inside the run), and writes the bytes of an
+    in-process run."""
+    inp = write(tmp_path / "point.json", {"scene": "euclidean_point"})
+    fresh, here = str(tmp_path / "fresh.json"), str(tmp_path / "here.json")
+    code = ("import sys; from barylab import cli; "
+            f"code = cli.main(['retract', '--input', {inp!r}, '--output', {fresh!r}]); "
+            "sys.exit(code or 3 * ('numpy.ma' in sys.modules))")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert run(["retract", "--input", inp, "--output", here]) == 0
+    for suffix in ("", ".csv"):
+        assert open(fresh + suffix, "rb").read() == open(here + suffix, "rb").read()
 
 
 def test_outputs_byte_identical(tmp_path):

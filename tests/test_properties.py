@@ -218,6 +218,39 @@ def test_plane_angle_blocks_match_last_axis_sums(seed, which, n, m):
     assert np.array_equal(bits(rt._angles_to_C(body, Q)(QP)), bits(frozen_angle_blocks(body, Q)(QP)))
 
 
+PAIR_WINDOWS = [(ANGLE_BODIES[0], "circle"), (ANGLE_BODIES[4], "plus")]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(range(len(PAIR_WINDOWS))),
+       st.integers(1, 80), st.integers(1, 9),
+       st.sampled_from([0, 1, 2, 3, 4, 7, 8, 9, 15, 16, 17, 31, 32, 33, None]),
+       st.booleans(), st.integers(0, 1))
+def test_pair_variation_runs_match_per_pair_gather(seed, which, n, width, gap, shuffle, axis):
+    """The run extremes of _pair_variation give the per-pair max |A_i - A_j|
+    exactly, on R^2 circle and H^2 equidistant-curve points in window order
+    or shuffled, for radius 0, the distance across `gap` window neighbours
+    (runs of about `gap` rows, on both sides of powers of two) and all pairs
+    (None), at the default BLOCK_ROWS and at 97."""
+    body, component = PAIR_WINDOWS[which]
+    rng = np.random.default_rng(seed)
+    window = rt.Window(body, rng.uniform(0.2, 2.0), component, 0.0, rng.uniform(0.5, 12.0))
+    pts = window.points(np.sort(rng.uniform(window.s_lo, window.s_hi, n)))
+    D = spaces.paired_distances(body.space, pts[None], pts[:, None])  # D[i, j] = d(p_j, p_i)
+    radius = np.max(D) if gap is None else 0.0 if gap == 0 else D[0, min(gap, n - 1)]
+    if shuffle:
+        order = rng.permutation(n)
+        pts, D = pts[order], D[order][:, order]
+    A = rng.uniform(0.0, math.pi, (n, width) if axis == 0 else (width, n))
+    B = A if axis == 0 else A.T
+    ii, jj = np.nonzero(np.triu(D <= radius, 1))
+    want = float(np.max(np.abs(B[ii] - B[jj]), initial=0.0))
+    for block_rows in (spaces.BLOCK_ROWS, 97):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spaces, "BLOCK_ROWS", block_rows)
+            assert rt._pair_variation(A, pts, body.space, radius, axis=axis) == want
+
+
 def plane_isometry(space, rng):
     """A rotation, then a translation (R^2) or a boost of length up to 2 (H^2)."""
     turn = rng.uniform(0.0, 2.0 * math.pi)

@@ -213,9 +213,10 @@ def frozen_angles_to_C(body, Q, q_prime):
 ], ids=["E2_point", "H2_point", "E2_line", "H2_line", "E2_segment"])
 def test_blocked_angle_matrix_matches_per_row(body, component):
     """q' rows filled in blocks, as check_small_relative fills them, equal
-    the per-q' rows bit for bit; 300 columns put 218 rows in a block."""
+    the per-q' rows bit for bit; BLOCK_ROWS // 218 columns put 218 rows in a
+    block."""
     window = rt.Window(body, 0.7, component, -2.0, 4.0)
-    sigma = window.samples(300, endpoint=True)
+    sigma = window.samples(spaces.BLOCK_ROWS // 218, endpoint=True)
     out = np.array([rt.normal_flow(body, window.point(float(s)), t)
                     for s, t in zip(np.linspace(-2.5, 4.5, 500),
                                     np.tile([1.5, 0.2, -0.1], 167))])
@@ -250,10 +251,11 @@ def frozen_escape(body, eps, q, q_prime, enforce_angle=True):
 def test_escape_rows_match_scalar_checks(body, component):
     """Rows in blocks give each row's scalar verdict: outward rows escape,
     chords to other level-set points re-enter (enforce_angle=False), and a
-    block edge (655 rows of 100 samples) is crossed."""
+    block edge (BLOCK_ROWS // 100 rows of 100 samples) is crossed."""
     eps = 0.8
     window = rt.Window(body, eps, component, 0.0, 6.0)
-    ss = np.linspace(0.0, 6.0, 656)
+    edge = spaces.BLOCK_ROWS // rt.ESCAPE_SAMPLES
+    ss = np.linspace(0.0, 6.0, edge + 1)
     Q = np.array([window.point(float(s)) for s in ss])
     out = np.array([rt.normal_flow(body, q, 1.0 + (i % 3)) for i, q in enumerate(Q)])
     chords = np.array([window.point(float(s) + 1.3) for s in ss])
@@ -263,7 +265,7 @@ def test_escape_rows_match_scalar_checks(body, component):
         want = [frozen_escape(body, eps, q, qp, enforce) for q, qp in zip(Q, QP)]
         assert got.tolist() == want
         assert got.all() if enforce else not got.any()  # outward escapes, chords re-enter
-        for i in (0, 654, 655):
+        for i in (0, edge - 1, edge):
             assert rt.check_large_angle_escape(body, eps, Q[i], QP[i],
                                                enforce_angle=enforce) is bool(got[i])
     angles = [rt.angle_to_C(body, q, qp) for q, qp in zip(Q, out)]
@@ -573,6 +575,103 @@ def test_pair_variation_finds_the_circle_wrap_pair():
     assert got == ref == float(np.max(np.abs(A[:, 0] - A[:, -1])))
     # the row pass queries its pairs in blocks of rows (62 rows here)
     assert rt._pair_variation(A.T.copy(), sigma, E2, scene.delta, axis=0) == ref
+
+
+def frozen_pair_variation(A, points, space, radius, axis):
+    """_pair_variation before run extremes: every close pair's rows (or
+    columns) of A gathered and subtracted."""
+    pts = np.asarray(points)
+    B = A if axis == 0 else A.T
+    index, worst = covers.NeighbourIndex(space, pts, radius), 0.0
+    for rows in spaces.row_blocks(len(pts), len(pts)):
+        ii, jj = index.pairs(pts[rows], radius)
+        ii += rows.start
+        ii, jj = ii[ii < jj], jj[ii < jj]
+        close = spaces.paired_distances(space, pts[jj], pts[ii]) <= radius
+        ii, jj = ii[close], jj[close]
+        for pairs in spaces.row_blocks(len(ii), B.shape[1]):
+            diff = np.abs(B[ii[pairs]] - B[jj[pairs]])
+            worst = max(worst, float(np.max(diff, initial=0.0)))
+    return worst
+
+
+def frozen_check_small_relative(body, eps, gaps, K_out_samples, sigma_samples, delta,
+                                delta_prime, sample_resolution):
+    """check_small_relative with each K_out row followed by its two flowed
+    rows, and the gather pass."""
+    tol = body.space.tol
+    cond1_margin, cond1_ok = math.inf, True
+    for _, _, dmin in gaps:
+        if dmin > sample_resolution:
+            cond1_margin = min(cond1_margin, dmin - 2.0 * delta)
+            if dmin <= 2.0 * delta + tol:
+                cond1_ok = False
+    K_out = np.asarray(K_out_samples, float)
+    gaps = body.dist_rows(K_out) - eps
+    cond2_margin = float(np.min(gaps)) - delta_prime
+    gate = rt.ALPHA / 2.0 - math.pi / 4.0
+    inward = np.minimum(0.5 * delta_prime, gaps - tol)
+    flowed = np.stack([rt.normal_flow(body, K_out, 0.5 * delta_prime),
+                       rt.normal_flow(body, K_out, -inward)], axis=1)
+    out_aug = np.concatenate([K_out, flowed.reshape(-1, K_out.shape[1])])
+    sig_arr = np.asarray(sigma_samples)
+    angles = rt._angles_to_C(body, sig_arr)
+    A = np.empty((len(out_aug), len(sig_arr)))
+    for rows in spaces.row_blocks(len(out_aug), len(sig_arr)):
+        A[rows] = angles(out_aug[rows])
+    variation = (frozen_pair_variation(A, sig_arr, body.space, delta, axis=1)
+                 + frozen_pair_variation(A, out_aug, body.space, delta_prime, axis=0))
+    return rt.SmallnessReport(delta, delta_prime, cond1_ok, cond1_margin,
+                              cond2_margin > tol, cond2_margin, variation <= gate + tol,
+                              variation, gate)
+
+
+class StopPipeline(Exception):
+    pass
+
+
+def smallness_arguments(name, monkeypatch):
+    """The arguments with which run_pipeline calls check_small_relative on
+    the preset `name` (the run stops there)."""
+    calls = []
+
+    def record(*args, **kwargs):
+        calls.append((args, kwargs))
+        raise StopPipeline
+
+    with monkeypatch.context() as mp:
+        mp.setattr(rt, "check_small_relative", record)
+        with pytest.raises(StopPipeline):
+            scenes.run_pipeline(scenes.SCENE_BUILDERS[name](), density=10)
+    return calls[0]
+
+
+@pytest.mark.parametrize("name", sorted(scenes.SCENE_BUILDERS))
+def test_smallness_report_matches_interleaved_gather_pass(name, monkeypatch):
+    """Level-major q' rows and run extremes give the SmallnessReport of the
+    interleaved rows and the per-pair gather, field for field."""
+    args, kwargs = smallness_arguments(name, monkeypatch)
+    assert rt.check_small_relative(*args, **kwargs) == frozen_check_small_relative(*args, **kwargs)
+
+
+def test_pair_variation_peak_memory(monkeypatch):
+    """On the euclidean_point check, each pass of _pair_variation peaks
+    under 1.5 MiB of Python-traced allocations (the gather pass took 1.9 MiB)."""
+    tracemalloc = pytest.importorskip("tracemalloc")
+    args, kwargs = smallness_arguments("euclidean_point", monkeypatch)
+    peaks, pair_variation = [], rt._pair_variation
+
+    def traced(*a, **k):
+        tracemalloc.start()
+        try:
+            return pair_variation(*a, **k)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(rt, "_pair_variation", traced)
+    rt.check_small_relative(*args, **kwargs)
+    assert len(peaks) == 2 and max(peaks) < 1.5 * 2**20
 
 
 def test_extension_staged_errors():

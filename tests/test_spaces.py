@@ -346,13 +346,14 @@ def planar_metric(rng, n):
 @pytest.mark.parametrize("which", ["E2", "H2", "H3", "finite"])
 def test_pairwise_diameter_blocks_match_one_call(which):
     """The row-block diameter equals the max of the one-call n x n matrix,
-    bit for bit, just below, at and above the one-block size (256 points)
-    and across several blocks."""
+    bit for bit, just below, at and above the one-block size (the square
+    root of BLOCK_ROWS) and across several blocks."""
     rng = np.random.default_rng(len(which))
     space = {"E2": E2, "H2": H2, "H3": spaces.ModelSpace.hyperboloid(3),
              "finite": planar_metric(rng, 40)}[which]
-    assert len(spaces.row_blocks(256, 256)) == 1 < len(spaces.row_blocks(257, 257))
-    for n in (255, 256, 257, 700):
+    side = math.isqrt(spaces.BLOCK_ROWS)
+    assert len(spaces.row_blocks(side, side)) == 1 < len(spaces.row_blocks(side + 1, side + 1))
+    for n in (side - 1, side, side + 1, 700):
         P = draw_points(space, rng, n)
         one_call = float(np.max(spaces.paired_distances(space, P[:, None], P[None])))
         assert spaces.pairwise_diameter(space, P) == one_call

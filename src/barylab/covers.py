@@ -111,6 +111,28 @@ class NeighbourIndex:
         Distinct cells may collide, which only adds candidates."""
         return keys.astype(np.uint64) @ self._mult
 
+    def _cells(self, span):
+        """The reach k in cells of a query whose chart reach is `span` cell
+        sides, or None when the query is compared with every row: a block of
+        (2k + 1)^n cells, at least as many as the rows, costs more."""
+        m = len(self._order)
+        if not span < m or (2 * math.ceil(span) + 1) ** self.space.dim >= m:
+            return None
+        return math.ceil(span)
+
+    def row_bound(self, reach):
+        """Most pairs that `pairs` gives one query of the indexed points (or
+        of points within their chart stats) at `reach`: the largest cell code
+        occupancy times the (2k + 1)^n codes a query visits, or every row."""
+        m = len(self._order)
+        k = self._cells(self._chart_reach(reach, self._stats) / self.side)
+        if k is None:
+            return m
+        codes = self._sorted_codes
+        starts = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
+        occupancy = int(np.diff(starts, append=m).max())
+        return min(m, occupancy * (2 * k + 1) ** self.space.dim)
+
     def pairs(self, queries, reach):
         """(qi, ri): every (query row, index row) pair whose computed distance
         may be at most `reach`, sorted by qi then ri, without repeats."""
@@ -118,13 +140,10 @@ class NeighbourIndex:
         m, nq = len(self._order), len(queries)
         chart = self._chart(queries)
         stats = map(max, self._stats, self._chart_stats(queries, chart))
-        span = self._chart_reach(reach, tuple(stats)) / self.side
-        dim = self.space.dim
-        # a cell block of at least m cells costs more than comparing every row
-        if nq == 0 or not span < m or (2 * math.ceil(span) + 1) ** dim >= m:
+        k = self._cells(self._chart_reach(reach, tuple(stats)) / self.side)
+        if nq == 0 or k is None:
             return np.repeat(np.arange(nq), m), np.tile(np.arange(m), nq)
-        k = math.ceil(span)
-        offsets = np.asarray(list(itertools.product(range(-k, k + 1), repeat=dim)),
+        offsets = np.asarray(list(itertools.product(range(-k, k + 1), repeat=self.space.dim)),
                              np.int64)
         # the code of key + offset is the sum of their codes
         codes = (self._codes(self._keys(chart))[:, None] + self._codes(offsets)).ravel()

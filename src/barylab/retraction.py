@@ -5,7 +5,8 @@ obtained by flowing cover witnesses from the eps-level set to the R-level set,
 an equivariant lambda-shrinking subdivision of the nerve, a push-off map by
 geodesic coning over the subdivided nerve, and the retraction r(q) = the
 unique point where the geodesic from q to the push-off image of q's nerve
-projection crosses the eps-level set, bracketed on that geodesic by ITP.
+projection leaves the eps-neighborhood, at the arc length that each convex
+body solves in closed form (ConvexBody.exit).
 """
 
 from __future__ import annotations
@@ -30,9 +31,6 @@ from .errors import (
 # The angle alpha of the push-off grid: witnesses sit on the outward normal,
 # so the angle to C at each of them is pi.
 ALPHA = math.pi
-# ITP (Oliveira & Takahashi 2020), d = d(q, target): kappa1 = ITP_K1/d, kappa2, n0, eps/d
-ITP_K1, ITP_K2, ITP_N0, ITP_EPS = 0.2, 2, 1, 2.0 ** -52
-ITP_STEPS = math.ceil(math.log2(1.0 / (2.0 * ITP_EPS))) + ITP_N0  # n_max = 52
 MAX_HALVINGS = 5  # of delta in calibrate_delta before it gives up
 ESCAPE_SAMPLES = 100  # points per geodesic in check_large_angle_escape
 SAMPLE_ROWS = 2**20  # level-set sample rows (or queries) one sampled stage may take
@@ -67,6 +65,54 @@ class ConvexBody:
     def dist_rows(self, X):
         return spaces.distance_rows(self.space, X, self.project_rows(X))
 
+    def exit(self, geo, eps):
+        """The arc length at which the geodesic geo, from a point of N_eps(C)
+        toward one outside it, leaves N_eps(C): the largest root of
+        d(geo(t), C) = eps (last_root, in closed form), clamped to
+        [0, geo.length]; 0 for a geodesic of no length."""
+        if geo.length <= self.space.tol:
+            return 0.0
+        t = self.last_root(np.asarray(geo.x, float), geo.tangent, eps)
+        return min(max(t, 0.0), geo.length)
+
+    def last_root(self, q, u, eps):
+        """The largest t with d(q + t u, C) = eps, the geodesic from q with
+        unit tangent u (cosh t q + sinh t u in H^n), or -inf if none."""
+        raise NotImplementedError
+
+
+def _ball_root(w, u, eps):
+    """The largest t with |w + t u| = eps for a unit u, or -inf: the larger
+    root of t^2 + 2 beta t - gamma, beta = <w, u>, gamma = eps^2 - |w|^2,
+    taken in the form that adds no terms of opposite sign."""
+    beta, rho = float(np.dot(w, u)), math.sqrt(float(np.dot(w, w)))
+    gamma = (eps - rho) * (eps + rho)
+    disc = beta * beta + gamma
+    if disc < 0.0:
+        return -math.inf
+    root = math.sqrt(disc)
+    return gamma / (beta + root) if beta > 0.0 else root - beta
+
+
+def _cosh_sinh_root(A, B, s):
+    """The largest t with A cosh t + B sinh t = s > 0, or -inf.  z = e^t
+    solves (A + B) z^2 - 2 s z + (A - B) = 0; with big = s + sqrt(D),
+    D = s^2 - A^2 + B^2, its larger root is big / (A + B) when A + B > 0, and
+    otherwise its one positive root, if any, is (A - B) / big: neither form
+    cancels.  One Newton step on the same equation takes off the rounding
+    of the logarithm."""
+    disc = (s - A) * (s + A) + B * B
+    if disc < 0.0:
+        return -math.inf
+    big = s + math.sqrt(disc)
+    z = big / (A + B) if A + B > 0.0 else (A - B) / big
+    if z <= 0.0:
+        return -math.inf
+    t = math.log(z)
+    ch, sh = math.cosh(t), math.sinh(t)
+    slope = A * sh + B * ch
+    return t - (A * ch + B * sh - s) / slope if slope else t
+
 
 class PointBody(ConvexBody):
     kind = "point"
@@ -81,6 +127,15 @@ class PointBody(ConvexBody):
 
     def project_rows(self, X):
         return np.tile(self.point, (len(X), 1))
+
+    def last_root(self, q, u, eps):
+        """|q + t u - c| = eps in R^n, and -<geo(t), c> = cosh eps,
+        A cosh t + B sinh t = cosh eps, in H^n."""
+        c = self.point
+        if self.space.kind == spaces.EUCLIDEAN:
+            return _ball_root(q - c, u, eps)
+        return _cosh_sinh_root(-spaces.minkowski_dot(q, c), -spaces.minkowski_dot(u, c),
+                               math.cosh(eps))
 
     def to_json(self):
         return {"type": "point", "point": self.point.tolist()}
@@ -141,6 +196,19 @@ class LineBody(ConvexBody):
             return spaces.each(math.asinh, np.abs(spaces.minkowski_dots(X, self.normal)))
         return super().dist_rows(X)
 
+    def side_roots(self, q, u, eps):
+        """last_root on each side of the line, where the signed distance
+        reaches +-eps: <q - a, n> + t <u, n> = +-eps in R^2, one linear
+        equation, and <geo(t), n> = +-sinh eps, A cosh t + B sinh t, in H^2."""
+        if self.space.kind == spaces.EUCLIDEAN:
+            A, B = float(np.dot(q - self.a, self.normal)), float(np.dot(u, self.normal))
+            return [(eps - A) / B, (-eps - A) / B] if B else []
+        A, B = spaces.minkowski_dot(q, self.normal), spaces.minkowski_dot(u, self.normal)
+        return [_cosh_sinh_root(A, B, math.sinh(eps)), _cosh_sinh_root(-A, -B, math.sinh(eps))]
+
+    def last_root(self, q, u, eps):
+        return max(self.side_roots(q, u, eps), default=-math.inf)
+
     def to_json(self):
         return {"type": "line", "a": self.a.tolist(), "b": self.b.tolist()}
 
@@ -152,13 +220,18 @@ class SegmentBody(ConvexBody):
         super().__init__(space)
         self.line = LineBody(space, a, b)
         self.a, self.b = self.line.a, self.line.b
+        self.ends = (PointBody(space, self.a), PointBody(space, self.b))
         self.length = spaces.distance(space, self.a, self.b)
+
+    def _over(self, p):
+        """Whether the point p of the line lies on the segment, as project judges."""
+        space = self.space
+        return (spaces.distance(space, self.a, p) + spaces.distance(space, p, self.b)
+                <= self.length + 100 * space.tol)
 
     def project(self, x):
         p = self.line.project(x)
-        da = spaces.distance(self.space, self.a, p)
-        db = spaces.distance(self.space, p, self.b)
-        if da + db <= self.length + 100 * self.space.tol:
+        if self._over(p):
             return p
         return self.a if spaces.distance(self.space, x, self.a) <= \
             spaces.distance(self.space, x, self.b) else self.b
@@ -169,6 +242,19 @@ class SegmentBody(ConvexBody):
               <= self.length + 100 * space.tol)
         near_a = spaces.distance_rows(space, X, self.a) <= spaces.distance_rows(space, X, self.b)
         return np.where(on[:, None], P, np.where(near_a[:, None], self.a, self.b))
+
+    def last_root(self, q, u, eps):
+        """N_eps(C) is convex and the union of the balls about a and b and of
+        the band over the segment, so the geodesic leaves it where it leaves
+        the last of the three: the largest of the balls' roots and of the
+        line's side roots whose point projects onto the segment."""
+        roots = [end.last_root(q, u, eps) for end in self.ends]
+        for t in filter(math.isfinite, self.line.side_roots(q, u, eps)):
+            x = q + t * u if self.space.kind == spaces.EUCLIDEAN else \
+                math.cosh(t) * q + math.sinh(t) * u
+            if self._over(self.line.project(x)):
+                roots.append(t)
+        return max(roots)
 
     def to_json(self):
         return {"type": "segment", "a": self.a.tolist(), "b": self.b.tolist()}
@@ -606,7 +692,8 @@ def _pair_variation(A, points, space, radius, axis):
     """Max |A difference| between the rows (axis 0) or the columns (axis 1)
     of A at index pairs i < j whose points lie within radius.  A
     NeighbourIndex gives the candidate pairs of a block of points i at a
-    time.  Each i's close partners j > i fall into runs of consecutive
+    time, as many points as keep the block's pairs within BLOCK_ROWS by the
+    index's row_bound.  Each i's close partners j > i fall into runs of consecutive
     indices, and a run [lo, hi] adds max(runmax - A_i, A_i - runmin): that
     has the bits of max |A_i - A_j| over the run, since fl(x - y) is monotone
     in x and in y and fl(-z) = -fl(z).  Run extremes come from a sparse table
@@ -615,7 +702,7 @@ def _pair_variation(A, points, space, radius, axis):
     pts = np.asarray(points)
     B = A if axis == 0 else A.T
     index, runs = covers.NeighbourIndex(space, pts, radius), [(np.zeros(0, np.int64),) * 3]
-    for rows in spaces.row_blocks(len(pts), len(pts)):
+    for rows in spaces.row_blocks(len(pts), index.row_bound(radius)):
         ii, jj = index.pairs(pts[rows], radius)
         ii += rows.start
         ii, jj = ii[ii < jj], jj[ii < jj]
@@ -782,8 +869,9 @@ def extend_to_pushoff(grid, lam, n, delta_prime):
 
 
 class Retractor:
-    """r(q): unique crossing of the eps-level set by the geodesic from q to
-    the push-off image of q's nerve projection, located by an ITP search."""
+    """r(q): the point where the geodesic from q to the push-off image of q's
+    nerve projection leaves the eps-neighborhood, at the arc length
+    body.exit solves in closed form."""
 
     def __init__(self, pushoff):
         self.pushoff = pushoff
@@ -802,8 +890,8 @@ class Retractor:
 
     def retract_rows(self, Q):
         """(r, targets, cells): the rows of Q retracted, beside push_targets(Q).
-        The ITP search stays one retract call per row: the benchmark pins that
-        count, so batching it waits for the benchmark revision."""
+        The crossing stays one retract call per row: the benchmark pins that
+        count, so a row form of body.exit waits for the benchmark revision."""
         targets, cells = self.push_targets(Q)
         r = [self.retract(q, (t, c))[0] for q, t, c in zip(Q, targets, cells)]
         return np.reshape(r, targets.shape), targets, cells
@@ -811,43 +899,21 @@ class Retractor:
     def retract(self, q, hit=None):
         """(r(q), target, cell): the retraction of q with the push-off target
         and nerve cell of its one nerve projection (`hit`, when the caller
-        has it from push_targets).  f(t) = d(geo(t), C) - eps is convex, so
-        ITP's regula-falsi step converges superlinearly; its projection keeps
-        at most ITP_STEPS evaluations."""
+        has it from push_targets).  d(geo(t), C) - eps is convex along the
+        geodesic, <= 0 at q and > 0 at the target, so it has one crossing,
+        the largest root that body.exit solves."""
         body, eps = self.body, self.eps
         g0 = body.dist(q) - eps
         if g0 > 100 * body.space.tol:
             raise PreconditionError(
                 f"q lies {g0:.2e} outside the eps-neighborhood")
         target, cell = self.push_target(q) if hit is None else hit
-        y_b = body.dist(target) - eps
-        if y_b <= 0.0:
+        if body.dist(target) - eps <= 0.0:
             raise PipelineInconsistency(
                 "push-off image inside the eps-neighborhood; an upstream "
                 "precondition lied")
         geo = spaces.Geodesic(body.space, q, target)
-        a, b, y_a = 0.0, geo.length, min(g0, 0.0)
-        tol_t = ITP_EPS * geo.length
-        for j in range(ITP_STEPS):
-            if b - a <= 2.0 * tol_t:
-                break
-            half = 0.5 * (a + b)
-            x_f = (y_b * a - y_a * b) / (y_b - y_a)  # regula falsi
-            sigma = math.copysign(1.0, half - x_f)
-            delta = ITP_K1 / geo.length * (b - a) ** ITP_K2
-            x_t = x_f + sigma * delta if delta <= abs(half - x_f) else half
-            radius = tol_t * 2.0 ** (ITP_STEPS - j) - 0.5 * (b - a)
-            x = x_t if abs(x_t - half) <= radius else half - sigma * radius
-            x = x if a < x < b else half  # a sub-ulp truncation left x on an end
-            y = body.dist(geo.point(x)) - eps
-            if y > 0.0:
-                b, y_b = x, y
-            elif y < 0.0:
-                a, y_a = x, y
-            else:
-                a = b = x
-                break
-        r = geo.point(0.5 * (a + b))
+        r = geo.point(body.exit(geo, eps))
         if abs(body.dist(r) - eps) > 1e-7:
             raise PipelineInconsistency(
                 f"crossing residual {abs(body.dist(r) - eps):.2e}; no crossing found")

@@ -98,7 +98,9 @@ class SimplicialComplex:
             faces = [sorted_unique(np.array([s for s in simplices if len(s) == k + 1],
                                             dtype=np.int64).reshape(-1, k + 1))
                      for k in range(max([2, *map(len, simplices)]))]
-        self.ids = sorted_unique(np.fromiter(map(int, vertices), dtype=np.int64))
+        if not (isinstance(vertices, np.ndarray) and vertices.dtype == np.int64):
+            vertices = np.fromiter(map(int, vertices), dtype=np.int64)
+        self.ids = sorted_unique(vertices)
         self.faces, self.counts = faces, [len(F) for F in faces]
         self.offsets = np.cumsum([0] + self.counts)
         self.dimension = max((k for k, n in enumerate(self.counts) if n), default=-1)
@@ -119,6 +121,13 @@ class SimplicialComplex:
             keys.append(_find(keys, F[:, :-1]) * len(keys[0])
                         + np.searchsorted(keys[0], F[:, -1]))
         return keys
+
+    @property
+    def edge_rows(self):
+        """faces[1] as vertex rows (rows of faces[0]), read off the edge keys;
+        a barycentric subdivision is built with its keys, so this searches
+        nothing there."""
+        return np.stack(np.divmod(self._keys[1], len(self._keys[0])), axis=1)
 
     def find(self, rows):
         """Row of each of `rows` (ascending ids) in its face array, or -1."""

@@ -346,6 +346,11 @@ class Geodesic:
         else:
             self._dir = _hyperboloid_unit_tangent(self._x, y, self.length)
 
+    @property
+    def tangent(self):
+        """Unit tangent at x (Euclidean and hyperboloid kinds, length > tol)."""
+        return self._dir / self.length if self.space.kind == EUCLIDEAN else self._dir
+
     def point(self, t):
         """Point at arc length t; x itself when t == 0."""
         if t == 0.0:

@@ -297,7 +297,7 @@ def shrinking_subdivide(complex_, iota, lam, equivariance=None):
     # (the set of its larger vertex) is a face of the simplex's, so the edge
     # bound is the stronger one.  Condition (2): no parent's contained vertex
     # images, the labels of all its faces, may spread.
-    edges = np.searchsorted(sub.ids, sub.faces[1])
+    edges = sub.edge_rows
     record = StageRecord(0, lam, sub.faces[1], _diameters(space, table, edges),
                          parent_diams[edges[:, 1]],
                          np.concatenate([_diameters(space, table, t) for t in tables]),
@@ -344,9 +344,12 @@ def iterate_subdivision(complex_, iota, lam, n, equivariance=None):
         provs.append(prov)
         prov_total = prov.compose(prov_total) if stage else prov
 
-    edges = np.searchsorted(complex_.faces[0][:, 0], complex_.faces[1])
-    record = ShrinkRecord(lam, n, stages, complex_.faces[1],
-                          _diameters(iota.target, iota.at(complex_.faces[0][:, 0]), edges),
+    if stages:  # the last stage's sub-edge columns are the final ones
+        final_diams = stages[-1].after
+    else:
+        final_diams = _diameters(iota.target, iota.at(complex_.faces[0][:, 0]),
+                                 complex_.edge_rows)
+    record = ShrinkRecord(lam, n, stages, complex_.faces[1], final_diams,
                           original, original_iota, iota, prov_total)
     return SubdivisionResult(complex_, iota, record, prov_total, provs)
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from barylab import barycenters as bc  # noqa: E402
 from barylab import covers  # noqa: E402
@@ -22,6 +22,7 @@ from barylab import retraction as rt  # noqa: E402
 from barylab import scenes, simplicial, spaces, subdivision as sd  # noqa: E402
 from barylab.errors import UncoveredPoint  # noqa: E402
 from test_covers import allpairs_tents, assert_certificate_replays  # noqa: E402
+from test_retraction import counted_retract  # noqa: E402
 from test_simplicial import coface_rows, labelled, reference_subdivision  # noqa: E402
 from test_subdivision import reference_labels, subdivision_coordinates  # noqa: E402
 
@@ -470,8 +471,8 @@ def test_retract_crossing_matches_circle_root(seed, on_level_set):
     turn = phi + query_turn(rng, on_level_set)
     length = rng.uniform(2.0 * eps, 2.0 * eps + 3.0)
     target = q + length * np.array([math.cos(turn), math.sin(turn)])
-    r, got, cell = FixedTarget(rt.PointBody(space, c), eps, target).retract(q)
-    assert got is target and cell == ()
+    (r, got, cell), n = counted_retract(FixedTarget(rt.PointBody(space, c), eps, target), q)
+    assert got is target and cell == () and n <= 1
     u = (target - q) / np.linalg.norm(target - q)
     exact = q + circle_crossing(q - c, u, eps) * u
     assert np.linalg.norm(r - exact) <= 1e-12 * max(1.0, length)
@@ -479,9 +480,11 @@ def test_retract_crossing_matches_circle_root(seed, on_level_set):
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.booleans())
+@example(2610, False)  # eps = 0.834, crossing at t = 2.674 of 4.243: 52 ITP evaluations
 def test_retract_crossing_matches_line_root(seed, on_level_set):
     """A line body in H^2 (the geodesic z = 0 of the hyperboloid): the
-    crossing solves A cosh t + B sinh t = +-sinh eps on the target's side."""
+    crossing solves A cosh t + B sinh t = +-sinh eps on the target's side,
+    and the retraction makes at most one level-set evaluation to find it."""
     rng = np.random.default_rng(seed)
     space = spaces.ModelSpace.hyperboloid(2)
     body = rt.LineBody(space, [1.0, 0.0, 0.0], [math.cosh(1.0), math.sinh(1.0), 0.0])
@@ -500,7 +503,8 @@ def test_retract_crossing_matches_line_root(seed, on_level_set):
     target = math.cosh(length) * q + math.sinh(length) * v
     # a geodesic that leaves at once stays outside; another may end inside
     assume(abs(target[2]) > math.sinh(1.1 * eps))
-    r, _, _ = FixedTarget(body, eps, target).retract(q)
+    (r, _, _), n = counted_retract(FixedTarget(body, eps, target), q)
+    assert n <= 1
     # the unit tangent of the geodesic the retraction follows, read off its
     # point at t = 1: one recomputed from the target differs by up to 3e-13
     u = (spaces.Geodesic(space, q, target).point(1.0) - math.cosh(1.0) * q) / math.sinh(1.0)
@@ -508,6 +512,165 @@ def test_retract_crossing_matches_line_root(seed, on_level_set):
     t = min(ts, key=lambda t: max(-t, t - length, 0.0))
     exact = math.cosh(t) * q + math.sinh(t) * u
     assert spaces.distance(space, r, exact) <= 1e-12 * max(1.0, length)
+
+
+def frozen_itp_retract(body, eps, q, target):
+    """Retractor.retract's crossing as it was before the closed forms: an ITP
+    search (Oliveira & Takahashi 2020) on f(t) = d(geo(t), C) - eps over
+    [0, d(q, target)], kappa1 = 0.2 / d, kappa2 = 2, n0 = 1, at most 52
+    evaluations, to within 2^-52 d."""
+    k1, k2, n0, tol = 0.2, 2, 1, 2.0 ** -52
+    steps = math.ceil(math.log2(1.0 / (2.0 * tol))) + n0
+    geo = spaces.Geodesic(body.space, q, target)
+    a, b, y_a, y_b = 0.0, geo.length, min(body.dist(q) - eps, 0.0), body.dist(target) - eps
+    tol_t = tol * geo.length
+    for j in range(steps):
+        if b - a <= 2.0 * tol_t:
+            break
+        half = 0.5 * (a + b)
+        x_f = (y_b * a - y_a * b) / (y_b - y_a)
+        sigma = math.copysign(1.0, half - x_f)
+        delta = k1 / geo.length * (b - a) ** k2
+        x_t = x_f + sigma * delta if delta <= abs(half - x_f) else half
+        radius = tol_t * 2.0 ** (steps - j) - 0.5 * (b - a)
+        x = x_t if abs(x_t - half) <= radius else half - sigma * radius
+        x = x if a < x < b else half
+        y = body.dist(geo.point(x)) - eps
+        if y > 0.0:
+            b, y_b = x, y
+        elif y < 0.0:
+            a, y_a = x, y
+        else:
+            a = b = x
+            break
+    return geo.point(0.5 * (a + b))
+
+
+E2, H2, H3 = SPACES[0], SPACES[2], SPACES[3]
+# (space, body kind, query kind): seam queries are drawn for segments only
+CROSSINGS = [(space, kind, query) for space, kind in [
+    (E2, "point"), (E2, "line"), (E2, "segment"), (H2, "point"), (H2, "line"),
+    (H2, "segment"), (H3, "point")] for query in ("level", "interior", "seam")
+    if query != "seam" or kind == "segment"]
+
+
+def inner(space, x, y):
+    return spaces.minkowski_dot(x, y) if space.kind == spaces.HYPERBOLOID else float(np.dot(x, y))
+
+
+def along(space, x, v, t):
+    """The point at arc length t from x along the unit tangent v."""
+    return x + t * v if space.kind == spaces.EUCLIDEAN else math.cosh(t) * x + math.sinh(t) * v
+
+
+def unit_tangent(space, x, v):
+    """v made a unit tangent at x (its Minkowski projection on the hyperboloid)."""
+    if space.kind == spaces.HYPERBOLOID:
+        v = v + spaces.minkowski_dot(v, x) * x
+    return v / math.sqrt(inner(space, v, v))
+
+
+def turned(space, x, normal, rng):
+    """A unit tangent at x within acos(0.1) of the unit tangent `normal`,
+    turned toward a random tangent w.  w is made orthogonal to `normal`
+    twice: once leaves the rounding of a w nearly along `normal`."""
+    w = unit_tangent(space, x, rng.normal(size=space.ambient_dim))
+    for _ in range(2):
+        w = unit_tangent(space, x, w - inner(space, w, normal) * normal)
+    th = rng.uniform(-math.acos(0.1), math.acos(0.1))
+    return math.cos(th) * normal + math.sin(th) * w
+
+
+def on_sheet(space, x):
+    """x scaled back onto the hyperboloid; crossing_query's constructions
+    leave their points up to 1e-12 off it, and a long geodesic carries that
+    on (see CHANGES.md)."""
+    return x / math.sqrt(-spaces.minkowski_dot(x, x)) if space.kind == spaces.HYPERBOLOID else x
+
+
+def outward(body, x):
+    """The unit tangent at x pointing away from its projection on the body."""
+    return unit_tangent(body.space, x, x - body.project(x))
+
+
+def flowed_to(body, rng, level):
+    """A random point of the plane (or H^3) flowed along its normal to
+    distance `level` from the body."""
+    x = draw_point(body.space, rng)
+    if body.space.kind == spaces.EUCLIDEAN:
+        x = 3.0 * x
+    d = body.dist(x)
+    assume(d > 1e-6)
+    return rt.normal_flow(body, x, level - d)
+
+
+def seam_exit(body, rng, eps):
+    """A point of the eps-level set of a segment body at most 1e-3 eps from
+    a seam, where the band over the segment meets an end ball: on the band's
+    edge, on the ball, or on the seam itself."""
+    space, line = body.space, body.line
+    # an end of the segment and the unit tangent there toward the other end
+    end, toward = (body.a, line.u) if rng.random() < 0.5 else (
+        body.b, -line.u if space.kind == spaces.EUCLIDEAN
+        else spaces._hyperboloid_unit_tangent(body.b, body.a))
+    side = rng.choice([-1.0, 1.0]) * line.normal
+    offset = eps * rng.choice([0.0, 1e-15, 1e-12, 1e-9, 1e-6, 1e-3]) * rng.choice([-1.0, 1.0])
+    if offset >= 0.0:  # along the band's edge: the point over `end` moved by offset
+        foot = along(space, end, unit_tangent(space, end, toward), offset)
+        return along(space, foot, unit_tangent(space, foot, side), eps)
+    # round the end ball, past the end perpendicular
+    v = math.cos(offset / eps) * side + math.sin(offset / eps) * toward
+    return along(space, end, unit_tangent(space, end, v), eps)
+
+
+def crossing_query(body, eps, query, rng):
+    """(q, target): q on the level set, inside N_eps, or (a seam query)
+    inside N_eps on the geodesic that leaves it at a seam_exit point.  The
+    geodesic runs within acos(0.1) of the normal, outward or inward, at q
+    (at the exit for a seam query), so that it crosses the level set at an
+    angle: a tangent crossing moves by the rounding of body.dist over the
+    slope, and the ITP reference, which reads body.dist, with it."""
+    space = body.space
+    if query == "seam":
+        exit_point = seam_exit(body, rng, eps)
+        v = turned(space, exit_point, outward(body, exit_point), rng)
+        q = along(space, exit_point, v, -rng.uniform(0.01, 2.0) * eps)
+        target = along(space, exit_point, v, rng.uniform(0.1, 3.0))
+        assume(body.dist(q) < eps - 1e-9)
+    else:
+        q = flowed_to(body, rng, eps if query == "level" else rng.uniform(0.02, 0.98) * eps)
+        v = turned(space, q, rng.choice([-1.0, 1.0]) * outward(body, q), rng)
+        target = along(space, q, v, rng.uniform(0.1, 4.0))
+    assume(body.dist(target) > eps + 1e-6)
+    return on_sheet(space, q), on_sheet(space, target)
+
+
+def crossing_body(space, kind, rng):
+    if kind == "point":
+        return rt.PointBody(space, draw_point(space, rng))
+    a = draw_point(space, rng)
+    b = draw_point(space, rng)
+    assume(spaces.distance(space, a, b) > 0.2)
+    return (rt.LineBody if kind == "line" else rt.SegmentBody)(space, a, b)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(range(len(CROSSINGS))))
+def test_exit_matches_frozen_itp(seed, which):
+    """Every body kind, and an H^3 point: the closed-form crossing of
+    retract lies within 1e-12 max(1, d(q, target)) of a frozen copy of the
+    ITP search's, from queries on the level set, interior queries and (for
+    segments) geodesics that leave N_eps at a seam, with at most one
+    level-set evaluation."""
+    space, kind, query = CROSSINGS[which]
+    rng = np.random.default_rng(seed)
+    body, eps = crossing_body(space, kind, rng), rng.uniform(0.1, 1.5)
+    q, target = crossing_query(body, eps, query, rng)
+    (r, _, _), n = counted_retract(FixedTarget(body, eps, target), q)
+    ref = frozen_itp_retract(body, eps, q, target)
+    assert n <= 1
+    length = spaces.distance(space, q, target)
+    assert spaces.distance(space, r, ref) <= 1e-12 * max(1.0, length)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ class InvalidCoordinates(GeometryError):
 
 
 class DegenerateGeodesic(GeometryError):
-    """Geodesic requested between coincident points with nonzero arc length."""
+    """A geodesic point requested between coincident ends at nonzero arc length."""
 
 
 class DegenerateAngle(GeometryError):

@@ -5,8 +5,8 @@ obtained by flowing cover witnesses from the eps-level set to the R-level set,
 an equivariant lambda-shrinking subdivision of the nerve, a push-off map by
 geodesic coning over the subdivided nerve, and the retraction r(q) = the
 unique point where the geodesic from q to the push-off image of q's nerve
-projection leaves the eps-neighborhood, at the arc length that each convex
-body solves in closed form (ConvexBody.exit).
+projection leaves the eps-neighborhood, which each convex body finds in
+closed form (ConvexBody.exit).
 """
 
 from __future__ import annotations
@@ -65,15 +65,22 @@ class ConvexBody:
     def dist_rows(self, X):
         return spaces.distance_rows(self.space, X, self.project_rows(X))
 
-    def exit(self, geo, eps):
-        """The arc length at which the geodesic geo, from a point of N_eps(C)
-        toward one outside it, leaves N_eps(C): the largest root of
-        d(geo(t), C) = eps (last_root, in closed form), clamped to
-        [0, geo.length]; 0 for a geodesic of no length."""
-        if geo.length <= self.space.tol:
-            return 0.0
-        t = self.last_root(np.asarray(geo.x, float), geo.tangent, eps)
-        return min(max(t, 0.0), geo.length)
+    def exit(self, q, y, eps):
+        """The point at which the unit-speed geodesic from q, a point of
+        N_eps(C), toward y outside it leaves N_eps(C): at the largest root t
+        of d(geo(t), C) = eps (last_root, in closed form), clamped to
+        [0, d(q, y)]; q itself at t = 0 or for a geodesic of no length.  Its
+        geodesic formula is the scalar copy of geodesic_rows', bit for bit."""
+        length = spaces.distance(self.space, q, y)
+        if length <= self.space.tol:
+            return q
+        x, y = np.asarray(q, float), np.asarray(y, float)
+        flat = self.space.kind == spaces.EUCLIDEAN
+        u = (y - x) / length if flat else spaces._hyperboloid_unit_tangent(x, y, length)
+        t = min(max(self.last_root(x, u, eps), 0.0), length)
+        if t == 0.0:
+            return q
+        return x + (t / length) * (y - x) if flat else math.cosh(t) * x + math.sinh(t) * u
 
     def last_root(self, q, u, eps):
         """The largest t with d(q + t u, C) = eps, the geodesic from q with
@@ -870,8 +877,8 @@ def extend_to_pushoff(grid, lam, n, delta_prime):
 
 class Retractor:
     """r(q): the point where the geodesic from q to the push-off image of q's
-    nerve projection leaves the eps-neighborhood, at the arc length
-    body.exit solves in closed form."""
+    nerve projection leaves the eps-neighborhood, the point body.exit(q,
+    target, eps) finds in closed form."""
 
     def __init__(self, pushoff):
         self.pushoff = pushoff
@@ -901,7 +908,7 @@ class Retractor:
         and nerve cell of its one nerve projection (`hit`, when the caller
         has it from push_targets).  d(geo(t), C) - eps is convex along the
         geodesic, <= 0 at q and > 0 at the target, so it has one crossing,
-        the largest root that body.exit solves."""
+        the largest root, whose point body.exit returns."""
         body, eps = self.body, self.eps
         g0 = body.dist(q) - eps
         if g0 > 100 * body.space.tol:
@@ -912,8 +919,7 @@ class Retractor:
             raise PipelineInconsistency(
                 "push-off image inside the eps-neighborhood; an upstream "
                 "precondition lied")
-        geo = spaces.Geodesic(body.space, q, target)
-        r = geo.point(body.exit(geo, eps))
+        r = body.exit(q, target, eps)
         if abs(body.dist(r) - eps) > 1e-7:
             raise PipelineInconsistency(
                 f"crossing residual {abs(body.dist(r) - eps):.2e}; no crossing found")

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import covers, retraction, simplicial, spaces
 from .barycenters import SQRT3_OVER_2
-from .errors import GeometryError, StagedPreconditionError, check_budget
+from .errors import GeometryError, InvalidCoordinates, StagedPreconditionError, check_budget
 
 # Most samples of sigma, the level-set samples at most delta/2 apart on which
 # condition (3) compares angles; a delta that needs more is refused, since
@@ -75,20 +75,22 @@ class Scene:
                     f"delta_prime {self.delta_prime}, sample_spacing {spacing}")
         for p in self.interior_points:
             self.space.check_point(p)
-        self.k_samples  # the sample budgets, and an R whose K_out overflows
+        self.k_samples  # the sample budgets, and an R whose K_out overflows or leaves the space
 
     @functools.cached_property
     def k_samples(self):
-        """(K, K_out): the K samples and their flow to the R-level set."""
+        """(K, K_out): the K samples and their flow to the R-level set, which
+        must pass check_point (in H^n its rounding grows like cosh R)."""
         K = self.window.samples(self.sampling()[1], endpoint=True)
         with np.errstate(over="ignore", invalid="ignore"):
             try:  # math.cosh and math.sinh raise OverflowError past the range
                 K_out = retraction.normal_flow(self.body, K, self.R - self.eps)
                 if np.all(np.isfinite(K_out * K_out)):
+                    self.space.check_point(K_out)
                     return K, K_out
-            except OverflowError:
+            except (OverflowError, InvalidCoordinates):
                 pass
-        raise ValueError(f"R {self.R} puts K_out or its squares past the float range")
+        raise ValueError(f"R {self.R} puts K_out off the space or past the float range")
 
     def sampling(self):
         """(spacing, K count, sigma count): the pipeline's K samples, at most

@@ -300,7 +300,8 @@ class VertexMap:
 
 
 def map_diameter(complex_, iota):
-    """max over simplices of the image diameter; equal to the max over edges."""
+    """max over simplices of the image diameter; equal to the max over edges,
+    taken in one distance_rows pass over the edges' labels."""
     iota.check_total(complex_)
-    return max((spaces.distance(iota.target, u, v) for u, v in iota.at(complex_.faces[1])),
-               default=0.0)
+    ends = iota.at(complex_.faces[1])
+    return float(np.max(spaces.distance_rows(iota.target, ends[:, 0], ends[:, 1]), initial=0.0))

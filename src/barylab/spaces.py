@@ -124,31 +124,35 @@ class ModelSpace:
         raise ValueError(f"no ambient dimension for kind {self.kind}")
 
     @property
-    def is_geodesic(self):
-        # circle counts as-arc, for flow purposes only
-        return self.kind in (EUCLIDEAN, HYPERBOLOID, CIRCLE)
-
-    @property
     def is_cat0(self):
         return self.kind in (EUCLIDEAN, HYPERBOLOID)
 
     def check_point(self, x):
-        """Raise InvalidCoordinates unless x is a point of the space.  NaN and
-        infinite coordinates fail every kind.  The circle's radius test reads
-        False on them by itself, which keeps the phase sweep's circle_point
-        path free of a second check; the other kinds test finiteness first, so
-        the Minkowski form never evaluates inf - inf."""
+        """Raise InvalidCoordinates unless x, or each row of an (m, ambient)
+        array x, is a point of the space.  NaN and infinite coordinates fail
+        every kind.  The circle's radius test reads False on them by itself,
+        which keeps the phase sweep's circle_point path free of a second
+        check; the other kinds test finiteness first, so the Minkowski form
+        never evaluates inf - inf."""
         if self.kind == FINITE:
             if not (float(x).is_integer() and 0 <= x < self.dim):
                 raise InvalidCoordinates(f"finite index {x} is not an integer in [0,{self.dim})")
             return
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.ambient_dim,):
+        if x.shape[-1:] != (self.ambient_dim,) or x.ndim > 2:
             raise InvalidCoordinates(
                 f"expected {self.ambient_dim} coordinates for {self.kind}, got shape {x.shape}")
         if self.kind != CIRCLE and not np.all(np.isfinite(x)):
             raise InvalidCoordinates(f"{self.kind} point {x} has a non-finite coordinate")
-        if self.kind == HYPERBOLOID:
+        if x.ndim == 2:  # the rule below over all rows at once; a failing row raises alone
+            ok = np.ones(len(x), bool)
+            if self.kind == HYPERBOLOID:
+                ok = (abs(minkowski_dots(x, x) + 1.0) <= 100 * self.tol) & (x[:, 0] > 0)
+            elif self.kind == CIRCLE:
+                ok = abs(np.sqrt(row_dots(x, x)) - self.radius) <= 100 * self.tol
+            for row in x[~ok][:1]:
+                self.check_point(row)
+        elif self.kind == HYPERBOLOID:
             norm = minkowski_dot(x, x)
             if not (abs(norm + 1.0) <= 100 * self.tol and x[0] > 0):
                 raise InvalidCoordinates(
@@ -206,10 +210,12 @@ def distance(space, x, y):
 
 
 def distance_rows(space, X, Y):
-    """distance(space, x, y) over the broadcast rows of X and Y (Euclidean
-    and hyperboloid kinds), bit for bit: the same products by row_dots and
-    the same math.asinh.  paired_distances is the faster kernel wherever the
+    """distance(space, x, y) over the broadcast rows of X and Y (index arrays
+    for finite spaces), bit for bit: the same products by row_dots and the
+    same math.asinh.  paired_distances is the faster kernel wherever the
     bits of the one-point path do not matter."""
+    if space.kind == FINITE:
+        return space.matrix[np.asarray(X, int), np.asarray(Y, int)]
     diff = np.asarray(X, dtype=float) - np.asarray(Y, dtype=float)
     if space.kind == HYPERBOLOID:
         msq = minkowski_dots(diff, diff)
@@ -313,64 +319,12 @@ def circle_point(space, theta):
     return space.point([space.radius * math.cos(theta), space.radius * math.sin(theta)])
 
 
-class Geodesic:
-    """Unit-speed geodesic from x toward y, with its length and per-kind
-    direction computed once: the difference vector (Euclidean), the unit
-    tangent at x (hyperboloid), or the end angle and turning sign (circle).
-
-    Euclidean and hyperboloid geodesics extend beyond [0, length]; the circle
-    is parametrised by intrinsic arc length along the shorter arc.
-    """
-
-    __slots__ = ("space", "x", "length", "_x", "_dir", "_a", "_sign")
-
-    def __init__(self, space, x, y):
-        if not space.is_geodesic:
-            raise ValueError(f"space kind {space.kind} is not geodesic")
-        self.space = space
-        self.x = x
-        self.length = arc_distance(space, x, y) if space.kind == CIRCLE \
-            else distance(space, x, y)
-        self._dir = None
-        if self.length <= space.tol:
-            return
-        if space.kind == CIRCLE:
-            self._a = circle_angle(space, x)
-            delta = math.remainder(circle_angle(space, y) - self._a, 2.0 * math.pi)
-            self._sign = 1.0 if delta >= 0 else -1.0
-            return
-        self._x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if space.kind == EUCLIDEAN:
-            self._dir = y - self._x
-        else:
-            self._dir = _hyperboloid_unit_tangent(self._x, y, self.length)
-
-    @property
-    def tangent(self):
-        """Unit tangent at x (Euclidean and hyperboloid kinds, length > tol)."""
-        return self._dir / self.length if self.space.kind == EUCLIDEAN else self._dir
-
-    def point(self, t):
-        """Point at arc length t; x itself when t == 0."""
-        if t == 0.0:
-            return self.x
-        if self.length <= self.space.tol:
-            raise DegenerateGeodesic("x = y but t != 0")
-        if self.space.kind == EUCLIDEAN:
-            return self._x + (t / self.length) * self._dir
-        if self.space.kind == HYPERBOLOID:
-            return math.cosh(t) * self._x + math.sinh(t) * self._dir
-        return circle_point(self.space, self._a + self._sign * t / self.space.radius)
-
-
-
 def geodesic_rows(space, X, Y, T):
     """Points at arc length T on the unit-speed geodesics from the rows of X
     to the same rows of Y (Euclidean and hyperboloid kinds).  T of shape (m,)
     gives one point per row, shape (m, ambient); T of shape (m, k) gives k
-    per row, shape (m, k, ambient).  Each point is Geodesic(space, x,
-    y).point(t) bit for bit: the lengths are distance_rows, the products
+    per row, shape (m, k, ambient).  Each point has the bits of the scalar
+    form in ConvexBody.exit: the lengths are distance_rows, the products
     row_dots and the transcendentals math's, element by element."""
     if space.kind not in (EUCLIDEAN, HYPERBOLOID):
         raise ValueError(f"batched geodesic points need a Euclidean or "
@@ -395,8 +349,19 @@ def geodesic_rows(space, X, Y, T):
 
 
 def geodesic_point(space, x, y, t):
-    """Point at arc length t on the unit-speed geodesic from x to y."""
-    return Geodesic(space, x, y).point(t)
+    """Point at arc length t on the unit-speed geodesic from x to y; x itself
+    at t = 0.  A Euclidean or hyperboloid point is one row of geodesic_rows;
+    the circle is parametrised by arc length along the shorter arc."""
+    if space.kind != CIRCLE:
+        p = geodesic_rows(space, [x], [y], [t])[0]
+        return x if t == 0.0 else p
+    if t == 0.0:
+        return x
+    if arc_distance(space, x, y) <= space.tol:
+        raise DegenerateGeodesic("x = y but t != 0")
+    a = circle_angle(space, x)
+    sign = 1.0 if math.remainder(circle_angle(space, y) - a, 2.0 * math.pi) >= 0 else -1.0
+    return circle_point(space, a + sign * t / space.radius)
 
 
 def angle_at(space, o, p, q):

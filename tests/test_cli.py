@@ -9,7 +9,8 @@ import time
 
 import pytest
 
-from barylab import cli, scenes, spaces
+from barylab import cli, retraction, scenes, spaces
+from barylab.errors import DegenerateGeodesic
 
 
 def run(argv):
@@ -314,13 +315,19 @@ def point_scene_under_translates(word_length, sample_spacing):
 @pytest.mark.parametrize("doc, cause", [
     ({"scene": "euclidean_point", "overrides": {"R": 1e300}}, "R 1e+300 "),
     ({"scene": "euclidean_point", "overrides": {"R": 1e155}}, "R 1e+155 "),
+    ({"scene": "hyperbolic_axis", "overrides": {"R": 10.0}}, "R 10.0 "),
+    ({"scene": "hyperbolic_axis", "overrides": {"R": 40.0}}, "R 40.0 "),
+    ({"scene": "hyperbolic_axis", "overrides": {"R": 100.0}}, "R 100.0 "),
+    ({"scene": "hyperbolic_axis", "overrides": {"R": 354.0}}, "R 354.0 "),
     ({"scene": "hyperbolic_axis", "overrides": {"R": 400.0}}, "R 400.0 "),
     ({"scene": "hyperbolic_axis", "overrides": {"R": 1000.0}}, "R 1000.0 "),
     (point_scene_under_translates(500, 2 * math.pi / 2000), "K x K distance pairs"),
-], ids=["point_R_1e300", "point_R_1e155", "axis_R_400", "axis_R_1000",
-        "group_pairs_past_budget"])
+], ids=["point_R_1e300", "point_R_1e155", "axis_R_10", "axis_R_40", "axis_R_100",
+        "axis_R_354", "axis_R_400", "axis_R_1000", "group_pairs_past_budget"])
 def test_retract_refuses_before_any_stage(tmp_path, capsys, doc, cause):
-    """An R that puts K_out or its squares past the float range, and 1,000
+    """An R that puts K_out or its squares past the float range, or K_out
+    off the hyperboloid by more than check_point allows (|<x, x> + 1| is
+    2.4e-6 at R = 10 on hyperbolic_axis, 2.2e20 at R = 40), and 1,000
     translates of 2,001 K samples (4e9 pairs, although K x K alone is within
     PAIR_ROWS), exit 1 with one stderr line naming the cause, with
     RuntimeWarnings as errors and before any stage runs."""
@@ -358,18 +365,22 @@ def test_retract_gate_failure_exit_four(tmp_path, capsys):
     assert rep["failure"]["stage"] == "smallness"
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("R", [40.0, 100.0, 354.0])
-def test_retract_reports_a_geometry_error_of_the_smallness_stage(tmp_path, capsys, R):
-    """hyperbolic_axis at R >= 40: the inward flow of K_out in the smallness
-    check reads a distance of 0 from a K_out point to its projection; the
-    run reports a failed smallness stage, exit 4 with one stderr line, no
+def test_retract_reports_a_geometry_error_of_the_smallness_stage(tmp_path, capsys,
+                                                               monkeypatch):
+    """A GeometryError of the smallness check (a DegenerateGeodesic, as the
+    inward flow of an off-sheet K_out raised before Scene refused it) is
+    reported as a failed smallness stage, exit 4 with one stderr line, no
     traceback."""
-    inp = write(tmp_path / "scene.json", {"scene": "hyperbolic_axis", "overrides": {"R": R}})
+    def degenerate(*args, **kwargs):
+        raise DegenerateGeodesic("x = y but t != 0")
+
+    monkeypatch.setattr(retraction, "check_small_relative", degenerate)
+    inp = write(tmp_path / "scene.json", {"scene": "hyperbolic_axis"})
     out = str(tmp_path / "report.json")
     assert run(["retract", "--input", inp, "--output", out]) == 4
     err = capsys.readouterr().err
     assert err.startswith("barylab retract: gate failure: ") and err.count("\n") == 1
+    assert "x = y but t != 0" in err
     rep = json.load(open(out))
     assert rep["failure"]["stage"] == "smallness" and rep["ok"] is False
 

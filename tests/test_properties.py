@@ -24,6 +24,7 @@ from barylab.errors import UncoveredPoint  # noqa: E402
 from test_covers import allpairs_tents, assert_certificate_replays  # noqa: E402
 from test_retraction import counted_retract  # noqa: E402
 from test_simplicial import coface_rows, labelled, reference_subdivision  # noqa: E402
+from test_spaces import FrozenGeodesic  # noqa: E402
 from test_subdivision import reference_labels, subdivision_coordinates  # noqa: E402
 
 SPACES = [spaces.ModelSpace.euclidean(2), spaces.ModelSpace.euclidean(3),
@@ -507,7 +508,7 @@ def test_retract_crossing_matches_line_root(seed, on_level_set):
     assert n <= 1
     # the unit tangent of the geodesic the retraction follows, read off its
     # point at t = 1: one recomputed from the target differs by up to 3e-13
-    u = (spaces.Geodesic(space, q, target).point(1.0) - math.cosh(1.0) * q) / math.sinh(1.0)
+    u = (FrozenGeodesic(space, q, target).point(1.0) - math.cosh(1.0) * q) / math.sinh(1.0)
     ts = line_crossings(q[2], u[2], math.copysign(math.sinh(eps), target[2]))
     t = min(ts, key=lambda t: max(-t, t - length, 0.0))
     exact = math.cosh(t) * q + math.sinh(t) * u
@@ -521,7 +522,7 @@ def frozen_itp_retract(body, eps, q, target):
     evaluations, to within 2^-52 d."""
     k1, k2, n0, tol = 0.2, 2, 1, 2.0 ** -52
     steps = math.ceil(math.log2(1.0 / (2.0 * tol))) + n0
-    geo = spaces.Geodesic(body.space, q, target)
+    geo = FrozenGeodesic(body.space, q, target)
     a, b, y_a, y_b = 0.0, geo.length, min(body.dist(q) - eps, 0.0), body.dist(target) - eps
     tol_t = tol * geo.length
     for j in range(steps):
@@ -673,6 +674,40 @@ def test_exit_matches_frozen_itp(seed, which):
     assert spaces.distance(space, r, ref) <= 1e-12 * max(1.0, length)
 
 
+def frozen_exit(body, q, y, eps):
+    """ConvexBody.exit as it was with FrozenGeodesic: (the geodesic's point
+    at t, t), t last_root clamped to [0, length], 0 for a geodesic of no
+    length."""
+    geo = FrozenGeodesic(body.space, q, y)
+    t = 0.0 if geo.length <= body.space.tol else \
+        min(max(body.last_root(np.asarray(geo.x, float), geo.tangent, eps), 0.0), geo.length)
+    return geo.point(t), t
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(range(len(CROSSINGS))))
+def test_exit_matches_frozen_geodesic_exit(seed, which):
+    """body.exit(q, y, eps) is, bit for bit, the frozen Geodesic's point at
+    the frozen clamped exit time, for every body kind in R^2 and H^2 and an
+    H^3 point, from level-set, interior and seam queries; it returns q
+    itself wherever the frozen exit does (a third to a half of the level-set
+    draws), from a point 1e-9 past the level set on its outward normal, and
+    on a geodesic of no length.  The point is also geodesic_rows' row at
+    the frozen exit time, bit for bit."""
+    space, kind, query = CROSSINGS[which]
+    rng = np.random.default_rng(seed)
+    body, eps = crossing_body(space, kind, rng), rng.uniform(0.1, 1.5)
+    q, target = crossing_query(body, eps, query, rng)
+    got, (ref, t) = body.exit(q, target, eps), frozen_exit(body, q, target, eps)
+    assert np.array_equal(got, ref) and (got is q) == (ref is q)
+    assert np.array_equal(got, spaces.geodesic_rows(space, q[None], target[None], [t])[0])
+    if query == "level":
+        past = rt.normal_flow(body, q, 1e-9)
+        assert body.exit(past, rt.normal_flow(body, past, 1.0), eps) is past
+    for y in (q, q.copy(), along(space, q, outward(body, q), 0.5 * space.tol)):
+        assert body.exit(q, y, eps) is q and frozen_exit(body, q, y, eps)[0] is q
+
+
 # ---------------------------------------------------------------------------
 # row passes: each row has the bits of its one-point call
 
@@ -729,11 +764,11 @@ def test_isometry_apply_rows_match_one_point(seed, which, m):
        st.integers(1, 20), st.integers(1, 6))
 def test_geodesic_rows_match_geodesic_point(seed, which, m, k):
     """geodesic_rows at k arc lengths per row (t = 0 and t beyond y among
-    them), or at one, equals Geodesic.point bit for bit."""
+    them), or at one, equals the frozen Geodesic.point bit for bit."""
     space = SPACES[which]
     rng = np.random.default_rng(seed)
     X, Y = draw_far(space, rng, m), draw_far(space, rng, m)
-    geos = [spaces.Geodesic(space, x, y) for x, y in zip(X, Y)]
+    geos = [FrozenGeodesic(space, x, y) for x, y in zip(X, Y)]
     T = np.array([g.length for g in geos])[:, None] * rng.uniform(-1.0, 2.0, (m, k))
     T[rng.random((m, k)) < 0.2] = 0.0
     rows = spaces.geodesic_rows(space, X, Y, T)

@@ -16,7 +16,7 @@ from barylab.errors import (
     UndefinedNormal,
     check_budget,
 )
-from test_spaces import frozen_geodesic_point
+from test_spaces import FrozenGeodesic, frozen_geodesic_point
 from test_subdivision import subdivision_coordinates
 
 E2 = spaces.ModelSpace.euclidean(2)
@@ -234,7 +234,7 @@ def frozen_escape(body, eps, q, q_prime, enforce_angle=True):
         raise PreconditionError("q does not lie on the eps-level set")
     if enforce_angle and rt.angle_to_C(body, q, q_prime) <= math.pi / 2 + body.space.tol:
         raise PreconditionError("escape check requires an angle > pi/2")
-    geo = spaces.Geodesic(body.space, q, q_prime)
+    geo = FrozenGeodesic(body.space, q, q_prime)
     ts = np.linspace(geo.length / rt.ESCAPE_SAMPLES, geo.length, rt.ESCAPE_SAMPLES)
     if body.space.kind == spaces.EUCLIDEAN:
         pts = geo._x + (ts / geo.length)[:, None] * geo._dir

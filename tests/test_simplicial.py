@@ -190,16 +190,35 @@ def map_diameter_all_simplices(complex_, iota):
     return best
 
 
+def random_label(space, rng):
+    if space.kind == spaces.FINITE:
+        return int(rng.integers(0, space.dim))
+    if space.kind == spaces.CIRCLE:
+        return spaces.circle_point(space, rng.uniform(0.0, 2.0 * math.pi))
+    if space.kind == spaces.HYPERBOLOID:
+        s, th = rng.uniform(0.0, 3.0), rng.uniform(0.0, 2.0 * math.pi)
+        return np.array([math.cosh(s), math.sinh(s) * math.cos(th), math.sinh(s) * math.sin(th)])
+    return rng.uniform(-1, 1, size=space.dim)
+
+
+MAP_TARGETS = [E2, spaces.ModelSpace.hyperboloid(2), spaces.ModelSpace.circle(2.0),
+               spaces.ModelSpace.finite(np.abs(np.subtract.outer(np.arange(7.0),
+                                                                  np.arange(7.0))) ** 0.5)]
+
+
 def test_map_diameter_edges_equal_all_simplices():
+    """The one-pass edge diameter equals a scalar distance loop over the
+    edges bit for bit, and the diameter over every simplex within 1e-12, in
+    R^2, H^2, the circle and a finite space."""
     rng = np.random.default_rng(3)
-    for _ in range(20):
+    for space in MAP_TARGETS * 20:
         n = int(rng.integers(4, 8))
         tops = [tuple(sorted(rng.choice(n, size=3, replace=False)))
                 for _ in range(4)]
         cplx = simplicial.SimplicialComplex.from_maximal(tops)
-        iota = labelled(
-            E2, {v: rng.uniform(-1, 1, size=2) for v in cplx.vertices})
+        iota = labelled(space, {v: random_label(space, rng) for v in cplx.vertices})
         d_edges = simplicial.map_diameter(cplx, iota)
+        assert d_edges == max(spaces.distance(space, iota(u), iota(v)) for u, v in cplx.faces[1])
         d_all = map_diameter_all_simplices(cplx, iota)
         assert abs(d_edges - d_all) < 1e-12
 

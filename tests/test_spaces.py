@@ -65,19 +65,25 @@ def test_geodesic_degenerate():
     assert spaces.geodesic_point(E2, x, x, 0.0) is x
     for space in (E2, H2, C1):
         p = rand_point(space, np.random.default_rng(5))
-        geo = spaces.Geodesic(space, p, p)
-        assert geo.point(0.0) is p
+        geo = FrozenGeodesic(space, p, p)
+        assert geo.point(0.0) is p and spaces.geodesic_point(space, p, p, 0.0) is p
         with pytest.raises(DegenerateGeodesic):
             geo.point(0.5)
+        with pytest.raises(DegenerateGeodesic):
+            spaces.geodesic_point(space, p, p.copy(), 0.5)
         if space is not C1:
             with pytest.raises(DegenerateGeodesic):
                 spaces.geodesic_rows(space, p[None], p[None], np.array([0.0, 0.5]))
+    fin = spaces.ModelSpace.finite([[0.0, 1.0], [1.0, 0.0]])
+    for t in (0.0, 0.5):  # a finite space has no geodesics, not even at t = 0
+        with pytest.raises(ValueError):
+            spaces.geodesic_point(fin, 0, 1, t)
 
 
 def frozen_geodesic_point(space, x, y, t):
     """geodesic_point as it was before spaces.Geodesic: the reference that
-    Geodesic.point must match bit for bit."""
-    if not space.is_geodesic:
+    geodesic_point and the rows of geodesic_rows must match bit for bit."""
+    if space.kind not in (spaces.EUCLIDEAN, spaces.HYPERBOLOID, spaces.CIRCLE):
         raise ValueError(f"space kind {space.kind} is not geodesic")
     if t == 0.0:
         return x
@@ -104,12 +110,50 @@ def frozen_geodesic_point(space, x, y, t):
     return spaces.circle_point(space, a + sign * t / space.radius)
 
 
+class FrozenGeodesic:
+    """spaces.Geodesic as it was before each ConvexBody.exit set up its own
+    geodesic: the unit-speed geodesic from x toward y with its length and
+    per-kind direction computed once.  The oracle of ConvexBody.exit
+    (test_properties.frozen_exit) and of geodesic_rows."""
+
+    def __init__(self, space, x, y):
+        self.space, self.x = space, x
+        self.length = spaces.arc_distance(space, x, y) if space.kind == spaces.CIRCLE \
+            else spaces.distance(space, x, y)
+        if self.length <= space.tol:
+            return
+        if space.kind == spaces.CIRCLE:
+            self._a = spaces.circle_angle(space, x)
+            delta = math.remainder(spaces.circle_angle(space, y) - self._a, 2.0 * math.pi)
+            self._sign = 1.0 if delta >= 0 else -1.0
+            return
+        self._x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        self._dir = y - self._x if space.kind == spaces.EUCLIDEAN \
+            else spaces._hyperboloid_unit_tangent(self._x, y, self.length)
+
+    @property
+    def tangent(self):
+        return self._dir / self.length if self.space.kind == spaces.EUCLIDEAN else self._dir
+
+    def point(self, t):
+        if t == 0.0:
+            return self.x
+        if self.length <= self.space.tol:
+            raise DegenerateGeodesic("x = y but t != 0")
+        if self.space.kind == spaces.EUCLIDEAN:
+            return self._x + (t / self.length) * self._dir
+        if self.space.kind == spaces.HYPERBOLOID:
+            return math.cosh(t) * self._x + math.sinh(t) * self._dir
+        return spaces.circle_point(self.space, self._a + self._sign * t / self.space.radius)
+
+
 def test_geodesic_point_matches_frozen_reference_bits():
     rng = np.random.default_rng(41)
     for space in (E2, E3, H2, C1):
         for _ in range(100):
             x, y = rand_point(space, rng), rand_point(space, rng)
-            geo = spaces.Geodesic(space, x, y)
+            geo = FrozenGeodesic(space, x, y)
             L = geo.length
             for t in (0.0, float(rng.uniform(0.0, L)), 0.5 * L, L,
                       float(rng.uniform(L, 3.0 * L))):
@@ -119,14 +163,14 @@ def test_geodesic_point_matches_frozen_reference_bits():
 
 
 def test_geodesic_rows_match_point_rows():
-    """Each row of geodesic_rows is Geodesic.point at its arc lengths bit for
-    bit, with k arc lengths per row (t = 0 among them) or one."""
+    """Each row of geodesic_rows is the frozen Geodesic.point at its arc
+    lengths bit for bit, with k arc lengths per row (t = 0 among them) or one."""
     rng = np.random.default_rng(43)
     frac = np.concatenate(([0.0], rng.uniform(0.0, 2.0, 20)))
     for space in (E2, E3, H2):
         X = np.array([rand_point(space, rng) for _ in range(50)])
         Y = np.array([rand_point(space, rng) for _ in range(50)])
-        geos = [spaces.Geodesic(space, x, y) for x, y in zip(X, Y)]
+        geos = [FrozenGeodesic(space, x, y) for x, y in zip(X, Y)]
         T = np.array([geo.length for geo in geos])[:, None] * frac
         rows = spaces.geodesic_rows(space, X, Y, T)
         assert rows.shape == (50, len(frac), space.ambient_dim)
@@ -221,6 +265,26 @@ def test_point_validation_rejects_non_finite(bad):
                 space.point(p[:i] + [bad] + p[i + 1:])
     with pytest.raises(InvalidCoordinates):
         fin.point(bad)
+
+
+def test_check_point_takes_rows():
+    """Rows pass check_point as their points do, and the message of a failing
+    array is the one-point message of its first failing row."""
+    rng = np.random.default_rng(7)
+    for space, bad in ((E2, [0.0, math.nan]), (H2, [1.0, 1.0, 0.0]),
+                       (H2, [-math.sqrt(2.0), 1.0, 0.0]), (C1, [2.0, 0.0])):
+        X = np.array([rand_point(space, rng) for _ in range(5)])
+        space.check_point(X)
+        space.check_point(X[:0])
+        X[3] = X[4] = bad
+        with pytest.raises(InvalidCoordinates) as one:
+            space.check_point(X[3])
+        with pytest.raises(InvalidCoordinates) as rows:
+            space.check_point(X)
+        assert str(rows.value) == str(one.value) or space is E2
+        for shape in (X[:, :1], X[None]):
+            with pytest.raises(InvalidCoordinates):
+                space.check_point(shape)
 
 
 def test_finite_space_validation():

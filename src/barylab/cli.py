@@ -37,15 +37,24 @@ def _dump_json(doc):
 
 
 def _load_input(path):
+    """The JSON document at `path`; no input field is boolean, so one raises."""
     with open(path) as f:
-        return json.load(f)
+        doc = json.load(f)
+    todo = [("", doc)]  # (path, value), breadth first: the loop visits what it appends
+    for where, x in todo:
+        if isinstance(x, bool):
+            raise ValueError(f"{where or 'the document'} is the boolean {json.dumps(x)}")
+        if isinstance(x, dict):
+            todo += [(f"{where}.{k}" if where else k, v) for k, v in x.items()]
+        elif isinstance(x, list):
+            todo += [(f"{where}[{i}]", v) for i, v in enumerate(x)]
+    return doc
 
 
 def _number(x, what, least=None):
-    """float(x), or, given least, x itself if an int >= least; never a JSON boolean."""
-    if isinstance(x, bool) or least is not None and not (isinstance(x, int) and x >= least):
-        kind = "number" if least is None else f"whole number >= {least}"
-        raise ValueError(f"{what} {x!r} is not a {kind}")
+    """float(x), or, given least, x itself if an int >= least."""
+    if least is not None and not (isinstance(x, int) and x >= least):
+        raise ValueError(f"{what} {x!r} is not a whole number >= {least}")
     return float(x) if least is None else x
 
 
@@ -64,8 +73,7 @@ def cmd_barycenter(args):
             prob.space = spaces.ModelSpace(
                 prob.space.kind, prob.space.dim, prob.space.radius,
                 prob.space.matrix, args.tol)
-    except (KeyError, TypeError, ValueError, OSError, json.JSONDecodeError,
-            GeometryError) as exc:
+    except (KeyError, TypeError, ValueError, OSError, GeometryError) as exc:
         print(f"barylab barycenter: bad input: {exc}", file=sys.stderr)
         return 1
     cert = barycenters.solve_barycenter(prob, lam)
@@ -89,8 +97,7 @@ def cmd_phase(args):
             raise ValueError(f"lambdas and deltas must be positive and finite, not {bad[0]}")
         trials = _number(args.trials if args.trials is not None else doc.get("trials", 100),
                          "trials", 1)
-    except (KeyError, TypeError, ValueError, OSError, json.JSONDecodeError,
-            GeometryError) as exc:
+    except (KeyError, TypeError, ValueError, OSError, GeometryError) as exc:
         print(f"barylab phase: bad input: {exc}", file=sys.stderr)
         return 1
     lines = ["# barylab phase sweep v1", "lambda,delta,trials,pass_rate,worst_witness"]
@@ -123,8 +130,7 @@ def cmd_subdivide(args):
         order = _number(args.order if args.order is not None else doc.get("order", 1),
                         "order", 0)
         simplicial.check_budget(complex_.counts, order)
-    except (KeyError, TypeError, ValueError, OSError, json.JSONDecodeError,
-            GeometryError) as exc:
+    except (KeyError, TypeError, ValueError, OSError, GeometryError) as exc:
         print(f"barylab subdivide: bad input: {exc}", file=sys.stderr)
         return 1
     try:
@@ -154,8 +160,7 @@ def cmd_retract(args):
             raise ValueError(f"lambda {lam} outside (0, 1)")
         order = _number(args.order if args.order is not None else scene.order, "order", 0)
         scenes.check_density(args.density)
-    except (KeyError, TypeError, ValueError, OverflowError, OSError, json.JSONDecodeError,
-            GeometryError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, OSError, GeometryError) as exc:
         print(f"barylab retract: bad input: {exc}", file=sys.stderr)
         return 1
     report = scenes.run_pipeline(scene, lam=lam, order=order,

@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import barycenters, spaces
+from . import barycenters, simplicial, spaces
 from .errors import (
     EnumerationBound,
     IndeterminateIntersection,
@@ -26,7 +26,6 @@ from .errors import (
     UncoveredPoint,
     check_budget,
 )
-from .simplicial import SimplicialComplex
 
 
 # ---------------------------------------------------------------------------
@@ -381,59 +380,48 @@ def _empty_margin(space, centers, radii, w):
 
 def build_nerve(cover):
     """Nerve of a BallCover or AdjacencySet: one k-simplex per (k+1)-subset of
-    elements with certified nonempty common intersection.
+    elements with certified nonempty common intersection, as face arrays.
+    Each level extends the rows of the last by the certified edges out of
+    their last vertex, keeps the candidates whose drop-one faces all lie in
+    that level, and certifies them in one stacked call.
 
     Margins inside [-tol, tol] raise IndeterminateIntersection.
     """
-    space = cover.space
-    centers, radii = cover.centers, cover.radii
+    space, centers, radii = cover.space, cover.centers, cover.radii
     n = len(radii)
-    tol = space.tol
 
-    simplices = {(i,) for i in range(n)}
     # pairwise margins are exact: min of the max-margin along the geodesic
     ii, jj = cover.index.pairs(centers, _pair_reach(space, radii))
-    upper = ii < jj
-    ii, jj = ii[upper], jj[upper]
-    margin = 0.5 * (spaces.paired_distances(space, centers[jj], centers[ii])
-                    - radii[ii] - radii[jj])
-    touching = np.flatnonzero(np.abs(margin) <= tol)
+    pairs = np.stack([ii, jj], axis=1)[ii < jj]  # sorted by i, then j
+    i, j = pairs.T
+    margin = 0.5 * (spaces.paired_distances(space, centers[j], centers[i]) - radii[i] - radii[j])
+    touching = np.flatnonzero(np.abs(margin) <= space.tol)
     if len(touching):
-        i, j = int(ii[touching[0]]), int(jj[touching[0]])
         raise IndeterminateIntersection(
-            f"balls {i},{j} touch within tolerance; perturb radii")
-    neighbors = {i: [] for i in range(n)}
-    for i, j in zip(ii[margin < 0].tolist(), jj[margin < 0].tolist()):
-        simplices.add((i, j))
-        neighbors[i].append(j)
-
-    # grow certified cliques level by level (a (k+1)-set can only intersect
-    # if every k-subset does); each level's candidates take one stacked call
-    frontier = sorted(s for s in simplices if len(s) == 2)
-    while frontier:
-        cands = []
-        for s in frontier:
-            common = set(neighbors[s[0]])
-            for v in s[1:]:
-                common &= set(neighbors[v])
-            for j in sorted(common):
-                cand = s + (j,)
-                if j > s[-1] and all(cand[:m] + cand[m + 1:] in simplices
-                                     for m in range(len(cand))):
-                    cands.append(cand)
-        frontier = []
-        if not cands:
-            break
-        idx = np.asarray(cands)
-        for cand, cert in zip(cands, balls_intersection_margin(space, centers[idx],
-                                                               radii[idx])):
-            if abs(cert.margin) <= tol:
-                raise IndeterminateIntersection(
-                    f"balls {cand} margin {cert.margin:.2e} within tolerance")
-            if cert.margin < 0:
-                simplices.add(cand)
-                frontier.append(cand)
-    return SimplicialComplex(range(n), simplices)
+            f"balls {i[touching[0]]},{j[touching[0]]} touch within tolerance; perturb radii")
+    edges = pairs[margin < 0]
+    first = np.searchsorted(edges[:, 0], np.arange(n + 1))  # edges out of v: first[v:v + 2]
+    nerve = simplicial.SimplicialComplex(range(n), faces=[np.arange(n)[:, None], edges])
+    while True:
+        F = nerve.faces[-1]
+        lo, count = first[F[:, -1]], first[F[:, -1] + 1] - first[F[:, -1]]
+        e = np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count, count)
+        cands = np.concatenate([np.repeat(F, count, axis=0), edges[e, 1:]], axis=1)
+        # keep those whose drop-one faces lie in F (dropping the last vertex gives F's row)
+        cands = cands[np.all([nerve.find(np.delete(cands, m, axis=1)) >= 0
+                              for m in range(F.shape[1])], axis=0)]
+        if not len(cands):
+            return nerve
+        margins = np.array([cert.margin for cert in balls_intersection_margin(
+            space, centers[cands], radii[cands])])
+        touching = np.flatnonzero(np.abs(margins) <= space.tol)
+        if len(touching):
+            raise IndeterminateIntersection(
+                f"balls {tuple(cands[touching[0]].tolist())} margin "
+                f"{margins[touching[0]]:.2e} within tolerance")
+        if not np.any(margins < 0):
+            return nerve
+        nerve = simplicial.SimplicialComplex(range(n), faces=nerve.faces + [cands[margins < 0]])
 
 
 # ---------------------------------------------------------------------------
@@ -500,10 +488,10 @@ class NerveProjector:
         self._translates = list(zip(range(n, len(self.adj)), self.adj.group[n:].tolist(),
                                     self.adj.base[n:].tolist()))
 
-    def _positive_tents(self, Q):
-        """The positive tents of the rows of Q as triples (row, element,
-        value), sorted by row then element; no row x element array is made.
-        Base balls take their candidates from one index query; each
+    def _positive_tents(self, Q, start=0):
+        """The positive tents of the rows of Q as triples (start + row,
+        element, value), sorted by row then element; no row x element array
+        is made.  Base balls take their candidates from one index query; each
         translate pulls every row back through its group element."""
         cover, n = self.cover, len(self.adj)
         qi, ci = cover.index.pairs(Q, 0.5 * cover.max_diameter)
@@ -519,11 +507,11 @@ class NerveProjector:
         rows, elems, vals = (np.concatenate(x) for x in (rows, elems, vals))
         keep = np.flatnonzero(vals > 0.0)
         keep = keep[np.argsort(rows[keep] * n + elems[keep], kind="stable")]
-        return rows[keep], elems[keep], vals[keep]
+        return rows[keep] + start, elems[keep], vals[keep]
 
     def tents(self, q):
         """Tents x_i(q) over the adjacency: a vector for one point, an (m, len(adj))
-        array for m rows (project_rows keeps them sparse)."""
+        array for m rows (project_rows keeps each row's support only)."""
         Q = np.asarray(q, float).reshape(-1, self.cover.space.ambient_dim)
         out = np.zeros((len(Q), len(self.adj)))
         rows, elems, vals = self._positive_tents(Q)
@@ -531,27 +519,36 @@ class NerveProjector:
         return out if np.ndim(q) > 1 else out[0]
 
     def project_rows(self, Q):
-        """[(support simplex as label tuple, weights summing to 1)] per row
-        of Q, each with the bits of project on that row alone."""
+        """(ids, weights) of the rows of Q: row r holds its support simplex's
+        ids ascending, padded with its first id to the widest support, and
+        their tents over their sum, 0 on the pads.  The sum folds the columns
+        left to right (np.sum's order below 8 terms), so each row has the
+        bits of project on that row alone.  One nerve.find per support size
+        tests the supports."""
         Q = np.asarray(Q, float).reshape(-1, self.cover.space.ambient_dim)
-        out = []
-        for block in spaces.row_blocks(len(Q), 3 ** self.cover.space.dim):
-            rows, elems, vals = self._positive_tents(Q[block])
-            starts = np.searchsorted(rows, np.arange(block.stop - block.start + 1))
-            for lo, hi in zip(starts[:-1], starts[1:]):
-                support = tuple(elems[lo:hi].tolist())
-                if not support:
-                    raise UncoveredPoint("query point lies outside every adjacency element")
-                if support not in self.nerve.simplices:
-                    raise PipelineInconsistency(
-                        f"support {support} witnessed by a point but absent from the nerve")
-                w = vals[lo:hi]
-                out.append((support, w / np.sum(w)))
-        return out
+        blocks = spaces.row_blocks(len(Q), 3 ** self.cover.space.dim) or [slice(0, 0)]
+        rows, elems, vals = map(np.concatenate,
+                                zip(*[self._positive_tents(Q[b], b.start) for b in blocks]))
+        count = np.bincount(rows, minlength=len(Q))
+        pad = np.arange(max(count.max(initial=0), 1)) >= count[:, None]
+        ids, w = np.zeros(pad.shape, np.int64), np.zeros(pad.shape)
+        ids[~pad], w[~pad] = elems, vals  # row-major, as the triples are sorted
+        ids = np.where(pad, ids[:, :1], ids)
+        bad = count == 0
+        for k in range(1, pad.shape[1] + 1):
+            bad[count == k] = self.nerve.find(ids[count == k, :k]) < 0
+        for r in np.flatnonzero(bad)[:1]:  # the first row that fails
+            if not count[r]:
+                raise UncoveredPoint("query point lies outside every adjacency element")
+            raise PipelineInconsistency(f"support {tuple(ids[r, :count[r]].tolist())} "
+                                        "witnessed by a point but absent from the nerve")
+        return ids, w / np.add.accumulate(w, axis=1)[:, -1:]
 
     def project(self, q):
         """Return (support simplex as label tuple, weights summing to 1)."""
-        return self.project_rows(np.asarray(q, float)[None])[0]
+        ids, w = self.project_rows(q)
+        support = tuple(dict.fromkeys(ids[0].tolist()))  # the pads repeat its first id
+        return support, w[0, :len(support)]
 
 
 # ---------------------------------------------------------------------------

@@ -759,12 +759,12 @@ class PushOff:
 
     def evaluate(self, support, weights):
         """(image point, cell vertex ids) at one nerve point: evaluate_rows' one row."""
-        targets, cells = self.evaluate_rows([(support, weights)])
+        targets, cells = self.evaluate_rows(np.asarray([support]), np.asarray([weights]))
         return targets[0], tuple(cells[0].tolist())
 
-    def evaluate_rows(self, projections):
-        """(targets, cells) of j at the nerve points (support simplex, weights)
-        of `projections`: one image row each, and each final cell's ascending
+    def evaluate_rows(self, ids, weights):
+        """(targets, cells) of j at the nerve points of NerveProjector.project_rows'
+        (ids, weights) rows: one image row each, and each final cell's ascending
         ids as a row of one (m, width) array, padded with its first id.  Per
         subdivision order, a row sorted by (-weight, id) gives its prefix chain
         J of length k the weight k * (its weight - the next one) and the vertex
@@ -772,15 +772,12 @@ class PushOff:
         The image is the geodesic cone (ascending-id fold) over the vertex
         images, one distance_rows and geodesic_rows pass per fold position, so
         a row has the same bits alone or among rows."""
-        shape = (len(projections), max((len(s) for s, _ in projections), default=1))
-        ids, wts = np.zeros(shape, np.int64), np.zeros(shape)
-        for r, (support, weights) in enumerate(projections):
-            ids[r, :len(support)], wts[r, :len(support)] = support, weights
+        ids, wts = np.array(ids, np.int64), np.asarray(weights, float)  # a copy: ids is written
         for prov in self.sub_result.provs:
             order = np.lexsort((ids, -wts))
             chains, wts = np.take_along_axis(ids, order, 1), np.take_along_axis(wts, order, 1)
-            wts = np.arange(1, shape[1] + 1) * (wts - np.pad(wts[:, 1:], ((0, 0), (0, 1))))
-            for k in range(1, shape[1] + 1):
+            wts = np.arange(1, ids.shape[1] + 1) * (wts - np.pad(wts[:, 1:], ((0, 0), (0, 1))))
+            for k in range(1, ids.shape[1] + 1):
                 live = np.flatnonzero(wts[:, k - 1] > 0.0)
                 found = prov.parent.find(np.sort(chains[live, :k], axis=1))
                 ids[live, k - 1] = prov.ids[prov.parent.offsets[k - 1] + found]
@@ -889,7 +886,7 @@ class Retractor:
     def push_targets(self, Q):
         """PushOff.evaluate_rows at the rows of Q: one nerve projection and one
         coning pass over all rows, each row with its one-row bits."""
-        return self.pushoff.evaluate_rows(self.grid.projector.project_rows(Q))
+        return self.pushoff.evaluate_rows(*self.grid.projector.project_rows(Q))
 
     def push_target(self, q):
         """(push-off target, cell vertex ids) of one point."""

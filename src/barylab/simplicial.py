@@ -131,7 +131,8 @@ class SimplicialComplex:
 
     def find(self, rows):
         """Row of each of `rows` (ascending ids) in its face array, or -1."""
-        return _find(self._keys, rows)
+        return _find(self._keys, rows) if rows.shape[1] <= self.dimension + 1 else \
+            np.full(len(rows), -1)  # no face of that size
 
     @cached_property
     def face_tables(self):

@@ -280,6 +280,7 @@ TURNED_BOOST = spaces.Isometry.hyperbolic_rotation(math.pi / 2).compose(
     (axis_with_group(2.7), []),
     (axis_with_group("2"), []),
     (axis_with_group(20, TURNED_BOOST), []),
+    ({"scene": "hyperbolic_axis", "overrides": {"period": True}}, []),
 ], ids=["order_flag", "order_override", "order_fraction", "density_zero",
         "density_negative", "lambda_zero", "lambda_above_one", "lambda_override",
         "delta_zero", "delta_negative", "delta_prime_zero", "R_equal_eps",
@@ -293,7 +294,7 @@ TURNED_BOOST = spaces.Isometry.hyperbolic_rotation(math.pi / 2).compose(
         "sample_spacing_past_budget", "angle_matrix_past_budget", "density_past_budget",
         "interior_off_sheet", "interior_nan", "interior_short", "word_length_negative",
         "word_length_true", "word_length_fraction", "word_length_string",
-        "group_past_element_budget"])
+        "group_past_element_budget", "period_true"])
 def test_retract_rejects_bad_input(tmp_path, capsys, doc, flags):
     inp = write(tmp_path / "scene.json", doc)
     out = str(tmp_path / "report.json")
@@ -545,19 +546,49 @@ BARYCENTER = {"space": CIRCLE, "P": TRIPLE, "Q": [], "lambda": 0.9}
     ("barycenter", {"space": {"kind": "finite", "dim": 3,
                               "matrix": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]},
                     "P": [0, 2.5], "lambda": 0.9}, []),
+    ("barycenter", {"space": EUCLID, "P": [[True, 0], [0, 1]], "lambda": 0.9}, []),
+    ("barycenter", {"space": {"kind": "euclidean", "dim": True}, "P": [[0], [1]],
+                    "lambda": 0.9}, []),
+    ("barycenter", {"space": {"kind": "circle", "radius": True}, "P": TRIPLE,
+                    "lambda": 0.9}, []),
+    ("barycenter", {"space": {"kind": "finite", "dim": 2, "matrix": [[0, True], [1, 0]]},
+                    "P": [0, 1], "lambda": 0.9}, []),
+    ("barycenter", {"space": {"kind": "finite", "dim": 3,
+                              "matrix": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]},
+                    "P": [0, True], "lambda": 0.9}, []),
 ], ids=["phase_delta_negative", "phase_delta_zero", "phase_lambda_nan",
         "phase_lambdas_not_list", "phase_trials_negative", "phase_trials_fraction",
         "phase_trials_flag_zero", "phase_trials_boolean", "phase_lambda_boolean",
         "phase_delta_boolean", "barycenter_lambda_nan", "barycenter_lambda_text",
         "barycenter_lambda_boolean", "barycenter_lambda_flag_inf", "barycenter_tol_zero",
         "barycenter_r2_nan", "barycenter_r2_inf", "barycenter_h2_nan", "barycenter_h2_inf",
-        "barycenter_circle_nan", "barycenter_circle_q_inf", "barycenter_finite_fraction"])
+        "barycenter_circle_nan", "barycenter_circle_q_inf", "barycenter_finite_fraction",
+        "barycenter_point_boolean", "barycenter_dim_boolean", "barycenter_radius_boolean",
+        "barycenter_matrix_boolean", "barycenter_index_boolean"])
 def test_rejects_bad_numbers(tmp_path, capsys, command, doc, flags):
     inp = write(tmp_path / "in.json", doc)
     out = str(tmp_path / "out")
     assert run([command, "--input", inp, "--output", out, *flags]) == 1
     assert_bad_input(capsys, command)
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command, doc, where, value", [
+    ("barycenter", {"space": EUCLID, "P": [[0, 0], [1, False]], "lambda": 0.9},
+     "P[1][1]", "false"),
+    ("retract", {"scene": "hyperbolic_axis", "overrides": {"period": True}},
+     "overrides.period", "true"),
+    ("retract", True, "the document", "true"),
+    ("retract", {"scene": "hyperbolic_axis", "overrides": {"order": [[False]], "lam": True}},
+     "overrides.lam", "true"),
+], ids=["point_entry", "override", "document", "shallowest_first"])
+def test_boolean_input_names_its_path(tmp_path, capsys, command, doc, where, value):
+    """The input loader refuses a JSON boolean anywhere in a document, naming
+    its path; of several, the one nearest the top."""
+    inp = write(tmp_path / "in.json", doc)
+    assert run([command, "--input", inp, "--output", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == \
+        f"barylab {command}: bad input: {where} is the boolean {value}\n"
 
 
 @pytest.mark.parametrize("scene, body", [

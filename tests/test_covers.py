@@ -2,16 +2,18 @@
 
 import itertools
 import math
+import re
 import time
 
 import numpy as np
 import pytest
 
-from barylab import barycenters as bc, covers, spaces
+from barylab import barycenters as bc, covers, simplicial, spaces
 from barylab.errors import (
     BudgetExceeded,
     EnumerationBound,
     IndeterminateIntersection,
+    PipelineInconsistency,
     PreconditionError,
     UncoveredPoint,
 )
@@ -84,6 +86,17 @@ def test_nerve_triple_intersection_oracle():
 def test_nerve_indeterminate_touching_balls():
     cov = line_cover([0.0, 2.0], 1.0)  # open balls touch exactly
     with pytest.raises(IndeterminateIntersection):
+        covers.build_nerve(cov)
+
+
+def test_nerve_indeterminate_clique():
+    """Three unit balls centred on the unit circle 120 degrees apart meet
+    pairwise, and all three only at the origin: the triangle's margin is 0."""
+    centers = [np.array([math.cos(a), math.sin(a)]) for a in (0.0, 2 * math.pi / 3,
+                                                             4 * math.pi / 3)]
+    cov = covers.BallCover(E2, [(c, 1.0) for c in centers], window=centers)
+    with pytest.raises(IndeterminateIntersection,
+                       match=r"^balls \(0, 1, 2\) margin 0\.00e\+00 within tolerance$"):
         covers.build_nerve(cov)
 
 
@@ -186,6 +199,24 @@ def test_projection_uncovered_point():
     proj = covers.NerveProjector(cov, trivial_action(E1))
     with pytest.raises(UncoveredPoint):
         proj.project(np.array([3.0]))
+
+
+@pytest.mark.parametrize("centers, simplices, q, support", [
+    ([(0.0, 0.0), (1.0, 0.0)], [(0,), (1,)], (0.5, 0.0), (0, 1)),
+    ([(0.0, 0.0), (1.0, 0.0)], [(0,), (1,), (2,), (0, 2), (1, 2)], (0.5, 0.0), (0, 1)),
+    ([(0.0, 0.0), (1.0, 0.0), (0.5, 0.8)], [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2)],
+     (0.5, 0.3), (0, 1, 2)),
+], ids=["no_edges", "other_edges", "no_triangles"])
+def test_projection_refuses_a_support_absent_from_the_nerve(centers, simplices, q, support):
+    """A support that a point witnesses but the nerve lacks raises
+    PipelineInconsistency: with an empty edge array, with edges that miss
+    it, and with no face array of its size."""
+    cov = covers.BallCover(E2, [(np.asarray(c), 1.0) for c in centers], window=[np.zeros(2)])
+    proj = covers.NerveProjector(cov, trivial_action(E2))
+    proj.nerve = simplicial.SimplicialComplex({v for s in simplices for v in s}, simplices)
+    with pytest.raises(PipelineInconsistency, match=re.escape(
+            f"support {support} witnessed by a point but absent from the nerve")):
+        proj.project(np.array(q))
 
 
 def test_project_to_nerve_one_shot():

@@ -903,15 +903,19 @@ def test_push_target_rows_match_one_row_calls(seed, name, m):
     depth = np.where(rng.random(len(ss)) < 0.5, 0.0, retr.grid.delta / 4.0)
     Q = rt.normal_flow(body, window.points(ss), -depth)
     projector = retr.grid.projector
-    projections = projector.project_rows(Q)
+    ids, weights = projector.project_rows(Q)
     targets, cells = retr.push_targets(Q)
     r_rows, r_targets, r_cells = retr.retract_rows(Q)
-    assert r_rows.shape == targets.shape == Q.shape
+    assert r_rows.shape == targets.shape == Q.shape and ids.shape == weights.shape
     assert np.array_equal(r_targets, targets) and np.array_equal(r_cells, cells)
     width = cells.shape[1]
-    for q, (support, w), target, cell_row, r in zip(Q, projections, targets, cells, r_rows):
+    for q, ids_row, w_row, target, cell_row, r in zip(Q, ids, weights, targets, cells, r_rows):
         one_support, one_w = projector.project(q)
-        assert support == one_support and np.array_equal(w, one_w)
+        k = len(one_support)
+        # the row's support and weights, then copies of its first id of weight 0
+        assert ids_row.tolist() == list(one_support) + [one_support[0]] * (ids.shape[1] - k)
+        assert np.array_equal(w_row[:k], one_w) and not w_row[k:].any()
+        support, w = tuple(ids_row[:k].tolist()), w_row[:k]
         one_target, one_cell = retr.push_target(q)
         # the row's cell, then copies of its first id up to the common width
         assert cell_row.tolist() == list(one_cell) + [one_cell[0]] * (width - len(one_cell))
@@ -923,7 +927,7 @@ def test_push_target_rows_match_one_row_calls(seed, name, m):
         assert np.array_equal(r, one_r) and np.array_equal(target, one_r_target)
         assert one_cell == one_r_cell
     if name == "hyperbolic_axis":
-        assert any(max(support) >= len(projector.cover) for support, _ in projections)
+        assert ids.max() >= len(projector.cover)
 
 
 def test_project_rows_raises_on_an_uncovered_row():
@@ -931,3 +935,12 @@ def test_project_rows_raises_on_an_uncovered_row():
     Q = np.stack([scene.window.point(0.5), np.array([5.0, 0.0]), scene.window.point(1.0)])
     with pytest.raises(UncoveredPoint):
         retr.grid.projector.project_rows(Q)
+
+
+def test_rows_of_zero_queries_keep_their_shapes():
+    """push_targets and retract_rows of no rows give empty arrays of the
+    point width and of one cell column."""
+    _, retr = push_retractor("euclidean_point")
+    Q = np.zeros((0, 2))
+    assert [a.shape for a in retr.push_targets(Q)] == [(0, 2), (0, 1)]
+    assert [a.shape for a in retr.retract_rows(Q)] == [(0, 2), (0, 2), (0, 1)]

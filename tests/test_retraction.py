@@ -730,12 +730,12 @@ def test_pushoff_evaluate_examples():
     assert np.allclose(img, 0.5 * (a + b), atol=1e-9)
 
 
-def frozen_evaluate_rows(pushoff, projections):
+def frozen_evaluate_rows(pushoff, ids, weights):
     """PushOff.evaluate_rows as it located each row's cell, one row at a
     time, through every stage's vertex_of dict."""
     cells = []
-    for support, weights in projections:
-        w = {int(v): float(x) for v, x in zip(support, weights) if x > 0.0}
+    for support, row_weights in zip(ids, weights):
+        w = {int(v): float(x) for v, x in zip(support, row_weights) if x > 0.0}
         for prov in pushoff.sub_result.provs:
             w = subdivision_coordinates(w, prov.vertex_of)
         cells.append(sorted(w.items()))
@@ -761,19 +761,21 @@ def frozen_evaluate_rows(pushoff, projections):
 def test_cells_over_rows_match_the_dict_path(name, monkeypatch):
     """On every query of a preset's pipeline run, evaluate_rows gives the
     targets (bit for bit) and cells of the frozen vertex_of path, and the run
-    builds no provenance's sets or vertex_of dict."""
+    builds no provenance's sets or vertex_of dict, and no frozenset of the
+    nerve's simplices."""
     calls, evaluate_rows = [], rt.PushOff.evaluate_rows
 
-    def recorded(pushoff, projections):
-        calls.append((pushoff, projections, evaluate_rows(pushoff, projections)))
-        return calls[-1][2]
+    def recorded(pushoff, ids, weights):
+        calls.append((pushoff, ids, weights, evaluate_rows(pushoff, ids, weights)))
+        return calls[-1][3]
     monkeypatch.setattr(rt.PushOff, "evaluate_rows", recorded)
     assert scenes.run_pipeline(scenes.SCENE_BUILDERS[name]()).ok
     sub = calls[0][0].sub_result
     assert not [p for p in sub.provs + [sub.prov_total] if {"sets", "vertex_of"} & set(vars(p))]
-    assert sum(len(p) for _, p, _ in calls) > 400
-    for pushoff, projections, (targets, cells) in calls:
-        want_targets, want_cells = frozen_evaluate_rows(pushoff, projections)
+    assert "simplices" not in vars(calls[0][0].grid.nerve)
+    assert sum(len(ids) for _, ids, _, _ in calls) > 400
+    for pushoff, ids, weights, (targets, cells) in calls:
+        want_targets, want_cells = frozen_evaluate_rows(pushoff, ids, weights)
         assert np.array_equal(targets.view(np.uint64), want_targets.view(np.uint64))
         assert np.array_equal(cells, want_cells)
 

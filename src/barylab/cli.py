@@ -37,9 +37,13 @@ def _dump_json(doc):
 
 
 def _load_input(path):
-    """The JSON document at `path`; no input field is boolean, so one raises."""
+    """The JSON document at `path`; no input field is boolean, so one raises,
+    and so does a document nested past the interpreter's recursion limit."""
     with open(path) as f:
-        doc = json.load(f)
+        try:
+            doc = json.load(f)
+        except RecursionError:
+            raise ValueError("the document is nested too deeply to read") from None
     todo = [("", doc)]  # (path, value), breadth first: the loop visits what it appends
     for where, x in todo:
         if isinstance(x, bool):

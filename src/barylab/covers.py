@@ -526,7 +526,8 @@ class NerveProjector:
         bits of project on that row alone.  One nerve.find per support size
         tests the supports."""
         Q = np.asarray(Q, float).reshape(-1, self.cover.space.ambient_dim)
-        blocks = spaces.row_blocks(len(Q), 3 ** self.cover.space.dim) or [slice(0, 0)]
+        reach = 0.5 * self.cover.max_diameter
+        blocks = spaces.row_blocks(len(Q), self.cover.index.row_bound(reach)) or [slice(0, 0)]
         rows, elems, vals = map(np.concatenate,
                                 zip(*[self._positive_tents(Q[b], b.start) for b in blocks]))
         count = np.bincount(rows, minlength=len(Q))

@@ -327,32 +327,37 @@ def angle_to_C(body, q, q_prime):
 
 def _angles_to_C(body, Q):
     """angle_to_C over the rows of Q (2d Euclidean / hyperboloid), as a function
-    of an (m, ambient) block of q' rows returning the (m, len(Q)) angles, each
-    term an (m, len(Q)) plane per coordinate and each sum a plane fold; the
-    terms of Q alone are computed once.  Each entry is one elementwise formula
-    whatever the block, so its bits do not depend on the blocking."""
+    of (m, ambient) q' rows and a slice `cols` of Q returning the angles as
+    (len(Q[cols]), m) planes per coordinate, each sum a plane fold; the terms of
+    Q alone are computed once.  Each entry is one elementwise formula, so its
+    bits do not depend on the blocking."""
     Q = np.asarray(Q, float)
     P, q = body.project_rows(Q), spaces.planes(Q)
     if body.space.kind == spaces.EUCLIDEAN:
         u2 = spaces.planes((P - Q) / spaces.paired_distances(body.space, P, Q)[:, None])
 
-        def angles(q_primes):
-            u1 = [x[:, None] - y for x, y in zip(spaces.planes(np.asarray(q_primes, float)), q)]
+        def angles(q_primes, cols):
+            u1 = [x - y[cols, None] for x, y in zip(spaces.planes(np.asarray(q_primes, float)), q)]
             norm = np.sqrt(spaces.plane_dots(u1, u1))
             for x in u1:
                 x /= norm
-            return np.arccos(np.clip(spaces.plane_dots(u1, u2), -1.0, 1.0))
+            del norm  # few block-sized arrays at once (here and in place below)
+            return np.arccos(np.clip(spaces.plane_dots(u1, [x[cols, None] for x in u2]), -1.0, 1.0))
         return angles
     c2 = spaces.minkowski_rows(Q, P)
     u2, s2 = spaces.planes(P + c2[:, None] * Q), np.sqrt(np.maximum(c2 * c2 - 1.0, 1e-300))
 
-    def angles(q_primes):
-        qp = [x[:, None] for x in spaces.planes(np.asarray(q_primes, float))]
-        c1 = spaces.plane_dots(q, qp, 1) - q[0] * qp[0]
-        u1 = [x + c1 * y for x, y in zip(qp, q)]
-        s1 = np.sqrt(np.maximum(c1 * c1 - 1.0, 1e-300))
-        cos = spaces.plane_dots(u1, u2, 1) - u1[0] * u2[0]
-        return np.arccos(np.clip(cos / (s1 * s2), -1.0, 1.0))
+    def angles(q_primes, cols):
+        qs, v2 = [x[cols, None] for x in q], [x[cols, None] for x in u2]
+        qp = spaces.planes(np.asarray(q_primes, float))
+        c1 = spaces.plane_dots(qs, qp, 1) - qs[0] * qp[0]
+        u1 = [x + c1 * y for x, y in zip(qp, qs)]
+        s = np.sqrt(np.maximum(c1 * c1 - 1.0, 1e-300)) * s2[cols, None]
+        del c1
+        cos = spaces.plane_dots(u1, v2, 1)
+        cos -= u1[0] * v2[0]
+        cos /= s
+        return np.arccos(np.clip(cos, -1.0, 1.0, out=cos), out=cos)
     return angles
 
 
@@ -655,8 +660,8 @@ def check_small_relative(body, eps, gaps, K_out_samples, sigma_samples, delta,
 
     Condition (3) is verified through the sufficient bound M1 + M2 <=
     ALPHA/2 - pi/4, where M1/M2 are the angle variations over close boundary
-    pairs and close K_out pairs respectively.  The angle matrix is filled in
-    blocks of q' rows.
+    pairs and close K_out pairs respectively.  The 3K x sigma angle matrix is
+    never held: _angle_variation streams it in blocks of sigma rows.
     """
     space = body.space
     tol = space.tol
@@ -683,38 +688,39 @@ def check_small_relative(body, eps, gaps, K_out_samples, sigma_samples, delta,
     out_aug = np.concatenate([K_out, normal_flow(body, K_out, 0.5 * delta_prime),
                               normal_flow(body, K_out, -inward)])
     sig_arr = np.asarray(sigma_samples)
-    angles = _angles_to_C(body, sig_arr)
-    A = np.empty((len(out_aug), len(sig_arr)))  # one row of angles per q'
-    for rows in spaces.row_blocks(len(out_aug), len(sig_arr)):
-        A[rows] = angles(out_aug[rows])
-    m1 = _pair_variation(A, sig_arr, space, delta, axis=1)
-    m2 = _pair_variation(A, out_aug, space, delta_prime, axis=0)
+    m1, m2 = _angle_variation(functools.partial(_angles_to_C(body, sig_arr), out_aug),
+                              sig_arr, out_aug, space, delta, delta_prime)
     variation = m1 + m2
     cond3_ok = variation <= gate + tol
     return SmallnessReport(delta, delta_prime, cond1_ok, cond1_margin,
                            cond2_ok, cond2_margin, cond3_ok, variation, gate)
 
 
-def _pair_variation(A, points, space, radius, axis):
-    """Max |A difference| between the rows (axis 0) or the columns (axis 1)
-    of A at index pairs i < j whose points lie within radius.  A
-    NeighbourIndex gives the candidate pairs of a block of points i at a
-    time, as many points as keep the block's pairs within BLOCK_ROWS by the
-    index's row_bound.  Each i's close partners j > i fall into runs of consecutive
-    indices, and a run [lo, hi] adds max(runmax - A_i, A_i - runmin): that
-    has the bits of max |A_i - A_j| over the run, since fl(x - y) is monotone
-    in x and in y and fl(-z) = -fl(z).  Run extremes come from a sparse table
-    of spans of 2^k points, built level by level in blocks of the other axis;
-    any point order is correct, and window order makes the runs long."""
-    pts = np.asarray(points)
-    B = A if axis == 0 else A.T
-    index, runs = covers.NeighbourIndex(space, pts, radius), [(np.zeros(0, np.int64),) * 3]
+def _close_pairs(space, pts, radius):
+    """(i, j), i < j, of the points within radius, sorted by i, then j, per
+    block of NeighbourIndex queries (row_bound keeps their candidates within BLOCK_ROWS)."""
+    index = covers.NeighbourIndex(space, pts, radius)
     for rows in spaces.row_blocks(len(pts), index.row_bound(radius)):
         ii, jj = index.pairs(pts[rows], radius)
         ii += rows.start
         ii, jj = ii[ii < jj], jj[ii < jj]
         close = spaces.paired_distances(space, pts[jj], pts[ii]) <= radius
-        ii, jj = ii[close], jj[close]  # sorted by i, then j
+        yield ii[close], jj[close]
+
+
+def _angle_variation(block_of, sigma, q_primes, space, delta, delta_prime):
+    """(M1, M2): max |A difference| over the sigma pairs within delta (columns
+    of the q' x sigma angle matrix A) and the q' pairs within delta' (rows), in
+    one pass over the blocks row_blocks(len(sigma), len(q')) of sigma, each
+    block_of(cols) = A[:, cols].T.  M1 takes a pair a < b in b's block as a row
+    difference, row a from a carried buffer if an earlier block's.  M2 takes
+    each run [lo, hi] of i's partners j as max(runmax - A_i, A_i - runmin), the
+    bits of max |A_i - A_j| (fl(x - y) is monotone in x and y, fl(-z) = -fl(z)),
+    from a sparse table on the transposed block.  Block arrays are allocated
+    once: temporaries freed per block made malloc trim and refault its heap."""
+    empty = np.zeros(0, np.int64)
+    runs = [(empty,) * 3]
+    for ii, jj in _close_pairs(space, q_primes, delta_prime):
         cut = np.ones(len(ii) + 1, bool)  # cut[p]: pair p - 1 and pair p lie in two runs
         cut[1:-1] = (ii[1:] != ii[:-1]) | (jj[1:] != jj[:-1] + 1)
         runs.append((ii[cut[:-1]], jj[cut[:-1]], jj[cut[1:]]))
@@ -723,23 +729,55 @@ def _pair_variation(A, points, space, radius, axis):
     # per level k: the runs' i and the starts of the two spans of 2^k that cover each run
     spans = [(base[level == k], lo[level == k], hi[level == k] + 1 - (1 << k))
              for k in range(level.max(initial=-1) + 1)]
-    worst = 0.0
-    for cols in spaces.row_blocks(B.shape[1], len(B)):
-        # a contiguous copy, since take gathers its rows faster than indexing a view
-        block = top = bottom = np.ascontiguousarray(B[:, cols])
-        for k, (i, first, last) in enumerate(spans):
-            if k:  # level k from level k - 1, which is then dropped
-                half = 1 << (k - 1)
-                top = np.maximum(top[:-half], top[half:])
-                bottom = np.minimum(bottom[:-half], bottom[half:])
-            if len(i):  # in place, to hold few block-sized temporaries at once
-                Ai, up, down = block.take(i, 0), top.take(first, 0), bottom.take(first, 0)
-                np.maximum(up, top.take(last, 0), out=up)
-                np.minimum(down, bottom.take(last, 0), out=down)
-                up -= Ai
-                np.subtract(Ai, down, out=down)
-                worst = max(worst, float(up.max()), float(down.max()))
-    return worst
+    del runs, base, lo, hi, level  # the pass holds only spans
+    a, b = map(np.concatenate, zip((empty,) * 2, *_close_pairs(space, sigma, delta)))
+    order = np.argsort(b, kind="stable")
+    a, b = a[order], b[order]  # by the later end
+    n, blocks = len(q_primes), spaces.row_blocks(len(sigma), len(q_primes))
+    step = blocks[0].stop if blocks else 1
+    own = np.arange(len(sigma)) // step  # each row's block
+    done = own.copy()
+    np.maximum.at(done, a, own[b])  # the block of each row's last reader
+    carried, ends, slot = np.flatnonzero(done > own), [], np.zeros(len(sigma), np.int64)
+    for r in carried.tolist():  # first fit in row order gives the fewest slots
+        slot[r] = next((s for s, e in enumerate(ends) if e <= own[r]), len(ends))
+        ends[slot[r]:slot[r] + 1] = [done[r]]  # ends[s]: the last block to read slot s
+    width = len(ends)
+    W = np.empty((width + step, n))  # the carried rows, then the block
+    table, gathers = np.empty((3, step * n)), np.empty((3, max(n, spaces.BLOCK_ROWS)))
+
+    def chunks(c):  # per level: its runs, in chunks that gather at most BLOCK_ROWS values
+        return [[(i[q], first[q], end[q],
+                  *(g[:(q.stop - q.start) * c].reshape(-1, c) for g in gathers))
+                 for q in spaces.row_blocks(len(i), c)] for i, first, end in spans]
+    plans = {c: chunks(c) for c in {cols.stop - cols.start for cols in blocks}}
+    m1 = m2 = 0.0
+    for cols in blocks:
+        block = W[width:width + cols.stop - cols.start]
+        block[...] = block_of(cols)
+        ia, ib = (x[slice(*np.searchsorted(b, [cols.start, cols.stop]))] for x in (a, b))
+        ia = np.where(ia < cols.start, slot[ia], ia - cols.start + width)
+        for p in spaces.row_blocks(len(ia), n):  # "clip" takes into out unbuffered
+            d, f = (g[:(p.stop - p.start) * n].reshape(-1, n) for g in gathers[:2])
+            np.subtract(W.take(ia[p], 0, d, "clip"),
+                        W.take(ib[p] - cols.start + width, 0, f, "clip"), out=d)
+            m1 = max(m1, float(np.abs(d, out=d).max()))
+        kept = carried[slice(*np.searchsorted(carried, [cols.start, cols.stop]))]
+        W[slot[kept]] = block[kept - cols.start]
+        T, X, Y = (x[:block.size].reshape(n, -1) for x in table)
+        T[...] = block.T  # q' rows, contiguous for take
+        for pick in (np.maximum, np.minimum):  # levels alternate X, Y: ufuncs over overlap are slow
+            ext = T
+            for lev, level in enumerate(plans[len(block)]):
+                if lev:  # level lev from level lev - 1
+                    half = 1 << (lev - 1)
+                    ext = pick(ext[:-half], ext[half:], out=(X, Y)[lev % 2][:len(ext) - half])
+                for i, first, end, Ai, e, f in level:  # runmax - A_i, or A_i - runmin
+                    pick(ext.take(first, 0, e, "clip"), ext.take(end, 0, f, "clip"), out=e)
+                    T.take(i, 0, Ai, "clip")
+                    np.subtract(*((e, Ai) if pick is np.maximum else (Ai, e)), out=e)
+                    m2 = max(m2, float(e.max()))
+    return m1, m2
 
 
 # ---------------------------------------------------------------------------

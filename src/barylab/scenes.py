@@ -24,9 +24,10 @@ from .errors import GeometryError, InvalidCoordinates, StagedPreconditionError, 
 # condition (3) compares angles; a delta that needs more is refused, since
 # fewer samples would leave no pair within delta to compare.
 SIGMA_ROWS = 6000
-# Most bytes of check_small_relative's 3K x sigma angle matrix of doubles,
-# the one sampled array whose size is the product of two sample counts.
-ANGLE_BYTES = 2**28
+# Most angle evaluations of check_small_relative's 3K x sigma angle matrix,
+# the one sampled quantity that is the product of two sample counts; it is
+# filled in blocks, so this bounds time, not memory.
+ANGLE_ROWS = 2**25
 # Most K x K distance pairs of translate_gaps and diam_K_Kout.  Those passes
 # run in row blocks, so this bounds their time, not their memory.
 PAIR_ROWS = 2**30
@@ -97,7 +98,7 @@ class Scene:
         spacing = sample_spacing (by default max(delta, span / 400)) apart,
         and its sigma samples, at most delta / 2 apart.  Raises BudgetExceeded,
         allocating nothing, past PAIR_ROWS K x K pairs (diam(K_out) and one
-        pass per group element), SIGMA_ROWS sigmas or ANGLE_BYTES of angles."""
+        pass per group element), SIGMA_ROWS sigmas or ANGLE_ROWS angle evaluations."""
         span = self.window.s_hi - self.window.s_lo
         spacing = self.sample_spacing or max(self.delta, span / 400.0)
         pairs = (1 + len(self.action.nontrivial())) * (span / spacing + 1.0) ** 2
@@ -108,9 +109,9 @@ class Scene:
                      f"{self.delta / 2.0} apart on a window of length {span}")
         k_count = retraction.sample_count(span, spacing, 8)
         sig_count = retraction.sample_count(span, self.delta / 2.0, 16)
-        angle_bytes = 3 * k_count * sig_count * 8
-        check_budget(angle_bytes, ANGLE_BYTES,
-                     f"smallness check: {angle_bytes} bytes of the 3K x sigma angle matrix")
+        angles = 3 * k_count * sig_count
+        check_budget(angles, ANGLE_ROWS,
+                     f"smallness check: {angles} angles of the 3K x sigma angle matrix")
         return spacing, k_count, sig_count
 
     def to_json(self):

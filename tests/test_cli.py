@@ -591,6 +591,19 @@ def test_boolean_input_names_its_path(tmp_path, capsys, command, doc, where, val
         f"barylab {command}: bad input: {where} is the boolean {value}\n"
 
 
+@pytest.mark.parametrize("command", ["barycenter", "retract"])
+def test_deeply_nested_input_is_bad_input(tmp_path, capsys, command):
+    """A document nested far past the recursion limit (written as text, which
+    json.dumps cannot make) gives one bad-input line, not a traceback."""
+    inp = tmp_path / "deep.json"
+    inp.write_text("[" * 100000 + "]" * 100000 + "\n")
+    out = str(tmp_path / "out")
+    assert run([command, "--input", str(inp), "--output", out]) == 1
+    assert capsys.readouterr().err == \
+        f"barylab {command}: bad input: the document is nested too deeply to read\n"
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("scene, body", [
     ("euclidean_point", {"type": "polygon", "points": [[0, 0], [1, 0], [0, 1]]}),
     ("hyperbolic_axis", {"type": "segment", "a": [1.0, 0.0, 0.0],

@@ -1,5 +1,6 @@
 """Convex bodies, normal flow, push-off grids, extension, and the retraction."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -177,7 +178,7 @@ def test_angle_batch_matches_scalar():
     window = rt.Window(body, 1.0, "plus", -1.0, 1.0)
     Q = window.samples(9, endpoint=True)
     qp = rt.normal_flow(body, window.point(0.3), 1.5)
-    batch = rt._angles_to_C(body, Q)(qp[None])[0]
+    batch = rt._angles_to_C(body, Q)(qp[None], slice(None))[:, 0]
     for i, q in enumerate(Q):
         assert abs(batch[i] - rt.angle_to_C(body, q, qp)) < 1e-9
 
@@ -212,18 +213,17 @@ def frozen_angles_to_C(body, Q, q_prime):
     (rt.SegmentBody(E2, np.zeros(2), np.array([1.0, 0.0])), "outer"),
 ], ids=["E2_point", "H2_point", "E2_line", "H2_line", "E2_segment"])
 def test_blocked_angle_matrix_matches_per_row(body, component):
-    """q' rows filled in blocks, as check_small_relative fills them, equal
-    the per-q' rows bit for bit; BLOCK_ROWS // 218 columns put 218 rows in a
-    block."""
+    """sigma blocks, as check_small_relative computes them, equal the per-q'
+    rows bit for bit; 500 q' columns put 32 sigma rows in a block."""
     window = rt.Window(body, 0.7, component, -2.0, 4.0)
     sigma = window.samples(spaces.BLOCK_ROWS // 218, endpoint=True)
     out = np.array([rt.normal_flow(body, window.point(float(s)), t)
                     for s, t in zip(np.linspace(-2.5, 4.5, 500),
                                     np.tile([1.5, 0.2, -0.1], 167))])
     angles = rt._angles_to_C(body, sigma)
-    blocks = spaces.row_blocks(len(out), len(sigma))
+    blocks = spaces.row_blocks(len(sigma), len(out))
     assert len(blocks) == 3
-    A = np.concatenate([angles(out[rows]) for rows in blocks])
+    A = np.concatenate([angles(out, cols) for cols in blocks]).T
     assert np.array_equal(A, np.array([frozen_angles_to_C(body, sigma, qp) for qp in out]))
 
 
@@ -532,6 +532,30 @@ def test_check_small_relative_spec_example():
     assert rep.cond3_variation <= math.pi / 4
 
 
+def lone_points(space, n):
+    """n points of space on a line, 1 (R^2) or 0.1 (H^2) apart: no two lie
+    within radius 0."""
+    t = np.arange(n) * (1.0 if space.kind == spaces.EUCLIDEAN else 0.1)
+    if space.kind == spaces.EUCLIDEAN:
+        return np.stack([t, np.zeros(n)], axis=1)
+    return np.stack([np.cosh(t), np.sinh(t), np.zeros(n)], axis=1)
+
+
+def streamed_variation(A, points, space, radius, axis):
+    """The max |A difference| between the rows (axis 0, M2) or the columns
+    (axis 1, M1) of A at the point pairs within radius, from _angle_variation
+    with the block function of the matrix A (rows q', columns sigma); the
+    other axis gets lone points at radius 0, so its variation is 0."""
+    lone = lone_points(space, A.shape[1 - axis])
+    pts = np.asarray(points)
+    sigma, q_primes = (lone, pts) if axis == 0 else (pts, lone)
+    delta, delta_prime = (0.0, radius) if axis == 0 else (radius, 0.0)
+    m1, m2 = rt._angle_variation(lambda cols: A[:, cols].T, sigma, q_primes, space,
+                                 delta, delta_prime)
+    assert (m1, m2)[axis] == 0.0
+    return (m1, m2)[1 - axis]
+
+
 def test_pair_variation_matches_per_pair_reference(monkeypatch):
     """With the default blocks (one here) and with blocks of one row of
     points and two pairs."""
@@ -551,14 +575,15 @@ def test_pair_variation_matches_per_pair_reference(monkeypatch):
                             ref = max(ref, float(np.max(np.abs(diff))))
                 for block_rows in (spaces.BLOCK_ROWS, 97):
                     monkeypatch.setattr(spaces, "BLOCK_ROWS", block_rows)
-                    assert rt._pair_variation(AA, pts, space, radius, axis=axis) == ref
+                    assert streamed_variation(AA, pts, space, radius, axis=axis) == ref
                 monkeypatch.undo()
 
 
 def test_pair_variation_finds_the_circle_wrap_pair():
     """The sigma samples of the closed euclidean_point window start and end
     at one point; both passes must pair them like the per-pair scan, and
-    their pairs span several blocks (120 rows put 546 pairs in one)."""
+    their pairs span several blocks (120 rows put 136 sigma rows in one, so
+    the sigma pass carries row 0 to the last block)."""
     scene = scenes.euclidean_point_scene()
     sigma = scene.window.samples(1048, endpoint=True)
     assert spaces.distance(E2, sigma[0], sigma[-1]) < 1e-12
@@ -571,10 +596,10 @@ def test_pair_variation_finds_the_circle_wrap_pair():
         d = spaces.distances_to(E2, sigma[i + 1:], sigma[i])
         for j in i + 1 + np.flatnonzero(d <= scene.delta):
             ref = max(ref, float(np.max(np.abs(A[:, i] - A[:, j]))))
-    got = rt._pair_variation(A, sigma, E2, scene.delta, axis=1)
+    got = streamed_variation(A, sigma, E2, scene.delta, axis=1)
     assert got == ref == float(np.max(np.abs(A[:, 0] - A[:, -1])))
     # the row pass queries its pairs in blocks of rows (62 rows here)
-    assert rt._pair_variation(A.T.copy(), sigma, E2, scene.delta, axis=0) == ref
+    assert streamed_variation(A.T.copy(), sigma, E2, scene.delta, axis=0) == ref
 
 
 def frozen_pair_variation(A, points, space, radius, axis):
@@ -615,10 +640,7 @@ def frozen_check_small_relative(body, eps, gaps, K_out_samples, sigma_samples, d
                        rt.normal_flow(body, K_out, -inward)], axis=1)
     out_aug = np.concatenate([K_out, flowed.reshape(-1, K_out.shape[1])])
     sig_arr = np.asarray(sigma_samples)
-    angles = rt._angles_to_C(body, sig_arr)
-    A = np.empty((len(out_aug), len(sig_arr)))
-    for rows in spaces.row_blocks(len(out_aug), len(sig_arr)):
-        A[rows] = angles(out_aug[rows])
+    A = rt._angles_to_C(body, sig_arr)(out_aug, slice(None)).T
     variation = (frozen_pair_variation(A, sig_arr, body.space, delta, axis=1)
                  + frozen_pair_variation(A, out_aug, body.space, delta_prime, axis=0))
     return rt.SmallnessReport(delta, delta_prime, cond1_ok, cond1_margin,
@@ -654,24 +676,24 @@ def test_smallness_report_matches_interleaved_gather_pass(name, monkeypatch):
     assert rt.check_small_relative(*args, **kwargs) == frozen_check_small_relative(*args, **kwargs)
 
 
-def test_pair_variation_peak_memory(monkeypatch):
-    """On the euclidean_point check, each pass of _pair_variation peaks
-    under 1.5 MiB of Python-traced allocations (the gather pass took 1.9 MiB)."""
+def test_smallness_check_peak_memory(monkeypatch):
+    """On the euclidean_point check, at the default K = 401 and at
+    sample_spacing 0.005 (K = 1,258), the whole check peaks under 2 MiB of
+    Python-traced allocations (holding the angle matrix took 10.9 and 32.0
+    MiB)."""
     tracemalloc = pytest.importorskip("tracemalloc")
-    args, kwargs = smallness_arguments("euclidean_point", monkeypatch)
-    peaks, pair_variation = [], rt._pair_variation
-
-    def traced(*a, **k):
+    fine = dataclasses.replace(scenes.euclidean_point_scene(), sample_spacing=0.005)
+    monkeypatch.setitem(scenes.SCENE_BUILDERS, "euclidean_point_fine", lambda: fine)
+    for name, k_count in (("euclidean_point", 401), ("euclidean_point_fine", 1258)):
+        args, kwargs = smallness_arguments(name, monkeypatch)
+        assert len(args[3]) == k_count
         tracemalloc.start()
         try:
-            return pair_variation(*a, **k)
+            rt.check_small_relative(*args, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
-            peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
-
-    monkeypatch.setattr(rt, "_pair_variation", traced)
-    rt.check_small_relative(*args, **kwargs)
-    assert len(peaks) == 2 and max(peaks) < 1.5 * 2**20
+        assert peak < 2 * 2**20
 
 
 def test_extension_staged_errors():
@@ -1012,7 +1034,7 @@ def test_sample_budgets_refuse_before_allocating():
     span = scene.window.s_hi - scene.window.s_lo
     assert (span / 3e-4 + 1.0) ** 2 <= scenes.PAIR_ROWS
     _, k_count, sig_count = spaced(1e-3)().sampling()
-    assert 24 * k_count * sig_count <= scenes.ANGLE_BYTES and k_count ** 2 <= scenes.PAIR_ROWS
+    assert 3 * k_count * sig_count <= scenes.ANGLE_ROWS and k_count ** 2 <= scenes.PAIR_ROWS
     # the calibration budget counts the grid of the last halving
     fine = 2.0 / (rt.SAMPLE_ROWS - 1) * 4.0 * 2.0 ** rt.MAX_HALVINGS
     with pytest.raises(BudgetExceeded):

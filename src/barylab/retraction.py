@@ -24,6 +24,7 @@ from .errors import (
     PipelineInconsistency,
     PreconditionError,
     StagedPreconditionError,
+    UncoveredPoint,
     UndefinedNormal,
     check_budget,
 )
@@ -587,10 +588,20 @@ def build_boundary_grid(window, R, action, delta, delta_prime, interior_points=(
 
     spacing = 0.45 * delta
     count = max(4, int(math.ceil((window.s_hi - window.s_lo) / spacing)))
-    centers = list(window.samples(count, endpoint=False))
+    centers = window.samples(count, endpoint=False)
     n_boundary = len(centers)
-    centers += [np.asarray(c, float) for c in interior_points]
-    cover = covers.BallCover(body.space, [(c, delta / 2.0) for c in centers], centers)
+    # the window points farthest from the centres: the arc midpoint after
+    # each centre (after the last, halfway to s_hi) must lie in its ball or
+    # in the next centre's (after the last, the first's: on a closed window
+    # it is the last's neighbour)
+    mids = window.samples(2 * n_boundary, endpoint=False)[1::2]
+    ends = np.stack([centers, np.roll(centers, -1, axis=0)], axis=1)
+    missed = np.min(spaces.paired_distances(body.space, mids[:, None], ends),
+                    axis=1) >= delta / 2.0
+    if np.any(missed):
+        raise UncoveredPoint(f"window point {mids[np.argmax(missed)]} lies in no ball")
+    centers = [*centers, *(np.asarray(c, float) for c in interior_points)]
+    cover = covers.BallCover(body.space, [(c, delta / 2.0) for c in centers], ())
     projector = covers.NerveProjector(cover, action)
     adj = projector.adj
 
@@ -677,13 +688,13 @@ def check_small_relative(body, eps, gaps, K_out_samples, sigma_samples, delta,
 
     # (2) the delta'-neighborhood of K_out avoids the eps-neighborhood
     K_out = np.asarray(K_out_samples, float)
-    gaps = body.dist_rows(K_out) - eps
-    cond2_margin = float(np.min(gaps)) - delta_prime
+    level_gaps = body.dist_rows(K_out) - eps  # per K_out sample: d(q, C) - eps
+    cond2_margin = float(np.min(level_gaps)) - delta_prime
     cond2_ok = cond2_margin > tol
 
     # (3) angle-variation gate
     gate = ALPHA / 2.0 - math.pi / 4.0
-    inward = np.minimum(0.5 * delta_prime, gaps - tol)
+    inward = np.minimum(0.5 * delta_prime, level_gaps - tol)
     # level-major rows, each level in window order: close q' pairs form runs
     out_aug = np.concatenate([K_out, normal_flow(body, K_out, 0.5 * delta_prime),
                               normal_flow(body, K_out, -inward)])

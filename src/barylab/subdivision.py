@@ -59,7 +59,7 @@ class ShrinkRecord:
     def _columns(self):
         """(image diameter of each original simplex in gid order, then per
         final vertex row the max and the min of its distances to the vertex
-        images of its least original simplex), in blocks of BLOCK_ROWS rows."""
+        images of its least original simplex), in row blocks."""
         space, original, face = self.iota.target, self.original, self.prov_total.face
         table = self.iota.at(self.prov_total.ids)
         orig_table = self.original_iota.at(original.faces[0][:, 0])
@@ -70,10 +70,10 @@ class ShrinkRecord:
         for d, t in enumerate(original.face_tables):
             members = np.flatnonzero(dims == d)
             sigma = t[face[members] - original.offsets[d], :d + 1]
-            for start in range(0, len(members), BLOCK_ROWS):
-                block = members[start:start + BLOCK_ROWS]
+            for rows in spaces.row_blocks(len(members), 2 * (d + 2)):
+                block = members[rows]
                 dist = spaces.paired_distances(space, table[block][:, None],
-                                               orig_table[sigma[start:start + BLOCK_ROWS]])
+                                               orig_table[sigma[rows]])
                 hi[block], lo[block] = dist.max(axis=1), dist.min(axis=1)
         return diams, hi, lo
 
@@ -96,32 +96,18 @@ class ShrinkRecord:
 
 
 def _solve_label(space, P, Q, lam):
-    """Closed-form rule when the space qualifies, else solve_barycenter.
-
-    Rule output is accepted when its bound holds in the space metric at the
-    requested lambda: space-metric certificates carry that bound already,
-    arc-metric ones are re-checked with chordal distances.
-    """
-    tol = space.tol
-    cert = None
-    if space.is_cat0:
-        cert = barycenters.cat0_midpoint_rule(space, P, Q)
-    elif space.kind == spaces.CIRCLE:
+    """The circle's arc rule where its bound holds at lam in the chordal
+    metric, else solve_barycenter.  CAT(0) kinds come here only with the
+    rows whose midpoint label _label_rows's batched check rejected."""
+    if space.kind == spaces.CIRCLE:
         try:
-            cert = barycenters.circle_arc_rule(space, P, Q)
+            b = barycenters.circle_arc_rule(space, P, Q).point
         except (DiameterTooLarge, ModelSpaceViolation):
-            cert = None
-    if cert is not None and cert.found:
-        b = cert.point
-        if cert.metric == "space":
-            # the rule certified lambda and the slacks in the space metric
-            diam, ach, slacks = cert.diam_P, cert.achieved_lambda, cert.relative_slacks
-        else:
-            diam = spaces.pairwise_diameter(space, P)
-            if diam > tol:
-                ach = barycenters.lambda_of(space, b, P)
-                slacks = barycenters.relative_slacks(space, b, P, Q)
-        if diam <= tol or (ach <= lam + tol and min(slacks, default=0.0) >= -tol):
+            b = None
+        tol = space.tol
+        if b is not None and (spaces.pairwise_diameter(space, P) <= tol or (
+                barycenters.lambda_of(space, b, P) <= lam + tol
+                and min(barycenters.relative_slacks(space, b, P, Q), default=0.0) >= -tol)):
             return b
     cert = barycenters.solve_barycenter(
         barycenters.BarycenterProblem(space, list(P), list(Q)), lam)
@@ -132,13 +118,6 @@ def _solve_label(space, P, Q, lam):
     return cert.point
 
 
-# Rows per vectorised pass; it bounds a pass's working memory.  On the
-# euclidean_point scene at density 1000, 2,048-row blocks of padded room
-# arrays added 1.5 MB (3%) to the run's peak RSS and 256-row blocks none,
-# with no measured change in the hyperbolic_axis scene's run time.
-BLOCK_ROWS = 256
-
-
 def _points(table, rows):
     """Labels of table rows as _solve_label takes them (finite ones as ints)."""
     pts = table[rows]
@@ -147,13 +126,13 @@ def _points(table, rows):
 
 def _diameters(space, table, rows):
     """Image diameter of each row of `rows`, an (n, m) array of table rows,
-    over its pairs i < j (0.0 for m < 2), one kernel call per BLOCK_ROWS rows."""
+    over its pairs i < j (0.0 for m < 2), one kernel call per row block."""
     out = np.zeros(len(rows))
     i, j = np.triu_indices(rows.shape[1], 1)
-    for start in range(0, len(rows), BLOCK_ROWS):
-        pts = table[rows[start:start + BLOCK_ROWS]]
-        out[start:start + len(pts)] = spaces.paired_distances(
-            space, pts[:, i], pts[:, j]).max(axis=1, initial=0.0)
+    for block in spaces.row_blocks(len(rows), rows.shape[1] + 2 * len(i)):
+        pts = table[rows[block]]
+        out[block] = spaces.paired_distances(space, pts[:, i], pts[:, j]).max(
+            axis=1, initial=0.0)
     return out
 
 
@@ -162,7 +141,8 @@ def _label_rows(space, table, p_rows, q_rows, q_ok, lam):
     row r's P is the labels of table rows p_rows[r], its Q of q_rows[r]
     where q_ok[r].  CAT(0) kinds take the midpoint rule for the whole block
     (one diameter_midpoints call, one batched check of lambda and the
-    slacks); failing rows and other kinds go to _solve_label."""
+    slacks), and only the rows that fail it go to solve_barycenter (through
+    _solve_label); other kinds go to _solve_label row by row."""
     if not space.is_cat0:
         return [_solve_label(space, _points(table, p), _points(table, q[ok]), lam)
                 for p, q, ok in zip(p_rows, q_rows, q_ok)]
@@ -254,7 +234,7 @@ def shrinking_subdivide(complex_, iota, lam, equivariance=None):
     `equivariance` is the partial action as a list of (Isometry, vertex map)
     pairs, each map an array over the vertex rows of image rows (-1 where
     undefined).  Each level of new vertices (all J of one size) is labelled
-    in blocks of BLOCK_ROWS orbit representatives; P is J's faces
+    in row blocks of orbit representatives; P is J's faces
     (face-table columns), Q the rest of its room.  Returns (subdivided
     complex, extended vertex map, StageRecord, provenance, the lifted action
     or None).  Raises NoBarycenter (with the failing certificate) if a
@@ -277,11 +257,11 @@ def shrinking_subdivide(complex_, iota, lam, equivariance=None):
         level = np.arange(offsets[d], offsets[d + 1])
         q_rows, q_ok = _rooms(complex_, d)
         reps = level if orbit is None else level[orbit[0][level] == level]
-        for start in range(0, len(reps), BLOCK_ROWS):
-            block = reps[start:start + BLOCK_ROWS]
-            rows = block - offsets[d]
-            table[block] = _label_rows(space, table, tables[d][rows, :-1],
-                                       q_rows[rows], q_ok[rows], lam)
+        m = tables[d].shape[1] - 1  # |P|; per row, P x P, Q x P, and P and Q to the label
+        for block in spaces.row_blocks(len(reps), (m + 1) * (m + q_rows.shape[1])):
+            rows = reps[block] - offsets[d]
+            table[reps[block]] = _label_rows(space, table, tables[d][rows, :-1],
+                                             q_rows[rows], q_ok[rows], lam)
         if orbit is not None:
             rep, word, isos = orbit
             members = level[rep[level] != level]
@@ -305,8 +285,10 @@ def shrinking_subdivide(complex_, iota, lam, equivariance=None):
     bad = np.flatnonzero(record.inside > parent_diams + 10 * space.tol)
     if len(bad):
         g = bad[0]
+        d = np.searchsorted(offsets, g, side="right") - 1
+        simplex = tuple(complex_.faces[d][g - offsets[d]].tolist())
         raise ModelSpaceViolation(
-            f"shrinking condition (2) failed on {prov.sets[sub.ids[g]]}: "
+            f"shrinking condition (2) failed on {simplex}: "
             f"{record.inside[g]} > {parent_diams[g]} (barycenter certificate bug)")
     return sub, iota_sub, record, prov, lifted
 

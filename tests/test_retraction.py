@@ -14,6 +14,7 @@ from barylab.errors import (
     InvalidCoordinates,
     PreconditionError,
     StagedPreconditionError,
+    UncoveredPoint,
     UndefinedNormal,
     check_budget,
 )
@@ -461,6 +462,32 @@ def test_build_boundary_grid_segment_scene():
         assert ang >= math.pi - 1e-5
     assert abs(grid.push_off_distance() - 1.0) < 1e-9
     assert grid.boundary_map_diameter <= 0.1 + 1e-9
+
+
+@pytest.mark.parametrize("name, raises", [("hyperbolic_axis", True), ("euclidean_point", False)])
+def test_boundary_grid_checks_the_window_between_centres(name, raises, monkeypatch):
+    """With the last centre dropped, the open flagship window's tail (about
+    1.5 spacings from the nearest centre) lies in no ball and the grid
+    refuses it; the closed circle's tail still lies in the first ball."""
+    samples, centre_calls = rt.Window.samples, []
+
+    def last_centre_dropped(self, count, endpoint):
+        pts = samples(self, count, endpoint)
+        if not endpoint:
+            centre_calls.append(count)
+            if len(centre_calls) == 1:
+                return pts[:-1]
+        return pts
+
+    monkeypatch.setattr(rt.Window, "samples", last_centre_dropped)
+    scene = getattr(scenes, f"{name}_scene")(**({"period": 2.0} if raises else {}))
+    args = (scene.window, scene.R, scene.action, scene.delta,
+            (1 - scene.lam) * scene.delta_prime)
+    if raises:
+        with pytest.raises(UncoveredPoint, match="lies in no ball"):
+            rt.build_boundary_grid(*args)
+    else:
+        assert len(rt.build_boundary_grid(*args).projector.cover) == centre_calls[0] - 1
 
 
 def frozen_equivariance_maps(adj):

@@ -7,8 +7,9 @@ import time
 import numpy as np
 import pytest
 
-from barylab import simplicial, spaces, subdivision as sd
-from barylab.errors import BudgetExceeded, NoBarycenter
+from barylab import barycenters, simplicial, spaces, subdivision as sd
+from barylab.errors import (BudgetExceeded, DiameterTooLarge, ModelSpaceViolation,
+                            NoBarycenter)
 from test_simplicial import labelled
 
 E1 = spaces.ModelSpace.euclidean(1)
@@ -117,6 +118,21 @@ def test_condition_two_recorded_every_stage():
     for st in res.record.stages:
         for diam_inside, diam_before in zip(st.inside, st.parent_diams):
             assert diam_inside <= diam_before + 1e-8
+
+
+def test_condition_two_failure_names_the_parent_without_provenance_sets(monkeypatch):
+    """Labels that spread past their parent's diameter fail condition (2);
+    the message names the parent simplex read off the face arrays, and the
+    stage never builds the provenance's dict of sets."""
+    def sets(self):
+        raise AssertionError("SubdivisionProvenance.sets was built")
+
+    monkeypatch.setattr(simplicial.SubdivisionProvenance, "sets", property(sets))
+    monkeypatch.setattr(sd, "_label_rows", lambda space, table, p_rows, *rest: np.full(
+        (len(p_rows), space.ambient_dim), 5.0))
+    cplx, iota = equilateral()
+    with pytest.raises(ModelSpaceViolation, match=r"condition \(2\) failed on \(0, 1\): "):
+        sd.shrinking_subdivide(cplx, iota, SQ32)
 
 
 def test_no_barycenter_abort_carries_certificate():
@@ -260,8 +276,43 @@ def test_subdivision_coordinates_position_preserved():
 
 
 # ---------------------------------------------------------------------------
-# level batching: labels bit-identical to a per-simplex _solve_label loop
+# level batching: labels bit-identical to a per-simplex frozen_solve_label loop
 #
+# Frozen reference: _solve_label as it was before the CAT(0) kinds lost their
+# scalar retry of the midpoint rule, so that every reference label comes from
+# the scalar rule or the solver, never from the batched pass under test.
+
+
+def frozen_solve_label(space, P, Q, lam):
+    tol = space.tol
+    cert = None
+    if space.is_cat0:
+        cert = barycenters.cat0_midpoint_rule(space, P, Q)
+    elif space.kind == spaces.CIRCLE:
+        try:
+            cert = barycenters.circle_arc_rule(space, P, Q)
+        except (DiameterTooLarge, ModelSpaceViolation):
+            cert = None
+    if cert is not None and cert.found:
+        b = cert.point
+        if cert.metric == "space":
+            diam, ach, slacks = cert.diam_P, cert.achieved_lambda, cert.relative_slacks
+        else:
+            diam = spaces.pairwise_diameter(space, P)
+            if diam > tol:
+                ach = barycenters.lambda_of(space, b, P)
+                slacks = barycenters.relative_slacks(space, b, P, Q)
+        if diam <= tol or (ach <= lam + tol and min(slacks, default=0.0) >= -tol):
+            return b
+    cert = barycenters.solve_barycenter(
+        barycenters.BarycenterProblem(space, list(P), list(Q)), lam)
+    if not cert.found:
+        raise NoBarycenter(
+            f"no {lam}-barycenter for |P|={len(P)}, |Q|={len(Q)}",
+            certificate=cert)
+    return cert.point
+
+
 # Frozen reference: the incidence star, the orbit search over provenance sets
 # and the lift of the action, as subdivision.py computed them before it read
 # stars off the coface table and orbits off the lifted maps.
@@ -358,7 +409,7 @@ def _lift_equivariance(maps, prov):
 
 
 def reference_labels(cplx, iota, lam, maps=None):
-    """Per-simplex labelling: one _solve_label call per new vertex J, in
+    """Per-simplex labelling: one frozen_solve_label call per new vertex J, in
     order of increasing |J|, P the labels of J's proper faces and Q the rest
     of its room, orbit members propagated from their representative."""
     space = iota.target
@@ -380,7 +431,7 @@ def reference_labels(cplx, iota, lam, maps=None):
                 for c in itertools.combinations(T, k)}
         P = [labels[v] for v in faces]
         Q = [labels[v] for v in sorted(room - set(faces))]
-        labels[vertex_of[J]] = sd._solve_label(space, P, Q, lam)
+        labels[vertex_of[J]] = frozen_solve_label(space, P, Q, lam)
     return labels
 
 
@@ -514,7 +565,8 @@ def full_matrix_diameters(space, table, rows):
 @pytest.mark.parametrize("m", [1, 2, 3, 7])
 @pytest.mark.parametrize("kind", ["R2", "H2", "circle", "finite"])
 def test_diameters_over_pairs_match_full_matrix(kind, m):
-    """The pairs i < j give the full matrix's bits: the kernels are symmetric."""
+    """The pairs i < j give the full matrix's bits: the kernels are symmetric.
+    The rows span two blocks of _diameters' width, m + 2 * m(m - 1)/2."""
     rng = np.random.default_rng(m)
     xy = rng.uniform(-1.0, 1.0, (20, 2))
     space, table = {
@@ -523,7 +575,9 @@ def test_diameters_over_pairs_match_full_matrix(kind, m):
         "circle": (C1, np.array([spaces.circle_point(C1, a) for a in 3.0 * xy[:, 0]])),
         "finite": (spaces.ModelSpace.finite(np.abs(xy[:, :1] - xy[:, 0])), np.arange(20)),
     }[kind]
-    rows = rng.integers(0, 20, (3 * sd.BLOCK_ROWS // 2, m))
+    step = spaces.row_blocks(spaces.BLOCK_ROWS, m * m)[0].stop
+    rows = rng.integers(0, 20, (3 * step // 2, m))
+    assert len(spaces.row_blocks(len(rows), m * m)) == 2
     assert np.array_equal(sd._diameters(space, table, rows),
                           full_matrix_diameters(space, table, rows))
 
@@ -531,8 +585,6 @@ def test_diameters_over_pairs_match_full_matrix(kind, m):
 def test_rule_rejected_row_reaches_grid_solver(monkeypatch):
     """Below sqrt(3)/2 the triangle's midpoint label fails the batched
     lambda check; that row, and only it, goes to solve_barycenter."""
-    from barylab import barycenters
-
     calls = []
     solve = barycenters.solve_barycenter
 
@@ -567,11 +619,8 @@ def frozen_eager_columns(result, original, original_iota):
     for d, t in enumerate(orig_tables):
         members = np.flatnonzero(dims == d)
         sigma = t[face[members] - offsets[d], :d + 1]
-        for start in range(0, len(members), sd.BLOCK_ROWS):
-            block = members[start:start + sd.BLOCK_ROWS]
-            dist = spaces.paired_distances(space, table[block][:, None],
-                                           orig_table[sigma[start:start + sd.BLOCK_ROWS]])
-            hi[block], lo[block] = dist.max(axis=1), dist.min(axis=1)
+        dist = spaces.paired_distances(space, table[members][:, None], orig_table[sigma])
+        hi[members], lo[members] = dist.max(axis=1), dist.min(axis=1)
     return (float(np.max(orig_diams, initial=0.0)), prov_total.ids, orig_diams[face], hi, lo)
 
 
@@ -608,3 +657,35 @@ def test_lazy_record_columns_match_frozen_eager_code(case, order):
                       (rec.max_dists, hi), (rec.min_dists, lo)]:
         assert got.dtype == want.dtype and np.array_equal(got, want)
     assert sd.verify_shrinking(rec).ok
+
+
+@pytest.mark.parametrize("case", ["strip_R2", "boost_H2", "circle"])
+def test_results_do_not_depend_on_the_row_block_size(case, monkeypatch):
+    """Labels, stage columns and the lazy record columns of an order-2 run
+    have the same bits with 2^14-row blocks and with 97-row blocks (which
+    cut every labelling level into several blocks)."""
+    maps = None
+    if case == "strip_R2":
+        cplx, iota = jittered_strip(E2, 6, seed=3, scale=0.2)
+    elif case == "boost_H2":
+        cplx, iota, maps = boost_strip(H2)
+        maps = action_rows(cplx, maps)
+    else:
+        cplx = simplicial.SimplicialComplex.from_maximal([(0, 1, 2)])
+        iota = labelled(C1, {v: spaces.circle_point(C1, 0.1 * v) for v in range(3)})
+    label_rows, calls = sd._label_rows, []
+    monkeypatch.setattr(sd, "_label_rows", lambda *a: calls.append(1) or label_rows(*a))
+    runs = []
+    for block_rows in (spaces.BLOCK_ROWS, 97):
+        monkeypatch.setattr(spaces, "BLOCK_ROWS", block_rows)
+        calls.clear()
+        rec = sd.iterate_subdivision(cplx, iota, SQ32, 2, equivariance=maps).record
+        stage_columns = [getattr(st, f) for st in rec.stages
+                         for f in ("edges", "after", "before", "inside", "parent_diams")]
+        runs.append((len(calls), [rec.iota.ids, rec.iota.points, rec.final_diams,
+                                  *rec._columns, *stage_columns]))
+    (default_calls, want), (small_calls, got) = runs
+    assert small_calls > default_calls
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and np.array_equal(g, w)

@@ -463,7 +463,7 @@ class SampleReport:
     delta: float
     trials: int
     passes: int
-    failures: list
+    first_failure: dict | None  # one failed trial, not each: a sweep's memory stays flat
     worst: dict | None
     seed: int
 
@@ -480,7 +480,7 @@ class SampleReport:
             "trials": self.trials,
             "passes": self.passes,
             "pass_rate": self.pass_rate,
-            "failures": self.failures,
+            "first_failure": self.first_failure,
             "worst": self.worst,
             "seed": self.seed,
         }
@@ -561,8 +561,7 @@ def has_barycenters_sample(space, lam, delta, trials, seed):
         planted.append(([spaces.circle_point(space, 2.0 * math.pi * k / 3.0)
                          for k in range(3)], []))
     passes = 0
-    failures = []
-    worst = None
+    first_failure = worst = None
     worst_margin = math.inf
     for t in range(trials):
         if t < len(planted):
@@ -576,12 +575,12 @@ def has_barycenters_sample(space, lam, delta, trials, seed):
             ok = ok and min(cert.relative_slacks) >= -space.tol
         if ok:
             passes += 1
-        else:
-            failures.append({"trial": t, "certificate": cert.to_json()})
+        elif first_failure is None:
+            first_failure = {"trial": t, "certificate": cert.to_json()}
         if margin < worst_margin:
             worst_margin = margin
             worst = {"trial": t, "certificate": cert.to_json()}
-    return SampleReport(space, lam, delta, trials, passes, failures, worst, seed)
+    return SampleReport(space, lam, delta, trials, passes, first_failure, worst, seed)
 
 
 def load_problem(doc):

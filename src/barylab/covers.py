@@ -1,11 +1,11 @@
 """Ball covers, discrete group actions, adjacency, nerves, and the nerve projection.
 
-A cover is a finite family of open metric balls that covers a sampled window.
-The nerve's k-simplices are certified by a witness point, and rejected sets
-by dual weights that exclude a common point (barycenters.minimax_solve); the
-partition of unity behind the nerve projection uses tent weights r - d(q, c)
-clipped at zero, pulled back through the group element attached to each
-translate so that equivariance holds by construction.
+A cover is a finite family of open metric balls.  The nerve's k-simplices
+are certified by a witness point, and rejected sets by dual weights that
+exclude a common point (barycenters.minimax_solve); the partition of unity
+behind the nerve projection uses tent weights r - d(q, c) clipped at zero,
+pulled back through the group element attached to each translate so that
+equivariance holds by construction.
 """
 
 from __future__ import annotations
@@ -159,8 +159,9 @@ class NeighbourIndex:
 
 
 class BallCover:
-    """Finite cover of a sampled compact window by open metric balls: ball i
-    has centre centers[i] and radius radii[i].
+    """Finite family of open metric balls: ball i has centre centers[i] and
+    radius radii[i].  Its caller checks that the balls cover its window;
+    NerveProjector refuses a query that lies in none.
 
     Only Euclidean and hyperboloid spaces are accepted: build_nerve certifies
     pairwise intersections from the centre distance, which is exact only in a
@@ -168,25 +169,15 @@ class BallCover:
     Chordal circles and finite spaces fail both.
     """
 
-    def __init__(self, space, balls, window, check_cover=True):
+    def __init__(self, space, balls):
         if not space.is_cat0:
             raise PreconditionError(
                 f"ball covers need a Euclidean or hyperboloid space, not "
                 f"{space.kind}: nerves of {space.kind} covers are not certified")
         self.space = space
-        shape = (-1, space.ambient_dim)
-        self.centers = np.asarray([c for c, _ in balls], float).reshape(shape)
+        self.centers = np.asarray([c for c, _ in balls], float).reshape(-1, space.ambient_dim)
         self.radii = np.asarray([r for _, r in balls], float)
-        self.window = np.asarray(window, float).reshape(shape)
         self.index = NeighbourIndex(space, self.centers, _pair_reach(space, self.radii))
-        if check_cover and len(self.window):
-            pi, ci = self.index.pairs(self.window, 0.5 * self.max_diameter)
-            d = spaces.paired_distances(space, self.centers[ci], self.window[pi])
-            covered = np.zeros(len(self.window), bool)
-            covered[pi[d < self.radii[ci]]] = True
-            if not np.all(covered):
-                p = self.window[int(np.argmin(covered))]
-                raise UncoveredPoint(f"window sample {p} lies in no ball")
 
     def __len__(self):
         return len(self.radii)
@@ -198,15 +189,14 @@ class BallCover:
 
     def to_json(self):
         return {"balls": [{"center": c, "radius": r, "label": i} for i, (c, r) in
-                          enumerate(zip(self.centers.tolist(), self.radii.tolist()))],
-                "window": self.window.tolist()}
+                          enumerate(zip(self.centers.tolist(), self.radii.tolist()))]}
 
     @staticmethod
     def from_json(space, doc):
         if isinstance(doc, str):
             doc = json.loads(doc)
         balls = [(b["center"], b["radius"]) for b in doc["balls"]]
-        return BallCover(space, balls, doc["window"])
+        return BallCover(space, balls)
 
 
 # Most elements a GroupAction enumerates (two free generators give 2 * 3^L - 1
@@ -262,21 +252,6 @@ def _pair_reach(space, radii):
     """Distance below which two balls of the family may meet or touch within
     tolerance: the reach of the nerve's pairwise pass and of the indexes."""
     return 2.0 * float(np.max(radii, initial=0.0)) + 2.0 * space.tol
-
-
-def _check_enumeration_bound(cover, action, context):
-    """Raise if a word-length-L translate still reaches near the cover."""
-    if not action.generators:
-        return
-    reach = cover.max_diameter
-    for g, w in action.elements():
-        if w != action.word_length:
-            continue
-        _, qi, ci, d = _translate_distances(cover, g, 2.0 * reach)
-        if np.any(d < cover.radii[qi] + cover.radii[ci] + reach):
-            raise EnumerationBound(
-                f"{context}: translate at word length {action.word_length} still "
-                "reaches the cover; increase word_length")
 
 
 def _translate_distances(cover, g, reach):
@@ -450,12 +425,21 @@ class AdjacencySet:
 
 
 def adjacency(cover, action):
-    """Adj(U): U plus all translates hU with h != e meeting some element of U."""
-    _check_enumeration_bound(cover, action, "adjacency")
-    n = len(cover)
+    """Adj(U): U plus all translates hU with h != e meeting some element of U,
+    one translate pass per element.  At the word-length bound (e too if it is
+    0) the pass reaches twice as far, for EnumerationBound; a meeting pair is
+    within max_diameter (d < r_i + r_j - tol), so the same candidates serve."""
+    n, reach = len(cover), cover.max_diameter
     group, base, centers = [np.zeros(n, np.int64)], [np.arange(n)], [cover.centers]
-    for k, (g, _) in enumerate(action.nontrivial(), 1):  # elements() lists e first
-        gcs, qi, ci, d = _translate_distances(cover, g, cover.max_diameter)
+    for k, (g, w) in enumerate(action.elements()):  # e first: the cover itself
+        at_bound = bool(action.generators) and w == action.word_length
+        if not (w or at_bound):
+            continue
+        gcs, qi, ci, d = _translate_distances(cover, g, 2.0 * reach if at_bound else reach)
+        if at_bound and np.any(d < cover.radii[qi] + cover.radii[ci] + reach):
+            raise EnumerationBound(
+                f"adjacency: translate at word length {action.word_length} still "
+                "reaches the cover; increase word_length")
         meets = np.zeros(n, bool)
         meets[qi[d < cover.radii[qi] + cover.radii[ci] - cover.space.tol]] = True
         rows = np.flatnonzero(meets)

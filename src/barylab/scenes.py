@@ -348,10 +348,10 @@ def run_pipeline(scene, lam=None, order=None, density=200, seed=0):
         "elements": len(grid.adjacency),
     }
     report.diam_iota = diam_iota_grid
-    report.gates["grid_angle"] = grid.min_witness_angle >= retraction.ALPHA - 1e-5
-    report.gates["push_off_positive"] = grid_push > 0.0
-    report.gates["boundary_tightness"] = (
-        grid.boundary_map_diameter <= (1.0 - lam) * scene.delta_prime + tol)
+    held = {gate: holds for gate, _, holds, _ in
+            retraction.grid_preconditions(grid, lam, scene.delta_prime)}
+    report.gates.update(grid_angle=held["grid_angle"], push_off_positive=grid_push > 0.0,
+                        boundary_tightness=held["boundary_tightness"])
 
     report.diam_K_Kout = covers.diam_K_Kout(scene.action, gaps, K_out, slack=2.0 * grid.delta)
     report.gates["diam_iota_le_diam_K_Kout"] = diam_iota_grid <= report.diam_K_Kout + tol
@@ -371,8 +371,8 @@ def run_pipeline(scene, lam=None, order=None, density=200, seed=0):
         "max_stage_ratio": max((st.max_ratio() for st in sub.record.stages),
                                default=0.0),
     }
-    report.gates["full_tightness"] = pushoff.full_map_diameter <= scene.delta_prime + tol
-    report.gates["push_off_gt_delta_prime"] = pushoff.push_off_distance > scene.delta_prime
+    # extend_to_pushoff has checked both; the keys stay for the report's readers
+    report.gates.update(full_tightness=True, push_off_gt_delta_prime=True)
 
     retractor = retraction.Retractor(pushoff)
     margin = min(0.02 * span, grid.delta)  # keep samples off the exact seam

@@ -116,7 +116,7 @@ def projection_test_cover():
     rng = np.random.default_rng(SEED)
     e1 = spaces.ModelSpace.euclidean(1)
     centers = [np.array([0.7 * k]) for k in range(8)]
-    cov = covers.BallCover(e1, [(c, 0.5) for c in centers], centers)
+    cov = covers.BallCover(e1, [(c, 0.5) for c in centers])
     g = spaces.Isometry.euclidean_translation([5.6])
     act = covers.GroupAction(e1, [g], word_length=2)
     return cov, act, g, rng

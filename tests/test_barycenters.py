@@ -243,7 +243,18 @@ def test_has_barycenters_sample_circle_positive():
 def test_has_barycenters_sample_circle_obstruction():
     rep = bc.has_barycenters_sample(C1, 0.99, math.sqrt(3), 50, seed=1)
     assert rep.pass_rate < 1.0
-    assert rep.failures[0]["trial"] == 0  # the planted equidistant witness
+    assert rep.first_failure["trial"] == 0  # the planted equidistant witness
+
+
+def test_sample_report_keeps_one_failure():
+    """A sweep whose trials all fail keeps the first failed trial only, so
+    its report does not grow with the trial count; worst is still kept."""
+    small, large = (bc.has_barycenters_sample(C1, 0.3, 0.8, n, seed=1) for n in (10, 200))
+    assert small.passes == large.passes == 0
+    assert small.first_failure["trial"] == large.worst["trial"] == 0
+    big, little = large.to_json(), small.to_json()
+    assert big.pop("trials") == 200 and little.pop("trials") == 10
+    assert big == little
 
 
 def test_sample_report_deterministic():

@@ -24,10 +24,8 @@ E3 = spaces.ModelSpace.euclidean(3)
 
 
 def line_cover(centers, radius, space=E1):
-    balls = [(np.array([c], float) if space is E1 else np.asarray(c, float), radius)
-             for c in centers]
-    window = [b[0] for b in balls]
-    return covers.BallCover(space, balls, window)
+    return covers.BallCover(space, [(np.array([c], float) if space is E1 else
+                                     np.asarray(c, float), radius) for c in centers])
 
 
 def trivial_action(space):
@@ -76,8 +74,7 @@ def test_nerve_triple_intersection_oracle():
 
     for pts, expect_triangle in [(pts_with_triple, True),
                                  (pts_pairwise_only, False)]:
-        cov = covers.BallCover(E2, [(np.asarray(p), 1.0) for p in pts],
-                               window=[np.array([0.1, 0.1])])
+        cov = covers.BallCover(E2, [(np.asarray(p), 1.0) for p in pts])
         nerve = covers.build_nerve(cov)
         assert len(nerve.edges) == 3
         assert ((0, 1, 2) in nerve.simplices) == expect_triangle
@@ -94,15 +91,17 @@ def test_nerve_indeterminate_clique():
     pairwise, and all three only at the origin: the triangle's margin is 0."""
     centers = [np.array([math.cos(a), math.sin(a)]) for a in (0.0, 2 * math.pi / 3,
                                                              4 * math.pi / 3)]
-    cov = covers.BallCover(E2, [(c, 1.0) for c in centers], window=centers)
+    cov = covers.BallCover(E2, [(c, 1.0) for c in centers])
     with pytest.raises(IndeterminateIntersection,
                        match=r"^balls \(0, 1, 2\) margin 0\.00e\+00 within tolerance$"):
         covers.build_nerve(cov)
 
 
 def test_cover_requires_window_coverage():
+    """A point in no ball is refused where it is projected, whichever row it is."""
+    proj = covers.NerveProjector(line_cover([0.0], 1.0), trivial_action(E1))
     with pytest.raises(UncoveredPoint):
-        covers.BallCover(E1, [(np.array([0.0]), 1.0)], window=[np.array([5.0])])
+        proj.project_rows(np.array([[0.5], [5.0], [-0.5]]))
 
 
 def test_adjacency_examples():
@@ -120,6 +119,35 @@ def test_adjacency_examples():
 
     adj = covers.adjacency(cov, trivial_action(E1))
     assert len(adj) == len(cov)
+
+
+def test_adjacency_translates_each_element_once(monkeypatch):
+    """adjacency moves the cover by each nontrivial group element once, in
+    enumeration order: the translates at the word-length bound give both
+    the enumeration check and their meets."""
+    calls = []
+    translate = covers._translate_distances
+
+    def counted(cover, g, reach):
+        calls.append(g.key())
+        return translate(cover, g, reach)
+
+    monkeypatch.setattr(covers, "_translate_distances", counted)
+    cov = line_cover(list(range(10)), 1.0)
+    act = covers.GroupAction(E1, [spaces.Isometry.euclidean_translation([10.0])],
+                             word_length=3)
+    assert len(covers.adjacency(cov, act)) == len(cov) + 2
+    assert calls == [g.key() for g, _ in act.nontrivial()] and len(calls) == 6
+
+
+def test_word_length_zero_with_generators_hits_the_bound():
+    """With generators and word length 0 the identity sits at the bound, and
+    it always reaches the cover."""
+    act = covers.GroupAction(E1, [spaces.Isometry.euclidean_translation([10.0])],
+                             word_length=0)
+    with pytest.raises(EnumerationBound, match="^adjacency: translate at word length 0 "
+                       "still reaches the cover; increase word_length$"):
+        covers.adjacency(line_cover([0.0], 1.0), act)
 
 
 def test_adjacency_contains_base():
@@ -167,8 +195,7 @@ def test_projection_weight_examples():
     # tent ratio 3:1 -> weights (3/4, 1/4)
     r = 0.9
     cov = covers.BallCover(
-        E2, [(np.zeros(2), r), (np.array([2 * r / 3, 0.0]), r)],
-        window=[np.zeros(2)])
+        E2, [(np.zeros(2), r), (np.array([2 * r / 3, 0.0]), r)])
     proj = covers.NerveProjector(cov, trivial_action(E2))
     support, w = proj.project(np.zeros(2))
     assert support == (0, 1)
@@ -188,10 +215,10 @@ def test_chordal_covers_rejected():
     inside = [spaces.distances_to(C1, circle, c) < 1.0 for c in centers]
     assert not np.any(inside[0] & inside[1])
     with pytest.raises(PreconditionError):
-        covers.BallCover(C1, [(c, 1.0) for c in centers], window=centers)
+        covers.BallCover(C1, [(c, 1.0) for c in centers])
     F = spaces.ModelSpace.finite([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(PreconditionError):
-        covers.BallCover(F, [(0, 0.6), (1, 0.6)], window=[], check_cover=False)
+        covers.BallCover(F, [(0, 0.6), (1, 0.6)])
 
 
 def test_projection_uncovered_point():
@@ -211,7 +238,7 @@ def test_projection_refuses_a_support_absent_from_the_nerve(centers, simplices, 
     """A support that a point witnesses but the nerve lacks raises
     PipelineInconsistency: with an empty edge array, with edges that miss
     it, and with no face array of its size."""
-    cov = covers.BallCover(E2, [(np.asarray(c), 1.0) for c in centers], window=[np.zeros(2)])
+    cov = covers.BallCover(E2, [(np.asarray(c), 1.0) for c in centers])
     proj = covers.NerveProjector(cov, trivial_action(E2))
     proj.nerve = simplicial.SimplicialComplex({v for s in simplices for v in s}, simplices)
     with pytest.raises(PipelineInconsistency, match=re.escape(
@@ -229,8 +256,7 @@ def test_project_to_nerve_one_shot():
 def test_projection_properties_random():
     rng = np.random.default_rng(8)
     cov = covers.BallCover(
-        E2, [(rng.uniform(-1, 1, 2), rng.uniform(0.6, 1.0)) for _ in range(12)],
-        window=[np.zeros(2)], check_cover=False)
+        E2, [(rng.uniform(-1, 1, 2), rng.uniform(0.6, 1.0)) for _ in range(12)])
     proj = covers.NerveProjector(cov, trivial_action(E2))
     hits = 0
     for _ in range(500):
@@ -429,14 +455,6 @@ def test_cover_json_roundtrip():
 H2 = spaces.ModelSpace.hyperboloid(2)
 
 
-def allpairs_first_uncovered(cover):
-    for k, p in enumerate(cover.window):
-        d = spaces.distances_to(cover.space, cover.centers, p)
-        if not np.any(d < cover.radii):
-            return k
-    return None
-
-
 def allpairs_adjacency(cover, action):
     """(center, radius, group element index, word, base ball) rows of
     Adj(U), or the EnumerationBound message."""
@@ -607,15 +625,7 @@ def check_against_allpairs(space, balls, rng, length):
                + rng.normal(0.0, 0.3, len(window[0])) for _ in range(20)]
     if space.kind == spaces.HYPERBOLOID:
         window = [from_chart(space, np.arcsinh(p[1:])) for p in window]
-    cover = covers.BallCover(space, balls, window, check_cover=False)
-    first = allpairs_first_uncovered(cover)
-    if first is None:
-        covers.BallCover(space, balls, window)
-    else:
-        with pytest.raises(UncoveredPoint) as err:
-            covers.BallCover(space, balls, window)
-        assert str(err.value) == f"window sample {window[first]} lies in no ball"
-
+    cover = covers.BallCover(space, balls)
     action = group_for(space, length)
     ref = allpairs_adjacency(cover, action)
     adj = covers.adjacency(cover, action)
@@ -629,6 +639,9 @@ def check_against_allpairs(space, balls, rng, length):
 
     proj = covers.NerveProjector(cover, action)
     assert proj.nerve.simplices == allpairs_nerve(space, adj.centers, adj.radii)
+    # the window rows themselves, at the base balls' index reach 0.5 * max_diameter
+    assert np.array_equal(proj.tents(np.asarray(window)),
+                          [allpairs_tents(proj, p) for p in window])
     tents_seen = 0
     for p in window:
         q = step(space, p, rng.uniform(0.0, 0.3), rng)
@@ -655,7 +668,7 @@ def test_index_matches_allpairs_cell_boundaries(case):
     rng = np.random.default_rng(40 + case)
     r = 0.1
     balls, side = boundary_cover(space, r, cells, origin)
-    cover = covers.BallCover(space, balls, [], check_cover=False)
+    cover = covers.BallCover(space, balls)
     assert abs(cover.index.side - side) <= 1e-12 * side
     check_against_allpairs(space, balls, rng, (cells[0] - 1) * side)
 
@@ -673,34 +686,37 @@ def test_indeterminate_names_first_touching_pair():
 
 def test_enumeration_bound_two_cells_away():
     """The enumeration check reaches 4 r_max: a translate 3.9 r from a centre
-    fires it although their cells are two apart."""
-    centers = [1.9 + 20.0 * i for i in range(10)]
-    cov = line_cover(centers, 1.0)
-    g = spaces.Isometry.euclidean_translation([centers[-1] - centers[0] + 3.9])
-    side = cov.index.side
-    assert math.floor(g.apply(cov.centers[0])[0] / side) - \
-        math.floor(centers[-1] / side) == 2
-    act = covers.GroupAction(E1, [g], word_length=1)
-    assert isinstance(allpairs_adjacency(cov, act), str)
-    with pytest.raises(EnumerationBound):
-        covers.adjacency(cov, act)
-    far = covers.GroupAction(E1, [spaces.Isometry.euclidean_translation(
-        [centers[-1] - centers[0] + 4.1])], word_length=1)
-    assert len(covers.adjacency(cov, far)) == len(cov)
+    fires it although their cells are two apart (with the first centre at
+    1.0, in both directions of the generator)."""
+    for first, gaps in ((1.9, [2, 1]), (1.0, [2, 2])):
+        centers = [first + 20.0 * i for i in range(10)]
+        cov = line_cover(centers, 1.0)
+        g = spaces.Isometry.euclidean_translation([centers[-1] - centers[0] + 3.9])
+        side = cov.index.side
+        assert [math.floor(g.apply(cov.centers[0])[0] / side) - math.floor(centers[-1] / side),
+                math.floor(centers[0] / side)
+                - math.floor(g.inverse().apply(cov.centers[-1])[0] / side)] == gaps
+        act = covers.GroupAction(E1, [g], word_length=1)
+        assert isinstance(allpairs_adjacency(cov, act), str)
+        with pytest.raises(EnumerationBound):
+            covers.adjacency(cov, act)
+        far = covers.GroupAction(E1, [spaces.Isometry.euclidean_translation(
+            [centers[-1] - centers[0] + 4.1])], word_length=1)
+        assert len(covers.adjacency(cov, far)) == len(cov)
 
 
 def test_empty_and_single_ball_covers():
     act = covers.GroupAction(E2, [spaces.Isometry.euclidean_translation([10.0, 0.0])],
                              word_length=2)
-    empty = covers.BallCover(E2, [], [])
+    empty = covers.BallCover(E2, [])
     assert covers.build_nerve(empty).simplices == frozenset()
     assert len(covers.adjacency(empty, act)) == 0
     proj = covers.NerveProjector(empty, act)
     assert proj.tents(np.zeros(2)).shape == (0,)
     with pytest.raises(UncoveredPoint):
-        covers.BallCover(E2, [], [np.zeros(2)])
+        proj.project_rows(np.zeros((1, 2)))
 
-    single = covers.BallCover(E2, [(np.zeros(2), 1.0)], [np.zeros(2)])
+    single = covers.BallCover(E2, [(np.zeros(2), 1.0)])
     assert covers.build_nerve(single).simplices == {(0,)}
     proj = covers.NerveProjector(single, act)
     assert len(proj.adj) == 1
@@ -746,7 +762,7 @@ def test_far_hyperbolic_cover_nerve_replays():
     well under a second, and every set it examined is replayed from its
     witness point (in the nerve) or its dual weights (rejected)."""
     balls, _ = boundary_cover(H2, 0.1, (6, 3), np.array([5.5, -3.0]))
-    cover = covers.BallCover(H2, balls, [], check_cover=False)
+    cover = covers.BallCover(H2, balls)
     t0 = time.perf_counter()
     nerve = covers.build_nerve(cover)
     elapsed = time.perf_counter() - t0
@@ -781,8 +797,7 @@ def test_stacked_nerve_matches_scalar_probes(space, origin, extent):
     tol = space.tol
     solved = 0
     for _ in range(3):
-        cover = covers.BallCover(space, random_cover(space, rng, 24, 0.3, extent, origin), [],
-                                 check_cover=False)
+        cover = covers.BallCover(space, random_cover(space, rng, 24, 0.3, extent, origin))
         nerve = covers.build_nerve(cover)
         assert nerve.simplices == allpairs_nerve(space, cover.centers, cover.radii)
         for k in (3, 4):

@@ -533,7 +533,7 @@ def test_equivariance_table_matches_key_dicts_translation_group():
     (0, 1.5), words up to length 3: 25 group elements, translates on every
     side of the block."""
     balls = [(np.array([0.5 * i, 0.5 * j]), 0.4) for i in range(3) for j in range(3)]
-    cover = covers.BallCover(E2, balls, [c for c, _ in balls])
+    cover = covers.BallCover(E2, balls)
     action = covers.GroupAction(E2, [spaces.Isometry.euclidean_translation([1.5, 0.0]),
                                      spaces.Isometry.euclidean_translation([0.0, 1.5])],
                                 word_length=3)
@@ -752,6 +752,66 @@ def test_full_tightness_fails_with_far_interior():
     with pytest.raises(StagedPreconditionError) as exc:
         rt.extend_to_pushoff(grid, scene.lam, 1, scene.delta_prime)
     assert exc.value.stage == "full-tightness"
+
+
+def altered_grid(grid, **changes):
+    """A copy of `grid` with `changes`: dataclass fields through
+    dataclasses.replace, cached properties set on the copy."""
+    fields = {f.name for f in dataclasses.fields(grid)}
+    out = dataclasses.replace(grid, **{k: v for k, v in changes.items() if k in fields})
+    for k, v in changes.items():
+        if k not in fields:
+            setattr(out, k, v)  # a cached_property: the instance value wins
+    return out
+
+
+@pytest.mark.parametrize("name, stage", [
+    ("boundary_map_diameter", "boundary-tightness"),
+    ("witness_angles", "grid-angle"),
+])
+def test_extension_refuses_a_nan_precondition(name, stage):
+    """A NaN boundary diameter or witness angle fails its grid precondition:
+    each inequality is written in its "holds" form, which NaN never meets."""
+    scene = scenes.hyperbolic_patch_scene()
+    grid = rt.build_boundary_grid(
+        scene.window, scene.R, scene.action, scene.delta,
+        (1 - scene.lam) * scene.delta_prime, interior_points=scene.interior_points)
+    value = math.nan
+    if name == "witness_angles":
+        value = grid.witness_angles.copy()
+        value[len(value) // 2] = math.nan
+    with pytest.raises(StagedPreconditionError) as exc:
+        rt.extend_to_pushoff(altered_grid(grid, **{name: value}), scene.lam, 1,
+                             scene.delta_prime)
+    assert exc.value.stage == stage
+
+
+@pytest.mark.parametrize("name, stage, held", [
+    ("boundary_map_diameter", "boundary-tightness", "grid_angle"),
+    ("witness_angles", "grid-angle", "boundary_tightness"),
+])
+def test_pipeline_reports_a_failing_grid_precondition(name, stage, held, monkeypatch):
+    """A grid whose boundary map diameter exceeds (1 - lambda) delta', or
+    whose witness angles sit 1e-4 below pi: the failing precondition's gate
+    is False, the other's True, and the failure names its stage."""
+    build = rt.build_boundary_grid
+
+    def worse(*args, **kwargs):
+        grid = build(*args, **kwargs)
+        if name == "witness_angles":
+            return altered_grid(grid, witness_angles=np.full_like(grid.witness_angles,
+                                                                  math.pi - 1e-4))
+        return altered_grid(grid, boundary_map_diameter=2.0 * grid.boundary_map_diameter
+                            + scene.delta_prime)
+
+    monkeypatch.setattr(rt, "build_boundary_grid", worse)
+    scene = scenes.hyperbolic_patch_scene()
+    rep = scenes.run_pipeline(scene, density=10)
+    assert rep.failure["stage"] == stage and not rep.ok
+    gate = stage.replace("-", "_")
+    assert rep.gates[gate] is False and rep.gates[held] is True
+    assert rep.gates["push_off_positive"] is True
+    assert "full_tightness" not in rep.gates and rep.extension is None
 
 
 def test_pushoff_evaluate_examples():

@@ -36,7 +36,6 @@ from .retraction import (
 from .scenes import Scene, run_pipeline
 from .simplicial import (
     SimplicialComplex,
-    SubdivisionProvenance,
     VertexMap,
     barycentric_subdivision,
     map_diameter,

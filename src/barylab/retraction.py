@@ -808,60 +808,64 @@ class PushOff:
         return self.sub_result.iota
 
     def evaluate(self, support, weights):
-        """(image point, cell vertex ids) at one nerve point: evaluate_rows' one row."""
+        """(image point, cell vertex rows) at one nerve point: evaluate_rows' one row."""
         targets, cells = self.evaluate_rows(np.asarray([support]), np.asarray([weights]))
         return targets[0], tuple(cells[0].tolist())
 
-    def evaluate_rows(self, ids, weights):
+    def evaluate_rows(self, rows, weights):
         """(targets, cells) of j at the nerve points of NerveProjector.project_rows'
-        (ids, weights) rows: one image row each, and each final cell's ascending
-        ids as a row of one (m, width) array, padded with its first id.  Per
-        subdivision order, a row sorted by (-weight, id) gives its prefix chain
-        J of length k the weight k * (its weight - the next one) and the vertex
-        prov.ids[gid of J in prov.parent] (face is arange); weight 0 is a pad.
-        The image is the geodesic cone (ascending-id fold) over the vertex
-        images, one distance_rows and geodesic_rows pass per fold position, so
-        a row has the same bits alone or among rows."""
-        ids, wts = np.array(ids, np.int64), np.asarray(weights, float)  # a copy: ids is written
-        for prov in self.sub_result.provs:
-            order = np.lexsort((ids, -wts))
-            chains, wts = np.take_along_axis(ids, order, 1), np.take_along_axis(wts, order, 1)
-            wts = np.arange(1, ids.shape[1] + 1) * (wts - np.pad(wts[:, 1:], ((0, 0), (0, 1))))
-            for k in range(1, ids.shape[1] + 1):
+        (vertex rows, weights) rows: one image row each, and each final cell's
+        ascending vertex rows as a row of one (m, width) array, padded with its
+        first.  Per subdivision order, a row sorted by (-weight, vertex row)
+        gives its prefix chain J of length k the weight k * (its weight - the
+        next one) and the vertex row gid of J in that stage's parent; weight 0
+        is a pad.  The image is the geodesic cone (ascending-row fold) over the
+        vertex images, iota_n.points in row order, one distance_rows and
+        geodesic_rows pass per fold position, so a row has the same bits alone
+        or among rows."""
+        rows, wts = np.array(rows, np.int64), np.asarray(weights, float)  # a copy: rows is written
+        for parent in self.sub_result.parents:
+            order = np.lexsort((rows, -wts))
+            chains, wts = np.take_along_axis(rows, order, 1), np.take_along_axis(wts, order, 1)
+            wts = np.arange(1, rows.shape[1] + 1) * (wts - np.pad(wts[:, 1:], ((0, 0), (0, 1))))
+            for k in range(1, rows.shape[1] + 1):
                 live = np.flatnonzero(wts[:, k - 1] > 0.0)
-                found = prov.parent.find(np.sort(chains[live, :k], axis=1))
-                ids[live, k - 1] = prov.ids[prov.parent.offsets[k - 1] + found]
-        order = np.lexsort((ids, wts <= 0.0))[:, :np.max(np.sum(wts > 0.0, axis=1), initial=1)]
-        ids, wts = np.take_along_axis(ids, order, 1), np.take_along_axis(wts, order, 1)
-        ids = np.where(wts > 0.0, ids, ids[:, :1])
+                rows[live, k - 1] = parent.offsets[k - 1] + parent.find(
+                    np.sort(chains[live, :k], axis=1))
+        order = np.lexsort((rows, wts <= 0.0))[:, :np.max(np.sum(wts > 0.0, axis=1), initial=1)]
+        rows, wts = np.take_along_axis(rows, order, 1), np.take_along_axis(wts, order, 1)
+        rows = np.where(wts > 0.0, rows, rows[:, :1])
         space = self.grid.body.space
-        pts = self.iota_n.at(ids)
+        pts = self.iota_n.points[rows]
         acc, W = pts[:, 0].copy(), wts[:, 0].copy()
-        for j in range(1, ids.shape[1]):
+        for j in range(1, rows.shape[1]):
             on = wts[:, j] > 0.0
             W[on] += wts[on, j]
             d = spaces.distance_rows(space, acc, pts[:, j])
             move = np.flatnonzero(on & (d > space.tol))
             acc[move] = spaces.geodesic_rows(space, acc[move], pts[move, j],
                                              d[move] * wts[move, j] / W[move])
-        return acc, ids
+        return acc, rows
 
 
 def _equivariance_from_adjacency(adj):
     """Partial vertex maps on the nerve of Adj(U) induced by the group: h
     sends element i, ball base[i] moved by g, to the element of ball base[i]
-    moved by hg, where Adj(U) has one.  With E = action.elements(), the
-    |E| x |E| table gives the index of each product in E (-1 outside E) and
-    slot[k, b] the element of ball b moved by E[k] (-1 if none)."""
+    moved by hg, where Adj(U) has one.  With E = action.elements() and G the
+    distinct values of adj.group, the |E| x |G| table gives the index in E of
+    each product E[k] E[G[c]] (-1 outside E) and slot[k, b] the element of
+    ball b moved by E[k] (-1 if none)."""
     elements = [g for g, _ in adj.action.elements()]
     index_of = {g.key(): k for k, g in enumerate(elements)}
-    product = np.array([[index_of.get(h.compose(g).key(), -1) for g in elements]
+    used = simplicial.sorted_unique(adj.group)
+    col = np.searchsorted(used, adj.group)
+    product = np.array([[index_of.get(h.compose(elements[g]).key(), -1) for g in used.tolist()]
                         for h in elements])
     slot = np.full((len(elements), len(adj.cover)), -1)
     slot[adj.group, adj.base] = np.arange(len(adj))
     maps = []
     for k, h in enumerate(elements[1:], 1):
-        hg = product[k, adj.group]
+        hg = product[k, col]
         vmap = np.where(hg >= 0, slot[hg, adj.base], -1)
         if np.any(vmap >= 0):
             maps.append((h, vmap))
@@ -939,7 +943,7 @@ class Retractor:
         return self.pushoff.evaluate_rows(*self.grid.projector.project_rows(Q))
 
     def push_target(self, q):
-        """(push-off target, cell vertex ids) of one point."""
+        """(push-off target, cell vertex rows) of one point."""
         return self.pushoff.evaluate(*self.grid.projector.project(q))
 
     def retract_rows(self, Q):

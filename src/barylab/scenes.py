@@ -405,7 +405,7 @@ def run_pipeline(scene, lam=None, order=None, density=200, seed=0):
     cone_bound = (lam ** order) * diam_iota_grid
     coning_ok = True
     for rows in spaces.row_blocks(len(cells), cells.shape[1] ** 2):
-        imgs = sub.iota.at(cells[rows])
+        imgs = sub.iota.points[cells[rows]]
         cell_diam = np.max(spaces.paired_distances(space, imgs[:, :, None], imgs[:, None]),
                            axis=(1, 2))
         nearest = np.min(spaces.paired_distances(space, targets[rows, None], imgs), axis=1)

@@ -1,11 +1,13 @@
-"""Simplicial complexes as integer arrays, barycentric subdivision with
-provenance, rooms.
+"""Simplicial complexes as integer arrays, barycentric subdivision, rooms.
 
-faces[k] holds the k-simplices as ascending rows of vertex ids, rows in
-lexicographic order; gid offsets[k] + row numbers all simplices in (|J|, J)
-order.  Barycentric subdivision keeps singleton ids and numbers the other J
-above every original id in (|J|, J) order: its vertex row r barycenters gid
-r, ids ascend along every chain J_1 < ... < J_k, and the last vertex is J_k.
+A complex's vertices are its rows 0..n-1; ids[r] is the label of vertex row
+r, ascending, read only where a document or caller supplies or prints
+labels.  faces[k] holds the k-simplices as ascending rows of vertex rows,
+rows in lexicographic order, faces[0] every row; gid offsets[k] + row numbers
+all simplices in (|J|, J) order.  Barycentric subdivision makes vertex row r
+the barycenter of gid r, so rows ascend along every chain J_1 < ... < J_k and
+the last vertex is J_k; it keeps singleton ids and numbers the other J above
+every original id, so the parent's ids are a prefix of its own.
 """
 
 from __future__ import annotations
@@ -31,16 +33,13 @@ SUBDIVISION_BUDGET = 4_000_000
 
 
 def _find(keys, rows):
-    """Row of each of `rows` (ascending vertex ids) in the face array whose
-    keys are keys[k] (keys[0]: the vertex ids); -1 where absent."""
-    v0, idx = keys[0], None
-    for j in range(rows.shape[1]):
-        pos = np.searchsorted(v0, rows[:, j])
-        hit = v0[np.minimum(pos, len(v0) - 1)] == rows[:, j]
-        if j:
-            key = idx * len(v0) + pos
-            pos = np.searchsorted(keys[j], key)
-            hit &= (idx >= 0) & (keys[j][np.minimum(pos, len(keys[j]) - 1)] == key)
+    """Row of each of `rows` (ascending vertex rows) in the face array whose
+    keys are keys[k] (keys[0]: the vertex rows); -1 where absent."""
+    idx = rows[:, 0]
+    for j in range(1, rows.shape[1]):
+        key = idx * len(keys[0]) + rows[:, j]
+        pos = np.searchsorted(keys[j], key)
+        hit = (idx >= 0) & (keys[j][np.minimum(pos, len(keys[j]) - 1)] == key)
         idx = np.where(hit, pos, -1)
     return idx
 
@@ -92,15 +91,26 @@ def sorted_unique(a):
 
 class SimplicialComplex:
     def __init__(self, vertices, simplices=(), faces=None):
-        """From vertex ids and simplices, or from sorted face arrays."""
-        if faces is None:
-            simplices = [sorted(map(int, s)) for s in simplices if len(s)]
-            faces = [sorted_unique(np.array([s for s in simplices if len(s) == k + 1],
-                                            dtype=np.int64).reshape(-1, k + 1))
-                     for k in range(max([2, *map(len, simplices)]))]
+        """From vertex ids and simplices over them, or from vertex ids and
+        sorted face arrays over their rows.  Raises ValueError naming the
+        vertex if a simplex uses an unlisted id or a listed id has no
+        0-simplex."""
         if not (isinstance(vertices, np.ndarray) and vertices.dtype == np.int64):
             vertices = np.fromiter(map(int, vertices), dtype=np.int64)
         self.ids = sorted_unique(vertices)
+        if faces is None:
+            row = dict(zip(self.ids.tolist(), itertools.count()))
+            simplices = [sorted(map(int, s)) for s in simplices if len(s)]
+            bad = next(((s, v) for s in simplices for v in s if v not in row), None)
+            if bad:
+                raise ValueError(f"simplex {tuple(bad[0])} uses unlisted vertex {bad[1]}")
+            faces = [sorted_unique(np.array([[row[v] for v in s] for s in simplices
+                                             if len(s) == k + 1], dtype=np.int64).reshape(-1, k + 1))
+                     for k in range(max([2, *map(len, simplices)]))]
+            has = np.zeros(len(self.ids), bool)
+            has[faces[0][:, 0]] = True
+            if not has.all():
+                raise ValueError(f"vertex {self.ids[~has][0]} has no 0-simplex")
         self.faces, self.counts = faces, [len(F) for F in faces]
         self.offsets = np.cumsum([0] + self.counts)
         self.dimension = max((k for k, n in enumerate(self.counts) if n), default=-1)
@@ -118,19 +128,11 @@ class SimplicialComplex:
         """Row keys: prefix row * n_0 + last vertex row, ascending per array."""
         keys = [self.faces[0][:, 0]]
         for F in self.faces[1:]:
-            keys.append(_find(keys, F[:, :-1]) * len(keys[0])
-                        + np.searchsorted(keys[0], F[:, -1]))
+            keys.append(_find(keys, F[:, :-1]) * len(keys[0]) + F[:, -1])
         return keys
 
-    @property
-    def edge_rows(self):
-        """faces[1] as vertex rows (rows of faces[0]), read off the edge keys;
-        a barycentric subdivision is built with its keys, so this searches
-        nothing there."""
-        return np.stack(np.divmod(self._keys[1], len(self._keys[0])), axis=1)
-
     def find(self, rows):
-        """Row of each of `rows` (ascending ids) in its face array, or -1."""
+        """Row of each of `rows` (ascending vertex rows) in its face array, or -1."""
         return _find(self._keys, rows) if rows.shape[1] <= self.dimension + 1 else \
             np.full(len(rows), -1)  # no face of that size
 
@@ -152,14 +154,8 @@ class SimplicialComplex:
 
     @cached_property
     def simplices(self):
-        return frozenset(tuple(r) for F in self.faces for r in F.tolist())
-
-    def simplices_of_dim(self, k):
-        return [tuple(r) for r in self.faces[k].tolist()] if k < len(self.faces) else []
-
-    @cached_property
-    def edges(self):
-        return tuple(self.simplices_of_dim(1))
+        """Every simplex as a tuple of vertex ids."""
+        return frozenset(tuple(r) for F in self.faces for r in self.ids[F].tolist())
 
     def to_json(self):
         return {"vertices": self.ids.tolist(),
@@ -181,9 +177,6 @@ def validate(complex_):
     for s in sorted(complex_.simplices):
         if len(set(s)) != len(s):
             violations.append(f"simplex {s} repeats a vertex")
-        for v in s:
-            if v not in complex_.vertices:
-                violations.append(f"simplex {s} uses unknown vertex {v}")
         if len(s) > 1:
             for face in itertools.combinations(s, len(s) - 1):
                 if face not in complex_.simplices:
@@ -191,46 +184,15 @@ def validate(complex_):
     return violations
 
 
-@dataclass(eq=False)
-class SubdivisionProvenance:
-    """Vertex row r of a subdivision, id ids[r], barycenters the simplex of
-    gid face[r] of `parent`."""
-
-    ids: np.ndarray
-    parent: SimplicialComplex
-    face: np.ndarray
-
-    @cached_property
-    def sets(self):
-        simplices = [tuple(r) for F in self.parent.faces for r in F.tolist()]
-        return dict(zip(self.ids.tolist(), (simplices[g] for g in self.face.tolist())))
-
-    @cached_property
-    def vertex_of(self):
-        return {J: v for v, J in self.sets.items()}
-
-    def of(self, vertex):
-        return self.sets[vertex]
-
-    def compose(self, older):
-        """Resolve through an earlier subdivision's provenance, in one
-        gather: a simplex of this parent is a chain of older's subdivision
-        whose sets grow with its ids, so its set is its last vertex's."""
-        last = np.searchsorted(older.ids, np.concatenate([F[:, -1] for F in self.parent.faces]))
-        return SubdivisionProvenance(self.ids, older.parent, older.face[last[self.face]])
-
-
 def barycentric_subdivision(complex_):
-    """Barycentric subdivision with vertex provenance: the vertices are the
-    simplices J of the input, the k-simplices the chains J_1 < ... < J_{k+1},
-    one flag pattern per simplex dimension applied to the face tables.
-    Raises BudgetExceeded above SUBDIVISION_BUDGET simplices."""
+    """Barycentric subdivision: the vertices are the simplices J of the input
+    (vertex row r the simplex of gid r), the k-simplices the chains J_1 < ...
+    < J_{k+1}, one flag pattern per simplex dimension applied to the face
+    tables.  Raises BudgetExceeded above SUBDIVISION_BUDGET simplices."""
     check_budget(complex_.counts)
     n, top = int(complex_.offsets[-1]), complex_.dimension
     start = int(complex_.ids.max(initial=-1)) + 1
-    ids = np.concatenate([complex_.faces[0][:, 0],
-                          np.arange(start, start + n - complex_.counts[0])])
-    keys = [np.arange(n)]  # chains in gid space (vertex rows), sorted by key
+    keys = [np.arange(n)]  # chains of gids (vertex rows), sorted by key
     rows = [keys[0][:, None]]
     for length in range(2, max(top, 1) + 2):
         chains = np.concatenate([np.zeros((0, length), dtype=np.int64)] + [
@@ -240,9 +202,10 @@ def barycentric_subdivision(complex_):
         order = np.argsort(key)
         rows.append(chains[order])
         keys.append(key[order])
-    sub = SimplicialComplex(ids, faces=[ids[r] for r in rows])
-    sub._keys = [ids] + keys[1:]
-    return sub, SubdivisionProvenance(ids, complex_, np.arange(n))
+    ids = np.concatenate([complex_.ids, np.arange(start, start + n - len(complex_.ids))])
+    sub = SimplicialComplex(ids, faces=rows)
+    sub._keys = keys
+    return sub
 
 
 def room(complex_, sigma):
@@ -303,6 +266,5 @@ class VertexMap:
 def map_diameter(complex_, iota):
     """max over simplices of the image diameter; equal to the max over edges,
     taken in one distance_rows pass over the edges' labels."""
-    iota.check_total(complex_)
-    ends = iota.at(complex_.faces[1])
+    ends = iota.at(complex_.ids)[complex_.faces[1]]
     return float(np.max(spaces.distance_rows(iota.target, ends[:, 0], ends[:, 1]), initial=0.0))

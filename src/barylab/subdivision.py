@@ -26,7 +26,7 @@ class StageRecord:
 
     stage: int
     lam: float
-    edges: np.ndarray  # (n, 2) sub-edge vertex ids, in lexicographic order
+    edges: np.ndarray  # the subdivision's faces[1]: sub-edge vertex rows
     after: np.ndarray  # image length of each sub-edge
     before: np.ndarray  # image diameter of its least containing parent
     inside: np.ndarray  # per parent: diameter of its contained vertices' images
@@ -43,26 +43,29 @@ class ShrinkRecord:
     their image lengths; per vertex, its least original simplex's image
     diameter and the extreme distances to that simplex's vertex images.
     Only verify_shrinking reads original_diam and the per-vertex columns,
-    so they are computed together, once, on the first read of one."""
+    so they are computed together, once, on the first read of one.  Edges
+    and the per-vertex columns are over vertex rows; every stage's rows are
+    a prefix of the final ones, whose ids label them in to_csv."""
 
     lam: float
     order: int
     stages: list
-    final_edges: np.ndarray
+    final_edges: np.ndarray  # the final complex's faces[1]
     final_diams: np.ndarray
     original: simplicial.SimplicialComplex
     original_iota: simplicial.VertexMap
     iota: simplicial.VertexMap  # the final labels
-    prov_total: simplicial.SubdivisionProvenance
+    vertices: np.ndarray  # the final vertex ids, one per row
+    face: np.ndarray  # per final vertex row, its least original simplex's gid
 
     @functools.cached_property
     def _columns(self):
         """(image diameter of each original simplex in gid order, then per
         final vertex row the max and the min of its distances to the vertex
         images of its least original simplex), in row blocks."""
-        space, original, face = self.iota.target, self.original, self.prov_total.face
-        table = self.iota.at(self.prov_total.ids)
-        orig_table = self.original_iota.at(original.faces[0][:, 0])
+        space, original, face = self.iota.target, self.original, self.face
+        table = self.iota.at(self.vertices)
+        orig_table = self.original_iota.at(original.ids)
         diams = np.concatenate([_diameters(space, orig_table, t[:, :d + 1])
                                 for d, t in enumerate(original.face_tables)])
         dims = np.searchsorted(original.offsets, face, side="right") - 1
@@ -78,8 +81,7 @@ class ShrinkRecord:
         return diams, hi, lo
 
     original_diam = property(lambda self: float(np.max(self._columns[0], initial=0.0)))
-    vertices = property(lambda self: self.prov_total.ids)
-    sigma_diams = property(lambda self: self._columns[0][self.prov_total.face])
+    sigma_diams = property(lambda self: self._columns[0][self.face])
     max_dists = property(lambda self: self._columns[1])
     min_dists = property(lambda self: self._columns[2])
 
@@ -87,8 +89,8 @@ class ShrinkRecord:
         lines = ["# barylab shrink record v1",
                  "stage,simplex,diam_before,diam_after,bound,slack"]
         for st in self.stages:
-            for (u, v), after, before in zip(st.edges.tolist(), st.after.tolist(),
-                                             st.before.tolist()):
+            for (u, v), after, before in zip(self.vertices[st.edges].tolist(),
+                                             st.after.tolist(), st.before.tolist()):
                 bound = st.lam * before
                 lines.append(f"{st.stage},{u} {v},{before:.17g},{after:.17g},"
                              f"{bound:.17g},{bound - after:.17g}")
@@ -167,7 +169,7 @@ def _label_rows(space, table, p_rows, q_rows, q_ok, lam):
 def _rooms(complex_, d):
     """Q rows of level d, padded, as (q_rows, q_ok): the room of the
     d-simplex of row i, the faces of size at most d of its strict cofaces
-    less its own faces, is q_rows[i][q_ok[i]] in ascending gid (and id)."""
+    less its own faces, is q_rows[i][q_ok[i]] in ascending gid (and vertex row)."""
     tables, n = complex_.face_tables, int(complex_.offsets[-1])
     pairs = [np.zeros(0, dtype=np.int64)]
     for e in range(d + 1, complex_.dimension + 1):
@@ -184,12 +186,12 @@ def _rooms(complex_, d):
 def _lift(complex_, maps):
     """Lift partial vertex maps (arrays over vertex rows, -1 where undefined)
     through a subdivision: each simplex's image gid, or -1."""
-    ids, lifted = complex_.faces[0][:, 0], []
+    lifted = []
     for h, vmap in maps:
         parts = []
         for d, table in enumerate(complex_.face_tables):
             img = vmap[table[:, :d + 1]]
-            found = complex_.find(np.sort(ids[np.maximum(img, 0)], axis=1))
+            found = complex_.find(np.sort(np.maximum(img, 0), axis=1))
             parts.append(np.where(np.all(img >= 0, axis=1) & (found >= 0),
                                   found + complex_.offsets[d], -1))
         lifted.append((h, np.concatenate(parts)))
@@ -236,17 +238,16 @@ def shrinking_subdivide(complex_, iota, lam, equivariance=None):
     undefined).  Each level of new vertices (all J of one size) is labelled
     in row blocks of orbit representatives; P is J's faces
     (face-table columns), Q the rest of its room.  Returns (subdivided
-    complex, extended vertex map, StageRecord, provenance, the lifted action
-    or None).  Raises NoBarycenter (with the failing certificate) if a
-    barycenter is missing.
+    complex, extended vertex map, StageRecord, the lifted action or None).
+    Raises NoBarycenter (with the failing certificate) if a barycenter is
+    missing.
     """
     space = iota.target
-    iota.check_total(complex_)
-    sub, prov = simplicial.barycentric_subdivision(complex_)
+    sub = simplicial.barycentric_subdivision(complex_)
     tables, offsets = complex_.face_tables, complex_.offsets
     # one label row per subdivision vertex row; the old vertex rows come first
     table = np.zeros((len(sub.ids),) + iota.points.shape[1:], iota.points.dtype)
-    table[:complex_.counts[0]] = iota.at(complex_.faces[0][:, 0])
+    table[:complex_.counts[0]] = iota.at(complex_.ids)
 
     lifted = orbit = None
     if equivariance:
@@ -277,8 +278,8 @@ def shrinking_subdivide(complex_, iota, lam, equivariance=None):
     # (the set of its larger vertex) is a face of the simplex's, so the edge
     # bound is the stronger one.  Condition (2): no parent's contained vertex
     # images, the labels of all its faces, may spread.
-    edges = sub.edge_rows
-    record = StageRecord(0, lam, sub.faces[1], _diameters(space, table, edges),
+    edges = sub.faces[1]
+    record = StageRecord(0, lam, edges, _diameters(space, table, edges),
                          parent_diams[edges[:, 1]],
                          np.concatenate([_diameters(space, table, t) for t in tables]),
                          parent_diams)
@@ -290,7 +291,7 @@ def shrinking_subdivide(complex_, iota, lam, equivariance=None):
         raise ModelSpaceViolation(
             f"shrinking condition (2) failed on {simplex}: "
             f"{record.inside[g]} > {parent_diams[g]} (barycenter certificate bug)")
-    return sub, iota_sub, record, prov, lifted
+    return sub, iota_sub, record, lifted
 
 
 @dataclass
@@ -298,42 +299,41 @@ class SubdivisionResult:
     complex: object
     iota: simplicial.VertexMap
     record: ShrinkRecord
-    prov_total: simplicial.SubdivisionProvenance
-    provs: list  # per stage, its provenance; its parent's find locates a point's cell
+    parents: list  # per stage, the complex it subdivided: its find locates a point's cell
 
 
 def iterate_subdivision(complex_, iota, lam, n, equivariance=None):
-    """n successive lambda-shrinking subdivisions with provenance chained to
-    the original complex; BudgetExceeded before any stage if one would
-    exceed the budget.  The record carries the final-stage data that
-    verify_shrinking needs; the stage provenances locate a point's cell."""
+    """n successive lambda-shrinking subdivisions; BudgetExceeded before any
+    stage if one would exceed the budget.  The record carries the
+    final-stage data that verify_shrinking needs; the stage parents locate
+    a point's cell."""
     simplicial.check_budget(complex_.counts, n)
     original, original_iota = complex_, iota
-    # order 0 keeps the identity; compose needs an older subdivision
-    # provenance, and stage 1's sets are already original simplices
-    ids = complex_.faces[0][:, 0]
-    prov_total = simplicial.SubdivisionProvenance(ids, complex_, np.arange(len(ids)))
-    stages, provs = [], []
+    # face[r]: the gid of vertex row r's least original simplex.  Row r of
+    # stage 1 barycenters original gid r; a later stage's row r is a chain
+    # of the previous rows, whose least original simplex is its last row's.
+    face = np.arange(complex_.counts[0])
+    stages, parents = [], []
     for stage in range(n):
+        face = face[np.concatenate([F[:, -1] for F in complex_.faces])] if stage else \
+            np.arange(complex_.offsets[-1])
+        parents.append(complex_)
         try:
-            complex_, iota, st, prov, equivariance = shrinking_subdivide(
+            complex_, iota, st, equivariance = shrinking_subdivide(
                 complex_, iota, lam, equivariance=equivariance)
         except NoBarycenter as exc:
             exc.stage = stage
             raise
         st.stage = stage + 1
         stages.append(st)
-        provs.append(prov)
-        prov_total = prov.compose(prov_total) if stage else prov
 
     if stages:  # the last stage's sub-edge columns are the final ones
         final_diams = stages[-1].after
     else:
-        final_diams = _diameters(iota.target, iota.at(complex_.faces[0][:, 0]),
-                                 complex_.edge_rows)
+        final_diams = _diameters(iota.target, iota.at(complex_.ids), complex_.faces[1])
     record = ShrinkRecord(lam, n, stages, complex_.faces[1], final_diams,
-                          original, original_iota, iota, prov_total)
-    return SubdivisionResult(complex_, iota, record, prov_total, provs)
+                          original, original_iota, iota, complex_.ids, face)
+    return SubdivisionResult(complex_, iota, record, parents)
 
 
 @dataclass
@@ -364,7 +364,7 @@ def verify_shrinking(record, tol=1e-9):
     bound_c = record.original_diam * factor
     over = record.final_diams > bound_a + tol
     violations = [("order_bound", tuple(e), d, bound_a) for e, d in zip(
-        record.final_edges[over].tolist(), record.final_diams[over].tolist())]
+        record.vertices[record.final_edges[over]].tolist(), record.final_diams[over].tolist())]
     disp_bound = record.sigma_diams * factor
     far = record.max_dists > disp_bound + tol
     out = record.min_dists > bound_c + tol

@@ -1,5 +1,6 @@
 """CLI subcommands: exit codes, output schemas, reproducibility."""
 
+import hashlib
 import json
 import math
 import os
@@ -126,6 +127,36 @@ def test_subdivide_order_zero_identity(tmp_path):
     assert run(["subdivide", "--input", inp, "--output", out]) == 0
     lines = open(out).read().strip().split("\n")
     assert len(lines) == 2  # no stages: record equals the input diameters
+
+
+def labelled_triangle(ids):
+    return {"space": EUCLID,
+            "complex": {"vertices": ids, "simplices": [[v] for v in ids] + [
+                [ids[0], ids[1]], [ids[0], ids[2]], [ids[1], ids[2]], ids]},
+            "vertex_map": dict(zip(map(str, ids), [[0, 0], [1, 0], [0, 1]])),
+            "lambda": 0.9, "order": 2}
+
+
+# sha256 of the CSV that `barylab subdivide` wrote for the triangle labelled
+# [3, 7, 9] when subdivision vertices were still addressed by their ids
+LABELLED_TRIANGLE_CSV = "af41b5335862c1862e09ffef5ff3755df1456ed7128196b6ac8f1b28499de5ad"
+
+
+def test_subdivide_prints_the_labels_of_the_rows(tmp_path):
+    """The labelled triangle's CSV keeps its frozen bytes: stage rows name
+    the vertex ids (3, 7, 9, then new ids from 10), and every column but the
+    simplex equals the 0-based triangle's."""
+    csvs = []
+    for ids in ([3, 7, 9], [0, 1, 2]):
+        inp = write(tmp_path / "s.json", labelled_triangle(ids))
+        out = tmp_path / f"{ids[0]}.csv"
+        assert run(["subdivide", "--input", inp, "--output", str(out)]) == 0
+        csvs.append(out.read_bytes())
+    assert hashlib.sha256(csvs[0]).hexdigest() == LABELLED_TRIANGLE_CSV
+    labelled, zero_based = (c.decode().splitlines() for c in csvs)
+    assert labelled[2].startswith("1,3 10,") and zero_based[2].startswith("1,0 3,")
+    assert [ln.split(",")[2:] for ln in labelled[2:]] == \
+        [ln.split(",")[2:] for ln in zero_based[2:]]
 
 
 def unit_edge_with(**changes):

@@ -76,7 +76,7 @@ def test_nerve_triple_intersection_oracle():
                                  (pts_pairwise_only, False)]:
         cov = covers.BallCover(E2, [(np.asarray(p), 1.0) for p in pts])
         nerve = covers.build_nerve(cov)
-        assert len(nerve.edges) == 3
+        assert nerve.counts[1] == 3
         assert ((0, 1, 2) in nerve.simplices) == expect_triangle
 
 
@@ -175,7 +175,7 @@ def test_H_fine_nerve_has_no_orbit_edges():
     proj = covers.NerveProjector(cov, act)
     # exhaustively: no edge joins an element and one of its own translates
     base, word = proj.adj.base, words(act)[proj.adj.group]
-    for (u, v) in proj.nerve.edges:
+    for (u, v) in proj.nerve.faces[1].tolist():
         assert not (base[u] == base[v] and word[u] != word[v])
 
 

@@ -23,9 +23,11 @@ from barylab import scenes, simplicial, spaces, subdivision as sd  # noqa: E402
 from barylab.errors import UncoveredPoint  # noqa: E402
 from test_covers import allpairs_tents, assert_certificate_replays  # noqa: E402
 from test_retraction import counted_retract, streamed_variation  # noqa: E402
-from test_simplicial import coface_rows, labelled, reference_subdivision  # noqa: E402
+from test_simplicial import (cell_sets, coface_rows, labelled,  # noqa: E402
+                             reference_subdivision, simplices_of_dim)
 from test_spaces import FrozenGeodesic  # noqa: E402
-from test_subdivision import reference_labels, subdivision_coordinates  # noqa: E402
+from test_subdivision import (reference_labels, stage_vertex_of,  # noqa: E402
+                              subdivision_coordinates)
 
 SPACES = [spaces.ModelSpace.euclidean(2), spaces.ModelSpace.euclidean(3),
           spaces.ModelSpace.hyperboloid(2), spaces.ModelSpace.hyperboloid(3)]
@@ -313,10 +315,10 @@ def test_circle_lambda_star_matches_arc_oracle(seed, w, R):
 # as both were computed before they were read off the top of a chain.
 
 
-def least_containing_simplex(parent, prov, sigma_sub):
+def least_containing_simplex(parent, sets, sigma_sub):
     union = set()
     for v in sigma_sub:
-        union.update(prov.of(v))
+        union.update(sets[v])
     sigma = tuple(sorted(union))
     assert sigma in parent.simplices
     return sigma
@@ -344,20 +346,22 @@ def test_subdivision_provenance_matches_union(seed):
                     {v: rng.uniform(-1.0, 1.0, 2) for v in cplx.vertices})
     res = sd.iterate_subdivision(cplx, iota, math.sqrt(3) / 2, int(rng.integers(1, 4)))
     total = {v: (v,) for v in cplx.vertices}
-    for st_rec, prov in zip(res.record.stages, res.provs):
-        # a stage's provenance maps its new ids back to its parent's simplices;
+    subs = res.parents[1:] + [res.complex]
+    for st_rec, parent, sub in zip(res.record.stages, res.parents, subs):
+        # a stage's cells map its new ids back to its parent's simplices;
         # a sub-edge's parent is the set of its larger vertex, and the
         # recorded bound is that parent's image diameter
-        parent = simplicial.SimplicialComplex([], prov.vertex_of)
+        sets = cell_sets(parent, sub)
         gid = {J: g for g, J in enumerate(
-            tuple(r) for F in prov.parent.faces for r in F.tolist())}
-        for e, before in zip(st_rec.edges.tolist(), st_rec.before.tolist()):
-            lcs = least_containing_simplex(parent, prov, e)
-            assert prov.of(e[1]) == lcs
+            tuple(r) for F in parent.faces for r in parent.ids[F].tolist())}
+        for e, before in zip(sub.ids[st_rec.edges].tolist(), st_rec.before.tolist()):
+            lcs = least_containing_simplex(parent, sets, e)
+            assert sets[e[1]] == lcs
             assert before == st_rec.parent_diams[gid[lcs]]
-        total = union_compose(prov.sets, total)
-    assert [res.prov_total.of(v) for v in sorted(res.complex.vertices)] == [
-        total[v] for v in sorted(res.complex.vertices)]
+        total = union_compose(sets, total)
+    original = [tuple(r) for F in cplx.faces for r in cplx.ids[F].tolist()]
+    assert [original[g] for g in res.record.face.tolist()] == [
+        total[v] for v in res.complex.ids.tolist()]
 
 
 @settings(max_examples=40, deadline=None)
@@ -409,14 +413,14 @@ def test_array_subdivision_matches_tuple_reference(seed, which):
         want_ids, want_chains, _, want_vertex_of, want_cofaces = \
             reference_subdivision(cplx)
         labels = reference_labels(cplx, iota, lam)
-        sub, prov = simplicial.barycentric_subdivision(cplx)
+        sub = simplicial.barycentric_subdivision(cplx)
         assert sub.vertices == want_ids and sub.simplices == want_chains
-        assert prov.vertex_of == want_vertex_of
+        assert {J: v for v, J in cell_sets(cplx, sub).items()} == want_vertex_of
         assert coface_rows(cplx) == {J: sorted(T) for J, T in want_cofaces.items()}
         # Q rows: the faces below |J| of J's strict cofaces, less J's, by id
         for d in range(1, cplx.dimension + 1):
             q_rows, q_ok = sd._rooms(cplx, d)
-            for J, q, ok in zip(cplx.simplices_of_dim(d), q_rows, q_ok):
+            for J, q, ok in zip(simplices_of_dim(cplx, d), q_rows, q_ok):
                 room = {c for T in want_cofaces[J] for k in range(1, len(J))
                         for c in itertools.combinations(T, k) if not set(c) <= set(J)}
                 assert sub.ids[q[ok]].tolist() == sorted(want_vertex_of[c] for c in room)
@@ -883,8 +887,8 @@ def frozen_push_target(retr, q):
     support = tuple(np.flatnonzero(vals).tolist())
     w = vals[list(support)] / np.sum(vals[list(support)])
     cell = {v: float(x) for v, x in zip(support, w)}
-    for prov in retr.pushoff.sub_result.provs:
-        cell = subdivision_coordinates(cell, prov.vertex_of)
+    for vertex_of in stage_vertex_of(retr.pushoff.sub_result):
+        cell = subdivision_coordinates(cell, vertex_of)
     items, space = sorted(cell.items()), retr.body.space
     acc, W = retr.pushoff.iota_n(items[0][0]), items[0][1]
     for v, wt in items[1:]:

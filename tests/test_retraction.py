@@ -19,7 +19,7 @@ from barylab.errors import (
     check_budget,
 )
 from test_spaces import FrozenGeodesic, frozen_geodesic_point
-from test_subdivision import subdivision_coordinates
+from test_subdivision import stage_vertex_of, subdivision_coordinates
 
 E2 = spaces.ModelSpace.euclidean(2)
 H2 = spaces.ModelSpace.hyperboloid(2)
@@ -509,6 +509,24 @@ def frozen_equivariance_maps(adj):
     return maps
 
 
+def full_table_equivariance_maps(adj):
+    """_equivariance_from_adjacency as it was: the product table over every
+    pair of group elements, |E| x |E| compose and key calls."""
+    elements = [g for g, _ in adj.action.elements()]
+    index_of = {g.key(): k for k, g in enumerate(elements)}
+    product = np.array([[index_of.get(h.compose(g).key(), -1) for g in elements]
+                        for h in elements])
+    slot = np.full((len(elements), len(adj.cover)), -1)
+    slot[adj.group, adj.base] = np.arange(len(adj))
+    maps = []
+    for k, h in enumerate(elements[1:], 1):
+        hg = product[k, adj.group]
+        vmap = np.where(hg >= 0, slot[hg, adj.base], -1)
+        if np.any(vmap >= 0):
+            maps.append((h, vmap))
+    return maps
+
+
 def assert_maps_match_frozen(adj):
     got = rt._equivariance_from_adjacency(adj)
     want = frozen_equivariance_maps(adj)
@@ -518,6 +536,10 @@ def assert_maps_match_frozen(adj):
         ref = np.full(len(adj), -1)
         ref[list(vmap)] = list(vmap.values())
         assert np.array_equal(rows, ref)
+    table = full_table_equivariance_maps(adj)
+    assert len(table) == len(got)
+    for (h, rows), (h_want, ref) in zip(got, table):
+        assert h is h_want and rows.dtype == ref.dtype and np.array_equal(rows, ref)
 
 
 def test_equivariance_table_matches_key_dicts_flagship():
@@ -539,6 +561,25 @@ def test_equivariance_table_matches_key_dicts_translation_group():
                                 word_length=3)
     adj = covers.adjacency(cover, action)
     assert len(action.elements()) == 25 and len(set(adj.group.tolist())) > 4
+    assert_maps_match_frozen(adj)
+
+
+def test_equivariance_products_only_over_the_used_elements(monkeypatch):
+    """A 301-element translation group whose translates meet a three-ball
+    cover at three elements: the product table composes each element with
+    those three only, 903 compose calls, where the full table made |E|^2 =
+    90,601."""
+    cover = covers.BallCover(E2, [(np.array([0.5 * i, 0.0]), 0.4) for i in range(3)])
+    action = covers.GroupAction(E2, [spaces.Isometry.euclidean_translation([1.5, 0.0])],
+                                word_length=150)
+    adj = covers.adjacency(cover, action)
+    assert len(action.elements()) == 301 and sorted(set(adj.group.tolist())) == [0, 1, 2]
+    calls, compose = [], spaces.Isometry.compose
+    monkeypatch.setattr(spaces.Isometry, "compose",
+                        lambda self, other: calls.append(1) or compose(self, other))
+    rt._equivariance_from_adjacency(adj)
+    assert len(calls) == 301 * 3
+    calls.clear()
     assert_maps_match_frozen(adj)
 
 
@@ -827,7 +868,7 @@ def test_pushoff_evaluate_examples():
     assert cell == (v,)
     assert np.allclose(img, pushoff.iota_n(v), atol=1e-15)
 
-    u, w = grid.nerve.edges[0]
+    u, w = grid.nerve.faces[1][0].tolist()
     img, cell = pushoff.evaluate((u, w), np.array([0.5, 0.5]))
     # the midpoint of the nerve edge is the subdivision vertex itself
     assert len(cell) == 1
@@ -841,12 +882,12 @@ def test_pushoff_evaluate_examples():
 
 def frozen_evaluate_rows(pushoff, ids, weights):
     """PushOff.evaluate_rows as it located each row's cell, one row at a
-    time, through every stage's vertex_of dict."""
-    cells = []
+    time, through every stage's vertex_of dict, over vertex ids."""
+    cells, stages = [], stage_vertex_of(pushoff.sub_result)
     for support, row_weights in zip(ids, weights):
         w = {int(v): float(x) for v, x in zip(support, row_weights) if x > 0.0}
-        for prov in pushoff.sub_result.provs:
-            w = subdivision_coordinates(w, prov.vertex_of)
+        for vertex_of in stages:
+            w = subdivision_coordinates(w, vertex_of)
         cells.append(sorted(w.items()))
     width = max(map(len, cells), default=1)  # pad with weight-0 copies of the first id
     pad = np.array([c + [(c[0][0], 0.0)] * (width - len(c)) for c in cells],
@@ -869,9 +910,9 @@ def frozen_evaluate_rows(pushoff, ids, weights):
                                   "hyperbolic_patch"])
 def test_cells_over_rows_match_the_dict_path(name, monkeypatch):
     """On every query of a preset's pipeline run, evaluate_rows gives the
-    targets (bit for bit) and cells of the frozen vertex_of path, and the run
-    builds no provenance's sets or vertex_of dict, and no frozenset of the
-    nerve's simplices."""
+    targets (bit for bit) and cells of the frozen vertex_of path (the
+    pipeline's vertex ids are its rows), and the run builds no frozenset of
+    the simplices of the nerve or of any stage's parent."""
     calls, evaluate_rows = [], rt.PushOff.evaluate_rows
 
     def recorded(pushoff, ids, weights):
@@ -879,9 +920,9 @@ def test_cells_over_rows_match_the_dict_path(name, monkeypatch):
         return calls[-1][3]
     monkeypatch.setattr(rt.PushOff, "evaluate_rows", recorded)
     assert scenes.run_pipeline(scenes.SCENE_BUILDERS[name]()).ok
-    sub = calls[0][0].sub_result
-    assert not [p for p in sub.provs + [sub.prov_total] if {"sets", "vertex_of"} & set(vars(p))]
-    assert "simplices" not in vars(calls[0][0].grid.nerve)
+    pushoff = calls[0][0]
+    assert not [c for c in [pushoff.grid.nerve, *pushoff.sub_result.parents]
+                if "simplices" in vars(c)]
     assert sum(len(ids) for _, ids, _, _ in calls) > 400
     for pushoff, ids, weights, (targets, cells) in calls:
         want_targets, want_cells = frozen_evaluate_rows(pushoff, ids, weights)
@@ -1165,8 +1206,7 @@ def test_run_pipeline_never_computes_the_verification_columns(monkeypatch):
             raise AssertionError(f"run_pipeline read ShrinkRecord.{name}")
         return property(read)
 
-    for name in ("original_diam", "vertices", "sigma_diams", "max_dists", "min_dists",
-                 "_columns"):
+    for name in ("original_diam", "sigma_diams", "max_dists", "min_dists", "_columns"):
         monkeypatch.setattr(sd.ShrinkRecord, name, unread(name))
     rep = scenes.run_pipeline(scenes.hyperbolic_axis_scene(period=2.0), density=20)
     assert rep.ok, rep.failure or rep.gates

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from barylab import simplicial, spaces
+from barylab import simplicial, spaces, subdivision
 from barylab.errors import UnknownSimplex
 
 E2 = spaces.ModelSpace.euclidean(2)
@@ -15,6 +15,18 @@ E2 = spaces.ModelSpace.euclidean(2)
 def labelled(space, labels):
     """The VertexMap sending each vertex id of the dict `labels` to its value."""
     return simplicial.VertexMap(space, list(labels), list(labels.values()))
+
+
+def cell_sets(parent, sub):
+    """{subdivision vertex id: the parent simplex (as ids) it barycenters},
+    rebuilt from parent.faces: vertex row r barycenters parent gid r."""
+    simplices = [tuple(r) for F in parent.faces for r in parent.ids[F].tolist()]
+    return dict(zip(sub.ids.tolist(), simplices))
+
+
+def simplices_of_dim(complex_, k):
+    """The k-simplices as tuples of vertex ids."""
+    return [tuple(r) for r in complex_.ids[complex_.faces[k]].tolist()]
 
 
 def brute_force_subdivision(simplices):
@@ -71,7 +83,7 @@ def reference_subdivision(complex_):
 
 def coface_rows(complex_):
     """Every simplex's strict cofaces (sorted), read off the face tables."""
-    simplices = [tuple(r) for F in complex_.faces for r in F.tolist()]  # gid order
+    simplices = [tuple(r) for F in complex_.faces for r in complex_.ids[F].tolist()]  # gid order
     out = {J: [] for J in simplices}
     for table in complex_.face_tables:
         for row in table.tolist():
@@ -91,29 +103,39 @@ def test_validate_examples():
     assert simplicial.validate(empty) == []
 
 
+@pytest.mark.parametrize("simplices, message", [
+    ([(1,), (0, 1)], r"vertex 0 has no 0-simplex"),
+    ([(0,), (1,), (7,), (0, 7)], r"simplex \(7,\) uses unlisted vertex 7")],
+    ids=["vertex_without_its_0_simplex", "unlisted_vertex"])
+def test_constructor_refuses_a_vertex_outside_the_rows(simplices, message):
+    """Every listed vertex is a row with its 0-simplex, and every simplex is
+    over listed vertices; the refusal names the vertex."""
+    with pytest.raises(ValueError, match=message):
+        simplicial.SimplicialComplex([0, 1], simplices)
+
+
 def test_subdivision_edge():
     edge = simplicial.SimplicialComplex.from_maximal([(0, 1)])
-    sub, prov = simplicial.barycentric_subdivision(edge)
+    sub = simplicial.barycentric_subdivision(edge)
     assert len(sub.vertices) == 3
-    assert len(sub.edges) == 2
-    mid = [v for v, J in prov.sets.items() if J == (0, 1)]
+    assert sub.counts[1] == 2
+    mid = [v for v, J in cell_sets(edge, sub).items() if J == (0, 1)]
     assert len(mid) == 1
     assert (0, mid[0]) in sub.simplices and (1, mid[0]) in sub.simplices
 
 
 def test_subdivision_triangle_counts_against_oracle():
     tri = simplicial.SimplicialComplex.from_maximal([(0, 1, 2)])
-    sub, prov = simplicial.barycentric_subdivision(tri)
+    sub = simplicial.barycentric_subdivision(tri)
     faces, chains = brute_force_subdivision([(0, 1, 2)])
     assert len(sub.vertices) == len(faces) == 7
-    assert len(sub.edges) == sum(1 for c in chains if len(c) == 2) == 12
-    assert len(sub.simplices_of_dim(2)) == sum(1 for c in chains if len(c) == 3) == 6
-    # exact simplex sets match the oracle through provenance
-    vertex_of = {J: v for v, J in prov.sets.items()}
+    assert sub.counts[1] == sum(1 for c in chains if len(c) == 2) == 12
+    assert sub.counts[2] == sum(1 for c in chains if len(c) == 3) == 6
+    # exact simplex sets match the oracle through the cells of the rows
+    vertex_of = {J: v for v, J in cell_sets(tri, sub).items()}
     oracle = {tuple(sorted(vertex_of[J] for J in c)) for c in chains}
     assert oracle == sub.simplices
-    # the inverse map, and every face's strict cofaces read off the tables
-    assert prov.vertex_of == vertex_of
+    # every face's strict cofaces read off the tables
     assert coface_rows(tri) == {
         J: sorted(T for T in faces if set(J) < set(T)) for J in faces}
     # ids ascend along every chain, so a simplex's last vertex is its top face
@@ -123,7 +145,7 @@ def test_subdivision_triangle_counts_against_oracle():
 
 def test_subdivision_zero_dimensional():
     pts = simplicial.SimplicialComplex.from_maximal([(0,), (5,)])
-    sub, prov = simplicial.barycentric_subdivision(pts)
+    sub = simplicial.barycentric_subdivision(pts)
     assert sub.vertices == pts.vertices
     assert sub.simplices == pts.simplices
 
@@ -132,18 +154,19 @@ def test_subdivision_zero_dimensional():
 def test_n_simplex_subdivision_counts(n):
     top = tuple(range(n + 1))
     cplx = simplicial.SimplicialComplex.from_maximal([top])
-    sub, _ = simplicial.barycentric_subdivision(cplx)
+    sub = simplicial.barycentric_subdivision(cplx)
     assert len(sub.vertices) == 2 ** (n + 1) - 1
-    assert len(sub.simplices_of_dim(n)) == math.factorial(n + 1)
+    assert sub.counts[n] == math.factorial(n + 1)
     assert simplicial.validate(sub) == []
 
 
 def test_subdivision_edge_condition():
     """U_J and U_J' are adjacent iff one set contains the other."""
     tri = simplicial.SimplicialComplex.from_maximal([(0, 1, 2)])
-    sub, prov = simplicial.barycentric_subdivision(tri)
+    sub = simplicial.barycentric_subdivision(tri)
+    sets = cell_sets(tri, sub)
     for u, v in itertools.combinations(sorted(sub.vertices), 2):
-        Ju, Jv = set(prov.of(u)), set(prov.of(v))
+        Ju, Jv = set(sets[u]), set(sets[v])
         expected = Ju < Jv or Jv < Ju
         assert ((u, v) in sub.simplices) == expected
 
@@ -183,7 +206,6 @@ def test_map_diameter_examples():
 
 def map_diameter_all_simplices(complex_, iota):
     """Reference evaluation over every simplex (oracle for the edge shortcut)."""
-    iota.check_total(complex_)
     best = 0.0
     for s in complex_.simplices:
         best = max(best, spaces.pairwise_diameter(iota.target, [iota(v) for v in s]))
@@ -218,21 +240,30 @@ def test_map_diameter_edges_equal_all_simplices():
         cplx = simplicial.SimplicialComplex.from_maximal(tops)
         iota = labelled(space, {v: random_label(space, rng) for v in cplx.vertices})
         d_edges = simplicial.map_diameter(cplx, iota)
-        assert d_edges == max(spaces.distance(space, iota(u), iota(v)) for u, v in cplx.faces[1])
+        assert d_edges == max(spaces.distance(space, iota(u), iota(v))
+                              for u, v in simplices_of_dim(cplx, 1))
         d_all = map_diameter_all_simplices(cplx, iota)
         assert abs(d_edges - d_all) < 1e-12
 
 
 def test_provenance_compose():
+    """ShrinkRecord.face, chained over two stages, gives each vertex the
+    original simplex of the union of its cells."""
     edge = simplicial.SimplicialComplex.from_maximal([(0, 1)])
-    s1, p1 = simplicial.barycentric_subdivision(edge)
-    s2, p2 = simplicial.barycentric_subdivision(s1)
-    total = p2.compose(p1)
+    iota = labelled(E2, {0: np.zeros(2), 1: np.array([1.0, 0.0])})
+    res = subdivision.iterate_subdivision(edge, iota, 0.9, 2)
+    s1, s2 = res.parents[1], res.complex
+    sets1 = cell_sets(edge, s1)
+    total = {v: tuple(sorted(set().union(*(sets1[u] for u in J))))
+             for v, J in cell_sets(s1, s2).items()}
+    original = [tuple(r) for F in edge.faces for r in edge.ids[F].tolist()]
+    assert [original[g] for g in res.record.face.tolist()] == [
+        total[v] for v in s2.ids.tolist()]
     # every second-subdivision vertex resolves to a face of the original edge
     for v in s2.vertices:
-        assert set(total.of(v)) <= {0, 1}
+        assert set(total[v]) <= {0, 1}
     # the deepest vertex barycenters the whole edge
-    mids = [v for v in s2.vertices if total.of(v) == (0, 1)]
+    mids = [v for v in s2.vertices if total[v] == (0, 1)]
     assert len(mids) == 3  # first midpoint plus two second-level midpoints
 
 

@@ -10,7 +10,7 @@ import pytest
 from barylab import barycenters, simplicial, spaces, subdivision as sd
 from barylab.errors import (BudgetExceeded, DiameterTooLarge, ModelSpaceViolation,
                             NoBarycenter)
-from test_simplicial import labelled
+from test_simplicial import cell_sets, labelled, simplices_of_dim
 
 E1 = spaces.ModelSpace.euclidean(1)
 E2 = spaces.ModelSpace.euclidean(2)
@@ -35,8 +35,8 @@ def equilateral():
 
 def test_edge_single_step():
     cplx, iota = unit_edge()
-    sub, iota1, record, prov, _ = sd.shrinking_subdivide(cplx, iota, 0.5)
-    mid = next(v for v, J in prov.sets.items() if J == (0, 1))
+    sub, iota1, record, _ = sd.shrinking_subdivide(cplx, iota, 0.5)
+    mid = next(v for v, J in cell_sets(cplx, sub).items() if J == (0, 1))
     assert abs(iota1(mid)[0] - 0.5) < 1e-12
     for after, before in zip(record.after, record.before):
         assert after <= 0.5 * before + 1e-12
@@ -44,8 +44,8 @@ def test_edge_single_step():
 
 def test_triangle_single_step_six_subtriangles():
     cplx, iota = equilateral()
-    sub, iota1, record, prov, _ = sd.shrinking_subdivide(cplx, iota, SQ32)
-    tris = sub.simplices_of_dim(2)
+    sub, iota1, record, _ = sd.shrinking_subdivide(cplx, iota, SQ32)
+    tris = simplices_of_dim(sub, 2)
     assert len(tris) == 6
     # exhaustive diameter check of the six images
     for t in tris:
@@ -56,7 +56,7 @@ def test_triangle_single_step_six_subtriangles():
 def test_zero_dimensional_complex():
     cplx = simplicial.SimplicialComplex.from_maximal([(0,), (1,)])
     iota = labelled(E1, {0: np.array([0.0]), 1: np.array([5.0])})
-    sub, iota1, record, _, _ = sd.shrinking_subdivide(cplx, iota, 0.5)
+    sub, iota1, record, _ = sd.shrinking_subdivide(cplx, iota, 0.5)
     assert sub.simplices == cplx.simplices
     assert record.edges.shape == (0, 2) and len(record.after) == 0
 
@@ -101,6 +101,20 @@ def test_verify_shrinking_triangle_bounds():
     assert ver.max_final_diam <= 0.75 + 1e-9
 
 
+def test_verify_shrinking_names_vertex_ids():
+    """Violations name edges and vertices by their ids, not their rows: at
+    tol = -100 every bound fails on the triangle labelled [3, 7, 9]."""
+    cplx = simplicial.SimplicialComplex.from_maximal([(3, 7, 9)])
+    iota = labelled(E2, {3: np.zeros(2), 7: np.array([1.0, 0.0]), 9: np.array([0.0, 1.0])})
+    res = sd.iterate_subdivision(cplx, iota, 0.9, 2)
+    named = {}
+    for kind, where, *_ in sd.verify_shrinking(res.record, tol=-100.0).violations:
+        named.setdefault(kind, []).append(where)
+    assert named["order_bound"] == simplices_of_dim(res.complex, 1)
+    assert named["displacement"] == named["containment"] == res.complex.ids.tolist()
+    assert res.complex.ids[:3].tolist() == [3, 7, 9]
+
+
 def test_all_vertices_one_point():
     cplx = simplicial.SimplicialComplex.from_maximal([(0, 1, 2)])
     p = np.array([2.0, -1.0])
@@ -122,12 +136,7 @@ def test_condition_two_recorded_every_stage():
 
 def test_condition_two_failure_names_the_parent_without_provenance_sets(monkeypatch):
     """Labels that spread past their parent's diameter fail condition (2);
-    the message names the parent simplex read off the face arrays, and the
-    stage never builds the provenance's dict of sets."""
-    def sets(self):
-        raise AssertionError("SubdivisionProvenance.sets was built")
-
-    monkeypatch.setattr(simplicial.SubdivisionProvenance, "sets", property(sets))
+    the message names the parent simplex read off the face arrays."""
     monkeypatch.setattr(sd, "_label_rows", lambda space, table, p_rows, *rest: np.full(
         (len(p_rows), space.ambient_dim), 5.0))
     cplx, iota = equilateral()
@@ -154,10 +163,9 @@ def test_equivariant_propagation_exact():
         E1, {v: np.array([float(v)]) for v in range(4)})
     h = spaces.Isometry.euclidean_translation([2.0])
     equiv = action_rows(cplx, [(h, {0: 2, 1: 3}), (h.inverse(), {2: 0, 3: 1})])
-    sub, iota1, record, prov, _ = sd.shrinking_subdivide(cplx, iota, 0.5,
-                                                         equivariance=equiv)
-    v01 = next(v for v, J in prov.sets.items() if J == (0, 1))
-    v23 = next(v for v, J in prov.sets.items() if J == (2, 3))
+    sub, iota1, record, _ = sd.shrinking_subdivide(cplx, iota, 0.5, equivariance=equiv)
+    vertex_of = {J: v for v, J in cell_sets(cplx, sub).items()}
+    v01, v23 = vertex_of[(0, 1)], vertex_of[(2, 3)]
     assert np.array_equal(iota1(v23), h.apply(iota1(v01)))
 
 
@@ -171,9 +179,10 @@ def test_partial_action_without_inverse(shift):
     iota = labelled(E1, {v: np.array([float(v)]) for v in range(4)})
     h = spaces.Isometry.euclidean_translation([shift])
     vmap = {2: 0, 3: 1} if shift < 0 else {0: 2, 1: 3}
-    sub, iota1, _, prov, lifted = sd.shrinking_subdivide(
+    sub, iota1, _, lifted = sd.shrinking_subdivide(
         cplx, iota, 0.5, equivariance=action_rows(cplx, [(h, vmap)]))
-    v01, v23 = prov.vertex_of[(0, 1)], prov.vertex_of[(2, 3)]
+    vertex_of = {J: v for v, J in cell_sets(cplx, sub).items()}
+    v01, v23 = vertex_of[(0, 1)], vertex_of[(2, 3)]
     src, dst = (v23, v01) if shift < 0 else (v01, v23)
     assert lifted[0][1][src] == dst  # vertex rows are the ids here
     assert iota1(v01).tolist() == [0.5] and iota1(v23).tolist() == [2.5]
@@ -209,7 +218,7 @@ def test_budget_refuses_before_any_stage(monkeypatch):
     with pytest.raises(BudgetExceeded, match="25 simplices"):
         sd.shrinking_subdivide(cplx, iota, SQ32)
     monkeypatch.setattr(simplicial, "SUBDIVISION_BUDGET", 25)
-    assert len(simplicial.barycentric_subdivision(cplx)[0].simplices) == 25
+    assert len(simplicial.barycentric_subdivision(cplx).simplices) == 25
 
 
 def test_determinism():
@@ -252,12 +261,21 @@ def subdivision_coordinates(weights, vertex_of):
     return out
 
 
+def stage_vertex_of(result):
+    """Per stage of a SubdivisionResult, {parent simplex (ids): subdivision
+    vertex id}, rebuilt from the parents' faces."""
+    subs = result.parents[1:] + [result.complex]
+    return [{J: v for v, J in cell_sets(parent, sub).items()}
+            for parent, sub in zip(result.parents, subs)]
+
+
 def test_subdivision_coordinates_position_preserved():
     """The chain transform expresses the same point: in Euclidean space the
     geodesic cone is the exact convex combination."""
     cplx, iota = equilateral()
-    sub, iota1, _, prov, _ = sd.shrinking_subdivide(cplx, iota, SQ32)
-    vertex_of = {J: v for v, J in prov.sets.items()}
+    sub, iota1, _, _ = sd.shrinking_subdivide(cplx, iota, SQ32)
+    sets = cell_sets(cplx, sub)
+    vertex_of = {J: v for v, J in sets.items()}
     rng = np.random.default_rng(5)
     for _ in range(50):
         w = rng.dirichlet([1.5, 1.5, 1.5])
@@ -270,7 +288,7 @@ def test_subdivision_coordinates_position_preserved():
         # position: weights recombine the subdivision vertices' centroids
         pos = np.zeros(2)
         for v, mu in out.items():
-            J = prov.of(v)
+            J = sets[v]
             pos += mu * np.mean([iota(j) for j in J], axis=0)
         assert np.allclose(pos, target, atol=1e-12)
 
@@ -337,7 +355,7 @@ def action_rows(cplx, maps):
     """The partial maps [(h, {vertex id: image id})] as shrinking_subdivide
     takes them: [(h, array over the vertex rows of image rows, -1 where
     undefined)]."""
-    ids = cplx.faces[0][:, 0]
+    ids = cplx.ids
     out = []
     for h, vmap in maps:
         rows = np.full(len(ids), -1)
@@ -392,10 +410,10 @@ def _orbit_assignments(new_sets, maps):
     return assigned
 
 
-def _lift_equivariance(maps, prov):
+def _lift_equivariance(maps, parent, sub):
     """Lift partial vertex maps [(h, vertex dict)] through one barycentric
     subdivision."""
-    vertex_of = {J: v for v, J in prov.sets.items()}
+    vertex_of = {J: v for v, J in cell_sets(parent, sub).items()}
     lifted = []
     for h, vmap in maps:
         new_map = {}
@@ -413,8 +431,8 @@ def reference_labels(cplx, iota, lam, maps=None):
     order of increasing |J|, P the labels of J's proper faces and Q the rest
     of its room, orbit members propagated from their representative."""
     space = iota.target
-    _, prov = simplicial.barycentric_subdivision(cplx)
-    vertex_of = {J: v for v, J in prov.sets.items()}
+    sub = simplicial.barycentric_subdivision(cplx)
+    vertex_of = {J: v for v, J in cell_sets(cplx, sub).items()}
     labels = dict(zip(iota.ids.tolist(), iota.points.tolist()
                       if space.kind == spaces.FINITE else iota.points))
     new_sets = sorted((J for J in vertex_of if len(J) >= 2), key=lambda J: (len(J), J))
@@ -517,8 +535,8 @@ def test_iterated_equivariant_labels_bit_identical(space):
     res = sd.iterate_subdivision(cplx, iota, SQ32, 2, equivariance=action_rows(cplx, maps))
     for _ in range(2):
         labels = reference_labels(cplx, iota, SQ32, maps)
-        cplx, prov = simplicial.barycentric_subdivision(cplx)
-        maps = _lift_equivariance(maps, prov)
+        sub = simplicial.barycentric_subdivision(cplx)
+        cplx, maps = sub, _lift_equivariance(maps, cplx, sub)
         iota = labelled(space, labels)
     assert res.complex.simplices == cplx.simplices
     assert set(res.iota.ids.tolist()) == set(labels)
@@ -547,9 +565,10 @@ def test_batched_labels_finite():
     F = spaces.ModelSpace.finite([[abs(i - j) for j in range(5)] for i in range(5)])
     cplx = simplicial.SimplicialComplex.from_maximal([(0, 1), (1, 2)])
     iota = labelled(F, {0: 0, 1: 2, 2: 4})
-    _, iota1, _, prov, _ = sd.shrinking_subdivide(cplx, iota, 0.5)
+    sub, iota1, _, _ = sd.shrinking_subdivide(cplx, iota, 0.5)
     assert_same_labels(cplx, iota, 0.5)
-    labels = {prov.of(v): iota1(v) for v in iota1.ids.tolist()}
+    sets = cell_sets(cplx, sub)
+    labels = {sets[v]: iota1(v) for v in iota1.ids.tolist()}
     assert labels[(0, 1)] == 1 and labels[(1, 2)] == 3
     assert iota1.points.dtype == np.int64
     assert all(type(p) is int for p in iota1.to_json().values())
@@ -594,9 +613,9 @@ def test_rule_rejected_row_reaches_grid_solver(monkeypatch):
 
     monkeypatch.setattr(barycenters, "solve_barycenter", counted)
     cplx, iota = equilateral()
-    _, iota1, _, prov, _ = sd.shrinking_subdivide(cplx, iota, 0.6)
+    sub, iota1, _, _ = sd.shrinking_subdivide(cplx, iota, 0.6)
     assert calls == [6]
-    center = next(v for v, J in prov.sets.items() if J == (0, 1, 2))
+    center = next(v for v, J in cell_sets(cplx, sub).items() if J == (0, 1, 2))
     assert barycenters.lambda_of(
         E2, iota1(center), [iota(0), iota(1), iota(2)]) <= 0.6 + 1e-9
     calls.clear()
@@ -604,16 +623,29 @@ def test_rule_rejected_row_reaches_grid_solver(monkeypatch):
     assert calls == [6, 6]  # the batched pass, then the reference
 
 
+def original_faces(result, original):
+    """Per final vertex row, the gid in `original` of its least containing
+    original simplex: the union of its cells, chained through every stage's
+    dict of cells."""
+    gid = {J: g for g, J in enumerate(
+        tuple(r) for F in original.faces for r in original.ids[F].tolist())}
+    sets = {v: (v,) for v in original.ids.tolist()}
+    for parent, sub in zip(result.parents, result.parents[1:] + [result.complex]):
+        sets = {v: tuple(sorted(set().union(*(sets[u] for u in J))))
+                for v, J in cell_sets(parent, sub).items()}
+    return np.array([gid[sets[v]] for v in result.complex.ids.tolist()], dtype=np.int64)
+
+
 def frozen_eager_columns(result, original, original_iota):
     """The per-vertex columns as iterate_subdivision computed them eagerly:
     (original_diam, vertices, sigma_diams, max_dists, min_dists)."""
-    space, complex_, prov_total = original_iota.target, result.complex, result.prov_total
-    table = result.iota.at(complex_.faces[0][:, 0])
-    orig_table = original_iota.at(original.faces[0][:, 0])
+    space, complex_ = original_iota.target, result.complex
+    table = result.iota.at(complex_.ids)
+    orig_table = original_iota.at(original.ids)
     orig_tables, offsets = original.face_tables, original.offsets
     orig_diams = np.concatenate([sd._diameters(space, orig_table, t[:, :d + 1])
                                  for d, t in enumerate(orig_tables)])
-    face = prov_total.face
+    face = original_faces(result, original)
     dims = np.searchsorted(offsets, face, side="right") - 1
     hi, lo = np.zeros(len(face)), np.zeros(len(face))
     for d, t in enumerate(orig_tables):
@@ -621,7 +653,7 @@ def frozen_eager_columns(result, original, original_iota):
         sigma = t[face[members] - offsets[d], :d + 1]
         dist = spaces.paired_distances(space, table[members][:, None], orig_table[sigma])
         hi[members], lo[members] = dist.max(axis=1), dist.min(axis=1)
-    return (float(np.max(orig_diams, initial=0.0)), prov_total.ids, orig_diams[face], hi, lo)
+    return (float(np.max(orig_diams, initial=0.0)), complex_.ids, orig_diams[face], hi, lo)
 
 
 @pytest.mark.parametrize("case, order", [
